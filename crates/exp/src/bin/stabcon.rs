@@ -6,10 +6,9 @@
 //! stabcon campaign resume --preset figure1-small --out store.jsonl
 //! stabcon campaign merge  --preset figure1-small --out merged.jsonl --from a.jsonl --from b.jsonl
 //! stabcon campaign report --out store.jsonl [--format text|md|csv] [--timings]
-//! stabcon serve           --preset figure1-small --out store.jsonl --listen 0.0.0.0:7677
-//! stabcon serve --queue   --out q.jsonl --listen 0.0.0.0:7677 --resume
-//! stabcon work            --preset figure1-small --connect host:7677
-//! stabcon work --any      --connect host:7677
+//! stabcon serve           --preset figure1-small --out fig.jsonl --listen 0.0.0.0:7677
+//! stabcon serve           --out q.jsonl --listen 0.0.0.0:7677 --resume
+//! stabcon work            --connect host:7677
 //! stabcon submit          --preset figure1-small --connect host:7677 --client lab
 //! stabcon status          --connect host:7677 [--campaign 2]
 //! stabcon cancel          --connect host:7677 --campaign 2
@@ -33,9 +32,11 @@
 //! `campaign merge` fingerprint-checks the shard stores, verifies their
 //! cells are disjoint and cover the grid, and stitches them into a store
 //! byte-identical to the single-host run. `serve`/`work` are the online
-//! version: the daemon leases cells to connecting workers and re-claims
-//! leases whose worker died (deterministic seeds make re-runs exact). See
-//! `stabcon_exp::fabric`.
+//! version: the daemon is a job queue that leases cells to connecting
+//! workers and re-claims leases whose worker died (deterministic seeds make
+//! re-runs exact). Given spec flags, `serve` submits that one campaign at
+//! startup and exits once it is done; its store lands at
+//! `<out>.job-1.jsonl`. See `stabcon_exp::fabric`.
 //!
 //! `--progress` prints live lines (trials done, trials/s, worker spread,
 //! chunk-cursor lag, ETA) to stderr; `--telemetry PATH` streams the same
@@ -44,17 +45,19 @@
 //! final per-cell phase-profile table. `telemetry check` validates a sink
 //! file against the schema (CI runs it on the smoke campaign's sink).
 
-use std::path::PathBuf;
+use std::net::{Ipv4Addr, Ipv6Addr};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use stabcon_exp::campaign::{run_campaign, CampaignSpec, RunConfig};
+use stabcon_exp::fabric::queue::load_journal;
 use stabcon_exp::fabric::{
-    cancel_job, job_store_path, jobs_journal_path, merge_stores, query_status, run_worker,
-    run_worker_any, shard_store_path, submit_campaign, ChaosProxy, ChaosSpec, QueueServeConfig,
-    QueueServer, ServeConfig, Server, ShardSelection, SpecDescriptor, WorkerConfig,
+    cancel_job, job_store_path, jobs_journal_path, merge_stores, query_status, run_worker_any,
+    shard_store_path, submit_campaign, ChaosProxy, ChaosSpec, JournalEvent, QueueServeConfig,
+    QueueServer, ShardSelection, SpecDescriptor, WorkerConfig,
 };
 use stabcon_exp::presets::{preset, PRESET_NAMES};
 use stabcon_exp::store::Durability;
@@ -62,7 +65,9 @@ use stabcon_exp::{report, store, telemetry};
 use stabcon_util::table::Table;
 
 struct Args {
-    preset: String,
+    /// `None` means the default `smoke` preset (and, for `serve`, no
+    /// startup campaign unless another spec flag is set).
+    preset: Option<String>,
     out: PathBuf,
     format: String,
     threads: Option<usize>,
@@ -89,8 +94,6 @@ struct Args {
     retries: Option<u32>,
     backoff_ms: Option<u64>,
     nasty: bool,
-    queue: bool,
-    any: bool,
     client: Option<String>,
     campaign: Option<u64>,
     job: Option<u64>,
@@ -106,11 +109,9 @@ fn usage() -> String {
          stabcon campaign resume --out PATH [--preset NAME] [--shard I/K] [spec/exec flags]\n  \
          stabcon campaign merge  --out PATH --from PATH [--from PATH ...] [spec flags]\n  \
          stabcon campaign report --out PATH [--format text|md|csv] [--timings]\n  \
-         stabcon serve           --out PATH --listen HOST:PORT [--lease-secs N] [--resume] [spec flags]\n  \
-         stabcon serve --queue   --out PREFIX --listen HOST:PORT [--max-active N] [--quota N]\n  \
-                                 [--resume] [--exit-when-idle] (multi-campaign daemon; SIGTERM drains)\n  \
-         stabcon work            --connect HOST:PORT [--worker-name NAME] [spec/exec flags]\n  \
-         stabcon work --any      --connect HOST:PORT (work every campaign the daemon queues)\n  \
+         stabcon serve           --out PREFIX --listen HOST:PORT [--max-active N] [--quota N]\n  \
+                                 [--resume] [--exit-when-idle] [spec flags] (job-queue daemon)\n  \
+         stabcon work            --connect HOST:PORT [--worker-name NAME] [exec flags]\n  \
          stabcon submit          --connect HOST:PORT [--client NAME] [spec flags]\n  \
          stabcon status          --connect HOST:PORT [--campaign ID]\n  \
          stabcon cancel          --connect HOST:PORT --campaign ID\n  \
@@ -127,12 +128,15 @@ fn usage() -> String {
          durability:  --durability none|cell|batch (fsync policy for run/resume/serve;\n  \
                       default none — bytes are identical under every policy)\n\
          observability: --progress (live lines on stderr)\n  \
-                      --telemetry PATH (JSONL snapshots + per-cell profiles)\n\
+                      --telemetry PATH (run/resume: JSONL snapshots + per-cell profiles)\n\
          report flags: --timings (join the store's timings sidecar)\n  \
                       --job N (report the daemon's per-job store <out>.job-N.jsonl)\n\
          queue flags: --client NAME (submission identity; quota is per client)\n  \
                       --campaign ID (status/cancel target)  --max-active N  --quota N\n  \
-                      --exit-when-idle (daemon exits once every job is terminal)\n\
+                      --exit-when-idle (daemon exits once every job is terminal)\n  \
+                      serve stores job N at PREFIX.job-N.jsonl (+ .timings.jsonl, .telemetry.jsonl);\n  \
+                      spec flags on serve submit that one campaign at startup and exit once it is\n  \
+                      done; work runs whatever the daemon leases; SIGTERM drains either\n\
          chaos flags: --seed N (fault-draw seed)  --nasty (hostile fault mix)\n",
         names = PRESET_NAMES.join("|")
     )
@@ -140,7 +144,7 @@ fn usage() -> String {
 
 fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
     let mut args = Args {
-        preset: "smoke".into(),
+        preset: None,
         out: PathBuf::new(),
         format: "text".into(),
         threads: None,
@@ -165,8 +169,6 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
         retries: None,
         backoff_ms: None,
         nasty: false,
-        queue: false,
-        any: false,
         client: None,
         campaign: None,
         job: None,
@@ -182,7 +184,7 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag}: missing value"))
         };
         match flag.as_str() {
-            "--preset" => args.preset = value()?,
+            "--preset" => args.preset = Some(value()?),
             "--out" => args.out = PathBuf::from(value()?),
             "--format" => args.format = value()?,
             "--threads" => args.threads = Some(parse_num(flag, &value()?)? as usize),
@@ -205,8 +207,6 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
             "--retries" => args.retries = Some(parse_num(flag, &value()?)? as u32),
             "--backoff-ms" => args.backoff_ms = Some(parse_num(flag, &value()?)?),
             "--nasty" => args.nasty = true,
-            "--queue" => args.queue = true,
-            "--any" => args.any = true,
             "--client" => args.client = Some(value()?),
             "--campaign" => args.campaign = Some(parse_num(flag, &value()?)?),
             "--job" => args.job = Some(parse_num(flag, &value()?)?),
@@ -239,11 +239,15 @@ fn parse_num(flag: &str, s: &str) -> Result<u64, String> {
     u64::from_str_radix(digits, radix).map_err(|e| format!("{flag}: bad number '{s}': {e}"))
 }
 
+fn preset_name(args: &Args) -> &str {
+    args.preset.as_deref().unwrap_or("smoke")
+}
+
 fn build_spec(args: &Args) -> Result<CampaignSpec, String> {
-    let mut spec = preset(&args.preset).ok_or_else(|| {
+    let mut spec = preset(preset_name(args)).ok_or_else(|| {
         format!(
             "unknown preset '{}' (expected one of {})",
-            args.preset,
+            preset_name(args),
             PRESET_NAMES.join(", ")
         )
     })?;
@@ -339,7 +343,7 @@ fn merge(args: &Args) -> Result<(), String> {
 /// inputs.
 fn descriptor_from(args: &Args) -> SpecDescriptor {
     SpecDescriptor {
-        preset: args.preset.clone(),
+        preset: preset_name(args).to_string(),
         name: args.name.clone(),
         trials: args.trials,
         seed: args.seed,
@@ -376,30 +380,120 @@ fn install_sigterm_halt(flag: Arc<AtomicBool>) {
 #[cfg(not(unix))]
 fn install_sigterm_halt(_flag: Arc<AtomicBool>) {}
 
-fn serve_queue(args: &Args) -> Result<(), String> {
+/// The campaign `serve` submits at startup: any spec flag turns the daemon
+/// into a one-job queue for it.
+fn startup_campaign(args: &Args) -> Option<SpecDescriptor> {
+    let any_spec_flag = args.preset.is_some()
+        || args.trials.is_some()
+        || args.seed.is_some()
+        || args.ns_raw.is_some()
+        || args.name.is_some();
+    any_spec_flag.then(|| descriptor_from(args))
+}
+
+/// The job a resumed one-job journal already holds, if any. A journal whose
+/// job is a different campaign is refused rather than silently finished
+/// under the wrong spec flags.
+fn journaled_job(out: &Path, desc: &SpecDescriptor) -> Result<Option<u64>, String> {
+    let path = jobs_journal_path(out);
+    if !path.exists() {
+        return Ok(None);
+    }
+    let ours = desc.build()?.fingerprint();
+    let (events, _) = load_journal(&path)?;
+    let first = events.iter().find_map(|e| match e {
+        JournalEvent::Submit {
+            job, fingerprint, ..
+        } => Some((*job, *fingerprint)),
+        JournalEvent::State { .. } => None,
+    });
+    match first {
+        Some((job, fp)) if fp != ours => Err(format!(
+            "{}: job {job} has grid fingerprint {fp:016x}, these spec flags build {ours:016x}",
+            path.display()
+        )),
+        other => Ok(other.map(|(job, _)| job)),
+    }
+}
+
+fn serve(args: &Args) -> Result<(), String> {
+    if args.telemetry.is_some() {
+        return Err(
+            "serve: --telemetry is for `campaign run`/`resume`; the daemon writes each job's \
+             worker telemetry to <store>.telemetry.jsonl"
+                .into(),
+        );
+    }
     let listen = args.listen.as_deref().unwrap_or("127.0.0.1:7677");
     let server = QueueServer::bind(listen, &args.out)?;
+    let bound = server.local_addr()?;
     eprintln!(
-        "serve: queue on {} → stores {}.job-*.jsonl, journal {}",
-        server.local_addr()?,
+        "serve: queue on {bound} → stores {}.job-*.jsonl, journal {}",
         args.out.display(),
         jobs_journal_path(&args.out).display()
     );
+    let startup = startup_campaign(args);
     let halt = Arc::new(AtomicBool::new(false));
     install_sigterm_halt(Arc::clone(&halt));
-    let outcome = server.run(&QueueServeConfig {
+    let cfg = QueueServeConfig {
         lease: Duration::from_secs(args.lease_secs.unwrap_or(60).max(1)),
         progress: args.progress,
         resume: args.resume,
         durability: args.durability,
         max_active: args.max_active.unwrap_or(4),
         quota: args.quota.unwrap_or(4),
-        exit_when_idle: args.exit_when_idle,
-        shutdown: Some(halt),
-    })?;
+        exit_when_idle: args.exit_when_idle || startup.is_some(),
+        shutdown: Some(Arc::clone(&halt)),
+    };
+    let outcome = match startup {
+        None => server.run(&cfg)?,
+        Some(desc) => {
+            let name = desc.build()?.name;
+            let resumed = if args.resume {
+                journaled_job(&args.out, &desc)?
+            } else {
+                None
+            };
+            let daemon = std::thread::spawn(move || server.run(&cfg));
+            let job = match resumed {
+                Some(job) => Ok(job),
+                None => {
+                    // The listener is already bound, so this connect queues
+                    // until the daemon thread accepts it.
+                    let mut dial = bound;
+                    if dial.ip().is_unspecified() {
+                        dial.set_ip(if dial.is_ipv4() {
+                            Ipv4Addr::LOCALHOST.into()
+                        } else {
+                            Ipv6Addr::LOCALHOST.into()
+                        });
+                    }
+                    submit_campaign(&dial.to_string(), "serve", &desc).map(|s| s.job)
+                }
+            };
+            let job = match job {
+                Ok(job) => job,
+                Err(e) => {
+                    halt.store(true, Ordering::SeqCst);
+                    let _ = daemon.join();
+                    return Err(format!("serve: startup submission failed: {e}"));
+                }
+            };
+            let store = job_store_path(&args.out, job);
+            eprintln!(
+                "serve: campaign '{name}' is job {job} → store {}, telemetry {}",
+                store.display(),
+                telemetry::sink_path(&store).display()
+            );
+            daemon
+                .join()
+                .map_err(|_| "serve: daemon thread panicked")??
+        }
+    };
     eprintln!(
         "serve: queue {} — {} job(s): {} done, {} cancelled, {} failed, {} queued + {} running \
-         parked for --resume; {} connection(s) → journal {}",
+         parked for --resume; {} cell(s) ingested, {} lease(s) reclaimed, {} renewed, \
+         {} duplicate result(s) deduped, {} goodbye(s) from {} connection(s) → journal {}",
         if outcome.halted { "halted" } else { "idle" },
         outcome.jobs,
         outcome.done,
@@ -407,48 +501,18 @@ fn serve_queue(args: &Args) -> Result<(), String> {
         outcome.failed,
         outcome.queued,
         outcome.running,
-        outcome.workers_seen,
-        outcome.journal_path.display(),
-    );
-    Ok(())
-}
-
-fn serve(args: &Args) -> Result<(), String> {
-    if args.queue {
-        return serve_queue(args);
-    }
-    let spec = build_spec(args)?;
-    let listen = args.listen.as_deref().unwrap_or("127.0.0.1:7677");
-    let server = Server::bind(listen, &spec, &args.out)?;
-    eprintln!(
-        "serve: campaign '{}' on {} → {}",
-        spec.name,
-        server.local_addr()?,
-        args.out.display()
-    );
-    let outcome = server.run(&ServeConfig {
-        lease: Duration::from_secs(args.lease_secs.unwrap_or(60).max(1)),
-        progress: args.progress,
-        telemetry: args.telemetry.clone(),
-        resume: args.resume,
-        durability: args.durability,
-    })?;
-    eprintln!(
-        "serve: campaign '{}' complete — {} cells ({} ingested, {} skipped) from {} worker(s), \
-         {} lease(s) reclaimed, {} renewed, {} duplicate result(s) deduped → {}",
-        spec.name,
-        outcome.cells_total,
         outcome.cells_ingested,
-        outcome.cells_skipped,
-        outcome.workers_seen,
         outcome.leases_reclaimed,
         outcome.leases_renewed,
         outcome.results_deduped,
-        outcome.store_path.display(),
+        outcome.goodbyes,
+        outcome.workers_seen,
+        outcome.journal_path.display(),
     );
     if outcome.telemetry_dropped > 0 {
         eprintln!(
-            "serve: dropped {} invalid telemetry line(s) from workers",
+            "serve: dropped {} telemetry line(s) (worker sink headers, invalid records, or \
+             lines for a finished job)",
             outcome.telemetry_dropped
         );
     }
@@ -527,14 +591,9 @@ fn work(args: &Args) -> Result<(), String> {
         cfg.backoff_ms = b;
     }
     let start = std::time::Instant::now();
-    let outcome = if args.any {
-        // Any-campaign mode: no local spec — each lease ships its job's
-        // descriptor, which the worker builds and fingerprint-verifies.
-        run_worker_any(addr, &cfg)?
-    } else {
-        let spec = build_spec(args)?;
-        run_worker(addr, &spec, &cfg)?
-    };
+    // No local spec: each lease ships its job's descriptor, which the
+    // worker builds and fingerprint-verifies.
+    let outcome = run_worker_any(addr, &cfg)?;
     eprintln!(
         "work '{}': {} cell(s), {} trial(s) in {:.2}s{}{}",
         cfg.name,

@@ -1,4 +1,4 @@
-//! One-shot control-plane clients for a queue-mode `stabcon serve` daemon:
+//! One-shot control-plane clients for a `stabcon serve` daemon:
 //! submit a campaign, query the live status plane, cancel a job. Each call
 //! dials, speaks `stabcon-fabric/2`, and hangs up — no retry loop, because
 //! a control action either happened or it didn't, and the caller (the CLI)
@@ -10,10 +10,10 @@
 //! a version skew between client and daemon binaries is caught at submit
 //! time — not after a store full of mismatched bytes.
 
-use std::io::{BufRead, BufReader, Lines, Write as _};
+use std::io::{BufRead, BufReader, Lines};
 use std::net::TcpStream;
 
-use super::protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
 
 /// One `/2` control connection, from handshake to drop.
 struct Control {
@@ -24,6 +24,8 @@ struct Control {
 impl Control {
     fn connect(addr: &str, client: &str) -> Result<Self, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Frames are small request/reply lines: send each now.
+        let _ = stream.set_nodelay(true);
         let reader = stream
             .try_clone()
             .map_err(|e| format!("clone connection: {e}"))?;
@@ -34,7 +36,6 @@ impl Control {
         control.send(&Msg::Hello {
             schema: FABRIC_SCHEMA_V2.into(),
             worker: client.into(),
-            fingerprint: String::new(),
         })?;
         match control.recv()? {
             Msg::Welcome { .. } => Ok(control),
@@ -44,11 +45,7 @@ impl Control {
     }
 
     fn send(&mut self, msg: &Msg) -> Result<(), String> {
-        self.stream
-            .write_all(msg.encode().as_bytes())
-            .and_then(|_| self.stream.write_all(b"\n"))
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| format!("send: {e}"))
+        write_frame(&mut self.stream, msg).map_err(|e| format!("send: {e}"))
     }
 
     fn recv(&mut self) -> Result<Msg, String> {

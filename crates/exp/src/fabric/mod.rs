@@ -20,27 +20,25 @@
 //! coverage and re-sorts cells into canonical cell-index order, and the
 //! result is byte-identical to the store one host would have written.
 //!
-//! The [`serve`] daemon is the online version of the same contract: it
-//! leases cell ids to workers over the line-oriented [`protocol`], re-leases
-//! cells whose worker died (deterministic seeds make a re-run exact), and
-//! appends results to the store in canonical order, so a completed serve
-//! store is *also* byte-identical to the single-host run.
-
+//! The [`serve`] daemon is the online version of the same contract: a
+//! durable multi-campaign job queue. Campaigns are submitted over the
+//! line-oriented [`protocol`] (`stabcon-fabric/2`) with per-client
+//! admission quotas, activated FIFO, and leased cell by cell, round-robin
+//! across running campaigns, to workers that each run the one lease loop
+//! in [`worker`]. Cells whose worker died are re-leased (deterministic
+//! seeds make a re-run exact), and results are appended to each job's
+//! store in canonical order, so a completed job store is *also*
+//! byte-identical to the single-host run. A single-campaign `stabcon serve
+//! --preset X` is just this daemon with one job submitted at startup.
+//!
 //! The fabric is WAN-hardened end to end: workers reconnect with capped
 //! jittered backoff and resubmit completed results idempotently, lease
-//! heartbeats ([`Msg::Renew`]) keep slow-but-alive cells from being
-//! re-leased, the serve store honors an explicit fsync policy and repairs
-//! torn tails atomically on resume, and the [`chaos`] proxy injects
-//! deterministic WAN faults between the two so the byte-identity contract
-//! is pinned under fire, not just in fair weather.
-//!
-//! On top of the single-campaign lease loop sits the submission plane
-//! (`stabcon-fabric/2`): the daemon holds a durable multi-campaign
-//! [`queue::JobQueue`] — submissions over the wire with per-client
-//! admission quotas, FIFO activation, round-robin leasing across running
-//! campaigns, a live status endpoint, and a crash-replayable
-//! `stabcon-jobs/1` journal — while `/1` workers keep speaking the
-//! original pinned protocol unchanged.
+//! heartbeats ([`Msg::Renew2`]) keep slow-but-alive cells from being
+//! re-leased, every store honors an explicit fsync policy and repairs torn
+//! tails atomically on resume, a crash-replayable `stabcon-jobs/1` journal
+//! brings a `kill -9`'d daemon back to the same bytes, and the [`chaos`]
+//! proxy injects deterministic WAN faults between the two so the
+//! byte-identity contract is pinned under fire, not just in fair weather.
 
 pub mod chaos;
 pub mod client;
@@ -54,14 +52,11 @@ pub mod worker;
 pub use chaos::{fault_for, ChaosProxy, ChaosSpec, Fault};
 pub use client::{cancel_job, query_status, submit_campaign, JobInfo, QueueStatus, SubmitOutcome};
 pub use merge::{merge_stores, MergeOutcome};
-pub use protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
+pub use protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
 pub use queue::{
-    job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent,
-    QueueConfig, Rejection, JOBS_SCHEMA,
+    job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent, QueueConfig,
+    Rejection, JOBS_SCHEMA,
 };
-pub use serve::{
-    Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeConfig, ServeOutcome,
-    ServeState, Server,
-};
+pub use serve::{Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeState};
 pub use shard::{shard_store_path, ShardSelection};
-pub use worker::{request_drain, run_worker, run_worker_any, WorkerConfig, WorkerOutcome};
+pub use worker::{request_drain, run_worker_any, WorkerConfig, WorkerOutcome};

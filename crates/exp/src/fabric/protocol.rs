@@ -1,49 +1,24 @@
-//! The line-oriented fabric protocol (`stabcon-fabric/1` and `/2`)
-//! between `stabcon serve`, `stabcon work`, and the submission clients
-//! (`stabcon submit` / `status` / `cancel`).
+//! The line-oriented fabric protocol (`stabcon-fabric/2`) between the
+//! `stabcon serve` queue daemon, `stabcon work` workers, and the
+//! submission clients (`stabcon submit` / `status` / `cancel`).
 //!
 //! One flat JSON object per line, encoded with the workspace's own
 //! [`stabcon_util::jsonl`] builders — the same escaping the result store
 //! uses, so any store/telemetry line survives the wire verbatim (pinned by
 //! `tests/fabric_protocol_props.rs`). Every message carries a `kind` field;
 //! unknown kinds and malformed lines are decode errors, never silently
-//! dropped, because a desynced fabric must fail loudly.
+//! dropped, because a desynced fabric must fail loudly. [`write_frame`]
+//! puts one message on the wire as a single write.
 //!
-//! The conversation:
-//!
-//! ```text
-//! worker                          server
-//!   Hello{schema,worker,fp}  →
-//!                            ←  Welcome{campaign,cells}   (fp matches)
-//!                            ←  Reject{reason}            (otherwise)
-//!   Claim                    →
-//!                            ←  Lease{cell,lease_ms}      (a cell is free)
-//!                            ←  Wait{retry_ms}            (all leased out)
-//!                            ←  Drained                   (all cells done)
-//!   Renew{cell}              →     (heartbeat while the cell runs — the
-//!                                   server extends the lease deadline, so
-//!                                   slow-but-alive ≠ dead; fire-and-forget)
-//!   Telemetry{line}          →     (progress stream, zero or more)
-//!   Result{cell,line,…}      →
-//!   Claim                    →      …and so on until Drained.
-//!   Goodbye                  →     (graceful drain: no more claims coming)
-//! ```
-//!
-//! ## Version negotiation (`stabcon-fabric/2`)
-//!
-//! The `schema` field of the [`Msg::Hello`] is the negotiation. A `/1`
-//! hello pins the connection to one campaign by fingerprint and speaks
-//! exactly the conversation above — old workers keep working against a
-//! queue daemon unmodified. A `/2` hello (fingerprint left empty) opens an
-//! *unpinned* session against the daemon's job queue; the same connection
-//! can then submit campaigns, poll status, cancel jobs, or claim cells
-//! across every running campaign:
+//! The conversation (workers and clients share one handshake; a
+//! connection may mix control and data frames):
 //!
 //! ```text
-//! client                          server
-//!   Hello{schema=/2,…,fp=""} →
-//!                            ←  Welcome{campaign,cells}   (campaign is the
-//!                                 queue label; cells counts live jobs)
+//! peer                            daemon
+//!   Hello{schema,worker}     →
+//!                            ←  Welcome{campaign,cells}   (schema is /2;
+//!                                 cells counts live jobs)
+//!                            ←  Reject{reason}            (any other schema)
 //!   Submit{descriptor,fp}    →
 //!                            ←  Accepted{job,cells,store}
 //!                            ←  Rejected{code,reason}     (bad-spec,
@@ -53,27 +28,48 @@
 //!   Cancel{job}              →
 //!                            ←  Cancelled{job,state} | Rejected{…}
 //!   Claim                    →
-//!                            ←  Lease2{job,cell,descriptor,fp} | Wait |
-//!                                 Drained  (queue idle / daemon draining)
-//!   Renew2{job,cell}         →
+//!                            ←  Lease2{job,cell,lease_ms,descriptor,fp}
+//!                            ←  Wait{retry_ms}            (all leased out)
+//!                            ←  Drained                   (queue idle and
+//!                                 closed, or daemon halting)
+//!   Renew2{job,cell}         →     (heartbeat while the cell runs — the
+//!                                   daemon extends the lease deadline, so
+//!                                   slow-but-alive ≠ dead; fire-and-forget)
+//!   Telemetry{line}          →     (zero or more; routed to the job of the
+//!                                   connection's last Lease2)
 //!   Result2{job,cell,line,…} →
+//!   Claim                    →      …and so on until Drained.
+//!   Goodbye                  →     (graceful drain: no more frames coming)
 //! ```
 //!
-//! A `/2` lease ships the campaign's *spec descriptor* (preset name plus
-//! the CLI-shaped overrides) so the worker expands the grid locally and
-//! verifies the per-campaign fingerprint before running a single trial —
-//! the `/1` handshake contract, moved from connection scope to job scope.
+//! A lease ships the campaign's *spec descriptor* (preset name plus the
+//! CLI-shaped overrides) and its grid fingerprint, so the worker expands
+//! the grid locally and verifies the fingerprint before running a single
+//! trial: no cell spec ever crosses the wire, only ids.
+//!
+//! [`Msg::Lease`], [`Msg::Result`] and [`Msg::Renew`] are the untagged
+//! single-campaign frames of the retired `stabcon-fabric/1`. No fabric
+//! path sends them any more, and the daemon treats one as a protocol
+//! violation; they remain decodable so that tools matching [`Msg`]
+//! exhaustively (the benchmark's frame-counting relay) keep compiling.
+
+use std::io::Write;
 
 use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
-/// Version tag a worker sends in its [`Msg::Hello`]; the server rejects any
-/// other value before looking at the fingerprint.
-pub const FABRIC_SCHEMA: &str = "stabcon-fabric/1";
-
-/// Version tag for an unpinned (queue-aware) session: submission clients
-/// and any-campaign workers. The fingerprint in the hello is empty; each
-/// job carries its own fingerprint instead.
+/// Version tag every peer sends in its [`Msg::Hello`]; the daemon rejects
+/// any other value. Fingerprints travel per job (in [`Msg::Submit`] and
+/// [`Msg::Lease2`]), not per connection.
 pub const FABRIC_SCHEMA_V2: &str = "stabcon-fabric/2";
+
+/// Write `msg` as one wire line with a single `write_all`, so a frame never
+/// leaves in two segments (which Nagle's algorithm and delayed ACKs would
+/// stall).
+pub fn write_frame<W: Write + ?Sized>(w: &mut W, msg: &Msg) -> std::io::Result<()> {
+    let mut line = msg.encode();
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
 
 /// The CLI-shaped campaign descriptor shipped inside [`Msg::Submit`] and
 /// [`Msg::Lease2`]: a preset name plus the same overrides `stabcon
@@ -157,73 +153,65 @@ impl SpecDescriptor {
 /// One fabric protocol message (one line on the wire).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Worker → server greeting: protocol version, a display name for
-    /// progress output, and the worker's locally-computed grid fingerprint
-    /// (hex, as in the store header) — the handshake that guarantees both
-    /// sides expanded the *same* campaign spec.
+    /// Peer → daemon greeting: protocol version and a display name for
+    /// progress output.
     Hello {
-        /// Protocol version tag ([`FABRIC_SCHEMA`]).
+        /// Protocol version tag ([`FABRIC_SCHEMA_V2`]).
         schema: String,
-        /// Worker display name (host-chosen, for progress lines only).
+        /// Peer display name (host-chosen, for progress lines only).
         worker: String,
-        /// Grid fingerprint as 16 lowercase hex digits.
-        fingerprint: String,
     },
-    /// Server → worker: handshake accepted.
+    /// Daemon → peer: handshake accepted.
     Welcome {
-        /// Campaign name (display only; the fingerprint is the contract).
+        /// Display label (`queue`).
         campaign: String,
-        /// Total cells in the grid.
+        /// Live (non-terminal) jobs in the queue.
         cells: u64,
     },
-    /// Server → worker: handshake refused (schema or fingerprint mismatch);
-    /// the server closes the connection after sending this.
+    /// Daemon → peer: handshake refused (unsupported schema); the daemon
+    /// closes the connection after sending this.
     Reject {
         /// Human-readable refusal reason.
         reason: String,
     },
-    /// Worker → server: ready for a cell.
+    /// Worker → daemon: ready for a cell.
     Claim,
-    /// Server → worker: run this cell; the lease expires (and the cell is
-    /// re-claimable by another worker) after `lease_ms`.
+    /// Retired `/1` lease (decode-only, see the module docs): run this
+    /// cell of the connection's one campaign.
     Lease {
         /// Cell id to run.
         cell: u64,
         /// Lease duration in milliseconds.
         lease_ms: u64,
     },
-    /// Server → worker: nothing free right now (all remaining cells are
+    /// Daemon → worker: nothing free right now (all remaining cells are
     /// leased out) — claim again after `retry_ms`.
     Wait {
         /// Suggested retry delay in milliseconds.
         retry_ms: u64,
     },
-    /// Server → worker: every cell is done; disconnect.
+    /// Daemon → worker: the queue is idle and closed (or the daemon is
+    /// halting); disconnect.
     Drained,
-    /// Worker → server: lease heartbeat — still alive and working on
-    /// `cell`; the server pushes the lease deadline out by one lease
-    /// duration (if this connection still holds the lease; a renewal for a
-    /// reclaimed or foreign lease is ignored). Fire-and-forget: the server
-    /// never replies, so renewals can interleave with the request/reply
-    /// conversation without desyncing it.
+    /// Retired `/1` heartbeat (decode-only, see the module docs).
     Renew {
         /// The leased cell being heartbeat.
         cell: u64,
     },
-    /// Worker → server: graceful drain (e.g. SIGTERM) — the worker shipped
+    /// Peer → daemon: graceful drain (e.g. SIGTERM) — the worker shipped
     /// everything it completed and will not claim again. Distinguishes an
-    /// intentional departure from a crash in the server's accounting; the
+    /// intentional departure from a crash in the daemon's accounting; the
     /// connection closes after this.
     Goodbye,
-    /// Worker → server: one `stabcon-telemetry/1` line (snapshot or
-    /// cell_profile), shipped verbatim as the live progress stream.
+    /// Worker → daemon: one `stabcon-telemetry/1` line (snapshot or
+    /// cell_profile), shipped verbatim. The daemon files it under the job
+    /// of the connection's last [`Msg::Lease2`].
     Telemetry {
         /// The raw telemetry JSONL line.
         line: String,
     },
-    /// Worker → server: one completed cell. `line` is the exact store cell
-    /// line (byte-preserved into the server's store); the timing fields are
-    /// advisory, for the server's timings sidecar.
+    /// Retired `/1` result (decode-only, see the module docs): one
+    /// completed cell of the connection's one campaign.
     Result {
         /// Cell id (must match the id inside `line`).
         cell: u64,
@@ -234,10 +222,10 @@ pub enum Msg {
         /// Trials the cell ran.
         trials: u64,
     },
-    /// Client → server (`/2`): submit a campaign. The client builds the
-    /// spec locally and sends its fingerprint; the server re-builds from
-    /// the same descriptor and refuses on mismatch — the submission-side
-    /// version of the worker handshake.
+    /// Client → daemon: submit a campaign. The client builds the spec
+    /// locally and sends its fingerprint; the daemon re-builds from the
+    /// same descriptor and refuses on mismatch, so binary skew is caught
+    /// at submit time.
     Submit {
         /// Submitting client's name (admission quota is per client).
         client: String,
@@ -246,7 +234,7 @@ pub enum Msg {
         /// Client-side grid fingerprint as 16 lowercase hex digits.
         fingerprint: String,
     },
-    /// Server → client (`/2`): submission admitted and journaled.
+    /// Daemon → client: submission admitted and journaled.
     Accepted {
         /// Queue-assigned job id (stable across daemon restarts).
         job: u64,
@@ -255,7 +243,7 @@ pub enum Msg {
         /// Daemon-side per-job store path (informational).
         store: String,
     },
-    /// Server → client (`/2`): submission (or cancel) refused. The
+    /// Daemon → client: submission (or cancel) refused. The
     /// connection stays open — a rejection never poisons the queue.
     Rejected {
         /// Machine-readable refusal code: `bad-spec`, `over-quota`,
@@ -264,13 +252,13 @@ pub enum Msg {
         /// Human-readable detail.
         reason: String,
     },
-    /// Client → server (`/2`): report queue state — for every job, or for
+    /// Client → daemon: report queue state — for every job, or for
     /// one job if `job` is set.
     Status {
         /// Restrict the report to this job id (encoded by omission).
         job: Option<u64>,
     },
-    /// Server → client (`/2`): queue summary. Exactly `jobs` ×
+    /// Daemon → client: queue summary. Exactly `jobs` ×
     /// [`Msg::JobStatus`] frames follow on the same connection.
     StatusReport {
         /// Whether new submissions are currently admitted (false once the
@@ -289,7 +277,7 @@ pub enum Msg {
         /// Number of `JobStatus` frames that follow.
         jobs: u64,
     },
-    /// Server → client (`/2`): one job's status line, following a
+    /// Daemon → client: one job's status line, following a
     /// [`Msg::StatusReport`].
     JobStatus {
         /// Queue-assigned job id.
@@ -310,12 +298,12 @@ pub enum Msg {
         /// Wall-clock seconds since the job started running (0 if queued).
         elapsed_secs: f64,
     },
-    /// Client → server (`/2`): cancel a job in any non-terminal state.
+    /// Client → daemon: cancel a job in any non-terminal state.
     Cancel {
         /// Job id to cancel.
         job: u64,
     },
-    /// Server → client (`/2`): cancel acknowledged; `state` is the job's
+    /// Daemon → client: cancel acknowledged; `state` is the job's
     /// resulting lifecycle state (always `cancelled`).
     Cancelled {
         /// The cancelled job id.
@@ -323,10 +311,10 @@ pub enum Msg {
         /// Resulting lifecycle state.
         state: String,
     },
-    /// Server → worker (`/2`): run this cell of this job. Carries the
-    /// job's spec descriptor and fingerprint so an any-campaign worker can
-    /// expand the grid locally and verify it before running — the `/1`
-    /// handshake, per job instead of per connection.
+    /// Daemon → worker: run this cell of this job; the lease expires (and
+    /// the cell is re-claimable by another worker) after `lease_ms` unless
+    /// renewed. Carries the job's spec descriptor and fingerprint so the
+    /// worker can expand the grid locally and verify it before running.
     Lease2 {
         /// Job id the cell belongs to.
         job: u64,
@@ -339,9 +327,9 @@ pub enum Msg {
         /// The job's grid fingerprint as 16 lowercase hex digits.
         fingerprint: String,
     },
-    /// Worker → server (`/2`): one completed cell of one job. Semantics of
-    /// [`Msg::Result`], plus the job tag (cell ids alone are ambiguous
-    /// across campaigns).
+    /// Worker → daemon: one completed cell of one job. `line` is the exact
+    /// store cell line (byte-preserved into the job's store); the timing
+    /// fields are advisory, for the timings sidecar.
     Result2 {
         /// Job id the cell belongs to.
         job: u64,
@@ -354,8 +342,12 @@ pub enum Msg {
         /// Trials the cell ran.
         trials: u64,
     },
-    /// Worker → server (`/2`): lease heartbeat for one job's cell.
-    /// Fire-and-forget, like [`Msg::Renew`].
+    /// Worker → daemon: lease heartbeat — still alive and working on this
+    /// cell; the daemon pushes the deadline out by one lease (if this
+    /// connection still holds the lease; a renewal for a reclaimed or
+    /// foreign lease is ignored). Fire-and-forget: the daemon never
+    /// replies, so renewals interleave with the request/reply conversation
+    /// without desyncing it.
     Renew2 {
         /// Job id the cell belongs to.
         job: u64,
@@ -368,15 +360,10 @@ impl Msg {
     /// Encode as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            Msg::Hello {
-                schema,
-                worker,
-                fingerprint,
-            } => JsonObj::new()
+            Msg::Hello { schema, worker } => JsonObj::new()
                 .str_field("kind", "hello")
                 .str_field("schema", schema)
                 .str_field("worker", worker)
-                .str_field("fingerprint", fingerprint)
                 .finish(),
             Msg::Welcome { campaign, cells } => JsonObj::new()
                 .str_field("kind", "welcome")
@@ -560,7 +547,6 @@ impl Msg {
             "hello" => Ok(Msg::Hello {
                 schema: str_f("schema")?,
                 worker: str_f("worker")?,
-                fingerprint: str_f("fingerprint")?,
             }),
             "welcome" => Ok(Msg::Welcome {
                 campaign: str_f("campaign")?,
@@ -677,9 +663,8 @@ mod tests {
     fn every_kind_round_trips() {
         let msgs = [
             Msg::Hello {
-                schema: FABRIC_SCHEMA.into(),
+                schema: FABRIC_SCHEMA_V2.into(),
                 worker: "host-1".into(),
-                fingerprint: "00c0ffee00c0ffee".into(),
             },
             Msg::Welcome {
                 campaign: "smoke".into(),
@@ -812,9 +797,11 @@ mod tests {
         .unwrap_err()
         .contains("trials"));
         // /2: status_report requires a real boolean.
-        assert!(Msg::decode("{\"kind\": \"status_report\", \"accepting\": 1}")
-            .unwrap_err()
-            .contains("accepting"));
+        assert!(
+            Msg::decode("{\"kind\": \"status_report\", \"accepting\": 1}")
+                .unwrap_err()
+                .contains("accepting")
+        );
     }
 
     #[test]

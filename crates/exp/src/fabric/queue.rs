@@ -100,14 +100,20 @@ pub fn parse_ns(s: &str) -> Result<Vec<usize>, String> {
 /// Per-job store path: `<out>.job-<id>.jsonl`, next to the journal (the
 /// same derived-path discipline as [`super::shard::shard_store_path`]).
 pub fn job_store_path(out: &Path, job: u64) -> PathBuf {
-    let mut name = out.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = out
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(format!(".job-{job}.jsonl"));
     out.with_file_name(name)
 }
 
 /// Journal path for a queue rooted at `out`: `<out>.jobs.jsonl`.
 pub fn jobs_journal_path(out: &Path) -> PathBuf {
-    let mut name = out.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = out
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(".jobs.jsonl");
     out.with_file_name(name)
 }
@@ -439,7 +445,14 @@ impl JobQueue {
             ));
         }
         let id = self.next_id;
-        self.insert_job(id, client, descriptor.clone(), fingerprint, cells, Some(spec));
+        self.insert_job(
+            id,
+            client,
+            descriptor.clone(),
+            fingerprint,
+            cells,
+            Some(spec),
+        );
         Ok((id, cells))
     }
 
@@ -562,20 +575,8 @@ impl JobQueue {
         Some(next)
     }
 
-    /// Find a non-terminal job by grid fingerprint — how a `/1` worker's
-    /// connection-scoped handshake pins to a job in the queue.
-    pub fn job_by_fingerprint(&self, fingerprint: u64) -> Option<u64> {
-        // Prefer an active match so a re-submitted identical campaign
-        // doesn't steal a running one's workers.
-        self.jobs
-            .values()
-            .filter(|j| !j.state.terminal() && j.fingerprint == fingerprint)
-            .max_by_key(|j| (j.state.active(), std::cmp::Reverse(j.id)))
-            .map(|j| j.id)
-    }
-
-    /// Deal a lease to an unpinned (`/2`) worker: round-robin across
-    /// active jobs, starting after the last job that dealt one. Returns
+    /// Deal a lease to a worker: round-robin across active jobs, starting
+    /// after the last job that dealt one. Returns
     /// [`Msg::Lease2`] when a cell is free, [`Msg::Wait`] while work may
     /// still appear, [`Msg::Drained`] once the queue is idle and closed.
     pub fn claim(&mut self, conn: u64, now: Instant) -> Msg {
@@ -594,14 +595,14 @@ impl JobQueue {
         for &id in order {
             let job = self.jobs.get_mut(&id).expect("active id");
             let cells = job.cells.as_mut().expect("active job has cells");
-            if let Msg::Lease { cell, lease_ms } = cells.claim(conn, now) {
+            if let Some(cell) = cells.claim(conn, now) {
                 self.rr_last = id;
                 self.refresh_state(id, now);
                 let job = self.jobs.get(&id).expect("active id");
                 return Msg::Lease2 {
                     job: id,
                     cell,
-                    lease_ms,
+                    lease_ms: self.cfg.lease.as_millis() as u64,
                     spec: job.descriptor.clone(),
                     fingerprint: format!("{:016x}", job.fingerprint),
                 };
@@ -614,27 +615,6 @@ impl JobQueue {
             Msg::Wait {
                 retry_ms: (self.cfg.lease.as_millis() as u64 / 4).clamp(50, 1000),
             }
-        }
-    }
-
-    /// Deal a lease to a `/1` worker pinned to `job` by its handshake.
-    /// Speaks pure `/1` shapes: [`Msg::Lease`] / [`Msg::Wait`] /
-    /// [`Msg::Drained`] (terminal job → drained, queued → wait).
-    pub fn claim_pinned(&mut self, conn: u64, id: u64, now: Instant) -> Msg {
-        if self.halted {
-            return Msg::Drained;
-        }
-        match self.jobs.get_mut(&id) {
-            Some(job) if job.state.active() => {
-                let msg = job.cells.as_mut().expect("active job has cells").claim(conn, now);
-                self.refresh_state(id, now);
-                msg
-            }
-            Some(job) if job.state == JobState::Queued => Msg::Wait {
-                retry_ms: (self.cfg.lease.as_millis() as u64 / 4).clamp(50, 1000),
-            },
-            // Done, cancelled, failed, or gone: nothing left here.
-            _ => Msg::Drained,
         }
     }
 
@@ -652,7 +632,14 @@ impl JobQueue {
     /// Ingest one result frame for one job. Results for unknown or
     /// non-active jobs are ignored idempotently (a cancelled job's workers
     /// limp home late; that is not an error).
-    pub fn ingest(&mut self, id: u64, cell: u64, parked: Parked, id_ok: bool, now: Instant) -> Ingest {
+    pub fn ingest(
+        &mut self,
+        id: u64,
+        cell: u64,
+        parked: Parked,
+        id_ok: bool,
+        now: Instant,
+    ) -> Ingest {
         let trials = parked.trials;
         match self.jobs.get_mut(&id) {
             Some(job) if job.state.active() => {
@@ -1025,8 +1012,7 @@ pub fn open_journal(
         let (loaded, valid_len) = load_journal(path)?;
         if valid_len == 0 {
             // Nothing valid survived: restart the journal.
-            let mut f =
-                std::fs::File::create(path).map_err(|e| format!("create journal: {e}"))?;
+            let mut f = std::fs::File::create(path).map_err(|e| format!("create journal: {e}"))?;
             append_line(&mut f, &journal_header()).map_err(|e| format!("write header: {e}"))?;
             f
         } else {
@@ -1361,8 +1347,7 @@ mod tests {
             state: JobState::Running,
         };
         {
-            let (mut w, events) =
-                open_journal(&path, false, Durability::Cell).expect("fresh open");
+            let (mut w, events) = open_journal(&path, false, Durability::Cell).expect("fresh open");
             assert!(events.is_empty());
             w.append(&event.to_line()).expect("append");
             w.finish().expect("finish");

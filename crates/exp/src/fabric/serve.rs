@@ -1,48 +1,49 @@
-//! The `stabcon serve` daemon: lease cells to connecting workers, re-claim
-//! leases whose worker died, and assemble the canonical store.
+//! The `stabcon serve` daemon: a durable multi-campaign job queue that
+//! leases cells to connecting workers, re-claims leases whose worker died,
+//! and assembles each job's canonical store. A single-campaign `stabcon
+//! serve --preset X` is this daemon with one job submitted at startup.
 //!
-//! The server is the online counterpart of the batch shard/merge flow. It
-//! expands the campaign once, validates every worker's grid fingerprint in
-//! the [`super::protocol`] handshake, then hands out cell *ids* under
-//! expiring leases. Because every cell line is a pure function of its spec,
-//! a dead host costs nothing but wall clock: its leased cells return to the
-//! pending set (on disconnect immediately, on a hang when the lease
-//! expires) and the re-run by another worker produces the identical bytes.
-//! A *slow* worker is not a dead one: [`Msg::Renew`] heartbeats push the
-//! lease deadline out while the cell runs, so only workers that stop
-//! heartbeating lose their lease. Duplicate results — the original worker
-//! limping back (possibly over a fresh connection) after its result was
-//! already ingested — are deduplicated; first ingest wins and is exact,
-//! and the dedupe count is reported in the [`ServeOutcome`].
+//! Every cell line is a pure function of its spec, so a dead host costs
+//! nothing but wall clock: its leased cells return to the pending set (on
+//! disconnect immediately, on a hang when the lease expires) and the re-run
+//! by another worker produces the identical bytes. A *slow* worker is not a
+//! dead one: [`Msg::Renew2`] heartbeats push the lease deadline out while
+//! the cell runs, so only workers that stop heartbeating lose their lease.
+//! Duplicate results — the original worker limping back (possibly over a
+//! fresh connection) after its result was already ingested — are
+//! deduplicated; first ingest wins and is exact, and the dedupe count is
+//! reported in the [`QueueOutcome`].
 //!
 //! All lease deadlines are [`Instant`]s — the OS **monotonic** clock — so a
 //! wall-clock step (NTP correction, manual `date`, DST) can never
 //! mass-expire live leases or stretch them indefinitely.
 //!
-//! The lease/park/flush bookkeeping lives in [`ServeState`], a pure state
-//! machine decoupled from sockets and files: the connection handlers
-//! translate wire frames into state transitions, and property tests drive
-//! arbitrary hostile interleavings (duplicate results, reconnects, expired
-//! leases) against [`ServeState::check_invariants`] directly.
+//! The per-job lease/park/flush bookkeeping lives in [`ServeState`], a pure
+//! state machine decoupled from sockets and files (one instance per running
+//! job, owned by the [`JobQueue`]): the connection handlers translate wire
+//! frames into state transitions, and property tests drive arbitrary
+//! hostile interleavings (duplicate results, reconnects, expired leases)
+//! against [`ServeState::check_invariants`] directly.
 //!
-//! Results are parked and flushed to the store as a contiguous prefix in
-//! cell-index order (the same discipline as the in-order chunk merger
-//! inside `run_cell`), so a completed serve store is byte-identical to the
-//! single-host `stabcon campaign run` store. The store handle is a
+//! Results are parked and flushed to the job's store as a contiguous prefix
+//! in cell-index order (the same discipline as the in-order chunk merger
+//! inside `run_cell`), so a completed job store is byte-identical to the
+//! single-host `stabcon campaign run` store. Each store handle is a
 //! [`store::StoreWriter`], so `--durability {none,cell,batch}` applies the
 //! same fsync policy here as in the single-host runner, and a `kill -9`'d
-//! server restarted with `--resume` repairs any torn tail on open and
-//! finishes the campaign.
+//! daemon restarted with `--resume` replays its journal, repairs any torn
+//! store tail on open, and finishes every interrupted job.
 //!
-//! Worker telemetry frames ([`Msg::Telemetry`]) are ingested as the live
-//! progress stream — but only lines that fully validate as
+//! Worker telemetry frames ([`Msg::Telemetry`]) land in a per-job sink,
+//! `<job store>.telemetry.jsonl`, filed under the job of the last lease the
+//! connection was dealt — but only lines that fully validate as
 //! `stabcon-telemetry/1` records (shipped worker sink *headers* and torn or
 //! malformed lines are dropped and counted), so a hostile or desynced
-//! worker can never corrupt the server's sink.
+//! worker can never corrupt a sink.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
-use std::io::{BufRead, BufReader, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,73 +52,14 @@ use std::time::{Duration, Instant};
 
 use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
-use crate::campaign::CampaignSpec;
-use crate::store::{self, Durability, StoreHeader, StoreWriter};
+use crate::store::{self, Durability, StoreWriter};
 use crate::telemetry::{self, TELEMETRY_SCHEMA};
 
-use super::protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
 use super::queue::{
     job_store_path, jobs_journal_path, open_journal, Job, JobQueue, JobState, JournalEvent,
     QueueConfig,
 };
-
-/// Serve knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// How long a worker may sit on a leased cell without heartbeating
-    /// before the server hands the cell to someone else ([`Msg::Renew`]
-    /// extends the deadline by this much each time).
-    pub lease: Duration,
-    /// Print a progress line per ingested cell to stderr.
-    pub progress: bool,
-    /// Telemetry sink: worker-shipped snapshot/cell_profile records land
-    /// here under a server-written `stabcon-telemetry/1` header.
-    pub telemetry: Option<PathBuf>,
-    /// Continue an existing store (skip its cells) instead of refusing it.
-    pub resume: bool,
-    /// Fsync policy for the assembled store (see [`store::Durability`]).
-    pub durability: Durability,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            lease: Duration::from_secs(60),
-            progress: false,
-            telemetry: None,
-            resume: false,
-            durability: Durability::None,
-        }
-    }
-}
-
-/// What a serve run assembled.
-#[derive(Debug, Clone)]
-pub struct ServeOutcome {
-    /// Cells in the grid.
-    pub cells_total: u64,
-    /// Cells ingested from workers by this invocation.
-    pub cells_ingested: u64,
-    /// Cells already in the store at start (resume).
-    pub cells_skipped: u64,
-    /// Workers whose handshake succeeded.
-    pub workers_seen: u64,
-    /// Leases returned to the pending set (worker died or hung past the
-    /// lease deadline).
-    pub leases_reclaimed: u64,
-    /// Lease heartbeats honored (deadline extensions).
-    pub leases_renewed: u64,
-    /// Duplicate [`Msg::Result`] frames ignored (reconnect resubmissions
-    /// and re-runs of reclaimed leases; first ingest wins).
-    pub results_deduped: u64,
-    /// Telemetry lines dropped for failing `stabcon-telemetry/1` record
-    /// validation (torn frames, shipped headers, malformed workers).
-    pub telemetry_dropped: u64,
-    /// Workers that announced a graceful drain ([`Msg::Goodbye`]).
-    pub goodbyes: u64,
-    /// The assembled store path.
-    pub store_path: PathBuf,
-}
 
 /// One ingested-but-not-yet-flushed result.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,8 +104,6 @@ pub struct ServeState {
     cursor: u64,
     total: u64,
     lease: Duration,
-    /// Workers whose handshake succeeded.
-    pub workers_seen: u64,
     /// Leases returned to pending (disconnect or expiry).
     pub leases_reclaimed: u64,
     /// Heartbeat extensions honored.
@@ -172,10 +112,6 @@ pub struct ServeState {
     pub results_deduped: u64,
     /// Result frames rejected for id mismatch.
     pub results_rejected: u64,
-    /// Telemetry lines dropped by record validation.
-    pub telemetry_dropped: u64,
-    /// Graceful-drain goodbyes received.
-    pub goodbyes: u64,
     /// Results accepted (parked) by this invocation.
     pub cells_ingested: u64,
 }
@@ -196,13 +132,10 @@ impl ServeState {
             cursor,
             total,
             lease,
-            workers_seen: 0,
             leases_reclaimed: 0,
             leases_renewed: 0,
             results_deduped: 0,
             results_rejected: 0,
-            telemetry_dropped: 0,
-            goodbyes: 0,
             cells_ingested: 0,
         }
     }
@@ -215,11 +148,6 @@ impl ServeState {
     /// Cells flushed so far.
     pub fn written_len(&self) -> u64 {
         self.written.len() as u64
-    }
-
-    /// Total cells in the grid.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Cells nobody is working on.
@@ -237,29 +165,12 @@ impl ServeState {
         self.parked.len() as u64
     }
 
-    /// Whether `cell` is currently leased, and to which connection.
-    pub fn lease_holder(&self, cell: u64) -> Option<u64> {
-        self.leases.get(&cell).map(|&(conn, _)| conn)
-    }
-
-    /// Answer a claim from `conn` at monotonic time `now`.
-    pub fn claim(&mut self, conn: u64, now: Instant) -> Msg {
-        if self.drained() {
-            Msg::Drained
-        } else if let Some(&cell) = self.pending.iter().next() {
-            self.pending.remove(&cell);
-            self.leases.insert(cell, (conn, now + self.lease));
-            Msg::Lease {
-                cell,
-                lease_ms: self.lease.as_millis() as u64,
-            }
-        } else {
-            // Everything left is leased out; poll back soon so a reclaimed
-            // cell is picked up promptly.
-            Msg::Wait {
-                retry_ms: (self.lease.as_millis() as u64 / 4).clamp(50, 1000),
-            }
-        }
+    /// Lease the lowest pending cell to `conn` until `now + lease`, and
+    /// return its id; `None` when nothing is pending.
+    pub fn claim(&mut self, conn: u64, now: Instant) -> Option<u64> {
+        let cell = self.pending.pop_first()?;
+        self.leases.insert(cell, (conn, now + self.lease));
+        Some(cell)
     }
 
     /// Heartbeat: push `cell`'s deadline to `now + lease` — but only if
@@ -382,326 +293,12 @@ impl ServeState {
     }
 }
 
-/// Everything the accept loop and the per-connection handlers share: the
-/// pure state machine plus the I/O it drives.
-struct Shared {
-    state: ServeState,
-    store: StoreWriter,
-    timings: File,
-    sink: Option<File>,
-    progress: bool,
-}
-
-impl Shared {
-    /// Flush parked results that extend the store's contiguous prefix.
-    fn flush(&mut self) -> Result<(), String> {
-        while let Some((cell, r)) = self.state.pop_flushable() {
-            self.store
-                .append(&r.line)
-                .map_err(|e| format!("append cell {cell}: {e}"))?;
-            telemetry::append_timing(&mut self.timings, cell, r.trials, r.elapsed_secs)?;
-        }
-        Ok(())
-    }
-}
-
-/// A bound (but not yet running) serve daemon.
-pub struct Server {
-    listener: TcpListener,
-    header: StoreHeader,
-    campaign: String,
-    store_path: PathBuf,
-}
-
-fn send(stream: &mut TcpStream, msg: &Msg) -> std::io::Result<()> {
-    stream.write_all(msg.encode().as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-impl Server {
-    /// Bind the daemon: expand `spec` (the fingerprint every worker must
-    /// match) and listen on `addr` (`host:port`; port 0 picks a free one —
-    /// read it back with [`Server::local_addr`]).
-    pub fn bind(addr: &str, spec: &CampaignSpec, store: &Path) -> Result<Self, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| format!("serve: bind {addr}: {e}"))?;
-        Ok(Self {
-            listener,
-            header: spec.header(),
-            campaign: spec.name.clone(),
-            store_path: store.to_path_buf(),
-        })
-    }
-
-    /// The bound address (resolves a `:0` port).
-    pub fn local_addr(&self) -> Result<SocketAddr, String> {
-        self.listener
-            .local_addr()
-            .map_err(|e| format!("serve: local_addr: {e}"))
-    }
-
-    /// Run until every cell of the grid is in the store, then return.
-    ///
-    /// Accepts connections forever while running; each worker gets a
-    /// handler thread. A worker that disconnects mid-lease has its cells
-    /// re-claimed immediately; one that stops heartbeating loses them when
-    /// the lease expires.
-    pub fn run(self, cfg: &ServeConfig) -> Result<ServeOutcome, String> {
-        let (file, done) =
-            store::open_for_append(&self.store_path, &self.header, cfg.resume, cfg.durability)?;
-        let timings = telemetry::open_timings(&self.store_path, cfg.resume)?;
-        let total = self.header.cells;
-        let cells_skipped = done.len() as u64;
-        let sink = match &cfg.telemetry {
-            Some(p) => {
-                let mut f = File::create(p)
-                    .map_err(|e| format!("{}: create telemetry sink: {e}", p.display()))?;
-                let header = JsonObj::new()
-                    .str_field("schema", TELEMETRY_SCHEMA)
-                    .str_field("campaign", &self.campaign)
-                    .u64_field("threads", 0)
-                    .u64_field("cells", total)
-                    .u64_field(
-                        "trials_planned",
-                        (total - cells_skipped) * self.header.trials,
-                    )
-                    .finish();
-                writeln!(f, "{header}")
-                    .map_err(|e| format!("{}: write telemetry header: {e}", p.display()))?;
-                Some(f)
-            }
-            None => None,
-        };
-
-        let shared = Arc::new(Mutex::new(Shared {
-            state: ServeState::new(total, done, cfg.lease),
-            store: file,
-            timings,
-            sink,
-            progress: cfg.progress,
-        }));
-
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("serve: set_nonblocking: {e}"))?;
-        let fingerprint = format!("{:016x}", self.header.fingerprint);
-        let mut conn_id = 0u64;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conn_id += 1;
-                    let conn = conn_id;
-                    let shared = Arc::clone(&shared);
-                    let fingerprint = fingerprint.clone();
-                    let campaign = self.campaign.clone();
-                    std::thread::spawn(move || {
-                        handle_worker(stream, conn, &shared, &fingerprint, &campaign);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("serve: accept: {e}")),
-            }
-            {
-                let mut s = shared.lock().map_err(|_| "serve: state poisoned")?;
-                s.state.sweep_expired(Instant::now());
-                if s.state.drained() {
-                    if let Some(sink) = s.sink.as_mut() {
-                        let _ = sink.flush();
-                    }
-                    s.store
-                        .finish()
-                        .map_err(|e| format!("serve: sync store on finish: {e}"))?;
-                    return Ok(ServeOutcome {
-                        cells_total: total,
-                        cells_ingested: s.state.cells_ingested,
-                        cells_skipped,
-                        workers_seen: s.state.workers_seen,
-                        leases_reclaimed: s.state.leases_reclaimed,
-                        leases_renewed: s.state.leases_renewed,
-                        results_deduped: s.state.results_deduped,
-                        telemetry_dropped: s.state.telemetry_dropped,
-                        goodbyes: s.state.goodbyes,
-                        store_path: self.store_path.clone(),
-                    });
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-}
-
-/// One worker connection, from handshake to disconnect. Any protocol or
-/// I/O error just drops the connection — the lease sweep and the
-/// disconnect release make worker failure a non-event.
-fn handle_worker(
-    mut stream: TcpStream,
-    conn: u64,
-    shared: &Arc<Mutex<Shared>>,
-    fingerprint: &str,
-    campaign: &str,
-) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
-    };
-    let mut lines = BufReader::new(reader).lines();
-
-    // Handshake: first line must be a matching Hello.
-    let worker_name = match lines.next() {
-        Some(Ok(line)) => match Msg::decode(&line) {
-            Ok(Msg::Hello {
-                schema,
-                worker,
-                fingerprint: fp,
-            }) => {
-                let reason = if schema != FABRIC_SCHEMA {
-                    Some(format!("protocol version '{schema}' != '{FABRIC_SCHEMA}'"))
-                } else if fp != fingerprint {
-                    Some(format!(
-                        "grid fingerprint {fp} != {fingerprint} — worker expanded a \
-                         different campaign spec"
-                    ))
-                } else {
-                    None
-                };
-                if let Some(reason) = reason {
-                    let _ = send(&mut stream, &Msg::Reject { reason });
-                    return;
-                }
-                worker
-            }
-            _ => {
-                let _ = send(
-                    &mut stream,
-                    &Msg::Reject {
-                        reason: "expected hello".into(),
-                    },
-                );
-                return;
-            }
-        },
-        _ => return,
-    };
-    {
-        let Ok(mut s) = shared.lock() else { return };
-        s.state.workers_seen += 1;
-        let total = s.state.total();
-        if s.progress {
-            eprintln!("[serve] worker '{worker_name}' connected ({total} cells)");
-        }
-    }
-    if send(
-        &mut stream,
-        &Msg::Welcome {
-            campaign: campaign.into(),
-            cells: shared.lock().map(|s| s.state.total()).unwrap_or(0),
-        },
-    )
-    .is_err()
-    {
-        return;
-    }
-
-    for line in lines {
-        let Ok(line) = line else { break };
-        let msg = match Msg::decode(&line) {
-            Ok(m) => m,
-            Err(_) => break, // desynced connection: drop it
-        };
-        let reply = {
-            let Ok(mut s) = shared.lock() else { break };
-            match msg {
-                Msg::Claim => Some(s.state.claim(conn, Instant::now())),
-                Msg::Renew { cell } => {
-                    s.state.renew(conn, cell, Instant::now());
-                    None
-                }
-                Msg::Result {
-                    cell,
-                    line,
-                    elapsed_secs,
-                    trials,
-                } => {
-                    // The embedded id must agree — a mismatch means a buggy
-                    // or hostile worker, and the record is dropped (the
-                    // cell goes back to pending).
-                    let id_ok = parse_flat(&line)
-                        .ok()
-                        .and_then(|obj| get(&obj, "cell").and_then(JsonScalar::as_u64))
-                        == Some(cell);
-                    let parked = Parked {
-                        line,
-                        trials,
-                        elapsed_secs,
-                    };
-                    match s.state.ingest(cell, parked, id_ok) {
-                        Ingest::Parked => {
-                            if s.flush().is_err() {
-                                break; // store write failed; stall visibly
-                            }
-                            if s.progress {
-                                eprintln!(
-                                    "[serve] cell {cell} from '{worker_name}' ({}/{})",
-                                    s.state.written_len(),
-                                    s.state.total()
-                                );
-                            }
-                        }
-                        Ingest::Duplicate if s.progress => {
-                            eprintln!("[serve] duplicate cell {cell} from '{worker_name}' ignored");
-                        }
-                        Ingest::Duplicate | Ingest::Rejected => {}
-                    }
-                    None
-                }
-                Msg::Telemetry { line } => {
-                    // Ingest only lines that fully validate as telemetry
-                    // records; shipped worker headers and torn/malformed
-                    // lines are dropped so the sink always stays valid.
-                    if s.sink.is_some() {
-                        if telemetry::validate_record_line(&line).is_ok() {
-                            if let Some(sink) = s.sink.as_mut() {
-                                let _ = writeln!(sink, "{line}");
-                            }
-                        } else {
-                            s.state.telemetry_dropped += 1;
-                        }
-                    }
-                    None
-                }
-                Msg::Goodbye => {
-                    s.state.goodbyes += 1;
-                    if s.progress {
-                        eprintln!("[serve] worker '{worker_name}' drained gracefully");
-                    }
-                    break;
-                }
-                // Anything else from a worker is a protocol violation.
-                _ => break,
-            }
-        };
-        if let Some(reply) = reply {
-            let done = matches!(reply, Msg::Drained);
-            if send(&mut stream, &reply).is_err() || done {
-                break;
-            }
-        }
-    }
-
-    // Disconnect (or violation, or goodbye): whatever this worker held
-    // goes back.
-    if let Ok(mut s) = shared.lock() {
-        s.state.release_conn(conn);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Queue mode: the long-lived multi-campaign daemon (`stabcon serve --queue`).
-// ---------------------------------------------------------------------------
-
-/// Queue-mode serve knobs.
+/// Daemon knobs.
 #[derive(Clone)]
 pub struct QueueServeConfig {
-    /// Cell lease duration (same heartbeat semantics as [`ServeConfig`]).
+    /// How long a worker may sit on a leased cell without heartbeating
+    /// before the daemon hands the cell to someone else ([`Msg::Renew2`]
+    /// extends the deadline by this much each time).
     pub lease: Duration,
     /// Print per-lease and per-flush progress lines (accept / reject /
     /// expire / done events are always logged).
@@ -738,7 +335,8 @@ impl Default for QueueServeConfig {
     }
 }
 
-/// What a queue-mode daemon run left behind.
+/// What a daemon run left behind. The cell and lease counters sum over
+/// every job this invocation ran.
 #[derive(Debug, Clone)]
 pub struct QueueOutcome {
     /// Jobs the queue has ever seen (including replayed records).
@@ -755,19 +353,37 @@ pub struct QueueOutcome {
     pub failed: u64,
     /// Connections whose handshake succeeded (workers and clients).
     pub workers_seen: u64,
+    /// Cells ingested from workers by this invocation.
+    pub cells_ingested: u64,
+    /// Leases returned to the pending set (worker died or hung past the
+    /// lease deadline).
+    pub leases_reclaimed: u64,
+    /// Lease heartbeats honored (deadline extensions).
+    pub leases_renewed: u64,
+    /// Duplicate result frames ignored (reconnect resubmissions and re-runs
+    /// of reclaimed leases; first ingest wins).
+    pub results_deduped: u64,
+    /// Telemetry lines dropped: failed `stabcon-telemetry/1` record
+    /// validation (torn frames, shipped headers, malformed workers), or
+    /// arrived for a job with no open sink.
+    pub telemetry_dropped: u64,
+    /// Connections that announced a graceful drain ([`Msg::Goodbye`]).
+    pub goodbyes: u64,
     /// Whether the daemon exited on the shutdown flag (vs idle).
     pub halted: bool,
     /// The jobs journal path.
     pub journal_path: PathBuf,
 }
 
-/// Per-active-job file handles: the store plus its timings sidecar.
+/// Per-active-job file handles: the store plus its timings sidecar and
+/// telemetry sink.
 struct JobIo {
     store: StoreWriter,
     timings: File,
+    telemetry: File,
 }
 
-/// Everything queue-mode connections share: the pure [`JobQueue`] plus the
+/// Everything the daemon's connections share: the pure [`JobQueue`] plus the
 /// journal and per-job store handles it drives.
 struct QShared {
     queue: JobQueue,
@@ -777,6 +393,38 @@ struct QShared {
     durability: Durability,
     progress: bool,
     workers_seen: u64,
+    telemetry_dropped: u64,
+    goodbyes: u64,
+}
+
+/// Open a job's telemetry sink by the timings sidecar's rule: truncated
+/// with a fresh header on a new run, appended on resume (header written
+/// only if missing). A resumed sink is first cut back to its last complete
+/// line, so a record torn by a crash never glues onto the next append.
+fn open_job_sink(store: &Path, resume: bool, header: &str) -> Result<File, String> {
+    let path = telemetry::sink_path(store);
+    let err = |e: std::io::Error| format!("{}: open telemetry sink: {e}", path.display());
+    let kept = if resume {
+        std::fs::read(&path)
+            .ok()
+            .and_then(|bytes| bytes.iter().rposition(|&b| b == b'\n'))
+            .map_or(0, |last| last as u64 + 1)
+    } else {
+        0
+    };
+    let mut file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(err)?;
+    file.set_len(kept).map_err(err)?;
+    file.seek(SeekFrom::End(0)).map_err(err)?;
+    if kept == 0 {
+        file.write_all(format!("{header}\n").as_bytes())
+            .map_err(err)?;
+    }
+    Ok(file)
 }
 
 /// A job's display name: the built spec's name, else what the descriptor
@@ -819,13 +467,16 @@ impl QShared {
     /// and [`store::open_for_append`] creates the missing store fresh),
     /// then open its store/timings and hand the done-set to the queue.
     fn activate(&mut self, id: u64, now: Instant) -> Result<(), String> {
-        let (header, resume) = {
-            let job = self.queue.job(id).ok_or_else(|| format!("unknown job {id}"))?;
+        let (header, campaign, resume) = {
+            let job = self
+                .queue
+                .job(id)
+                .ok_or_else(|| format!("unknown job {id}"))?;
             let spec = job
                 .spec
                 .as_ref()
                 .ok_or_else(|| "descriptor no longer builds".to_string())?;
-            (spec.header(), job.resume_store)
+            (spec.header(), spec.name.clone(), job.resume_store)
         };
         self.journal_event(&JournalEvent::State {
             job: id,
@@ -834,8 +485,26 @@ impl QShared {
         let path = job_store_path(&self.out, id);
         let (store, done) = store::open_for_append(&path, &header, resume, self.durability)?;
         let timings = telemetry::open_timings(&path, resume)?;
-        self.stores.insert(id, JobIo { store, timings });
         let done_len = done.len();
+        let sink_header = JsonObj::new()
+            .str_field("schema", TELEMETRY_SCHEMA)
+            .str_field("campaign", &campaign)
+            .u64_field("threads", 0)
+            .u64_field("cells", header.cells)
+            .u64_field(
+                "trials_planned",
+                (header.cells - done_len as u64) * header.trials,
+            )
+            .finish();
+        let telemetry = open_job_sink(&path, resume, &sink_header)?;
+        self.stores.insert(
+            id,
+            JobIo {
+                store,
+                timings,
+                telemetry,
+            },
+        );
         self.queue.start(id, done, now)?;
         eprintln!(
             "serve: job {id} running — store {} ({done_len}/{} cells already present)",
@@ -869,6 +538,23 @@ impl QShared {
             self.flush_job(job, now)?;
         }
         Ok(())
+    }
+
+    /// File one worker-shipped telemetry line in `job`'s sink. Only lines
+    /// that fully validate as telemetry records land; shipped worker
+    /// headers, torn or malformed lines, and lines for a job with no open
+    /// sink are dropped and counted, so a sink always stays schema-valid.
+    fn ingest_telemetry(&mut self, job: Option<u64>, line: &str) {
+        let landed = match job.and_then(|id| self.stores.get_mut(&id)) {
+            Some(io) if telemetry::validate_record_line(line).is_ok() => io
+                .telemetry
+                .write_all(format!("{line}\n").as_bytes())
+                .is_ok(),
+            _ => false,
+        };
+        if !landed {
+            self.telemetry_dropped += 1;
+        }
     }
 
     /// Flush one job's parked results that extend its store's contiguous
@@ -950,9 +636,15 @@ impl QShared {
                     };
                 }
                 let store = job_store_path(&self.out, id).display().to_string();
-                eprintln!("serve: job {id} accepted from '{client}' ({cells} cells) — store {store}");
+                eprintln!(
+                    "serve: job {id} accepted from '{client}' ({cells} cells) — store {store}"
+                );
                 self.activate_ready(now);
-                Msg::Accepted { job: id, cells, store }
+                Msg::Accepted {
+                    job: id,
+                    cells,
+                    store,
+                }
             }
             Err(rej) => {
                 eprintln!(
@@ -1043,7 +735,7 @@ impl QShared {
             .finish()
             .map_err(|e| format!("sync jobs journal on exit: {e}"))?;
         let c = self.queue.counts();
-        Ok(QueueOutcome {
+        let mut outcome = QueueOutcome {
             jobs: self.queue.jobs().count() as u64,
             queued: c.queued,
             running: c.running,
@@ -1051,27 +743,29 @@ impl QShared {
             cancelled: c.cancelled,
             failed: c.failed,
             workers_seen: self.workers_seen,
+            cells_ingested: 0,
+            leases_reclaimed: 0,
+            leases_renewed: 0,
+            results_deduped: 0,
+            telemetry_dropped: self.telemetry_dropped,
+            goodbyes: self.goodbyes,
             halted,
             journal_path: jobs_journal_path(&self.out),
-        })
+        };
+        for cells in self.queue.jobs().filter_map(|j| j.cells.as_ref()) {
+            outcome.cells_ingested += cells.cells_ingested;
+            outcome.leases_reclaimed += cells.leases_reclaimed;
+            outcome.leases_renewed += cells.leases_renewed;
+            outcome.results_deduped += cells.results_deduped;
+        }
+        Ok(outcome)
     }
 }
 
-/// A bound (but not yet running) queue-mode daemon.
+/// A bound (but not yet running) daemon.
 pub struct QueueServer {
     listener: TcpListener,
     out: PathBuf,
-}
-
-/// Which protocol a queue-mode connection negotiated in its Hello.
-#[derive(Clone, Copy)]
-enum ConnMode {
-    /// `stabcon-fabric/2`: submissions, status, cancel, and any-campaign
-    /// claims ([`Msg::Lease2`]/[`Msg::Result2`]).
-    Unpinned,
-    /// `stabcon-fabric/1`: the Hello's grid fingerprint pinned this
-    /// connection to one job; it speaks pure `/1` frames.
-    Pinned(u64),
 }
 
 impl QueueServer {
@@ -1125,6 +819,8 @@ impl QueueServer {
             durability: cfg.durability,
             progress: cfg.progress,
             workers_seen: 0,
+            telemetry_dropped: 0,
+            goodbyes: 0,
         }));
         {
             let mut q = shared.lock().map_err(|_| "serve: state poisoned")?;
@@ -1144,6 +840,8 @@ impl QueueServer {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    // Frames are small request/reply lines: send each now.
+                    let _ = stream.set_nodelay(true);
                     conn_id += 1;
                     let conn = conn_id;
                     let shared = Arc::clone(&shared);
@@ -1196,149 +894,81 @@ impl QueueServer {
     }
 }
 
-/// One queue-mode connection, from version-negotiating handshake to
-/// disconnect. `/2` Hellos get the full submission/status/claim plane;
-/// `/1` Hellos are pinned to the queued job matching their fingerprint and
-/// speak the original worker protocol unchanged.
+/// One connection, from handshake to disconnect. Only `stabcon-fabric/2`
+/// hellos are welcomed; the connection may then mix control frames
+/// (submit, status, cancel) with the claim/lease/result loop.
 fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShared>>) {
     let Ok(reader) = stream.try_clone() else {
         return;
     };
     let mut lines = BufReader::new(reader).lines();
 
-    let (mode, worker_name) = match lines.next() {
-        Some(Ok(line)) => match Msg::decode(&line) {
-            Ok(Msg::Hello {
-                schema,
-                worker,
-                fingerprint,
-            }) => {
-                if schema == FABRIC_SCHEMA_V2 {
-                    (ConnMode::Unpinned, worker)
-                } else if schema == FABRIC_SCHEMA {
-                    let fp = match u64::from_str_radix(&fingerprint, 16) {
-                        Ok(fp) => fp,
-                        Err(e) => {
-                            let _ = send(
-                                &mut stream,
-                                &Msg::Reject {
-                                    reason: format!("unparsable fingerprint: {e}"),
-                                },
-                            );
-                            return;
-                        }
-                    };
-                    let pinned = shared
-                        .lock()
-                        .ok()
-                        .and_then(|q| q.queue.job_by_fingerprint(fp));
-                    match pinned {
-                        Some(id) => (ConnMode::Pinned(id), worker),
-                        None => {
-                            let _ = send(
-                                &mut stream,
-                                &Msg::Reject {
-                                    reason: format!(
-                                        "no live campaign with grid fingerprint {fingerprint} \
-                                         in the queue"
-                                    ),
-                                },
-                            );
-                            return;
-                        }
-                    }
-                } else {
-                    let _ = send(
-                        &mut stream,
-                        &Msg::Reject {
-                            reason: format!(
-                                "protocol version '{schema}' is neither '{FABRIC_SCHEMA}' \
-                                 nor '{FABRIC_SCHEMA_V2}'"
-                            ),
-                        },
-                    );
+    let worker_name = match lines.next() {
+        Some(Ok(line)) => {
+            let greeting = match Msg::decode(&line) {
+                Ok(Msg::Hello { schema, worker }) if schema == FABRIC_SCHEMA_V2 => Ok(worker),
+                Ok(Msg::Hello { schema, .. }) => Err(format!(
+                    "protocol version '{schema}' is not supported; this daemon speaks \
+                     '{FABRIC_SCHEMA_V2}'"
+                )),
+                _ => Err("expected hello".to_string()),
+            };
+            match greeting {
+                Ok(worker) => worker,
+                Err(reason) => {
+                    let _ = write_frame(&mut stream, &Msg::Reject { reason });
                     return;
                 }
             }
-            _ => {
-                let _ = send(
-                    &mut stream,
-                    &Msg::Reject {
-                        reason: "expected hello".into(),
-                    },
-                );
-                return;
-            }
-        },
+        }
         _ => return,
     };
 
     let welcome = {
         let Ok(mut q) = shared.lock() else { return };
         q.workers_seen += 1;
-        match mode {
-            ConnMode::Pinned(id) => {
-                let Some(job) = q.queue.job(id) else { return };
-                Msg::Welcome {
-                    campaign: job_name(job),
-                    cells: job.cells_total,
-                }
-            }
-            ConnMode::Unpinned => Msg::Welcome {
-                campaign: "queue".into(),
-                cells: q.queue.jobs().filter(|j| !j.state.terminal()).count() as u64,
-            },
+        Msg::Welcome {
+            campaign: "queue".into(),
+            cells: q.queue.jobs().filter(|j| !j.state.terminal()).count() as u64,
         }
     };
-    if send(&mut stream, &welcome).is_err() {
+    if write_frame(&mut stream, &welcome).is_err() {
         return;
     }
 
+    // Telemetry frames carry no job tag: they file under the job of the
+    // last lease dealt on this connection (a worker streams a cell's
+    // telemetry between its Lease2 and its Result2).
+    let mut leased_job: Option<u64> = None;
     for line in lines {
         let Ok(line) = line else { break };
         let Ok(msg) = Msg::decode(&line) else { break }; // desynced: drop
         let now = Instant::now();
         let (replies, quit) = {
             let Ok(mut q) = shared.lock() else { break };
-            match (mode, msg) {
-                (ConnMode::Unpinned, Msg::Claim) => {
+            match msg {
+                Msg::Claim => {
                     let reply = q.queue.claim(conn, now);
                     if let Msg::Lease2 { job, cell, .. } = &reply {
+                        leased_job = Some(*job);
                         if q.progress {
                             eprintln!("serve: job {job} cell {cell} leased to '{worker_name}'");
                         }
                     }
                     (vec![reply], false)
                 }
-                (ConnMode::Pinned(id), Msg::Claim) => {
-                    let reply = q.queue.claim_pinned(conn, id, now);
-                    if let Msg::Lease { cell, .. } = &reply {
-                        if q.progress {
-                            eprintln!("serve: job {id} cell {cell} leased to '{worker_name}'");
-                        }
-                    }
-                    (vec![reply], false)
-                }
-                (ConnMode::Unpinned, Msg::Renew2 { job, cell }) => {
+                Msg::Renew2 { job, cell } => {
                     q.queue.renew(conn, job, cell, now);
                     (vec![], false)
                 }
-                (ConnMode::Pinned(id), Msg::Renew { cell }) => {
-                    q.queue.renew(conn, id, cell, now);
-                    (vec![], false)
-                }
-                (
-                    ConnMode::Unpinned,
-                    Msg::Result2 {
-                        job,
-                        cell,
-                        line,
-                        elapsed_secs,
-                        trials,
-                    },
-                ) => {
-                    let quit = match q.ingest_result(job, cell, line, elapsed_secs, trials, now)
-                    {
+                Msg::Result2 {
+                    job,
+                    cell,
+                    line,
+                    elapsed_secs,
+                    trials,
+                } => {
+                    let quit = match q.ingest_result(job, cell, line, elapsed_secs, trials, now) {
                         Ok(()) => false,
                         Err(e) => {
                             eprintln!("serve: job {job} flush failed — {e}");
@@ -1348,48 +978,36 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
                     q.activate_ready(now); // a finished job frees a slot
                     (vec![], quit)
                 }
-                (
-                    ConnMode::Pinned(id),
-                    Msg::Result {
-                        cell,
-                        line,
-                        elapsed_secs,
-                        trials,
-                    },
-                ) => {
-                    let quit = match q.ingest_result(id, cell, line, elapsed_secs, trials, now) {
-                        Ok(()) => false,
-                        Err(e) => {
-                            eprintln!("serve: job {id} flush failed — {e}");
-                            true
-                        }
-                    };
-                    q.activate_ready(now);
-                    (vec![], quit)
+                Msg::Telemetry { line } => {
+                    q.ingest_telemetry(leased_job, &line);
+                    (vec![], false)
                 }
-                (
-                    ConnMode::Unpinned,
-                    Msg::Submit {
-                        client,
-                        spec,
-                        fingerprint,
-                    },
-                ) => (vec![q.handle_submit(&client, &spec, &fingerprint, now)], false),
-                (ConnMode::Unpinned, Msg::Status { job }) => (q.status_frames(job, now), false),
-                (ConnMode::Unpinned, Msg::Cancel { job }) => {
-                    (vec![q.handle_cancel(job, now)], false)
+                Msg::Submit {
+                    client,
+                    spec,
+                    fingerprint,
+                } => (
+                    vec![q.handle_submit(&client, &spec, &fingerprint, now)],
+                    false,
+                ),
+                Msg::Status { job } => (q.status_frames(job, now), false),
+                Msg::Cancel { job } => (vec![q.handle_cancel(job, now)], false),
+                Msg::Goodbye => {
+                    q.goodbyes += 1;
+                    if q.progress {
+                        eprintln!("serve: '{worker_name}' drained gracefully");
+                    }
+                    (vec![], true)
                 }
-                // Telemetry has no sink in queue mode; dropped silently.
-                (_, Msg::Telemetry { .. }) => (vec![], false),
-                (_, Msg::Goodbye) => (vec![], true),
-                // Anything else on this connection is a protocol violation.
+                // Anything else — the retired `/1` Lease/Result/Renew frames
+                // included — is a protocol violation.
                 _ => (vec![], true),
             }
         };
         let mut dead = false;
         for reply in &replies {
             let drained = matches!(reply, Msg::Drained);
-            if send(&mut stream, reply).is_err() || drained {
+            if write_frame(&mut stream, reply).is_err() || drained {
                 dead = true;
                 break;
             }
@@ -1426,9 +1044,7 @@ mod tests {
     fn renew_extends_only_the_holders_lease() {
         let mut s = state(2);
         let t0 = Instant::now();
-        let Msg::Lease { cell, .. } = s.claim(1, t0) else {
-            panic!("expected lease")
-        };
+        let cell = s.claim(1, t0).expect("a pending cell");
         // Without a heartbeat the lease expires...
         let after = t0 + Duration::from_millis(600);
         // ...but a renewal from the holder moves the deadline.
@@ -1464,9 +1080,7 @@ mod tests {
     fn duplicate_results_across_reconnects_are_counted_once_each() {
         let mut s = state(2);
         let t0 = Instant::now();
-        let Msg::Lease { cell, .. } = s.claim(1, t0) else {
-            panic!("expected lease")
-        };
+        let cell = s.claim(1, t0).expect("a pending cell");
         assert_eq!(s.ingest(cell, parked(cell), true), Ingest::Parked);
         // The same worker resubmits after a reconnect (conn 2), twice.
         assert_eq!(s.ingest(cell, parked(cell), true), Ingest::Duplicate);
@@ -1485,9 +1099,7 @@ mod tests {
     fn mismatched_or_out_of_range_results_are_rejected() {
         let mut s = state(2);
         let t0 = Instant::now();
-        let Msg::Lease { cell, .. } = s.claim(1, t0) else {
-            panic!("expected lease")
-        };
+        let cell = s.claim(1, t0).expect("a pending cell");
         assert_eq!(s.ingest(cell, parked(cell), false), Ingest::Rejected);
         assert_eq!(s.results_rejected, 1);
         s.check_invariants().expect("rejected cell back to pending");

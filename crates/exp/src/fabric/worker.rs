@@ -1,32 +1,34 @@
 //! The `stabcon work` side of the fabric: connect to a `stabcon serve`
-//! daemon, claim cells, run them on the local thread pool, and stream
-//! results (and telemetry) back.
+//! daemon, claim cells from whatever campaigns it runs, run them on the
+//! local thread pool, and stream results (and telemetry) back.
 //!
-//! The worker expands the campaign spec **locally** and proves it did with
-//! the grid fingerprint in the [`Msg::Hello`] handshake — the server never
-//! ships cell specs over the wire, only cell *ids*, so the determinism
-//! story is identical to the batch shard flow: every record the worker
-//! produces is the exact line a single-host run would have written.
+//! Each [`Msg::Lease2`] names a job and carries its spec descriptor and
+//! grid fingerprint. The worker expands the campaign **locally** (once per
+//! job) and verifies the fingerprint before running a single trial — the
+//! daemon never ships cell specs over the wire, only cell *ids*, so the
+//! determinism story is identical to the batch shard flow: every record
+//! the worker produces is the exact line a single-host run would have
+//! written.
 //!
 //! ## WAN hardening
 //!
 //! The worker is built to survive a hostile network between it and the
-//! server:
+//! daemon:
 //!
 //! * **Reconnect with backoff.** Any session-level failure — refused
 //!   connect, mid-frame disconnect, torn or garbled reply — tears the
 //!   session down and dials again, with capped exponential backoff and
 //!   deterministic jitter (a [`hash3`] draw keyed by the worker name, so
-//!   two workers restarting together don't thundering-herd the server).
+//!   two workers restarting together don't thundering-herd the daemon).
 //!   The consecutive-failure budget is [`WorkerConfig::retries`]; any
-//!   successfully decoded server reply resets it.
-//! * **Idempotent resubmission.** A completed cell's [`Msg::Result`] is
-//!   held until the server provably consumed it (a reply to a *later*
+//!   successfully decoded daemon reply resets it.
+//! * **Idempotent resubmission.** A completed cell's [`Msg::Result2`] is
+//!   held until the daemon provably consumed it (a reply to a *later*
 //!   frame on the same connection — TCP ordering — proves the bytes
 //!   arrived). If the connection dies first, the next session resends the
-//!   frame; the server dedupes, so the store is byte-identical either way.
+//!   frame; the daemon dedupes, so the store is byte-identical either way.
 //! * **Lease heartbeats.** While a cell runs, a background thread sends
-//!   fire-and-forget [`Msg::Renew`] frames every third of the lease, so a
+//!   fire-and-forget [`Msg::Renew2`] frames every third of the lease, so a
 //!   slow cell on a live worker never gets re-leased out from under it.
 //! * **Graceful drain.** On SIGTERM (the binary installs a handler that
 //!   calls [`request_drain`]) or a test-injected drain flag, the worker
@@ -48,7 +50,7 @@ use crate::cell::{chunk_for, run_cell_monitored, CellSpec};
 use crate::store;
 use crate::telemetry::CampaignTelemetry;
 
-use super::protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
 
 /// Process-wide graceful-drain flag, set by the SIGTERM handler in the
 /// `stabcon` binary (signal handlers can only touch static state).
@@ -67,14 +69,14 @@ pub fn request_drain() {
 pub struct WorkerConfig {
     /// Local worker threads for the shared pool.
     pub threads: usize,
-    /// Display name sent in the handshake (shows up in the server's
+    /// Display name sent in the handshake (shows up in the daemon's
     /// progress lines).
     pub name: String,
     /// Trials per scheduler chunk; `None` auto-tunes per cell.
     pub chunk: Option<u64>,
     /// Consecutive session failures (failed connects, dead handshakes,
     /// torn replies) tolerated before giving up. Any successfully decoded
-    /// server reply resets the count.
+    /// daemon reply resets the count.
     pub retries: u32,
     /// Base reconnect backoff in milliseconds; doubles per consecutive
     /// failure (capped at 64× and 30 s) with deterministic ±50% jitter.
@@ -117,11 +119,11 @@ pub struct WorkerOutcome {
     /// Sessions re-established after a lost connection.
     pub reconnects: u64,
     /// The worker left because a drain was requested (SIGTERM or the
-    /// [`WorkerConfig::drain`] flag), not because the campaign drained.
+    /// [`WorkerConfig::drain`] flag), not because the queue drained.
     pub drained_early: bool,
 }
 
-/// A telemetry sink that ships each complete line to the server as a
+/// A telemetry sink that ships each complete line to the daemon as a
 /// [`Msg::Telemetry`] frame instead of writing a local file. Buffers until
 /// a newline so partial `write` calls never tear a frame, and shares the
 /// connection mutex with the protocol sends so frames stay line-atomic.
@@ -152,9 +154,7 @@ fn send_locked(stream: &Arc<Mutex<TcpStream>>, msg: &Msg) -> std::io::Result<()>
     let mut s = stream
         .lock()
         .map_err(|_| std::io::Error::other("connection poisoned"))?;
-    s.write_all(msg.encode().as_bytes())?;
-    s.write_all(b"\n")?;
-    s.flush()
+    write_frame(&mut *s, msg)
 }
 
 /// Reconnect backoff for consecutive failure number `attempt` (1-based):
@@ -189,8 +189,8 @@ fn interruptible_sleep(total: Duration, cfg: &WorkerConfig) {
 
 /// Why a session ended.
 enum SessionEnd {
-    /// Server reported every cell done.
-    CampaignDrained,
+    /// The daemon reported the queue drained.
+    QueueDrained,
     /// A drain was requested locally; Goodbye sent.
     DrainRequested,
 }
@@ -199,7 +199,7 @@ enum SessionEnd {
 struct SessionLost(String);
 
 /// A fatal refusal: retrying cannot help (handshake reject, grid
-/// mismatch).
+/// fingerprint mismatch).
 struct Fatal(String);
 
 enum WorkErr {
@@ -218,18 +218,17 @@ impl From<Fatal> for WorkErr {
     }
 }
 
-/// Keeps [`Msg::Renew`] heartbeats flowing for one leased cell; stops (and
-/// joins) on drop, so a finished or failed cell never heartbeats a lease
-/// it no longer wants.
+/// Keeps [`Msg::Renew2`] heartbeats flowing for one leased cell; stops
+/// (and joins) on drop, so a finished or failed cell never heartbeats a
+/// lease it no longer wants.
 struct Heartbeat {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
-    /// `renew` is the frame to repeat — [`Msg::Renew`] for a `/1` session,
-    /// [`Msg::Renew2`] (job-tagged) for a `/2` one.
-    fn start(stream: Arc<Mutex<TcpStream>>, renew: Msg, lease_ms: u64) -> Self {
+    fn start(stream: Arc<Mutex<TcpStream>>, job: u64, cell: u64, lease_ms: u64) -> Self {
+        let renew = Msg::Renew2 { job, cell };
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         // A third of the lease keeps two renewals of headroom before the
@@ -265,7 +264,7 @@ impl Drop for Heartbeat {
     }
 }
 
-/// One established, handshake-validated connection to the server.
+/// One established, handshake-validated connection to the daemon.
 struct Session {
     stream: Arc<Mutex<TcpStream>>,
     lines: Lines<BufReader<TcpStream>>,
@@ -276,7 +275,7 @@ impl Session {
         let line = self
             .lines
             .next()
-            .ok_or_else(|| SessionLost("server closed the connection".into()))?
+            .ok_or_else(|| SessionLost("daemon closed the connection".into()))?
             .map_err(|e| SessionLost(format!("read: {e}")))?;
         Msg::decode(&line).map_err(SessionLost)
     }
@@ -286,20 +285,13 @@ impl Session {
     }
 }
 
-/// Dial and handshake. Connect errors are session-level (the server may be
-/// restarting); a [`Msg::Reject`] or grid-size mismatch is fatal.
-/// `expect_cells` validates the Welcome's cell count against the local
-/// expansion (`/1` sessions only — an unpinned `/2` Welcome reports the
-/// live job count instead).
-fn connect_session(
-    addr: &str,
-    name: &str,
-    schema: &str,
-    fingerprint: &str,
-    expect_cells: Option<u64>,
-) -> Result<Session, WorkErr> {
+/// Dial and handshake. Connect errors are session-level (the daemon may be
+/// restarting); a [`Msg::Reject`] is fatal.
+fn connect_session(addr: &str, name: &str) -> Result<Session, WorkErr> {
     let stream =
         TcpStream::connect(addr).map_err(|e| SessionLost(format!("connect {addr}: {e}")))?;
+    // Frames are small request/reply lines: send each now.
+    let _ = stream.set_nodelay(true);
     let reader = stream
         .try_clone()
         .map_err(|e| SessionLost(format!("clone connection: {e}")))?;
@@ -308,58 +300,34 @@ fn connect_session(
         lines: BufReader::new(reader).lines(),
     };
     session.send(&Msg::Hello {
-        schema: schema.into(),
+        schema: FABRIC_SCHEMA_V2.into(),
         worker: name.into(),
-        fingerprint: fingerprint.into(),
     })?;
     match session.recv()? {
-        Msg::Welcome {
-            cells: server_cells,
-            ..
-        } => {
-            if let Some(local_cells) = expect_cells {
-                if server_cells != local_cells {
-                    return Err(Fatal(format!(
-                        "server grid has {server_cells} cells, local expansion {local_cells} — \
-                         fingerprint collision?"
-                    ))
-                    .into());
-                }
-            }
-        }
-        Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-        other => {
-            return Err(SessionLost(format!("unexpected handshake reply {other:?}")).into());
-        }
+        Msg::Welcome { .. } => Ok(session),
+        Msg::Reject { reason } => Err(Fatal(format!("rejected: {reason}")).into()),
+        other => Err(SessionLost(format!("unexpected handshake reply {other:?}")).into()),
     }
-    Ok(session)
 }
 
-/// Run one leased cell and build its (unshipped) result frame —
-/// [`Msg::Result`] for a `/1` session, [`Msg::Result2`] when `job` tags
-/// the lease. Heartbeats flow for the whole computation.
-#[allow(clippy::too_many_arguments)]
+/// Run one leased cell of `job` and build its (unshipped)
+/// [`Msg::Result2`]. Heartbeats flow for the whole computation.
 fn run_leased_cell(
     session: &Session,
     pool: &ThreadPool,
-    spec: &CampaignSpec,
-    cells: &[CellSpec],
+    grid: &JobGrid,
+    job: u64,
     cell: &CellSpec,
     lease_ms: u64,
-    job: Option<u64>,
     cfg: &WorkerConfig,
 ) -> Result<Msg, String> {
-    let renew = match job {
-        Some(job) => Msg::Renew2 { job, cell: cell.id },
-        None => Msg::Renew { cell: cell.id },
-    };
-    let _heartbeat = Heartbeat::start(Arc::clone(&session.stream), renew, lease_ms);
-    // Telemetry streams to the server; progress printing stays off (the
-    // server renders progress for the whole campaign).
+    let _heartbeat = Heartbeat::start(Arc::clone(&session.stream), job, cell.id, lease_ms);
+    // Telemetry streams to the daemon; progress printing stays off (the
+    // daemon renders progress for the whole queue).
     let mut tel = CampaignTelemetry::create_with_sink(
-        &spec.name,
+        &grid.spec.name,
         pool.threads().max(1),
-        cells.len() as u64,
+        grid.cells.len() as u64,
         cell.trials,
         false,
         Some(Box::new(FrameWriter {
@@ -376,194 +344,35 @@ fn run_leased_cell(
     let elapsed_secs = started.elapsed().as_secs_f64();
     tel.end_cell(cell, agg.trials(), elapsed_secs);
     tel.finish();
-    let line = store::cell_line(cell, &agg);
-    let trials = agg.trials();
-    Ok(match job {
-        Some(job) => Msg::Result2 {
-            job,
-            cell: cell.id,
-            line,
-            elapsed_secs,
-            trials,
-        },
-        None => Msg::Result {
-            cell: cell.id,
-            line,
-            elapsed_secs,
-            trials,
-        },
+    Ok(Msg::Result2 {
+        job,
+        cell: cell.id,
+        line: store::cell_line(cell, &agg),
+        elapsed_secs,
+        trials: agg.trials(),
     })
 }
 
 /// The in-flight state that must survive a reconnect.
 struct Progress {
     outcome: WorkerOutcome,
-    /// A completed cell's Result frame not yet provably consumed by the
-    /// server. Resent at the top of every new session (the server
+    /// A completed cell's Result2 frame not yet provably consumed by the
+    /// daemon. Resent at the top of every new session (the daemon
     /// dedupes), cleared when a later frame on the same connection gets a
     /// reply.
     pending: Option<Msg>,
 }
 
-/// Drive one session until the campaign drains, a drain is requested, or
-/// the session is lost. Updates `progress` in place so nothing is lost on
-/// a reconnect.
-fn run_session(
-    session: &mut Session,
-    pool: &ThreadPool,
-    spec: &CampaignSpec,
-    cells: &[CellSpec],
-    cfg: &WorkerConfig,
-    progress: &mut Progress,
-    attempts: &mut u32,
-) -> Result<SessionEnd, WorkErr> {
-    // The handshake reply proved the server is talking to us.
-    *attempts = 0;
-    // Idempotent resubmission: if a Result was completed but never provably
-    // consumed, it goes out first. A followup reply on this connection
-    // proves (by TCP ordering) the server read it; duplicates are deduped
-    // server-side, so resending is always safe and never loses work.
-    if let Some(result) = progress.pending.clone() {
-        session.send(&result)?;
-    }
-    loop {
-        if cfg.drain_requested() {
-            // Best-effort goodbye; the session is ending either way.
-            let _ = session.send(&Msg::Goodbye);
-            return Ok(SessionEnd::DrainRequested);
-        }
-        session.send(&Msg::Claim)?;
-        let reply = session.recv()?;
-        // A decoded reply to a frame sent *after* the pending Result means
-        // the server consumed the Result bytes: drop the copy.
-        progress.pending = None;
-        *attempts = 0;
-        match reply {
-            Msg::Lease { cell, lease_ms } => {
-                let cell = cells
-                    .get(cell as usize)
-                    .filter(|c| c.id == cell)
-                    .ok_or_else(|| Fatal(format!("leased unknown cell {cell}")))?;
-                let result =
-                    run_leased_cell(session, pool, spec, cells, cell, lease_ms, None, cfg)
-                        .map_err(Fatal)?;
-                let trials = match &result {
-                    Msg::Result { trials, .. } => *trials,
-                    _ => unreachable!("run_leased_cell returns Msg::Result"),
-                };
-                // The cell is done: remember the frame *before* trying to
-                // ship it, so a send failure reships it next session.
-                progress.pending = Some(result.clone());
-                progress.outcome.cells_run += 1;
-                progress.outcome.trials_run += trials;
-                session.send(&result)?;
-            }
-            Msg::Wait { retry_ms } => {
-                interruptible_sleep(Duration::from_millis(retry_ms.clamp(10, 5000)), cfg);
-            }
-            Msg::Drained => return Ok(SessionEnd::CampaignDrained),
-            Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-            other => return Err(SessionLost(format!("unexpected server message {other:?}")).into()),
-        }
-    }
-}
-
-/// Connect to a `stabcon serve` daemon at `addr` and work until the server
-/// reports the campaign drained (or a graceful drain is requested).
-///
-/// Session failures — refused connects, dropped connections, torn frames —
-/// are retried with capped exponential backoff up to
-/// [`WorkerConfig::retries`] consecutive times; completed-but-unshipped
-/// results survive the reconnect and are resubmitted idempotently.
-pub fn run_worker(
-    addr: &str,
-    spec: &CampaignSpec,
-    cfg: &WorkerConfig,
-) -> Result<WorkerOutcome, String> {
-    let cells = spec.expand();
-    let header = spec.header();
-    let fingerprint = format!("{:016x}", header.fingerprint);
-    let seed = name_seed(&cfg.name);
-    let pool = ThreadPool::new(cfg.threads);
-    let mut progress = Progress {
-        outcome: WorkerOutcome {
-            cells_run: 0,
-            trials_run: 0,
-            reconnects: 0,
-            drained_early: false,
-        },
-        pending: None,
-    };
-    let mut attempts: u32 = 0;
-    let mut sessions_seen: u64 = 0;
-    loop {
-        if cfg.drain_requested() {
-            progress.outcome.drained_early = true;
-            return Ok(progress.outcome);
-        }
-        let lost = match connect_session(
-            addr,
-            &cfg.name,
-            FABRIC_SCHEMA,
-            &fingerprint,
-            Some(cells.len() as u64),
-        ) {
-            Ok(mut session) => {
-                sessions_seen += 1;
-                if sessions_seen > 1 {
-                    progress.outcome.reconnects += 1;
-                }
-                match run_session(
-                    &mut session,
-                    &pool,
-                    spec,
-                    &cells,
-                    cfg,
-                    &mut progress,
-                    &mut attempts,
-                ) {
-                    Ok(SessionEnd::CampaignDrained) => return Ok(progress.outcome),
-                    Ok(SessionEnd::DrainRequested) => {
-                        progress.outcome.drained_early = true;
-                        return Ok(progress.outcome);
-                    }
-                    Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-                    Err(WorkErr::Lost(e)) => e,
-                }
-            }
-            Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-            Err(WorkErr::Lost(e)) => e,
-        };
-        attempts += 1;
-        if attempts > cfg.retries {
-            return Err(format!(
-                "work: {addr}: gave up after {attempts} consecutive session failures \
-                 (last: {}) — raise --retries/--backoff-ms for flakier links",
-                lost.0
-            ));
-        }
-        let delay = backoff_delay(seed, attempts, cfg.backoff_ms);
-        eprintln!(
-            "work: session with {addr} lost (attempt {attempts}/{}): {} — retrying in {}ms",
-            cfg.retries,
-            lost.0,
-            delay.as_millis()
-        );
-        interruptible_sleep(delay, cfg);
-    }
-}
-
 /// One job's locally built-and-verified grid, cached across leases so the
-/// any-campaign worker expands each campaign once.
+/// worker expands each campaign once.
 struct JobGrid {
     spec: CampaignSpec,
     cells: Vec<CellSpec>,
 }
 
 /// Build (or fetch) the grid for a leased job, verifying that the locally
-/// computed fingerprint matches the server's — the `/1` determinism
-/// handshake, per job instead of per connection. A mismatch is fatal: the
-/// two sides would write different bytes.
+/// computed fingerprint matches the daemon's. A mismatch is fatal: the two
+/// sides would write different bytes.
 fn grid_for<'a>(
     grids: &'a mut HashMap<u64, JobGrid>,
     job: u64,
@@ -579,8 +388,8 @@ fn grid_for<'a>(
             let local = format!("{:016x}", spec.fingerprint());
             if local != fingerprint {
                 return Err(Fatal(format!(
-                    "job {job}: server grid fingerprint {fingerprint} != local {local} — \
-                     server and worker built different campaigns from the same descriptor"
+                    "job {job}: daemon grid fingerprint {fingerprint} != local {local} — \
+                     daemon and worker built different campaigns from the same descriptor"
                 )));
             }
             let cells = spec.expand();
@@ -589,10 +398,9 @@ fn grid_for<'a>(
     }
 }
 
-/// Drive one unpinned (`/2`) session: leases arrive tagged with a job id
-/// and carry that job's descriptor + fingerprint; results ship back as
-/// [`Msg::Result2`]. Everything else — pending-result resubmission, drain,
-/// backoff bookkeeping — matches [`run_session`].
+/// Drive one session until the queue drains, a drain is requested, or the
+/// session is lost. Updates `progress` in place so nothing is lost on a
+/// reconnect.
 fn run_session_any(
     session: &mut Session,
     pool: &ThreadPool,
@@ -601,17 +409,25 @@ fn run_session_any(
     progress: &mut Progress,
     attempts: &mut u32,
 ) -> Result<SessionEnd, WorkErr> {
+    // The handshake reply proved the daemon is talking to us.
     *attempts = 0;
+    // Idempotent resubmission: if a result was completed but never provably
+    // consumed, it goes out first. A followup reply on this connection
+    // proves (by TCP ordering) the daemon read it; duplicates are deduped
+    // daemon-side, so resending is always safe and never loses work.
     if let Some(result) = progress.pending.clone() {
         session.send(&result)?;
     }
     loop {
         if cfg.drain_requested() {
+            // Best-effort goodbye; the session is ending either way.
             let _ = session.send(&Msg::Goodbye);
             return Ok(SessionEnd::DrainRequested);
         }
         session.send(&Msg::Claim)?;
         let reply = session.recv()?;
+        // A decoded reply to a frame sent *after* the pending result means
+        // the daemon consumed the result bytes: drop the copy.
         progress.pending = None;
         *attempts = 0;
         match reply {
@@ -628,43 +444,37 @@ fn run_session_any(
                     .get(cell as usize)
                     .filter(|c| c.id == cell)
                     .ok_or_else(|| Fatal(format!("job {job}: leased unknown cell {cell}")))?;
-                let result = run_leased_cell(
-                    session,
-                    pool,
-                    &grid.spec,
-                    &grid.cells,
-                    cell,
-                    lease_ms,
-                    Some(job),
-                    cfg,
-                )
-                .map_err(Fatal)?;
-                let trials = match &result {
-                    Msg::Result2 { trials, .. } => *trials,
-                    _ => unreachable!("run_leased_cell with a job returns Msg::Result2"),
-                };
-                progress.pending = Some(result.clone());
+                let result = run_leased_cell(session, pool, grid, job, cell, lease_ms, cfg)
+                    .map_err(Fatal)?;
+                if let Msg::Result2 { trials, .. } = &result {
+                    progress.outcome.trials_run += trials;
+                }
                 progress.outcome.cells_run += 1;
-                progress.outcome.trials_run += trials;
+                // The cell is done: remember the frame *before* trying to
+                // ship it, so a send failure reships it next session.
+                progress.pending = Some(result.clone());
                 session.send(&result)?;
             }
             Msg::Wait { retry_ms } => {
                 interruptible_sleep(Duration::from_millis(retry_ms.clamp(10, 5000)), cfg);
             }
-            Msg::Drained => return Ok(SessionEnd::CampaignDrained),
+            Msg::Drained => return Ok(SessionEnd::QueueDrained),
             Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-            other => return Err(SessionLost(format!("unexpected server message {other:?}")).into()),
+            other => return Err(SessionLost(format!("unexpected daemon message {other:?}")).into()),
         }
     }
 }
 
-/// Connect to a queue-mode `stabcon serve` daemon at `addr` and work on
-/// *whatever campaigns it has*: the `/2` handshake carries no fingerprint,
-/// and each [`Msg::Lease2`] ships its job's spec descriptor, which the
-/// worker builds and fingerprint-verifies locally before running a single
-/// trial. Runs until the daemon reports the queue drained (or a graceful
-/// drain is requested); reconnect/backoff/resubmission semantics match
-/// [`run_worker`].
+/// Connect to a `stabcon serve` daemon at `addr` and work on *whatever
+/// campaigns it has*: each [`Msg::Lease2`] ships its job's spec
+/// descriptor, which the worker builds and fingerprint-verifies locally
+/// before running a single trial. Runs until the daemon reports the queue
+/// drained (or a graceful drain is requested).
+///
+/// Session failures — refused connects, dropped connections, torn frames —
+/// are retried with capped exponential backoff up to
+/// [`WorkerConfig::retries`] consecutive times; completed-but-unshipped
+/// results survive the reconnect and are resubmitted idempotently.
 pub fn run_worker_any(addr: &str, cfg: &WorkerConfig) -> Result<WorkerOutcome, String> {
     let seed = name_seed(&cfg.name);
     let pool = ThreadPool::new(cfg.threads);
@@ -685,7 +495,7 @@ pub fn run_worker_any(addr: &str, cfg: &WorkerConfig) -> Result<WorkerOutcome, S
             progress.outcome.drained_early = true;
             return Ok(progress.outcome);
         }
-        let lost = match connect_session(addr, &cfg.name, FABRIC_SCHEMA_V2, "", None) {
+        let lost = match connect_session(addr, &cfg.name) {
             Ok(mut session) => {
                 sessions_seen += 1;
                 if sessions_seen > 1 {
@@ -699,7 +509,7 @@ pub fn run_worker_any(addr: &str, cfg: &WorkerConfig) -> Result<WorkerOutcome, S
                     &mut progress,
                     &mut attempts,
                 ) {
-                    Ok(SessionEnd::CampaignDrained) => return Ok(progress.outcome),
+                    Ok(SessionEnd::QueueDrained) => return Ok(progress.outcome),
                     Ok(SessionEnd::DrainRequested) => {
                         progress.outcome.drained_early = true;
                         return Ok(progress.outcome);

@@ -53,7 +53,9 @@ pub use campaign::{
     run_campaign, sqrt_budget, BudgetSpec, CampaignOutcome, CampaignSpec, InitSpec, RunConfig,
 };
 pub use cell::{chunk_for, run_cell, run_cell_monitored, sweep_stats, CellSpec};
-pub use fabric::{merge_stores, run_worker, MergeOutcome, ServeConfig, Server, ShardSelection};
+pub use fabric::{
+    merge_stores, run_worker_any, MergeOutcome, QueueServeConfig, QueueServer, ShardSelection,
+};
 pub use metrics::{ConvergenceStats, HitMetric};
 pub use observer::{ChannelKind, ChannelSpec, FloatMoments, TrialExtras, TrialObserver};
 pub use telemetry::{check_telemetry, CampaignTelemetry, CellProfile};

@@ -67,6 +67,15 @@ pub fn timings_path(store: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// The telemetry sink a `stabcon serve` daemon keeps next to each job
+/// store: `<store>.telemetry.jsonl`, filled with the records its workers
+/// ship.
+pub fn sink_path(store: &Path) -> PathBuf {
+    let mut os = store.as_os_str().to_owned();
+    os.push(".telemetry.jsonl");
+    PathBuf::from(os)
+}
+
 /// One completed cell's wall-clock/phase profile (also serialized as the
 /// sink's `cell_profile` record).
 #[derive(Debug, Clone)]
@@ -509,7 +518,7 @@ pub enum TelemetryRecord {
 /// flat JSON, a known `record` kind, and every required field present with
 /// the right type. This is the per-line core of [`check_telemetry`], and
 /// the gate `stabcon serve` applies to worker-shipped [`Telemetry`] frames
-/// before ingesting them into its sink — a torn, interleaved, or malformed
+/// before filing them in a job's sink — a torn, interleaved, or malformed
 /// frame fails here and is dropped instead of corrupting the sink.
 ///
 /// [`Telemetry`]: crate::fabric::Msg::Telemetry

@@ -1,26 +1,32 @@
-//! Chaos integration for the fabric: a serve daemon and two workers talk
-//! through the deterministic chaos proxy — delayed flushes, duplicated
-//! frames, torn writes, mid-frame disconnects — and the assembled store is
-//! still byte-identical to the clean single-host run, at every seed.
+//! Chaos integration for the fabric: a one-job serve daemon and two
+//! workers talk through the deterministic chaos proxy — delayed flushes,
+//! duplicated frames, torn writes, mid-frame disconnects — and the
+//! assembled store is still byte-identical to the clean single-host run,
+//! at every seed.
 //!
-//! Also here: the crash-safety acceptance test. A `stabcon serve`
-//! subprocess is `kill -9`'d mid-campaign, its store tail is truncated
-//! mid-record (the torn write a crash can leave), and a restarted server
-//! with `--resume` repairs the tail and completes the campaign to the
-//! exact reference bytes.
+//! Also here: the crash-safety acceptance test. A `stabcon serve --preset`
+//! subprocess is `kill -9`'d mid-campaign, its job store's tail is
+//! truncated mid-record (the torn write a crash can leave), and a restarted
+//! daemon with `--resume` replays the journal, repairs the tail, leases
+//! only the missing cells, and completes the campaign to the exact
+//! reference bytes.
 
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stabcon_exp::campaign::{run_campaign, CampaignSpec, RunConfig};
-use stabcon_exp::fabric::{run_worker, ChaosProxy, ChaosSpec, ServeConfig, Server, WorkerConfig};
-use stabcon_exp::presets::preset;
+use stabcon_exp::campaign::{run_campaign, RunConfig};
+use stabcon_exp::fabric::{
+    job_store_path, jobs_journal_path, run_worker_any, submit_campaign, write_frame, ChaosProxy,
+    ChaosSpec, Msg, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA_V2,
+};
 use stabcon_exp::store::Durability;
-use stabcon_exp::telemetry::timings_path;
-use stabcon_exp::InitSpec;
+use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
+use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("stabcon-fabric-chaos");
@@ -28,38 +34,61 @@ fn tmp(tag: &str) -> PathBuf {
     dir.join(format!("{}-{tag}.jsonl", std::process::id()))
 }
 
-fn cleanup(store: &PathBuf) {
+fn cleanup(store: &Path) {
     std::fs::remove_file(store).ok();
     std::fs::remove_file(timings_path(store)).ok();
 }
 
-/// 4 quick cells.
-fn grid() -> CampaignSpec {
-    CampaignSpec {
-        name: "chaos-it".into(),
-        seed: 0xC4A0,
-        trials: 4,
-        ns: vec![64, 96],
-        inits: vec![InitSpec::TwoBinsHalf, InitSpec::AllDistinct],
-        ..CampaignSpec::default()
+/// Remove a daemon's footprint: journal, job stores, sidecars.
+fn cleanup_daemon(out: &Path) {
+    std::fs::remove_file(jobs_journal_path(out)).ok();
+    for job in 1..=2 {
+        let store = job_store_path(out, job);
+        std::fs::remove_file(sink_path(&store)).ok();
+        cleanup(&store);
     }
 }
 
-/// Run one full campaign — serve + 2 retrying workers — through a chaos
-/// proxy seeded with `seed`, and return the assembled store bytes.
-fn campaign_through_chaos(spec: &CampaignSpec, seed: u64, tag: &str) -> Vec<u8> {
-    let store = tmp(tag);
-    cleanup(&store);
+/// 4 quick cells.
+fn descriptor() -> SpecDescriptor {
+    SpecDescriptor {
+        preset: "smoke".into(),
+        name: Some("chaos-it".into()),
+        trials: Some(4),
+        seed: Some(0xC4A0),
+        ns: Some("64,96".into()),
+    }
+}
 
-    let server = Server::bind("127.0.0.1:0", spec, &store).expect("bind serve");
+/// Clean single-host reference bytes for `desc`.
+fn reference_bytes(desc: &SpecDescriptor, tag: &str) -> Vec<u8> {
+    let path = tmp(tag);
+    cleanup(&path);
+    let spec = desc.build().expect("descriptor builds");
+    run_campaign(&spec, &path, &RunConfig::default()).expect("single-host run");
+    let bytes = std::fs::read(&path).expect("read reference");
+    cleanup(&path);
+    bytes
+}
+
+/// Run one full campaign — a one-job daemon + 2 retrying workers — through
+/// a chaos proxy seeded with `seed`, and return the assembled store bytes.
+fn campaign_through_chaos(desc: &SpecDescriptor, seed: u64, tag: &str) -> Vec<u8> {
+    let out = tmp(tag);
+    cleanup_daemon(&out);
+
+    let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind serve");
     let serve_addr = server.local_addr().expect("serve addr").to_string();
-    let serve_cfg = ServeConfig {
+    let serve_cfg = QueueServeConfig {
         // Generous against injected delays; heartbeats carry slow cells.
         lease: Duration::from_secs(2),
         durability: Durability::Cell,
-        ..ServeConfig::default()
+        exit_when_idle: true,
+        ..QueueServeConfig::default()
     };
     let serve_thread = std::thread::spawn(move || server.run(&serve_cfg));
+    // The startup submission goes straight to the daemon, as the CLI's does.
+    submit_campaign(&serve_addr, "serve", desc).expect("startup submission");
 
     let proxy = ChaosProxy::bind("127.0.0.1:0", &serve_addr, ChaosSpec::mild(seed))
         .expect("bind chaos proxy");
@@ -69,19 +98,17 @@ fn campaign_through_chaos(spec: &CampaignSpec, seed: u64, tag: &str) -> Vec<u8> 
 
     // Two workers, both through the proxy, both with a deep retry budget —
     // every mid-frame cut costs a reconnect, never the campaign. The drain
-    // flag stops them promptly once the server has everything (a worker
-    // mid-reconnect when the campaign drains would otherwise spend its
-    // whole retry budget against a gone server).
+    // flag stops them promptly once the daemon has everything (a worker
+    // mid-reconnect when the queue drains would otherwise spend its whole
+    // retry budget against a gone daemon).
     let drain = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = (0..2)
         .map(|i| {
-            let spec = spec.clone();
             let addr = proxy_addr.clone();
             let drain = Arc::clone(&drain);
             std::thread::spawn(move || {
-                run_worker(
+                run_worker_any(
                     &addr,
-                    &spec,
                     &WorkerConfig {
                         threads: 2,
                         name: format!("chaos-worker-{i}"),
@@ -99,10 +126,10 @@ fn campaign_through_chaos(spec: &CampaignSpec, seed: u64, tag: &str) -> Vec<u8> 
         .join()
         .expect("serve thread")
         .expect("serve outcome");
-    assert_eq!(served.cells_total, 4);
+    assert_eq!((served.jobs, served.done), (1, 1));
     assert_eq!(served.cells_ingested, 4);
 
-    // Workers may still be mid-retry against a gone server; their errors
+    // Workers may still be mid-retry against a gone daemon; their errors
     // are expected — the store is the contract.
     drain.store(true, Ordering::SeqCst);
     for w in workers {
@@ -111,23 +138,17 @@ fn campaign_through_chaos(spec: &CampaignSpec, seed: u64, tag: &str) -> Vec<u8> 
     stop.store(true, Ordering::SeqCst);
     let _ = proxy_thread.join().expect("proxy thread");
 
-    let bytes = std::fs::read(&store).expect("read chaos store");
-    cleanup(&store);
+    let bytes = std::fs::read(job_store_path(&out, 1)).expect("read chaos store");
+    cleanup_daemon(&out);
     bytes
 }
 
 #[test]
 fn chaos_campaign_store_is_byte_identical_at_any_seed() {
-    let spec = grid();
-
-    let reference_path = tmp("chaos-reference");
-    cleanup(&reference_path);
-    run_campaign(&spec, &reference_path, &RunConfig::default()).expect("single-host run");
-    let reference = std::fs::read(&reference_path).expect("read reference");
-    cleanup(&reference_path);
-
+    let desc = descriptor();
+    let reference = reference_bytes(&desc, "chaos-reference");
     for seed in [11u64, 23, 37] {
-        let bytes = campaign_through_chaos(&spec, seed, &format!("chaos-{seed}"));
+        let bytes = campaign_through_chaos(&desc, seed, &format!("chaos-{seed}"));
         assert_eq!(
             bytes, reference,
             "chaos seed {seed}: store differs from the clean single-host run"
@@ -137,7 +158,7 @@ fn chaos_campaign_store_is_byte_identical_at_any_seed() {
 
 /// Poll until `path` has at least `lines` newline-terminated lines (or
 /// panic after `timeout`).
-fn wait_for_lines(path: &PathBuf, lines: usize, timeout: Duration) {
+fn wait_for_lines(path: &Path, lines: usize, timeout: Duration) {
     let deadline = Instant::now() + timeout;
     loop {
         let have = std::fs::read(path)
@@ -155,27 +176,109 @@ fn wait_for_lines(path: &PathBuf, lines: usize, timeout: Duration) {
     }
 }
 
+/// Run a `stabcon` subprocess to completion, killing it (and failing the
+/// test) if it outlives `timeout`.
+fn run_cli(args: &[&str], timeout: Duration) -> ExitStatus {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stabcon"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn stabcon");
+    let deadline = Instant::now() + timeout;
+    loop {
+        if let Some(status) = child.try_wait().expect("poll stabcon") {
+            return status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("stabcon {args:?} still running after {timeout:?}");
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// The canonical store cell line for `cell`, looked up in a finished
+/// reference store by id — what an honest worker would ship.
+fn reference_line(reference: &[u8], cell: u64) -> String {
+    String::from_utf8_lossy(reference)
+        .lines()
+        .skip(1) // header
+        .find(|l| {
+            parse_flat(l)
+                .ok()
+                .and_then(|o| get(&o, "cell").and_then(JsonScalar::as_u64))
+                == Some(cell)
+        })
+        .unwrap_or_else(|| panic!("reference store has no cell {cell}"))
+        .to_string()
+}
+
+/// A scripted worker: dial `addr` (retrying while the subprocess binds),
+/// then claim `cells` cells and ship each one's reference line.
+fn ship_reference_cells(addr: &str, reference: &[u8], cells: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut stream = loop {
+        match TcpStream::connect(addr) {
+            Ok(s) => break s,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "daemon never listened: {e}");
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        }
+    };
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut recv = move || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        Msg::decode(line.trim_end()).expect("decode reply")
+    };
+    let hello = Msg::Hello {
+        schema: FABRIC_SCHEMA_V2.into(),
+        worker: "scripted".into(),
+    };
+    write_frame(&mut stream, &hello).expect("hello");
+    assert!(matches!(recv(), Msg::Welcome { .. }), "handshake");
+    let mut shipped = 0;
+    while shipped < cells {
+        write_frame(&mut stream, &Msg::Claim).expect("claim");
+        match recv() {
+            // The startup submission may not have landed yet.
+            Msg::Wait { retry_ms } => std::thread::sleep(Duration::from_millis(retry_ms)),
+            Msg::Lease2 { job, cell, .. } => {
+                let result = Msg::Result2 {
+                    job,
+                    cell,
+                    line: reference_line(reference, cell),
+                    elapsed_secs: 0.01,
+                    trials: 4,
+                };
+                write_frame(&mut stream, &result).expect("result");
+                shipped += 1;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn kill_dash_nine_server_resumes_from_a_truncated_tail() {
-    // The spec must be expressible as CLI flags so the subprocess expands
-    // the same grid (fingerprint handshake pins this).
-    let spec = {
-        let mut s = preset("smoke").expect("smoke preset");
-        s.trials = 4;
-        s.seed = 0xFEED;
-        s.ns = vec![64, 96];
-        s.name = "kill9".into();
-        s
+    // The descriptor's overrides are spelled as CLI flags below, so the
+    // subprocess builds the same grid.
+    let desc = SpecDescriptor {
+        preset: "smoke".into(),
+        name: Some("kill9".into()),
+        trials: Some(4),
+        seed: Some(0xFEED),
+        ns: Some("64,96".into()),
     };
+    let reference = reference_bytes(&desc, "kill9-reference");
+    let total_cells = (String::from_utf8_lossy(&reference).lines().count() - 1) as u64;
 
-    let reference_path = tmp("kill9-reference");
-    cleanup(&reference_path);
-    run_campaign(&spec, &reference_path, &RunConfig::default()).expect("single-host run");
-    let reference = std::fs::read(&reference_path).expect("read reference");
-    let total_cells = String::from_utf8_lossy(&reference).lines().count() - 1;
-
-    let store = tmp("kill9-store");
-    cleanup(&store);
+    let out = tmp("kill9");
+    cleanup_daemon(&out);
+    let store = job_store_path(&out, 1);
 
     // A free port for the subprocess (bind :0, read it back, release it).
     let port = std::net::TcpListener::bind("127.0.0.1:0")
@@ -185,88 +288,75 @@ fn kill_dash_nine_server_resumes_from_a_truncated_tail() {
         .port();
     let addr = format!("127.0.0.1:{port}");
 
-    // Phase 1: a real `stabcon serve` subprocess with per-cell fsync.
+    // Phase 1: a real `stabcon serve --preset` subprocess with per-cell
+    // fsync — a one-job queue daemon that submits its campaign itself.
+    let spec_flags = [
+        "--preset", "smoke", "--trials", "4", "--seed", "0xFEED", "--ns", "64,96", "--name",
+        "kill9",
+    ];
+    let out_arg = out.to_str().expect("utf8 path");
+    let mut serve_args = vec![
+        "serve",
+        "--out",
+        out_arg,
+        "--listen",
+        &addr,
+        "--lease-secs",
+        "2",
+        "--durability",
+        "cell",
+    ];
+    serve_args.extend(spec_flags);
     let mut child = Command::new(env!("CARGO_BIN_EXE_stabcon"))
-        .args([
-            "serve",
-            "--out",
-            store.to_str().expect("utf8 path"),
-            "--listen",
-            &addr,
-            "--lease-secs",
-            "2",
-            "--durability",
-            "cell",
-            "--preset",
-            "smoke",
-            "--trials",
-            "4",
-            "--seed",
-            "0xFEED",
-            "--ns",
-            "64,96",
-            "--name",
-            "kill9",
-        ])
+        .args(&serve_args)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn serve subprocess");
 
-    // A drainable worker feeds it until the store holds a couple of cells.
-    let drain = Arc::new(AtomicBool::new(false));
-    let worker = {
-        let spec = spec.clone();
-        let addr = addr.clone();
-        let drain = Arc::clone(&drain);
-        std::thread::spawn(move || {
-            run_worker(
-                &addr,
-                &spec,
-                &WorkerConfig {
-                    threads: 2,
-                    name: "kill9-worker".into(),
-                    retries: 100,
-                    backoff_ms: 50,
-                    drain: Some(drain),
-                    ..WorkerConfig::default()
-                },
-            )
-        })
-    };
+    // A scripted worker lands exactly two cells, so the kill always falls
+    // mid-campaign.
+    ship_reference_cells(&addr, &reference, 2);
     wait_for_lines(&store, 3, Duration::from_secs(60)); // header + 2 cells
-    drain.store(true, Ordering::SeqCst);
-    let _ = worker.join().expect("worker thread");
 
-    // kill -9: no atexit, no flush, no goodbye. (If the campaign already
-    // completed, the server exited on its own — the torn-tail repair below
-    // is exercised either way.)
-    let _ = child.kill();
+    // kill -9: no atexit, no flush, no goodbye, no journal finalizer.
+    child.kill().expect("kill -9 the daemon");
     let _ = child.wait();
 
-    // Simulate the torn tail a crash mid-append can leave: chop the last
-    // record off mid-line. Every byte offset of the final record is
+    // Simulate the torn tails a crash mid-append can leave: chop the last
+    // store record off mid-line (every byte offset of the final record is
     // unit-tested in store.rs; here one representative cut proves the
-    // end-to-end path.
+    // end-to-end path), and leave half a record on the telemetry sink.
     let bytes = std::fs::read(&store).expect("read crashed store");
     assert!(bytes.len() > 5);
     std::fs::write(&store, &bytes[..bytes.len() - 5]).expect("tear the tail");
+    let surviving = (bytes[..bytes.len() - 5]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
+        - 1) as u64;
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(sink_path(&store))
+        .expect("open job telemetry sink")
+        .write_all(b"{\"record\": \"cell_pro")
+        .expect("tear the sink");
 
-    // Phase 2: restart with --resume (in-process this time): the torn
-    // tail is repaired on open, the lost cell re-leased, the campaign
-    // completed.
-    let server = Server::bind("127.0.0.1:0", &spec, &store).expect("rebind");
+    // Phase 2: restart with --resume (in-process this time): the journal
+    // replays the running job, the torn tail is repaired on open, only the
+    // missing cells are leased, and the campaign completes.
+    let server = QueueServer::bind("127.0.0.1:0", &out).expect("rebind");
     let addr2 = server.local_addr().expect("addr").to_string();
-    let serve_cfg = ServeConfig {
+    let serve_cfg = QueueServeConfig {
         lease: Duration::from_secs(2),
         resume: true,
         durability: Durability::Cell,
-        ..ServeConfig::default()
+        exit_when_idle: true,
+        ..QueueServeConfig::default()
     };
     let serve_thread = std::thread::spawn(move || server.run(&serve_cfg));
-    let outcome = run_worker(
+    let outcome = run_worker_any(
         &addr2,
-        &spec,
         &WorkerConfig {
             threads: 2,
             name: "kill9-finisher".into(),
@@ -279,22 +369,57 @@ fn kill_dash_nine_server_resumes_from_a_truncated_tail() {
         .expect("serve thread")
         .expect("resume outcome");
 
-    assert!(
-        outcome.cells_run >= 1,
-        "the torn cell (at least) is re-run after the repair"
-    );
-    assert_eq!(served.cells_total as usize, total_cells);
     assert_eq!(
-        served.cells_skipped + served.cells_ingested,
-        served.cells_total,
-        "resume skips exactly the surviving records"
+        (served.jobs, served.done),
+        (1, 1),
+        "the journal restores the job"
+    );
+    assert!(
+        served.cells_ingested < total_cells,
+        "resume skips the surviving records ({} of {total_cells} ingested)",
+        served.cells_ingested
+    );
+    assert_eq!(
+        served.cells_ingested,
+        total_cells - surviving,
+        "the torn cell and the never-run cells are ingested, nothing else"
+    );
+    assert_eq!(
+        outcome.cells_run, served.cells_ingested,
+        "only the missing cells are leased"
     );
     assert_eq!(
         std::fs::read(&store).expect("read resumed store"),
         reference,
         "kill -9 + torn tail + resume must still converge to the reference bytes"
     );
+    let check = check_telemetry(&sink_path(&store)).expect("resumed sink is schema-valid");
+    assert_eq!(check.cell_profiles, outcome.cells_run);
 
-    cleanup(&store);
-    cleanup(&reference_path);
+    // A `serve --preset … --resume` whose journal already holds the job
+    // submits nothing: the replayed job is done, so the daemon exits idle
+    // without a second job.
+    let mut resume_args = serve_args.clone();
+    resume_args[4] = "127.0.0.1:0";
+    resume_args.push("--resume");
+    assert!(run_cli(&resume_args, Duration::from_secs(30)).success());
+    assert!(
+        !job_store_path(&out, 2).exists(),
+        "no second job was submitted"
+    );
+    // Different spec flags against the same journal are refused.
+    let mut other_args = resume_args.clone();
+    let seed_at = other_args
+        .iter()
+        .position(|&a| a == "0xFEED")
+        .expect("seed flag");
+    other_args[seed_at] = "0xBAD";
+    assert!(!run_cli(&other_args, Duration::from_secs(30)).success());
+    assert_eq!(
+        std::fs::read(&store).expect("read store"),
+        reference,
+        "re-running serve against a finished journal leaves the store alone"
+    );
+
+    cleanup_daemon(&out);
 }

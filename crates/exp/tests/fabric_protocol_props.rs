@@ -1,13 +1,14 @@
-//! Property tests for the `stabcon-fabric/1` and `/2` wire protocols:
-//! every message — including the `/2` submission-plane frames and the
-//! spec descriptors they carry — survives an encode→decode round trip
-//! with payload strings full of quotes, backslashes, newlines, control
-//! bytes, and non-ASCII, and every encoding is exactly one line, so the
-//! line-oriented framing can never tear a message.
+//! Property tests for the `stabcon-fabric/2` wire protocol: every
+//! message — including the submission-plane frames, the spec descriptors
+//! they carry, and the decode-only retired `/1` frames — survives an
+//! encode→decode round trip with payload strings full of quotes,
+//! backslashes, newlines, control bytes, and non-ASCII, and every encoding
+//! is exactly one line, so the line-oriented framing can never tear a
+//! message.
 //!
 //! Also pinned here: the serve side's WAN-hardening contracts. Torn or
 //! interleaved Telemetry frames never corrupt a `stabcon-telemetry/1`
-//! sink (the server's record validator rejects every mangled line), and
+//! sink (the daemon's record validator rejects every mangled line), and
 //! the [`ServeState`] lease/ingest machine keeps its counters and set
 //! invariants consistent under arbitrary hostile interleavings of claims,
 //! renewals, duplicate results, disconnects, and lease expiries.
@@ -16,9 +17,7 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stabcon_exp::fabric::{
-    Ingest, Msg, Parked, ServeState, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2,
-};
+use stabcon_exp::fabric::{Ingest, Msg, Parked, ServeState, SpecDescriptor, FABRIC_SCHEMA_V2};
 use stabcon_exp::telemetry::{check_telemetry, validate_record_line};
 
 /// Escaping stress pool: quotes, backslashes, newlines, control characters,
@@ -40,12 +39,12 @@ fn nasty(a: usize, b: usize, tail: u64) -> String {
     format!("{}{}{tail}", NASTY[a % NASTY.len()], NASTY[b % NASTY.len()])
 }
 
-/// Total message kinds covered by [`build_msg`] (`/1` + `/2`).
+/// Total message kinds covered by [`build_msg`].
 const MSG_KINDS: usize = 22;
 
 /// A [`SpecDescriptor`] whose override fields are present or absent by
 /// bits of `y` and whose string payloads draw from the nasty pool —
-/// descriptors ride inside `/2` Submit and Lease2 frames, so they share
+/// descriptors ride inside Submit and Lease2 frames, so they share
 /// the escaping stress.
 fn build_descriptor(x: u64, y: u64, a: usize, b: usize) -> SpecDescriptor {
     SpecDescriptor {
@@ -60,10 +59,8 @@ fn build_descriptor(x: u64, y: u64, a: usize, b: usize) -> SpecDescriptor {
 fn build_msg(kind: usize, x: u64, y: u64, a: usize, b: usize) -> Msg {
     match kind {
         0 => Msg::Hello {
-            // Both live schema tags: version negotiation rides this field.
-            schema: if y & 1 != 0 { FABRIC_SCHEMA_V2 } else { FABRIC_SCHEMA }.into(),
+            schema: FABRIC_SCHEMA_V2.into(),
             worker: nasty(a, b, x),
-            fingerprint: format!("{y:016x}"),
         },
         1 => Msg::Welcome {
             campaign: nasty(a, b, x),
@@ -253,7 +250,7 @@ proptest! {
             "{\"schema\": \"stabcon-telemetry/1\"}".into(), // shipped header
         ];
 
-        // Assemble the sink the way the server does: header first, then
+        // Assemble the sink the way the daemon does: header first, then
         // only validated records.
         let dir = std::env::temp_dir().join("stabcon-fabric-props");
         std::fs::create_dir_all(&dir).expect("tmp dir");

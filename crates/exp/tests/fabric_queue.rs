@@ -4,8 +4,8 @@
 //! chaos proxy — and the per-job stores are byte-identical to clean
 //! single-host runs.
 //!
-//! Also here: the crash-recovery acceptance test. A queue-mode `stabcon
-//! serve` subprocess is `kill -9`'d mid-run; a restart with `--resume`
+//! Also here: the crash-recovery acceptance test. A `stabcon serve`
+//! subprocess is `kill -9`'d mid-run; a restart with `--resume`
 //! replays the `stabcon-jobs/1` journal, re-queues the interrupted jobs,
 //! resumes their partial stores, and still converges to the exact
 //! reference bytes.
@@ -22,7 +22,8 @@ use stabcon_exp::fabric::{
     ChaosProxy, ChaosSpec, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig,
 };
 use stabcon_exp::store::Durability;
-use stabcon_exp::telemetry::timings_path;
+use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
+use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("stabcon-fabric-queue");
@@ -31,12 +32,13 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 /// Remove a queue daemon's whole on-disk footprint: journal plus per-job
-/// stores and their timings sidecars.
+/// stores, their timings sidecars and telemetry sinks.
 fn cleanup_queue(out: &Path) {
     std::fs::remove_file(jobs_journal_path(out)).ok();
     for job in 1..=4u64 {
         let store = job_store_path(out, job);
         std::fs::remove_file(timings_path(&store)).ok();
+        std::fs::remove_file(sink_path(&store)).ok();
         std::fs::remove_file(&store).ok();
     }
 }
@@ -223,6 +225,76 @@ fn two_campaigns_share_workers_and_stay_byte_identical() {
     cleanup_queue(&out);
 }
 
+/// Two jobs through one daemon and two workers on a clean loopback: each
+/// job's telemetry sink is schema-valid and profiles every cell of that
+/// job — worker telemetry is filed under the job it was leased for.
+#[test]
+fn each_job_telemetry_sink_profiles_every_cell() {
+    let [da, db] = descriptors();
+    let ref_a = reference_bytes(&da, "sinks-ref-a");
+    let ref_b = reference_bytes(&db, "sinks-ref-b");
+
+    let out = tmp("sinks");
+    cleanup_queue(&out);
+    let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind queue daemon");
+    let addr = server.local_addr().expect("daemon addr").to_string();
+    let cfg = QueueServeConfig {
+        max_active: 2,
+        exit_when_idle: true,
+        ..QueueServeConfig::default()
+    };
+    let serve_thread = std::thread::spawn(move || server.run(&cfg));
+    let jobs = [
+        submit_with_retry(&addr, "lab", &da),
+        submit_with_retry(&addr, "lab", &db),
+    ];
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                run_worker_any(
+                    &addr,
+                    &WorkerConfig {
+                        name: format!("sink-worker-{i}"),
+                        ..WorkerConfig::default()
+                    },
+                )
+            })
+        })
+        .collect();
+    let outcome = serve_thread
+        .join()
+        .expect("serve thread")
+        .expect("queue outcome");
+    for w in workers {
+        w.join().expect("worker thread").expect("worker outcome");
+    }
+    assert_eq!(outcome.done, 2);
+
+    for (sub, reference) in jobs.iter().zip([&ref_a, &ref_b]) {
+        let store = job_store_path(&out, sub.job);
+        assert_eq!(&std::fs::read(&store).expect("job store"), reference);
+        let sink = sink_path(&store);
+        let check =
+            check_telemetry(&sink).unwrap_or_else(|e| panic!("job {} sink invalid: {e}", sub.job));
+        assert!(check.cell_profiles >= sub.cells);
+        let profiled: std::collections::BTreeSet<u64> = std::fs::read_to_string(&sink)
+            .expect("read sink")
+            .lines()
+            .filter_map(|l| parse_flat(l).ok())
+            .filter(|o| get(o, "record").and_then(JsonScalar::as_str) == Some("cell_profile"))
+            .filter_map(|o| get(&o, "cell").and_then(JsonScalar::as_u64))
+            .collect();
+        assert_eq!(
+            profiled,
+            (0..sub.cells).collect(),
+            "job {}: a cell_profile for every cell",
+            sub.job
+        );
+    }
+    cleanup_queue(&out);
+}
+
 /// The crash-recovery acceptance test: a real queue-daemon subprocess is
 /// `kill -9`'d mid-run while a worker talks to it through the chaos
 /// proxy; a `--resume` restart on the same port replays the journal and
@@ -244,12 +316,11 @@ fn kill_dash_nine_queue_daemon_replays_journal_to_identical_stores() {
         .port();
     let addr = format!("127.0.0.1:{port}");
 
-    // Phase 1: a real `stabcon serve --queue` subprocess, per-cell fsync
-    // on both the stores and the jobs journal.
+    // Phase 1: a real `stabcon serve` subprocess, per-cell fsync on both
+    // the stores and the jobs journal.
     let mut child = Command::new(env!("CARGO_BIN_EXE_stabcon"))
         .args([
             "serve",
-            "--queue",
             "--out",
             out.to_str().expect("utf8 path"),
             "--listen",

@@ -1,7 +1,6 @@
 //! Property tests for the durable multi-campaign [`JobQueue`]: the queue's
 //! structural invariants survive arbitrary hostile interleavings of
-//! submissions (good and bad), activations, cancels, unpinned and pinned
-//! claims, renewals, result ingests, flushes, disconnects, lease expiries,
+//! submissions (good and bad), activations, cancels, claims, renewals, result ingests, flushes, disconnects, lease expiries,
 //! SIGTERM halts — and crash-replay, where the queue is rebuilt from the
 //! journal the operations wrote along the way, exactly as a `kill -9`'d
 //! daemon rebuilds on `--resume`.
@@ -15,9 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stabcon_exp::fabric::{
-    JobQueue, JobState, JournalEvent, Parked, QueueConfig, SpecDescriptor,
-};
+use stabcon_exp::fabric::{JobQueue, JobState, JournalEvent, Parked, QueueConfig, SpecDescriptor};
 
 /// A descriptor that builds (smoke preset, tiny grid), plus its verified
 /// fingerprint hex — what a well-behaved client ships.
@@ -154,8 +151,7 @@ proptest! {
                         shadow.state(job, state);
                     }
                 }
-                6 => { let _ = q.claim(conn, now); }
-                7 => { let _ = q.claim_pinned(conn, job, now); }
+                6 | 7 => { let _ = q.claim(conn, now); }
                 8 => q.renew(conn, job, cell, now),
                 9 => {
                     let parked = Parked {

@@ -1,18 +1,23 @@
-//! Integration test for the `stabcon serve` daemon: a worker that claims a
-//! cell and dies (disconnect) and one that claims a cell and hangs (lease
-//! expiry) both have their cells re-claimed and re-run by a healthy worker
-//! — and the assembled store is byte-identical to the single-host run,
-//! because re-runs from deterministic seeds are exact.
+//! Integration tests for the `stabcon serve` daemon's lease loop: a worker
+//! that claims a cell and dies (disconnect) and one that claims a cell and
+//! hangs (lease expiry) both have their cells re-claimed and re-run by a
+//! healthy worker, a slow worker keeps its lease by heartbeating, and
+//! duplicate results are deduplicated — and every assembled job store is
+//! byte-identical to the single-host run, because re-runs from
+//! deterministic seeds are exact.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use stabcon_exp::campaign::{run_campaign, CampaignSpec, RunConfig};
-use stabcon_exp::fabric::{run_worker, Msg, ServeConfig, Server, WorkerConfig, FABRIC_SCHEMA};
-use stabcon_exp::telemetry::{check_telemetry, timings_path};
-use stabcon_exp::InitSpec;
+use stabcon_exp::campaign::{run_campaign, RunConfig};
+use stabcon_exp::fabric::{
+    job_store_path, jobs_journal_path, run_worker_any, submit_campaign, write_frame, Msg,
+    QueueOutcome, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA_V2,
+};
+use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
 use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -21,153 +26,118 @@ fn tmp(tag: &str) -> PathBuf {
     dir.join(format!("{}-{tag}.jsonl", std::process::id()))
 }
 
-fn cleanup(store: &PathBuf) {
+/// Remove a single-host store and its timings sidecar.
+fn cleanup(store: &Path) {
     std::fs::remove_file(store).ok();
     std::fs::remove_file(timings_path(store)).ok();
 }
 
+/// Remove a one-job daemon's footprint: journal, job store, sidecars.
+fn cleanup_daemon(out: &Path) {
+    let store = job_store_path(out, 1);
+    std::fs::remove_file(jobs_journal_path(out)).ok();
+    std::fs::remove_file(sink_path(&store)).ok();
+    cleanup(&store);
+}
+
 /// 4 quick cells.
-fn grid() -> CampaignSpec {
-    CampaignSpec {
-        name: "serve-it".into(),
-        seed: 0x5E4E,
-        trials: 4,
-        ns: vec![64, 96],
-        inits: vec![InitSpec::TwoBinsHalf, InitSpec::AllDistinct],
-        ..CampaignSpec::default()
+fn descriptor() -> SpecDescriptor {
+    SpecDescriptor {
+        preset: "smoke".into(),
+        name: Some("serve-it".into()),
+        trials: Some(4),
+        seed: Some(0x5E4E),
+        ns: Some("64,96".into()),
     }
 }
 
-/// Connect and complete the fabric handshake, returning the connection and
-/// its buffered read side.
-fn handshake(addr: &str, fingerprint: &str) -> (TcpStream, BufReader<TcpStream>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let hello = Msg::Hello {
-        schema: FABRIC_SCHEMA.into(),
-        worker: "rogue".into(),
-        fingerprint: fingerprint.into(),
-    };
-    writeln!(stream, "{}", hello.encode()).expect("send hello");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read welcome");
-    match Msg::decode(line.trim_end()).expect("decode welcome") {
-        Msg::Welcome { .. } => {}
-        other => panic!("handshake failed: {other:?}"),
-    }
-    (stream, reader)
+/// The single-host reference store bytes for [`descriptor`].
+fn reference_bytes(tag: &str) -> Vec<u8> {
+    let path = tmp(tag);
+    cleanup(&path);
+    let spec = descriptor().build().expect("descriptor builds");
+    run_campaign(&spec, &path, &RunConfig::default()).expect("single-host run");
+    let bytes = std::fs::read(&path).expect("read reference");
+    cleanup(&path);
+    bytes
 }
 
-/// Claim one cell and return its id (the rogue never runs it).
-fn claim_one(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> u64 {
-    writeln!(stream, "{}", Msg::Claim.encode()).expect("send claim");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read lease");
-    match Msg::decode(line.trim_end()).expect("decode lease") {
-        Msg::Lease { cell, lease_ms } => {
-            assert!(lease_ms > 0);
-            cell
-        }
-        other => panic!("expected a lease, got {other:?}"),
-    }
-}
-
-#[test]
-fn serve_survives_killed_and_hung_workers() {
-    let spec = grid();
-    let fingerprint = format!("{:016x}", spec.header().fingerprint);
-
-    // Reference: the single-host store.
-    let reference_path = tmp("reference");
-    cleanup(&reference_path);
-    run_campaign(&spec, &reference_path, &RunConfig::default()).expect("single-host run");
-    let reference = std::fs::read(&reference_path).expect("read reference");
-
-    let store = tmp("served");
-    let sink = tmp("served-telemetry");
-    cleanup(&store);
-    std::fs::remove_file(&sink).ok();
-    let server = Server::bind("127.0.0.1:0", &spec, &store).expect("bind");
+/// Start a daemon that exits once its one job is done, and submit
+/// [`descriptor`] to it — what `stabcon serve --preset …` does.
+fn one_job_daemon(
+    out: &Path,
+    lease: Duration,
+) -> (String, JoinHandle<Result<QueueOutcome, String>>) {
+    cleanup_daemon(out);
+    let server = QueueServer::bind("127.0.0.1:0", out).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
-    let cfg = ServeConfig {
-        lease: Duration::from_millis(300),
-        telemetry: Some(sink.clone()),
-        ..ServeConfig::default()
+    let cfg = QueueServeConfig {
+        lease,
+        exit_when_idle: true,
+        ..QueueServeConfig::default()
     };
-    let server_thread = std::thread::spawn(move || server.run(&cfg));
+    let daemon = std::thread::spawn(move || server.run(&cfg));
+    let submitted = submit_campaign(&addr, "serve", &descriptor()).expect("startup submission");
+    assert_eq!((submitted.job, submitted.cells), (1, 4));
+    (addr, daemon)
+}
 
-    // A worker whose spec disagrees is rejected at the handshake.
-    let wrong_spec = CampaignSpec {
-        seed: 0xBAD,
-        ..grid()
-    };
-    let err = run_worker(&addr, &wrong_spec, &WorkerConfig::default()).unwrap_err();
-    assert!(err.contains("rejected"), "{err}");
-    assert!(err.contains("fingerprint"), "{err}");
+/// A raw peer connection: the write side and its buffered read side.
+struct Raw {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
 
-    // Killed worker: claims a cell, then the host dies (connection drops).
-    let killed_cell = {
-        let (mut stream, mut reader) = handshake(&addr, &fingerprint);
-        claim_one(&mut stream, &mut reader)
-        // stream dropped here — the server releases the lease immediately.
-    };
+impl Raw {
+    /// Connect and send a Hello with `schema`; return the connection and
+    /// the daemon's reply.
+    fn hello(addr: &str, schema: &str) -> (Self, Msg) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut raw = Self { stream, reader };
+        raw.send(&Msg::Hello {
+            schema: schema.into(),
+            worker: "rogue".into(),
+        });
+        let reply = raw.recv();
+        (raw, reply)
+    }
 
-    // Hung worker: claims a cell and goes silent without disconnecting;
-    // only the lease expiry can reclaim this one.
-    let (hung_stream, mut hung_reader) = handshake(&addr, &fingerprint);
-    let hung_cell = {
-        let mut stream = hung_stream.try_clone().expect("clone");
-        claim_one(&mut stream, &mut hung_reader)
-    };
+    /// Connect and complete the `/2` handshake.
+    fn handshake(addr: &str) -> Self {
+        match Self::hello(addr, FABRIC_SCHEMA_V2) {
+            (raw, Msg::Welcome { .. }) => raw,
+            (_, other) => panic!("handshake failed: {other:?}"),
+        }
+    }
 
-    // A healthy worker drains the campaign, re-running both lost cells.
-    let outcome = run_worker(
-        &addr,
-        &spec,
-        &WorkerConfig {
-            threads: 2,
-            name: "healthy".into(),
-            ..WorkerConfig::default()
-        },
-    )
-    .expect("healthy worker");
-    assert_eq!(
-        outcome.cells_run, 4,
-        "the healthy worker re-runs the killed ({killed_cell}) and hung \
-         ({hung_cell}) workers' cells"
-    );
+    fn send(&mut self, msg: &Msg) {
+        write_frame(&mut self.stream, msg).expect("send frame");
+    }
 
-    let served = server_thread
-        .join()
-        .expect("server thread")
-        .expect("serve outcome");
-    drop(hung_stream);
-    assert_eq!(served.cells_total, 4);
-    assert_eq!(served.cells_ingested, 4);
-    assert_eq!(
-        served.workers_seen, 3,
-        "rogues count, the rejected one doesn't"
-    );
-    assert!(
-        served.leases_reclaimed >= 2,
-        "both lost leases reclaimed (got {})",
-        served.leases_reclaimed
-    );
+    fn recv(&mut self) -> Msg {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read reply");
+        Msg::decode(line.trim_end()).expect("decode reply")
+    }
 
-    // The assembled store is byte-identical to the single-host run.
-    assert_eq!(
-        std::fs::read(&store).expect("read served store"),
-        reference,
-        "serve-assembled store differs from the single-host store"
-    );
-
-    // The ingested telemetry stream satisfies the telemetry schema.
-    let check = check_telemetry(&sink).expect("valid serve telemetry sink");
-    assert!(check.cell_profiles >= 4, "one profile per ingested cell");
-
-    cleanup(&reference_path);
-    cleanup(&store);
-    std::fs::remove_file(&sink).ok();
+    /// Claim one cell and return its `(job, cell)` (the rogue never runs
+    /// it).
+    fn claim_one(&mut self) -> (u64, u64) {
+        self.send(&Msg::Claim);
+        match self.recv() {
+            Msg::Lease2 {
+                job,
+                cell,
+                lease_ms,
+                ..
+            } => {
+                assert!(lease_ms > 0);
+                (job, cell)
+            }
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
 }
 
 /// The canonical store cell line for `cell`, looked up in a finished
@@ -187,52 +157,161 @@ fn reference_line(reference: &[u8], cell: u64) -> String {
 }
 
 #[test]
+fn a_fabric_1_hello_is_rejected_naming_fabric_2() {
+    let out = tmp("v1-hello");
+    cleanup_daemon(&out);
+    let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let halt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let cfg = QueueServeConfig {
+        shutdown: Some(std::sync::Arc::clone(&halt)),
+        ..QueueServeConfig::default()
+    };
+    let daemon = std::thread::spawn(move || server.run(&cfg));
+
+    let (_, reply) = Raw::hello(&addr, "stabcon-fabric/1");
+    match reply {
+        Msg::Reject { reason } => {
+            assert!(reason.contains("stabcon-fabric/2"), "{reason}");
+            assert!(reason.contains("stabcon-fabric/1"), "{reason}");
+        }
+        other => panic!("a /1 hello must be rejected, got {other:?}"),
+    }
+
+    halt.store(true, std::sync::atomic::Ordering::SeqCst);
+    let outcome = daemon.join().expect("daemon thread").expect("outcome");
+    assert_eq!(outcome.workers_seen, 0, "a rejected hello is not a peer");
+    cleanup_daemon(&out);
+}
+
+#[test]
+fn serve_survives_killed_and_hung_workers() {
+    let reference = reference_bytes("reference");
+    let out = tmp("served");
+    let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(300));
+
+    // A submission whose fingerprint disagrees with its descriptor is
+    // rejected before it reaches the queue.
+    let wrong_fingerprint = {
+        let spec = SpecDescriptor {
+            seed: Some(0xBAD),
+            ..descriptor()
+        }
+        .build()
+        .expect("builds");
+        format!("{:016x}", spec.fingerprint())
+    };
+    let mut bad = Raw::handshake(&addr);
+    bad.send(&Msg::Submit {
+        client: "rogue".into(),
+        spec: descriptor(),
+        fingerprint: wrong_fingerprint,
+    });
+    match bad.recv() {
+        Msg::Rejected { code, reason } => {
+            assert_eq!(code, "bad-fingerprint");
+            assert!(reason.contains("fingerprint"), "{reason}");
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    drop(bad);
+    // A `/1` peer is turned away at the handshake and never counted.
+    let (_, reply) = Raw::hello(&addr, "stabcon-fabric/1");
+    assert!(matches!(reply, Msg::Reject { .. }), "{reply:?}");
+
+    // Killed worker: claims a cell, then the host dies (connection drops).
+    let (_, killed_cell) = {
+        let mut raw = Raw::handshake(&addr);
+        raw.claim_one()
+        // raw dropped here — the daemon releases the lease immediately.
+    };
+
+    // Hung worker: claims a cell and goes silent without disconnecting;
+    // only the lease expiry can reclaim this one.
+    let mut hung = Raw::handshake(&addr);
+    let (_, hung_cell) = hung.claim_one();
+
+    // A healthy worker drains the job, re-running both lost cells.
+    let outcome = run_worker_any(
+        &addr,
+        &WorkerConfig {
+            threads: 2,
+            name: "healthy".into(),
+            ..WorkerConfig::default()
+        },
+    )
+    .expect("healthy worker");
+    assert_eq!(
+        outcome.cells_run, 4,
+        "the healthy worker re-runs the killed ({killed_cell}) and hung \
+         ({hung_cell}) workers' cells"
+    );
+
+    let served = daemon
+        .join()
+        .expect("daemon thread")
+        .expect("serve outcome");
+    drop(hung);
+    assert_eq!((served.jobs, served.done), (1, 1));
+    assert_eq!(served.cells_ingested, 4);
+    assert_eq!(
+        served.workers_seen, 5,
+        "submitter, rejected submitter, two rogues, healthy worker — not the /1 peer"
+    );
+    assert!(
+        served.leases_reclaimed >= 2,
+        "both lost leases reclaimed (got {})",
+        served.leases_reclaimed
+    );
+
+    // The assembled store is byte-identical to the single-host run.
+    let store = job_store_path(&out, 1);
+    assert_eq!(
+        std::fs::read(&store).expect("read served store"),
+        reference,
+        "serve-assembled store differs from the single-host store"
+    );
+
+    // The job's telemetry sink satisfies the telemetry schema.
+    let check = check_telemetry(&sink_path(&store)).expect("valid job telemetry sink");
+    assert!(check.cell_profiles >= 4, "one profile per ingested cell");
+
+    cleanup_daemon(&out);
+}
+
+#[test]
 fn heartbeats_keep_a_slow_but_alive_worker_leased() {
     // A worker that takes 3× the lease to finish a cell keeps its lease by
     // heartbeating: the deadline sweep must distinguish slow from dead.
-    let spec = grid();
-    let fingerprint = format!("{:016x}", spec.header().fingerprint);
-
-    let reference_path = tmp("slow-reference");
-    cleanup(&reference_path);
-    run_campaign(&spec, &reference_path, &RunConfig::default()).expect("single-host run");
-    let reference = std::fs::read(&reference_path).expect("read reference");
-
-    let store = tmp("slow-served");
-    cleanup(&store);
-    let server = Server::bind("127.0.0.1:0", &spec, &store).expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    let cfg = ServeConfig {
-        lease: Duration::from_millis(300),
-        ..ServeConfig::default()
-    };
-    let server_thread = std::thread::spawn(move || server.run(&cfg));
+    let reference = reference_bytes("slow-reference");
+    let out = tmp("slow-served");
+    let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(300));
 
     // The slow worker: claims a cell, then "computes" for 3 lease
     // durations, renewing every lease/3 — and finally ships the exact
     // line an honest run produces.
-    let (mut slow, mut slow_reader) = handshake(&addr, &fingerprint);
-    let slow_cell = claim_one(&mut slow, &mut slow_reader);
+    let mut slow = Raw::handshake(&addr);
+    let (job, cell) = slow.claim_one();
     for _ in 0..9 {
         std::thread::sleep(Duration::from_millis(100));
-        writeln!(slow, "{}", Msg::Renew { cell: slow_cell }.encode()).expect("send renew");
+        slow.send(&Msg::Renew2 { job, cell });
     }
-    let result = Msg::Result {
-        cell: slow_cell,
-        line: reference_line(&reference, slow_cell),
+    slow.send(&Msg::Result2 {
+        job,
+        cell,
+        line: reference_line(&reference, cell),
         elapsed_secs: 0.9,
-        trials: spec.trials,
-    };
-    writeln!(slow, "{}", result.encode()).expect("ship result");
+        trials: 4,
+    });
 
     // A healthy worker drains the rest. If the sweep had reclaimed the
     // slow worker's cell, the healthy worker would have run 4 cells.
-    let outcome = run_worker(&addr, &spec, &WorkerConfig::default()).expect("healthy worker");
+    let outcome = run_worker_any(&addr, &WorkerConfig::default()).expect("healthy worker");
     assert_eq!(outcome.cells_run, 3, "the slow worker's cell stayed leased");
 
-    let served = server_thread
+    let served = daemon
         .join()
-        .expect("server thread")
+        .expect("daemon thread")
         .expect("serve outcome");
     drop(slow);
     assert_eq!(served.leases_reclaimed, 0, "nobody died, nobody expired");
@@ -243,13 +322,12 @@ fn heartbeats_keep_a_slow_but_alive_worker_leased() {
     );
     assert_eq!(served.cells_ingested, 4);
     assert_eq!(
-        std::fs::read(&store).expect("read served store"),
+        std::fs::read(job_store_path(&out, 1)).expect("read served store"),
         reference,
         "slow-worker store differs from the single-host store"
     );
 
-    cleanup(&reference_path);
-    cleanup(&store);
+    cleanup_daemon(&out);
 }
 
 #[test]
@@ -257,105 +335,42 @@ fn duplicate_results_across_reconnects_are_deduped_exactly() {
     // A worker that ships the same completed cell three times — the
     // reconnect-resubmission pattern, amplified — lands exactly one store
     // line, and the dedupe counter reports the other two.
-    let spec = grid();
-    let fingerprint = format!("{:016x}", spec.header().fingerprint);
+    let reference = reference_bytes("dup-reference");
+    let out = tmp("dup-served");
+    let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(500));
 
-    let reference_path = tmp("dup-reference");
-    cleanup(&reference_path);
-    run_campaign(&spec, &reference_path, &RunConfig::default()).expect("single-host run");
-    let reference = std::fs::read(&reference_path).expect("read reference");
-
-    let store = tmp("dup-served");
-    cleanup(&store);
-    let server = Server::bind("127.0.0.1:0", &spec, &store).expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    let cfg = ServeConfig {
-        lease: Duration::from_millis(500),
-        ..ServeConfig::default()
-    };
-    let server_thread = std::thread::spawn(move || server.run(&cfg));
-
-    let (mut stream, mut reader) = handshake(&addr, &fingerprint);
-    let cell = claim_one(&mut stream, &mut reader);
-    let result = Msg::Result {
+    let mut raw = Raw::handshake(&addr);
+    let (job, cell) = raw.claim_one();
+    let result = Msg::Result2 {
+        job,
         cell,
         line: reference_line(&reference, cell),
         elapsed_secs: 0.1,
-        trials: spec.trials,
+        trials: 4,
     };
     for _ in 0..3 {
-        writeln!(stream, "{}", result.encode()).expect("ship result");
+        raw.send(&result);
     }
     // A claim round-trip proves (by in-order processing on this
     // connection) all three copies were ingested before we assert.
-    writeln!(stream, "{}", Msg::Claim.encode()).expect("send claim");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("claim reply");
-    drop(stream); // releases whatever that claim leased
+    raw.send(&Msg::Claim);
+    let _ = raw.recv();
+    drop(raw); // releases whatever that claim leased
 
-    let outcome = run_worker(&addr, &spec, &WorkerConfig::default()).expect("healthy worker");
+    let outcome = run_worker_any(&addr, &WorkerConfig::default()).expect("healthy worker");
     assert_eq!(outcome.cells_run, 3);
 
-    let served = server_thread
+    let served = daemon
         .join()
-        .expect("server thread")
+        .expect("daemon thread")
         .expect("serve outcome");
     assert_eq!(served.results_deduped, 2, "three copies, one ingest");
     assert_eq!(served.cells_ingested, 4);
     assert_eq!(
-        std::fs::read(&store).expect("read served store"),
+        std::fs::read(job_store_path(&out, 1)).expect("read served store"),
         reference,
         "duplicated results corrupted the store"
     );
 
-    cleanup(&reference_path);
-    cleanup(&store);
-}
-
-#[test]
-fn serve_resumes_a_partial_store() {
-    // Cells already in the store are skipped: only the remainder is leased.
-    let spec = grid();
-    let store = tmp("resume");
-    cleanup(&store);
-    run_campaign(
-        &spec,
-        &store,
-        &RunConfig {
-            max_cells: Some(2),
-            ..RunConfig::default()
-        },
-    )
-    .expect("partial single-host run");
-
-    let reference_path = tmp("resume-reference");
-    cleanup(&reference_path);
-    run_campaign(&spec, &reference_path, &RunConfig::default()).expect("reference run");
-
-    let server = Server::bind("127.0.0.1:0", &spec, &store).expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    let cfg = ServeConfig {
-        lease: Duration::from_millis(500),
-        resume: true,
-        ..ServeConfig::default()
-    };
-    let server_thread = std::thread::spawn(move || server.run(&cfg));
-
-    let outcome = run_worker(&addr, &spec, &WorkerConfig::default()).expect("worker");
-    assert_eq!(outcome.cells_run, 2, "only the missing cells are leased");
-
-    let served = server_thread
-        .join()
-        .expect("server thread")
-        .expect("serve outcome");
-    assert_eq!(served.cells_skipped, 2);
-    assert_eq!(served.cells_ingested, 2);
-    assert_eq!(
-        std::fs::read(&store).expect("read resumed store"),
-        std::fs::read(&reference_path).expect("read reference"),
-        "resumed serve store differs from the single-host store"
-    );
-
-    cleanup(&store);
-    cleanup(&reference_path);
+    cleanup_daemon(&out);
 }
