@@ -1,25 +1,33 @@
-//! Deterministic small-scale runs of the five campaign-ported analysis
+//! Deterministic small-scale runs of the six campaign-ported analysis
 //! drivers, for the CI `driver-parity` job.
 //!
 //! ```text
 //! drivers --out DIR [--driver NAME]
 //! ```
 //!
-//! Writes `<driver>.txt` per driver (`theorems`, `threshold`, `robustness`,
-//! `stability`, `drift`; default: all) with **fixed** seeds and scales. The
-//! campaign scheduler's aggregation is thread- and chunk-invariant, so the
-//! output is byte-stable across machines and runner core counts — CI diffs
-//! it against the committed golden files in `golden/` to catch any change
-//! to driver numerics that slips past the unit-level parity tests.
+//! Writes `<driver>.txt` per driver (`theorems`, `threshold`, `baselines`,
+//! `robustness`, `stability`, `drift`; default: all) with **fixed** seeds
+//! and scales. The campaign scheduler's aggregation is thread- and
+//! chunk-invariant, so the output is byte-stable across machines and runner
+//! core counts — CI diffs it against the committed golden files in
+//! `golden/` to catch any change to driver numerics that slips past the
+//! unit-level parity tests.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use stabcon_analysis::{drift, robustness, stability, theorems, threshold};
+use stabcon_analysis::{baselines, drift, robustness, stability, theorems, threshold};
 use stabcon_core::adversary::AdversarySpec;
 
 /// All driver names, in output order.
-const DRIVERS: [&str; 5] = ["theorems", "threshold", "robustness", "stability", "drift"];
+const DRIVERS: [&str; 6] = [
+    "theorems",
+    "threshold",
+    "baselines",
+    "robustness",
+    "stability",
+    "drift",
+];
 
 /// Fixed worker count: the numbers don't depend on it (that's the point of
 /// the campaign port), but a constant keeps run times predictable on CI.
@@ -38,6 +46,14 @@ fn render(driver: &str) -> String {
             out.push_str(
                 &threshold::threshold_hist_table(&[16], &[0.25, 0.75], 4, 40, 0x90_1D).to_text(),
             );
+            out
+        }
+        "baselines" => {
+            let mut out =
+                baselines::min_rule_table(2048, &[50, 200, 800, 2000], 15, 0xE63E, THREADS)
+                    .to_text();
+            out.push('\n');
+            out.push_str(&baselines::mean_rule_table(4096, 30, 0xE73A, THREADS).to_text());
             out
         }
         "robustness" => {

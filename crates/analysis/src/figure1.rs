@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn campaign_port_is_numerically_unchanged() {
-        // Acceptance criterion: routing the figure1 driver through
+        // Acceptance check: routing the figure1 driver through
         // stabcon-exp leaves the numbers identical to the pre-campaign
         // materialized `run_trials` path.
         use crate::experiment::{run_trials, ConvergenceStats};

@@ -22,11 +22,10 @@
 //!   mean-rule validity failure (E7);
 //! * [`drift`] — Lemmas 11/12/15: one-step imbalance drift and the
 //!   `O(log log n)` doubling regime (E10/E11);
-//! * [`stability`] — post-stabilization disagreement horizons (E12);
-//! * [`gravity_exp`] — Equation (1) empirical vs exact vs closed form (E8).
+//! * [`stability`] — post-stabilization disagreement horizons (E12).
 //!
-//! Every module returns [`stabcon_util::table::Table`]s so bench targets
-//! print uniformly formatted, diffable output.
+//! Every module returns [`stabcon_util::table::Table`]s, so the `drivers`
+//! binary prints uniformly formatted, diffable output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +34,6 @@ pub mod baselines;
 pub mod drift;
 pub mod experiment;
 pub mod figure1;
-pub mod gravity_exp;
 pub mod robustness;
 pub mod scaling;
 pub mod stability;

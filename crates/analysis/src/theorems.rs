@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn campaign_port_is_numerically_unchanged() {
-        // Acceptance criterion: the sweep_stats port reproduces the
+        // Acceptance check: the sweep_stats port reproduces the
         // materialized `run_trials` + `from_results` numbers exactly.
         use crate::experiment::{run_trials, ConvergenceStats};
         let (ms, ns, trials, seed) = ([2u32, 3], [128usize, 256], 4u64, 5u64);

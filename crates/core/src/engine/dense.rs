@@ -318,8 +318,7 @@ pub const SAMPLED_N_MIN: usize = 1 << 18;
 /// round (via [`PackedAlias::rebuild_from`], bit-identical to a fresh
 /// build) so that per-round sampled steps allocate nothing at steady
 /// state. One sampler lives in each
-/// [`crate::workspace::TrialWorkspace`]; ad-hoc callers can use the
-/// [`step_seq_with_loads`] wrappers, which build a throwaway sampler.
+/// [`crate::workspace::TrialWorkspace`].
 #[derive(Debug, Clone, Default)]
 pub struct LoadSampler {
     /// Live values, ascending (alias category `i` maps to `values[i]`).
@@ -373,10 +372,10 @@ impl LoadSampler {
     }
 }
 
-/// [`step_seq`] with the live bin loads supplied: peer samples are drawn
-/// from the load distribution by a packed single-word alias method (one
-/// random word and one L1 read per draw) instead of reading the 4·n-byte
-/// state array at a random index.
+/// [`step_seq`] with peer samples drawn from the load distribution of a
+/// caller-owned, reused [`LoadSampler`]: a packed single-word alias method
+/// (one random word and one L1 read per draw) instead of reading the
+/// 4·n-byte state array at a random index.
 ///
 /// **Equal in law** to [`step_seq`] up to the sampler's `2⁻³²` quantization
 /// (see [`PackedAlias`]) — a uniformly chosen ball holds value `v` with
@@ -386,44 +385,6 @@ impl LoadSampler {
 /// seed differ from [`step_seq`] (different stream family), which is why
 /// the runner switches paths for whole rounds only, keeping seq/par
 /// bit-identity and determinism intact.
-///
-/// Builds a throwaway [`LoadSampler`]; per-round callers should park one
-/// and use [`step_seq_sampled`].
-///
-/// # Panics
-/// Panics if buffer lengths differ, `bins` is empty or unsorted, or loads
-/// don't sum to `old.len()`.
-pub fn step_seq_with_loads<P: Protocol + ?Sized>(
-    old: &[Value],
-    new: &mut [Value],
-    protocol: &P,
-    seed: u64,
-    round: u64,
-    bins: &[(Value, u64)],
-) {
-    step_par_with_loads(1, old, new, protocol, seed, round, bins);
-}
-
-/// Parallel variant of [`step_seq_with_loads`]; bit-identical to it.
-#[allow(clippy::too_many_arguments)]
-pub fn step_par_with_loads<P: Protocol + ?Sized>(
-    threads: usize,
-    old: &[Value],
-    new: &mut [Value],
-    protocol: &P,
-    seed: u64,
-    round: u64,
-    bins: &[(Value, u64)],
-) {
-    assert_eq!(old.len(), new.len(), "state buffers differ in length");
-    let mut sampler = LoadSampler::new();
-    sampler.rebuild(bins.iter().copied(), old.len() as u64);
-    step_par_sampled(threads, old, new, protocol, seed, round, &sampler);
-}
-
-/// [`step_seq_with_loads`] through a caller-owned, reused [`LoadSampler`]
-/// (bit-identical to the wrapper for a sampler rebuilt from the same
-/// bins).
 pub fn step_seq_sampled<P: Protocol + ?Sized>(
     old: &[Value],
     new: &mut [Value],
@@ -696,9 +657,8 @@ pub fn replay_ball<P: Protocol + ?Sized>(
 // ---------------------------------------------------------------------------
 //
 // The pre-batching mega-loops, kept verbatim as the bit-identity oracles
-// for `tests/dense_kernel_props.rs` and as the `kernel` sweep baseline in
-// `engine_bench`. The batched kernel above must produce exactly these
-// bits for every protocol, seed, round, and population size.
+// for `tests/dense_kernel_props.rs`. The batched kernel above must produce
+// exactly these bits for every protocol, seed, round, and population size.
 
 /// Scalar reference for [`step_seq`]: one interleaved
 /// RNG/sample/gather/apply iteration per ball.
@@ -725,10 +685,10 @@ pub fn step_seq_reference<P: Protocol + ?Sized>(
     }
 }
 
-/// Scalar reference for [`step_seq_with_loads`]: per-ball alias draws via
+/// Scalar reference for [`step_seq_sampled`]: per-ball alias draws via
 /// `word_fast`, with the alias table built fresh (exactly the pre-reuse
 /// per-round cost).
-pub fn step_seq_with_loads_reference<P: Protocol + ?Sized>(
+pub fn step_seq_sampled_reference<P: Protocol + ?Sized>(
     old: &[Value],
     new: &mut [Value],
     protocol: &P,
@@ -902,43 +862,50 @@ mod tests {
         );
     }
 
+    /// `old`'s live bins, value-ascending.
+    fn bins_of(old: &[Value]) -> Vec<(Value, u64)> {
+        crate::histogram::Histogram::from_config(&crate::config::Config::new(old.to_vec()))
+            .bins()
+            .to_vec()
+    }
+
+    /// A fresh sampler over `old`'s live bins.
+    fn sampler_for(old: &[Value]) -> LoadSampler {
+        let mut sampler = LoadSampler::new();
+        sampler.rebuild(bins_of(old), old.len() as u64);
+        sampler
+    }
+
     #[test]
-    fn with_loads_seq_equals_par() {
+    fn sampled_seq_equals_par() {
         let old: Vec<Value> = (0..20_000u32).map(|i| (i % 7) * 3).collect();
-        let bins: Vec<(Value, u64)> =
-            crate::histogram::Histogram::from_config(&crate::config::Config::new(old.clone()))
-                .bins()
-                .to_vec();
+        let sampler = sampler_for(&old);
         let mut seq = vec![0; old.len()];
-        step_seq_with_loads(&old, &mut seq, &MedianRule, 5, 2, &bins);
+        step_seq_sampled(&old, &mut seq, &MedianRule, 5, 2, &sampler);
         for threads in [2, 4, 8] {
             let mut par = vec![0; old.len()];
-            step_par_with_loads(threads, &old, &mut par, &MedianRule, 5, 2, &bins);
+            step_par_sampled(threads, &old, &mut par, &MedianRule, 5, 2, &sampler);
             assert_eq!(seq, par, "threads = {threads}");
         }
     }
 
     #[test]
-    fn reused_sampler_equals_throwaway_wrapper() {
+    fn reused_sampler_equals_fresh_sampler() {
         let old: Vec<Value> = (0..8192u32).map(|i| i % 5).collect();
-        let bins: Vec<(Value, u64)> =
-            crate::histogram::Histogram::from_config(&crate::config::Config::new(old.clone()))
-                .bins()
-                .to_vec();
-        let mut wrapper = vec![0; old.len()];
-        step_seq_with_loads(&old, &mut wrapper, &MedianRule, 5, 2, &bins);
+        let mut fresh = vec![0; old.len()];
+        step_seq_sampled(&old, &mut fresh, &MedianRule, 5, 2, &sampler_for(&old));
         // Dirty the sampler with an unrelated distribution first.
         let mut sampler = LoadSampler::new();
         sampler.rebuild((0..300u32).map(|v| (v, 1)), 300);
-        sampler.rebuild(bins.iter().copied(), old.len() as u64);
-        assert_eq!(sampler.support(), bins.len());
+        sampler.rebuild(bins_of(&old), old.len() as u64);
+        assert_eq!(sampler.support(), 5);
         let mut reused = vec![0; old.len()];
         step_seq_sampled(&old, &mut reused, &MedianRule, 5, 2, &sampler);
-        assert_eq!(wrapper, reused);
+        assert_eq!(fresh, reused);
     }
 
     #[test]
-    fn with_loads_matches_plain_step_in_law() {
+    fn sampled_matches_plain_step_in_law() {
         // Same seed gives different trajectories, but one round from a fixed
         // state must produce statistically identical load vectors. Compare
         // the mean load of bin 0 across many seeds.
@@ -946,7 +913,8 @@ mod tests {
         let old: Vec<Value> = (0..n as u32)
             .map(|i| if i < 1024 { 0 } else { 1 })
             .collect();
-        let bins = vec![(0u32, 1024u64), (1, n as u64 - 1024)];
+        let mut sampler = LoadSampler::new();
+        sampler.rebuild([(0u32, 1024u64), (1, n as u64 - 1024)], n as u64);
         let mut plain_sum = 0u64;
         let mut sampled_sum = 0u64;
         let trials = 200;
@@ -954,7 +922,7 @@ mod tests {
             let mut new = vec![0; n];
             step_seq(&old, &mut new, &MedianRule, seed, 0);
             plain_sum += new.iter().filter(|&&v| v == 0).count() as u64;
-            step_seq_with_loads(&old, &mut new, &MedianRule, seed, 0, &bins);
+            step_seq_sampled(&old, &mut new, &MedianRule, seed, 0, &sampler);
             sampled_sum += new.iter().filter(|&&v| v == 0).count() as u64;
         }
         let plain_mean = plain_sum as f64 / trials as f64;
@@ -969,10 +937,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn with_loads_rejects_wrong_total() {
-        let old = vec![0u32; 100];
-        let mut new = vec![0u32; 100];
-        step_seq_with_loads(&old, &mut new, &MedianRule, 1, 0, &[(0, 99)]);
+    fn rebuild_rejects_wrong_total() {
+        LoadSampler::new().rebuild([(0u32, 99u64)], 100);
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //! * [`runner`] — the [`runner::SimSpec`] builder tying everything together,
 //!   with consensus / almost-stable-consensus detection ([`stopping`]);
 //! * [`workspace`] — [`workspace::TrialWorkspace`]: reusable per-worker
-//!   trial buffers, making batched trials allocation-free in steady state;
-//! * [`fineness`] — the Lemma 17 partial order and exact coupling;
-//! * [`gravity`] — Equation (1): the expected median-attraction of a ball.
+//!   trial buffers, making batched trials allocation-free in steady state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,11 +28,8 @@
 pub mod adversary;
 pub mod config;
 pub mod engine;
-pub mod fineness;
-pub mod gravity;
 pub mod histogram;
 pub mod init;
-pub mod ndim;
 pub mod protocol;
 pub mod runner;
 pub mod stopping;

@@ -67,12 +67,13 @@ proptest! {
             &values.iter().map(|&v| (v, 1u64)).collect::<Vec<_>>(),
         );
         // Aggregate duplicate values into loads.
-        let bins: Vec<(Value, u64)> = bins.bins().to_vec();
+        let mut sampler = dense::LoadSampler::new();
+        sampler.rebuild(bins.bins().iter().copied(), values.len() as u64);
         let mut seq = vec![0 as Value; values.len()];
-        dense::step_seq_with_loads(&values, &mut seq, &MedianRule, seed, 1, &bins);
+        dense::step_seq_sampled(&values, &mut seq, &MedianRule, seed, 1, &sampler);
         for threads in [2usize, 4, 8] {
             let mut par = vec![0 as Value; values.len()];
-            dense::step_par_with_loads(threads, &values, &mut par, &MedianRule, seed, 1, &bins);
+            dense::step_par_sampled(threads, &values, &mut par, &MedianRule, seed, 1, &sampler);
             prop_assert_eq!(&seq, &par, "threads = {}", threads);
         }
     }

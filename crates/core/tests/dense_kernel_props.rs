@@ -49,6 +49,12 @@ fn bins_of(state: &[Value]) -> Vec<(Value, u64)> {
     counts.into_iter().collect()
 }
 
+fn sampler_for(state: &[Value]) -> LoadSampler {
+    let mut sampler = LoadSampler::new();
+    sampler.rebuild(bins_of(state), state.len() as u64);
+    sampler
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -106,10 +112,9 @@ proptest! {
         let bins = bins_of(&old);
         let mut batched = vec![0; n];
         let mut reference = vec![0; n];
-        dense::step_seq_with_loads(&old, &mut batched, p.as_ref(), seed, round, &bins);
-        dense::step_seq_with_loads_reference(
-            &old, &mut reference, p.as_ref(), seed, round, &bins,
-        );
+        let sampler = sampler_for(&old);
+        dense::step_seq_sampled(&old, &mut batched, p.as_ref(), seed, round, &sampler);
+        dense::step_seq_sampled_reference(&old, &mut reference, p.as_ref(), seed, round, &bins);
         prop_assert_eq!(batched, reference, "k = {}, n = {}", p.samples(), n);
     }
 
@@ -126,8 +131,9 @@ proptest! {
         let bins = bins_of(&old);
         let mut par = vec![0; n];
         let mut reference = vec![0; n];
-        dense::step_par_with_loads(threads, &old, &mut par, p.as_ref(), seed, 3, &bins);
-        dense::step_seq_with_loads_reference(&old, &mut reference, p.as_ref(), seed, 3, &bins);
+        let sampler = sampler_for(&old);
+        dense::step_par_sampled(threads, &old, &mut par, p.as_ref(), seed, 3, &sampler);
+        dense::step_seq_sampled_reference(&old, &mut reference, p.as_ref(), seed, 3, &bins);
         prop_assert_eq!(par, reference, "k = {}, threads = {}", p.samples(), threads);
     }
 
@@ -174,8 +180,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // A sampler dirtied by a rebuild of a *different* shape must, after
-        // rebuilding for the target bins, draw exactly like a sampler (and
-        // the per-round throwaway wrapper) built fresh for those bins.
+        // rebuilding for the target bins, draw exactly like a sampler built
+        // fresh for those bins.
         let p = protocol(protocol_ix);
         let n = KERNEL_BLOCK + 513;
         let old = state(n, support_b);
@@ -186,16 +192,12 @@ proptest! {
         reused.rebuild(bins_of(&other), 2 * n as u64);
         reused.rebuild(bins.iter().copied(), n as u64);
 
-        let mut fresh = LoadSampler::new();
-        fresh.rebuild(bins.iter().copied(), n as u64);
+        let fresh = sampler_for(&old);
 
         let mut via_reused = vec![0; n];
         let mut via_fresh = vec![0; n];
-        let mut via_wrapper = vec![0; n];
         dense::step_seq_sampled(&old, &mut via_reused, p.as_ref(), seed, 1, &reused);
         dense::step_seq_sampled(&old, &mut via_fresh, p.as_ref(), seed, 1, &fresh);
-        dense::step_seq_with_loads(&old, &mut via_wrapper, p.as_ref(), seed, 1, &bins);
-        prop_assert_eq!(&via_reused, &via_fresh);
-        prop_assert_eq!(&via_reused, &via_wrapper);
+        prop_assert_eq!(via_reused, via_fresh);
     }
 }

@@ -5,9 +5,8 @@ use stabcon_core::adversary::{AdversarySpec, Corruptor, HistCorruptor};
 use stabcon_core::engine::{dense, hist};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
-use stabcon_core::ndim::{median3_nd, run_nd};
 use stabcon_core::protocol::{KMedianRule, MedianRule};
-use stabcon_core::value::{median3, ValueSet};
+use stabcon_core::value::ValueSet;
 use stabcon_util::rng::Xoshiro256pp;
 
 proptest! {
@@ -119,34 +118,6 @@ proptest! {
         prop_assert!(moved <= budget);
         let after: u64 = working.iter().map(|&(_, c)| c).sum();
         prop_assert_eq!(after, total, "population changed");
-    }
-
-    // --- d-dimensional extension ---------------------------------------------
-
-    #[test]
-    fn nd_median_is_componentwise(a in prop::collection::vec(0u32..100, 3),
-                                  b in prop::collection::vec(0u32..100, 3),
-                                  c in prop::collection::vec(0u32..100, 3)) {
-        let pa = [a[0], a[1], a[2]];
-        let pb = [b[0], b[1], b[2]];
-        let pc = [c[0], c[1], c[2]];
-        let m = median3_nd(&pa, &pb, &pc);
-        for d in 0..3 {
-            prop_assert_eq!(m[d], median3(pa[d], pb[d], pc[d]));
-        }
-    }
-
-    #[test]
-    fn nd_coordinate_validity_always_holds(seed in any::<u64>(), side in 2u32..4) {
-        let n = 128usize;
-        let init: Vec<[u32; 2]> = (0..n)
-            .map(|i| [(i as u32) % side, (i as u32 / side) % side])
-            .collect();
-        let r = run_nd(&init, 400, seed);
-        prop_assert!(r.winner_coordinate_valid);
-        for d in 0..2 {
-            prop_assert!(r.winner[d] < side);
-        }
     }
 
     // --- runner invariants -----------------------------------------------------

@@ -188,7 +188,10 @@ fn a_fabric_1_hello_is_rejected_naming_fabric_2() {
 fn serve_survives_killed_and_hung_workers() {
     let reference = reference_bytes("reference");
     let out = tmp("served");
-    let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(300));
+    // Long enough that the healthy worker's lease/3 heartbeats keep ≥ 1 s
+    // of slack on a stalled machine; the hung worker still has to wait it
+    // out.
+    let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(1500));
 
     // A submission whose fingerprint disagrees with its descriptor is
     // rejected before it reaches the queue.
@@ -281,26 +284,31 @@ fn serve_survives_killed_and_hung_workers() {
 
 #[test]
 fn heartbeats_keep_a_slow_but_alive_worker_leased() {
-    // A worker that takes 3× the lease to finish a cell keeps its lease by
+    // A worker that takes 2× the lease to finish a cell keeps its lease by
     // heartbeating: the deadline sweep must distinguish slow from dead.
     let reference = reference_bytes("slow-reference");
     let out = tmp("slow-served");
-    let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(300));
+    let lease = Duration::from_millis(1500);
+    let renew_every = Duration::from_millis(100);
+    let (addr, daemon) = one_job_daemon(&out, lease);
 
-    // The slow worker: claims a cell, then "computes" for 3 lease
-    // durations, renewing every lease/3 — and finally ships the exact
-    // line an honest run produces.
+    // The slow worker: claims a cell, then "computes" for 2 lease
+    // durations, renewing every 100 ms (≥ 1.4 s of slack per renewal) —
+    // and finally ships the exact line an honest run produces.
     let mut slow = Raw::handshake(&addr);
     let (job, cell) = slow.claim_one();
-    for _ in 0..9 {
-        std::thread::sleep(Duration::from_millis(100));
+    let hold = 2 * lease;
+    let mut held = Duration::ZERO;
+    while held < hold {
+        std::thread::sleep(renew_every);
+        held += renew_every;
         slow.send(&Msg::Renew2 { job, cell });
     }
     slow.send(&Msg::Result2 {
         job,
         cell,
         line: reference_line(&reference, cell),
-        elapsed_secs: 0.9,
+        elapsed_secs: held.as_secs_f64(),
         trials: 4,
     });
 

@@ -628,19 +628,6 @@ impl WorkerSnap {
     pub fn hist_buckets(&self, h: Hist) -> &[u64; HIST_BUCKETS] {
         &self.hist[h as usize]
     }
-
-    /// Fraction of the summed kernel-phase time (everything but
-    /// [`Phase::Trial`]) spent in `p` — `NaN` when nothing was timed. This
-    /// is the "gather share" number the population-scale memory-rework work
-    /// keys off.
-    pub fn phase_share(&self, p: Phase) -> f64 {
-        let denom: u64 = Phase::ALL
-            .iter()
-            .filter(|q| !matches!(q, Phase::Trial))
-            .map(|q| self.phase_nanos(*q))
-            .sum();
-        self.phase_nanos(p) as f64 / denom as f64
-    }
 }
 
 /// A reusable buffer for registry reads: per-worker snapshots plus their
@@ -768,15 +755,6 @@ mod tests {
         reg.handle(5).add(Counter::Rounds, 1);
         reg.snapshot_into(&mut snap);
         assert_eq!(snap.workers()[2].counter(Counter::Rounds), 31);
-    }
-
-    #[test]
-    fn phase_share_is_kernel_relative() {
-        let mut w = WorkerSnap::zero();
-        w.phase_nanos[Phase::Gather as usize] = 75;
-        w.phase_nanos[Phase::Apply as usize] = 25;
-        w.phase_nanos[Phase::Trial as usize] = 1_000_000; // excluded
-        assert!((w.phase_share(Phase::Gather) - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -17,23 +17,16 @@
 //! * [`stats`] — running moments, quantiles, confidence intervals, and
 //!   ordinary least squares for the scaling-law fits in the experiment
 //!   harness.
-//! * [`bounds`] — the paper's probabilistic toolkit (Lemmas 5–7 Chernoff
-//!   bounds, the normal-tail bounds used in Lemma 14) as numeric functions so
-//!   experiments can compare empirical tails against theory.
-//! * [`markov`] — absorbing Markov chain helpers matching §2.3 of the paper
-//!   (Lemmas 8 and 9: multiplicative-drift chains and their hitting times).
 //! * [`table`] — plain-text / markdown / CSV table rendering for the
-//!   benchmark harness output.
+//!   analysis drivers' output.
 //! * [`jsonl`] — a minimal JSON writer (with proper string escaping) and a
-//!   flat-object parser for the campaign result store and bench emitters.
+//!   flat-object parser for the campaign result store and telemetry sinks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounds;
 pub mod dist;
 pub mod jsonl;
-pub mod markov;
 pub mod rng;
 pub mod stats;
 pub mod table;

@@ -19,7 +19,7 @@
 //!   result store, and the `stabcon` CLI (`stabcon campaign run/resume/
 //!   report`);
 //! * [`util`] (`stabcon-util`) — RNGs, random variates, statistics,
-//!   probability bounds, Markov tools;
+//!   JSON/JSONL, tables;
 //! * [`par`] (`stabcon-par`) — the thread-pool / parallel-map executor.
 //!
 //! ## Quickstart

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use stabcon::core::adversary::{Adversary, Corruptor, RandomCorruptor};
 use stabcon::core::engine::{dense, hist};
-use stabcon::core::fineness::{is_finer, verify_coupling};
 use stabcon::core::histogram::Histogram;
 use stabcon::core::protocol::MedianRule;
 use stabcon::prelude::*;
@@ -123,31 +122,6 @@ proptest! {
         for v in &state {
             prop_assert!(set.contains(*v));
         }
-    }
-
-    // --- fineness ------------------------------------------------------------
-
-    #[test]
-    fn coupling_invariant_random_configs(raw in prop::collection::vec(0u32..12, 8..64), div in 1u32..5, seed in any::<u64>()) {
-        let report = verify_coupling(&raw, &|v| v / div, 300, seed);
-        prop_assert!(report.invariant_held);
-        if let (Some(f), Some(c)) = (report.fine_consensus, report.coarse_consensus) {
-            prop_assert!(c <= f, "coarse {} slower than fine {}", c, f);
-        }
-    }
-
-    #[test]
-    fn grouping_loads_is_finer(loads in prop::collection::vec(1u64..50, 1..12), cut in 0usize..12) {
-        // Any consecutive two-group merge of a load sequence is coarser.
-        let cut = cut.min(loads.len());
-        if cut > 0 && cut < loads.len() {
-            let left: u64 = loads[..cut].iter().sum();
-            let right: u64 = loads[cut..].iter().sum();
-            prop_assert!(is_finer(&loads, &[left, right]));
-        }
-        let total: u64 = loads.iter().sum();
-        prop_assert!(is_finer(&loads, &[total]));
-        prop_assert!(is_finer(&loads, &loads));
     }
 
     // --- protocols ----------------------------------------------------------
