@@ -7,9 +7,13 @@
 //!
 //! The threshold is deliberately a small constant, not zero: the contract
 //! is O(1) per trial, independent of `n`, `max_rounds`, and trial count.
+//!
+//! The counter is per thread: the test harness runs these tests in
+//! parallel, and every trial here runs on the calling thread, so a global
+//! count would charge one test with another's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use stabcon_core::engine::EngineSpec;
 use stabcon_core::init::InitialCondition;
@@ -18,13 +22,25 @@ use stabcon_core::workspace::TrialWorkspace;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System`; the counter is the only
-// addition and is atomic.
+// addition and is a const-initialized thread-local, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,12 +63,12 @@ fn allocations_per_trial(sim: &SimSpec, warmup: u64, measured: u64) -> f64 {
         let r = sim.run_seeded_into(seed, &mut ws);
         ws.recycle(r);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for seed in warmup..warmup + measured {
         let r = sim.run_seeded_into(seed, &mut ws);
         ws.recycle(r);
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / measured as f64
+    (allocations() - before) as f64 / measured as f64
 }
 
 #[test]
@@ -159,12 +175,12 @@ fn telemetry_enabled_trial_is_still_allocation_free() {
     for seed in 0..4 {
         run_one(seed);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for seed in 4..28 {
         run_one(seed);
         registry.snapshot_into(&mut snap);
     }
-    let per_trial = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / 24.0;
+    let per_trial = (allocations() - before) as f64 / 24.0;
     obs::set_enabled(false);
     assert!(
         per_trial <= 2.0,

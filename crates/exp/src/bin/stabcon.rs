@@ -1,10 +1,8 @@
-//! The `stabcon` CLI: run, resume, shard, merge, serve, and report
-//! experiment campaigns.
+//! The `stabcon` CLI: run, resume, serve, and report experiment campaigns.
 //!
 //! ```text
 //! stabcon campaign run    --preset figure1-small --out store.jsonl
 //! stabcon campaign resume --preset figure1-small --out store.jsonl
-//! stabcon campaign merge  --preset figure1-small --out merged.jsonl --from a.jsonl --from b.jsonl
 //! stabcon campaign report --out store.jsonl [--format text|md|csv] [--timings]
 //! stabcon serve           --preset figure1-small --out fig.jsonl --listen 0.0.0.0:7677
 //! stabcon serve           --out q.jsonl --listen 0.0.0.0:7677 --resume
@@ -27,16 +25,13 @@
 //!
 //! ## Multi-host campaigns
 //!
-//! `--shard i/k` (or an explicit cell list `0-3,7`) makes `run`/`resume`
-//! execute only that slice of the grid into `<out>.shard-<label>.jsonl`;
-//! `campaign merge` fingerprint-checks the shard stores, verifies their
-//! cells are disjoint and cover the grid, and stitches them into a store
-//! byte-identical to the single-host run. `serve`/`work` are the online
-//! version: the daemon is a job queue that leases cells to connecting
-//! workers and re-claims leases whose worker died (deterministic seeds make
-//! re-runs exact). Given spec flags, `serve` submits that one campaign at
-//! startup and exits once it is done; its store lands at
-//! `<out>.job-1.jsonl`. See `stabcon_exp::fabric`.
+//! `serve` plus one `work` per host is how a campaign spans hosts: the
+//! daemon is a job queue that leases cells to connecting workers and
+//! re-claims leases whose worker died (deterministic seeds make re-runs
+//! exact), so the assembled store is byte-identical to the single-host
+//! run. Given spec flags, `serve` submits that one campaign at startup and
+//! exits once it is done; its store lands at `<out>.job-1.jsonl`. See
+//! `stabcon_exp::fabric`.
 //!
 //! `--progress` prints live lines (trials done, trials/s, worker spread,
 //! chunk-cursor lag, ETA) to stderr; `--telemetry PATH` streams the same
@@ -55,9 +50,9 @@ use std::time::Duration;
 use stabcon_exp::campaign::{run_campaign, CampaignSpec, RunConfig};
 use stabcon_exp::fabric::queue::load_journal;
 use stabcon_exp::fabric::{
-    cancel_job, job_store_path, jobs_journal_path, merge_stores, query_status, run_worker_any,
-    shard_store_path, submit_campaign, ChaosProxy, ChaosSpec, JournalEvent, QueueServeConfig,
-    QueueServer, ShardSelection, SpecDescriptor, WorkerConfig,
+    cancel_job, job_store_path, jobs_journal_path, query_status, run_worker_any, submit_campaign,
+    ChaosProxy, ChaosSpec, JournalEvent, QueueServeConfig, QueueServer, SpecDescriptor,
+    WorkerConfig,
 };
 use stabcon_exp::presets::{preset, PRESET_NAMES};
 use stabcon_exp::store::Durability;
@@ -83,8 +78,6 @@ struct Args {
     progress: bool,
     telemetry: Option<PathBuf>,
     timings: bool,
-    shard: Option<ShardSelection>,
-    from: Vec<PathBuf>,
     listen: Option<String>,
     connect: Option<String>,
     lease_secs: Option<u64>,
@@ -105,9 +98,8 @@ struct Args {
 fn usage() -> String {
     format!(
         "usage:\n  \
-         stabcon campaign run    --out PATH [--preset NAME] [--shard I/K] [spec/exec flags]\n  \
-         stabcon campaign resume --out PATH [--preset NAME] [--shard I/K] [spec/exec flags]\n  \
-         stabcon campaign merge  --out PATH --from PATH [--from PATH ...] [spec flags]\n  \
+         stabcon campaign run    --out PATH [--preset NAME] [spec/exec flags]\n  \
+         stabcon campaign resume --out PATH [--preset NAME] [spec/exec flags]\n  \
          stabcon campaign report --out PATH [--format text|md|csv] [--timings]\n  \
          stabcon serve           --out PREFIX --listen HOST:PORT [--max-active N] [--quota N]\n  \
                                  [--resume] [--exit-when-idle] [spec flags] (job-queue daemon)\n  \
@@ -120,13 +112,12 @@ fn usage() -> String {
          spec flags:  --preset NAME (one of {names})  --trials N  --seed N\n  \
                       --ns N,N,...  --name NAME\n\
          exec flags:  --threads N  --chunk N  --max-cells N\n\
-         fabric flags: --shard I/K or --shard 0-3,7 (run a slice into <out>.shard-*.jsonl)\n  \
-                      --from PATH (merge input, repeatable)  --listen/--connect HOST:PORT\n  \
+         fabric flags: --listen/--connect HOST:PORT (one serve, one work per host)\n  \
                       --lease-secs N (serve lease; default 60)  --worker-name NAME\n  \
                       --retries N (worker reconnect budget; default 5)\n  \
                       --backoff-ms N (worker reconnect base backoff; default 200)\n\
-         durability:  --durability none|cell|batch (fsync policy for run/resume/serve;\n  \
-                      default none — bytes are identical under every policy)\n\
+         durability:  --durability none|cell (fsync policy for run/resume/serve;\n  \
+                      default none — bytes are identical under both)\n\
          observability: --progress (live lines on stderr)\n  \
                       --telemetry PATH (run/resume: JSONL snapshots + per-cell profiles)\n\
          report flags: --timings (join the store's timings sidecar)\n  \
@@ -158,8 +149,6 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
         progress: false,
         telemetry: None,
         timings: false,
-        shard: None,
-        from: Vec::new(),
         listen: None,
         connect: None,
         lease_secs: None,
@@ -196,8 +185,6 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
             "--progress" => args.progress = true,
             "--telemetry" => args.telemetry = Some(PathBuf::from(value()?)),
             "--timings" => args.timings = true,
-            "--shard" => args.shard = Some(ShardSelection::parse(&value()?)?),
-            "--from" => args.from.push(PathBuf::from(value()?)),
             "--listen" => args.listen = Some(value()?),
             "--connect" => args.connect = Some(value()?),
             "--lease-secs" => args.lease_secs = Some(parse_num(flag, &value()?)?),
@@ -270,7 +257,6 @@ fn execute(args: &Args, resume: bool) -> Result<(), String> {
     let spec = build_spec(args)?;
     let mut cfg = RunConfig {
         resume,
-        shard: args.shard.clone(),
         progress: args.progress,
         telemetry: args.telemetry.clone(),
         durability: args.durability,
@@ -284,19 +270,8 @@ fn execute(args: &Args, resume: bool) -> Result<(), String> {
     }
     cfg.max_cells = args.max_cells;
 
-    // A shard writes to its own derived store path so k hosts pointed at
-    // the same --out never collide; `campaign merge` stitches them back.
-    let out = match &args.shard {
-        Some(shard) => {
-            let p = shard_store_path(&args.out, shard);
-            eprintln!("shard {}: store {}", shard.label(), p.display());
-            p
-        }
-        None => args.out.clone(),
-    };
-
     let start = std::time::Instant::now();
-    let outcome = run_campaign(&spec, &out, &cfg)?;
+    let outcome = run_campaign(&spec, &args.out, &cfg)?;
     eprintln!(
         "campaign '{}': {} cells ({} run, {} skipped), {} trials in {:.2}s → {}{}",
         spec.name,
@@ -315,26 +290,6 @@ fn execute(args: &Args, resume: bool) -> Result<(), String> {
     if !outcome.profiles.is_empty() {
         eprint!("{}", telemetry::profile_table(&outcome.profiles).to_text());
     }
-    Ok(())
-}
-
-fn merge(args: &Args) -> Result<(), String> {
-    let spec = build_spec(args)?;
-    let start = std::time::Instant::now();
-    let outcome = merge_stores(&args.from, &args.out, Some(&spec.header()))?;
-    eprintln!(
-        "merged {} shard store(s) → {} ({} cells, {} bytes{}) in {:.2}s",
-        outcome.shards,
-        args.out.display(),
-        outcome.cells,
-        outcome.bytes,
-        if outcome.timings_merged {
-            ", timings sidecar merged"
-        } else {
-            ""
-        },
-        start.elapsed().as_secs_f64(),
-    );
     Ok(())
 }
 
@@ -744,12 +699,11 @@ fn main() -> ExitCode {
         argv.get(1).map(String::as_str),
     );
     let result = match (noun, verb) {
-        (Some("campaign"), Some(verb @ ("run" | "resume" | "merge" | "report"))) => {
+        (Some("campaign"), Some(verb @ ("run" | "resume" | "report"))) => {
             match parse_args(&argv[2..], true) {
                 Ok(args) => match verb {
                     "run" => execute(&args, false),
                     "resume" => execute(&args, true),
-                    "merge" => merge(&args),
                     _ => report(&args),
                 },
                 Err(e) => Err(e),

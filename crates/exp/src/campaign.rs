@@ -21,7 +21,6 @@ use stabcon_par::ThreadPool;
 use stabcon_util::rng::derive_seed;
 
 use crate::cell::{chunk_for, run_cell_monitored, CellSpec};
-use crate::fabric::ShardSelection;
 use crate::metrics::HitMetric;
 use crate::observer::TrialObserver;
 use crate::store;
@@ -296,9 +295,7 @@ impl CampaignSpec {
     }
 }
 
-/// Execution knobs. None of them change the bytes of any record: a shard
-/// restricts *which* cells land in the store, never what a cell line says,
-/// so merged shard stores reproduce the single-host store byte-for-byte.
+/// Execution knobs. None of them change the bytes of any record.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Worker threads for the shared pool.
@@ -311,10 +308,6 @@ pub struct RunConfig {
     pub max_cells: Option<u64>,
     /// Continue an existing store instead of refusing to overwrite it.
     pub resume: bool,
-    /// Run only this slice of the expanded cell list (multi-host sharding;
-    /// see [`crate::fabric`]). The store header still describes the full
-    /// grid, so `stabcon campaign merge` can fingerprint-check the shards.
-    pub shard: Option<ShardSelection>,
     /// Print live progress lines to stderr (arms the telemetry registry).
     pub progress: bool,
     /// Write periodic telemetry snapshots and per-cell profiles to this
@@ -333,7 +326,6 @@ impl Default for RunConfig {
             chunk: None,
             max_cells: None,
             resume: false,
-            shard: None,
             progress: false,
             telemetry: None,
             durability: store::Durability::None,
@@ -372,11 +364,6 @@ impl CampaignOutcome {
 /// header against this spec's fingerprint, truncates any torn tail, skips
 /// completed cells, and appends the remainder — producing a store
 /// byte-identical to an uninterrupted run regardless of `threads`/`chunk`.
-///
-/// With [`RunConfig::shard`] only the selected slice of the cell list runs
-/// (a per-shard store for `stabcon campaign merge` to stitch back
-/// together); [`CampaignOutcome::cells_total`] then counts the shard's
-/// cells, so [`CampaignOutcome::complete`] means *the shard* is complete.
 pub fn run_campaign(
     spec: &CampaignSpec,
     path: &Path,
@@ -384,22 +371,11 @@ pub fn run_campaign(
 ) -> Result<CampaignOutcome, String> {
     let cells = spec.expand();
     let header = spec.header_with(&cells);
-    let selected: Vec<&CellSpec> = match &cfg.shard {
-        Some(shard) => {
-            shard.validate(cells.len() as u64)?;
-            cells
-                .iter()
-                .filter(|c| shard.contains(c.id, cells.len() as u64))
-                .collect()
-        }
-        None => cells.iter().collect(),
-    };
-
     let (mut file, done) = store::open_for_append(path, &header, cfg.resume, cfg.durability)?;
 
     let pool = ThreadPool::new(cfg.threads);
     let mut outcome = CampaignOutcome {
-        cells_total: selected.len() as u64,
+        cells_total: cells.len() as u64,
         cells_run: 0,
         cells_skipped: 0,
         trials_run: 0,
@@ -411,7 +387,7 @@ pub fn run_campaign(
     let mut timings = telemetry::open_timings(path, cfg.resume)?;
     let mut tel = if cfg.progress || cfg.telemetry.is_some() {
         let planned: u64 = {
-            let todo = selected.iter().filter(|c| !done.contains(&c.id));
+            let todo = cells.iter().filter(|c| !done.contains(&c.id));
             match cfg.max_cells {
                 Some(k) => todo.take(k as usize).map(|c| c.trials).sum(),
                 None => todo.map(|c| c.trials).sum(),
@@ -428,7 +404,7 @@ pub fn run_campaign(
     } else {
         None
     };
-    for &cell in &selected {
+    for cell in &cells {
         if done.contains(&cell.id) {
             outcome.cells_skipped += 1;
             continue;

@@ -34,10 +34,9 @@
 //! that were running are re-activated against their (torn-tail-repaired)
 //! per-campaign stores, and the daemon converges to the same bytes the
 //! uncrashed daemon would have written. Torn journal tails are truncated
-//! on open, exactly like the result store ([`crate::store::recover`]).
+//! on open by the result store's own open path.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -45,7 +44,7 @@ use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
 use crate::campaign::CampaignSpec;
 use crate::presets::{preset, PRESET_NAMES};
-use crate::store::{append_line, Durability, StoreWriter};
+use crate::store::{open_log, Durability, StoreWriter};
 
 use super::protocol::{Msg, SpecDescriptor};
 use super::serve::{Ingest, Parked, ServeState};
@@ -97,8 +96,7 @@ pub fn parse_ns(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// Per-job store path: `<out>.job-<id>.jsonl`, next to the journal (the
-/// same derived-path discipline as [`super::shard::shard_store_path`]).
+/// Per-job store path: `<out>.job-<id>.jsonl`, next to the journal.
 pub fn job_store_path(out: &Path, job: u64) -> PathBuf {
     let mut name = out
         .file_name()
@@ -992,9 +990,9 @@ pub fn load_journal(path: &Path) -> Result<(Vec<JournalEvent>, u64), String> {
 
 /// Open (or create) the jobs journal for appending.
 ///
-/// Fresh opens refuse an existing journal; with `resume` any torn tail is
-/// truncated away and synced before the append handle opens (the
-/// [`crate::store::recover`] discipline), and the surviving events are
+/// The result store's open path (`store::open_log`): fresh opens refuse an
+/// existing journal; with `resume` any torn tail is truncated away and
+/// synced before the append handle opens, and the surviving events are
 /// returned for [`JobQueue::replay`].
 pub fn open_journal(
     path: &Path,
@@ -1002,52 +1000,18 @@ pub fn open_journal(
     durability: Durability,
 ) -> Result<(StoreWriter, Vec<JournalEvent>), String> {
     let mut events = Vec::new();
-    let file = if path.exists() {
-        if !resume {
-            return Err(format!(
-                "{}: jobs journal exists — use --resume (or a fresh path)",
-                path.display()
-            ));
-        }
-        let (loaded, valid_len) = load_journal(path)?;
-        if valid_len == 0 {
-            // Nothing valid survived: restart the journal.
-            let mut f = std::fs::File::create(path).map_err(|e| format!("create journal: {e}"))?;
-            append_line(&mut f, &journal_header()).map_err(|e| format!("write header: {e}"))?;
-            f
-        } else {
+    let writer = open_log(
+        path,
+        &journal_header(),
+        "jobs journal",
+        resume,
+        durability,
+        || {
+            let (loaded, valid_len) = load_journal(path)?;
             events = loaded;
-            let actual = std::fs::metadata(path)
-                .map_err(|e| format!("journal metadata: {e}"))?
-                .len();
-            if actual != valid_len {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .map_err(|e| format!("open journal for repair: {e}"))?;
-                f.set_len(valid_len)
-                    .map_err(|e| format!("truncate torn journal tail: {e}"))?;
-                f.sync_all().map_err(|e| format!("sync repair: {e}"))?;
-            }
-            OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map_err(|e| format!("open journal: {e}"))?
-        }
-    } else {
-        let mut f = std::fs::File::create(path).map_err(|e| format!("create journal: {e}"))?;
-        append_line(&mut f, &journal_header()).map_err(|e| format!("write header: {e}"))?;
-        f
-    };
-    let mut writer = StoreWriter::new(file, durability);
-    if durability != Durability::None {
-        writer.sync().map_err(|e| format!("sync journal: {e}"))?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-    }
+            Ok(valid_len)
+        },
+    )?;
     Ok((writer, events))
 }
 

@@ -29,7 +29,7 @@
 //! in cell-index order (the same discipline as the in-order chunk merger
 //! inside `run_cell`), so a completed job store is byte-identical to the
 //! single-host `stabcon campaign run` store. Each store handle is a
-//! [`store::StoreWriter`], so `--durability {none,cell,batch}` applies the
+//! [`store::StoreWriter`], so `--durability {none,cell}` applies the
 //! same fsync policy here as in the single-host runner, and a `kill -9`'d
 //! daemon restarted with `--resume` replays its journal, repairs any torn
 //! store tail on open, and finishes every interrupted job.
@@ -42,8 +42,8 @@
 //! worker can never corrupt a sink.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write as _};
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -397,36 +397,6 @@ struct QShared {
     goodbyes: u64,
 }
 
-/// Open a job's telemetry sink by the timings sidecar's rule: truncated
-/// with a fresh header on a new run, appended on resume (header written
-/// only if missing). A resumed sink is first cut back to its last complete
-/// line, so a record torn by a crash never glues onto the next append.
-fn open_job_sink(store: &Path, resume: bool, header: &str) -> Result<File, String> {
-    let path = telemetry::sink_path(store);
-    let err = |e: std::io::Error| format!("{}: open telemetry sink: {e}", path.display());
-    let kept = if resume {
-        std::fs::read(&path)
-            .ok()
-            .and_then(|bytes| bytes.iter().rposition(|&b| b == b'\n'))
-            .map_or(0, |last| last as u64 + 1)
-    } else {
-        0
-    };
-    let mut file = OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .write(true)
-        .open(&path)
-        .map_err(err)?;
-    file.set_len(kept).map_err(err)?;
-    file.seek(SeekFrom::End(0)).map_err(err)?;
-    if kept == 0 {
-        file.write_all(format!("{header}\n").as_bytes())
-            .map_err(err)?;
-    }
-    Ok(file)
-}
-
 /// A job's display name: the built spec's name, else what the descriptor
 /// would call it.
 fn job_name(job: &Job) -> String {
@@ -496,7 +466,8 @@ impl QShared {
                 (header.cells - done_len as u64) * header.trials,
             )
             .finish();
-        let telemetry = open_job_sink(&path, resume, &sink_header)?;
+        let telemetry =
+            telemetry::open_sidecar(&telemetry::sink_path(&path), resume, &sink_header)?;
         self.stores.insert(
             id,
             JobIo {
@@ -546,10 +517,9 @@ impl QShared {
     /// sink are dropped and counted, so a sink always stays schema-valid.
     fn ingest_telemetry(&mut self, job: Option<u64>, line: &str) {
         let landed = match job.and_then(|id| self.stores.get_mut(&id)) {
-            Some(io) if telemetry::validate_record_line(line).is_ok() => io
-                .telemetry
-                .write_all(format!("{line}\n").as_bytes())
-                .is_ok(),
+            Some(io) if telemetry::validate_record_line(line).is_ok() => {
+                store::append_line(&mut io.telemetry, line).is_ok()
+            }
             _ => false,
         };
         if !landed {

@@ -5,10 +5,9 @@
 //! Each [`Msg::Lease2`] names a job and carries its spec descriptor and
 //! grid fingerprint. The worker expands the campaign **locally** (once per
 //! job) and verifies the fingerprint before running a single trial — the
-//! daemon never ships cell specs over the wire, only cell *ids*, so the
-//! determinism story is identical to the batch shard flow: every record
-//! the worker produces is the exact line a single-host run would have
-//! written.
+//! daemon never ships cell specs over the wire, only cell *ids*, so every
+//! record the worker produces is the exact line a single-host run would
+//! have written.
 //!
 //! ## WAN hardening
 //!

@@ -28,9 +28,9 @@
 //! * [`telemetry`] — observation-only campaign telemetry: live progress,
 //!   per-cell phase profiles, the `--telemetry` JSONL sink, and the
 //!   timings sidecar. Stores are byte-identical with telemetry on or off.
-//! * [`fabric`] — the multi-host campaign fabric: deterministic sharding
-//!   (`--shard i/k`), fingerprint-checked byte-identical merge, and the
-//!   lease-based `stabcon serve` / `stabcon work` daemon pair.
+//! * [`fabric`] — the multi-host campaign fabric: the lease-based
+//!   `stabcon serve` job-queue daemon and the `stabcon work` processes that
+//!   run its cells on any number of hosts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,9 +53,7 @@ pub use campaign::{
     run_campaign, sqrt_budget, BudgetSpec, CampaignOutcome, CampaignSpec, InitSpec, RunConfig,
 };
 pub use cell::{chunk_for, run_cell, run_cell_monitored, sweep_stats, CellSpec};
-pub use fabric::{
-    merge_stores, run_worker_any, MergeOutcome, QueueServeConfig, QueueServer, ShardSelection,
-};
+pub use fabric::{run_worker_any, QueueServeConfig, QueueServer};
 pub use metrics::{ConvergenceStats, HitMetric};
 pub use observer::{ChannelKind, ChannelSpec, FloatMoments, TrialExtras, TrialObserver};
 pub use telemetry::{check_telemetry, CampaignTelemetry, CellProfile};

@@ -18,6 +18,32 @@ const AXIS_COLUMNS: [&str; 7] = [
     "T",
 ];
 
+/// Compress sorted ids into a compact `0-3, 7, 12-23` listing (capped).
+fn format_id_ranges(ids: &[u64], max_ranges: usize) -> String {
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    for &id in ids {
+        match ranges.last_mut() {
+            Some((_, hi)) if *hi + 1 == id => *hi = id,
+            _ => ranges.push((id, id)),
+        }
+    }
+    let mut parts: Vec<String> = ranges
+        .iter()
+        .take(max_ranges)
+        .map(|&(lo, hi)| {
+            if lo == hi {
+                lo.to_string()
+            } else {
+                format!("{lo}-{hi}")
+            }
+        })
+        .collect();
+    if ranges.len() > max_ranges {
+        parts.push("…".into());
+    }
+    parts.join(", ")
+}
+
 fn cell_text(obj: &FlatObject, key: &str) -> String {
     match get(obj, key) {
         Some(JsonScalar::Str(s)) => s.clone(),
@@ -138,15 +164,15 @@ pub fn report_table_with_timings(
     if let Some(h) = &loaded.header {
         let present: std::collections::BTreeSet<u64> = loaded.done_ids().into_iter().collect();
         if (present.len() as u64) < h.cells {
-            // Spell the coverage out — a shard store or a partial serve
-            // store must never read as a complete campaign.
+            // Spell the coverage out — an interrupted, cancelled or
+            // `--max-cells` store must never read as a complete campaign.
             let missing: Vec<u64> = (0..h.cells).filter(|id| !present.contains(id)).collect();
             table.push_note(format!(
                 "partial store: cells {}/{} — missing {} (`stabcon campaign resume` \
-                 continues it; `stabcon campaign merge` stitches shards)",
+                 continues it)",
                 present.len(),
                 h.cells,
-                crate::fabric::merge::format_id_ranges(&missing, 8)
+                format_id_ranges(&missing, 8)
             ));
         }
     }
@@ -159,6 +185,14 @@ mod tests {
     use crate::campaign::{run_campaign, CampaignSpec, RunConfig};
     use crate::observer::TrialObserver;
     use crate::store;
+
+    #[test]
+    fn id_ranges_compress_and_cap() {
+        assert_eq!(format_id_ranges(&[], 8), "");
+        assert_eq!(format_id_ranges(&[3], 8), "3");
+        assert_eq!(format_id_ranges(&[0, 1, 2, 7, 12, 13], 8), "0-2, 7, 12-13");
+        assert_eq!(format_id_ranges(&[0, 2, 4, 6], 2), "0, 2, …");
+    }
 
     #[test]
     fn report_renders_observer_extras_as_columns() {

@@ -9,12 +9,13 @@
 //!
 //! How much of the store survives a crash harder than a process kill —
 //! power loss, `kill -9` racing the page cache — is the [`Durability`]
-//! policy: `none` (flush to the OS only, the historical behavior), `cell`
-//! (`fsync` after every appended record), or `batch` (`fsync` every
-//! [`BATCH_SYNC_CELLS`] records and on finish). All three policies write
+//! policy: `none` (flush to the OS only, the historical behavior) or
+//! `cell` (`fsync` after every appended record). Both policies write
 //! identical bytes; they differ only in when those bytes are forced to
 //! stable storage. [`StoreWriter`] owns the policy so every appender (the
-//! single-host runner and the fabric's serve daemon) applies it uniformly.
+//! single-host runner, the serve daemon's job stores and its jobs journal)
+//! applies it uniformly, and `open_log` is the one open-and-repair path
+//! all of them share.
 //!
 //! Records are *flat* JSON objects (scalars only) written through
 //! [`stabcon_util::jsonl`], with floats in shortest-roundtrip form: the
@@ -172,18 +173,13 @@ pub fn cell_line(cell: &CellSpec, agg: &CellAggregate) -> String {
     obj.finish()
 }
 
-/// `batch` durability syncs after this many appended records (and on
-/// [`StoreWriter::finish`]).
-pub const BATCH_SYNC_CELLS: u32 = 16;
-
 /// When appended store records are forced to stable storage.
 ///
 /// Orthogonal to byte-identity: the bytes are the same under every policy,
 /// only the crash window differs. `none` survives a process kill (the OS
 /// holds the flushed bytes) but can lose buffered records to power loss or
 /// an unsynced host crash; `cell` bounds loss to the record being appended
-/// at the instant of the crash; `batch` bounds it to the last
-/// [`BATCH_SYNC_CELLS`] records at ~1/16th of the fsync cost.
+/// at the instant of the crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// Flush each record to the OS, never `fsync` (historical behavior).
@@ -191,8 +187,6 @@ pub enum Durability {
     None,
     /// `fsync` after every appended record.
     Cell,
-    /// `fsync` every [`BATCH_SYNC_CELLS`] records and on finish.
-    Batch,
 }
 
 impl Durability {
@@ -201,9 +195,8 @@ impl Durability {
         match s {
             "none" => Ok(Durability::None),
             "cell" => Ok(Durability::Cell),
-            "batch" => Ok(Durability::Batch),
             other => Err(format!(
-                "--durability: unknown mode '{other}' (expected none|cell|batch)"
+                "--durability: unknown mode '{other}' (expected none|cell)"
             )),
         }
     }
@@ -213,7 +206,6 @@ impl Durability {
         match self {
             Durability::None => "none",
             Durability::Cell => "cell",
-            Durability::Batch => "batch",
         }
     }
 }
@@ -225,57 +217,35 @@ impl Durability {
 pub struct StoreWriter {
     file: std::fs::File,
     durability: Durability,
-    /// Records appended since the last sync (batch policy).
-    unsynced: u32,
 }
 
 impl StoreWriter {
     /// Wrap an already-open append handle.
-    pub fn new(file: std::fs::File, durability: Durability) -> Self {
-        Self {
-            file,
-            durability,
-            unsynced: 0,
-        }
+    pub(crate) fn new(file: std::fs::File, durability: Durability) -> Self {
+        Self { file, durability }
     }
 
     /// Append one pre-rendered record line (adds the newline), flush, and
     /// sync per the policy.
     pub fn append(&mut self, line: &str) -> std::io::Result<()> {
         append_line(&mut self.file, line)?;
-        self.unsynced += 1;
         match self.durability {
             Durability::None => Ok(()),
             Durability::Cell => self.sync(),
-            Durability::Batch => {
-                if self.unsynced >= BATCH_SYNC_CELLS {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
         }
     }
 
     /// Force everything appended so far to stable storage.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()?;
-        self.unsynced = 0;
-        Ok(())
+        self.file.sync_data()
     }
 
-    /// End-of-run sync: a no-op under `none`, a final `fsync` under `cell`
-    /// (idempotent) and `batch` (flushes the partial batch).
+    /// End-of-run sync: a no-op under `none`, a final (idempotent) `fsync`
+    /// under `cell`.
     pub fn finish(&mut self) -> std::io::Result<()> {
         match self.durability {
             Durability::None => Ok(()),
-            Durability::Cell | Durability::Batch => {
-                if self.unsynced > 0 {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
+            Durability::Cell => self.sync(),
         }
     }
 }
@@ -303,7 +273,7 @@ pub fn describe_mismatch(stored: &StoreHeader, requested: &StoreHeader) -> Strin
 ///
 /// Fresh opens refuse an existing file; with `resume` the stored header is
 /// validated against `header`, any torn tail is **truncated away and the
-/// truncation synced** before the append handle opens (see [`recover`] —
+/// truncation synced** before the append handle opens (see `open_log` —
 /// the repair happens on open, it is not merely tolerated on read), and
 /// the ids of cells already present are returned so the caller can skip
 /// them. Used by both `run_campaign` and the fabric's `serve` daemon.
@@ -314,55 +284,75 @@ pub fn open_for_append(
     durability: Durability,
 ) -> Result<(StoreWriter, BTreeSet<u64>), String> {
     let mut done = BTreeSet::new();
-    let file = if path.exists() {
-        if !resume {
-            return Err(format!(
-                "{}: store exists — use resume (or a fresh path)",
-                path.display()
-            ));
-        }
+    let writer = open_log(path, &header.to_line(), "store", resume, durability, || {
         let loaded = load(path)?;
         match &loaded.header {
             Some(h) if h == header => {
                 done.extend(loaded.done_ids());
-                recover(path, &loaded).map_err(|e| format!("recover: {e}"))?;
-                OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("open: {e}"))?
+                Ok(loaded.valid_len)
             }
-            Some(h) => {
-                return Err(format!(
-                    "{}: store was produced by a different campaign spec ({} — stored vs requested)",
-                    path.display(),
-                    describe_mismatch(h, header)
-                ));
-            }
-            None => {
-                // Nothing valid in the file: restart it.
-                let mut f = std::fs::File::create(path).map_err(|e| format!("create: {e}"))?;
-                append_line(&mut f, &header.to_line()).map_err(|e| format!("write header: {e}"))?;
-                f
-            }
+            Some(h) => Err(format!(
+                "{}: store was produced by a different campaign spec ({} — stored vs requested)",
+                path.display(),
+                describe_mismatch(h, header)
+            )),
+            // Nothing valid in the file: restart it.
+            None => Ok(0),
         }
+    })?;
+    Ok((writer, done))
+}
+
+/// Open an append-only JSONL log whose line 0 is `header`: the one open
+/// path of the result store ([`open_for_append`]) and the serve daemon's
+/// jobs journal.
+///
+/// A missing file is created with the header. An existing one is refused
+/// (`what` names it in the error) unless `resume`; then `valid_prefix`
+/// reads and validates it and returns the byte length of its valid prefix.
+/// A prefix of 0 restarts the log from the header; anything shorter than
+/// the file is a torn tail, truncated away ([`truncate_tail`]) before the
+/// append handle opens. Under [`Durability::Cell`] the header or repaired
+/// prefix — and, best effort, the directory entry of a fresh file — is
+/// forced to stable storage before any record lands on top of it.
+pub(crate) fn open_log(
+    path: &Path,
+    header: &str,
+    what: &str,
+    resume: bool,
+    durability: Durability,
+    valid_prefix: impl FnOnce() -> Result<u64, String>,
+) -> Result<StoreWriter, String> {
+    let err = |e: std::io::Error| format!("{}: {e}", path.display());
+    let valid_len = if path.exists() {
+        if !resume {
+            return Err(format!(
+                "{}: {what} exists — use resume (or a fresh path)",
+                path.display()
+            ));
+        }
+        valid_prefix()?
     } else {
-        let mut f = std::fs::File::create(path).map_err(|e| format!("create: {e}"))?;
-        append_line(&mut f, &header.to_line()).map_err(|e| format!("write header: {e}"))?;
+        0
+    };
+    let file = if valid_len == 0 {
+        let mut f = std::fs::File::create(path).map_err(err)?;
+        append_line(&mut f, header).map_err(err)?;
         f
+    } else {
+        truncate_tail(path, valid_len).map_err(err)?;
+        OpenOptions::new().append(true).open(path).map_err(err)?
     };
     let mut writer = StoreWriter::new(file, durability);
-    if durability != Durability::None {
-        // The header (or repaired prefix) must be stable before any cell
-        // lands on top of it; also best-effort sync the directory entry so
-        // a freshly created store survives a host crash.
-        writer.sync().map_err(|e| format!("sync: {e}"))?;
+    if durability == Durability::Cell {
+        writer.sync().map_err(err)?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             if let Ok(d) = std::fs::File::open(dir) {
                 let _ = d.sync_all();
             }
         }
     }
-    Ok((writer, done))
+    Ok(writer)
 }
 
 /// A store read back from disk.
@@ -423,24 +413,33 @@ pub fn load(path: &Path) -> Result<LoadedStore, String> {
 /// Truncate `path` to the valid prefix found by [`load`], discarding a torn
 /// tail so appends resume from a clean record boundary.
 ///
+/// The cut is synced before returning (see `truncate_tail`).
+pub fn recover(path: &Path, loaded: &LoadedStore) -> std::io::Result<()> {
+    truncate_tail(path, loaded.valid_len)
+}
+
+/// Cut `path` back to its first `valid_len` bytes if anything follows them.
+///
 /// The truncation is a single `ftruncate` to a record boundary — there is
 /// no window in which the file holds a *different* partial record — and it
 /// is `fsync`ed before returning, so a crash immediately after repair
 /// cannot resurrect the torn tail.
-pub fn recover(path: &Path, loaded: &LoadedStore) -> std::io::Result<()> {
-    let actual = std::fs::metadata(path)?.len();
-    if actual != loaded.valid_len {
+pub(crate) fn truncate_tail(path: &Path, valid_len: u64) -> std::io::Result<()> {
+    if std::fs::metadata(path)?.len() != valid_len {
         let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(loaded.valid_len)?;
+        f.set_len(valid_len)?;
         f.sync_all()?;
     }
     Ok(())
 }
 
-/// Append one pre-rendered record line (adds the newline) and flush.
+/// Append one pre-rendered record line plus its newline as a single
+/// `write_all`, then flush.
 pub fn append_line(file: &mut std::fs::File, line: &str) -> std::io::Result<()> {
-    file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")?;
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    file.write_all(buf.as_bytes())?;
     file.flush()
 }
 
@@ -538,7 +537,7 @@ mod tests {
         // The boundary case: the file ends exactly at the record boundary
         // (nothing torn) — open must not truncate anything.
         std::fs::write(&path, &full).expect("write");
-        let (_, done) = open_for_append(&path, &header, true, Durability::Batch).expect("open");
+        let (_, done) = open_for_append(&path, &header, true, Durability::None).expect("open");
         assert_eq!(done.len(), 2);
         assert_eq!(std::fs::read_to_string(&path).expect("read"), full);
         std::fs::remove_file(&path).ok();
@@ -548,7 +547,7 @@ mod tests {
     fn durability_policies_write_identical_bytes() {
         let (header, line_a, line_b) = sample_lines();
         let mut outputs = Vec::new();
-        for durability in [Durability::None, Durability::Cell, Durability::Batch] {
+        for durability in [Durability::None, Durability::Cell] {
             let path = tmp(&format!("durability-{}.jsonl", durability.label()));
             std::fs::remove_file(&path).ok();
             let (mut w, _) = open_for_append(&path, &header, false, durability).expect("open");
@@ -559,15 +558,16 @@ mod tests {
             std::fs::remove_file(&path).ok();
         }
         assert_eq!(outputs[0], outputs[1], "cell durability changed the bytes");
-        assert_eq!(outputs[0], outputs[2], "batch durability changed the bytes");
     }
 
     #[test]
     fn durability_parse_round_trips() {
-        for d in [Durability::None, Durability::Cell, Durability::Batch] {
+        for d in [Durability::None, Durability::Cell] {
             assert_eq!(Durability::parse(d.label()), Ok(d));
         }
         assert!(Durability::parse("paranoid").unwrap_err().contains("mode"));
+        let err = Durability::parse("batch").unwrap_err();
+        assert!(err.contains("none|cell"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,6 +48,7 @@ use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 use stabcon_util::table::Table;
 
 use crate::cell::CellSpec;
+use crate::store::append_line;
 
 /// Version tag of the telemetry sink (line 1 of every telemetry file).
 pub const TELEMETRY_SCHEMA: &str = "stabcon-telemetry/1";
@@ -419,23 +420,42 @@ pub fn profile_table(profiles: &[CellProfile]) -> Table {
 // Timings sidecar.
 // ---------------------------------------------------------------------------
 
-/// Open the timings sidecar for a store: truncated with a fresh header on a
-/// new run, appended (header written only if missing) on resume.
-pub fn open_timings(store: &Path, resume: bool) -> Result<File, String> {
-    let path = timings_path(store);
-    let fresh = !resume || !path.exists();
+/// Open an append-only sidecar — the timings sidecar or a job's telemetry
+/// sink — whose line 1 is `header`: truncated with a fresh header on a new
+/// run, appended on resume. A resumed sidecar is first cut back to its last
+/// complete line, so a record torn by a crash never glues onto the next
+/// append; the header is written whenever nothing complete survives.
+pub(crate) fn open_sidecar(path: &Path, resume: bool, header: &str) -> Result<File, String> {
+    let err = |e: std::io::Error| format!("{}: open sidecar: {e}", path.display());
+    let kept = if resume {
+        std::fs::read(path)
+            .ok()
+            .and_then(|bytes| bytes.iter().rposition(|&b| b == b'\n'))
+            .map_or(0, |last| last as u64 + 1)
+    } else {
+        0
+    };
     let mut file = OpenOptions::new()
         .create(true)
-        .append(resume)
+        .truncate(kept == 0)
         .write(true)
-        .truncate(!resume)
-        .open(&path)
-        .map_err(|e| format!("{}: open timings sidecar: {e}", path.display()))?;
-    if fresh {
-        let header = JsonObj::new().str_field("schema", TIMINGS_SCHEMA).finish();
-        writeln!(file, "{header}").map_err(|e| format!("{}: write header: {e}", path.display()))?;
+        .open(path)
+        .map_err(err)?;
+    if kept == 0 {
+        append_line(&mut file, header).map_err(err)?;
+    } else {
+        file.set_len(kept).map_err(err)?;
+        file.seek(SeekFrom::End(0)).map_err(err)?;
     }
     Ok(file)
+}
+
+/// Open the timings sidecar for a store: truncated with a fresh header on a
+/// new run, appended on resume after its last complete line (see
+/// `open_sidecar`).
+pub fn open_timings(store: &Path, resume: bool) -> Result<File, String> {
+    let header = JsonObj::new().str_field("schema", TIMINGS_SCHEMA).finish();
+    open_sidecar(&timings_path(store), resume, &header)
 }
 
 /// Append one completed cell's timing line.
@@ -451,8 +471,7 @@ pub fn append_timing(
         .fixed_field("elapsed_secs", elapsed_secs, 3)
         .fixed_field("trials_per_sec", trials as f64 / elapsed_secs.max(1e-9), 1)
         .finish();
-    writeln!(file, "{line}").map_err(|e| format!("timings append: {e}"))?;
-    file.flush().map_err(|e| format!("timings flush: {e}"))
+    append_line(file, &line).map_err(|e| format!("timings append: {e}"))
 }
 
 /// Load a timings sidecar into `cell id → (elapsed_secs, trials_per_sec)`.
@@ -755,6 +774,31 @@ mod tests {
         drop(f);
         assert!(load_timings(&store).is_empty());
         std::fs::remove_file(timings_path(&store)).ok();
+    }
+
+    #[test]
+    fn resumed_timings_sidecar_drops_a_torn_last_line() {
+        // A crash mid-append leaves a torn last line; the resumed sidecar
+        // must cut it away rather than glue the next record onto it.
+        let store = tmp("timings-torn.jsonl");
+        let path = timings_path(&store);
+        std::fs::remove_file(&path).ok();
+        let mut f = open_timings(&store, false).expect("open");
+        append_timing(&mut f, 0, 100, 2.0).expect("append");
+        append_timing(&mut f, 1, 100, 4.0).expect("append");
+        drop(f);
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() - 9]).expect("tear");
+        let mut f = open_timings(&store, true).expect("resume");
+        append_timing(&mut f, 1, 100, 5.0).expect("append");
+        append_timing(&mut f, 2, 100, 2.5).expect("append");
+        drop(f);
+        let check = check_timings(&path).expect("resumed sidecar stays valid");
+        assert_eq!((check.lines, check.cells, check.duplicates), (3, 3, 0));
+        let map = load_timings(&store);
+        assert_eq!(map[&1], (5.0, 20.0));
+        assert_eq!(map[&2], (2.5, 40.0));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

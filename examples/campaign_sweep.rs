@@ -1,5 +1,5 @@
 //! A protocol × adversary campaign through the `stabcon-exp` subsystem:
-//! declarative grid, sharded execution with streamed per-cell aggregates,
+//! declarative grid, parallel execution with streamed per-cell aggregates,
 //! checkpoint/resume against a JSONL store, and the rendered report.
 //!
 //! ```sh

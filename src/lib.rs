@@ -15,9 +15,9 @@
 //! * [`analysis`] (`stabcon-analysis`) — parallel experiment sweeps,
 //!   convergence statistics, scaling fits, paper-table generators;
 //! * [`exp`] (`stabcon-exp`) — campaign orchestration: declarative grids,
-//!   sharded execution, streaming aggregation, a checkpoint/resume JSONL
-//!   result store, and the `stabcon` CLI (`stabcon campaign run/resume/
-//!   report`);
+//!   parallel execution, streaming aggregation, a checkpoint/resume JSONL
+//!   result store, the `serve`/`work` fabric that spreads a campaign over
+//!   hosts, and the `stabcon` CLI (`stabcon campaign run/resume/report`);
 //! * [`util`] (`stabcon-util`) — RNGs, random variates, statistics,
 //!   JSON/JSONL, tables;
 //! * [`par`] (`stabcon-par`) — the thread-pool / parallel-map executor.
