@@ -12,9 +12,8 @@
 //!   materialized result vectors; trajectory-derived extras through
 //!   `stabcon_exp::TrialObserver`), each pinned by a
 //!   `campaign_port_is_numerically_unchanged` regression test;
-//! * [`scaling`] — the paper's predictors as regression models: `log n`,
-//!   `log log n`, `log m · log log n + log n` (Theorem 20) and
-//!   `log m + log log n` (Theorem 21);
+//! * [`scaling`] — the paper's predictors as one-variable regression
+//!   models: `log n`, `log log n` and `log m`;
 //! * [`figure1`] — the three rows of Figure 1 as measured tables (E1–E3);
 //! * [`theorems`] — Theorem 2 (constant number of values, E4);
 //! * [`threshold`] — tightness of the `T ≤ √n` bound (E5);

@@ -2,10 +2,10 @@
 //!
 //! The reproduction never expects to match absolute constants — the claim
 //! under test is always the *functional form*: is the measured time linear
-//! in `log n`? In `log m · log log n + log n`? The fits here return `R²` so
+//! in `log n`? In `log log n`? In `log m`? The fits here return `R²` so
 //! tables can print goodness-of-fit next to slopes.
 
-use stabcon_util::stats::{fit_line, ols, LineFit, OlsFit};
+use stabcon_util::stats::{fit_line, LineFit};
 
 /// Fit `T = a + b·ln n`.
 pub fn fit_log_n(ns: &[f64], times: &[f64]) -> LineFit {
@@ -23,27 +23,6 @@ pub fn fit_loglog_n(ns: &[f64], times: &[f64]) -> LineFit {
 pub fn fit_log_m(ms: &[f64], times: &[f64]) -> LineFit {
     let xs: Vec<f64> = ms.iter().map(|&m| m.ln()).collect();
     fit_line(&xs, times)
-}
-
-/// Theorem 20's form: `T = a + b·(ln m · ln ln n) + c·ln n` over
-/// `(n, m, T)` triples.
-pub fn fit_thm20(points: &[(f64, f64, f64)]) -> OlsFit {
-    let rows: Vec<Vec<f64>> = points
-        .iter()
-        .map(|&(n, m, _)| vec![m.ln() * n.ln().ln(), n.ln()])
-        .collect();
-    let ys: Vec<f64> = points.iter().map(|&(_, _, t)| t).collect();
-    ols(&rows, &ys)
-}
-
-/// Theorem 21's odd-m form: `T = a + b·ln m + c·ln ln n`.
-pub fn fit_thm21_odd(points: &[(f64, f64, f64)]) -> OlsFit {
-    let rows: Vec<Vec<f64>> = points
-        .iter()
-        .map(|&(n, m, _)| vec![m.ln(), n.ln().ln()])
-        .collect();
-    let ys: Vec<f64> = points.iter().map(|&(_, _, t)| t).collect();
-    ols(&rows, &ys)
 }
 
 /// Pretty "T ≈ a + b·X (R²)" string for table footnotes.
@@ -73,38 +52,6 @@ mod tests {
         let ts: Vec<f64> = ns.iter().map(|n| 1.0 + 4.0 * n.ln().ln()).collect();
         let fit = fit_loglog_n(&ns, &ts);
         assert!((fit.slope - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thm20_fit_recovers_planted_coefficients() {
-        let mut pts = Vec::new();
-        for k in [10u32, 12, 14, 16] {
-            for lm in [1u32, 3, 5, 7] {
-                let n = (1u64 << k) as f64;
-                let m = (1u64 << lm) as f64;
-                let t = 2.0 + 1.5 * (m.ln() * n.ln().ln()) + 3.0 * n.ln();
-                pts.push((n, m, t));
-            }
-        }
-        let fit = fit_thm20(&pts);
-        assert!((fit.beta[1] - 1.5).abs() < 1e-8, "beta = {:?}", fit.beta);
-        assert!((fit.beta[2] - 3.0).abs() < 1e-8);
-        assert!(fit.r2 > 0.999999);
-    }
-
-    #[test]
-    fn thm21_fit_recovers_planted_coefficients() {
-        let mut pts = Vec::new();
-        for k in [12u32, 16, 20, 24] {
-            for m in [3u64, 5, 9, 17, 33] {
-                let n = (1u64 << k) as f64;
-                let t = 1.0 + 2.0 * (m as f64).ln() + 5.0 * n.ln().ln();
-                pts.push((n, m as f64, t));
-            }
-        }
-        let fit = fit_thm21_odd(&pts);
-        assert!((fit.beta[1] - 2.0).abs() < 1e-8);
-        assert!((fit.beta[2] - 5.0).abs() < 1e-8);
     }
 
     #[test]

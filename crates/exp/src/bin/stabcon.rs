@@ -3,13 +3,13 @@
 //! ```text
 //! stabcon campaign run    --preset figure1-small --out store.jsonl
 //! stabcon campaign resume --preset figure1-small --out store.jsonl
-//! stabcon campaign report --out store.jsonl [--format text|md|csv] [--timings]
+//! stabcon campaign report --out store.jsonl [--job N] [--format text|md|csv] [--timings]
 //! stabcon serve           --preset figure1-small --out fig.jsonl --listen 0.0.0.0:7677
 //! stabcon serve           --out q.jsonl --listen 0.0.0.0:7677 --resume
 //! stabcon work            --connect host:7677
 //! stabcon submit          --preset figure1-small --connect host:7677 --client lab
-//! stabcon status          --connect host:7677 [--campaign 2]
-//! stabcon cancel          --connect host:7677 --campaign 2
+//! stabcon status          --connect host:7677 [--job 2]
+//! stabcon cancel          --connect host:7677 --job 2
 //! stabcon chaos           --listen 127.0.0.1:7678 --connect 127.0.0.1:7677 --seed 42
 //! stabcon telemetry check --out telemetry.jsonl
 //! ```
@@ -47,14 +47,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use stabcon_exp::campaign::{run_campaign, CampaignSpec, RunConfig};
+use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::fabric::queue::load_journal;
 use stabcon_exp::fabric::{
     cancel_job, job_store_path, jobs_journal_path, query_status, run_worker_any, submit_campaign,
     ChaosProxy, ChaosSpec, JournalEvent, QueueServeConfig, QueueServer, SpecDescriptor,
     WorkerConfig,
 };
-use stabcon_exp::presets::{preset, PRESET_NAMES};
+use stabcon_exp::presets::PRESET_NAMES;
 use stabcon_exp::store::Durability;
 use stabcon_exp::{report, store, telemetry};
 use stabcon_util::table::Table;
@@ -70,9 +70,9 @@ struct Args {
     max_cells: Option<u64>,
     trials: Option<u64>,
     seed: Option<u64>,
-    ns: Option<Vec<usize>>,
-    /// The raw `--ns` string, shipped verbatim in a submission descriptor
-    /// so the daemon parses exactly what the client typed.
+    /// The raw `--ns` string. Every command builds its spec through
+    /// `SpecDescriptor::build`, so `parse_ns` is its one parser and a
+    /// daemon parses exactly what the client typed.
     ns_raw: Option<String>,
     name: Option<String>,
     progress: bool,
@@ -88,7 +88,6 @@ struct Args {
     backoff_ms: Option<u64>,
     nasty: bool,
     client: Option<String>,
-    campaign: Option<u64>,
     job: Option<u64>,
     max_active: Option<usize>,
     quota: Option<usize>,
@@ -100,13 +99,13 @@ fn usage() -> String {
         "usage:\n  \
          stabcon campaign run    --out PATH [--preset NAME] [spec/exec flags]\n  \
          stabcon campaign resume --out PATH [--preset NAME] [spec/exec flags]\n  \
-         stabcon campaign report --out PATH [--format text|md|csv] [--timings]\n  \
+         stabcon campaign report --out PATH [--job N] [--format text|md|csv] [--timings]\n  \
          stabcon serve           --out PREFIX --listen HOST:PORT [--max-active N] [--quota N]\n  \
                                  [--resume] [--exit-when-idle] [spec flags] (job-queue daemon)\n  \
          stabcon work            --connect HOST:PORT [--worker-name NAME] [exec flags]\n  \
          stabcon submit          --connect HOST:PORT [--client NAME] [spec flags]\n  \
-         stabcon status          --connect HOST:PORT [--campaign ID]\n  \
-         stabcon cancel          --connect HOST:PORT --campaign ID\n  \
+         stabcon status          --connect HOST:PORT [--job N]\n  \
+         stabcon cancel          --connect HOST:PORT --job N\n  \
          stabcon chaos           --listen HOST:PORT --connect HOST:PORT [--seed N] [--nasty]\n  \
          stabcon telemetry check --out PATH (telemetry sink or timings sidecar; auto-detected)\n\n\
          spec flags:  --preset NAME (one of {names})  --trials N  --seed N\n  \
@@ -123,7 +122,7 @@ fn usage() -> String {
          report flags: --timings (join the store's timings sidecar)\n  \
                       --job N (report the daemon's per-job store <out>.job-N.jsonl)\n\
          queue flags: --client NAME (submission identity; quota is per client)\n  \
-                      --campaign ID (status/cancel target)  --max-active N  --quota N\n  \
+                      --job N (status/cancel target)  --max-active N  --quota N\n  \
                       --exit-when-idle (daemon exits once every job is terminal)\n  \
                       serve stores job N at PREFIX.job-N.jsonl (+ .timings.jsonl, .telemetry.jsonl);\n  \
                       spec flags on serve submit that one campaign at startup and exit once it is\n  \
@@ -143,7 +142,6 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
         max_cells: None,
         trials: None,
         seed: None,
-        ns: None,
         ns_raw: None,
         name: None,
         progress: false,
@@ -159,7 +157,6 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
         backoff_ms: None,
         nasty: false,
         client: None,
-        campaign: None,
         job: None,
         max_active: None,
         quota: None,
@@ -195,20 +192,11 @@ fn parse_args(argv: &[String], needs_out: bool) -> Result<Args, String> {
             "--backoff-ms" => args.backoff_ms = Some(parse_num(flag, &value()?)?),
             "--nasty" => args.nasty = true,
             "--client" => args.client = Some(value()?),
-            "--campaign" => args.campaign = Some(parse_num(flag, &value()?)?),
             "--job" => args.job = Some(parse_num(flag, &value()?)?),
             "--max-active" => args.max_active = Some(parse_num(flag, &value()?)?.max(1) as usize),
             "--quota" => args.quota = Some(parse_num(flag, &value()?)?.max(1) as usize),
             "--exit-when-idle" => args.exit_when_idle = true,
-            "--ns" => {
-                let raw = value()?;
-                let list = raw
-                    .split(',')
-                    .map(|s| parse_num("--ns", s).map(|n| n as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
-                args.ns = Some(list);
-                args.ns_raw = Some(raw);
-            }
+            "--ns" => args.ns_raw = Some(value()?),
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
     }
@@ -230,31 +218,8 @@ fn preset_name(args: &Args) -> &str {
     args.preset.as_deref().unwrap_or("smoke")
 }
 
-fn build_spec(args: &Args) -> Result<CampaignSpec, String> {
-    let mut spec = preset(preset_name(args)).ok_or_else(|| {
-        format!(
-            "unknown preset '{}' (expected one of {})",
-            preset_name(args),
-            PRESET_NAMES.join(", ")
-        )
-    })?;
-    if let Some(t) = args.trials {
-        spec.trials = t;
-    }
-    if let Some(s) = args.seed {
-        spec.seed = s;
-    }
-    if let Some(ns) = &args.ns {
-        spec.ns = ns.clone();
-    }
-    if let Some(name) = &args.name {
-        spec.name = name.clone();
-    }
-    Ok(spec)
-}
-
 fn execute(args: &Args, resume: bool) -> Result<(), String> {
-    let spec = build_spec(args)?;
+    let spec = descriptor_from(args).build()?;
     let mut cfg = RunConfig {
         resume,
         progress: args.progress,
@@ -579,7 +544,7 @@ fn submit(args: &Args) -> Result<(), String> {
     let outcome = submit_campaign(addr, client, &desc)?;
     eprintln!(
         "submit: job {} accepted ({} cells) — daemon store {} \
-         (watch it with `stabcon status --connect {addr} --campaign {}`)",
+         (watch it with `stabcon status --connect {addr} --job {}`)",
         outcome.job, outcome.cells, outcome.store, outcome.job,
     );
     Ok(())
@@ -591,7 +556,7 @@ fn status(args: &Args) -> Result<(), String> {
         .as_deref()
         .ok_or_else(|| format!("--connect HOST:PORT is required\n\n{}", usage()))?;
     let client = args.client.as_deref().unwrap_or("cli");
-    let status = query_status(addr, client, args.campaign)?;
+    let status = query_status(addr, client, args.job)?;
     let mut table = Table::new(
         format!("queue @ {addr}"),
         &[
@@ -634,8 +599,8 @@ fn cancel(args: &Args) -> Result<(), String> {
         .as_deref()
         .ok_or_else(|| format!("--connect HOST:PORT is required\n\n{}", usage()))?;
     let job = args
-        .campaign
-        .ok_or_else(|| format!("--campaign ID is required\n\n{}", usage()))?;
+        .job
+        .ok_or_else(|| format!("--job N is required\n\n{}", usage()))?;
     let client = args.client.as_deref().unwrap_or("cli");
     let state = cancel_job(addr, client, job)?;
     eprintln!("cancel: job {job} is now {state} (its partial store stays on the daemon)");

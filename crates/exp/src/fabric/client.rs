@@ -62,7 +62,7 @@ impl Control {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitOutcome {
     /// Queue-assigned job id (stable across daemon restarts — quote it to
-    /// `stabcon status --campaign` / `stabcon cancel`).
+    /// `stabcon status --job` / `stabcon cancel --job`).
     pub job: u64,
     /// Cells in the expanded grid.
     pub cells: u64,

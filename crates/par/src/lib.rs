@@ -4,18 +4,19 @@
 //!
 //! The reproduction needs two kinds of parallelism and the offline
 //! dependency set does not include `rayon`, so we build both on
-//! `crossbeam` + `parking_lot`:
+//! `std::thread` plus `crossbeam`'s channel and `parking_lot`'s mutex:
 //!
-//! * **Scoped chunked parallelism** over borrowed data
-//!   ([`par_map`], [`par_map_indexed`], [`par_chunks_mut`], [`par_reduce`]):
-//!   used by the dense engine to update millions of balls per round, and by
-//!   the experiment harness to run independent trials. Work is split into
-//!   more chunks than threads and distributed through a multi-consumer
-//!   channel, which gives dynamic load balancing without unsafe code.
-//! * **A persistent work-stealing [`ThreadPool`]** (crossbeam deques:
-//!   per-worker FIFO queues + global injector) for fire-and-forget jobs with
-//!   `wait_idle` synchronization: used by long experiment campaigns to keep
-//!   workers warm across thousands of small simulations.
+//! * **Scoped chunked parallelism** over borrowed data ([`par_map`],
+//!   [`par_chunks_mut`]): used by the dense engine to update millions of
+//!   balls per round, and by the experiment harness to run independent
+//!   trials. Work is split into more chunks than threads and handed out
+//!   through one mutex-guarded chunk iterator, which gives dynamic load
+//!   balancing without unsafe code.
+//! * **A persistent [`ThreadPool`]**: named workers draining one
+//!   channel-fed job queue, which keeps threads warm across the thousands
+//!   of small cells of a campaign. The pool does no load balancing of its
+//!   own: `run_cell` submits one long-lived job per worker, and those jobs
+//!   pull trial chunks off a shared cursor.
 //!
 //! Determinism note: simulation results never depend on scheduling — the
 //! engines derive randomness from counter-based RNG coordinates, and the
@@ -25,7 +26,7 @@
 //! of `available_parallelism`. The dense engine's round is a
 //! gather-then-write over the full state vector, so beyond roughly 16
 //! threads the workers saturate memory bandwidth rather than compute —
-//! extra threads only add channel/steal traffic and make sweep timings
+//! extra threads only add chunk hand-out traffic and make sweep timings
 //! noisier. Pass an explicit thread count to the combinators to override
 //! the cap where a workload is known to be compute-bound.
 
@@ -36,7 +37,7 @@ mod pool;
 mod scope;
 
 pub use pool::ThreadPool;
-pub use scope::{par_chunks_mut, par_map, par_map_indexed, par_reduce};
+pub use scope::{par_chunks_mut, par_map};
 
 /// Number of worker threads to use by default: the available parallelism,
 /// capped to 16 (experiment sweeps are memory-bandwidth-bound beyond that).

@@ -1,70 +1,52 @@
-//! A persistent work-stealing thread pool.
+//! A fixed pool of named worker threads draining one job channel.
 //!
-//! Architecture (the classic crossbeam-deque shape):
+//! [`ThreadPool::execute`] sends a boxed job down one
+//! [`crossbeam::channel`]; whichever idle worker receives it first runs it.
+//! Load balancing is not the pool's business: `run_cell` submits one
+//! long-lived job per worker, and those jobs pull trial chunks off a shared
+//! cursor. So there is no stealing, no pending counter and no idle barrier.
 //!
-//! * one global [`crossbeam::deque::Injector`] receives submitted jobs;
-//! * each worker owns a local FIFO [`crossbeam::deque::Worker`] queue and
-//!   holds [`crossbeam::deque::Stealer`]s for every other worker;
-//! * a worker pops local work first, then batch-steals from the injector,
-//!   then steals from siblings, and finally parks on a condvar.
-//!
-//! A pending-job counter with a condvar provides [`ThreadPool::wait_idle`],
-//! which experiment campaigns use as a barrier between sweep stages.
+//! The pool holds only the sending half; each worker holds a receiver.
+//! Dropping the pool closes the channel, so the workers run every job still
+//! queued, then see the disconnect and exit, and `Drop` joins them. A worker
+//! whose job panicked dies and drops its receiver; once no receiver is left,
+//! sending fails and `execute` panics instead of queuing a job nobody will
+//! run.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::deque::{Injector, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::{self, Sender};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
-    shutdown: AtomicBool,
-    /// Jobs submitted but not yet finished.
-    pending: AtomicUsize,
-    /// Guards wake-ups for both idle workers and `wait_idle` callers.
-    lock: Mutex<()>,
-    work_available: Condvar,
-    all_done: Condvar,
-}
-
-/// A fixed-size work-stealing thread pool for `'static` jobs.
+/// A fixed-size thread pool for `'static` jobs, fed through one channel.
 pub struct ThreadPool {
-    shared: Arc<Shared>,
+    /// `None` only while `Drop` runs: taking it closes the channel.
+    jobs: Option<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
     /// Spawn a pool with `threads` workers (at least 1).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = workers.iter().map(|w| w.stealer()).collect();
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            shutdown: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            work_available: Condvar::new(),
-            all_done: Condvar::new(),
-        });
-        let handles = workers
-            .into_iter()
-            .enumerate()
-            .map(|(idx, local)| {
-                let shared = Arc::clone(&shared);
+        let (jobs, receiver) = channel::unbounded::<Job>();
+        let handles = (0..threads.max(1))
+            .map(|idx| {
+                let receiver = receiver.clone();
                 std::thread::Builder::new()
                     .name(format!("stabcon-pool-{idx}"))
-                    .spawn(move || worker_loop(idx, local, shared))
+                    .spawn(move || {
+                        for job in receiver {
+                            job();
+                        }
+                    })
                     .expect("spawning pool worker")
             })
             .collect();
-        Self { shared, handles }
+        Self {
+            jobs: Some(jobs),
+            handles,
+        }
     }
 
     /// Number of worker threads.
@@ -73,118 +55,56 @@ impl ThreadPool {
     }
 
     /// Submit a job for execution.
+    ///
+    /// # Panics
+    /// Panics if every worker has died (each one ran a job that panicked).
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        self.shared.injector.push(Box::new(job));
-        let _guard = self.shared.lock.lock();
-        self.shared.work_available.notify_one();
-    }
-
-    /// Block until every submitted job has finished.
-    pub fn wait_idle(&self) {
-        let mut guard = self.shared.lock.lock();
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            self.shared.all_done.wait(&mut guard);
+        let jobs = self.jobs.as_ref().expect("the channel closes only in drop");
+        if jobs.send(Box::new(job)).is_err() {
+            panic!("ThreadPool::execute: no worker is alive (every one ran a job that panicked)");
         }
-    }
-
-    /// Current number of unfinished jobs (approximate, for monitoring).
-    pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::SeqCst)
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.lock.lock();
-            self.shared.work_available.notify_all();
-        }
+        drop(self.jobs.take());
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn find_job(idx: usize, local: &Worker<Job>, shared: &Shared) -> Option<Job> {
-    if let Some(job) = local.pop() {
-        return Some(job);
-    }
-    // Batch-steal from the injector into the local queue.
-    loop {
-        match shared.injector.steal_batch_and_pop(local) {
-            crossbeam::deque::Steal::Success(job) => return Some(job),
-            crossbeam::deque::Steal::Empty => break,
-            crossbeam::deque::Steal::Retry => continue,
-        }
-    }
-    // Steal from siblings.
-    for (other, stealer) in shared.stealers.iter().enumerate() {
-        if other == idx {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                crossbeam::deque::Steal::Success(job) => return Some(job),
-                crossbeam::deque::Steal::Empty => break,
-                crossbeam::deque::Steal::Retry => continue,
-            }
-        }
-    }
-    None
-}
-
-fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<Shared>) {
-    loop {
-        if let Some(job) = find_job(idx, &local, &shared) {
-            job();
-            let before = shared.pending.fetch_sub(1, Ordering::SeqCst);
-            if before == 1 {
-                let _guard = shared.lock.lock();
-                shared.all_done.notify_all();
-            }
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Nothing to do: park with a timeout so a lost wake-up cannot hang
-        // the pool.
-        let mut guard = shared.lock.lock();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        shared
-            .work_available
-            .wait_for(&mut guard, std::time::Duration::from_millis(1));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    /// Submit `jobs` jobs that each report on a channel, and wait for
+    /// every report.
+    fn run_counted(pool: &ThreadPool, jobs: usize) {
+        let (done, reports) = mpsc::channel();
+        for _ in 0..jobs {
+            let done = done.clone();
+            pool.execute(move || done.send(()).expect("test holds the receiver"));
+        }
+        drop(done);
+        assert_eq!(reports.iter().count(), jobs);
+    }
 
     #[test]
     fn runs_all_jobs() {
         let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..1000 {
-            let c = Arc::clone(&counter);
-            pool.execute(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
+        run_counted(&pool, 1000);
     }
 
     #[test]
-    fn wait_idle_on_empty_pool_returns() {
+    fn drop_of_an_idle_pool_returns() {
         let pool = ThreadPool::new(2);
-        pool.wait_idle(); // must not hang
-        assert_eq!(pool.pending(), 0);
+        assert_eq!(pool.threads(), 2);
+        drop(pool); // must not hang
     }
 
     #[test]
@@ -194,40 +114,26 @@ mod tests {
         let pool = ThreadPool::new(2);
         let a = Arc::new(AtomicBool::new(false));
         let b = Arc::new(AtomicBool::new(false));
-        {
-            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        let (done, reports) = mpsc::channel();
+        for (mine, theirs) in [(&a, &b), (&b, &a)] {
+            let (mine, theirs, done) = (Arc::clone(mine), Arc::clone(theirs), done.clone());
             pool.execute(move || {
-                a.store(true, Ordering::SeqCst);
-                while !b.load(Ordering::SeqCst) {
+                mine.store(true, Ordering::SeqCst);
+                while !theirs.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
                 }
+                done.send(()).expect("test holds the receiver");
             });
         }
-        {
-            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
-            pool.execute(move || {
-                b.store(true, Ordering::SeqCst);
-                while !a.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                }
-            });
-        }
-        pool.wait_idle();
+        drop(done);
+        assert_eq!(reports.iter().count(), 2);
     }
 
     #[test]
     fn reusable_across_batches() {
         let pool = ThreadPool::new(3);
-        let counter = Arc::new(AtomicU64::new(0));
-        for batch in 0..5 {
-            for _ in 0..100 {
-                let c = Arc::clone(&counter);
-                pool.execute(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            pool.wait_idle();
-            assert_eq!(counter.load(Ordering::Relaxed), (batch + 1) * 100);
+        for _ in 0..5 {
+            run_counted(&pool, 100);
         }
     }
 
@@ -239,25 +145,60 @@ mod tests {
             for _ in 0..50 {
                 let c = Arc::clone(&counter);
                 pool.execute(move || {
+                    std::thread::sleep(Duration::from_micros(100));
                     c.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            pool.wait_idle();
-        } // drop here
+        } // drop here: every job has run once the workers are joined
         assert_eq!(counter.load(Ordering::Relaxed), 50);
     }
 
     #[test]
-    fn single_thread_pool_works() {
-        let pool = ThreadPool::new(1);
+    fn drop_runs_every_queued_job() {
         let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..10 {
+        let pool = ThreadPool::new(2);
+        for _ in 0..1000 {
             let c = Arc::clone(&counter);
             pool.execute(move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
         }
-        pool.wait_idle();
-        assert_eq!(counter.load(Ordering::Relaxed), 10);
+        drop(pool);
+        assert_eq!(counter.load(Ordering::Relaxed), 1000);
+    }
+
+    #[test]
+    fn single_thread_pool_works() {
+        let pool = ThreadPool::new(1);
+        assert_eq!(pool.threads(), 1);
+        run_counted(&pool, 10);
+    }
+
+    #[test]
+    fn execute_on_a_pool_with_no_live_worker_panics() {
+        // A helper thread runs the scenario so a regression (a job queued
+        // for a dead pool, waited on forever) fails the test instead of
+        // hanging it.
+        let (verdict, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(1);
+            pool.execute(|| panic!("this job kills the only worker"));
+            while !pool.handles[0].is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (ran, ran_rx) = mpsc::channel::<()>();
+            let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.execute(move || ran.send(()).expect("test holds the receiver"))
+            }));
+            // A job that was queued instead of rejected is never run: its
+            // sender is neither used nor dropped, so this would block.
+            let job_settled = ran_rx.recv().is_err();
+            let _ = verdict.send((submitted.is_err(), job_settled));
+        });
+        let (panicked, job_settled) = outcome
+            .recv_timeout(Duration::from_secs(10))
+            .expect("execute on a dead pool neither panicked nor ran the job");
+        assert!(panicked, "execute on a dead pool must panic");
+        assert!(job_settled, "the rejected job must be dropped, not run");
     }
 }

@@ -1,11 +1,11 @@
 //! Scoped chunked parallel combinators over borrowed data.
 //!
-//! All combinators split the input into `threads × OVERSUBSCRIBE` chunks and
-//! feed them to scoped worker threads through an unbounded channel, so a
-//! slow chunk does not stall the others (dynamic load balancing). Outputs
-//! are reassembled in input order.
+//! Both combinators split the input into `threads × OVERSUBSCRIBE` chunks and
+//! hand them to `std::thread::scope` workers through one mutex-guarded chunk
+//! iterator, so a slow chunk does not stall the others (dynamic load
+//! balancing). Outputs are reassembled in chunk order.
 
-use crossbeam::channel;
+use parking_lot::Mutex;
 
 /// Chunks per thread: enough oversubscription to absorb skewed chunk costs
 /// (an adversarial simulation can take many more rounds than its neighbours).
@@ -14,6 +14,38 @@ const OVERSUBSCRIBE: usize = 8;
 fn chunk_size(len: usize, threads: usize) -> usize {
     let target_chunks = threads.max(1) * OVERSUBSCRIBE;
     len.div_ceil(target_chunks).max(1)
+}
+
+/// Run `f` on every chunk from `workers` scoped threads, each taking the
+/// next chunk off the shared iterator until it runs dry. Returns every
+/// result, grouped by worker (not in chunk order).
+fn drain<I, R, F>(workers: usize, chunks: I, f: F) -> Vec<R>
+where
+    I: Iterator + Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let chunks = Mutex::new(chunks);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        // The guard is released at the end of this
+                        // statement, before the chunk runs.
+                        let next = chunks.lock().next();
+                        let Some(chunk) = next else { return out };
+                        out.push(f(chunk));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
 }
 
 /// Parallel map over a slice, preserving order.
@@ -26,69 +58,17 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_indexed(threads, items, |_, item| f(item))
-}
-
-/// Parallel map that also hands the item index to the mapper (used to derive
-/// per-trial RNG seeds), preserving order.
-pub fn par_map_indexed<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 || n == 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+    if threads <= 1 || n <= 1 {
+        return items.iter().map(f).collect();
     }
     let cs = chunk_size(n, threads);
-    let n_chunks = n.div_ceil(cs);
-    let workers = threads.min(n_chunks);
-
-    let (work_tx, work_rx) = channel::unbounded::<(usize, &[T])>();
-    for (ci, chunk) in items.chunks(cs).enumerate() {
-        work_tx.send((ci, chunk)).expect("queueing work");
-    }
-    drop(work_tx);
-
-    let mut slots: Vec<Option<Vec<U>>> = Vec::with_capacity(n_chunks);
-    slots.resize_with(n_chunks, || None);
-
-    let (res_tx, res_rx) = channel::unbounded::<(usize, Vec<U>)>();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                while let Ok((ci, chunk)) = work_rx.recv() {
-                    let base = ci * cs;
-                    let out: Vec<U> = chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(j, item)| f(base + j, item))
-                        .collect();
-                    if res_tx.send((ci, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        for (ci, out) in res_rx {
-            slots[ci] = Some(out);
-        }
-    })
-    .expect("worker thread panicked");
-
-    let mut result = Vec::with_capacity(n);
-    for slot in slots {
-        result.extend(slot.expect("missing chunk result"));
-    }
-    result
+    let workers = threads.min(n.div_ceil(cs));
+    let mut parts = drain(workers, items.chunks(cs).enumerate(), |(ci, chunk)| {
+        (ci, chunk.iter().map(&f).collect::<Vec<U>>())
+    });
+    parts.sort_unstable_by_key(|&(ci, _)| ci);
+    parts.into_iter().flat_map(|(_, out)| out).collect()
 }
 
 /// Parallel in-place mutation: the buffer is split into chunks and each
@@ -110,46 +90,9 @@ where
         return;
     }
     let workers = threads.min(n.div_ceil(cs));
-    let (work_tx, work_rx) = channel::unbounded::<(usize, &mut [T])>();
-    for (ci, chunk) in data.chunks_mut(cs).enumerate() {
-        work_tx.send((ci * cs, chunk)).expect("queueing work");
-    }
-    drop(work_tx);
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                while let Ok((offset, chunk)) = work_rx.recv() {
-                    f(offset, chunk);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// Parallel map-reduce: maps each item, combines chunk-partials with
-/// `reduce`, then folds the partials in chunk order. `reduce` must be
-/// associative; `identity` must be its neutral element.
-pub fn par_reduce<T, U, FM, FR>(threads: usize, items: &[T], identity: U, map: FM, reduce: FR) -> U
-where
-    T: Sync,
-    U: Send + Clone,
-    FM: Fn(&T) -> U + Sync,
-    FR: Fn(U, U) -> U + Sync,
-{
-    if items.is_empty() {
-        return identity;
-    }
-    if threads <= 1 {
-        return items
-            .iter()
-            .fold(identity.clone(), |acc, x| reduce(acc, map(x)));
-    }
-    let partials = par_map_indexed(threads, items, |_, x| map(x));
-    partials.into_iter().fold(identity, reduce)
+    drain(workers, data.chunks_mut(cs).enumerate(), |(ci, chunk)| {
+        f(ci * cs, chunk)
+    });
 }
 
 #[cfg(test)]
@@ -169,11 +112,19 @@ mod tests {
 
     #[test]
     fn map_indexed_sees_correct_indices() {
-        let items: Vec<u32> = (0..5000).collect();
-        let out = par_map_indexed(4, &items, |i, &x| (i as u32, x));
-        for (i, (idx, x)) in out.iter().enumerate() {
-            assert_eq!(*idx as usize, i);
-            assert_eq!(*x, i as u32);
+        // Items are their own indices, so output slot `i` must hold what the
+        // mapper made of item `i`: chunks are reassembled in input order,
+        // including a short last chunk.
+        for n in [5000, 4999, 33] {
+            let items: Vec<u32> = (0..n).collect();
+            for threads in [2, 4, 8] {
+                let out = par_map(threads, &items, |&x| (x, x.wrapping_mul(3)));
+                assert_eq!(out.len(), items.len());
+                for (i, &(idx, y)) in out.iter().enumerate() {
+                    assert_eq!(idx as usize, i, "n = {n}, threads = {threads}");
+                    assert_eq!(y, (i as u32).wrapping_mul(3));
+                }
+            }
         }
     }
 
@@ -218,19 +169,6 @@ mod tests {
             }
         });
         assert!(data.iter().all(|&b| b == 2));
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let items: Vec<u64> = (1..=1000).collect();
-        let total = par_reduce(4, &items, 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(total, 500_500);
-    }
-
-    #[test]
-    fn reduce_respects_identity() {
-        let empty: Vec<u64> = vec![];
-        assert_eq!(par_reduce(4, &empty, 42u64, |&x| x, |a, b| a + b), 42);
     }
 
     #[test]

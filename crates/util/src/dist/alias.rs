@@ -1,18 +1,5 @@
 //! Vose's alias method: O(m) build, O(1) categorical sampling.
 
-use rand::RngCore;
-
-use crate::rng::{gen_f64, gen_index};
-
-/// Preprocessed categorical distribution over `0..m`.
-#[derive(Debug, Clone)]
-pub struct AliasTable {
-    /// Acceptance probability of the column's own index.
-    prob: Vec<f64>,
-    /// Fallback index taken on rejection.
-    alias: Vec<usize>,
-}
-
 /// Reusable scratch buffers for (re)building alias tables without
 /// allocating: the scaled weights, the resulting `prob`/`alias` columns,
 /// and the small/large worklists of Vose's algorithm. One scratch serves
@@ -28,23 +15,22 @@ pub struct AliasScratch {
 
 /// Vose's O(m) alias construction into `scratch.prob` / `scratch.alias`.
 ///
-/// This is the **single** build routine behind [`AliasTable::new`],
-/// [`PackedAlias::new`], and [`PackedAlias::rebuild_from`], so a table
-/// rebuilt through a dirty scratch is bit-identical to a freshly
-/// constructed one by construction.
+/// This is the **single** build routine behind [`PackedAlias::new`] and
+/// [`PackedAlias::rebuild_from`], so a table rebuilt through a dirty
+/// scratch is bit-identical to a freshly constructed one by construction.
 ///
 /// # Panics
 /// Panics if `weights` is empty, contains a negative/NaN entry, or sums to
 /// zero.
 fn vose_build(weights: &[f64], scratch: &mut AliasScratch) {
     let m = weights.len();
-    assert!(m > 0, "AliasTable: empty weights");
+    assert!(m > 0, "alias table: empty weights");
     let mut total = 0.0f64;
     for &w in weights {
-        assert!(w >= 0.0 && w.is_finite(), "AliasTable: bad weight {w}");
+        assert!(w >= 0.0 && w.is_finite(), "alias table: bad weight {w}");
         total += w;
     }
-    assert!(total > 0.0, "AliasTable: zero total weight");
+    assert!(total > 0.0, "alias table: zero total weight");
 
     let first_positive = weights
         .iter()
@@ -91,43 +77,6 @@ fn vose_build(weights: &[f64], scratch: &mut AliasScratch) {
     }
 }
 
-impl AliasTable {
-    /// Build from non-negative weights (need not be normalized).
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty, contains a negative/NaN entry, or sums
-    /// to zero.
-    pub fn new(weights: &[f64]) -> Self {
-        let mut scratch = AliasScratch::default();
-        vose_build(weights, &mut scratch);
-        Self {
-            prob: scratch.prob,
-            alias: scratch.alias,
-        }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draw one category index.
-    #[inline]
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = gen_index(rng, self.prob.len() as u64) as usize;
-        if gen_f64(rng) < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 /// Alias table packed for single-word sampling: one `u64` entry per
 /// category holding the 32-bit-quantized acceptance probability and the
 /// alias index, consumed by [`PackedAlias::sample_word`] with **one** random
@@ -145,8 +94,11 @@ pub struct PackedAlias {
 }
 
 impl PackedAlias {
-    /// Build from non-negative weights (same contract as
-    /// [`AliasTable::new`]).
+    /// Build from non-negative weights (need not be normalized).
+    ///
+    /// # Panics
+    /// Panics if `weights` is empty, contains a negative/NaN entry, or sums
+    /// to zero.
     pub fn new(weights: &[f64]) -> Self {
         let mut this = Self::default();
         this.rebuild_from(weights, &mut AliasScratch::default());
@@ -162,7 +114,7 @@ impl PackedAlias {
     /// parked rebuild without changing a single draw.
     ///
     /// # Panics
-    /// Same contract as [`AliasTable::new`].
+    /// Same contract as [`PackedAlias::new`].
     pub fn rebuild_from(&mut self, weights: &[f64], scratch: &mut AliasScratch) {
         vose_build(weights, scratch);
         self.entries.clear();
@@ -214,52 +166,91 @@ impl PackedAlias {
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256pp;
+    use rand::RngCore;
+
+    /// Probability mass `vose_build`'s `prob`/`alias` columns give each
+    /// category: a column is drawn with chance `1/m`, keeps its own index
+    /// with `prob[j]` and otherwise yields `alias[j]`.
+    fn implied_mass(weights: &[f64]) -> Vec<f64> {
+        let mut scratch = AliasScratch::default();
+        vose_build(weights, &mut scratch);
+        let m = weights.len() as f64;
+        let mut mass = vec![0.0; weights.len()];
+        for (j, (&p, &a)) in scratch.prob.iter().zip(&scratch.alias).enumerate() {
+            mass[j] += p / m;
+            mass[a] += (1.0 - p) / m;
+        }
+        mass
+    }
 
     #[test]
     fn frequencies_match_weights() {
-        let weights = [1.0, 3.0, 6.0];
-        let table = AliasTable::new(&weights);
-        let mut rng = Xoshiro256pp::seed(1);
-        let trials = 100_000;
-        let mut counts = [0u64; 3];
-        for _ in 0..trials {
-            counts[table.sample(&mut rng)] += 1;
-        }
-        for (i, &w) in weights.iter().enumerate() {
-            let freq = counts[i] as f64 / trials as f64;
-            let expect = w / 10.0;
-            assert!((freq - expect).abs() < 0.01, "cat {i}: {freq} vs {expect}");
+        let shapes: Vec<Vec<f64>> = vec![
+            vec![1.0, 3.0, 6.0],
+            (0..64).map(|i| (i % 7) as f64 + 0.25).collect(),
+            (0..1000).map(|i| 1.0 / (i + 1) as f64).collect(),
+        ];
+        for weights in &shapes {
+            let total: f64 = weights.iter().sum();
+            for (i, (&w, got)) in weights.iter().zip(implied_mass(weights)).enumerate() {
+                let expect = w / total;
+                assert!(
+                    (got - expect).abs() < 1e-12,
+                    "m = {}, cat {i}: {got} vs {expect}",
+                    weights.len()
+                );
+            }
         }
     }
 
     #[test]
     fn zero_weight_never_sampled() {
-        let table = AliasTable::new(&[0.0, 5.0, 0.0, 1.0]);
+        // Every third weight is zero; the harmonic tail leaves
+        // floating-point residue in the worklists.
+        let weights: Vec<f64> = (0..999)
+            .map(|i| {
+                if i % 3 == 1 {
+                    0.0
+                } else {
+                    1.0 / (i + 1) as f64
+                }
+            })
+            .collect();
+        for (i, mass) in implied_mass(&weights).into_iter().enumerate() {
+            if weights[i] == 0.0 {
+                assert_eq!(mass, 0.0, "zero-weight category {i} has mass");
+            }
+        }
+        let table = PackedAlias::new(&weights);
         let mut rng = Xoshiro256pp::seed(2);
-        for _ in 0..10_000 {
-            let idx = table.sample(&mut rng);
-            assert!(idx == 1 || idx == 3, "sampled zero-weight category {idx}");
+        for _ in 0..20_000 {
+            let idx = table.sample_word(rng.next_u64());
+            assert!(weights[idx] > 0.0, "sampled zero-weight category {idx}");
         }
     }
 
     #[test]
     fn single_category() {
-        let table = AliasTable::new(&[42.0]);
-        let mut rng = Xoshiro256pp::seed(3);
-        for _ in 0..100 {
-            assert_eq!(table.sample(&mut rng), 0);
-        }
+        let mut scratch = AliasScratch::default();
+        vose_build(&[42.0], &mut scratch);
+        assert_eq!(scratch.prob, vec![1.0]);
+        assert_eq!(scratch.alias, vec![0]);
+        let table = PackedAlias::new(&[42.0]);
         assert_eq!(table.len(), 1);
         assert!(!table.is_empty());
+        let mut rng = Xoshiro256pp::seed(3);
+        for _ in 0..100 {
+            assert_eq!(table.sample_word(rng.next_u64()), 0);
+        }
     }
 
     #[test]
     fn uniform_weights() {
-        let table = AliasTable::new(&[2.0; 64]);
+        let table = PackedAlias::new(&[2.0; 64]);
         let mut rng = Xoshiro256pp::seed(4);
         let mut seen = [false; 64];
         for _ in 0..20_000 {
-            seen[table.sample(&mut rng)] = true;
+            seen[table.sample_word(rng.next_u64())] = true;
         }
         assert!(seen.iter().all(|&s| s), "some category never sampled");
     }
@@ -267,7 +258,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_zero_total() {
-        AliasTable::new(&[0.0, 0.0]);
+        PackedAlias::new(&[0.0, 0.0]);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Random variates built on raw 64-bit generator outputs.
 //!
-//! * [`bernoulli`] / [`geometric`] — the elementary coin and its waiting
-//!   time;
 //! * [`Binomial`] — exact binomial sampling: inversion (BINV) for small
 //!   `n·p`, Hörmann's transformed rejection with squeeze (BTRS) for large;
 //! * [`multinomial`] / [`multinomial_into`] — conditional-binomial chain
 //!   with early exit on zero mass (the histogram engine's hot path);
-//! * [`AliasTable`] — Vose's alias method for O(1) categorical draws;
+//! * [`PackedAlias`] — Vose's alias method, packed for O(1) categorical
+//!   draws from one random word;
 //! * [`ln_factorial`] / [`ln_binomial_coeff`] / [`binomial_pmf`] /
 //!   [`binomial_cdf`] — log-space combinatorics for the acceptance tests and
 //!   the probability-bound comparisons in `bounds`.
@@ -15,13 +14,9 @@ mod alias;
 mod binomial;
 mod multinomial;
 
-pub use alias::{AliasScratch, AliasTable, PackedAlias};
+pub use alias::{AliasScratch, PackedAlias};
 pub use binomial::{binomial_cdf, binomial_pmf, Binomial};
 pub use multinomial::{multinomial, multinomial_into};
-
-use rand::RngCore;
-
-use crate::rng::{gen_f64, gen_f64_open};
 
 /// `ln(n!)` — exact summation for small `n`, Stirling's series beyond.
 ///
@@ -57,34 +52,9 @@ pub fn ln_binomial_coeff(n: u64, k: u64) -> f64 {
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
-/// One biased coin flip: `true` with probability `p`.
-///
-/// # Panics
-/// Panics in debug builds if `p ∉ [0, 1]`.
-#[inline]
-pub fn bernoulli<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> bool {
-    debug_assert!((0.0..=1.0).contains(&p), "bernoulli: p = {p}");
-    gen_f64(rng) < p
-}
-
-/// Number of failures before the first success of a `p`-coin
-/// (`P(X = k) = (1-p)^k p`), sampled by inversion.
-///
-/// # Panics
-/// Panics if `p ∉ (0, 1]`.
-pub fn geometric<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "geometric: p = {p}");
-    if p >= 1.0 {
-        return 0;
-    }
-    let u = gen_f64_open(rng);
-    (u.ln() / (1.0 - p).ln()).floor() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256pp;
 
     #[test]
     fn ln_factorial_small_exact() {
@@ -111,26 +81,5 @@ mod tests {
         assert!((ln_binomial_coeff(10, 3) - 120.0f64.ln()).abs() < 1e-11);
         assert_eq!(ln_binomial_coeff(5, 9), f64::NEG_INFINITY);
         assert_eq!(ln_binomial_coeff(7, 0), 0.0);
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let mut rng = Xoshiro256pp::seed(1);
-        let trials = 100_000;
-        let hits = (0..trials).filter(|_| bernoulli(&mut rng, 0.3)).count();
-        let freq = hits as f64 / trials as f64;
-        assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut rng = Xoshiro256pp::seed(2);
-        let p = 0.25f64;
-        let trials = 50_000;
-        let total: u64 = (0..trials).map(|_| geometric(&mut rng, p)).sum();
-        let mean = total as f64 / trials as f64;
-        // E[X] = (1-p)/p = 3.
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-        assert_eq!(geometric(&mut rng, 1.0), 0);
     }
 }

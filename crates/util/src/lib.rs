@@ -11,11 +11,11 @@
 //!   [`rng::Xoshiro256pp`], and the stateless, counter-based
 //!   [`rng::CounterRng`] used to make parallel simulation bit-reproducible
 //!   for any thread count.
-//! * [`dist`] — random variates built on raw 64-bit outputs: bounded uniforms
-//!   (Lemire), Bernoulli, geometric, exact binomial (inversion + transformed
-//!   rejection), multinomial, and Vose's alias method for categorical draws.
-//! * [`stats`] — running moments, quantiles, confidence intervals, and
-//!   ordinary least squares for the scaling-law fits in the experiment
+//! * [`dist`] — random variates built on raw 64-bit outputs: exact
+//!   binomial (inversion + transformed rejection), multinomial, Vose's
+//!   alias method for categorical draws, and log-space combinatorics.
+//! * [`stats`] — exact count sketches, quantiles, streaming histograms,
+//!   and least-squares line fits for the scaling laws in the experiment
 //!   harness.
 //! * [`table`] — plain-text / markdown / CSV table rendering for the
 //!   analysis drivers' output.

@@ -79,12 +79,6 @@ pub fn gen_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     unit_f64_from_word(rng.next_u64())
 }
 
-/// Draw a uniform `f64` in `(0, 1]` (never exactly zero — safe for `ln`).
-#[inline]
-pub fn gen_f64_open<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Derive an independent child seed for a given trial / stream id.
 ///
 /// The derivation is a strong 64-bit hash of `(master, stream)`; children
@@ -186,15 +180,6 @@ mod tests {
         }
         let mean = sum / 100_000.0;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn gen_f64_open_never_zero() {
-        let mut rng = Xoshiro256pp::seed(5);
-        for _ in 0..100_000 {
-            let u = gen_f64_open(&mut rng);
-            assert!(u > 0.0 && u <= 1.0);
-        }
     }
 
     #[test]

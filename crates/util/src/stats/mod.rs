@@ -1,16 +1,12 @@
-//! Statistics for the experiment harness: running moments, quantiles,
-//! confidence intervals, and least-squares scaling fits.
+//! Statistics for the experiment harness: exact count sketches,
+//! quantiles, streaming histograms, and least-squares line fits.
 
-mod ci;
 mod counts;
 mod histogram;
 mod quantile;
 mod regression;
-mod summary;
 
-pub use ci::{bootstrap_ci, normal_ci, normal_quantile, ConfidenceInterval};
 pub use counts::SparseCounts;
 pub use histogram::StreamingHistogram;
 pub use quantile::{median, quantile, quantile_counts, Quantiles};
-pub use regression::{fit_line, ols, LineFit, OlsFit};
-pub use summary::RunningStats;
+pub use regression::{fit_line, LineFit};

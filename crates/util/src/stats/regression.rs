@@ -1,10 +1,7 @@
-//! Ordinary least squares for the scaling-law fits.
+//! Least-squares line fits for the scaling laws.
 //!
-//! The experiment harness regresses measured convergence times against the
-//! paper's predictors: `log n`, `log m`, `log log n`, and products thereof
-//! (e.g. Theorem 20's `log m · log log n + log n`). Small design matrices
-//! only (a handful of predictors), so plain normal equations with Gaussian
-//! elimination are exact enough.
+//! The experiment harness regresses measured convergence times against one
+//! of the paper's predictors at a time: `log n`, `log m` or `log log n`.
 
 /// A simple-line fit `y = intercept + slope·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,117 +51,6 @@ pub fn fit_line(xs: &[f64], ys: &[f64]) -> LineFit {
     }
 }
 
-/// A multi-predictor OLS fit `y = β₀ + β₁x₁ + … + β_k x_k`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OlsFit {
-    /// Coefficients, `beta[0]` being the intercept.
-    pub beta: Vec<f64>,
-    /// Coefficient of determination.
-    pub r2: f64,
-    /// Residual sum of squares.
-    pub ss_res: f64,
-}
-
-impl OlsFit {
-    /// Predict `y` for a row of predictor values (without intercept column).
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len() + 1, self.beta.len(), "predict: wrong arity");
-        self.beta[0]
-            + self.beta[1..]
-                .iter()
-                .zip(x)
-                .map(|(b, v)| b * v)
-                .sum::<f64>()
-    }
-}
-
-/// Multi-predictor OLS via normal equations. `rows[i]` holds the predictor
-/// values for observation `i` (the intercept column is added internally).
-///
-/// # Panics
-/// Panics on shape mismatch, fewer observations than parameters, or a
-/// singular design matrix.
-pub fn ols(rows: &[Vec<f64>], ys: &[f64]) -> OlsFit {
-    assert_eq!(rows.len(), ys.len(), "ols: length mismatch");
-    assert!(!rows.is_empty(), "ols: no data");
-    let k = rows[0].len() + 1; // +1 intercept
-    assert!(rows.len() >= k, "ols: underdetermined system");
-    for r in rows {
-        assert_eq!(r.len() + 1, k, "ols: ragged rows");
-    }
-
-    // Build X'X (k×k) and X'y (k).
-    let mut xtx = vec![vec![0.0f64; k]; k];
-    let mut xty = vec![0.0f64; k];
-    for (row, &y) in rows.iter().zip(ys) {
-        let mut xi = Vec::with_capacity(k);
-        xi.push(1.0);
-        xi.extend_from_slice(row);
-        for a in 0..k {
-            xty[a] += xi[a] * y;
-            for b in 0..k {
-                xtx[a][b] += xi[a] * xi[b];
-            }
-        }
-    }
-
-    let beta = solve_linear(&mut xtx, &mut xty);
-
-    let my = ys.iter().sum::<f64>() / ys.len() as f64;
-    let syy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    let ss_res: f64 = rows
-        .iter()
-        .zip(ys)
-        .map(|(row, &y)| {
-            let pred = beta[0] + beta[1..].iter().zip(row).map(|(b, v)| b * v).sum::<f64>();
-            (y - pred) * (y - pred)
-        })
-        .sum();
-    let r2 = if syy > 0.0 { 1.0 - ss_res / syy } else { 1.0 };
-    OlsFit { beta, r2, ss_res }
-}
-
-/// Solve `A·x = b` in place by Gaussian elimination with partial pivoting.
-#[allow(clippy::needless_range_loop)] // index arithmetic is clearer for elimination
-fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
-    let n = b.len();
-    for col in 0..n {
-        // Pivot.
-        let piv = (col..n)
-            .max_by(|&i, &j| {
-                a[i][col]
-                    .abs()
-                    .partial_cmp(&a[j][col].abs())
-                    .expect("NaN in linear solve")
-            })
-            .expect("nonempty range");
-        assert!(a[piv][col].abs() > 1e-12, "singular design matrix");
-        a.swap(col, piv);
-        b.swap(col, piv);
-        // Eliminate below.
-        for row in (col + 1)..n {
-            let f = a[row][col] / a[col][col];
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                a[row][c] -= f * a[col][c];
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0f64; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for c in (row + 1)..n {
-            acc -= a[row][c] * x[c];
-        }
-        x[row] = acc / a[row][row];
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,45 +81,8 @@ mod tests {
     }
 
     #[test]
-    fn ols_matches_line_fit() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sqrt()).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| -1.0 + 4.0 * x).collect();
-        let rows: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
-        let fit = ols(&rows, &ys);
-        assert!((fit.beta[0] + 1.0).abs() < 1e-8);
-        assert!((fit.beta[1] - 4.0).abs() < 1e-8);
-        assert!((fit.r2 - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ols_two_predictors() {
-        // y = 2 + 3·x1 − 5·x2 on a grid.
-        let mut rows = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..10 {
-            for j in 0..10 {
-                let x1 = i as f64;
-                let x2 = (j as f64) * 0.5;
-                rows.push(vec![x1, x2]);
-                ys.push(2.0 + 3.0 * x1 - 5.0 * x2);
-            }
-        }
-        let fit = ols(&rows, &ys);
-        assert!((fit.beta[0] - 2.0).abs() < 1e-8);
-        assert!((fit.beta[1] - 3.0).abs() < 1e-8);
-        assert!((fit.beta[2] + 5.0).abs() < 1e-8);
-        assert!((fit.predict(&[2.0, 4.0]) - (2.0 + 6.0 - 20.0)).abs() < 1e-8);
-    }
-
-    #[test]
     #[should_panic]
     fn degenerate_x_panics() {
         fit_line(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn underdetermined_panics() {
-        ols(&[vec![1.0, 2.0]], &[3.0]);
     }
 }
