@@ -13,7 +13,7 @@ use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::init::InitialCondition;
 use stabcon_core::protocol::ProtocolSpec;
 use stabcon_core::runner::SimSpec;
-use stabcon_exp::{chunk_for, run_cell, CellSpec, HitMetric, TrialObserver};
+use stabcon_exp::{chunk_for, run_cell, sqrt_budget, CellSpec, HitMetric, TrialObserver};
 use stabcon_par::ThreadPool;
 use stabcon_util::table::{fmt_sig, Table};
 
@@ -37,7 +37,7 @@ fn mean_last_unsettled_round(pool: &ThreadPool, spec: &SimSpec, trials: u64, see
 /// round after which the system never again left consensus. For the min rule
 /// this tracks `d` (unbounded); for the median rule it stays `O(log n)`.
 pub fn min_rule_table(n: usize, delays: &[u64], trials: u64, seed: u64, threads: usize) -> Table {
-    let t_budget = crate::figure1::sqrt_budget(n);
+    let t_budget = sqrt_budget(n);
     let mut table = Table::new(
         format!(
             "Minimum rule counterexample (E6): hide-and-revive adversary, n = {n}, T = {t_budget}"

@@ -1,43 +1,69 @@
-//! Deterministic small-scale runs of the six campaign-ported analysis
-//! drivers, for the CI `driver-parity` job.
+//! The golden producer for the CI `driver-parity` job: deterministic
+//! small-scale runs of the analysis drivers and of the campaign presets
+//! behind Figure 1, Theorem 2 and the tournament.
 //!
 //! ```text
 //! drivers --out DIR [--driver NAME]
 //! ```
 //!
-//! Writes `<driver>.txt` per driver (`theorems`, `threshold`, `baselines`,
-//! `robustness`, `stability`, `drift`; default: all) with **fixed** seeds
-//! and scales. The campaign scheduler's aggregation is thread- and
-//! chunk-invariant, so the output is byte-stable across machines and runner
-//! core counts — CI diffs it against the committed golden files in
-//! `golden/` to catch any change to driver numerics that slips past the
-//! unit-level parity tests.
+//! Writes `<name>.txt` per output (default: all) with **fixed** seeds and
+//! scales:
+//!
+//! * `threshold`, `baselines`, `robustness` (α-asynchrony), `stability`,
+//!   `drift` — the `stabcon-analysis` tables;
+//! * `campaign-figure1-small`, `campaign-theorems`,
+//!   `campaign-robustness-small` — the preset run through the same calls as
+//!   `stabcon campaign run --preset P` then `stabcon campaign report`
+//!   (`run_campaign` → `store::load` → `report_table`). The store and its
+//!   timings sidecar live in a temporary directory, never under `--out`.
+//!
+//! The campaign scheduler's aggregation is thread- and chunk-invariant, so
+//! the output is byte-stable across machines and runner core counts — CI
+//! diffs it against the committed golden files in `golden/` to catch any
+//! change to table numerics that slips past the unit-level parity tests.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use stabcon_analysis::{baselines, drift, robustness, stability, theorems, threshold};
+use stabcon_analysis::{baselines, drift, robustness, stability, threshold};
 use stabcon_core::adversary::AdversarySpec;
+use stabcon_exp::campaign::{run_campaign, RunConfig};
+use stabcon_exp::{presets, report, store};
 
-/// All driver names, in output order.
-const DRIVERS: [&str; 6] = [
-    "theorems",
+/// All output names, in output order.
+const DRIVERS: [&str; 8] = [
     "threshold",
     "baselines",
     "robustness",
     "stability",
     "drift",
+    "campaign-figure1-small",
+    "campaign-theorems",
+    "campaign-robustness-small",
 ];
 
 /// Fixed worker count: the numbers don't depend on it (that's the point of
 /// the campaign port), but a constant keeps run times predictable on CI.
 const THREADS: usize = 2;
 
-fn render(driver: &str) -> String {
-    match driver {
-        "theorems" => {
-            theorems::constant_m_table(&[2, 3], &[128, 256], 6, 0x90_1D, THREADS).to_text()
-        }
+/// `stabcon campaign run --preset NAME` into a fresh store under `tmp`,
+/// then `stabcon campaign report` on it.
+fn render_preset(name: &str, tmp: &Path) -> Result<String, String> {
+    let spec = presets::preset(name).ok_or_else(|| format!("unknown preset '{name}'"))?;
+    let path = tmp.join(format!("{name}.jsonl"));
+    let cfg = RunConfig {
+        threads: THREADS,
+        ..RunConfig::default()
+    };
+    run_campaign(&spec, &path, &cfg)?;
+    Ok(report::report_table(&store::load(&path)?).to_text())
+}
+
+fn render(driver: &str, tmp: &Path) -> Result<String, String> {
+    if let Some(preset) = driver.strip_prefix("campaign-") {
+        return render_preset(preset, tmp);
+    }
+    Ok(match driver {
         "threshold" => {
             let mut out =
                 threshold::threshold_table(256, &[0.2, 0.5, 0.9], 6, 30, 0x90_1D, THREADS)
@@ -57,12 +83,7 @@ fn render(driver: &str) -> String {
             out
         }
         "robustness" => {
-            let mut out = robustness::tournament_table(256, 4, 0x90_1D, THREADS).to_text();
-            out.push('\n');
-            out.push_str(
-                &robustness::asynchrony_table(512, &[1.0, 0.5], 5, 0x90_1D, THREADS).to_text(),
-            );
-            out
+            robustness::asynchrony_table(512, &[1.0, 0.5], 5, 0x90_1D, THREADS).to_text()
         }
         "stability" => stability::stability_horizon_table(
             1024,
@@ -78,12 +99,12 @@ fn render(driver: &str) -> String {
                 drift::one_step_drift_table(4096, &[1.0, 2.0, 4.0], 64, 0x90_1D, THREADS).to_text();
             out.push('\n');
             out.push_str(
-                &drift::doubling_regime_table(&[512, 2048], 6, 0x90_1D, THREADS).to_text(),
+                &drift::doubling_regime_table(&[512, 2048, 8192], 6, 0x90_1D, THREADS).to_text(),
             );
             out
         }
         other => panic!("unknown driver '{other}'"),
-    }
+    })
 }
 
 fn main() -> ExitCode {
@@ -122,14 +143,24 @@ fn main() -> ExitCode {
         },
         None => DRIVERS.to_vec(),
     };
-    for driver in selected {
-        let path = out_dir.join(format!("{driver}.txt"));
-        let text = render(driver);
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("{}: {e}", path.display());
-            return ExitCode::FAILURE;
+    let tmp = std::env::temp_dir().join(format!("stabcon-drivers-{}", std::process::id()));
+    let result = std::fs::create_dir_all(&tmp)
+        .map_err(|e| format!("{}: {e}", tmp.display()))
+        .and_then(|()| {
+            selected.into_iter().try_for_each(|driver| {
+                let path = out_dir.join(format!("{driver}.txt"));
+                let text = render(driver, &tmp)?;
+                std::fs::write(&path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
+                eprintln!("wrote {}", path.display());
+                Ok(())
+            })
+        });
+    std::fs::remove_dir_all(&tmp).ok();
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
-        eprintln!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
 }

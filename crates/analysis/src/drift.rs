@@ -12,11 +12,10 @@
 
 use stabcon_core::init::InitialCondition;
 use stabcon_core::runner::SimSpec;
+use stabcon_exp::scaling::{describe_line, fit_loglog_n};
 use stabcon_exp::{chunk_for, run_cell, sweep_stats, CellSpec, HitMetric, TrialObserver};
 use stabcon_par::ThreadPool;
 use stabcon_util::table::{fmt_f64, fmt_sig, Table};
-
-use crate::scaling::{describe_line, fit_loglog_n};
 
 /// The one-step cell for a starting minority load (shared by the driver and
 /// its parity test): one median-rule round from the two-bin state, with the
@@ -111,7 +110,8 @@ pub fn doubling_regime_table(ns: &[usize], trials: u64, seed: u64, threads: usiz
             fmt_f64((n as f64).ln().ln(), 3),
         ]);
     }
-    if pts.len() >= 2 {
+    // Two points always fit a line exactly; a fit needs a third.
+    if pts.len() >= 3 {
         let (ns_f, ts): (Vec<f64>, Vec<f64>) = pts.iter().copied().unzip();
         table.push_note(describe_line(&fit_loglog_n(&ns_f, &ts), "ln ln n"));
     }

@@ -5,9 +5,9 @@
 //! driver executes through `stabcon_exp::sweep_stats` / `stabcon_exp::
 //! run_cell` (streamed per-cell aggregates, trajectory-derived extras via
 //! `stabcon_exp::TrialObserver`); [`run_trials`] survives only as the
-//! *materialized reference implementation* that the per-driver
-//! `campaign_port_is_numerically_unchanged` regression tests pin the
-//! streaming path against — no driver calls it outside tests.
+//! *materialized reference implementation* that the `threshold` and `drift`
+//! `campaign_port_is_numerically_unchanged` tests, and the tests below,
+//! pin the streaming path against — no driver calls it outside tests.
 
 use stabcon_core::runner::{RunResult, SimSpec};
 use stabcon_util::rng::derive_seed;
@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn materialized_sweep_equals_campaign_cell() {
-        // The invariant the figure1/baselines ports rely on: run_trials +
+        // The invariant every driver port relies on: run_trials +
         // from_results is numerically identical to the streaming cell path.
         let spec = SimSpec::new(256).init(InitialCondition::UniformRandom { m: 4 });
         let results = run_trials(&spec, 10, 33, 2);

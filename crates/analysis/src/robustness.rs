@@ -1,73 +1,14 @@
-//! Robustness studies beyond the paper's theorems (its §6 asks for exactly
-//! this): a protocol × adversary tournament and the α-asynchrony ablation.
+//! Robustness beyond the paper's theorems (its §6 asks for exactly this):
+//! the α-asynchrony ablation. The protocol × adversary tournament is the
+//! `robustness-small` campaign preset.
 
-use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::init::InitialCondition;
-use stabcon_core::protocol::ProtocolSpec;
 use stabcon_core::runner::SimSpec;
 use stabcon_exp::sweep_stats;
 use stabcon_par::ThreadPool;
 use stabcon_util::table::Table;
 
 use crate::experiment::{cell, HitMetric};
-use crate::figure1::sqrt_budget;
-
-/// Every protocol against every adversary at `T = √n/4`: mean rounds to
-/// (almost) stability, with the hit rate in parentheses. Executes through
-/// the campaign scheduler (streamed per-pairing aggregates).
-pub fn tournament_table(n: usize, trials: u64, seed: u64, threads: usize) -> Table {
-    let t_budget = sqrt_budget(n);
-    let protocols = [
-        ProtocolSpec::Median,
-        ProtocolSpec::KMedian(4),
-        ProtocolSpec::Majority,
-        ProtocolSpec::Voter,
-        ProtocolSpec::Min,
-    ];
-    let adversaries = [
-        AdversarySpec::None,
-        AdversarySpec::Random,
-        AdversarySpec::Balancer,
-        AdversarySpec::MedianPusher,
-        AdversarySpec::Stubborn,
-    ];
-    let mut headers: Vec<&str> = vec!["protocol \\ adversary"];
-    let labels: Vec<String> = adversaries.iter().map(|a| a.label().to_string()).collect();
-    headers.extend(labels.iter().map(|s| s.as_str()));
-    let mut table = Table::new(
-        format!("Tournament: rounds to (almost) stable consensus, n = {n}, T = {t_budget}"),
-        &headers,
-    );
-    let pool = ThreadPool::new(threads);
-    for p in protocols {
-        let mut row = vec![p.label()];
-        for (ai, &adv) in adversaries.iter().enumerate() {
-            let spec = SimSpec::new(n)
-                .init(InitialCondition::UniformRandom { m: 5 })
-                .protocol(p)
-                .adversary(adv, t_budget)
-                .max_rounds(1500);
-            let stats = sweep_stats(
-                &pool,
-                &spec,
-                trials,
-                seed ^ ((ai as u64) << 24) ^ p.label().len() as u64,
-                HitMetric::AlmostStable,
-            );
-            row.push(format!(
-                "{} ({:.0}%)",
-                cell(stats.mean()),
-                stats.hit_rate() * 100.0
-            ));
-        }
-        table.push_row(row);
-    }
-    table.push_note("the median family tolerates every strategy shown; the min rule looks fast here but is destroyed by revival attacks (E6), and the voter model needs Θ(n) rounds");
-    table.push_note(
-        "curiosity: the stubborn adversary *helps* the voter model by pinning a growing camp",
-    );
-    table
-}
 
 /// α-asynchrony ablation: only an α-fraction of balls updates per round.
 /// The effective per-ball round rate is α, so rounds should scale ≈ 1/α —
@@ -107,54 +48,6 @@ pub fn asynchrony_table(n: usize, alphas: &[f64], trials: u64, seed: u64, thread
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tournament_runs_small() {
-        let t = tournament_table(256, 3, 5, 2);
-        assert_eq!(t.len(), 5);
-        let text = t.to_text();
-        assert!(text.contains("median"), "{text}");
-        assert!(text.contains("stubborn"), "{text}");
-    }
-
-    #[test]
-    fn campaign_port_is_numerically_unchanged() {
-        use crate::experiment::{run_trials, ConvergenceStats};
-        let (n, trials, seed) = (256usize, 3u64, 5u64);
-        let text = tournament_table(n, trials, seed, 2).to_text();
-        let t_budget = sqrt_budget(n);
-        // Spot-check two pairings against the materialized path.
-        for (p, ai, adv) in [
-            (ProtocolSpec::Median, 2usize, AdversarySpec::Balancer),
-            (ProtocolSpec::Voter, 0, AdversarySpec::None),
-        ] {
-            let spec = SimSpec::new(n)
-                .init(InitialCondition::UniformRandom { m: 5 })
-                .protocol(p)
-                .adversary(adv, t_budget)
-                .max_rounds(1500);
-            let legacy = ConvergenceStats::from_results(
-                &run_trials(
-                    &spec,
-                    trials,
-                    seed ^ ((ai as u64) << 24) ^ p.label().len() as u64,
-                    3,
-                ),
-                HitMetric::AlmostStable,
-            );
-            let expected = format!(
-                "{} ({:.0}%)",
-                cell(legacy.mean()),
-                legacy.hit_rate() * 100.0
-            );
-            assert!(
-                text.contains(&expected),
-                "{}/{}: materialized cell '{expected}' missing from\n{text}",
-                p.label(),
-                adv.label()
-            );
-        }
-    }
 
     #[test]
     fn asynchrony_scales_inverse_alpha() {

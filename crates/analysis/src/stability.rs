@@ -15,7 +15,7 @@
 use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::init::InitialCondition;
 use stabcon_core::runner::SimSpec;
-use stabcon_exp::{chunk_for, run_cell, CellSpec, HitMetric, TrialObserver};
+use stabcon_exp::{chunk_for, run_cell, sqrt_budget, CellSpec, HitMetric, TrialObserver};
 use stabcon_par::ThreadPool;
 use stabcon_util::table::Table;
 
@@ -55,7 +55,7 @@ pub fn stability_horizon_table(
     seed: u64,
     threads: usize,
 ) -> Table {
-    let t_budget = crate::figure1::sqrt_budget(n);
+    let t_budget = sqrt_budget(n);
     let lg = (n.max(2) as f64).log2().ceil() as u64;
     let horizon = horizon_mult * lg;
     let mut table = Table::new(
@@ -122,7 +122,7 @@ mod tests {
         // every trial seed by hand, capture with the same observer, fold in
         // trial order, and compare whole aggregates.
         let (n, trials, horizon_mult, seed) = (1024usize, 5u64, 30u64, 3u64);
-        let t_budget = crate::figure1::sqrt_budget(n);
+        let t_budget = sqrt_budget(n);
         let horizon = horizon_mult * (n.max(2) as f64).log2().ceil() as u64;
         for adv in [AdversarySpec::Random, AdversarySpec::Balancer] {
             let cell = horizon_cell(n, adv, trials, horizon, t_budget, seed);

@@ -22,7 +22,10 @@
 //! * [`store`] — the append-only JSONL result store with torn-tail
 //!   recovery; a resumed campaign reproduces the uninterrupted store
 //!   byte-for-byte.
-//! * [`report`] — Figure-1-style tables rendered from a store.
+//! * [`report`] — Figure-1-style tables rendered from a store, with an
+//!   `ln n` fit note per series that spans three or more populations.
+//! * [`scaling`] — the paper's predictors as one-variable regressions
+//!   (`ln n`, `ln ln n`), shared by the report and the `drift` driver.
 //! * [`presets`] — named grids for the `stabcon` CLI
 //!   (`stabcon campaign run/resume/report`).
 //! * [`telemetry`] — observation-only campaign telemetry: live progress,
@@ -43,6 +46,7 @@ pub mod metrics;
 pub mod observer;
 pub mod presets;
 pub mod report;
+pub mod scaling;
 pub mod store;
 pub mod telemetry;
 

@@ -8,10 +8,11 @@ use crate::campaign::{BudgetSpec, CampaignSpec, InitSpec};
 use crate::observer::TrialObserver;
 
 /// Preset names accepted by [`preset`].
-pub const PRESET_NAMES: [&str; 7] = [
+pub const PRESET_NAMES: [&str; 8] = [
     "smoke",
     "figure1-small",
     "figure1",
+    "average-case",
     "duel",
     "theorems",
     "robustness-small",
@@ -25,6 +26,10 @@ pub const PRESET_NAMES: [&str; 7] = [
 ///   all-distinct} × {none, balancer, median-pusher, random} adversaries
 ///   with the canonical `⌊√n/4⌋` budget.
 /// * `figure1` — the same grid at paper scale (n up to 2¹⁶, 100 trials).
+/// * `average-case` — Figure 1 row 3: uniform random starts over
+///   `m ∈ 2..=16` bins at n = 2¹⁴, with and without the random adversary
+///   at the canonical budget. Odd `m` converges in `O(log m + log log n)`
+///   rounds, even `m` needs `Θ(log n)` (Theorem 21).
 /// * `duel` — protocol × adversary robustness grid (median vs 3-majority
 ///   vs voter under balancer/random pressure).
 /// * `theorems` — Theorem 2's constant-`m` grid (E4): `m ∈ {2, 3}` equal
@@ -60,6 +65,18 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
             ns: (10..=16).map(|e| 1usize << e).collect(),
             inits: vec![InitSpec::TwoBinsHalf, InitSpec::AllDistinct],
             adversaries: adversary_axis,
+            ..CampaignSpec::default()
+        }),
+        "average-case" => Some(CampaignSpec {
+            name: "average-case".into(),
+            seed: 0x9A17,
+            trials: 40,
+            ns: vec![1 << 14],
+            inits: (2..=16).map(InitSpec::UniformRandom).collect(),
+            adversaries: vec![
+                (AdversarySpec::None, BudgetSpec::Zero),
+                (AdversarySpec::Random, BudgetSpec::SqrtOver4),
+            ],
             ..CampaignSpec::default()
         }),
         "duel" => Some(CampaignSpec {
@@ -142,6 +159,9 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{chunk_for, run_cell};
+    use crate::HitMetric;
+    use stabcon_par::ThreadPool;
 
     #[test]
     fn every_preset_expands() {
@@ -165,6 +185,10 @@ mod tests {
         assert!(cells
             .iter()
             .all(|c| c.metric == crate::HitMetric::AlmostStable));
+
+        let average = preset("average-case").expect("preset");
+        // One population × 15 values of m × {none, random}.
+        assert_eq!(average.expand().len(), 15 * 2);
 
         let robustness = preset("robustness-small").expect("preset");
         // 2 populations × 5 protocols × 5 adversaries.
@@ -196,5 +220,41 @@ mod tests {
         let spec = preset("figure1-small").expect("preset");
         assert_eq!(spec.ns, vec![256, 512, 1024]);
         assert_eq!(spec.expand().len(), 3 * 2 * 4);
+    }
+
+    #[test]
+    fn average_case_parity_gap() {
+        // Theorem 21 at reduced scale: with no adversary, an even number of
+        // uniform bins leaves the median on a knife edge (Θ(log n)), while an
+        // odd number hands the middle bin a head start.
+        const N: usize = 1 << 10;
+        const MARGIN: f64 = 0.2;
+        let spec = CampaignSpec {
+            ns: vec![N],
+            trials: 16,
+            ..preset("average-case").expect("preset")
+        };
+        let cells = spec.expand();
+        let pool = ThreadPool::new(2);
+        let (mut odd, mut even) = (Vec::new(), Vec::new());
+        // One population: the cells are init-major, one per adversary.
+        for (init, cells) in spec.inits.iter().zip(cells.chunks(spec.adversaries.len())) {
+            let cell = &cells[0];
+            assert_eq!(cell.metric, HitMetric::Consensus, "no-adversary cell first");
+            let agg = run_cell(&pool, cell, chunk_for(cell.trials, pool.threads()));
+            let mean = agg.convergence(cell.metric).mean();
+            match init {
+                InitSpec::UniformRandom(m) if m % 2 == 0 => even.push(mean),
+                InitSpec::UniformRandom(_) => odd.push(mean),
+                other => panic!("unexpected init {other:?}"),
+            }
+        }
+        let avg = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let ratio = avg(&even) / avg(&odd);
+        assert!(
+            ratio > 1.0 + MARGIN,
+            "mean(even m) / mean(odd m) = {ratio:.3} at n = {N}, expected > 1 + {MARGIN} \
+             (even {even:?}, odd {odd:?})"
+        );
     }
 }

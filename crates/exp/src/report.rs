@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use stabcon_util::jsonl::{get, FlatObject, JsonScalar};
 use stabcon_util::table::{fmt_sig, Table};
 
+use crate::scaling::{describe_line, fit_log_n};
 use crate::store::LoadedStore;
 
 /// Label columns shown when present in the records, in order.
@@ -75,8 +76,55 @@ fn percent(obj: &FlatObject, key: &str) -> String {
     }
 }
 
+/// One `T ≈ a + b·ln n` note per series. A series is the cells that share
+/// every axis label except `n` and `T`, plus the metric; it is named by the
+/// labels that vary across the store (the metric always). Only a series
+/// with finite means at three or more distinct `n` gets a note: two points
+/// always fit a line exactly, and a 0%-hit cell (null mean) never enters a
+/// fit.
+fn fit_notes(cells: &[FlatObject], axes: &[&str]) -> Vec<String> {
+    let keys: Vec<&str> = axes
+        .iter()
+        .copied()
+        .filter(|k| !matches!(*k, "n" | "T"))
+        .filter(|k| cells.iter().any(|c| get(c, k) != get(&cells[0], k)))
+        .chain(["metric"])
+        .collect();
+    let points: Vec<(String, f64, f64)> = cells
+        .iter()
+        .filter_map(|obj| {
+            let n = get(obj, "n")?.as_str()?.parse::<f64>().ok()?;
+            let mean = get(obj, "mean")?.as_f64().filter(|m| m.is_finite())?;
+            let name: Vec<String> = keys.iter().map(|k| cell_text(obj, k)).collect();
+            Some((name.join(" · "), n, mean))
+        })
+        .collect();
+    let mut names: Vec<&str> = Vec::new();
+    for (name, _, _) in &points {
+        if !names.contains(&name.as_str()) {
+            names.push(name);
+        }
+    }
+    names
+        .into_iter()
+        .filter_map(|name| {
+            let (ns, ts): (Vec<f64>, Vec<f64>) = points
+                .iter()
+                .filter(|(s, _, _)| s == name)
+                .map(|&(_, n, t)| (n, t))
+                .unzip();
+            let mut distinct = ns.clone();
+            distinct.sort_by(f64::total_cmp);
+            distinct.dedup();
+            (distinct.len() >= 3)
+                .then(|| format!("{name}: {}", describe_line(&fit_log_n(&ns, &ts), "ln n")))
+        })
+        .collect()
+}
+
 /// The Figure-1-style campaign table: one row per completed cell, axis
-/// labels plus hit rate and hitting-time summary.
+/// labels plus hit rate and hitting-time summary, with an `ln n` fit note
+/// per series that spans three or more populations.
 pub fn report_table(loaded: &LoadedStore) -> Table {
     report_table_with_timings(loaded, None)
 }
@@ -161,6 +209,9 @@ pub fn report_table_with_timings(
         }
         table.push_row(row);
     }
+    for note in fit_notes(&loaded.cells, &axes) {
+        table.push_note(note);
+    }
     if let Some(h) = &loaded.header {
         let present: std::collections::BTreeSet<u64> = loaded.done_ids().into_iter().collect();
         if (present.len() as u64) < h.cells {
@@ -184,7 +235,70 @@ mod tests {
     use super::*;
     use crate::campaign::{run_campaign, CampaignSpec, RunConfig};
     use crate::observer::TrialObserver;
-    use crate::store;
+    use crate::store::{self, LoadedStore};
+    use stabcon_util::jsonl::parse_flat;
+
+    /// A headerless store of `(n, init, mean)` cells; `None` is a 0%-hit
+    /// cell, whose summary fields are null.
+    fn synthetic(cells: &[(u64, &str, Option<f64>)]) -> LoadedStore {
+        let cells = cells
+            .iter()
+            .enumerate()
+            .map(|(id, &(n, init, mean))| {
+                let mean = mean.map_or("null".to_string(), |m| m.to_string());
+                parse_flat(&format!(
+                    "{{\"kind\":\"cell\",\"cell\":{id},\"metric\":\"consensus\",\
+                     \"n\":\"{n}\",\"init\":\"{init}\",\"mean\":{mean}}}"
+                ))
+                .expect("parse")
+            })
+            .collect();
+        LoadedStore {
+            cells,
+            ..LoadedStore::default()
+        }
+    }
+
+    fn fit_note_count(loaded: &LoadedStore) -> usize {
+        report_table(loaded)
+            .to_text()
+            .lines()
+            .filter(|l| l.contains("·ln n"))
+            .count()
+    }
+
+    #[test]
+    fn fit_notes_need_three_populations_with_hits() {
+        let three_ns = synthetic(&[
+            (256, "a", Some(10.0)),
+            (256, "b", Some(20.0)),
+            (512, "a", Some(11.0)),
+            (512, "b", Some(22.0)),
+            (1024, "a", Some(12.0)),
+            (1024, "b", Some(24.0)),
+        ]);
+        assert_eq!(fit_note_count(&three_ns), 2, "one note per series");
+        let text = report_table(&three_ns).to_text();
+        assert!(text.contains("a · consensus: T ≈"), "{text}");
+        assert!(text.contains("b · consensus: T ≈"), "{text}");
+
+        let two_ns = synthetic(&[
+            (256, "a", Some(10.0)),
+            (256, "b", Some(20.0)),
+            (512, "a", Some(11.0)),
+            (512, "b", Some(22.0)),
+        ]);
+        assert_eq!(fit_note_count(&two_ns), 0, "two points are no fit");
+
+        let zero_hit = synthetic(&[
+            (256, "a", Some(10.0)),
+            (512, "a", None),
+            (1024, "a", Some(12.0)),
+        ]);
+        let text = report_table(&zero_hit).to_text();
+        assert!(text.contains('—'), "0%-hit cell renders as a dash:\n{text}");
+        assert_eq!(fit_note_count(&zero_hit), 0, "{text}");
+    }
 
     #[test]
     fn id_ranges_compress_and_cap() {

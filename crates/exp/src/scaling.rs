@@ -2,8 +2,10 @@
 //!
 //! The reproduction never expects to match absolute constants — the claim
 //! under test is always the *functional form*: is the measured time linear
-//! in `log n`? In `log log n`? In `log m`? The fits here return `R²` so
-//! tables can print goodness-of-fit next to slopes.
+//! in `log n`? In `log log n`? The fits here return `R²` so tables can
+//! print goodness-of-fit next to slopes. [`crate::report`] fits `ln n` per
+//! series of a campaign store; the `drift` driver in `stabcon-analysis`
+//! fits `ln ln n`.
 
 use stabcon_util::stats::{fit_line, LineFit};
 
@@ -16,12 +18,6 @@ pub fn fit_log_n(ns: &[f64], times: &[f64]) -> LineFit {
 /// Fit `T = a + b·ln ln n`.
 pub fn fit_loglog_n(ns: &[f64], times: &[f64]) -> LineFit {
     let xs: Vec<f64> = ns.iter().map(|&n| n.ln().ln()).collect();
-    fit_line(&xs, times)
-}
-
-/// Fit `T = a + b·ln m` (average-case odd m at fixed n).
-pub fn fit_log_m(ms: &[f64], times: &[f64]) -> LineFit {
-    let xs: Vec<f64> = ms.iter().map(|&m| m.ln()).collect();
     fit_line(&xs, times)
 }
 

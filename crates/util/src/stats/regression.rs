@@ -1,7 +1,7 @@
 //! Least-squares line fits for the scaling laws.
 //!
-//! The experiment harness regresses measured convergence times against one
-//! of the paper's predictors at a time: `log n`, `log m` or `log log n`.
+//! The experiment harness regresses measured convergence times against
+//! one of the paper's predictors at a time: `log n` or `log log n`.
 
 /// A simple-line fit `y = intercept + slope·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -12,12 +12,15 @@
 //!   baselines), adversaries, and three interchangeable engines;
 //! * [`net`] (`stabcon-net`) — the synchronous anonymous message-passing
 //!   model with logarithmic inbox caps;
-//! * [`analysis`] (`stabcon-analysis`) — parallel experiment sweeps,
-//!   convergence statistics, scaling fits, paper-table generators;
+//! * [`analysis`] (`stabcon-analysis`) — convergence statistics and the
+//!   paper-table drivers no campaign preset covers (threshold, baselines,
+//!   drift, stability, α-asynchrony);
 //! * [`exp`] (`stabcon-exp`) — campaign orchestration: declarative grids,
 //!   parallel execution, streaming aggregation, a checkpoint/resume JSONL
-//!   result store, the `serve`/`work` fabric that spreads a campaign over
-//!   hosts, and the `stabcon` CLI (`stabcon campaign run/resume/report`);
+//!   result store, the presets and report tables behind Figure 1 and
+//!   Theorem 2, scaling fits, the `serve`/`work` fabric that spreads a
+//!   campaign over hosts, and the `stabcon` CLI (`stabcon campaign
+//!   run/resume/report`);
 //! * [`util`] (`stabcon-util`) — RNGs, random variates, statistics,
 //!   JSON/JSONL, tables;
 //! * [`par`] (`stabcon-par`) — the thread-pool / parallel-map executor.
@@ -46,4 +49,5 @@ pub use stabcon_util as util;
 pub mod prelude {
     pub use stabcon_analysis::prelude::*;
     pub use stabcon_core::prelude::*;
+    pub use stabcon_exp::scaling::{fit_log_n, fit_loglog_n};
 }
