@@ -11,7 +11,7 @@
 //!
 //! * `threshold`, `baselines`, `robustness` (α-asynchrony), `stability`,
 //!   `drift` — the `stabcon-analysis` tables;
-//! * `campaign-figure1-small`, `campaign-theorems`,
+//! * `campaign-figure1-small`, `campaign-average-case`, `campaign-theorems`,
 //!   `campaign-robustness-small` — the preset run through the same calls as
 //!   `stabcon campaign run --preset P` then `stabcon campaign report`
 //!   (`run_campaign` → `store::load` → `report_table`). The store and its
@@ -31,13 +31,14 @@ use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::{presets, report, store};
 
 /// All output names, in output order.
-const DRIVERS: [&str; 8] = [
+const DRIVERS: [&str; 9] = [
     "threshold",
     "baselines",
     "robustness",
     "stability",
     "drift",
     "campaign-figure1-small",
+    "campaign-average-case",
     "campaign-theorems",
     "campaign-robustness-small",
 ];

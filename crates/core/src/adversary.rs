@@ -8,36 +8,56 @@
 //! raw state, they go through a [`Corruptor`] (dense engines) or
 //! [`HistCorruptor`] (histogram engine) that refuses over-budget writes and
 //! out-of-set values. A strategy cannot cheat even if buggy.
-
-use std::collections::HashMap;
+//!
+//! The [`Corruptor`] also keeps the runner's [`LoadCounts`]: every accepted
+//! write is one load move, and strategies read loads and the lower median
+//! from it instead of recounting the state. On the ranked path the state,
+//! the allowed set and every write are ranks; every strategy uses values
+//! only through order and equality, so it flips the same balls either way.
 
 use rand::RngCore;
 use stabcon_util::rng::gen_index;
 
+use crate::engine::adaptive::LoadCounts;
 use crate::value::{Value, ValueSet};
 
 // ---------------------------------------------------------------------------
 // Dense corruption API
 // ---------------------------------------------------------------------------
 
-/// Budget- and validity-enforcing write handle over dense state.
+/// Budget- and validity-enforcing write handle over dense state, which
+/// keeps the state's [`LoadCounts`] in step with every write.
 pub struct Corruptor<'a> {
     state: &'a mut [Value],
+    loads: &'a mut LoadCounts,
     allowed: &'a ValueSet,
     budget: u64,
-    /// Touched process → its value *before* the first corrupting write this
-    /// round (lets the runner maintain incremental load counts).
-    touched: HashMap<u32, Value>,
+    /// One bit per process: written this round.
+    touched: &'a mut Vec<u64>,
+    /// Processes written this round.
+    count: u64,
 }
 
 impl<'a> Corruptor<'a> {
-    /// Wrap `state` with budget `T` and the initial-value-set constraint.
-    pub fn new(state: &'a mut [Value], allowed: &'a ValueSet, budget: u64) -> Self {
+    /// Wrap `state` and its `loads` with budget `T` and the initial-value-set
+    /// constraint. `touched` is a caller-parked bitmap, cleared here, that
+    /// marks this round's writes, so a warm round allocates nothing.
+    pub fn new(
+        state: &'a mut [Value],
+        loads: &'a mut LoadCounts,
+        allowed: &'a ValueSet,
+        budget: u64,
+        touched: &'a mut Vec<u64>,
+    ) -> Self {
+        touched.clear();
+        touched.resize(state.len().div_ceil(64), 0);
         Self {
             state,
+            loads,
             allowed,
             budget,
-            touched: HashMap::new(),
+            touched,
+            count: 0,
         }
     }
 
@@ -51,19 +71,25 @@ impl<'a> Corruptor<'a> {
         self.state[i]
     }
 
-    /// Read-only view of the whole state.
-    pub fn values(&self) -> &[Value] {
-        self.state
+    /// Balls currently holding `v`.
+    pub fn load(&self, v: Value) -> u64 {
+        self.loads.count_of(v)
+    }
+
+    /// The lower median of the state, `sorted[(n − 1) / 2]`: the first
+    /// value whose cumulative load reaches `⌈n/2⌉`.
+    pub fn lower_median(&self) -> Value {
+        self.loads.observe().median_value
     }
 
     /// Distinct processes still corruptible this round.
     pub fn remaining(&self) -> u64 {
-        self.budget - self.touched.len() as u64
+        self.budget - self.count
     }
 
     /// Processes changed so far this round.
     pub fn touched(&self) -> u64 {
-        self.touched.len() as u64
+        self.count
     }
 
     /// Attempt to set process `i` to `v`. Returns `false` (state untouched)
@@ -77,31 +103,22 @@ impl<'a> Corruptor<'a> {
         if !self.allowed.contains(v) {
             return false;
         }
-        if self.touched.contains_key(&(i as u32)) {
-            self.state[i] = v;
-            return true;
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if self.touched[word] & bit == 0 {
+            if self.count >= self.budget {
+                return false;
+            }
+            self.touched[word] |= bit;
+            self.count += 1;
         }
-        if (self.touched.len() as u64) < self.budget {
-            self.touched.insert(i as u32, self.state[i]);
-            self.state[i] = v;
-            return true;
-        }
-        false
+        self.loads.record_move(self.state[i], v);
+        self.state[i] = v;
+        true
     }
 
     /// The allowed (initial) value set.
     pub fn allowed(&self) -> &ValueSet {
         self.allowed
-    }
-
-    /// The net effect of this round's corruption: `(process, before, after)`
-    /// for every touched process. Processes written back to their original
-    /// value still appear (with `before == after`); consumers should treat
-    /// those as no-ops.
-    pub fn changes(&self) -> impl Iterator<Item = (usize, Value, Value)> + '_ {
-        self.touched
-            .iter()
-            .map(|(&i, &before)| (i as usize, before, self.state[i as usize]))
     }
 }
 
@@ -162,20 +179,12 @@ impl Adversary for TwoBinBalancer {
         "balancer"
     }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
-        // Count loads over the allowed values.
-        let allowed = c.allowed().values().to_vec();
-        let mut loads: Vec<(Value, u64)> = allowed.iter().map(|&v| (v, 0)).collect();
-        for &v in c.values() {
-            if let Ok(idx) = allowed.binary_search(&v) {
-                loads[idx].1 += 1;
-            }
-        }
-        // Two most loaded allowed values.
-        loads.sort_by_key(|&(_, load)| std::cmp::Reverse(load));
-        let (big, big_load) = loads[0];
-        let (small, small_load) = match loads.get(1) {
-            Some(&(v, l)) => (v, l),
-            None => return, // single allowed value: nothing to balance
+        // Two most loaded allowed values; an empty one still counts.
+        let allowed = c.allowed().values().iter();
+        let Some(((big, big_load), (small, small_load))) =
+            top_two(allowed.map(|&v| (v, c.load(v))))
+        else {
+            return; // single allowed value: nothing to balance
         };
         if big_load <= small_load {
             return;
@@ -195,6 +204,28 @@ impl Adversary for TwoBinBalancer {
             }
         }
     }
+}
+
+/// The two most loaded of value-ascending `(value, load)` bins, ties to the
+/// smaller value (the first two after a stable sort by descending load);
+/// `None` with fewer than two bins.
+fn top_two(bins: impl Iterator<Item = (Value, u64)>) -> Option<((Value, u64), (Value, u64))> {
+    let mut top: Option<(Value, u64)> = None;
+    let mut second = None;
+    for (v, load) in bins {
+        match top {
+            Some((_, t)) if load <= t => {
+                if second.is_none_or(|(_, s)| load > s) {
+                    second = Some((v, load));
+                }
+            }
+            _ => {
+                second = top;
+                top = Some((v, load));
+            }
+        }
+    }
+    top.zip(second)
 }
 
 /// The §1.1 minimum-rule killer: first erase every holder of the smallest
@@ -245,10 +276,7 @@ impl Adversary for MedianPusher {
         "median-pusher"
     }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
-        // Current median value (recomputed from live state).
-        let mut sorted: Vec<Value> = c.values().to_vec();
-        sorted.sort_unstable();
-        let median = sorted[(sorted.len() - 1) / 2];
+        let median = c.lower_median();
         let lo = c.allowed().min();
         let hi = c.allowed().max();
         if lo == hi {
@@ -438,20 +466,17 @@ impl HistAdversary for HistBalancer {
         "balancer"
     }
     fn corrupt(&mut self, _round: u64, c: &mut HistCorruptor<'_>, _rng: &mut dyn RngCore) {
-        let mut loads: Vec<(Value, u64)> = c.loads().to_vec();
-        if loads.len() < 2 {
+        let Some(((big, big_load), (small, small_load))) = top_two(c.loads().iter().copied())
+        else {
             // Try to resurrect a second allowed value if the budget allows.
-            if let Some(&(only, _)) = loads.first() {
+            if let Some(&(only, _)) = c.loads().first() {
                 if let Some(&other) = c.allowed().values().iter().find(|&&v| v != only) {
                     let want = c.remaining();
                     c.move_balls(only, other, want);
                 }
             }
             return;
-        }
-        loads.sort_by_key(|&(_, load)| std::cmp::Reverse(load));
-        let (big, big_load) = loads[0];
-        let (small, small_load) = loads[1];
+        };
         if big_load > small_load {
             let flips = (big_load - small_load) / 2;
             c.move_balls(big, small, flips);
@@ -496,43 +521,63 @@ mod tests {
         (values, set)
     }
 
+    /// Run `f` on a [`Corruptor`] over `state` with fresh value-space loads,
+    /// then check the loads it kept against a recount of the state.
+    fn with_corruptor<R>(
+        state: &mut [Value],
+        set: &ValueSet,
+        budget: u64,
+        f: impl FnOnce(&mut Corruptor<'_>) -> R,
+    ) -> R {
+        let mut loads = LoadCounts::rebuild(None, state, false);
+        let mut touched = Vec::new();
+        let mut c = Corruptor::new(state, &mut loads, set, budget, &mut touched);
+        let out = f(&mut c);
+        assert_eq!(loads, LoadCounts::rebuild(None, state, false), "loads kept");
+        out
+    }
+
     #[test]
     fn corruptor_enforces_budget() {
         let (mut state, set) = setup(vec![0, 0, 0, 0, 1, 1]);
-        let mut c = Corruptor::new(&mut state, &set, 2);
-        assert!(c.try_set(0, 1));
-        assert!(c.try_set(1, 1));
-        assert!(!c.try_set(2, 1), "third distinct process must be refused");
-        assert_eq!(c.touched(), 2);
+        with_corruptor(&mut state, &set, 2, |c| {
+            assert!(c.try_set(0, 1));
+            assert!(c.try_set(1, 1));
+            assert!(!c.try_set(2, 1), "third distinct process must be refused");
+            assert_eq!(c.touched(), 2);
+        });
         assert_eq!(state, vec![1, 1, 0, 0, 1, 1]);
     }
 
     #[test]
     fn corruptor_enforces_value_set() {
         let (mut state, set) = setup(vec![0, 1]);
-        let mut c = Corruptor::new(&mut state, &set, 10);
-        assert!(!c.try_set(0, 99), "99 not an initial value");
-        assert!(c.try_set(0, 1));
+        with_corruptor(&mut state, &set, 10, |c| {
+            assert!(!c.try_set(0, 99), "99 not an initial value");
+            assert!(c.try_set(0, 1));
+        });
         assert_eq!(state, vec![1, 1]);
     }
 
     #[test]
     fn corruptor_noop_writes_are_free() {
         let (mut state, set) = setup(vec![0, 1]);
-        let mut c = Corruptor::new(&mut state, &set, 1);
-        assert!(c.try_set(0, 0), "same-value write is free");
-        assert_eq!(c.touched(), 0);
-        assert!(c.try_set(1, 0));
-        assert_eq!(c.touched(), 1);
+        with_corruptor(&mut state, &set, 1, |c| {
+            assert!(c.try_set(0, 0), "same-value write is free");
+            assert_eq!(c.touched(), 0);
+            assert!(c.try_set(1, 0));
+            assert_eq!(c.touched(), 1);
+        });
     }
 
     #[test]
     fn corruptor_retouching_is_free() {
         let (mut state, set) = setup(vec![0, 1, 0, 1]);
-        let mut c = Corruptor::new(&mut state, &set, 1);
-        assert!(c.try_set(0, 1));
-        assert!(c.try_set(0, 0), "retouching the same process is free");
-        assert_eq!(c.touched(), 1);
+        with_corruptor(&mut state, &set, 1, |c| {
+            assert!(c.try_set(0, 1));
+            assert!(c.try_set(0, 0), "retouching the same process is free");
+            assert_eq!(c.touched(), 1);
+        });
     }
 
     #[test]
@@ -540,8 +585,7 @@ mod tests {
         let (mut state, set) = setup(vec![0, 0, 0, 0, 0, 0, 1, 1]);
         let mut rng = Xoshiro256pp::seed(1);
         let mut adv = TwoBinBalancer;
-        let mut c = Corruptor::new(&mut state, &set, 10);
-        adv.corrupt(0, &mut c, &mut rng);
+        with_corruptor(&mut state, &set, 10, |c| adv.corrupt(0, c, &mut rng));
         let zeros = state.iter().filter(|&&v| v == 0).count();
         let ones = state.iter().filter(|&&v| v == 1).count();
         assert_eq!(zeros, 4);
@@ -553,10 +597,25 @@ mod tests {
         let (mut state, set) = setup(vec![0; 100].into_iter().chain(vec![1; 10]).collect());
         let mut rng = Xoshiro256pp::seed(2);
         let mut adv = TwoBinBalancer;
-        let mut c = Corruptor::new(&mut state, &set, 5);
-        adv.corrupt(0, &mut c, &mut rng);
+        with_corruptor(&mut state, &set, 5, |c| adv.corrupt(0, c, &mut rng));
         let ones = state.iter().filter(|&&v| v == 1).count();
         assert_eq!(ones, 15, "exactly budget-many flips");
+    }
+
+    #[test]
+    fn balancer_picks_top_two_in_stable_order() {
+        // Ties go to the smaller value, and an empty allowed bin still
+        // counts as a candidate: 0 holds 6, 1 and 2 hold none.
+        let set = ValueSet::from_values(&[0, 1, 2]);
+        let mut state = vec![0; 6];
+        let mut rng = Xoshiro256pp::seed(10);
+        let mut adv = TwoBinBalancer;
+        with_corruptor(&mut state, &set, 10, |c| adv.corrupt(0, c, &mut rng));
+        assert_eq!(state, vec![1, 1, 1, 0, 0, 0]);
+        // Loads 6, 2, 2: the second bin is the smaller of the tied pair.
+        let mut state = vec![0, 0, 0, 0, 0, 0, 1, 1, 2, 2];
+        with_corruptor(&mut state, &set, 10, |c| adv.corrupt(0, c, &mut rng));
+        assert_eq!(state, vec![1, 1, 0, 0, 0, 0, 1, 1, 2, 2]);
     }
 
     #[test]
@@ -564,26 +623,26 @@ mod tests {
         let (mut state, set) = setup(vec![0, 0, 1, 1, 1, 1]);
         let mut rng = Xoshiro256pp::seed(3);
         let mut adv = Reviver { revive_at: 5 };
-        {
-            let mut c = Corruptor::new(&mut state, &set, 10);
-            adv.corrupt(0, &mut c, &mut rng);
-        }
+        with_corruptor(&mut state, &set, 10, |c| adv.corrupt(0, c, &mut rng));
         assert!(
             state.iter().all(|&v| v == 1),
             "victim value erased: {state:?}"
         );
         // Rounds in between do nothing.
-        {
-            let mut c = Corruptor::new(&mut state, &set, 10);
-            adv.corrupt(3, &mut c, &mut rng);
-        }
+        with_corruptor(&mut state, &set, 10, |c| adv.corrupt(3, c, &mut rng));
         assert!(state.iter().all(|&v| v == 1));
         // Revival.
-        {
-            let mut c = Corruptor::new(&mut state, &set, 10);
-            adv.corrupt(5, &mut c, &mut rng);
-        }
+        with_corruptor(&mut state, &set, 10, |c| adv.corrupt(5, c, &mut rng));
         assert_eq!(state.iter().filter(|&&v| v == 0).count(), 1);
+    }
+
+    #[test]
+    fn lower_median_matches_a_sorted_copy() {
+        let (mut state, set) = setup(vec![5, 1, 9, 9, 2, 7, 1, 9]);
+        let mut sorted = state.clone();
+        sorted.sort_unstable();
+        let median = with_corruptor(&mut state, &set, 0, |c| c.lower_median());
+        assert_eq!(median, sorted[(sorted.len() - 1) / 2]);
     }
 
     #[test]
@@ -591,8 +650,7 @@ mod tests {
         let (mut state, set) = setup(vec![0, 5, 5, 5, 9]);
         let mut rng = Xoshiro256pp::seed(4);
         let mut adv = MedianPusher;
-        let mut c = Corruptor::new(&mut state, &set, 2);
-        adv.corrupt(0, &mut c, &mut rng);
+        with_corruptor(&mut state, &set, 2, |c| adv.corrupt(0, c, &mut rng));
         let fives = state.iter().filter(|&&v| v == 5).count();
         assert_eq!(fives, 1, "two median balls pushed out: {state:?}");
         for &v in &state {
@@ -605,8 +663,7 @@ mod tests {
         let (mut state, set) = setup(vec![5, 5, 5, 5, 5, 5, 1, 1]);
         let mut rng = Xoshiro256pp::seed(8);
         let mut adv = StubbornSet;
-        let mut c = Corruptor::new(&mut state, &set, 3);
-        adv.corrupt(0, &mut c, &mut rng);
+        with_corruptor(&mut state, &set, 3, |c| adv.corrupt(0, c, &mut rng));
         // Budget 3: the first three non-holders of value 1 get pinned.
         let ones = state.iter().filter(|&&v| v == 1).count();
         assert_eq!(ones, 5, "{state:?}"); // 2 original + 3 pinned
@@ -621,16 +678,14 @@ mod tests {
         for round in 0..3 {
             // Protocol "heals" the stubborn agent between rounds.
             state[0] = 9;
-            let mut c = Corruptor::new(&mut state, &set, 1);
-            adv.corrupt(round, &mut c, &mut rng);
+            with_corruptor(&mut state, &set, 1, |c| adv.corrupt(round, c, &mut rng));
             assert_eq!(state[0], 9, "single allowed value: nothing to assert");
         }
         // With two allowed values the pin is real.
         let (mut state, set) = setup(vec![3, 9, 9, 9]);
         for round in 0..3 {
             state[0] = 9;
-            let mut c = Corruptor::new(&mut state, &set, 1);
-            adv.corrupt(round, &mut c, &mut rng);
+            with_corruptor(&mut state, &set, 1, |c| adv.corrupt(round, c, &mut rng));
             assert_eq!(state[0], 3, "round {round}: stubborn pin lost");
         }
     }
@@ -657,8 +712,7 @@ mod tests {
         let before = state.clone();
         let mut rng = Xoshiro256pp::seed(5);
         let mut adv = RandomCorruptor;
-        let mut c = Corruptor::new(&mut state, &set, 3);
-        adv.corrupt(0, &mut c, &mut rng);
+        with_corruptor(&mut state, &set, 3, |c| adv.corrupt(0, c, &mut rng));
         let changed = state.iter().zip(&before).filter(|(a, b)| a != b).count();
         assert!(changed <= 3, "budget violated: {changed}");
         for &v in &state {

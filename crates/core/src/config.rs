@@ -37,18 +37,6 @@ impl Config {
         &self.values
     }
 
-    /// Mutable view (used by adversaries through the corruptor and by
-    /// engines through the runner).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
-    }
-
-    /// Consume into the raw vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Bin loads, ascending by value.
     pub fn counts(&self) -> Vec<(Value, u64)> {
         let mut map: BTreeMap<Value, u64> = BTreeMap::new();

@@ -21,8 +21,7 @@
 //!
 //! The incremental histogram also powers the runner's per-round observables
 //! ([`crate::runner::RoundObs`]): support, plurality, median, and imbalance
-//! fall out of one `O(m)` walk instead of the previous `O(n)` hash-map
-//! rebuild over the full state.
+//! fall out of one `O(m)` walk over the live bins.
 
 use std::collections::BTreeMap;
 
@@ -39,7 +38,7 @@ pub const DEFAULT_HANDOFF_SUPPORT: usize = 64;
 ///
 /// Updates are `O(log m)` per *changed* ball (balls that keep their value
 /// cost one comparison), observables are one `O(m)` ordered walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IncrementalHistogram {
     counts: BTreeMap<Value, u64>,
     n: u64,
@@ -48,10 +47,7 @@ pub struct IncrementalHistogram {
 impl IncrementalHistogram {
     /// Count a full state vector (`O(n)`; done once per trial).
     pub fn from_values(state: &[Value]) -> Self {
-        let mut this = Self {
-            counts: BTreeMap::new(),
-            n: 0,
-        };
+        let mut this = Self::default();
         this.rebuild_from(state);
         this
     }
@@ -104,28 +100,9 @@ impl IncrementalHistogram {
         *self.counts.entry(to).or_insert(0) += 1;
     }
 
-    /// Fold in one engine round: every ball whose value changed between
-    /// `old` and `new` moves. Cost is one pass of comparisons plus
-    /// `O(log m)` per changed ball — near consensus almost nothing changes,
-    /// which is exactly when rounds are most numerous.
-    pub fn apply_step(&mut self, old: &[Value], new: &[Value]) {
-        debug_assert_eq!(old.len(), new.len());
-        for (&o, &n) in old.iter().zip(new) {
-            if o != n {
-                self.record_move(o, n);
-            }
-        }
-    }
-
-    /// Snapshot as an immutable [`Histogram`] (the handoff point).
-    pub fn to_histogram(&self) -> Histogram {
-        let pairs: Vec<(Value, u64)> = self.counts.iter().map(|(&v, &c)| (v, c)).collect();
-        Histogram::new(&pairs)
-    }
-
-    /// Derive the round observables in one ordered `O(m)` walk.
-    pub fn observe(&self) -> RoundObs {
-        observe_bins(self.n, self.counts.iter().map(|(&v, &c)| (v, c)))
+    /// The live `(value, load)` pairs, value-ascending.
+    pub fn live_bins_iter(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
+        self.counts.iter().map(|(&v, &c)| (v, c))
     }
 }
 
@@ -134,150 +111,55 @@ pub fn observe_histogram(h: &Histogram) -> RoundObs {
     observe_bins(h.n(), h.bins().iter().copied())
 }
 
-/// Linear-probe insert of `rank` for a value known to be absent — the one
-/// probe loop shared by [`RankedCounts::rebuild_from`]'s grow-rehash and
-/// its final re-key.
-#[inline]
-fn insert_rank(table: &mut [u32], shift: u32, mask: usize, v: Value, rank: u32) {
-    let mut slot = (RankedCounts::hash(v) >> shift) as usize & mask;
-    while table[slot] != 0 {
-        slot = (slot + 1) & mask;
-    }
-    table[slot] = rank + 1;
-}
-
-/// Rank-indexed load counts over a *fixed* value universe — the fast
+/// Load counts over a *fixed* value universe in rank space — the
 /// maintainer for validity-preserving protocols, where every value a ball
 /// can ever hold comes from the initial set.
 ///
-/// Values are mapped to their rank in the sorted initial set through a small
-/// open-addressing hash table (multiply-shift, linear probing), so one ball
-/// move costs two O(1) lookups and two array bumps — roughly an order of
-/// magnitude cheaper than a tree or SipHash map update, which is what makes
-/// per-round maintenance affordable mid-trial when most balls move.
-#[derive(Debug, Clone, Default)]
+/// Such rules (and every adversary strategy) use values only through order
+/// and equality, so the trial runs on ranks: [`RankedCounts::rebuild_from`]
+/// relabels the state to `0..m` in place, a ball move is two array bumps
+/// at `counts[rank]`, and values come back only at the trial's edges
+/// through [`LoadCounts::value_of`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankedCounts {
-    /// Sorted distinct values of the universe (rank → value).
+    /// Sorted distinct initial values (rank → value).
     values: Vec<Value>,
-    /// Load per rank (same order as `values`).
+    /// Load per rank.
     counts: Vec<u64>,
-    /// Open-addressing table: slot → rank+1, 0 = empty. Power-of-two size.
-    table: Vec<u32>,
-    /// `table.len() - 1`.
-    mask: usize,
-    /// Multiply-shift: home slot = (v · K) >> shift (top bits of the hash).
-    shift: u32,
     /// Number of ranks with a nonzero load.
     support: usize,
     n: u64,
-    /// Rebuild scratch: `(value, load)` pairs co-sorted between passes.
-    pairs_scratch: Vec<(Value, u64)>,
 }
 
 impl RankedCounts {
-    /// Build from the initial state (`O(n + m log m)`; once per trial).
-    pub fn from_values(state: &[Value]) -> Self {
-        let mut this = Self::default();
-        this.rebuild_from(state);
-        this
-    }
-
-    /// Recount a fresh trial's state, reusing every internal buffer
-    /// (`values`, the open-addressing `table`, `counts`): the per-trial
-    /// path of workspace reuse. Unlike the seed construction this never
-    /// sorts the full state — distinct values are discovered through the
-    /// probe table in one `O(n)` pass, then only the `m` survivors are
-    /// sorted into rank order.
+    /// Recount a fresh trial's state, reusing every internal buffer. The
+    /// universe is a sorted, deduplicated copy of the state; the state is
+    /// then relabelled in place, `state[i] = rank(state[i])`, which is
+    /// skipped when the universe is already `0..m`.
     ///
     /// # Panics
     /// Panics if `state` is empty.
-    pub fn rebuild_from(&mut self, state: &[Value]) {
+    pub fn rebuild_from(&mut self, state: &mut [Value]) {
         assert!(!state.is_empty(), "RankedCounts: empty state");
         self.n = state.len() as u64;
         self.values.clear();
-        self.counts.clear();
-        self.resize_table(self.table.len().max(8));
-        // Pass 1: discover distinct values (insertion order) and their
-        // loads, growing the table whenever the load factor would pass 1/2.
-        for &v in state {
-            if 2 * (self.values.len() + 1) > self.table.len() {
-                self.resize_table(self.table.len() * 2);
-                for (rank, &u) in self.values.iter().enumerate() {
-                    insert_rank(&mut self.table, self.shift, self.mask, u, rank as u32);
-                }
-            }
-            let mut slot = (Self::hash(v) >> self.shift) as usize & self.mask;
-            loop {
-                let e = self.table[slot];
-                if e == 0 {
-                    self.values.push(v);
-                    self.counts.push(1);
-                    self.table[slot] = self.values.len() as u32;
-                    break;
-                }
-                let rank = (e - 1) as usize;
-                if self.values[rank] == v {
-                    self.counts[rank] += 1;
-                    break;
-                }
-                slot = (slot + 1) & self.mask;
+        self.values.extend_from_slice(state);
+        self.values.sort_unstable();
+        self.values.dedup();
+        let m = self.values.len();
+        // Distinct sorted values are exactly `0..m` iff the largest is m − 1.
+        if self.values[m - 1] as usize != m - 1 {
+            for v in state.iter_mut() {
+                *v = self.values.binary_search(v).expect("value from the state") as Value;
             }
         }
-        // Pass 2: establish rank order (value-ascending) and re-key the
-        // table with the final ranks. The re-key rebuilds at the size a
-        // fresh construction would use, so a huge-universe trial does not
-        // leave every later small trial through the same workspace paying
-        // full-table zeroing passes forever.
-        self.pairs_scratch.clear();
-        self.pairs_scratch
-            .extend(self.values.iter().copied().zip(self.counts.iter().copied()));
-        self.pairs_scratch.sort_unstable_by_key(|&(v, _)| v);
-        self.values.clear();
         self.counts.clear();
-        for &(v, c) in &self.pairs_scratch {
-            self.values.push(v);
-            self.counts.push(c);
-        }
-        self.resize_table((2 * self.values.len()).next_power_of_two().max(8));
-        for (rank, &v) in self.values.iter().enumerate() {
-            insert_rank(&mut self.table, self.shift, self.mask, v, rank as u32);
+        self.counts.resize(m, 0);
+        for &r in state.iter() {
+            self.counts[r as usize] += 1;
         }
         // Every universe value came from the state, so all loads are ≥ 1.
-        self.support = self.values.len();
-    }
-
-    /// Zero the probe table at `table_len` slots (a power of two) and
-    /// refresh the derived hash parameters.
-    fn resize_table(&mut self, table_len: usize) {
-        debug_assert!(table_len.is_power_of_two());
-        self.table.clear();
-        self.table.resize(table_len, 0);
-        self.mask = table_len - 1;
-        self.shift = 32 - table_len.trailing_zeros();
-    }
-
-    #[inline(always)]
-    fn hash(v: Value) -> u32 {
-        v.wrapping_mul(0x9E37_79B9)
-    }
-
-    /// Rank of `v` in the fixed universe.
-    ///
-    /// # Panics
-    /// Panics if `v` was not in the initial state (the protocol invented a
-    /// value — use [`IncrementalHistogram`] for such rules).
-    #[inline]
-    fn rank_of(&self, v: Value) -> usize {
-        let mut slot = (Self::hash(v) >> self.shift) as usize & self.mask;
-        loop {
-            let e = self.table[slot];
-            assert!(e != 0, "RankedCounts: value {v} outside the fixed universe");
-            let rank = (e - 1) as usize;
-            if self.values[rank] == v {
-                return rank;
-            }
-            slot = (slot + 1) & self.mask;
-        }
+        self.support = m;
     }
 
     /// Total number of balls.
@@ -292,30 +174,22 @@ impl RankedCounts {
         self.support
     }
 
-    /// Balls currently holding `v` (0 for values outside the universe).
-    pub fn count_of(&self, v: Value) -> u64 {
-        let mut slot = (Self::hash(v) >> self.shift) as usize & self.mask;
-        loop {
-            let e = self.table[slot];
-            if e == 0 {
-                return 0;
-            }
-            let rank = (e - 1) as usize;
-            if self.values[rank] == v {
-                return self.counts[rank];
-            }
-            slot = (slot + 1) & self.mask;
-        }
+    /// Balls currently holding rank `r` (0 outside the universe).
+    pub fn count_of(&self, r: Value) -> u64 {
+        self.counts.get(r as usize).copied().unwrap_or(0)
     }
 
     /// Record one ball moving `from → to` (no-op when equal).
+    ///
+    /// # Panics
+    /// Panics if either rank is outside the universe (the protocol invented
+    /// a value — use [`IncrementalHistogram`] for such rules).
     #[inline]
     pub fn record_move(&mut self, from: Value, to: Value) {
         if from == to {
             return;
         }
-        let rf = self.rank_of(from);
-        let rt = self.rank_of(to);
+        let (rf, rt) = (from as usize, to as usize);
         debug_assert!(self.counts[rf] > 0, "move from empty bin {from}");
         self.counts[rf] -= 1;
         if self.counts[rf] == 0 {
@@ -327,61 +201,21 @@ impl RankedCounts {
         self.counts[rt] += 1;
     }
 
-    /// Universe-size cutoff for the recount fast path of
-    /// [`RankedCounts::apply_step`]: below it the whole rank table is a few
-    /// cache lines and one branch-free probe per ball beats a diff walk
-    /// whose `old != new` branch mispredicts on every second ball mid-trial.
-    const RECOUNT_UNIVERSE_MAX: usize = 64;
-
-    /// Fold in one engine round (see
-    /// [`IncrementalHistogram::apply_step`]).
-    ///
-    /// Two strategies with identical results: for small universes, recount
-    /// `new` outright (one predictable probe per ball, no data-dependent
-    /// branches); otherwise diff `old` against `new` and move only the
-    /// changed balls (near consensus almost nothing changes, which is
-    /// exactly when rounds are most numerous).
-    pub fn apply_step(&mut self, old: &[Value], new: &[Value]) {
-        debug_assert_eq!(old.len(), new.len());
-        if self.values.len() <= Self::RECOUNT_UNIVERSE_MAX {
-            self.counts.iter_mut().for_each(|c| *c = 0);
-            for &v in new {
-                let rank = self.rank_of(v);
-                self.counts[rank] += 1;
-            }
-            self.support = self.counts.iter().filter(|&&c| c > 0).count();
-            return;
-        }
-        for (&o, &n) in old.iter().zip(new) {
-            if o != n {
-                self.record_move(o, n);
-            }
-        }
-    }
-
-    /// The live `(value, load)` pairs, value-ascending.
+    /// The live `(rank, load)` pairs, rank-ascending.
     pub fn live_bins_iter(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
-        self.values
+        self.counts
             .iter()
-            .zip(&self.counts)
+            .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(&v, &c)| (v, c))
-    }
-
-    /// Snapshot the live bins as an immutable [`Histogram`].
-    pub fn to_histogram(&self) -> Histogram {
-        Histogram::new(&self.live_bins_iter().collect::<Vec<_>>())
-    }
-
-    /// Derive the round observables in one `O(m)` walk over the universe.
-    pub fn observe(&self) -> RoundObs {
-        observe_bins(self.n, self.live_bins_iter())
+            .map(|(r, &c)| (r as Value, c))
     }
 }
 
-/// Per-trial load maintainer: rank-indexed for rules that can only output
-/// values they saw, tree-backed for value-inventing rules (the mean rule).
-#[derive(Debug, Clone)]
+/// Per-trial load maintainer, and the one place that knows how state
+/// entries map to values: rank-indexed for rules that can only output
+/// values they saw (the state runs on ranks), tree-backed in value space
+/// for value-inventing rules (the mean rule).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadCounts {
     /// Fixed-universe fast path.
     Ranked(RankedCounts),
@@ -389,42 +223,50 @@ pub enum LoadCounts {
     Tree(IncrementalHistogram),
 }
 
+/// Run `$body` on whichever maintainer `$counts` holds, bound to `$c`.
+macro_rules! each {
+    ($counts:expr, $c:ident => $body:expr) => {
+        match $counts {
+            LoadCounts::Ranked($c) => $body,
+            LoadCounts::Tree($c) => $body,
+        }
+    };
+}
+
 impl LoadCounts {
-    /// Choose the maintainer for a protocol: ranked iff validity-preserving.
-    pub fn for_state(state: &[Value], validity_preserving: bool) -> Self {
-        if validity_preserving {
-            LoadCounts::Ranked(RankedCounts::from_values(state))
-        } else {
-            LoadCounts::Tree(IncrementalHistogram::from_values(state))
-        }
+    /// Count a trial's initial state, reusing `prev`'s buffers when its
+    /// kind matches: ranked iff the protocol is validity-preserving. The
+    /// ranked maintainer relabels `state` to ranks in place.
+    pub fn rebuild(
+        prev: Option<LoadCounts>,
+        state: &mut [Value],
+        validity_preserving: bool,
+    ) -> Self {
+        let mut counts = match (prev, validity_preserving) {
+            (Some(c @ LoadCounts::Ranked(_)), true) | (Some(c @ LoadCounts::Tree(_)), false) => c,
+            (_, true) => LoadCounts::Ranked(RankedCounts::default()),
+            (_, false) => LoadCounts::Tree(IncrementalHistogram::default()),
+        };
+        each!(&mut counts, c => c.rebuild_from(state));
+        counts
     }
 
-    /// [`LoadCounts::for_state`] reusing a previous trial's maintainer when
-    /// the kind matches (the workspace-reuse path) — behaviorally identical
-    /// to a fresh build, without the per-trial `values`/`table`/`counts`
-    /// allocations.
-    pub fn rebuild(prev: Option<LoadCounts>, state: &[Value], validity_preserving: bool) -> Self {
-        match (prev, validity_preserving) {
-            (Some(LoadCounts::Ranked(mut r)), true) => {
-                r.rebuild_from(state);
-                LoadCounts::Ranked(r)
-            }
-            (Some(LoadCounts::Tree(mut t)), false) => {
-                t.rebuild_from(state);
-                LoadCounts::Tree(t)
-            }
-            (_, vp) => Self::for_state(state, vp),
-        }
-    }
-
-    /// Refill `set` with the maintainer's distinct values (ascending).
-    /// Right after a (re)build from the initial state these are exactly the
-    /// initial value set, so the runner shares one pass instead of
-    /// re-sorting the whole state.
+    /// Refill `set` with the initial value set as the state holds it: the
+    /// ranks `0..m`, or the tree's distinct values. Call right after a
+    /// (re)build from the initial state.
     pub fn rebuild_value_set(&self, set: &mut crate::value::ValueSet) {
         match self {
-            LoadCounts::Ranked(r) => set.rebuild_sorted_unique(r.values.iter().copied()),
+            LoadCounts::Ranked(r) => set.rebuild_sorted_unique(0..r.values.len() as Value),
             LoadCounts::Tree(t) => set.rebuild_sorted_unique(t.counts.keys().copied()),
+        }
+    }
+
+    /// The value a state entry `v` stands for: the initial value of rank
+    /// `v`, or `v` itself on the tree path.
+    pub fn value_of(&self, v: Value) -> Value {
+        match self {
+            LoadCounts::Ranked(r) => r.values[v as usize],
+            LoadCounts::Tree(_) => v,
         }
     }
 
@@ -432,71 +274,41 @@ impl LoadCounts {
     /// when one is parked there (the adaptive handoff path).
     pub fn snapshot_into(&self, slot: &mut Option<Histogram>) {
         match slot {
-            Some(h) => match self {
-                LoadCounts::Ranked(r) => h.rebuild_from_sorted(r.live_bins_iter()),
-                LoadCounts::Tree(t) => {
-                    h.rebuild_from_sorted(t.counts.iter().map(|(&v, &c)| (v, c)))
-                }
-            },
+            Some(h) => each!(self, c => h.rebuild_from_sorted(c.live_bins_iter())),
             None => *slot = Some(self.to_histogram()),
         }
     }
 
     /// Number of distinct live values.
     pub fn support_size(&self) -> usize {
-        match self {
-            LoadCounts::Ranked(r) => r.support_size(),
-            LoadCounts::Tree(t) => t.support_size(),
-        }
+        each!(self, c => c.support_size())
     }
 
-    /// Balls currently holding `v`.
+    /// Balls currently holding state entry `v`.
     pub fn count_of(&self, v: Value) -> u64 {
-        match self {
-            LoadCounts::Ranked(r) => r.count_of(v),
-            LoadCounts::Tree(t) => t.count_of(v),
-        }
+        each!(self, c => c.count_of(v))
     }
 
     /// Record one ball moving `from → to`.
     pub fn record_move(&mut self, from: Value, to: Value) {
-        match self {
-            LoadCounts::Ranked(r) => r.record_move(from, to),
-            LoadCounts::Tree(t) => t.record_move(from, to),
-        }
+        each!(self, c => c.record_move(from, to))
     }
 
-    /// Fold in one engine round by diffing the state buffers.
+    /// Fold in one engine round: every ball whose entry changed between
+    /// `old` and `new` moves. Near consensus almost nothing changes, which
+    /// is exactly when rounds are most numerous.
     pub fn apply_step(&mut self, old: &[Value], new: &[Value]) {
-        match self {
-            LoadCounts::Ranked(r) => r.apply_step(old, new),
-            LoadCounts::Tree(t) => t.apply_step(old, new),
-        }
+        debug_assert_eq!(old.len(), new.len());
+        each!(self, c => {
+            for (&o, &n) in old.iter().zip(new) {
+                c.record_move(o, n);
+            }
+        })
     }
 
-    /// Snapshot as an immutable [`Histogram`].
+    /// Snapshot the live bins as an immutable [`Histogram`].
     pub fn to_histogram(&self) -> Histogram {
-        match self {
-            LoadCounts::Ranked(r) => r.to_histogram(),
-            LoadCounts::Tree(t) => t.to_histogram(),
-        }
-    }
-
-    /// The live `(value, load)` pairs, value-ascending (for the
-    /// load-sampled dense round).
-    pub fn live_bins(&self) -> Vec<(Value, u64)> {
-        let mut out = Vec::new();
-        self.live_bins_into(&mut out);
-        out
-    }
-
-    /// [`LoadCounts::live_bins`] into a reused buffer.
-    pub fn live_bins_into(&self, out: &mut Vec<(Value, u64)>) {
-        out.clear();
-        match self {
-            LoadCounts::Ranked(r) => out.extend(r.live_bins_iter()),
-            LoadCounts::Tree(t) => out.extend(t.counts.iter().map(|(&v, &c)| (v, c))),
-        }
+        Histogram::new(&each!(self, c => c.live_bins_iter().collect::<Vec<_>>()))
     }
 
     /// Rebuild a [`crate::engine::dense::LoadSampler`] from the live bins —
@@ -505,18 +317,12 @@ impl LoadCounts {
     /// its alias table in place, so a sampled round allocates nothing at
     /// steady state.
     pub fn rebuild_sampler(&self, sampler: &mut crate::engine::dense::LoadSampler) {
-        match self {
-            LoadCounts::Ranked(r) => sampler.rebuild(r.live_bins_iter(), r.n()),
-            LoadCounts::Tree(t) => sampler.rebuild(t.counts.iter().map(|(&v, &c)| (v, c)), t.n()),
-        }
+        each!(self, c => sampler.rebuild(c.live_bins_iter(), c.n()))
     }
 
-    /// Derive the round observables.
+    /// Derive the round observables in one ordered `O(m)` walk.
     pub fn observe(&self) -> RoundObs {
-        match self {
-            LoadCounts::Ranked(r) => r.observe(),
-            LoadCounts::Tree(t) => t.observe(),
-        }
+        each!(self, c => observe_bins(c.n(), c.live_bins_iter()))
     }
 }
 
@@ -596,15 +402,18 @@ mod tests {
     fn apply_step_tracks_engine_round() {
         let old = vec![0u32, 1, 2, 2, 1];
         let new = vec![0u32, 2, 2, 2, 0];
-        let mut inc = IncrementalHistogram::from_values(&old);
+        let mut inc = LoadCounts::Tree(IncrementalHistogram::from_values(&old));
         inc.apply_step(&old, &new);
-        assert_eq!(inc, IncrementalHistogram::from_values(&new));
+        assert_eq!(
+            inc,
+            LoadCounts::Tree(IncrementalHistogram::from_values(&new))
+        );
     }
 
     #[test]
     fn observe_matches_histogram_observables() {
         let state = vec![5u32, 5, 5, 2, 2, 9, 9, 9, 9];
-        let inc = IncrementalHistogram::from_values(&state);
+        let inc = LoadCounts::Tree(IncrementalHistogram::from_values(&state));
         let h = inc.to_histogram();
         let obs = inc.observe();
         assert_eq!(obs.support, h.support_size());
@@ -618,61 +427,72 @@ mod tests {
         assert_eq!(obs.imbalance, obs2.imbalance);
     }
 
+    /// A fresh ranked maintainer over `state`, relabelled in place.
+    fn ranked(state: &mut [Value]) -> RankedCounts {
+        let mut r = RankedCounts::default();
+        r.rebuild_from(state);
+        r
+    }
+
     #[test]
     fn ranked_rebuild_reuses_buffers_and_matches_fresh() {
-        let mut r = RankedCounts::from_values(&[7, 7, 3, 9, 3, 3]);
+        let mut r = ranked(&mut [7, 7, 3, 9, 3, 3]);
         // Dirty it with a different, larger universe, then rebuild small.
-        let big: Vec<Value> = (0..500u32).map(|i| i * 3).collect();
-        r.rebuild_from(&big);
+        let mut big: Vec<Value> = (0..500u32).map(|i| i * 3).collect();
+        r.rebuild_from(&mut big);
         assert_eq!(r.support_size(), 500);
-        r.rebuild_from(&[7, 7, 3, 9, 3, 3]);
-        let fresh = RankedCounts::from_values(&[7, 7, 3, 9, 3, 3]);
+        let mut small = [7, 7, 3, 9, 3, 3];
+        r.rebuild_from(&mut small);
+        let fresh = ranked(&mut [7, 7, 3, 9, 3, 3]);
         assert_eq!(r.n(), fresh.n());
         assert_eq!(r.support_size(), 3);
-        for v in [3u32, 7, 9, 100] {
-            assert_eq!(r.count_of(v), fresh.count_of(v), "value {v}");
+        for v in [0u32, 1, 2, 100] {
+            assert_eq!(r.count_of(v), fresh.count_of(v), "rank {v}");
         }
+        let (r, fresh) = (LoadCounts::Ranked(r), LoadCounts::Ranked(fresh));
         assert_eq!(r.observe(), fresh.observe());
         assert_eq!(r.to_histogram(), fresh.to_histogram());
     }
 
     #[test]
-    fn ranked_rebuild_shrinks_an_oversized_probe_table() {
-        let small = [4u32, 4, 9];
-        let mut r = RankedCounts::from_values(&small);
-        let fresh_len = r.table.len();
-        let big: Vec<Value> = (0..10_000u32).collect();
-        r.rebuild_from(&big);
-        assert!(r.table.len() >= 20_000);
-        r.rebuild_from(&small);
-        assert_eq!(
-            r.table.len(),
-            fresh_len,
-            "re-key must restore the fresh-construction table size"
-        );
-        assert_eq!(r.count_of(4), 2);
-        assert_eq!(r.count_of(9), 1);
+    fn ranked_rebuild_relabels_only_off_rank_universes() {
+        let mut sparse = [7u32, 7, 3, 9, 3, 3];
+        let r = LoadCounts::Ranked(ranked(&mut sparse));
+        assert_eq!(sparse, [1, 1, 0, 2, 0, 0]);
+        assert_eq!([0, 1, 2].map(|rank| r.value_of(rank)), [3, 7, 9]);
+        assert_eq!([0, 1, 2].map(|rank| r.count_of(rank)), [3, 2, 1]);
+        let mut dense = [2u32, 0, 1, 1];
+        ranked(&mut dense);
+        assert_eq!(dense, [2, 0, 1, 1], "a 0..m universe is already ranks");
     }
 
     #[test]
     fn load_counts_rebuild_switches_maintainer_kind() {
         let state = [1u32, 1, 2, 5];
-        let ranked = LoadCounts::rebuild(None, &state, true);
+        let ranked = LoadCounts::rebuild(None, &mut state.clone(), true);
         assert!(matches!(ranked, LoadCounts::Ranked(_)));
         // Kind mismatch: fall back to a fresh build of the right kind.
-        let tree = LoadCounts::rebuild(Some(ranked), &state, false);
+        let tree = LoadCounts::rebuild(Some(ranked), &mut state.clone(), false);
         assert!(matches!(tree, LoadCounts::Tree(_)));
-        let back = LoadCounts::rebuild(Some(tree), &state, true);
+        let mut ranks = state;
+        let back = LoadCounts::rebuild(Some(tree), &mut ranks, true);
         assert!(matches!(back, LoadCounts::Ranked(_)));
-        assert_eq!(back.count_of(1), 2);
+        assert_eq!(back.count_of(ranks[0]), 2);
         let mut set = crate::value::ValueSet::default();
         back.rebuild_value_set(&mut set);
-        assert_eq!(set.values(), &[1, 2, 5]);
+        assert_eq!(set.values(), &[0, 1, 2]);
+        assert_eq!(
+            set.values()
+                .iter()
+                .map(|&r| back.value_of(r))
+                .collect::<Vec<_>>(),
+            [1, 2, 5]
+        );
     }
 
     #[test]
     fn observe_plurality_tie_prefers_smaller_value() {
-        let inc = IncrementalHistogram::from_values(&[4, 4, 7, 7, 1]);
+        let inc = LoadCounts::Tree(IncrementalHistogram::from_values(&[4, 4, 7, 7, 1]));
         let obs = inc.observe();
         assert_eq!(obs.plurality_value, 4);
         assert_eq!(obs.plurality_count, 2);

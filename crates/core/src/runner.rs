@@ -246,12 +246,12 @@ impl SimSpec {
 
         self.init
             .materialize_into(self.n, &mut init_rng, &mut ws.state);
-        // Incrementally maintained bin loads: the one O(n) count here
-        // replaces the per-round O(n) rebuild the runner used to do. The
-        // maintainer's sorted universe doubles as the initial value set, so
-        // the state is walked once, not sorted twice.
+        // Incrementally maintained bin loads. For validity-preserving rules
+        // this relabels the state to ranks: from here on the state, the
+        // allowed set and every observable are in the maintainer's space,
+        // and `counts.value_of` maps back at the end (winner, trajectory).
         let counts = ws.counts.take();
-        let mut counts = LoadCounts::rebuild(counts, &ws.state, protocol.validity_preserving());
+        let mut counts = LoadCounts::rebuild(counts, &mut ws.state, protocol.validity_preserving());
         let mut initial_set = ws.initial_set.take().unwrap_or_default();
         counts.rebuild_value_set(&mut initial_set);
         let mut adversary = self.adversary.build();
@@ -334,11 +334,14 @@ impl SimSpec {
             } else {
                 // 1. Adversary corrupts at the beginning of the round.
                 if self.budget > 0 {
-                    let mut corruptor = Corruptor::new(&mut ws.state, &initial_set, self.budget);
+                    let mut corruptor = Corruptor::new(
+                        &mut ws.state,
+                        &mut counts,
+                        &initial_set,
+                        self.budget,
+                        &mut ws.touched,
+                    );
                     adversary.corrupt(round, &mut corruptor, &mut adv_rng);
-                    for (_, before, after) in corruptor.changes() {
-                        counts.record_move(before, after);
-                    }
                 }
                 // 2. Synchronous protocol step. Full dense rounds sample
                 // peers through the load distribution once the support is
@@ -473,6 +476,12 @@ impl SimSpec {
             None => counts.count_of(winner),
         };
         let winner_valid = initial_set.contains(winner);
+        // Back from the state's space to values, at the trial's edges.
+        let winner = counts.value_of(winner);
+        for obs in &mut trajectory {
+            obs.plurality_value = counts.value_of(obs.plurality_value);
+            obs.median_value = counts.value_of(obs.median_value);
+        }
         let net_totals = message_engine.as_ref().map(|e| *e.totals());
 
         // Park every reusable buffer for the next trial.

@@ -2,12 +2,13 @@
 //!
 //! A campaign runs millions of short trials, and before this module every
 //! one of them re-allocated its whole world: the state vector, the scratch
-//! vector, the load-count universe (`values`/`table`/`counts`), the initial
-//! value set, the trajectory, the adaptive handoff histogram, and — for the
-//! message engine — the routing buffers. A [`TrialWorkspace`] owns all of
-//! those once per worker; [`crate::runner::SimSpec::run_seeded_into`]
-//! rebuilds them in place each trial, so the steady-state allocation count
-//! per dense trial is O(1) (pinned by `tests/alloc_regression.rs`).
+//! vector, the load table (`values`/`counts`, or the mean rule's tree), the
+//! initial value set, the adversary's touched set, the trajectory, the
+//! adaptive handoff histogram, and — for the message engine — the routing
+//! buffers. A [`TrialWorkspace`] owns all of those once per worker;
+//! [`crate::runner::SimSpec::run_seeded_into`] rebuilds them in place each
+//! trial, so the steady-state allocation count per dense trial is O(1)
+//! (pinned by `tests/alloc_regression.rs`).
 //!
 //! Reuse is **observationally invisible**: a trial through a dirty, reused
 //! workspace produces a bit-identical [`RunResult`] to a fresh one
@@ -40,6 +41,8 @@ pub struct TrialWorkspace {
     pub(crate) counts: Option<LoadCounts>,
     /// Initial value set (parked between trials).
     pub(crate) initial_set: Option<ValueSet>,
+    /// The adversary's per-round bitmap of written processes.
+    pub(crate) touched: Vec<u64>,
     /// Aggregated-phase histogram for the adaptive engine's handoff.
     pub(crate) handoff: Option<Histogram>,
     /// Histogram-engine per-round buffers (CDF, law, draws, new loads).

@@ -15,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::engine::EngineSpec;
 use stabcon_core::init::InitialCondition;
 use stabcon_core::runner::SimSpec;
@@ -192,12 +193,37 @@ fn telemetry_enabled_trial_is_still_allocation_free() {
 
 #[test]
 fn all_distinct_worst_case_universe_is_o1() {
-    // m = n: the ranked universe, probe table, and value set are all n-sized
-    // and must still be reused, not reallocated.
+    // m = n: the ranked universe, its load counts, and the value set are
+    // all n-sized and must still be reused, not reallocated.
     let sim = SimSpec::new(2048).init(InitialCondition::AllDistinct);
     let per_trial = allocations_per_trial(&sim, 4, 16);
     assert!(
         per_trial <= 2.0,
         "all-distinct steady state allocates {per_trial} times per trial"
     );
+}
+
+#[test]
+fn adversarial_cells_steady_state_is_o1() {
+    // Figure 1's adversaries at budget ⌊√n/4⌋ read the runner's loads and
+    // park their touched set in the workspace: no strategy allocates per
+    // round.
+    let n = 2048;
+    let budget = ((n as f64).sqrt() / 4.0).floor() as u64;
+    for (init, adversary) in [
+        (InitialCondition::AllDistinct, AdversarySpec::Balancer),
+        (InitialCondition::AllDistinct, AdversarySpec::MedianPusher),
+        (
+            InitialCondition::TwoBins { left: n / 2 },
+            AdversarySpec::Random,
+        ),
+    ] {
+        let label = format!("{} on {}", adversary.label(), init.label());
+        let sim = SimSpec::new(n).init(init).adversary(adversary, budget);
+        let per_trial = allocations_per_trial(&sim, 4, 16);
+        assert!(
+            per_trial <= 2.0,
+            "{label} allocates {per_trial} times per trial (expected ≈ 0)"
+        );
+    }
 }

@@ -1,12 +1,17 @@
 //! Property-based tests for the dynamics core.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use stabcon_core::adversary::{AdversarySpec, Corruptor, HistCorruptor};
-use stabcon_core::engine::{dense, hist};
+use stabcon_core::engine::adaptive::LoadCounts;
+use stabcon_core::engine::{dense, hist, EngineSpec, MessageConfig, Rejoin, ScenarioSpec};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
-use stabcon_core::protocol::{KMedianRule, MedianRule};
-use stabcon_core::value::ValueSet;
+use stabcon_core::protocol::{KMedianRule, MedianRule, ProtocolSpec};
+use stabcon_core::runner::SimSpec;
+use stabcon_core::value::{Value, ValueSet};
+use stabcon_core::workspace::TrialWorkspace;
 use stabcon_util::rng::Xoshiro256pp;
 
 proptest! {
@@ -88,10 +93,12 @@ proptest! {
         let mut adv = specs[which].build();
         let mut rng = Xoshiro256pp::seed(seed);
         let mut state = values.clone();
+        let mut loads = LoadCounts::rebuild(None, &mut state, false);
+        let mut touched = Vec::new();
         for round in 0..4u64 {
             let before = state.clone();
             {
-                let mut c = Corruptor::new(&mut state, &set, budget);
+                let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
                 adv.corrupt(round, &mut c, &mut rng);
             }
             let changed = state.iter().zip(&before).filter(|(a, b)| a != b).count() as u64;
@@ -147,6 +154,89 @@ proptest! {
                      ProtocolSpec::KMedian(1), ProtocolSpec::KMedian(8)] {
             let p = spec.build();
             let _ = p.combine(own, &samples[..p.samples()]);
+        }
+    }
+}
+
+// --- order isomorphism -------------------------------------------------------
+
+/// A strictly increasing, sparse relabelling of values.
+fn sparse(v: Value) -> Value {
+    1_000_003 * v + 17
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Validity-preserving rules, engines and adversaries use values only
+    /// through order and equality, so a run over the initial state mapped
+    /// by a strictly increasing `f` reports the same result up to `f`: the
+    /// contract that lets the runner run trials on ranks.
+    #[test]
+    fn runs_are_equal_up_to_a_strictly_increasing_relabel(
+        seed in any::<u64>(),
+        bins in prop::collection::vec(0u32..5, 96),
+        full_horizon in any::<bool>(),
+    ) {
+        let n = bins.len();
+        // A gap at 2 (the ranked path relabels), values already 0..m (it
+        // does not), and the single-value universe {1}.
+        let gapped: Vec<Value> = bins.iter().map(|&b| b + u32::from(b >= 2)).collect();
+        let inits = [
+            (InitialCondition::Custom(Arc::new(gapped.clone())), gapped),
+            (InitialCondition::Custom(Arc::new(bins.clone())), bins),
+            (InitialCondition::TwoBins { left: 0 }, vec![1; n]),
+        ];
+        // The hostile scenario of `tests/workspace_props.rs`, with the
+        // Byzantine minimum forger and the adversarial rejoin.
+        let hostile = ScenarioSpec::clean()
+            .with_latency(1, 2)
+            .with_drop_per_mille(50)
+            .with_partition(400, 2, 20)
+            .with_churn(8, 3, 18, Rejoin::Adversarial)
+            .with_byzantine(4);
+        let engines = [
+            EngineSpec::DenseSeq,
+            EngineSpec::DensePar { threads: 2 },
+            EngineSpec::Adaptive { threads: 1, handoff_support: 3 },
+            EngineSpec::Message(MessageConfig { scenario: hostile, ..MessageConfig::default() }),
+        ];
+        let mut ws = TrialWorkspace::new();
+        for (init, values) in &inits {
+            let mapped = InitialCondition::Custom(Arc::new(values.iter().map(|&v| sparse(v)).collect()));
+            for protocol in [ProtocolSpec::Median, ProtocolSpec::Min, ProtocolSpec::Max,
+                             ProtocolSpec::Majority, ProtocolSpec::Voter, ProtocolSpec::KMedian(4)] {
+                for engine in engines {
+                    for (adversary, budget) in [
+                        (AdversarySpec::None, 0),
+                        (AdversarySpec::Random, 4),
+                        (AdversarySpec::Balancer, 4),
+                        (AdversarySpec::MedianPusher, 4),
+                        (AdversarySpec::Reviver { revive_at: 5 }, 4),
+                        (AdversarySpec::Stubborn, 4),
+                    ] {
+                        let run = |init: &InitialCondition, ws: &mut TrialWorkspace| {
+                            SimSpec::new(n)
+                                .init(init.clone())
+                                .protocol(protocol)
+                                .engine(engine)
+                                .adversary(adversary, budget)
+                                .max_rounds(40)
+                                .full_horizon(full_horizon)
+                                .record_trajectory(true)
+                                .run_seeded_into(seed, ws)
+                        };
+                        let mut base = run(init, &mut ws);
+                        base.winner = sparse(base.winner);
+                        for obs in base.trajectory.iter_mut().flatten() {
+                            obs.plurality_value = sparse(obs.plurality_value);
+                            obs.median_value = sparse(obs.median_value);
+                        }
+                        prop_assert_eq!(base, run(&mapped, &mut ws), "{} / {:?} / {} / {}",
+                            init.label(), protocol, engine.label(), adversary.label());
+                    }
+                }
+            }
         }
     }
 }

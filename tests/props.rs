@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use stabcon::core::adversary::{Adversary, Corruptor, RandomCorruptor};
+use stabcon::core::engine::adaptive::LoadCounts;
 use stabcon::core::engine::{dense, hist};
 use stabcon::core::histogram::Histogram;
 use stabcon::core::protocol::MedianRule;
@@ -114,7 +115,9 @@ proptest! {
         let mut rng = Xoshiro256pp::seed(seed);
         let mut adv = RandomCorruptor;
         {
-            let mut c = Corruptor::new(&mut state, &set, budget);
+            let mut loads = LoadCounts::rebuild(None, &mut state, false);
+            let mut touched = Vec::new();
+            let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
             adv.corrupt(0, &mut c, &mut rng);
         }
         let changed = state.iter().zip(&values).filter(|(a, b)| a != b).count() as u64;
