@@ -529,11 +529,15 @@ mod tests {
         budget: u64,
         f: impl FnOnce(&mut Corruptor<'_>) -> R,
     ) -> R {
-        let mut loads = LoadCounts::rebuild(None, state, false);
+        let mut loads = LoadCounts::rebuild(None, state, &mut Vec::new(), false);
         let mut touched = Vec::new();
         let mut c = Corruptor::new(state, &mut loads, set, budget, &mut touched);
         let out = f(&mut c);
-        assert_eq!(loads, LoadCounts::rebuild(None, state, false), "loads kept");
+        assert_eq!(
+            loads,
+            LoadCounts::rebuild(None, state, &mut Vec::new(), false),
+            "loads kept"
+        );
         out
     }
 

@@ -120,12 +120,17 @@ pub fn observe_histogram(h: &Histogram) -> RoundObs {
 /// relabels the state to `0..m` in place, a ball move is two array bumps
 /// at `counts[rank]`, and values come back only at the trial's edges
 /// through [`LoadCounts::value_of`].
+///
+/// At `n = 2²⁰` all-distinct balls the table is `counts` alone, 4 MiB: loads
+/// fit `u32` (n ≤ `u32::MAX` is asserted), and the rank → value table is
+/// kept only for a universe that is not already `0..m`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankedCounts {
-    /// Sorted distinct initial values (rank → value).
+    /// Sorted distinct initial values (rank → value) — empty when the
+    /// universe is `0..m`, where every rank is its own value.
     values: Vec<Value>,
     /// Load per rank.
-    counts: Vec<u64>,
+    counts: Vec<u32>,
     /// Number of ranks with a nonzero load.
     support: usize,
     n: u64,
@@ -133,22 +138,30 @@ pub struct RankedCounts {
 
 impl RankedCounts {
     /// Recount a fresh trial's state, reusing every internal buffer. The
-    /// universe is a sorted, deduplicated copy of the state; the state is
-    /// then relabelled in place, `state[i] = rank(state[i])`, which is
-    /// skipped when the universe is already `0..m`.
+    /// universe is found by sorting and deduplicating a copy of the state
+    /// in `sorted`, a buffer the caller owns and may overwrite afterwards.
+    /// Unless that universe is already `0..m`, the state is then relabelled
+    /// in place, `state[i] = rank(state[i])`, and the m universe values are
+    /// kept for [`LoadCounts::value_of`].
     ///
     /// # Panics
-    /// Panics if `state` is empty.
-    pub fn rebuild_from(&mut self, state: &mut [Value]) {
+    /// Panics if `state` is empty or longer than `u32::MAX`.
+    pub fn rebuild_from(&mut self, state: &mut [Value], sorted: &mut Vec<Value>) {
         assert!(!state.is_empty(), "RankedCounts: empty state");
+        assert!(
+            state.len() <= u32::MAX as usize,
+            "RankedCounts: loads are u32, so n must be at most u32::MAX"
+        );
         self.n = state.len() as u64;
+        sorted.clear();
+        sorted.extend_from_slice(state);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let m = sorted.len();
         self.values.clear();
-        self.values.extend_from_slice(state);
-        self.values.sort_unstable();
-        self.values.dedup();
-        let m = self.values.len();
         // Distinct sorted values are exactly `0..m` iff the largest is m − 1.
-        if self.values[m - 1] as usize != m - 1 {
+        if sorted[m - 1] as usize != m - 1 {
+            self.values.extend_from_slice(sorted);
             for v in state.iter_mut() {
                 *v = self.values.binary_search(v).expect("value from the state") as Value;
             }
@@ -176,7 +189,7 @@ impl RankedCounts {
 
     /// Balls currently holding rank `r` (0 outside the universe).
     pub fn count_of(&self, r: Value) -> u64 {
-        self.counts.get(r as usize).copied().unwrap_or(0)
+        self.counts.get(r as usize).map_or(0, |&c| c as u64)
     }
 
     /// Record one ball moving `from → to` (no-op when equal).
@@ -207,7 +220,7 @@ impl RankedCounts {
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(r, &c)| (r as Value, c))
+            .map(|(r, &c)| (r as Value, c as u64))
     }
 }
 
@@ -236,10 +249,13 @@ macro_rules! each {
 impl LoadCounts {
     /// Count a trial's initial state, reusing `prev`'s buffers when its
     /// kind matches: ranked iff the protocol is validity-preserving. The
-    /// ranked maintainer relabels `state` to ranks in place.
+    /// ranked maintainer relabels `state` to ranks in place, sorting a copy
+    /// of it in `sorted` (the trial's engine scratch buffer, which the round
+    /// loop overwrites anyway); the tree leaves `sorted` alone.
     pub fn rebuild(
         prev: Option<LoadCounts>,
         state: &mut [Value],
+        sorted: &mut Vec<Value>,
         validity_preserving: bool,
     ) -> Self {
         let mut counts = match (prev, validity_preserving) {
@@ -247,7 +263,10 @@ impl LoadCounts {
             (_, true) => LoadCounts::Ranked(RankedCounts::default()),
             (_, false) => LoadCounts::Tree(IncrementalHistogram::default()),
         };
-        each!(&mut counts, c => c.rebuild_from(state));
+        match &mut counts {
+            LoadCounts::Ranked(r) => r.rebuild_from(state, sorted),
+            LoadCounts::Tree(t) => t.rebuild_from(state),
+        }
         counts
     }
 
@@ -256,17 +275,17 @@ impl LoadCounts {
     /// (re)build from the initial state.
     pub fn rebuild_value_set(&self, set: &mut crate::value::ValueSet) {
         match self {
-            LoadCounts::Ranked(r) => set.rebuild_sorted_unique(0..r.values.len() as Value),
+            LoadCounts::Ranked(r) => set.rebuild_sorted_unique(0..r.counts.len() as Value),
             LoadCounts::Tree(t) => set.rebuild_sorted_unique(t.counts.keys().copied()),
         }
     }
 
     /// The value a state entry `v` stands for: the initial value of rank
-    /// `v`, or `v` itself on the tree path.
+    /// `v`, or `v` itself on the tree path and for a `0..m` universe.
     pub fn value_of(&self, v: Value) -> Value {
         match self {
-            LoadCounts::Ranked(r) => r.values[v as usize],
-            LoadCounts::Tree(_) => v,
+            LoadCounts::Ranked(r) if !r.values.is_empty() => r.values[v as usize],
+            _ => v,
         }
     }
 
@@ -430,7 +449,7 @@ mod tests {
     /// A fresh ranked maintainer over `state`, relabelled in place.
     fn ranked(state: &mut [Value]) -> RankedCounts {
         let mut r = RankedCounts::default();
-        r.rebuild_from(state);
+        r.rebuild_from(state, &mut Vec::new());
         r
     }
 
@@ -439,10 +458,11 @@ mod tests {
         let mut r = ranked(&mut [7, 7, 3, 9, 3, 3]);
         // Dirty it with a different, larger universe, then rebuild small.
         let mut big: Vec<Value> = (0..500u32).map(|i| i * 3).collect();
-        r.rebuild_from(&mut big);
+        let mut sorted = Vec::new();
+        r.rebuild_from(&mut big, &mut sorted);
         assert_eq!(r.support_size(), 500);
         let mut small = [7, 7, 3, 9, 3, 3];
-        r.rebuild_from(&mut small);
+        r.rebuild_from(&mut small, &mut sorted);
         let fresh = ranked(&mut [7, 7, 3, 9, 3, 3]);
         assert_eq!(r.n(), fresh.n());
         assert_eq!(r.support_size(), 3);
@@ -467,15 +487,55 @@ mod tests {
     }
 
     #[test]
+    fn a_0_to_m_universe_keeps_no_rank_table() {
+        let mut state = [2u32, 0, 1, 1, 3];
+        let mut sorted = vec![99; 2];
+        let mut r = RankedCounts::default();
+        r.rebuild_from(&mut state, &mut sorted);
+        assert!(r.values.is_empty(), "no rank → value table for 0..m");
+        assert_eq!(r.counts, [1, 2, 1, 1]);
+        assert_eq!(
+            sorted,
+            [0, 1, 2, 3],
+            "the universe was sorted in the caller's buffer"
+        );
+        let r = LoadCounts::Ranked(r);
+        assert_eq!([0, 1, 2, 3].map(|rank| r.value_of(rank)), [0, 1, 2, 3]);
+        let mut set = crate::value::ValueSet::default();
+        r.rebuild_value_set(&mut set);
+        assert_eq!(set.values(), &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_sparse_universe_keeps_exactly_m_values() {
+        // A dirty maintainer that last held a large universe.
+        let mut r = RankedCounts::default();
+        let mut sorted = Vec::new();
+        r.rebuild_from(
+            &mut (0..300u32).map(|i| i * 2).collect::<Vec<_>>(),
+            &mut sorted,
+        );
+        assert_eq!(r.values.len(), 300);
+        let mut state = [40u32, 10, 40, 70, 10, 10];
+        r.rebuild_from(&mut state, &mut sorted);
+        assert_eq!(r.values, [10, 40, 70], "m = 3 entries, not n");
+        assert_eq!(r.counts, [3, 2, 1]);
+        // Back to a 0..m universe: the table empties again.
+        r.rebuild_from(&mut [1u32, 0, 0], &mut sorted);
+        assert!(r.values.is_empty());
+    }
+
+    #[test]
     fn load_counts_rebuild_switches_maintainer_kind() {
         let state = [1u32, 1, 2, 5];
-        let ranked = LoadCounts::rebuild(None, &mut state.clone(), true);
+        let mut sorted = Vec::new();
+        let ranked = LoadCounts::rebuild(None, &mut state.clone(), &mut sorted, true);
         assert!(matches!(ranked, LoadCounts::Ranked(_)));
         // Kind mismatch: fall back to a fresh build of the right kind.
-        let tree = LoadCounts::rebuild(Some(ranked), &mut state.clone(), false);
+        let tree = LoadCounts::rebuild(Some(ranked), &mut state.clone(), &mut sorted, false);
         assert!(matches!(tree, LoadCounts::Tree(_)));
         let mut ranks = state;
-        let back = LoadCounts::rebuild(Some(tree), &mut ranks, true);
+        let back = LoadCounts::rebuild(Some(tree), &mut ranks, &mut sorted, true);
         assert!(matches!(back, LoadCounts::Ranked(_)));
         assert_eq!(back.count_of(ranks[0]), 2);
         let mut set = crate::value::ValueSet::default();

@@ -251,7 +251,12 @@ impl SimSpec {
         // allowed set and every observable are in the maintainer's space,
         // and `counts.value_of` maps back at the end (winner, trajectory).
         let counts = ws.counts.take();
-        let mut counts = LoadCounts::rebuild(counts, &mut ws.state, protocol.validity_preserving());
+        let mut counts = LoadCounts::rebuild(
+            counts,
+            &mut ws.state,
+            &mut ws.scratch,
+            protocol.validity_preserving(),
+        );
         let mut initial_set = ws.initial_set.take().unwrap_or_default();
         counts.rebuild_value_set(&mut initial_set);
         let mut adversary = self.adversary.build();

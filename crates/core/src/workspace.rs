@@ -2,13 +2,17 @@
 //!
 //! A campaign runs millions of short trials, and before this module every
 //! one of them re-allocated its whole world: the state vector, the scratch
-//! vector, the load table (`values`/`counts`, or the mean rule's tree), the
-//! initial value set, the adversary's touched set, the trajectory, the
-//! adaptive handoff histogram, and — for the message engine — the routing
-//! buffers. A [`TrialWorkspace`] owns all of those once per worker;
+//! vector, the load table (per-rank `u32` `counts`, plus a rank → value
+//! `values` table only for a universe that is not `0..m`; or the mean
+//! rule's tree), the initial value set, the adversary's touched set, the
+//! trajectory, the adaptive handoff histogram, and — for the message
+//! engine — the routing buffers. A [`TrialWorkspace`] owns all of those
+//! once per worker for a whole campaign;
 //! [`crate::runner::SimSpec::run_seeded_into`] rebuilds them in place each
 //! trial, so the steady-state allocation count per dense trial is O(1)
-//! (pinned by `tests/alloc_regression.rs`).
+//! (pinned by `tests/alloc_regression.rs`). At n = 2²⁰ all-distinct balls
+//! the state, scratch and load table take 4 MiB each: the initial universe
+//! is sorted in `scratch`, so no n-sized copy of it is kept.
 //!
 //! Reuse is **observationally invisible**: a trial through a dirty, reused
 //! workspace produces a bit-identical [`RunResult`] to a fresh one
@@ -22,7 +26,8 @@ use crate::histogram::Histogram;
 use crate::runner::{RoundObs, RunResult};
 use crate::value::{Value, ValueSet};
 
-/// Every buffer one trial needs, owned across trials by a worker.
+/// Every buffer one trial needs, owned by a worker across every trial of
+/// every cell it runs.
 ///
 /// All fields are rebuilt from scratch at the start of each trial — a
 /// workspace carries **capacity**, never state, between trials.
@@ -30,7 +35,9 @@ use crate::value::{Value, ValueSet};
 pub struct TrialWorkspace {
     /// Current ball values.
     pub(crate) state: Vec<Value>,
-    /// Engine output buffer, swapped with `state` each round.
+    /// Engine output buffer, swapped with `state` each round. Before the
+    /// first round it holds the sorted, deduplicated initial universe that
+    /// `LoadCounts::rebuild` ranks the state by.
     pub(crate) scratch: Vec<Value>,
     /// Per-round observables (only filled when recording was requested).
     pub(crate) trajectory: Vec<RoundObs>,

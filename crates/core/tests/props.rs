@@ -93,7 +93,7 @@ proptest! {
         let mut adv = specs[which].build();
         let mut rng = Xoshiro256pp::seed(seed);
         let mut state = values.clone();
-        let mut loads = LoadCounts::rebuild(None, &mut state, false);
+        let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), false);
         let mut touched = Vec::new();
         for round in 0..4u64 {
             let before = state.clone();

@@ -19,7 +19,7 @@
 use stabcon_core::runner::RunResult;
 use stabcon_core::value::Value;
 use stabcon_net::RoundMetrics;
-use stabcon_obs::{Counter, Gauge, WorkerHandle};
+use stabcon_obs::{Counter, Gauge, WorkerSnap};
 use stabcon_util::stats::SparseCounts;
 
 use crate::metrics::{ConvergenceStats, HitMetric};
@@ -69,23 +69,24 @@ impl TrialMetrics {
     }
 }
 
-/// Fold one message-engine trial's cumulative network totals into the
-/// telemetry registry.
+/// Fold one message-engine trial's cumulative network totals into its
+/// chunk's telemetry delta (which the worker then publishes to the
+/// registry).
 ///
-/// This is the **single** mapping from [`RoundMetrics`] to the registry's
+/// This is the **single** mapping from [`RoundMetrics`] to the telemetry
 /// `net_*` slots — every fault-injection field PR'd into the network layer
 /// (`link_dropped`, `partition_dropped`, `forged`, `in_flight`) lands here,
 /// so a new `RoundMetrics` field only needs one edit (plus its counter) to
 /// reach the telemetry sink. `in_flight` is a per-round peak, so it folds
 /// into a max-gauge rather than a counter.
-pub fn fold_net_totals(handle: &WorkerHandle<'_>, totals: &RoundMetrics) {
-    handle.add(Counter::NetRequests, totals.requests);
-    handle.add(Counter::NetDelivered, totals.delivered);
-    handle.add(Counter::NetDropped, totals.dropped);
-    handle.add(Counter::NetLinkDropped, totals.link_dropped);
-    handle.add(Counter::NetPartitionDropped, totals.partition_dropped);
-    handle.add(Counter::NetForged, totals.forged);
-    handle.gauge_max(Gauge::NetInFlightPeak, totals.in_flight);
+pub fn fold_net_totals(delta: &mut WorkerSnap, totals: &RoundMetrics) {
+    delta.add(Counter::NetRequests, totals.requests);
+    delta.add(Counter::NetDelivered, totals.delivered);
+    delta.add(Counter::NetDropped, totals.dropped);
+    delta.add(Counter::NetLinkDropped, totals.link_dropped);
+    delta.add(Counter::NetPartitionDropped, totals.partition_dropped);
+    delta.add(Counter::NetForged, totals.forged);
+    delta.gauge_max(Gauge::NetInFlightPeak, totals.in_flight);
 }
 
 /// One extra-metric channel's cell-level aggregate.

@@ -1,16 +1,17 @@
 //! Declarative campaigns: a cartesian grid over simulation axes, executed
-//! cell by cell with sharded trials and checkpointed to a JSONL store.
+//! through one campaign-wide chunk cursor and checkpointed to a JSONL store.
 //!
 //! A [`CampaignSpec`] expands to a deterministic list of [`CellSpec`]s
 //! (fixed axis order, cell seeds derived from the master seed by cell id).
-//! [`run_campaign`] executes the cells in order, appending each completed
-//! cell to the store; with [`RunConfig::resume`] it skips cells already in
-//! the store and reproduces the remainder bit-identically — at any thread
-//! count, because per-cell aggregation is thread- and chunk-invariant (see
-//! [`crate::cell::run_cell`]).
+//! [`run_campaign`] runs all its to-do cells through one
+//! [`CellStream`], whose workers move straight from one cell's chunks to
+//! the next, and appends each completed cell to the store in cell order;
+//! with [`RunConfig::resume`] it skips cells already in the store and
+//! reproduces the remainder bit-identically — at any thread count, because
+//! per-cell aggregation is thread- and chunk-invariant (see
+//! [`crate::cell`]).
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::engine::{EngineSpec, ScenarioSpec};
@@ -20,7 +21,7 @@ use stabcon_core::runner::SimSpec;
 use stabcon_par::ThreadPool;
 use stabcon_util::rng::derive_seed;
 
-use crate::cell::{chunk_for, run_cell_monitored, CellSpec};
+use crate::cell::{CellSpec, CellStream};
 use crate::metrics::HitMetric;
 use crate::observer::TrialObserver;
 use crate::store;
@@ -301,7 +302,7 @@ pub struct RunConfig {
     /// Worker threads for the shared pool.
     pub threads: usize,
     /// Trials per scheduler chunk; `None` auto-tunes per cell via
-    /// [`chunk_for`].
+    /// [`crate::cell::chunk_for`].
     pub chunk: Option<u64>,
     /// Stop after this many *newly run* cells (checkpoint test hook / CI
     /// smoke interruption).
@@ -385,50 +386,44 @@ pub fn run_campaign(
     // Wall-clock timings never enter the fingerprinted store; they go to
     // the sidecar (always) and the telemetry sink (when requested).
     let mut timings = telemetry::open_timings(path, cfg.resume)?;
+    // The resume skip and the `max_cells` cut come first, so the cursor
+    // never issues a chunk of a cell this invocation will not append.
+    let mut todo = Vec::new();
+    for cell in &cells {
+        if done.contains(&cell.id) {
+            outcome.cells_skipped += 1;
+        } else if cfg.max_cells.is_some_and(|k| todo.len() as u64 >= k) {
+            break;
+        } else {
+            todo.push(cell.clone());
+        }
+    }
     let mut tel = if cfg.progress || cfg.telemetry.is_some() {
-        let planned: u64 = {
-            let todo = cells.iter().filter(|c| !done.contains(&c.id));
-            match cfg.max_cells {
-                Some(k) => todo.take(k as usize).map(|c| c.trials).sum(),
-                None => todo.map(|c| c.trials).sum(),
-            }
-        };
         Some(CampaignTelemetry::create(
             &spec.name,
             pool.threads().max(1),
             cells.len() as u64,
-            planned,
+            todo.iter().map(|c| c.trials).sum(),
             cfg.progress,
             cfg.telemetry.as_deref(),
         )?)
     } else {
         None
     };
-    for cell in &cells {
-        if done.contains(&cell.id) {
-            outcome.cells_skipped += 1;
-            continue;
-        }
-        if cfg.max_cells.is_some_and(|k| outcome.cells_run >= k) {
-            break;
-        }
-        let chunk = cfg
-            .chunk
-            .unwrap_or_else(|| chunk_for(cell.trials, cfg.threads));
-        if let Some(t) = tel.as_mut() {
-            t.begin_cell(cell);
-        }
-        let started = Instant::now();
-        let agg = run_cell_monitored(&pool, cell, chunk, tel.as_mut());
-        let elapsed_secs = started.elapsed().as_secs_f64();
-        file.append(&store::cell_line(cell, &agg))
+    let mut stream = CellStream::start(&pool, &todo, cfg.chunk, tel.as_ref());
+    for cell in &todo {
+        let done = stream
+            .next_cell(tel.as_mut())
+            .expect("one outcome per cell");
+        let trials = done.agg.trials();
+        file.append(&store::cell_line(cell, &done.agg))
             .map_err(|e| format!("append cell {}: {e}", cell.id))?;
-        telemetry::append_timing(&mut timings, cell.id, agg.trials(), elapsed_secs)?;
+        telemetry::append_timing(&mut timings, cell.id, trials, done.elapsed_secs)?;
         if let Some(t) = tel.as_mut() {
-            t.end_cell(cell, agg.trials(), elapsed_secs);
+            t.end_cell(cell, trials, done.elapsed_secs);
         }
         outcome.cells_run += 1;
-        outcome.trials_run += agg.trials();
+        outcome.trials_run += trials;
     }
     if let Some(t) = tel {
         outcome.profiles = t.finish();

@@ -1,29 +1,42 @@
-//! One campaign cell: a simulation spec, a trial budget, and a seed —
-//! executed by persistent workers on the shared [`ThreadPool`].
+//! Campaign cells — a simulation spec, a trial budget, and a seed — and
+//! the one executor that runs any number of them on the shared
+//! [`ThreadPool`].
 //!
-//! Execution model: [`run_cell`] submits **one long-lived job per pool
-//! thread** (not one per chunk). Each worker owns a
-//! [`TrialWorkspace`] it reuses across every trial it runs, pulls chunk
-//! indices from a shared atomic counter, folds each chunk worker-side into
-//! a compact [`ChunkAggregate`] partial, and ships the partial (not a
-//! `Vec<TrialMetrics>`) back over a channel. The scheduler merges partials
-//! in chunk order.
+//! Execution model: [`CellStream`] lays the cells' chunks end to end into
+//! one campaign-wide cursor of `(cell, chunk)` units, issued in grid order,
+//! and submits **one long-lived job per pool thread** for the whole call.
+//! Each worker owns one [`TrialWorkspace`] that it reuses across every
+//! trial of every cell it touches, pulls the next unit off the shared
+//! cursor, folds the chunk worker-side into a compact [`ChunkAggregate`]
+//! partial, and ships the partial (not a `Vec<TrialMetrics>`) back over a
+//! channel. A worker that finishes the last chunk of one cell simply takes
+//! the first chunk of the next, so cells never wait for each other.
+//!
+//! The caller merges partials in unit order: within a cell that is chunk
+//! order, and a cell is handed back the moment its last chunk merges — so
+//! finished cells come back in cell order, and partials that arrive early
+//! (a later cell's chunks included) are parked until their turn.
+//! [`run_cell`], [`run_cell_monitored`] and [`sweep_stats`] are the
+//! one-cell case of the same stream; `run_campaign` makes one stream over
+//! all its to-do cells.
 //!
 //! Determinism contract: trial `i` of a cell always runs with seed
 //! `derive_seed(cell.seed, i)`, trials within a chunk fold in order, and
 //! [`CellAggregate::merge`] of chunk-ordered partials is bit-identical to a
 //! sequential fold (float observer channels ride along per trial — see
-//! [`crate::aggregate::ChunkAggregate`]). The resulting [`CellAggregate`]
-//! is therefore a pure function of `(CellSpec)` — independent of thread
-//! count, chunk size, and scheduling.
+//! [`crate::aggregate::ChunkAggregate`]). Each resulting [`CellAggregate`]
+//! is therefore a pure function of its [`CellSpec`] — independent of thread
+//! count, chunk size, scheduling, and which other cells share the cursor.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Instant;
 
 use stabcon_core::runner::SimSpec;
 use stabcon_core::workspace::TrialWorkspace;
-use stabcon_obs::{self as obs, Counter, Hist};
+use stabcon_obs::{self as obs, Counter, Hist, WorkerHandle, WorkerSnap};
 use stabcon_par::ThreadPool;
 use stabcon_util::rng::derive_seed;
 
@@ -38,7 +51,8 @@ use crate::telemetry::CampaignTelemetry;
 const MIN_CHUNK: u64 = 4;
 
 /// Largest auto-tuned chunk: bounds how much work a single straggler chunk
-/// can hold hostage at the end of a cell.
+/// can hold hostage at the end of a campaign, and how long the partials
+/// finished after it stay parked.
 const MAX_CHUNK: u64 = 256;
 
 /// Trials per scheduler chunk for a cell of `trials` trials on `threads`
@@ -49,14 +63,13 @@ pub fn chunk_for(trials: u64, threads: usize) -> u64 {
     (trials / (4 * workers)).clamp(MIN_CHUNK, MAX_CHUNK)
 }
 
-/// The shared chunk cursor, padded to a cache line of its own.
+/// The shared unit cursor, padded to a cache line of its own.
 ///
 /// Every worker hits this counter once per chunk with a `fetch_add`; on
 /// multi-socket or ≥ 8-core hosts an unpadded `AtomicU64` false-shares its
-/// line with whatever the allocator placed next to it (here: the `Arc`
-/// control block's own counts plus neighbouring allocations), so each
-/// unrelated write invalidates the cursor line in every worker's cache.
-/// 128 bytes covers the two-line prefetch granularity of recent x86 parts.
+/// line with whatever sits next to it, so each unrelated write invalidates
+/// the cursor line in every worker's cache. 128 bytes covers the two-line
+/// prefetch granularity of recent x86 parts.
 #[repr(align(128))]
 struct ChunkCursor(AtomicU64);
 
@@ -117,14 +130,227 @@ impl CellSpec {
     }
 }
 
-/// Run every trial of `cell` on `pool` through persistent workers and fold
-/// the results into a streaming [`CellAggregate`].
+/// What the workers share: every cell with its chunk size, and the one
+/// cursor over their concatenated chunks.
+struct Plan {
+    cells: Vec<(CellSpec, u64)>,
+    /// `ends[c]`: units (chunks) of cells `0..=c`.
+    ends: Vec<u64>,
+    next: ChunkCursor,
+}
+
+impl Plan {
+    fn units(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Units issued so far.
+    fn issued(&self) -> u64 {
+        self.next.0.load(Ordering::Relaxed).min(self.units())
+    }
+
+    /// Run unit `unit` — one chunk of one cell — through `ws`, recording
+    /// into a fresh telemetry delta when `handle` is armed.
+    fn run_unit(
+        &self,
+        unit: u64,
+        ws: &mut TrialWorkspace,
+        handle: Option<&WorkerHandle<'_>>,
+    ) -> Finished {
+        let started = Instant::now();
+        let c = self.ends.partition_point(|&end| end <= unit);
+        let k = unit - c.checked_sub(1).map_or(0, |p| self.ends[p]);
+        let (cell, chunk) = &self.cells[c];
+        let (lo, hi) = (k * chunk, ((k + 1) * chunk).min(cell.trials));
+        let collect_floats = cell.observer.has_float_channels();
+        let mut part = ChunkAggregate::with_capacity(collect_floats, (hi - lo) as usize);
+        let mut delta = handle.map(|_| Box::new(WorkerSnap::zero()));
+        for i in lo..hi {
+            let trial_clock = obs::stopwatch();
+            let result = cell.sim.run_seeded_into(derive_seed(cell.seed, i), ws);
+            if let Some(d) = delta.as_deref_mut() {
+                if let Some(nanos) = trial_clock.elapsed_nanos() {
+                    obs::hist_record(Hist::TrialNanos, nanos);
+                }
+                d.add(Counter::Trials, 1);
+                d.add(Counter::Rounds, result.rounds_executed);
+                if let Some(totals) = &result.net_totals {
+                    fold_net_totals(d, totals);
+                }
+            }
+            part.push(&TrialMetrics::capture(&result, cell.observer));
+            ws.recycle(result);
+        }
+        if let (Some(h), Some(d)) = (handle, delta.as_deref_mut()) {
+            obs::hist_record(Hist::ChunkNanos, started.elapsed().as_nanos() as u64);
+            d.add(Counter::Chunks, 1);
+            d.drain_local();
+            h.publish(d);
+        }
+        Finished {
+            unit,
+            part,
+            started,
+            finished: Instant::now(),
+            delta,
+        }
+    }
+}
+
+/// One chunk on its way from a worker to the merger.
+struct Finished {
+    unit: u64,
+    part: ChunkAggregate,
+    started: Instant,
+    finished: Instant,
+    /// What the chunk recorded, when telemetry is armed.
+    delta: Option<Box<WorkerSnap>>,
+}
+
+/// A cell handed back by [`CellStream::next_cell`].
+#[derive(Debug)]
+pub struct CellOutcome {
+    /// The cell's merged aggregate.
+    pub agg: CellAggregate,
+    /// Wall clock from the start of its first chunk to the end of its last.
+    /// Cells overlap on the cursor, so these spans overlap too.
+    pub elapsed_secs: f64,
+}
+
+/// The executor: runs cells through one campaign-wide `(cell, chunk)`
+/// cursor and hands them back, in cell order, from
+/// [`CellStream::next_cell`].
 ///
-/// One job per pool thread pulls `chunk`-sized trial ranges off a shared
-/// counter, reusing its own [`TrialWorkspace`] across all of them, and
-/// ships each chunk's compact [`ChunkAggregate`] partial back; the caller
-/// merges partials in chunk order, so at most the out-of-order window of
-/// partials is ever resident — never the full trial set.
+/// Dropping the stream early (say, after a store error) exhausts the
+/// cursor: each worker finishes the chunk in hand and exits.
+pub struct CellStream {
+    plan: Arc<Plan>,
+    rx: mpsc::Receiver<Finished>,
+    /// Chunks that arrived ahead of their turn, by unit.
+    parked: BTreeMap<u64, Finished>,
+    merged: u64,
+    delivered: usize,
+}
+
+impl CellStream {
+    /// Start one job per pool thread over `cells`, `chunk` trials per unit
+    /// (`None`: [`chunk_for`] each cell on this pool). With `telemetry`
+    /// armed, every chunk also records into its worker's registry slot and
+    /// ships what it recorded to the merger.
+    pub fn start(
+        pool: &ThreadPool,
+        cells: &[CellSpec],
+        chunk: Option<u64>,
+        telemetry: Option<&CampaignTelemetry>,
+    ) -> Self {
+        let mut units = 0u64;
+        let (planned, ends) = cells
+            .iter()
+            .map(|cell| {
+                let chunk = chunk
+                    .unwrap_or_else(|| chunk_for(cell.trials, pool.threads()))
+                    .max(1);
+                units += cell.trials.div_ceil(chunk);
+                ((cell.clone(), chunk), units)
+            })
+            .unzip();
+        let plan = Arc::new(Plan {
+            cells: planned,
+            ends,
+            next: ChunkCursor(AtomicU64::new(0)),
+        });
+        let registry = telemetry.map(CampaignTelemetry::registry);
+        let (tx, rx) = mpsc::channel();
+        let workers = pool.threads().max(1).min(units as usize);
+        for w in 0..workers {
+            let (tx, plan, registry) = (tx.clone(), Arc::clone(&plan), registry.clone());
+            pool.execute(move || {
+                let handle = registry.as_deref().map(|r| r.handle(w));
+                let mut ws = TrialWorkspace::new();
+                loop {
+                    let unit = plan.next.0.fetch_add(1, Ordering::Relaxed);
+                    if unit >= plan.units() {
+                        return;
+                    }
+                    // The receiver only disappears once the caller stopped
+                    // listening; nothing useful to do with further chunks.
+                    if tx
+                        .send(plan.run_unit(unit, &mut ws, handle.as_ref()))
+                        .is_err()
+                    {
+                        return;
+                    }
+                }
+            });
+        }
+        Self {
+            plan,
+            rx,
+            parked: BTreeMap::new(),
+            merged: 0,
+            delivered: 0,
+        }
+    }
+
+    /// Wait for the next cell in cell order and hand it back (`None` once
+    /// every cell has been). Each merged chunk reports to `telemetry`,
+    /// which keeps the cell's profile as the sum of its chunks' deltas.
+    ///
+    /// # Panics
+    /// Panics if a worker died before delivering its chunks (a trial
+    /// panicked).
+    pub fn next_cell(
+        &mut self,
+        mut telemetry: Option<&mut CampaignTelemetry>,
+    ) -> Option<CellOutcome> {
+        let (cell, _) = self.plan.cells.get(self.delivered)?;
+        let end = self.plan.ends[self.delivered];
+        let mut agg = CellAggregate::new();
+        let mut span: Option<(Instant, Instant)> = None;
+        while self.merged < end {
+            let done = match self.parked.remove(&self.merged) {
+                Some(done) => done,
+                None => {
+                    let done = self.rx.recv().unwrap_or_else(|_| {
+                        panic!("cell {}: worker died before delivering all chunks", cell.id)
+                    });
+                    if done.unit != self.merged {
+                        self.parked.insert(done.unit, done);
+                        continue;
+                    }
+                    done
+                }
+            };
+            agg.merge(&done.part);
+            let (started, finished) = span.unwrap_or((done.started, done.finished));
+            let started = started.min(done.started);
+            span = Some((started, finished.max(done.finished)));
+            self.merged += 1;
+            if let (Some(t), Some(delta)) = (telemetry.as_deref_mut(), &done.delta) {
+                t.on_chunk_merged(cell, started, delta, self.plan.issued(), self.merged);
+            }
+        }
+        self.delivered += 1;
+        Some(CellOutcome {
+            agg,
+            elapsed_secs: span.map_or(0.0, |(s, f)| (f - s).as_secs_f64()),
+        })
+    }
+}
+
+impl Drop for CellStream {
+    fn drop(&mut self) {
+        self.plan
+            .next
+            .0
+            .fetch_max(self.plan.units(), Ordering::Relaxed);
+    }
+}
+
+/// Run every trial of `cell` on `pool` and fold the results into a
+/// streaming [`CellAggregate`]: the one-cell case of [`CellStream`], so at
+/// most the out-of-order window of partials is ever resident — never the
+/// full trial set.
 ///
 /// # Panics
 /// Panics if a worker died before delivering its chunks (a trial panicked).
@@ -136,104 +362,21 @@ pub fn run_cell(pool: &ThreadPool, cell: &CellSpec, chunk: u64) -> CellAggregate
 ///
 /// With `Some(telemetry)` each worker records trial/chunk counters,
 /// duration histograms, and the trial's network totals into its
-/// [`stabcon_obs`] registry slot, and the in-order merger reports progress
-/// after every merge. Telemetry is observation-only: it never touches
-/// trial seeds, fold order, or the aggregate, so the result — and any
-/// store built from it — is byte-identical with telemetry on or off
-/// (pinned by `tests/telemetry_props.rs`).
+/// [`stabcon_obs`] registry slot and into the chunk's delta, and the
+/// in-order merger reports progress after every merge. Telemetry is
+/// observation-only: it never touches trial seeds, fold order, or the
+/// aggregate, so the result — and any store built from it — is
+/// byte-identical with telemetry on or off (pinned by
+/// `tests/telemetry_props.rs`).
 pub fn run_cell_monitored(
     pool: &ThreadPool,
     cell: &CellSpec,
     chunk: u64,
-    mut telemetry: Option<&mut CampaignTelemetry>,
+    telemetry: Option<&mut CampaignTelemetry>,
 ) -> CellAggregate {
-    let chunk = chunk.max(1);
-    let n_chunks = cell.trials.div_ceil(chunk);
-    if n_chunks == 0 {
-        return CellAggregate::new();
-    }
-    let workers = pool.threads().max(1).min(n_chunks as usize);
-    let registry = telemetry.as_ref().map(|t| t.registry());
-    let sim = Arc::new(cell.sim.clone());
-    let next_chunk = Arc::new(ChunkCursor(AtomicU64::new(0)));
-    let collect_floats = cell.observer.has_float_channels();
-    let (tx, rx) = mpsc::channel::<(u64, ChunkAggregate)>();
-    for w in 0..workers {
-        let tx = tx.clone();
-        let sim = Arc::clone(&sim);
-        let next_chunk = Arc::clone(&next_chunk);
-        let registry = registry.clone();
-        let (seed, observer, trials) = (cell.seed, cell.observer, cell.trials);
-        pool.execute(move || {
-            let handle = registry.as_deref().map(|r| r.handle(w));
-            let mut ws = TrialWorkspace::new();
-            loop {
-                let ci = next_chunk.0.fetch_add(1, Ordering::Relaxed);
-                if ci >= n_chunks {
-                    // Phase nanos from the trial-side timers still sit in
-                    // this thread's local accumulator; publish them.
-                    if let Some(h) = &handle {
-                        h.drain_local();
-                    }
-                    return;
-                }
-                let chunk_clock = obs::stopwatch();
-                let (lo, hi) = (ci * chunk, ((ci + 1) * chunk).min(trials));
-                let mut part = ChunkAggregate::with_capacity(collect_floats, (hi - lo) as usize);
-                for i in lo..hi {
-                    let trial_clock = obs::stopwatch();
-                    let result = sim.run_seeded_into(derive_seed(seed, i), &mut ws);
-                    if let Some(h) = &handle {
-                        if let Some(nanos) = trial_clock.elapsed_nanos() {
-                            obs::hist_record(Hist::TrialNanos, nanos);
-                        }
-                        h.add(Counter::Trials, 1);
-                        h.add(Counter::Rounds, result.rounds_executed);
-                        if let Some(totals) = &result.net_totals {
-                            fold_net_totals(h, totals);
-                        }
-                    }
-                    part.push(&TrialMetrics::capture(&result, observer));
-                    ws.recycle(result);
-                }
-                if let Some(h) = &handle {
-                    if let Some(nanos) = chunk_clock.elapsed_nanos() {
-                        obs::hist_record(Hist::ChunkNanos, nanos);
-                    }
-                    h.add(Counter::Chunks, 1);
-                    h.drain_local();
-                }
-                // The receiver only disappears if the caller panicked;
-                // nothing useful to do with further chunks then.
-                if tx.send((ci, part)).is_err() {
-                    return;
-                }
-            }
-        });
-    }
-    drop(tx);
-
-    let mut agg = CellAggregate::new();
-    let mut parked: std::collections::BTreeMap<u64, ChunkAggregate> =
-        std::collections::BTreeMap::new();
-    let mut next = 0u64;
-    for (ci, part) in rx {
-        parked.insert(ci, part);
-        while let Some(part) = parked.remove(&next) {
-            agg.merge(&part);
-            next += 1;
-        }
-        if let Some(t) = telemetry.as_deref_mut() {
-            let issued = next_chunk.0.load(Ordering::Relaxed).min(n_chunks);
-            t.on_chunk_merged(agg.trials(), issued, next);
-        }
-    }
-    assert_eq!(
-        next, n_chunks,
-        "cell {}: worker died before delivering all chunks",
-        cell.id
-    );
-    agg
+    let cells = std::slice::from_ref(cell);
+    let mut stream = CellStream::start(pool, cells, Some(chunk), telemetry.as_deref());
+    stream.next_cell(telemetry).expect("one cell").agg
 }
 
 /// Convenience for table drivers: run `trials` trials of `sim` with trial
@@ -318,6 +461,36 @@ mod tests {
                 "threads={threads}: only {chunks} chunks"
             );
         }
+    }
+
+    #[test]
+    fn stream_hands_back_each_cell_as_if_run_alone() {
+        let cells: Vec<CellSpec> = [(64, 9), (512, 1), (96, 0), (256, 5)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, (n, trials))| CellSpec {
+                id: id as u64,
+                ..CellSpec::new(SimSpec::new(n), trials, 0x57 + id as u64)
+            })
+            .collect();
+        let alone: Vec<CellAggregate> = {
+            let pool = ThreadPool::new(1);
+            cells.iter().map(|c| run_cell(&pool, c, 4)).collect()
+        };
+        let pool = ThreadPool::new(2);
+        for chunk in [Some(1), Some(2), None] {
+            let mut stream = CellStream::start(&pool, &cells, chunk, None);
+            for expected in &alone {
+                let got = stream.next_cell(None).expect("one outcome per cell");
+                assert_eq!(&got.agg, expected, "chunk {chunk:?}");
+            }
+            assert!(stream.next_cell(None).is_none());
+        }
+        // A stream dropped after its first cell stops its workers.
+        let mut stream = CellStream::start(&pool, &cells, Some(1), None);
+        assert_eq!(stream.next_cell(None).expect("first cell").agg, alone[0]);
+        drop(stream);
+        drop(pool); // joins: must not hang
     }
 
     #[test]

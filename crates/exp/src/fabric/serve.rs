@@ -26,8 +26,8 @@
 //! against [`ServeState::check_invariants`] directly.
 //!
 //! Results are parked and flushed to the job's store as a contiguous prefix
-//! in cell-index order (the same discipline as the in-order chunk merger
-//! inside `run_cell`), so a completed job store is byte-identical to the
+//! in cell-index order (the same discipline as the in-order merger of
+//! `crate::cell::CellStream`), so a completed job store is byte-identical to the
 //! single-host `stabcon campaign run` store. Each store handle is a
 //! [`store::StoreWriter`], so `--durability {none,cell}` applies the
 //! same fsync policy here as in the single-host runner, and a `kill -9`'d

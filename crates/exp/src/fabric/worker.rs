@@ -337,7 +337,6 @@ fn run_leased_cell(
     let chunk = cfg
         .chunk
         .unwrap_or_else(|| chunk_for(cell.trials, cfg.threads));
-    tel.begin_cell(cell);
     let started = Instant::now();
     let agg = run_cell_monitored(pool, cell, chunk, Some(&mut tel));
     let elapsed_secs = started.elapsed().as_secs_f64();

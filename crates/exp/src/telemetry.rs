@@ -9,10 +9,14 @@
 //!   worker) for one campaign invocation. Creating it flips the global
 //!   `stabcon-obs` enable flag, which arms the phase timers inside the
 //!   dense kernel, the runner, and the message engine.
-//! * `run_cell` workers record per-trial counters and durations into their
-//!   slot; the in-order chunk merger calls
-//!   [`CampaignTelemetry::on_chunk_merged`], which throttles periodic
-//!   snapshot records to the sink and progress lines to stderr.
+//! * [`crate::cell::CellStream`] workers count each chunk's trials,
+//!   durations and network totals into a delta, publish it to their slot,
+//!   and ship it with the chunk; the in-order merger calls
+//!   [`CampaignTelemetry::on_chunk_merged`], which adds the delta to the
+//!   cell's profile and throttles periodic snapshot records to the sink and
+//!   progress lines to stderr. Cells overlap on the cursor, so the registry
+//!   is never reset mid-campaign; a cell's profile is the sum of its own
+//!   chunks' deltas.
 //! * Each completed cell appends one `cell_profile` record (phase nanos,
 //!   net counters, trial-duration quantiles) and one timings sidecar line
 //!   (`elapsed_secs`/`trials_per_sec` — kept *out* of the fingerprinted
@@ -23,10 +27,11 @@
 //! Line 1 is a header: `schema`, `campaign`, `threads`, `cells`,
 //! `trials_planned`. Every further line is flat JSON with a `record` field:
 //!
-//! * `record = "snapshot"` — periodic, at most ~2/s: `cell`, `trials_done`,
-//!   `trials_total`, `elapsed_secs`, `trials_per_sec`, `chunks_issued`,
-//!   `chunks_merged`, `cursor_lag`, `eta_secs`, `workers`,
-//!   `worker_trials_min`, `worker_trials_max`.
+//! * `record = "snapshot"` — periodic, at most ~2/s: `cell` (the oldest
+//!   unfinished cell) with its `trials_done`, `trials_total`,
+//!   `elapsed_secs` and `trials_per_sec`; `chunks_issued`, `chunks_merged`
+//!   and `cursor_lag` over the whole cursor; `eta_secs`; and `workers`,
+//!   `worker_trials_min`, `worker_trials_max` over the invocation so far.
 //! * `record = "cell_profile"` — one per completed cell: `cell`, `trials`,
 //!   `elapsed_secs`, `trials_per_sec`, `rounds`, one `phase_<name>_nanos`
 //!   per [`stabcon_obs::Phase`], the `net_*` counters, the in-flight peak
@@ -43,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use stabcon_obs::{self as obs, Counter, Gauge, Hist, MetricRegistry, Phase, Snapshot};
+use stabcon_obs::{self as obs, Counter, Gauge, Hist, MetricRegistry, Phase, Snapshot, WorkerSnap};
 use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 use stabcon_util::table::Table;
 
@@ -131,7 +136,7 @@ fn fmt_eta(secs: f64) -> String {
 
 /// Telemetry state for one campaign invocation. Construct with
 /// [`CampaignTelemetry::create`] (arms the global instrumentation flag),
-/// drive with `begin_cell`/`on_chunk_merged`/`end_cell`, and consume with
+/// drive with `on_chunk_merged`/`end_cell`, and consume with
 /// [`CampaignTelemetry::finish`] (disarms the flag, returns the profiles).
 pub struct CampaignTelemetry {
     registry: Arc<MetricRegistry>,
@@ -141,11 +146,10 @@ pub struct CampaignTelemetry {
     campaign_started: Instant,
     cells_total: u64,
     trials_planned: u64,
-    /// Trials finished in *completed* cells this invocation.
-    trials_done_prior: u64,
-    cell_id: u64,
-    cell_trials: u64,
-    cell_started: Instant,
+    /// Trials merged this invocation, over every cell.
+    trials_merged: u64,
+    /// The merged chunks' deltas of the cell being merged.
+    cell: WorkerSnap,
     last_emit: Instant,
     profiles: Vec<CellProfile>,
 }
@@ -217,10 +221,8 @@ impl CampaignTelemetry {
             campaign_started: now,
             cells_total,
             trials_planned,
-            trials_done_prior: 0,
-            cell_id: 0,
-            cell_trials: 0,
-            cell_started: now,
+            trials_merged: 0,
+            cell: WorkerSnap::zero(),
             last_emit: now,
             profiles: Vec::new(),
         })
@@ -231,17 +233,29 @@ impl CampaignTelemetry {
         Arc::clone(&self.registry)
     }
 
-    /// Start a cell: zero the registry so profiles stay per-cell.
-    pub fn begin_cell(&mut self, cell: &CellSpec) {
+    /// Zero the registry before driving one cell on its own, for a caller
+    /// that reads the registry cell by cell. The campaign executor never
+    /// calls this: its cells overlap, and a cell's profile is the sum of
+    /// its own chunks' deltas, not a registry read.
+    pub fn begin_cell(&mut self, _cell: &CellSpec) {
         self.registry.reset();
-        self.cell_id = cell.id;
-        self.cell_trials = cell.trials;
-        self.cell_started = Instant::now();
     }
 
-    /// Called by the chunk merger after each in-order merge; throttles a
-    /// snapshot record to the sink and a progress line to stderr.
-    pub fn on_chunk_merged(&mut self, trials_done: u64, chunks_issued: u64, chunks_merged: u64) {
+    /// Called by the executor after each in-order merge of one of `cell`'s
+    /// chunks, whose work started at `cell_started`: adds the chunk's
+    /// `delta` to the cell's profile, and throttles a snapshot record to
+    /// the sink and a progress line to stderr. The chunk counts run over
+    /// the whole cursor, and `cell` is the oldest unfinished cell.
+    pub fn on_chunk_merged(
+        &mut self,
+        cell: &CellSpec,
+        cell_started: Instant,
+        delta: &WorkerSnap,
+        chunks_issued: u64,
+        chunks_merged: u64,
+    ) {
+        self.cell.absorb(delta);
+        self.trials_merged += delta.counter(Counter::Trials);
         let lag = chunks_issued.saturating_sub(chunks_merged);
         self.registry.handle(0).gauge_set(Gauge::CursorLag, lag);
         if self.last_emit.elapsed().as_secs_f64() < EMIT_INTERVAL_SECS {
@@ -250,12 +264,12 @@ impl CampaignTelemetry {
         self.last_emit = Instant::now();
         self.registry.snapshot_into(&mut self.snap);
 
-        let cell_elapsed = self.cell_started.elapsed().as_secs_f64();
+        let trials_done = self.cell.counter(Counter::Trials);
+        let cell_elapsed = cell_started.elapsed().as_secs_f64();
         let cell_rate = trials_done as f64 / cell_elapsed.max(1e-9);
-        let done_overall = self.trials_done_prior + trials_done;
         let overall_rate =
-            done_overall as f64 / self.campaign_started.elapsed().as_secs_f64().max(1e-9);
-        let eta_secs = self.trials_planned.saturating_sub(done_overall) as f64 / overall_rate;
+            self.trials_merged as f64 / self.campaign_started.elapsed().as_secs_f64().max(1e-9);
+        let eta_secs = self.trials_planned.saturating_sub(self.trials_merged) as f64 / overall_rate;
 
         let per_worker: Vec<u64> = self
             .snap
@@ -270,9 +284,9 @@ impl CampaignTelemetry {
         if let Some(sink) = self.sink.as_mut() {
             let line = JsonObj::new()
                 .str_field("record", "snapshot")
-                .u64_field("cell", self.cell_id)
+                .u64_field("cell", cell.id)
                 .u64_field("trials_done", trials_done)
-                .u64_field("trials_total", self.cell_trials)
+                .u64_field("trials_total", cell.trials)
                 .fixed_field("elapsed_secs", cell_elapsed, 3)
                 .fixed_field("trials_per_sec", cell_rate, 1)
                 .u64_field("chunks_issued", chunks_issued)
@@ -292,11 +306,11 @@ impl CampaignTelemetry {
         if self.progress {
             eprintln!(
                 "[cell {}/{}] {}/{} trials ({:.0}%) | {:.0} trials/s | workers {} ({}..{}) | lag {} | eta {}",
-                self.cell_id + 1,
+                cell.id + 1,
                 self.cells_total,
                 trials_done,
-                self.cell_trials,
-                100.0 * trials_done as f64 / self.cell_trials.max(1) as f64,
+                cell.trials,
+                100.0 * trials_done as f64 / cell.trials.max(1) as f64,
                 cell_rate,
                 active,
                 w_min,
@@ -307,11 +321,11 @@ impl CampaignTelemetry {
         }
     }
 
-    /// Finish a cell: fold its registry into a [`CellProfile`], emit the
-    /// `cell_profile` record, and advance the campaign ETA baseline.
+    /// Finish a cell: fold its merged chunks' deltas into a
+    /// [`CellProfile`], emit the `cell_profile` record, and start the next
+    /// cell's sum from zero.
     pub fn end_cell(&mut self, cell: &CellSpec, trials: u64, elapsed_secs: f64) {
-        self.registry.snapshot_into(&mut self.snap);
-        let t = self.snap.total();
+        let t = std::mem::replace(&mut self.cell, WorkerSnap::zero());
         let profile = CellProfile {
             cell: cell.id,
             trials,
@@ -362,7 +376,6 @@ impl CampaignTelemetry {
             let _ = writeln!(sink, "{}", line.finish());
             let _ = sink.flush();
         }
-        self.trials_done_prior += trials;
         self.profiles.push(profile);
     }
 

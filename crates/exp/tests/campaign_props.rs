@@ -1,7 +1,9 @@
 //! Checkpoint/resume determinism: a campaign interrupted after `k` cells
 //! and resumed — at a different thread count and chunk size, even with a
 //! torn trailing write — produces a result store **byte-identical** to an
-//! uninterrupted run.
+//! uninterrupted run. One-trial cells of unequal cost make the campaign-wide
+//! chunk cursor run several cells at once, so this also pins that cells
+//! come back in order and that an interrupted run starts no cell past `k`.
 
 use std::path::PathBuf;
 
@@ -12,6 +14,8 @@ use stabcon_exp::{BudgetSpec, InitSpec};
 
 const THREAD_CHOICES: [usize; 3] = [1, 2, 8];
 const CHUNK_CHOICES: [u64; 3] = [1, 3, 32];
+/// One trial per cell makes cells overlap on the cursor.
+const TRIAL_CHOICES: [u64; 2] = [1, 6];
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("stabcon-campaign-props");
@@ -19,14 +23,18 @@ fn tmp(tag: &str) -> PathBuf {
     dir.join(format!("{}-{tag}.jsonl", std::process::id()))
 }
 
-/// 8 cells: 2 populations × 2 inits × 2 adversaries (one flips the metric
-/// to almost-stable, exercising both label/metric paths in the store).
-fn grid(seed: u64) -> CampaignSpec {
+/// 12 cells: 3 populations × 2 inits × 2 adversaries (one flips the metric
+/// to almost-stable, exercising both label/metric paths in the store). The
+/// n = 2048 cells cost far more than the others, so cells finish out of
+/// order on the cursor.
+const GRID_CELLS: u64 = 12;
+
+fn grid(seed: u64, trials: u64) -> CampaignSpec {
     CampaignSpec {
         name: "prop".into(),
         seed,
-        trials: 6,
-        ns: vec![64, 96],
+        trials,
+        ns: vec![64, 96, 2048],
         inits: vec![InitSpec::TwoBinsHalf, InitSpec::UniformRandom(4)],
         adversaries: vec![
             (AdversarySpec::None, BudgetSpec::Zero),
@@ -60,7 +68,8 @@ proptest! {
     #[test]
     fn interrupted_and_resumed_store_is_byte_identical(
         seed in 0u64..1_000,
-        k in 0u64..=8,
+        t_trials in 0usize..2,
+        k in 0u64..=GRID_CELLS,
         t_ref in 0usize..3,
         t_partial in 0usize..3,
         t_resume in 0usize..3,
@@ -68,8 +77,11 @@ proptest! {
         c_resume in 0usize..3,
         tear in any::<bool>(),
     ) {
-        let spec = grid(seed);
-        let tag = format!("{seed}-{k}-{t_ref}{t_partial}{t_resume}{c_partial}{c_resume}{tear}");
+        let trials = TRIAL_CHOICES[t_trials];
+        let spec = grid(seed, trials);
+        let tag = format!(
+            "{seed}-{trials}-{k}-{t_ref}{t_partial}{t_resume}{c_partial}{c_resume}{tear}"
+        );
 
         // Reference: one uninterrupted run.
         let ref_path = tmp(&format!("ref-{tag}"));
@@ -86,7 +98,8 @@ proptest! {
             resume: false,
             ..RunConfig::default()
         }).expect("interrupted run");
-        prop_assert_eq!(partial.cells_run, k.min(8));
+        prop_assert_eq!(partial.cells_run, k);
+        prop_assert_eq!(partial.trials_run, k * trials, "no trial of a cell past k");
 
         // A kill mid-append leaves a torn trailing line; resume must
         // truncate it away.
@@ -105,7 +118,7 @@ proptest! {
             ..RunConfig::default()
         }).expect("resume");
         prop_assert!(resumed.complete());
-        prop_assert_eq!(resumed.cells_skipped, k.min(8));
+        prop_assert_eq!(resumed.cells_skipped, k);
 
         let bytes = std::fs::read(&path).expect("read store");
         prop_assert_eq!(
@@ -120,7 +133,7 @@ proptest! {
 
 #[test]
 fn thread_counts_1_2_8_all_reproduce_the_same_store() {
-    let spec = grid(0xD00D);
+    let spec = grid(0xD00D, 6);
     let mut stores = Vec::new();
     for &threads in &THREAD_CHOICES {
         let path = tmp(&format!("threads-{threads}"));

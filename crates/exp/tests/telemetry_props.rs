@@ -161,3 +161,72 @@ fn telemetry_profiles_fold_net_totals_once() {
     cleanup(&path);
     std::fs::remove_file(&sink).ok();
 }
+
+#[test]
+fn overlapping_cells_keep_their_own_profiles() {
+    // Eight one-trial cells of unequal cost on two threads: the chunk
+    // cursor runs two cells at once, and each cell's profile must be the
+    // sum of its own chunks' deltas — never a neighbour's.
+    let spec = CampaignSpec {
+        name: "tel-overlap".into(),
+        seed: 0x0E1A,
+        trials: 1,
+        ns: vec![64, 512, 96, 2048],
+        inits: vec![InitSpec::TwoBinsHalf, InitSpec::AllDistinct],
+        ..CampaignSpec::default()
+    };
+    let path = tmp("overlap");
+    let sink = tmp("overlap-sink");
+    cleanup(&path);
+    run_campaign(
+        &spec,
+        &path,
+        &RunConfig {
+            threads: 2,
+            telemetry: Some(sink.clone()),
+            ..RunConfig::default()
+        },
+    )
+    .expect("run");
+
+    let get_u64 = |obj: &stabcon_util::jsonl::FlatObject, k: &str| {
+        stabcon_util::jsonl::get(obj, k)
+            .and_then(stabcon_util::jsonl::JsonScalar::as_u64)
+            .unwrap_or_else(|| panic!("missing {k}"))
+    };
+    let store = stabcon_exp::store::load(&path).expect("load store");
+    let stored: Vec<(u64, u64, u64)> = store
+        .cells
+        .iter()
+        .map(|c| {
+            (
+                get_u64(c, "cell"),
+                get_u64(c, "trials"),
+                get_u64(c, "rounds_total"),
+            )
+        })
+        .collect();
+    assert_eq!(stored.len(), 8);
+    let text = std::fs::read_to_string(&sink).expect("read sink");
+    let profiles: Vec<(u64, u64, u64)> = text
+        .lines()
+        .skip(1)
+        .map(|line| stabcon_util::jsonl::parse_flat(line).expect("flat record"))
+        .filter(|obj| {
+            stabcon_util::jsonl::get(obj, "record")
+                .and_then(stabcon_util::jsonl::JsonScalar::as_str)
+                == Some("cell_profile")
+        })
+        .map(|obj| {
+            (
+                get_u64(&obj, "cell"),
+                get_u64(&obj, "trials"),
+                get_u64(&obj, "rounds"),
+            )
+        })
+        .collect();
+    assert_eq!(profiles, stored, "profile (cell, trials, rounds) vs store");
+
+    cleanup(&path);
+    std::fs::remove_file(&sink).ok();
+}

@@ -31,12 +31,13 @@
 //!
 //! Engines record *phases* ([`Phase`]) into a thread-local accumulator via
 //! RAII [`PhaseGuard`]s; trial/chunk durations go to thread-local
-//! histograms via [`hist_record`]. The experiment scheduler's workers hold a
-//! [`WorkerHandle`] and periodically [`WorkerHandle::drain_local`] the
-//! thread-local sums into their registry slot, alongside direct counter and
-//! gauge updates. Anything with a `&MetricRegistry` can then
-//! [`MetricRegistry::snapshot_into`] a reusable [`Snapshot`] and render or
-//! serialize it.
+//! histograms via [`hist_record`]. The experiment scheduler's workers count
+//! each chunk into a [`WorkerSnap`] delta, [`WorkerSnap::drain_local`] the
+//! thread-local sums into it, and [`WorkerHandle::publish`] it to their
+//! registry slot; the same delta travels with the chunk, so a cell's profile
+//! is the sum of its own chunks even while cells overlap. Anything with a
+//! `&MetricRegistry` can [`MetricRegistry::snapshot_into`] a reusable
+//! [`Snapshot`] and render or serialize it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -449,8 +450,8 @@ impl MetricRegistry {
         }
     }
 
-    /// Zero every slot (e.g. between campaign cells, so per-cell profiles
-    /// don't bleed into each other).
+    /// Zero every slot (e.g. between cells a caller drives one at a time
+    /// and reads from the registry).
     pub fn reset(&self) {
         for slot in self.slots.iter() {
             slot.reset();
@@ -520,26 +521,35 @@ impl WorkerHandle<'_> {
     /// into the slot. Call from the owning worker thread (typically once
     /// per trial or chunk); cheap when nothing accumulated.
     pub fn drain_local(&self) {
-        LOCAL.with(|l| {
-            for i in 0..PHASE_COUNT {
-                let nanos = l.phase_nanos[i].replace(0);
-                if nanos != 0 {
-                    self.slot.phase_nanos[i].fetch_add(nanos, Ordering::Relaxed);
-                }
-                let calls = l.phase_calls[i].replace(0);
-                if calls != 0 {
-                    self.slot.phase_calls[i].fetch_add(calls, Ordering::Relaxed);
-                }
+        let mut delta = WorkerSnap::zero();
+        delta.drain_local();
+        self.publish(&delta);
+    }
+
+    /// Add a delta recorded elsewhere (see [`WorkerSnap::drain_local`]) to
+    /// the slot: counters, phase times and histograms sum, gauges take the
+    /// max.
+    pub fn publish(&self, delta: &WorkerSnap) {
+        let add = |slot: &AtomicU64, v: u64| {
+            if v != 0 {
+                slot.fetch_add(v, Ordering::Relaxed);
             }
-            for h in 0..HIST_COUNT {
-                for b in 0..HIST_BUCKETS {
-                    let v = l.hist[h][b].replace(0);
-                    if v != 0 {
-                        self.slot.hist[h][b].fetch_add(v, Ordering::Relaxed);
-                    }
-                }
+        };
+        for (slot, &v) in self.slot.counters.iter().zip(&delta.counters) {
+            add(slot, v);
+        }
+        for (slot, &v) in self.slot.gauges.iter().zip(&delta.gauges) {
+            slot.fetch_max(v, Ordering::Relaxed);
+        }
+        for i in 0..PHASE_COUNT {
+            add(&self.slot.phase_nanos[i], delta.phase_nanos[i]);
+            add(&self.slot.phase_calls[i], delta.phase_calls[i]);
+        }
+        for (row, deltas) in self.slot.hist.iter().zip(&delta.hist) {
+            for (slot, &v) in row.iter().zip(deltas) {
+                add(slot, v);
             }
-        });
+        }
     }
 }
 
@@ -592,6 +602,37 @@ impl WorkerSnap {
                 self.hist[h][b] += other.hist[h][b];
             }
         }
+    }
+
+    /// Move this thread's accumulated phase times and histogram samples
+    /// into this snapshot, zeroing the thread-local accumulator. A worker
+    /// calls it once per chunk, so the snapshot holds exactly what that
+    /// chunk recorded.
+    pub fn drain_local(&mut self) {
+        LOCAL.with(|l| {
+            for i in 0..PHASE_COUNT {
+                self.phase_nanos[i] += l.phase_nanos[i].replace(0);
+                self.phase_calls[i] += l.phase_calls[i].replace(0);
+            }
+            for (row, cells) in self.hist.iter_mut().zip(&l.hist) {
+                for (b, cell) in row.iter_mut().zip(cells) {
+                    *b += cell.replace(0);
+                }
+            }
+        });
+    }
+
+    /// Add `by` to counter `c`.
+    #[inline]
+    pub fn add(&mut self, c: Counter, by: u64) {
+        self.counters[c as usize] += by;
+    }
+
+    /// Raise gauge `g` to at least `v` (peak-tracking).
+    #[inline]
+    pub fn gauge_max(&mut self, g: Gauge, v: u64) {
+        let slot = &mut self.gauges[g as usize];
+        *slot = (*slot).max(v);
     }
 
     /// Counter value.
@@ -737,6 +778,34 @@ mod tests {
         reg.reset();
         reg.snapshot_into(&mut snap);
         assert_eq!(*snap.total(), WorkerSnap::zero());
+    }
+
+    #[test]
+    fn chunk_deltas_drain_the_thread_and_publish_to_the_slot() {
+        let _g = GATE.lock().unwrap();
+        set_enabled(true);
+        hist_record(Hist::ChunkNanos, 100);
+        set_enabled(false);
+        let mut delta = WorkerSnap::zero();
+        delta.add(Counter::Trials, 2);
+        delta.gauge_max(Gauge::NetInFlightPeak, 4);
+        delta.drain_local();
+        assert_eq!(delta.hist_count(Hist::ChunkNanos), 1);
+        let mut again = WorkerSnap::zero();
+        again.drain_local();
+        assert_eq!(again, WorkerSnap::zero(), "the drain emptied the thread");
+
+        let reg = MetricRegistry::new(1);
+        let h = reg.handle(0);
+        h.gauge_max(Gauge::NetInFlightPeak, 9);
+        h.publish(&delta);
+        h.publish(&delta);
+        let mut snap = Snapshot::new(1);
+        reg.snapshot_into(&mut snap);
+        let t = snap.total();
+        assert_eq!(t.counter(Counter::Trials), 4);
+        assert_eq!(t.hist_count(Hist::ChunkNanos), 2);
+        assert_eq!(t.gauge(Gauge::NetInFlightPeak), 9, "gauges take the max");
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * **A persistent [`ThreadPool`]**: named workers draining one
 //!   channel-fed job queue, which keeps threads warm across the thousands
 //!   of small cells of a campaign. The pool does no load balancing of its
-//!   own: `run_cell` submits one long-lived job per worker, and those jobs
-//!   pull trial chunks off a shared cursor.
+//!   own: the campaign executor (`stabcon_exp::cell::CellStream`, behind
+//!   `run_campaign` and `run_cell`) submits one long-lived job per worker
+//!   for the whole call, and those jobs pull `(cell, chunk)` units off one
+//!   shared cursor.
 //!
 //! Determinism note: simulation results never depend on scheduling — the
 //! engines derive randomness from counter-based RNG coordinates, and the

@@ -2,8 +2,9 @@
 //!
 //! [`ThreadPool::execute`] sends a boxed job down one
 //! [`crossbeam::channel`]; whichever idle worker receives it first runs it.
-//! Load balancing is not the pool's business: `run_cell` submits one
-//! long-lived job per worker, and those jobs pull trial chunks off a shared
+//! Load balancing is not the pool's business: the campaign executor behind
+//! `run_campaign` and `run_cell` submits one long-lived job per worker for
+//! the whole call, and those jobs pull `(cell, chunk)` units off one shared
 //! cursor. So there is no stealing, no pending counter and no idle barrier.
 //!
 //! The pool holds only the sending half; each worker holds a receiver.

@@ -115,7 +115,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed(seed);
         let mut adv = RandomCorruptor;
         {
-            let mut loads = LoadCounts::rebuild(None, &mut state, false);
+            let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), false);
             let mut touched = Vec::new();
             let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
             adv.corrupt(0, &mut c, &mut rng);
