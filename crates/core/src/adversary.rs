@@ -284,14 +284,15 @@ impl Adversary for MedianPusher {
         }
         let mut flip_low = gen_index(rng, 2) == 0;
         for i in 0..c.n() {
-            if c.remaining() == 0 {
+            let target = if flip_low { lo } else { hi };
+            // `flip_low` changes only on a landed write, and no write lands
+            // once the target is the median itself (on two bins, one of
+            // `lo` and `hi` is): the rest of the scan could change nothing.
+            if c.remaining() == 0 || target == median {
                 break;
             }
-            if c.get(i) == median {
-                let target = if flip_low { lo } else { hi };
-                if target != median && c.try_set(i, target) {
-                    flip_low = !flip_low;
-                }
+            if c.get(i) == median && c.try_set(i, target) {
+                flip_low = !flip_low;
             }
         }
     }

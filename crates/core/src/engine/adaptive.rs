@@ -21,13 +21,19 @@
 //!
 //! The incremental histogram also powers the runner's per-round observables
 //! ([`crate::runner::RoundObs`]): support, plurality, median, and imbalance
-//! fall out of one `O(m)` walk over the live bins.
+//! fall out of one `O(m)` walk over the live bins. The runner takes that walk
+//! only for rounds that can count toward stability (or are recorded): the
+//! maintained support alone rules the others out.
 
 use std::collections::BTreeMap;
 
 use crate::histogram::Histogram;
 use crate::runner::RoundObs;
 use crate::value::Value;
+
+/// Balls per block of [`RankedCounts::apply_step`]'s move buffer (8 KiB of
+/// `(old, new)` pairs, L1-resident).
+pub const MOVE_BLOCK: usize = 1024;
 
 /// Default handoff threshold: hand off once at most this many distinct
 /// values survive. `m = 64` keeps the histogram step (`O(m²)` binomial
@@ -117,9 +123,11 @@ pub fn observe_histogram(h: &Histogram) -> RoundObs {
 ///
 /// Such rules (and every adversary strategy) use values only through order
 /// and equality, so the trial runs on ranks: [`RankedCounts::rebuild_from`]
-/// relabels the state to `0..m` in place, a ball move is two array bumps
-/// at `counts[rank]`, and values come back only at the trial's edges
-/// through [`LoadCounts::value_of`].
+/// relabels the state to `0..m` in place, a ball move is a decrement and an
+/// increment at `counts[rank]`, and values come back only at the trial's
+/// edges through [`LoadCounts::value_of`]. A whole engine round folds in
+/// through [`RankedCounts::apply_step`], which pays per *moved* ball with no
+/// data-dependent branch.
 ///
 /// At `n = 2²⁰` all-distinct balls the table is `counts` alone, 4 MiB: loads
 /// fit `u32` (n ≤ `u32::MAX` is asserted), and the rank → value table is
@@ -212,6 +220,50 @@ impl RankedCounts {
             self.support += 1;
         }
         self.counts[rt] += 1;
+    }
+
+    /// Fold in one engine round, `old[i] → new[i]` for every ball, without
+    /// a branch on whether a ball moved: each block of [`MOVE_BLOCK`] balls
+    /// writes every `(old, new)` pair into `moves` and advances past it only
+    /// when the two differ, then applies the block's moves, keeping the
+    /// support with comparisons instead of branches. A branch on
+    /// `old != new` mispredicts on almost every ball while the support is
+    /// wide; the compaction keeps a quiet round (few moves) cheap too, where
+    /// a plain branch-free update would chain stores on the same few loads.
+    ///
+    /// `moves` is a caller-parked buffer: it is sized once to [`MOVE_BLOCK`]
+    /// pairs, so a warm round allocates and zeroes nothing.
+    pub fn apply_step(&mut self, old: &[Value], new: &[Value], moves: &mut Vec<(Value, Value)>) {
+        debug_assert_eq!(old.len(), new.len());
+        if moves.len() < MOVE_BLOCK {
+            moves.resize(MOVE_BLOCK, (0, 0));
+        }
+        let moves: &mut [(Value, Value); MOVE_BLOCK] =
+            (&mut moves[..MOVE_BLOCK]).try_into().expect("sized above");
+        // Locals, not fields: a write through `counts` could alias
+        // `self.support` as far as the compiler knows, which would chain
+        // a store and a reload of the support through every move.
+        let counts = &mut self.counts[..];
+        let mut support = self.support;
+        for (old, new) in old.chunks(MOVE_BLOCK).zip(new.chunks(MOVE_BLOCK)) {
+            let mut len = 0;
+            for (&o, &n) in old.iter().zip(new) {
+                // `len` never exceeds the ball's index in the block; the
+                // mask only spares the bounds check.
+                moves[len & (MOVE_BLOCK - 1)] = (o, n);
+                len += (o != n) as usize;
+            }
+            for &(o, n) in &moves[..len] {
+                let from = &mut counts[o as usize];
+                debug_assert!(*from > 0, "move from empty bin {o}");
+                *from -= 1;
+                support -= (*from == 0) as usize;
+                let to = &mut counts[n as usize];
+                support += (*to == 0) as usize;
+                *to += 1;
+            }
+        }
+        self.support = support;
     }
 
     /// The live `(rank, load)` pairs, rank-ascending.
@@ -314,15 +366,19 @@ impl LoadCounts {
     }
 
     /// Fold in one engine round: every ball whose entry changed between
-    /// `old` and `new` moves. Near consensus almost nothing changes, which
-    /// is exactly when rounds are most numerous.
-    pub fn apply_step(&mut self, old: &[Value], new: &[Value]) {
+    /// `old` and `new` moves. The ranked path is block-compacted and
+    /// branch-free ([`RankedCounts::apply_step`], using the caller-parked
+    /// `moves` buffer); the tree path records each changed ball.
+    pub fn apply_step(&mut self, old: &[Value], new: &[Value], moves: &mut Vec<(Value, Value)>) {
         debug_assert_eq!(old.len(), new.len());
-        each!(self, c => {
-            for (&o, &n) in old.iter().zip(new) {
-                c.record_move(o, n);
+        match self {
+            LoadCounts::Ranked(r) => r.apply_step(old, new, moves),
+            LoadCounts::Tree(t) => {
+                for (&o, &n) in old.iter().zip(new) {
+                    t.record_move(o, n);
+                }
             }
-        })
+        }
     }
 
     /// Snapshot the live bins as an immutable [`Histogram`].
@@ -422,7 +478,7 @@ mod tests {
         let old = vec![0u32, 1, 2, 2, 1];
         let new = vec![0u32, 2, 2, 2, 0];
         let mut inc = LoadCounts::Tree(IncrementalHistogram::from_values(&old));
-        inc.apply_step(&old, &new);
+        inc.apply_step(&old, &new, &mut Vec::new());
         assert_eq!(
             inc,
             LoadCounts::Tree(IncrementalHistogram::from_values(&new))

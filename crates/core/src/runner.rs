@@ -6,7 +6,13 @@
 //! 1. the adversary inspects the full state and corrupts up to `T`
 //!    processes (values restricted to the initial set);
 //! 2. every process samples and updates synchronously (the engine step);
-//! 3. the new state is observed for consensus / almost-stability.
+//! 3. the load table absorbs the balls that moved, and the new state is
+//!    observed for consensus / almost-stability. A state with `s` live
+//!    values disagrees with any value in at least `s − 1` balls, so while
+//!    `s − 1` exceeds the disagreement threshold the round cannot count
+//!    toward stability: unless a trajectory is recorded, the runner then
+//!    skips the `O(s)` observable walk and tells the tracker the round is
+//!    out of threshold from the maintained support alone.
 
 use stabcon_net::RoundMetrics;
 use stabcon_obs as obs;
@@ -240,6 +246,13 @@ impl SimSpec {
         let mut init_rng = Xoshiro256pp::seed(derive_seed(seed, 0));
         let mut adv_rng = Xoshiro256pp::seed(derive_seed(seed, 1));
         let engine_seed = derive_seed(seed, 2);
+        // Checked out outside the `init` timer: re-keying a message engine
+        // redraws its fault sets under `faults`, and phases stay disjoint.
+        let mut message_engine = match self.engine {
+            EngineSpec::Message(cfg) => Some(ws.checkout_message_engine(self.n, cfg, engine_seed)),
+            _ => None,
+        };
+        let init = obs::phase(obs::Phase::Init);
         // Dedicated stream for the post-handoff histogram phase (adaptive
         // engine only); reserved unconditionally so seeds stay stable.
         let mut hist_rng = Xoshiro256pp::seed(derive_seed(seed, 3));
@@ -260,10 +273,6 @@ impl SimSpec {
         let mut initial_set = ws.initial_set.take().unwrap_or_default();
         counts.rebuild_value_set(&mut initial_set);
         let mut adversary = self.adversary.build();
-        let mut message_engine = match self.engine {
-            EngineSpec::Message(cfg) => Some(ws.checkout_message_engine(self.n, cfg, engine_seed)),
-            _ => None,
-        };
 
         // Post-handoff aggregated state (adaptive engine only). While this
         // is `Some`, `state`/`counts` are frozen at the handoff round.
@@ -280,19 +289,21 @@ impl SimSpec {
             _ => None,
         };
 
+        let threshold = self.disagreement_threshold();
         let mut tracker = StabilityTracker::new(StabilityConfig {
-            disagreement_threshold: self.disagreement_threshold(),
+            disagreement_threshold: threshold,
             window: self.window,
         });
         let recording = self.record_trajectory;
+        // Whether a state with `support` live values needs its observables:
+        // it is recorded, or it could be within the threshold (see the
+        // module docs). Skipped rounds reach neither the trajectory nor the
+        // result: the final state is observed after the loop instead.
+        let observed = |support: usize| recording || support as u64 - 1 <= threshold;
         let mut trajectory = std::mem::take(&mut ws.trajectory);
         trajectory.clear();
         ws.scratch.resize(self.n, 0);
         let mut max_after_stable: Option<u64> = None;
-
-        // Observe the initial state (round 0).
-        let obs = counts.observe();
-        record(recording, &mut trajectory, 0, &obs);
         // Without an adversary, full consensus is absorbing for every rule
         // (`combine(v, [v, …]) = v`, and the dropped-sample fallbacks of the
         // message engine degrade to `v` too), so once the support hits 1 the
@@ -307,8 +318,12 @@ impl SimSpec {
                 EngineSpec::Message(cfg) => cfg.scenario.consensus_absorbing(),
                 _ => true,
             };
-        let mut done = tracker.observe(0, obs.plurality_value, obs.plurality_count, self.n as u64)
-            || (absorbing && obs.support == 1);
+        // Observe the initial state (round 0).
+        let support = counts.support_size();
+        let obs = observed(support).then(|| counts.observe());
+        let mut done = self.track(&mut tracker, &mut trajectory, 0, obs.as_ref())
+            || (absorbing && support == 1);
+        drop(init);
 
         // Adaptive handoff at round 0: a trial that *starts* at or below
         // the threshold (two-bin cells, narrow uniform grids) runs entirely
@@ -330,15 +345,18 @@ impl SimSpec {
             if done && !self.full_horizon {
                 break;
             }
-            let obs = if let Some(h) = hist_state.as_mut() {
+            let (support, obs) = if let Some(h) = hist_state.as_mut() {
                 // Aggregated phase: one O(m²) multinomial round. (Handoff is
                 // gated on budget == 0, so there is no adversary step here.)
+                let _t = obs::phase(obs::Phase::Hist);
                 hist::step_in_place(h, &mut hist_rng, &mut ws.hist_scratch);
                 rounds_executed += 1;
-                observe_histogram(h)
+                let support = h.support_size();
+                (support, observed(support).then(|| observe_histogram(h)))
             } else {
                 // 1. Adversary corrupts at the beginning of the round.
                 if self.budget > 0 {
+                    let _t = obs::phase(obs::Phase::Adversary);
                     let mut corruptor = Corruptor::new(
                         &mut ws.state,
                         &mut counts,
@@ -358,6 +376,7 @@ impl SimSpec {
                     && self.n >= dense::SAMPLED_N_MIN
                     && counts.support_size() <= dense::SAMPLED_SUPPORT_MAX;
                 if use_sampled {
+                    let _t = obs::phase(obs::Phase::Sampler);
                     counts.rebuild_sampler(&mut ws.sampler);
                 }
                 match self.engine {
@@ -436,15 +455,18 @@ impl SimSpec {
                         engine.step(&ws.state, &mut ws.scratch, protocol, engine_seed, round);
                     }
                 }
-                counts.apply_step(&ws.state, &ws.scratch);
+                // 3. Fold the moved balls into the loads, then observe
+                // (an O(m) walk over live bins) if the round can count.
+                let t = obs::phase(obs::Phase::Loads);
+                counts.apply_step(&ws.state, &ws.scratch, &mut ws.moves);
                 std::mem::swap(&mut ws.state, &mut ws.scratch);
                 rounds_executed += 1;
-
-                // 3. Observe (O(m) walk over live bins).
-                let obs = counts.observe();
+                let support = counts.support_size();
+                let obs = observed(support).then(|| counts.observe());
+                drop(t);
                 // 4. Adaptive handoff once the support is narrow enough.
                 if let Some(threshold) = handoff_support {
-                    if counts.support_size() <= threshold {
+                    if support <= threshold {
                         let t = obs::phase(obs::Phase::Handoff);
                         let mut h = ws.handoff.take();
                         counts.snapshot_into(&mut h);
@@ -452,15 +474,11 @@ impl SimSpec {
                         drop(t);
                     }
                 }
-                obs
+                (support, obs)
             };
-            record(recording, &mut trajectory, round + 1, &obs);
-            done = tracker.observe(
-                round + 1,
-                obs.plurality_value,
-                obs.plurality_count,
-                self.n as u64,
-            ) || (absorbing && obs.support == 1);
+            let _t = obs::phase(obs::Phase::Loads);
+            done = self.track(&mut tracker, &mut trajectory, round + 1, obs.as_ref())
+                || (absorbing && support == 1);
             if let Some((_, v)) = tracker.stable_hit() {
                 let agreeing = match &hist_state {
                     Some(h) => h.n() - h.disagreement_with(v),
@@ -472,6 +490,11 @@ impl SimSpec {
             final_obs = obs;
         }
 
+        // The last executed round was skipped: observe the final state once.
+        let final_obs = final_obs.unwrap_or_else(|| match &hist_state {
+            Some(h) => observe_histogram(h),
+            None => counts.observe(),
+        });
         let winner = tracker
             .stable_hit()
             .map(|(_, v)| v)
@@ -518,13 +541,29 @@ impl SimSpec {
             net_totals,
         }
     }
-}
 
-fn record(recording: bool, trajectory: &mut Vec<RoundObs>, round: u64, obs: &RoundObs) {
-    if recording {
-        let mut obs = *obs;
-        obs.round = round;
-        trajectory.push(obs);
+    /// Feed round `round` to the tracker and, when recording, to the
+    /// trajectory. `obs` is `None` for a round whose support already puts
+    /// it out of threshold. Returns the tracker's verdict.
+    fn track(
+        &self,
+        tracker: &mut StabilityTracker,
+        trajectory: &mut Vec<RoundObs>,
+        round: u64,
+        obs: Option<&RoundObs>,
+    ) -> bool {
+        let Some(obs) = obs else {
+            return tracker.observe_out_of_threshold();
+        };
+        if self.record_trajectory {
+            trajectory.push(RoundObs { round, ..*obs });
+        }
+        tracker.observe(
+            round,
+            obs.plurality_value,
+            obs.plurality_count,
+            self.n as u64,
+        )
     }
 }
 

@@ -71,6 +71,19 @@ impl StabilityTracker {
         false
     }
 
+    /// Feed a round whose disagreement is known to exceed the threshold
+    /// (for instance from its support alone) without observing it: the same
+    /// as [`StabilityTracker::observe`] with any out-of-threshold count.
+    /// Such a round cannot be full consensus, so only the window resets.
+    pub fn observe_out_of_threshold(&mut self) -> bool {
+        if self.stable_hit.is_some() {
+            return true;
+        }
+        self.candidate = None;
+        self.in_window = 0;
+        false
+    }
+
     /// First round at which the sustained almost-stable window began, with
     /// the winning value.
     pub fn stable_hit(&self) -> Option<(u64, Value)> {
@@ -136,6 +149,24 @@ mod tests {
         t.observe(0, 1, 100, 100);
         assert_eq!(t.consensus_hit(), Some(0));
         assert_eq!(t.stable_hit(), None, "window not yet complete");
+    }
+
+    #[test]
+    fn out_of_threshold_round_resets_the_window_like_a_wide_observation() {
+        let mut skipped = StabilityTracker::new(cfg(2, 2));
+        let mut observed = skipped.clone();
+        for t in [&mut skipped, &mut observed] {
+            assert!(!t.observe(0, 5, 99, 100));
+        }
+        assert!(!skipped.observe_out_of_threshold());
+        assert!(!observed.observe(1, 5, 90, 100));
+        for t in [&mut skipped, &mut observed] {
+            assert!(!t.observe(2, 5, 99, 100));
+            assert!(t.observe(3, 5, 100, 100));
+            assert_eq!(t.stable_hit(), Some((2, 5)));
+            assert_eq!(t.consensus_hit(), Some(3));
+        }
+        assert!(skipped.observe_out_of_threshold(), "stays true after a hit");
     }
 
     #[test]

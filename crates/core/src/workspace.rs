@@ -5,9 +5,10 @@
 //! vector, the load table (per-rank `u32` `counts`, plus a rank → value
 //! `values` table only for a universe that is not `0..m`; or the mean
 //! rule's tree), the initial value set, the adversary's touched set, the
-//! trajectory, the adaptive handoff histogram, and — for the message
-//! engine — the routing buffers. A [`TrialWorkspace`] owns all of those
-//! once per worker for a whole campaign;
+//! load upkeep's move buffer, the trajectory, the adaptive handoff
+//! histogram, and — for the message engine — the routing buffers. A
+//! [`TrialWorkspace`] owns all of those once per worker for a whole
+//! campaign;
 //! [`crate::runner::SimSpec::run_seeded_into`] rebuilds them in place each
 //! trial, so the steady-state allocation count per dense trial is O(1)
 //! (pinned by `tests/alloc_regression.rs`). At n = 2²⁰ all-distinct balls
@@ -50,6 +51,9 @@ pub struct TrialWorkspace {
     pub(crate) initial_set: Option<ValueSet>,
     /// The adversary's per-round bitmap of written processes.
     pub(crate) touched: Vec<u64>,
+    /// The load upkeep's per-block `(old, new)` move buffer
+    /// (`LoadCounts::apply_step`), sized once.
+    pub(crate) moves: Vec<(Value, Value)>,
     /// Aggregated-phase histogram for the adaptive engine's handoff.
     pub(crate) handoff: Option<Histogram>,
     /// Histogram-engine per-round buffers (CDF, law, draws, new loads).

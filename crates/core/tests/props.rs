@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use stabcon_core::adversary::{AdversarySpec, Corruptor, HistCorruptor};
+use rand::RngCore;
+use stabcon_core::adversary::{Adversary, AdversarySpec, Corruptor, HistCorruptor, MedianPusher};
 use stabcon_core::engine::adaptive::LoadCounts;
 use stabcon_core::engine::{dense, hist, EngineSpec, MessageConfig, Rejoin, ScenarioSpec};
 use stabcon_core::histogram::Histogram;
@@ -237,6 +238,210 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+// --- bookkeeping that skips work ----------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The block-compacted, branch-free `apply_step` leaves the same loads
+    /// and support as recording every ball's move on its own, over two
+    /// rounds through one reused move buffer. In the first round every
+    /// ball follows its bin's random map; from a state sorted into runs,
+    /// a bin then empties as its run leaves and refills when a later run
+    /// arrives, inside a block and across block edges (n = 1023, 1024,
+    /// 1025, 3000).
+    #[test]
+    fn block_compacted_apply_step_equals_per_ball_moves(
+        which_n in 0usize..5,
+        m in 1u32..=8,
+        sorted in any::<bool>(),
+        raw in prop::collection::vec(any::<u32>(), 3 * 3000),
+        map in prop::collection::vec(0u32..8, 8),
+        keep in 0u32..=4,
+        bulk in 0u32..=4,
+    ) {
+        let n = [1, 1023, 1024, 1025, 3000][which_n];
+        let m = m.min(n as u32);
+        // Every value of 0..m occurs, so the universe is already ranks.
+        let old: Vec<Value> = (0..n)
+            .map(|i| match (sorted, i < m as usize) {
+                (true, _) => (i as u64 * u64::from(m) / n as u64) as Value,
+                (false, true) => i as Value,
+                (false, false) => raw[i] % m,
+            })
+            .collect();
+        // Per ball: keep its value, follow its bin's map, or jump anywhere.
+        let next = |from: &[Value], round: usize, keep: u32, bulk: u32| -> Vec<Value> {
+            from.iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    let r = raw[round * 3000 + i];
+                    match r % 4 {
+                        c if c < keep => v,
+                        c if c < keep + bulk => map[v as usize] % m,
+                        _ => (r >> 2) % m,
+                    }
+                })
+                .collect()
+        };
+        let mut state = old.clone();
+        let start = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+        prop_assert_eq!(&state, &old);
+        let (mut blocked, mut per_ball) = (start.clone(), start);
+        let mut moves = Vec::new();
+        let mut from = old;
+        for (round, (keep, bulk)) in [(0, 4), (keep, bulk)].into_iter().enumerate() {
+            let to = next(&from, round, keep, bulk);
+            blocked.apply_step(&from, &to, &mut moves);
+            for (&o, &t) in from.iter().zip(&to) {
+                per_ball.record_move(o, t);
+            }
+            prop_assert_eq!(&blocked, &per_ball, "round {}", round);
+            let live = (0..m).filter(|&r| per_ball.count_of(r) > 0).count();
+            prop_assert_eq!(blocked.support_size(), live);
+            from = to;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Skipping the observables of rounds whose support rules them out of
+    /// threshold is invisible: a trial reports the same result with its
+    /// trajectory recorded (every round observed) as without. Covers every
+    /// adversary at budget 0 and ⌊√n/4⌋, full horizon on and off, the
+    /// adaptive handoff, the mean rule's tree path, and a round cap that
+    /// ends trials while the support is still wide.
+    #[test]
+    fn recording_a_trajectory_does_not_change_the_result(
+        seed in any::<u64>(),
+        n in 64usize..320,
+        m in 2u32..12,
+    ) {
+        let budget = ((n as f64).sqrt() / 4.0).floor() as u64;
+        let inits = [
+            InitialCondition::AllDistinct,
+            InitialCondition::UniformRandom { m },
+            InitialCondition::TwoBins { left: n / 2 },
+        ];
+        let adversaries = [
+            AdversarySpec::None,
+            AdversarySpec::Random,
+            AdversarySpec::Balancer,
+            AdversarySpec::MedianPusher,
+            AdversarySpec::Reviver { revive_at: 3 },
+            AdversarySpec::Stubborn,
+        ];
+        let mut cases = Vec::new();
+        for init in &inits {
+            for adversary in adversaries {
+                for budget in [0, budget] {
+                    for full_horizon in [false, true] {
+                        for (engine, max_rounds) in [
+                            (EngineSpec::DenseSeq, None),
+                            (EngineSpec::DenseSeq, Some(3)),
+                            (EngineSpec::Adaptive { threads: 1, handoff_support: 4 }, None),
+                        ] {
+                            cases.push((init.clone(), ProtocolSpec::Median, adversary, budget,
+                                        full_horizon, engine, max_rounds));
+                        }
+                    }
+                }
+            }
+            cases.push((init.clone(), ProtocolSpec::Mean, AdversarySpec::Random, budget,
+                        false, EngineSpec::DenseSeq, None));
+            cases.push((init.clone(), ProtocolSpec::Mean, AdversarySpec::None, 0,
+                        true, EngineSpec::DenseSeq, Some(3)));
+        }
+        let mut ws = TrialWorkspace::new();
+        for (init, protocol, adversary, budget, full_horizon, engine, max_rounds) in cases {
+            let mut spec = SimSpec::new(n)
+                .init(init.clone())
+                .protocol(protocol)
+                .adversary(adversary, budget)
+                .engine(engine)
+                .full_horizon(full_horizon);
+            if let Some(cap) = max_rounds {
+                spec = spec.max_rounds(cap);
+            }
+            let mut recorded = spec.clone().record_trajectory(true).run_seeded_into(seed, &mut ws);
+            let traj = recorded.trajectory.take().expect("requested");
+            prop_assert_eq!(traj.len() as u64, recorded.rounds_executed + 1);
+            let last = traj.last().expect("round 0");
+            prop_assert_eq!(recorded.final_support, last.support);
+            let plain = spec.run_seeded_into(seed, &mut ws);
+            prop_assert_eq!(&recorded, &plain, "{} / {:?} / {} / T = {} / full horizon {} / {} / {:?}",
+                init.label(), protocol, adversary.label(), budget, full_horizon,
+                engine.label(), max_rounds);
+        }
+    }
+}
+
+/// The median pusher's scan before it learned to stop once no write can
+/// land: it kept scanning every ball, writing nothing.
+fn median_pusher_full_scan(c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
+    let median = c.lower_median();
+    let lo = c.allowed().min();
+    let hi = c.allowed().max();
+    if lo == hi {
+        return;
+    }
+    let mut flip_low = stabcon_util::rng::gen_index(rng, 2) == 0;
+    for i in 0..c.n() {
+        if c.remaining() == 0 {
+            break;
+        }
+        if c.get(i) == median {
+            let target = if flip_low { lo } else { hi };
+            if target != median && c.try_set(i, target) {
+                flip_low = !flip_low;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The early-stopping median pusher flips the same balls, touches as
+    /// many and draws the same coins as the full scan, round after round,
+    /// on two-bins and all-distinct states.
+    #[test]
+    fn median_pusher_stops_early_without_changing_a_flip(
+        seed in any::<u64>(),
+        n in 2usize..200,
+        left in 0usize..200,
+        budget in 0u64..40,
+        two_bins in any::<bool>(),
+    ) {
+        let mut state: Vec<Value> = if two_bins {
+            (0..n).map(|i| u32::from(i >= left.min(n))).collect()
+        } else {
+            (0..n as Value).collect()
+        };
+        let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+        let mut allowed = ValueSet::default();
+        loads.rebuild_value_set(&mut allowed);
+        let (mut ref_state, mut ref_loads) = (state.clone(), loads.clone());
+        let (mut touched, mut ref_touched) = (Vec::new(), Vec::new());
+        let mut rng = Xoshiro256pp::seed(seed);
+        let mut ref_rng = rng.clone();
+        for round in 0..4 {
+            let mut c = Corruptor::new(&mut state, &mut loads, &allowed, budget, &mut touched);
+            MedianPusher.corrupt(round, &mut c, &mut rng);
+            let flips = c.touched();
+            let mut r = Corruptor::new(&mut ref_state, &mut ref_loads, &allowed, budget,
+                                       &mut ref_touched);
+            median_pusher_full_scan(&mut r, &mut ref_rng);
+            prop_assert_eq!(flips, r.touched(), "round {}", round);
+            prop_assert_eq!(&state, &ref_state, "round {}", round);
+            prop_assert_eq!(&loads, &ref_loads, "round {}", round);
+            prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "round {}", round);
         }
     }
 }

@@ -392,7 +392,8 @@ impl CampaignTelemetry {
 
 /// Render the final per-cell phase-profile table the CLI prints after a
 /// telemetry-enabled campaign: per-cell wall clock, throughput, and each
-/// kernel phase's share of the summed phase time.
+/// phase's share of the summed phase time (every phase but `trial`, which
+/// spans the others).
 pub fn profile_table(profiles: &[CellProfile]) -> Table {
     let phases: Vec<Phase> = Phase::ALL
         .iter()
@@ -402,12 +403,9 @@ pub fn profile_table(profiles: &[CellProfile]) -> Table {
     let mut headers: Vec<&str> = vec!["cell", "trials", "secs", "trials/s", "rounds"];
     headers.extend(phases.iter().map(|p| p.name()));
     headers.push("trial p50");
-    let mut table = Table::new(
-        "per-cell phase profile (share of timed kernel phases)",
-        &headers,
-    );
+    let mut table = Table::new("per-cell phase profile (share of timed phases)", &headers);
     for p in profiles {
-        let kernel_total: u64 = phases.iter().map(|ph| p.phase_nanos[*ph as usize]).sum();
+        let timed_total: u64 = phases.iter().map(|ph| p.phase_nanos[*ph as usize]).sum();
         let mut row = vec![
             p.cell.to_string(),
             p.trials.to_string(),
@@ -417,10 +415,10 @@ pub fn profile_table(profiles: &[CellProfile]) -> Table {
         ];
         for ph in &phases {
             let nanos = p.phase_nanos[*ph as usize];
-            row.push(if kernel_total == 0 {
+            row.push(if timed_total == 0 {
                 "—".into()
             } else {
-                format!("{:.0}%", 100.0 * nanos as f64 / kernel_total as f64)
+                format!("{:.0}%", 100.0 * nanos as f64 / timed_total as f64)
             });
         }
         row.push(format!("{:.2}ms", p.trial_p50_nanos as f64 / 1e6));

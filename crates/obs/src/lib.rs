@@ -73,10 +73,23 @@ pub enum Phase {
     Faults = 7,
     /// One whole trial inside `run_seeded_into` (overlaps the finer phases).
     Trial = 8,
+    /// Runner: building a trial's initial state, load table, value set and
+    /// engine buffers, and observing round 0.
+    Init = 9,
+    /// Runner: one adversary round through the `Corruptor`, load moves
+    /// included.
+    Adversary = 10,
+    /// Runner: folding a dense round into the load table, the round's
+    /// observables, and the stability tracker.
+    Loads = 11,
+    /// Runner: rebuilding the load-sampled round's alias table.
+    Sampler = 12,
+    /// Runner: one aggregated round after the adaptive handoff.
+    Hist = 13,
 }
 
 /// Number of [`Phase`] slots.
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 14;
 
 impl Phase {
     /// Every phase, in slot order.
@@ -90,6 +103,11 @@ impl Phase {
         Phase::Route,
         Phase::Faults,
         Phase::Trial,
+        Phase::Init,
+        Phase::Adversary,
+        Phase::Loads,
+        Phase::Sampler,
+        Phase::Hist,
     ];
 
     /// Stable snake_case label (schema-visible; do not repurpose).
@@ -104,6 +122,11 @@ impl Phase {
             Phase::Route => "route",
             Phase::Faults => "faults",
             Phase::Trial => "trial",
+            Phase::Init => "init",
+            Phase::Adversary => "adversary",
+            Phase::Loads => "loads",
+            Phase::Sampler => "sampler",
+            Phase::Hist => "hist",
         }
     }
 }
