@@ -1,12 +1,13 @@
 //! The dense engine: `O(n)` per round over a flat value vector.
 //!
-//! Each ball's two (or `k`) samples are drawn from a counter-RNG stream at
-//! coordinates `(seed, round·n + ball)`. Consequences:
+//! Each ball's samples are drawn from the *word sequence* of a counter
+//! stream at coordinates `(seed, round·n + ball)`
+//! ([`CounterStream::seq_word`]). Consequences:
 //!
 //! * sequential and parallel execution produce **identical** states;
 //! * a round can be recomputed for any single ball (useful in tests);
-//! * rejection in the bounded-uniform sampler consumes extra words from the
-//!   ball's *own* stream only, so streams never interfere.
+//! * rejection in the bounded-uniform sampler consumes extra halves from
+//!   the ball's *own* sequence only, so streams never interfere.
 //!
 //! The step functions are **generic over the protocol** (`P: Protocol +
 //! ?Sized`), so calls with a concrete rule (`&MedianRule`) monomorphize to
@@ -14,18 +15,29 @@
 //! holding a `&dyn Protocol` keep compiling unchanged (and pay dynamic
 //! dispatch, exactly as before the refactor).
 //!
+//! # One word, two draws
+//!
+//! A uniform draw needs only 32 bits while `n ≤ 2³²`, so sample `i` of a
+//! uniform ball takes the `i`-th 32-bit half of its sequence (low half
+//! first, [`CounterStream::halves`]) and turns it into an index with
+//! Lemire's 32-bit multiply-shift ([`lemire_candidate32`]). The median
+//! rule's two samples therefore cost **one** hashed word per ball: the
+//! stream fold itself, `w₀`. The load-sampled path reads whole words
+//! (`w₀, w₁, …`, one per sample) because its alias lookup needs 64 bits,
+//! and the partial path's participation coin is half 0, with its samples
+//! in the halves that follow.
+//!
 //! # The batched phase-split kernel
 //!
 //! Balls are processed in blocks of [`KERNEL_BLOCK`], with one tight loop
 //! per pipeline phase instead of one mega-loop of dependent work per ball:
 //!
-//! 1. **RNG** — batch-generate each ball's counter-stream words (the same
-//!    `mix64` folds at the same `(seed, round·n + ball, counter)`
-//!    coordinates as the scalar kernel) into a word buffer;
-//! 2. **resolve** — turn every word into a sample index: one Lemire
-//!    multiply-shift per word for the uniform path
-//!    ([`stabcon_util::rng::lemire_candidate`]), one packed-alias lookup
-//!    per word for the load-sampled path;
+//! 1. **RNG** — batch-generate the first `W` sequence words of each ball
+//!    into a word buffer (one fill serves all three paths; only `W`
+//!    differs);
+//! 2. **resolve** — turn the buffered randomness into sample indices: one
+//!    32-bit Lemire multiply-shift per half for the uniform and partial
+//!    paths, one packed-alias lookup per word for the load-sampled path;
 //! 3. **gather** — read the sampled values through the index buffer (a
 //!    pure load loop, so the out-of-order core keeps many cache misses in
 //!    flight instead of serializing them behind hash and combine work);
@@ -34,16 +46,16 @@
 //!
 //! The kernel is **bit-identical** to the scalar reference (kept below as
 //! [`step_seq_reference`] and friends, pinned by
-//! `tests/dense_kernel_props.rs`): phase 1 reproduces the exact word
-//! stream, and the one place where batching could diverge — Lemire
-//! rejection, which makes a ball consume extra words from its own stream —
-//! is detected conservatively (`low < n` proves a word *cannot* reject)
-//! and handled by replaying the affected ball through scalar `gen_index`.
-//! For any state that fits in memory (`n ≤ 2³²`) a candidate word rejects
-//! with probability `< 2⁻³²`, so the fallback is essentially never taken
-//! but keeps the stream contract exact.
+//! `tests/dense_kernel_props.rs`). The one place where batching could
+//! diverge — Lemire rejection, which makes a draw consume extra halves of
+//! its ball's sequence — is detected **exactly**: the resolve loop tests
+//! `low < 2³² mod n` ([`lemire_zone32`], computed once per call), compacts
+//! the flagged balls branch-free, and replays only those through scalar
+//! [`gen_index32`] over the same half sequence. The zone is empty for every
+//! power-of-two `n`; otherwise a half rejects with probability
+//! `(2³² mod n) / 2³² < n / 2³²` (about 2·10⁻⁴ per half at `n = 10⁶`).
 //!
-//! The phase buffers are fixed-size stack arrays (~44 KiB): every caller —
+//! The phase buffers are fixed-size stack arrays (~40 KiB): every caller —
 //! the sequential runner path and each `par_chunks_mut` worker alike —
 //! gets private buffers with zero plumbing, they cost one memset per
 //! `update_range` call (once per round sequentially, once per ≥ 15 k-ball
@@ -57,16 +69,16 @@
 use stabcon_obs as obs;
 use stabcon_util::dist::{AliasScratch, PackedAlias};
 use stabcon_util::rng::{
-    gen_f64, gen_index, lemire_candidate, unit_f64_from_word, CounterKey, CounterStream,
+    gen_index32, lemire_candidate32, lemire_zone32, CounterKey, CounterStream,
 };
 
 use crate::protocol::{Protocol, MAX_SAMPLES};
 use crate::value::Value;
 
-/// Balls per block of the phase-split kernel at `k = 2` (the word buffer
-/// holds `2 · KERNEL_BLOCK` words; `k = 1` doubles the balls per block,
-/// `k > 2` shrinks them). 1024 balls keep all three phase buffers inside
-/// L1/L2 while amortizing per-block loop overhead, and match the parallel
+/// Balls per block of the phase-split kernel at `k = 2` (the index buffer
+/// holds `2 · KERNEL_BLOCK` indices; `k = 1` doubles the balls per block,
+/// `k > 2` shrinks them). 1024 balls keep all phase buffers inside L1/L2
+/// while amortizing per-block loop overhead, and match the parallel
 /// splitter's minimum chunk so a parallel worker never sees a partial
 /// block it didn't have to.
 pub const KERNEL_BLOCK: usize = 1024;
@@ -79,15 +91,15 @@ const WORD_CAP: usize = 2 * KERNEL_BLOCK;
 /// parallel workers one per chunk; see the module docs for why this beats
 /// threading heap buffers through every engine entry point).
 struct BlockBufs {
-    /// Phase-1 output: raw counter-stream words, `k` (or `k + 1`) per ball.
+    /// Phase-1 output: the first `W` sequence words of every ball.
     words: [u64; WORD_CAP],
-    /// Phase-2 output: resolved sample indices, one per word.
-    idx: [u64; WORD_CAP],
-    /// Phase-3 output: gathered sample values, one per word.
+    /// Phase-2 output: resolved sample indices, `k` per ball.
+    idx: [u32; WORD_CAP],
+    /// Phase-3 output: gathered sample values, one per index.
     vals: [Value; WORD_CAP],
-    /// Partial-round compaction: block-local positions of the balls that
-    /// participate this round.
-    active: [u32; KERNEL_BLOCK],
+    /// Compacted block-local ball positions: the balls a rejection
+    /// replays, then (partial rounds) the balls that participate.
+    active: [u32; WORD_CAP],
 }
 
 impl BlockBufs {
@@ -97,16 +109,25 @@ impl BlockBufs {
             words: [0; WORD_CAP],
             idx: [0; WORD_CAP],
             vals: [0; WORD_CAP],
-            active: [0; KERNEL_BLOCK],
+            active: [0; WORD_CAP],
         }
     }
+}
+
+/// The uniform kernel draws 32-bit indices, so the population must fit.
+#[inline]
+fn assert_indexable(n: u64) {
+    assert!(
+        n <= 1 << 32,
+        "dense kernel: n = {n} balls exceeds the 2³² a 32-bit draw can index"
+    );
 }
 
 /// Advance one synchronous round sequentially: reads `old`, writes `new`.
 ///
 /// # Panics
-/// Panics if `old.len() != new.len()` or the protocol requests more than
-/// [`MAX_SAMPLES`] samples.
+/// Panics if `old.len() != new.len()`, `old.len() > 2³²`, or the protocol
+/// requests more than [`MAX_SAMPLES`] samples.
 pub fn step_seq<P: Protocol + ?Sized>(
     old: &[Value],
     new: &mut [Value],
@@ -138,78 +159,98 @@ pub fn step_par<P: Protocol + ?Sized>(
     });
 }
 
-/// Phase 1: the stream words of `len` balls, `k` consecutive counters
-/// each, through an arbitrary word accessor — [`CounterStream::word`] for
-/// the uniform path (exactly what the scalar kernel's sequential RNG
-/// would produce absent rejection) or [`CounterStream::word_fast`] for
-/// the load-sampled path. `word_at` monomorphizes per call site, so both
-/// paths keep their fixed-`k` fast loops from one copy of the blocking
-/// logic.
+/// Phase 1: the first `w` sequence words of consecutive balls, ball `j`'s
+/// at `words[w·j..w·j + w]` ([`CounterStream::seq_word`]). The `w = 1` loop
+/// (the median rule's uniform path) costs one `mix64` per ball.
 #[inline]
-fn fill_stream_words(
-    key: CounterKey,
-    base: u64,
-    len: usize,
-    k: usize,
-    words: &mut [u64],
-    word_at: impl Fn(CounterStream, u64) -> u64,
-) {
-    match k {
+fn fill_stream_words(key: CounterKey, base: u64, w: usize, words: &mut [u64]) {
+    let stream = |j: usize| ball_stream(key, base, j);
+    match w {
+        0 => {}
         1 => {
-            for (j, w) in words.iter_mut().enumerate() {
-                *w = word_at(key.stream(base.wrapping_add(j as u64)), 0);
+            for (j, x) in words.iter_mut().enumerate() {
+                *x = stream(j).seq_word(0);
             }
         }
         2 => {
-            for j in 0..len {
-                let s = key.stream(base.wrapping_add(j as u64));
-                words[2 * j] = word_at(s, 0);
-                words[2 * j + 1] = word_at(s, 1);
+            for (j, x) in words.chunks_exact_mut(2).enumerate() {
+                let s = stream(j);
+                x[0] = s.seq_word(0);
+                x[1] = s.seq_word(1);
             }
         }
         _ => {
-            for j in 0..len {
-                let s = key.stream(base.wrapping_add(j as u64));
-                for (c, w) in words[k * j..k * j + k].iter_mut().enumerate() {
-                    *w = word_at(s, c as u64);
+            for (j, x) in words.chunks_exact_mut(w).enumerate() {
+                let s = stream(j);
+                for (c, y) in x.iter_mut().enumerate() {
+                    *y = s.seq_word(c as u64);
                 }
             }
         }
     }
 }
 
-/// Phase 2 (uniform path): resolve `k·len` words to indices in `[0, n)`.
+/// Phase 2 (uniform and partial paths): resolve halves `first..first + k`
+/// of every ball's sequence into `k` indices in `[0, n)` per ball. `words`
+/// holds the `⌈(first + k)/2⌉` words per ball those halves live in.
 ///
-/// The fast loop takes every word's Lemire candidate and records whether
-/// any word *might* be in the rejection zone (`low < n` is a conservative
-/// superset of `low < 2⁶⁴ mod n`). If so, the affected balls are replayed
-/// through scalar [`gen_index`] from their stream's counter 0 — including
-/// the extra words a rejection consumes — which is bit-identical to the
-/// scalar kernel by construction.
+/// The fast loop takes each half's 32-bit Lemire candidate and ORs the
+/// exact rejection test `low < zone` (`zone = 2³² mod n`, so power-of-two
+/// populations never hit). Only a block with a hit is rescanned: its
+/// flagged balls are compacted branch-free into `flagged` and replayed
+/// through scalar [`gen_index32`] over the same half sequence, which runs
+/// on past the buffered words when a rejection consumes extra halves —
+/// bit-identical to the scalar kernel by construction.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn resolve_uniform(
+fn resolve_halves(
     key: CounterKey,
     base: u64,
-    len: usize,
+    first: usize,
     k: usize,
     n: u64,
+    zone: u32,
     words: &[u64],
-    idx: &mut [u64],
+    idx: &mut [u32],
+    flagged: &mut [u32; WORD_CAP],
 ) {
-    let mut maybe_reject = false;
-    for (w, d) in words.iter().zip(idx.iter_mut()) {
-        let (hi, low) = lemire_candidate(*w, n);
-        *d = hi;
-        maybe_reject |= low < n;
+    if k == 0 {
+        return;
     }
-    if maybe_reject {
-        for j in 0..len {
-            if (0..k).any(|c| lemire_candidate(words[k * j + c], n).1 < n) {
-                let mut rng = key.stream(base.wrapping_add(j as u64)).rng();
-                for d in idx[k * j..k * j + k].iter_mut() {
-                    *d = gen_index(&mut rng, n);
-                }
+    let w = (first + k).div_ceil(2);
+    let half = |ws: &[u64], h: usize| (ws[h / 2] >> (32 * (h & 1))) as u32;
+    let mut any = false;
+    if (w, first, k) == (1, 0, 2) {
+        for (&word, d) in words.iter().zip(idx.chunks_exact_mut(2)) {
+            let (i0, l0) = lemire_candidate32(word as u32, n);
+            let (i1, l1) = lemire_candidate32((word >> 32) as u32, n);
+            d[0] = i0;
+            d[1] = i1;
+            any |= (l0 < zone) | (l1 < zone);
+        }
+    } else {
+        for (ws, d) in words.chunks_exact(w).zip(idx.chunks_exact_mut(k)) {
+            for (c, slot) in d.iter_mut().enumerate() {
+                let (i, low) = lemire_candidate32(half(ws, first + c), n);
+                *slot = i;
+                any |= low < zone;
             }
+        }
+    }
+    if !any {
+        return;
+    }
+    let mut n_flagged = 0usize;
+    for (j, ws) in words.chunks_exact(w).enumerate() {
+        let hit = (first..first + k).any(|h| lemire_candidate32(half(ws, h), n).1 < zone);
+        flagged[n_flagged & (WORD_CAP - 1)] = j as u32;
+        n_flagged += usize::from(hit);
+    }
+    for &j in &flagged[..n_flagged] {
+        let j = j as usize;
+        let mut halves = ball_stream(key, base, j).halves().skip(first);
+        for d in idx[k * j..k * j + k].iter_mut() {
+            *d = gen_index32(&mut halves, n);
         }
     }
 }
@@ -255,6 +296,9 @@ fn update_range<P: Protocol + ?Sized>(
     let n = old.len() as u64;
     let k = protocol.samples();
     assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
+    assert_indexable(n);
+    let zone = lemire_zone32(n.max(1));
+    let w = k.div_ceil(2);
     let key = CounterKey::new(seed);
     let stream_base = round.wrapping_mul(n).wrapping_add(offset as u64);
     let block = WORD_CAP / k.max(1);
@@ -265,24 +309,19 @@ fn update_range<P: Protocol + ?Sized>(
         let count = k * len;
         let base = stream_base.wrapping_add(start as u64);
         let t = obs::phase(obs::Phase::Rng);
-        fill_stream_words(
-            key,
-            base,
-            len,
-            k,
-            &mut bufs.words[..count],
-            CounterStream::word,
-        );
+        fill_stream_words(key, base, w, &mut bufs.words[..w * len]);
         drop(t);
         let t = obs::phase(obs::Phase::Index);
-        resolve_uniform(
+        resolve_halves(
             key,
             base,
-            len,
+            0,
             k,
             n,
-            &bufs.words[..count],
+            zone,
+            &bufs.words[..w * len],
             &mut bufs.idx[..count],
+            &mut bufs.active,
         );
         drop(t);
         let t = obs::phase(obs::Phase::Gather);
@@ -380,11 +419,11 @@ impl LoadSampler {
 /// **Equal in law** to [`step_seq`] up to the sampler's `2⁻³²` quantization
 /// (see [`PackedAlias`]) — a uniformly chosen ball holds value `v` with
 /// probability `load_v / n` either way — but the two random DRAM reads per
-/// ball become L1 reads once `m` is small, and each draw costs one
-/// SplitMix64 word instead of a double-mixed one. Trajectories for a fixed
-/// seed differ from [`step_seq`] (different stream family), which is why
-/// the runner switches paths for whole rounds only, keeping seq/par
-/// bit-identity and determinism intact.
+/// ball become L1 reads once `m` is small. Sample `c` reads the whole
+/// sequence word `w_c` (the alias lookup needs 64 bits) where the uniform
+/// path reads a 32-bit half, so trajectories for a fixed seed differ from
+/// [`step_seq`]; that is why the runner switches paths for whole rounds
+/// only, keeping seq/par bit-identity and determinism intact.
 pub fn step_seq_sampled<P: Protocol + ?Sized>(
     old: &[Value],
     new: &mut [Value],
@@ -454,18 +493,11 @@ fn update_range_sampled<P: Protocol + ?Sized>(
         let count = k * len;
         let base = stream_base.wrapping_add(start as u64);
         let t = obs::phase(obs::Phase::Rng);
-        fill_stream_words(
-            key,
-            base,
-            len,
-            k,
-            &mut bufs.words[..count],
-            CounterStream::word_fast,
-        );
+        fill_stream_words(key, base, k, &mut bufs.words[..count]);
         drop(t);
         let t = obs::phase(obs::Phase::Index);
         for (w, d) in bufs.words[..count].iter().zip(bufs.idx[..count].iter_mut()) {
-            *d = alias.sample_word(*w) as u64;
+            *d = alias.sample_word(*w) as u32;
         }
         drop(t);
         let t = obs::phase(obs::Phase::Gather);
@@ -491,11 +523,14 @@ fn update_range_sampled<P: Protocol + ?Sized>(
 /// (the α-asynchrony ablation — the paper assumes fully synchronized rounds;
 /// this knob checks the dynamics survive partial participation).
 ///
-/// The participation coin is the first word of each ball's counter stream,
-/// so sequential/parallel determinism is preserved.
+/// The participation coin is the first half of each ball's word sequence
+/// (the ball participates iff `half < update_prob · 2³²`), and its samples
+/// come from the halves that follow, so sequential/parallel determinism is
+/// preserved.
 ///
 /// # Panics
-/// Panics if `update_prob ∉ [0, 1]` or buffer lengths differ.
+/// Panics if `update_prob ∉ [0, 1]`, buffer lengths differ, or
+/// `old.len() > 2³²`.
 pub fn step_partial<P: Protocol + ?Sized>(
     threads: usize,
     old: &[Value],
@@ -524,13 +559,17 @@ pub fn step_partial<P: Protocol + ?Sized>(
     }
 }
 
-/// The batched phase-split kernel with a participation coin: coin words
-/// (counter 0 of each ball's stream, exactly like the scalar RNG order)
-/// are generated for the whole block, participating balls are compacted
-/// into a dense worklist, and only those balls pay for sample words
-/// (counters `1..=k`) and the resolve/gather/apply phases — at small
-/// `update_prob` the dominant RNG phase shrinks with participation
-/// instead of hashing `k` unused words per frozen ball.
+/// The participation coin's threshold on a 32-bit half.
+#[inline]
+fn coin_threshold(update_prob: f64) -> f64 {
+    update_prob * (1u64 << 32) as f64
+}
+
+/// The batched phase-split kernel with a participation coin: one fill of
+/// `⌈(k + 1)/2⌉` words per ball holds the coin (half 0) and the samples
+/// (halves `1..=k`); every ball's indices are resolved (a multiply each,
+/// cheap next to the gather), then participants are compacted into a
+/// dense worklist and only they pay for the gather and apply phases.
 #[allow(clippy::too_many_arguments)]
 fn update_range_partial<P: Protocol + ?Sized>(
     old: &[Value],
@@ -544,86 +583,59 @@ fn update_range_partial<P: Protocol + ?Sized>(
     let n = old.len() as u64;
     let k = protocol.samples();
     assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
+    assert_indexable(n);
+    let zone = lemire_zone32(n.max(1));
+    let coin = coin_threshold(update_prob);
+    let w = (k + 1).div_ceil(2);
     let key = CounterKey::new(seed);
     let stream_base = round.wrapping_mul(n).wrapping_add(offset as u64);
-    // Coin words occupy `words[..len]`; the active balls' sample words are
-    // compacted behind them at `words[len + k·a..]`.
-    let block = (WORD_CAP / (k + 1)).min(KERNEL_BLOCK);
+    let block = WORD_CAP / k.max(1);
     let mut bufs = BlockBufs::new();
     let mut start = 0usize;
     while start < chunk.len() {
         let len = block.min(chunk.len() - start);
         let base = stream_base.wrapping_add(start as u64);
-        // Phase 1a: one coin word per ball.
+        let t = obs::phase(obs::Phase::Rng);
+        fill_stream_words(key, base, w, &mut bufs.words[..w * len]);
+        drop(t);
+        let t = obs::phase(obs::Phase::Index);
+        resolve_halves(
+            key,
+            base,
+            1,
+            k,
+            n,
+            zone,
+            &bufs.words[..w * len],
+            &mut bufs.idx[..k * len],
+            &mut bufs.active,
+        );
+        drop(t);
+        // Participation coins: every ball keeps its value unless it
+        // participates; participants are compacted branch-free into the
+        // active worklist and overwritten by the apply phase.
         let t = obs::phase(obs::Phase::Coin);
-        for (j, w) in bufs.words[..len].iter_mut().enumerate() {
-            *w = key.stream(base.wrapping_add(j as u64)).word(0);
-        }
-        // Phase 2a: participation coins; non-participants keep their value,
-        // participants are compacted into the active worklist.
+        chunk[start..start + len].copy_from_slice(&old[offset + start..offset + start + len]);
         let mut n_active = 0usize;
         for j in 0..len {
-            if unit_f64_from_word(bufs.words[j]) >= update_prob {
-                chunk[start + j] = old[offset + start + j];
-            } else {
-                bufs.active[n_active] = j as u32;
-                n_active += 1;
-            }
+            bufs.active[n_active & (WORD_CAP - 1)] = j as u32;
+            n_active += usize::from(f64::from(bufs.words[w * j] as u32) < coin);
         }
         drop(t);
-        // Phase 1b: sample words (counters 1..=k, after the coin) for the
-        // active balls only, compacted.
-        let t = obs::phase(obs::Phase::Rng);
-        for a in 0..n_active {
-            let j = bufs.active[a] as usize;
-            let s = key.stream(base.wrapping_add(j as u64));
-            for (c, w) in bufs.words[len + k * a..len + k * a + k]
-                .iter_mut()
-                .enumerate()
-            {
-                *w = s.word(1 + c as u64);
-            }
-        }
-        drop(t);
-        // Phase 2b: resolve sample indices for the active balls.
-        let t = obs::phase(obs::Phase::Index);
-        let mut maybe_reject = false;
-        for (w, d) in bufs.words[len..len + k * n_active]
-            .iter()
-            .zip(bufs.idx[..k * n_active].iter_mut())
-        {
-            let (hi, low) = lemire_candidate(*w, n);
-            *d = hi;
-            maybe_reject |= low < n;
-        }
-        if maybe_reject {
-            for a in 0..n_active {
-                let j = bufs.active[a] as usize;
-                if (0..k).any(|c| lemire_candidate(bufs.words[len + k * a + c], n).1 < n) {
-                    let mut rng = key.stream(base.wrapping_add(j as u64)).rng();
-                    // The participation coin consumed the stream's first
-                    // word; replay it before the sample draws.
-                    let _ = gen_f64(&mut rng);
-                    for d in bufs.idx[k * a..k * a + k].iter_mut() {
-                        *d = gen_index(&mut rng, n);
-                    }
-                }
-            }
-        }
-        drop(t);
-        // Phase 3: gather.
         let t = obs::phase(obs::Phase::Gather);
-        for (d, v) in bufs.idx[..k * n_active]
-            .iter()
-            .zip(bufs.vals[..k * n_active].iter_mut())
-        {
-            *v = old[*d as usize];
+        for (a, &j) in bufs.active[..n_active].iter().enumerate() {
+            let j = j as usize;
+            for (d, v) in bufs.idx[k * j..k * j + k]
+                .iter()
+                .zip(bufs.vals[k * a..k * a + k].iter_mut())
+            {
+                *v = old[*d as usize];
+            }
         }
         drop(t);
-        // Phase 4: apply to the active balls.
         let t = obs::phase(obs::Phase::Apply);
-        for a in 0..n_active {
-            let j = bufs.active[a] as usize;
+        for (a, &j) in bufs.active[..n_active].iter().enumerate() {
+            let j = j as usize;
             let own = old[offset + start + j];
             chunk[start + j] = protocol.combine(own, &bufs.vals[k * a..k * a + k]);
         }
@@ -642,26 +654,33 @@ pub fn replay_ball<P: Protocol + ?Sized>(
 ) -> Value {
     let n = old.len() as u64;
     let k = protocol.samples();
-    let mut rng = CounterKey::new(seed)
-        .stream(round.wrapping_mul(n).wrapping_add(ball as u64))
-        .rng();
+    let mut halves = ball_stream(CounterKey::new(seed), round.wrapping_mul(n), ball).halves();
     let mut samples = [0 as Value; MAX_SAMPLES];
     for sample in samples.iter_mut().take(k) {
-        *sample = old[gen_index(&mut rng, n) as usize];
+        *sample = old[gen_index32(&mut halves, n) as usize];
     }
     protocol.combine(old[ball], &samples[..k])
+}
+
+/// The counter stream of ball `ball` in the round whose first stream id is
+/// `stream_base` (`round · n`).
+#[inline]
+fn ball_stream(key: CounterKey, stream_base: u64, ball: usize) -> CounterStream {
+    key.stream(stream_base.wrapping_add(ball as u64))
 }
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels
 // ---------------------------------------------------------------------------
 //
-// The pre-batching mega-loops, kept verbatim as the bit-identity oracles
-// for `tests/dense_kernel_props.rs`. The batched kernel above must produce
-// exactly these bits for every protocol, seed, round, and population size.
+// One interleaved loop per ball over the word sequence, kept as the
+// bit-identity oracles for `tests/dense_kernel_props.rs`. The batched
+// kernel above must produce exactly these bits for every protocol, seed,
+// round, and population size.
 
 /// Scalar reference for [`step_seq`]: one interleaved
-/// RNG/sample/gather/apply iteration per ball.
+/// RNG/sample/gather/apply iteration per ball, drawing each sample from
+/// the ball's half sequence with [`gen_index32`].
 pub fn step_seq_reference<P: Protocol + ?Sized>(
     old: &[Value],
     new: &mut [Value],
@@ -673,21 +692,22 @@ pub fn step_seq_reference<P: Protocol + ?Sized>(
     let n = old.len() as u64;
     let k = protocol.samples();
     assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
+    assert_indexable(n);
     let key = CounterKey::new(seed);
     let stream_base = round.wrapping_mul(n);
     let mut samples = [0 as Value; MAX_SAMPLES];
     for (j, (slot, &own)) in new.iter_mut().zip(old).enumerate() {
-        let mut rng = key.stream(stream_base.wrapping_add(j as u64)).rng();
+        let mut halves = ball_stream(key, stream_base, j).halves();
         for sample in samples.iter_mut().take(k) {
-            *sample = old[gen_index(&mut rng, n) as usize];
+            *sample = old[gen_index32(&mut halves, n) as usize];
         }
         *slot = protocol.combine(own, &samples[..k]);
     }
 }
 
-/// Scalar reference for [`step_seq_sampled`]: per-ball alias draws via
-/// `word_fast`, with the alias table built fresh (exactly the pre-reuse
-/// per-round cost).
+/// Scalar reference for [`step_seq_sampled`]: per-ball alias draws, sample
+/// `c` from sequence word `c`, with the alias table built fresh (exactly
+/// the pre-reuse per-round cost).
 pub fn step_seq_sampled_reference<P: Protocol + ?Sized>(
     old: &[Value],
     new: &mut [Value],
@@ -707,9 +727,9 @@ pub fn step_seq_sampled_reference<P: Protocol + ?Sized>(
     let stream_base = round.wrapping_mul(n);
     let mut samples = [0 as Value; MAX_SAMPLES];
     for (j, (slot, &own)) in new.iter_mut().zip(old).enumerate() {
-        let stream = key.stream(stream_base.wrapping_add(j as u64));
+        let stream = ball_stream(key, stream_base, j);
         for (c, sample) in samples.iter_mut().take(k).enumerate() {
-            *sample = values[alias.sample_word(stream.word_fast(c as u64))];
+            *sample = values[alias.sample_word(stream.seq_word(c as u64))];
         }
         *slot = protocol.combine(own, &samples[..k]);
     }
@@ -735,17 +755,19 @@ pub fn step_partial_reference<P: Protocol + ?Sized>(
     }
     let n = old.len() as u64;
     let k = protocol.samples();
+    assert_indexable(n);
+    let coin = coin_threshold(update_prob);
     let key = CounterKey::new(seed);
     let stream_base = round.wrapping_mul(n);
     let mut samples = [0 as Value; MAX_SAMPLES];
     for (j, (slot, &own)) in new.iter_mut().zip(old).enumerate() {
-        let mut rng = key.stream(stream_base.wrapping_add(j as u64)).rng();
-        if gen_f64(&mut rng) >= update_prob {
+        let mut halves = ball_stream(key, stream_base, j).halves();
+        if f64::from(halves.next().expect("endless sequence")) >= coin {
             *slot = own;
             continue;
         }
         for sample in samples.iter_mut().take(k) {
-            *sample = old[gen_index(&mut rng, n) as usize];
+            *sample = old[gen_index32(&mut halves, n) as usize];
         }
         *slot = protocol.combine(own, &samples[..k]);
     }
@@ -796,12 +818,16 @@ mod tests {
     #[test]
     fn batched_equals_reference_at_block_boundaries() {
         // The full proptest sweep lives in tests/dense_kernel_props.rs;
-        // this pins the exact block-edge populations deterministically.
+        // this pins the exact block-edge populations deterministically,
+        // plus n = 1,000,003: 2³² mod n makes about 2·10⁻⁴ of all halves
+        // reject, so hundreds of balls per round take the exact-zone
+        // fallback inside the real kernel, on the uniform and partial paths.
         for n in [
             KERNEL_BLOCK - 1,
             KERNEL_BLOCK,
             KERNEL_BLOCK + 1,
             2 * KERNEL_BLOCK + 313,
+            1_000_003,
         ] {
             let old: Vec<Value> = (0..n as u32).map(|i| i % 37).collect();
             let mut batched = vec![0; n];
@@ -809,56 +835,95 @@ mod tests {
             step_seq(&old, &mut batched, &MedianRule, 99, 5);
             step_seq_reference(&old, &mut reference, &MedianRule, 99, 5);
             assert_eq!(batched, reference, "n = {n}");
+            step_partial(1, &old, &mut batched, &MedianRule, 99, 5, 0.5);
+            step_partial_reference(&old, &mut reference, &MedianRule, 99, 5, 0.5);
+            assert_eq!(batched, reference, "partial, n = {n}");
         }
     }
 
     #[test]
-    fn rejection_fallback_matches_scalar_gen_index() {
-        // For any allocatable state a Lemire candidate essentially never
-        // rejects, so force the fallback by resolving against a huge
-        // virtual population: n just above 2⁶³ puts ~half of all words in
-        // the conservative `low < n` zone and makes real rejections (and
-        // multi-word draws) common. The resolved indices must equal a
-        // scalar replay of each ball's stream, word for word.
-        let n = (1u64 << 63) + 12_345_678_901;
+    fn half_rejection_fallback_matches_scalar_gen_index32() {
+        // Any allocatable power-of-two state never rejects, so force the
+        // fallback by resolving against huge virtual populations: near 2³¹
+        // about half of all halves fall in the zone, at 3·2³⁰ a quarter,
+        // and multi-half draws are common. n = 2³² has an empty zone, and
+        // 1,000,003 a realistic sliver of one. The resolved indices must
+        // equal a scalar draw over each ball's half sequence, for every
+        // sample count (k = 5 spans three words per ball) and for both the
+        // uniform (first half 0) and partial (after the coin) offsets.
         let key = CounterKey::new(0xFEED);
-        let base = 7_000_000u64;
-        let (len, k) = (257usize, 2usize);
-        let mut bufs = BlockBufs::new();
-        fill_stream_words(
-            key,
-            base,
-            len,
-            k,
-            &mut bufs.words[..k * len],
-            CounterStream::word,
-        );
-        resolve_uniform(
-            key,
-            base,
-            len,
-            k,
-            n,
-            &bufs.words[..k * len],
-            &mut bufs.idx[..k * len],
-        );
-        let mut fallbacks = 0usize;
-        for j in 0..len {
-            let mut rng = key.stream(base.wrapping_add(j as u64)).rng();
-            for c in 0..k {
-                assert_eq!(
-                    bufs.idx[k * j + c],
-                    gen_index(&mut rng, n),
-                    "ball {j} draw {c}"
-                );
+        for n in [
+            (1u64 << 31) + 12_345,
+            3 * (1u64 << 30) + 7,
+            1u64 << 32,
+            1_000_003,
+        ] {
+            let zone = lemire_zone32(n);
+            let mut fallbacks = 0usize;
+            for (k, first) in [1usize, 2, 3, 5].into_iter().flat_map(|k| [(k, 0), (k, 1)]) {
+                let (w, len) = ((first + k).div_ceil(2), WORD_CAP / k);
+                for block in 0..4u64 {
+                    let base = 7_000_000 + block * len as u64;
+                    let mut bufs = BlockBufs::new();
+                    fill_stream_words(key, base, w, &mut bufs.words[..w * len]);
+                    let idx = &mut bufs.idx[..k * len];
+                    let words = &bufs.words[..w * len];
+                    resolve_halves(key, base, first, k, n, zone, words, idx, &mut bufs.active);
+                    for j in 0..len {
+                        let stream = ball_stream(key, base, j);
+                        let mut halves = stream.halves().skip(first);
+                        for c in 0..k {
+                            assert_eq!(
+                                idx[k * j + c],
+                                gen_index32(&mut halves, n),
+                                "n = {n}, k = {k}, first = {first}, ball {j} draw {c}"
+                            );
+                        }
+                        let rejects = stream
+                            .halves()
+                            .skip(first)
+                            .take(k)
+                            .any(|h| lemire_candidate32(h, n).1 < zone);
+                        fallbacks += usize::from(rejects);
+                    }
+                }
             }
-            if (0..k).any(|c| lemire_candidate(bufs.words[k * j + c], n).1 < n) {
-                fallbacks += 1;
+            match zone {
+                0 => assert_eq!(fallbacks, 0, "n = {n}: empty zone"),
+                z if z > 1 << 28 => assert!(
+                    fallbacks > WORD_CAP,
+                    "n = {n}: only {fallbacks} balls took the fallback"
+                ),
+                _ => assert!(fallbacks > 0, "n = {n}: the fallback was never taken"),
             }
         }
+    }
+
+    #[test]
+    fn two_halves_of_one_word_draw_independently() {
+        // Two bins, p = 1/4 of the balls on value 0. A ball ends on 0 iff
+        // at least two of (own, sample, sample) are 0, so one round from
+        // this state expects n(3p² − 2p³) zeros when the two halves of a
+        // ball's word act as independent uniform draws (equal halves would
+        // give n·p). Per trial the count is a sum of independent
+        // Bernoullis with variance 4096·(7/16)(9/16) + 12288·(1/16)(15/16)
+        // = 1728; allow 5σ of the mean over 200 seeds.
+        let n = 1usize << 14;
+        let p = 0.25;
+        let old: Vec<Value> = (0..n).map(|i| Value::from(i >= n / 4)).collect();
+        let mut new = vec![0; n];
+        let trials = 200u64;
+        let mut zeros = 0usize;
+        for seed in 0..trials {
+            step_seq(&old, &mut new, &MedianRule, seed, 0);
+            zeros += new.iter().filter(|&&v| v == 0).count();
+        }
+        let mean = zeros as f64 / trials as f64;
+        let expect = n as f64 * (3.0 * p * p - 2.0 * p * p * p);
+        let sigma = (1728.0 / trials as f64).sqrt();
         assert!(
-            fallbacks > len / 4,
-            "test must actually exercise the fallback ({fallbacks} balls)"
+            (mean - expect).abs() < 5.0 * sigma,
+            "mean zeros {mean} vs n(3p² − 2p³) = {expect} (σ of the mean {sigma:.2})"
         );
     }
 

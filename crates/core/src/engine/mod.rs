@@ -8,15 +8,17 @@
 //! | [`message`] | `O(n + messages)` | memory | full request/response with logarithmic inbox caps and drop policies |
 //!
 //! Dense parallel and dense sequential are **bit-identical** for any thread
-//! count: per-ball randomness is addressed by counter-RNG coordinates
-//! `(seed, round·n + ball)`, not by draw order. The dense step functions are
+//! count: per-ball randomness is the word sequence of the counter stream
+//! at `(seed, round·n + ball)`, not a draw order (a median-rule ball takes
+//! both samples from the two 32-bit halves of one hashed word). The dense
+//! step functions are
 //! generic over the protocol, so concrete-rule callers get a monomorphized
 //! (statically dispatched) hot loop while `&dyn Protocol` callers keep
 //! working — both produce the same bits. Internally the dense round runs a
 //! **batched phase-split kernel** ([`dense::KERNEL_BLOCK`]-ball blocks, one
 //! tight loop each for RNG-word generation, index resolution, value gather,
-//! and protocol apply) that is bit-identical to the scalar reference loop
-//! it replaced ([`dense::step_seq_reference`], pinned by
+//! and protocol apply) that is bit-identical to a scalar per-ball loop
+//! ([`dense::step_seq_reference`], pinned by
 //! `tests/dense_kernel_props.rs`); the load-sampled variant reuses a
 //! [`dense::LoadSampler`] whose alias table rebuilds in place each round.
 //!

@@ -124,39 +124,45 @@ fn ks_statistic(a: &[u64], b: &[u64]) -> f64 {
 
 /// (c) Adaptive vs pure dense: consensus-round distributions agree.
 ///
-/// 256 seeded trials per engine on a TwoBins start. The trajectories
-/// diverge sample-wise at the handoff (different RNG stream), so the
-/// comparison is distributional: the two-sample KS statistic must stay
-/// below the α ≈ 0.001 critical value `1.95·√(2/256) ≈ 0.172` (slack to
-/// 0.18).
+/// 256 seeded trials per engine and start. On TwoBins the trajectories
+/// diverge sample-wise at the handoff (different RNG stream). An
+/// `MBinsEqual { m: 16 }` start is already within the handoff support, so
+/// the adaptive engine hands off at round 0 and the comparison pits the
+/// dense engine's word-sequence stream against the independent histogram
+/// chain for the whole run. The comparison is distributional: the
+/// two-sample KS statistic must stay below the α ≈ 0.001 critical value
+/// `1.95·√(2/256) ≈ 0.172` (slack to 0.18).
 #[test]
 fn adaptive_consensus_round_distribution_matches_dense() {
     let n = 2048usize;
     let trials = 256u64;
-    let base = SimSpec::new(n)
-        .init(InitialCondition::TwoBins { left: n / 2 })
-        .max_rounds(2000);
-    let dense_spec = base.clone().engine(EngineSpec::DenseSeq);
-    let adaptive_spec = base.clone().engine(EngineSpec::Adaptive {
-        threads: 1,
-        handoff_support: 64,
-    });
-    let mut dense_rounds = Vec::with_capacity(trials as usize);
-    let mut adaptive_rounds = Vec::with_capacity(trials as usize);
-    for seed in 0..trials {
-        let d = dense_spec.run_seeded(seed);
-        let a = adaptive_spec.run_seeded(seed);
-        dense_rounds.push(d.consensus_round.expect("dense trial must converge"));
-        adaptive_rounds.push(a.consensus_round.expect("adaptive trial must converge"));
-        assert!(a.winner_valid);
-        assert_eq!(a.final_support, 1);
-        assert_eq!(a.final_disagreement, 0);
+    for init in [
+        InitialCondition::TwoBins { left: n / 2 },
+        InitialCondition::MBinsEqual { m: 16 },
+    ] {
+        let base = SimSpec::new(n).init(init.clone()).max_rounds(2000);
+        let dense_spec = base.clone().engine(EngineSpec::DenseSeq);
+        let adaptive_spec = base.clone().engine(EngineSpec::Adaptive {
+            threads: 1,
+            handoff_support: 64,
+        });
+        let mut dense_rounds = Vec::with_capacity(trials as usize);
+        let mut adaptive_rounds = Vec::with_capacity(trials as usize);
+        for seed in 0..trials {
+            let d = dense_spec.run_seeded(seed);
+            let a = adaptive_spec.run_seeded(seed);
+            dense_rounds.push(d.consensus_round.expect("dense trial must converge"));
+            adaptive_rounds.push(a.consensus_round.expect("adaptive trial must converge"));
+            assert!(a.winner_valid);
+            assert_eq!(a.final_support, 1);
+            assert_eq!(a.final_disagreement, 0);
+        }
+        let ks = ks_statistic(&dense_rounds, &adaptive_rounds);
+        assert!(
+            ks < 0.18,
+            "{init:?}: KS distance {ks} between dense and adaptive consensus rounds"
+        );
     }
-    let ks = ks_statistic(&dense_rounds, &adaptive_rounds);
-    assert!(
-        ks < 0.18,
-        "KS distance {ks} between dense and adaptive consensus rounds"
-    );
 }
 
 /// The adaptive engine with a handoff threshold of 1 never hands off before

@@ -1,13 +1,13 @@
 //! Batched-kernel bit-identity: the phase-split dense kernel behind
 //! [`stabcon_core::engine::dense::step_seq`] (and the load-sampled /
 //! partial-participation variants) must produce **exactly** the bits of
-//! the scalar reference loops it replaced, for every protocol sample
-//! count, execution mode (seq/par), and population size — block
-//! boundaries included.
+//! the scalar reference loops, which draw every ball's samples one at a
+//! time from its word sequence, for every protocol sample count, execution
+//! mode (seq/par), and population size — block boundaries included.
 //!
 //! This is the contract that lets the engine batch-generate RNG words,
 //! resolve indices, gather, and apply in separate vector-friendly loops
-//! without changing a single trajectory anywhere in the repository.
+//! without changing the stream any trajectory reads.
 
 use proptest::prelude::*;
 use stabcon_core::engine::dense::{self, LoadSampler, KERNEL_BLOCK};

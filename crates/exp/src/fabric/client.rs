@@ -1,6 +1,6 @@
 //! One-shot control-plane clients for a `stabcon serve` daemon:
 //! submit a campaign, query the live status plane, cancel a job. Each call
-//! dials, speaks `stabcon-fabric/2`, and hangs up — no retry loop, because
+//! dials, speaks `stabcon-fabric/3`, and hangs up — no retry loop, because
 //! a control action either happened or it didn't, and the caller (the CLI)
 //! should report which.
 //!
@@ -13,9 +13,9 @@
 use std::io::{BufRead, BufReader, Lines};
 use std::net::TcpStream;
 
-use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 
-/// One `/2` control connection, from handshake to drop.
+/// One `/3` control connection, from handshake to drop.
 struct Control {
     stream: TcpStream,
     lines: Lines<BufReader<TcpStream>>,
@@ -34,7 +34,7 @@ impl Control {
             lines: BufReader::new(reader).lines(),
         };
         control.send(&Msg::Hello {
-            schema: FABRIC_SCHEMA_V2.into(),
+            schema: FABRIC_SCHEMA.into(),
             worker: client.into(),
         })?;
         match control.recv()? {

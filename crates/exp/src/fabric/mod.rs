@@ -13,7 +13,7 @@
 //!   on every cell id before a trial runs.
 //!
 //! The [`serve`] daemon is a durable multi-campaign job queue. Campaigns
-//! are submitted over the line-oriented [`protocol`] (`stabcon-fabric/2`)
+//! are submitted over the line-oriented [`protocol`] (`stabcon-fabric/3`)
 //! with per-client admission quotas, activated FIFO, and leased cell by
 //! cell, round-robin across running campaigns, to workers that each run
 //! the one lease loop in [`worker`]. Cells whose worker died are re-leased
@@ -40,7 +40,7 @@ pub mod worker;
 
 pub use chaos::{fault_for, ChaosProxy, ChaosSpec, Fault};
 pub use client::{cancel_job, query_status, submit_campaign, JobInfo, QueueStatus, SubmitOutcome};
-pub use protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
+pub use protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 pub use queue::{
     job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent, QueueConfig,
     Rejection, JOBS_SCHEMA,

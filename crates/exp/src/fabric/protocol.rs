@@ -1,4 +1,4 @@
-//! The line-oriented fabric protocol (`stabcon-fabric/2`) between the
+//! The line-oriented fabric protocol (`stabcon-fabric/3`) between the
 //! `stabcon serve` queue daemon, `stabcon work` workers, and the
 //! submission clients (`stabcon submit` / `status` / `cancel`).
 //!
@@ -60,7 +60,11 @@ use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 /// Version tag every peer sends in its [`Msg::Hello`]; the daemon rejects
 /// any other value. Fingerprints travel per job (in [`Msg::Submit`] and
 /// [`Msg::Lease2`]), not per connection.
-pub const FABRIC_SCHEMA_V2: &str = "stabcon-fabric/2";
+///
+/// `/3` frames are those of `/2`; the bump moves with the store's
+/// `stabcon-campaign/4`, so a worker built for the old dense stream cannot
+/// lease cells from a daemon that writes new-stream stores.
+pub const FABRIC_SCHEMA: &str = "stabcon-fabric/3";
 
 /// Write `msg` as one wire line with a single `write_all`, so a frame never
 /// leaves in two segments (which Nagle's algorithm and delayed ACKs would
@@ -156,7 +160,7 @@ pub enum Msg {
     /// Peer → daemon greeting: protocol version and a display name for
     /// progress output.
     Hello {
-        /// Protocol version tag ([`FABRIC_SCHEMA_V2`]).
+        /// Protocol version tag ([`FABRIC_SCHEMA`]).
         schema: String,
         /// Peer display name (host-chosen, for progress lines only).
         worker: String,
@@ -663,7 +667,7 @@ mod tests {
     fn every_kind_round_trips() {
         let msgs = [
             Msg::Hello {
-                schema: FABRIC_SCHEMA_V2.into(),
+                schema: FABRIC_SCHEMA.into(),
                 worker: "host-1".into(),
             },
             Msg::Welcome {

@@ -55,7 +55,7 @@ use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 use crate::store::{self, Durability, StoreWriter};
 use crate::telemetry::{self, TELEMETRY_SCHEMA};
 
-use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 use super::queue::{
     job_store_path, jobs_journal_path, open_journal, Job, JobQueue, JobState, JournalEvent,
     QueueConfig,
@@ -864,7 +864,7 @@ impl QueueServer {
     }
 }
 
-/// One connection, from handshake to disconnect. Only `stabcon-fabric/2`
+/// One connection, from handshake to disconnect. Only `stabcon-fabric/3`
 /// hellos are welcomed; the connection may then mix control frames
 /// (submit, status, cancel) with the claim/lease/result loop.
 fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShared>>) {
@@ -876,10 +876,10 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
     let worker_name = match lines.next() {
         Some(Ok(line)) => {
             let greeting = match Msg::decode(&line) {
-                Ok(Msg::Hello { schema, worker }) if schema == FABRIC_SCHEMA_V2 => Ok(worker),
+                Ok(Msg::Hello { schema, worker }) if schema == FABRIC_SCHEMA => Ok(worker),
                 Ok(Msg::Hello { schema, .. }) => Err(format!(
                     "protocol version '{schema}' is not supported; this daemon speaks \
-                     '{FABRIC_SCHEMA_V2}'"
+                     '{FABRIC_SCHEMA}'"
                 )),
                 _ => Err("expected hello".to_string()),
             };

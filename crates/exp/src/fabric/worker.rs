@@ -49,7 +49,7 @@ use crate::cell::{chunk_for, run_cell_monitored, CellSpec};
 use crate::store;
 use crate::telemetry::CampaignTelemetry;
 
-use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 
 /// Process-wide graceful-drain flag, set by the SIGTERM handler in the
 /// `stabcon` binary (signal handlers can only touch static state).
@@ -299,7 +299,7 @@ fn connect_session(addr: &str, name: &str) -> Result<Session, WorkErr> {
         lines: BufReader::new(reader).lines(),
     };
     session.send(&Msg::Hello {
-        schema: FABRIC_SCHEMA_V2.into(),
+        schema: FABRIC_SCHEMA.into(),
         worker: name.into(),
     })?;
     match session.recv()? {

@@ -42,7 +42,12 @@ use crate::observer::ChannelKind;
 /// `/3`: cells carry a `scenario` axis label (network-fault grid axis) and
 /// the net-totals observer channels; `/2` stores predate the axis and are
 /// rejected up front for the same reason.
-pub const SCHEMA: &str = "stabcon-campaign/3";
+///
+/// `/4`: the dense engine draws from one word sequence per ball (two
+/// uniform samples per hashed word), so a trial's trajectory for a given
+/// seed changed; `/3` stores hold cells of the old stream and are rejected
+/// rather than resumed into a store that mixes two streams.
+pub const SCHEMA: &str = "stabcon-campaign/4";
 
 /// The campaign header record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +93,9 @@ impl StoreHeader {
         };
         let schema = str_of("schema")?;
         if schema != SCHEMA {
-            return Err(format!("unsupported store schema '{schema}'"));
+            return Err(format!(
+                "unsupported store schema '{schema}' (this build reads '{SCHEMA}')"
+            ));
         }
         let fingerprint = u64::from_str_radix(&str_of("fingerprint")?, 16)
             .map_err(|e| format!("header: bad fingerprint: {e}"))?;
@@ -572,17 +579,22 @@ mod tests {
 
     #[test]
     fn old_schema_is_rejected_by_name() {
-        // A pre-observer `/1` store must fail with the schema in the
-        // message, not a confusing fingerprint mismatch downstream.
+        // A pre-observer `/1` store, or a `/3` store of the old dense
+        // stream, must fail with the schema in the message, not a
+        // confusing fingerprint mismatch downstream.
         let path = tmp("oldschema.jsonl");
-        std::fs::write(
-            &path,
-            "{\"kind\": \"campaign\", \"schema\": \"stabcon-campaign/1\", \"name\": \"t\", \
-             \"seed\": 7, \"trials\": 4, \"cells\": 2, \"fingerprint\": \"00000000000000ab\"}\n",
-        )
-        .expect("write");
-        let err = load(&path).expect_err("old schema must not load");
-        assert!(err.contains("stabcon-campaign/1"), "{err}");
+        for old in ["stabcon-campaign/1", "stabcon-campaign/3"] {
+            std::fs::write(
+                &path,
+                format!(
+                    "{{\"kind\": \"campaign\", \"schema\": \"{old}\", \"name\": \"t\", \
+                     \"seed\": 7, \"trials\": 4, \"cells\": 2, \"fingerprint\": \"00000000000000ab\"}}\n"
+                ),
+            )
+            .expect("write");
+            let err = load(&path).expect_err("old schema must not load");
+            assert!(err.contains(old), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::fabric::{
     job_store_path, jobs_journal_path, run_worker_any, submit_campaign, write_frame, ChaosProxy,
-    ChaosSpec, Msg, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA_V2,
+    ChaosSpec, Msg, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
 };
 use stabcon_exp::store::Durability;
 use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
@@ -235,7 +235,7 @@ fn ship_reference_cells(addr: &str, reference: &[u8], cells: usize) {
         Msg::decode(line.trim_end()).expect("decode reply")
     };
     let hello = Msg::Hello {
-        schema: FABRIC_SCHEMA_V2.into(),
+        schema: FABRIC_SCHEMA.into(),
         worker: "scripted".into(),
     };
     write_frame(&mut stream, &hello).expect("hello");

@@ -1,4 +1,4 @@
-//! Property tests for the `stabcon-fabric/2` wire protocol: every
+//! Property tests for the `stabcon-fabric/3` wire protocol: every
 //! message — including the submission-plane frames, the spec descriptors
 //! they carry, and the decode-only retired `/1` frames — survives an
 //! encode→decode round trip with payload strings full of quotes,
@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stabcon_exp::fabric::{Ingest, Msg, Parked, ServeState, SpecDescriptor, FABRIC_SCHEMA_V2};
+use stabcon_exp::fabric::{Ingest, Msg, Parked, ServeState, SpecDescriptor, FABRIC_SCHEMA};
 use stabcon_exp::telemetry::{check_telemetry, validate_record_line};
 
 /// Escaping stress pool: quotes, backslashes, newlines, control characters,
@@ -59,7 +59,7 @@ fn build_descriptor(x: u64, y: u64, a: usize, b: usize) -> SpecDescriptor {
 fn build_msg(kind: usize, x: u64, y: u64, a: usize, b: usize) -> Msg {
     match kind {
         0 => Msg::Hello {
-            schema: FABRIC_SCHEMA_V2.into(),
+            schema: FABRIC_SCHEMA.into(),
             worker: nasty(a, b, x),
         },
         1 => Msg::Welcome {

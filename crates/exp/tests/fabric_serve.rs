@@ -15,7 +15,7 @@ use std::time::Duration;
 use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::fabric::{
     job_store_path, jobs_journal_path, run_worker_any, submit_campaign, write_frame, Msg,
-    QueueOutcome, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA_V2,
+    QueueOutcome, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
 };
 use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
 use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
@@ -103,9 +103,9 @@ impl Raw {
         (raw, reply)
     }
 
-    /// Connect and complete the `/2` handshake.
+    /// Connect and complete the `/3` handshake.
     fn handshake(addr: &str) -> Self {
-        match Self::hello(addr, FABRIC_SCHEMA_V2) {
+        match Self::hello(addr, FABRIC_SCHEMA) {
             (raw, Msg::Welcome { .. }) => raw,
             (_, other) => panic!("handshake failed: {other:?}"),
         }
@@ -157,8 +157,8 @@ fn reference_line(reference: &[u8], cell: u64) -> String {
 }
 
 #[test]
-fn a_fabric_1_hello_is_rejected_naming_fabric_2() {
-    let out = tmp("v1-hello");
+fn old_fabric_hellos_are_rejected_naming_fabric_3() {
+    let out = tmp("old-hello");
     cleanup_daemon(&out);
     let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
@@ -169,13 +169,15 @@ fn a_fabric_1_hello_is_rejected_naming_fabric_2() {
     };
     let daemon = std::thread::spawn(move || server.run(&cfg));
 
-    let (_, reply) = Raw::hello(&addr, "stabcon-fabric/1");
-    match reply {
-        Msg::Reject { reason } => {
-            assert!(reason.contains("stabcon-fabric/2"), "{reason}");
-            assert!(reason.contains("stabcon-fabric/1"), "{reason}");
+    for old in ["stabcon-fabric/1", "stabcon-fabric/2"] {
+        let (_, reply) = Raw::hello(&addr, old);
+        match reply {
+            Msg::Reject { reason } => {
+                assert!(reason.contains("stabcon-fabric/3"), "{reason}");
+                assert!(reason.contains(old), "{reason}");
+            }
+            other => panic!("a {old} hello must be rejected, got {other:?}"),
         }
-        other => panic!("a /1 hello must be rejected, got {other:?}"),
     }
 
     halt.store(true, std::sync::atomic::Ordering::SeqCst);

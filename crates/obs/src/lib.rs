@@ -55,9 +55,12 @@ use std::time::Instant;
 /// snapshots, tables, and the telemetry JSONL schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Dense kernel: counter-RNG word generation (`fill_stream_words`).
+    /// Dense kernel: filling each ball's counter-stream word sequence
+    /// (`fill_stream_words`, one fill for the uniform, load-sampled and
+    /// partial paths).
     Rng = 0,
-    /// Dense kernel: index resolution (Lemire multiply-shift / alias draw).
+    /// Dense kernel: index resolution (32-bit Lemire multiply-shift per
+    /// half with exact rejection / alias draw per word).
     Index = 1,
     /// Dense kernel: the gather loop (pure loads over the state vector).
     Gather = 2,

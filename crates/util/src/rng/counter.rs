@@ -11,6 +11,13 @@
 //! MurmurHash3/SplitMix64) is applied between foldings. This is exactly the
 //! structure of SplitMix64 itself (counter × golden-gamma → finalizer), which
 //! is known to pass statistical test batteries, extended to three inputs.
+//!
+//! The dense engine reads a cheaper family from the same folds: the *word
+//! sequence* of a keyed stream ([`CounterStream::seq_word`]), whose first
+//! word is the stream fold itself and whose later words are single-`mix64`
+//! SplitMix64 outputs. A uniform median-rule ball takes both of its samples
+//! from the two 32-bit halves of that first word ([`CounterStream::halves`]),
+//! so it pays one `mix64` per round past the hoisted seed fold.
 
 use rand::{RngCore, SeedableRng};
 
@@ -84,41 +91,25 @@ impl CounterStream {
         mix64(self.0.wrapping_add(counter.wrapping_mul(GOLDEN_GAMMA)))
     }
 
-    /// A sequential [`RngCore`] view over this stream starting at counter 0.
+    /// Word `c` of the stream's *word sequence*, the dense engine's
+    /// per-ball randomness: `w₀` is the keyed stream word itself (already a
+    /// full `mix64` output, so it costs nothing past the stream fold) and
+    /// `w_c` for `c ≥ 1` is [`CounterStream::word_fast`]`(c)`. Every word is
+    /// a SplitMix64-style output.
     #[inline(always)]
-    pub const fn rng(self) -> CounterStreamRng {
-        CounterStreamRng {
-            stream: self,
-            counter: 0,
+    pub const fn seq_word(self, c: u64) -> u64 {
+        if c == 0 {
+            self.0
+        } else {
+            self.word_fast(c)
         }
     }
-}
 
-/// Sequential generator over a pre-keyed [`CounterStream`] — the hot-loop
-/// equivalent of [`CounterRng`] with the seed and stream folds already paid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterStreamRng {
-    stream: CounterStream,
-    counter: u64,
-}
-
-impl RngCore for CounterStreamRng {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let w = self.stream.word(self.counter);
-        self.counter = self.counter.wrapping_add(1);
-        w
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
+    /// The 32-bit halves of the word sequence `w₀, w₁, …`, low half of
+    /// each word first: half `i` is half `i mod 2` of word `⌊i/2⌋`. The
+    /// dense engine's uniform draws read this sequence, two per word.
+    pub fn halves(self) -> impl Iterator<Item = u32> {
+        (0u64..).map(move |i| (self.seq_word(i / 2) >> (32 * (i & 1))) as u32)
     }
 }
 
@@ -219,11 +210,17 @@ mod tests {
     }
 
     #[test]
-    fn stream_rng_matches_counter_rng() {
-        let mut a = CounterRng::new(42, 9);
-        let mut b = CounterKey::new(42).stream(9).rng();
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+    fn halves_split_the_word_sequence_low_first() {
+        let s = CounterKey::new(42).stream(9);
+        assert_eq!(s.seq_word(0), s.0);
+        let halves: Vec<u32> = s.halves().take(8).collect();
+        for c in 0..4u64 {
+            let w = s.seq_word(c);
+            if c > 0 {
+                assert_eq!(w, s.word_fast(c));
+            }
+            assert_eq!(halves[2 * c as usize], w as u32);
+            assert_eq!(halves[2 * c as usize + 1], (w >> 32) as u32);
         }
     }
 

@@ -6,8 +6,11 @@
 //!
 //! * every trial derives its generator from `(master_seed, trial_id)`;
 //! * the parallel dense engine derives the two choices of ball `i` in round
-//!   `t` from `(seed, t, i)` via the stateless [`CounterRng`], so results are
-//!   **bit-identical regardless of the number of worker threads**;
+//!   `t` from `(seed, t, i)` via a stateless [`CounterStream`]: one hashed
+//!   64-bit word whose two 32-bit halves become the two indices through
+//!   [`lemire_candidate32`] (falling back to [`gen_index32`] on the rare
+//!   rejection), so results are **bit-identical regardless of the number of
+//!   worker threads**;
 //! * sequential code uses [`Xoshiro256pp`], seeded through [`SplitMix64`] as
 //!   recommended by the xoshiro authors.
 //!
@@ -18,7 +21,7 @@ mod counter;
 mod splitmix;
 mod xoshiro;
 
-pub use counter::{hash3, mix64, CounterKey, CounterRng, CounterStream, CounterStreamRng};
+pub use counter::{hash3, mix64, CounterKey, CounterRng, CounterStream};
 pub use splitmix::SplitMix64;
 pub use xoshiro::Xoshiro256pp;
 
@@ -31,11 +34,9 @@ use rand::RngCore;
 /// The candidate is final unless `low < 2⁶⁴ mod n` (the rejection zone);
 /// since `2⁶⁴ mod n < n`, the cheap conservative test `low < n` proves a
 /// draw needs **no** rejection handling. [`gen_index`] is built on this
-/// primitive, and the dense engine's batched kernel uses it directly so its
-/// vectorizable resolve loop and the scalar rejection fallback share one
-/// formula by construction.
+/// primitive.
 #[inline(always)]
-pub const fn lemire_candidate(word: u64, n: u64) -> (u64, u64) {
+const fn lemire_candidate(word: u64, n: u64) -> (u64, u64) {
     let m = (word as u128) * (n as u128);
     ((m >> 64) as u64, m as u64)
 }
@@ -43,8 +44,9 @@ pub const fn lemire_candidate(word: u64, n: u64) -> (u64, u64) {
 /// Draw a uniform index in `[0, n)` using Lemire's multiply-shift method
 /// with rejection (unbiased).
 ///
-/// This is the hot primitive of the whole workspace: the dense engine calls
-/// it twice per ball per round.
+/// The sequential draws of the workspace (initial states, adversaries, the
+/// message engine, the network layer) use it; the dense engine draws from
+/// 32-bit halves instead ([`gen_index32`]).
 ///
 /// # Panics
 /// Panics in debug builds if `n == 0`.
@@ -63,13 +65,55 @@ pub fn gen_index<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     idx
 }
 
+/// One 32-bit Lemire multiply-shift candidate for a uniform index in
+/// `[0, n)`, `1 ≤ n ≤ 2³²`: returns `(index, low)` where
+/// `index = ⌊half·n / 2³²⌋` and `low` is the bottom 32 bits of the 64-bit
+/// product.
+///
+/// The candidate is final unless `low <` [`lemire_zone32`]`(n)`. The dense
+/// engine's resolve loop tests that exact bound, and [`gen_index32`] is
+/// built on the same formula, so the fast loop and its scalar fallback
+/// agree by construction.
+#[inline(always)]
+pub const fn lemire_candidate32(half: u32, n: u64) -> (u32, u32) {
+    let m = half as u64 * n;
+    ((m >> 32) as u32, m as u32)
+}
+
+/// The rejection zone of [`lemire_candidate32`]: `2³² mod n`. It is 0 for
+/// every power of two, so such populations never reject.
+///
+/// # Panics
+/// Panics if `n == 0`.
+#[inline(always)]
+pub const fn lemire_zone32(n: u64) -> u32 {
+    ((1u64 << 32) % n) as u32
+}
+
+/// Draw a uniform index in `[0, n)`, `1 ≤ n ≤ 2³²`, from a sequence of
+/// uniform 32-bit halves (Lemire's multiply-shift with exact rejection):
+/// each rejected half is replaced by the next one, so the draw consumes
+/// one half unless the candidate falls in the rejection zone.
+///
+/// # Panics
+/// Panics if `n ∉ [1, 2³²]` or the sequence runs out.
+pub fn gen_index32(halves: &mut impl Iterator<Item = u32>, n: u64) -> u32 {
+    assert!((1..=1u64 << 32).contains(&n), "gen_index32: n = {n}");
+    let zone = lemire_zone32(n);
+    loop {
+        let (idx, low) = lemire_candidate32(halves.next().expect("half sequence ended"), n);
+        if low >= zone {
+            return idx;
+        }
+    }
+}
+
 /// Map one uniform 64-bit word to a uniform `f64` in `[0, 1)` with 53
 /// random mantissa bits (the standard `(x >> 11) · 2⁻⁵³` construction).
 ///
-/// [`gen_f64`] is this applied to the generator's next word; the batched
-/// dense kernel applies it to pre-generated word buffers.
+/// [`gen_f64`] is this applied to the generator's next word.
 #[inline(always)]
-pub const fn unit_f64_from_word(word: u64) -> f64 {
+const fn unit_f64_from_word(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -157,6 +201,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gen_index32_n_one_takes_one_half() {
+        let mut halves = [u32::MAX, 0, 7].into_iter();
+        for _ in 0..3 {
+            assert_eq!(gen_index32(&mut halves, 1), 0);
+        }
+        assert_eq!(halves.next(), None);
+    }
+
+    #[test]
+    fn gen_index32_full_range_is_the_identity() {
+        // n = 2³²: the zone is empty and every half is its own index.
+        let n = 1u64 << 32;
+        assert_eq!(lemire_zone32(n), 0);
+        for h in [0u32, 1, 0x8000_0000, u32::MAX] {
+            assert_eq!(gen_index32(&mut std::iter::once(h), n), h);
+        }
+    }
+
+    #[test]
+    fn gen_index32_is_exactly_uniform_at_three() {
+        // 2³² mod 3 = 1, so only the half 0 rejects (its low word is 0).
+        // Index i's preimage is the halves h with i·2³² ≤ 3h < (i+1)·2³²;
+        // their low words 3h − i·2³² step by 3 from a start in [0, 3), so
+        // only a preimage's first half can fall in the zone [0, 1). Count
+        // each preimage's accepted halves exactly: all three must be
+        // ⌊2³²/3⌋. Then a crafted sequence that opens in the zone must move
+        // on to its next half.
+        let n = 3u64;
+        assert_eq!(lemire_zone32(n), 1);
+        let first_half = |i: u64| (i << 32).div_ceil(n);
+        for i in 0..n {
+            let (lo, hi) = (first_half(i), first_half(i + 1) - 1);
+            let rejected = lemire_candidate32(lo as u32, n).1 < 1;
+            assert_eq!(lemire_candidate32(hi as u32, n).0 as u64, i);
+            assert!(lo == 0 || lemire_candidate32(lo as u32 - 1, n).0 as u64 == i - 1);
+            let accepted = hi - lo + 1 - u64::from(rejected);
+            assert_eq!(accepted, (1u64 << 32) / n, "index {i}");
+        }
+        let mut halves = [0u32, 0, u32::MAX, 5].into_iter();
+        assert_eq!(gen_index32(&mut halves, n), 2);
+        assert_eq!(halves.next(), Some(5));
     }
 
     #[test]
