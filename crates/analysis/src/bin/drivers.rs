@@ -1,6 +1,6 @@
 //! The golden producer for the CI `driver-parity` job: deterministic
 //! small-scale runs of the analysis drivers and of the campaign presets
-//! behind Figure 1, Theorem 2 and the tournament.
+//! behind Figure 1, Theorem 2, the tournament and the √n threshold.
 //!
 //! ```text
 //! drivers --out DIR [--driver NAME]
@@ -9,12 +9,13 @@
 //! Writes `<name>.txt` per output (default: all) with **fixed** seeds and
 //! scales:
 //!
-//! * `threshold`, `baselines`, `robustness` (α-asynchrony), `stability`,
-//!   `drift` — the `stabcon-analysis` tables;
+//! * `baselines`, `robustness` (α-asynchrony), `stability`, `drift` — the
+//!   `stabcon-analysis` tables;
 //! * `campaign-figure1-small`, `campaign-average-case`, `campaign-theorems`,
-//!   `campaign-robustness-small` — the preset run through the same calls as
-//!   `stabcon campaign run --preset P` then `stabcon campaign report`
-//!   (`run_campaign` → `store::load` → `report_table`). The store and its
+//!   `campaign-robustness-small`, `campaign-threshold` — the preset run
+//!   through the same calls as `stabcon campaign run --preset P` then
+//!   `stabcon campaign report` (`run_campaign` → `store::load` →
+//!   `report_table`). The store and its
 //!   timings sidecar live in a temporary directory, never under `--out`.
 //!
 //! The campaign scheduler's aggregation is thread- and chunk-invariant, so
@@ -25,14 +26,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use stabcon_analysis::{baselines, drift, robustness, stability, threshold};
+use stabcon_analysis::{baselines, drift, robustness, stability};
 use stabcon_core::adversary::AdversarySpec;
 use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::{presets, report, store};
 
 /// All output names, in output order.
 const DRIVERS: [&str; 9] = [
-    "threshold",
     "baselines",
     "robustness",
     "stability",
@@ -41,6 +41,7 @@ const DRIVERS: [&str; 9] = [
     "campaign-average-case",
     "campaign-theorems",
     "campaign-robustness-small",
+    "campaign-threshold",
 ];
 
 /// Fixed worker count: the numbers don't depend on it (that's the point of
@@ -65,16 +66,6 @@ fn render(driver: &str, tmp: &Path) -> Result<String, String> {
         return render_preset(preset, tmp);
     }
     Ok(match driver {
-        "threshold" => {
-            let mut out =
-                threshold::threshold_table(256, &[0.2, 0.5, 0.9], 6, 30, 0x90_1D, THREADS)
-                    .to_text();
-            out.push('\n');
-            out.push_str(
-                &threshold::threshold_hist_table(&[16], &[0.25, 0.75], 4, 40, 0x90_1D).to_text(),
-            );
-            out
-        }
         "baselines" => {
             let mut out =
                 baselines::min_rule_table(2048, &[50, 200, 800, 2000], 15, 0xE63E, THREADS)

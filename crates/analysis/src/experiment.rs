@@ -5,8 +5,8 @@
 //! driver executes through `stabcon_exp::sweep_stats` / `stabcon_exp::
 //! run_cell` (streamed per-cell aggregates, trajectory-derived extras via
 //! `stabcon_exp::TrialObserver`); [`run_trials`] survives only as the
-//! *materialized reference implementation* that the `threshold` and `drift`
-//! `campaign_port_is_numerically_unchanged` tests, and the tests below,
+//! *materialized reference implementation* that the `drift`
+//! `campaign_port_is_numerically_unchanged` test, and the tests below,
 //! pin the streaming path against — no driver calls it outside tests.
 
 use stabcon_core::runner::{RunResult, SimSpec};

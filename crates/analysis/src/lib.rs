@@ -1,9 +1,10 @@
 //! # stabcon-analysis
 //!
 //! The paper-table drivers whose grids no campaign preset covers. Figure 1,
-//! Theorem 2 and the protocol × adversary tournament are campaign presets
-//! (`figure1-small`, `figure1`, `average-case`, `theorems`,
-//! `robustness-small`) rendered by `stabcon campaign report`; the drivers
+//! Theorem 2, the protocol × adversary tournament and the √n threshold
+//! are campaign presets (`figure1-small`, `figure1`, `average-case`,
+//! `theorems`, `robustness-small`, `threshold`) rendered by
+//! `stabcon campaign report`; the drivers
 //! here measure what a report table cannot show.
 //!
 //! * [`experiment`] — convergence statistics (mean/p50/p95/p99/max hitting
@@ -13,7 +14,6 @@
 //!   through the `stabcon-exp` campaign scheduler (streamed aggregates, no
 //!   materialized result vectors; trajectory-derived extras through
 //!   `stabcon_exp::TrialObserver`);
-//! * [`threshold`] — tightness of the `T ≤ √n` bound (E5);
 //! * [`baselines`] — the §1.1 minimum-rule counterexample (E6) and the §1.2
 //!   mean-rule validity failure (E7);
 //! * [`drift`] — Lemmas 11/12/15: one-step imbalance drift and the
@@ -32,7 +32,6 @@ pub mod drift;
 pub mod experiment;
 pub mod robustness;
 pub mod stability;
-pub mod threshold;
 
 /// One-stop imports.
 pub mod prelude {

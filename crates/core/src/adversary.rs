@@ -5,43 +5,99 @@
 //! to values from the initial set `{v₁, …, v_n}`.
 //!
 //! Both constraints are enforced **by construction**: strategies never touch
-//! raw state, they go through a [`Corruptor`] (dense engines) or
-//! [`HistCorruptor`] (histogram engine) that refuses over-budget writes and
-//! out-of-set values. A strategy cannot cheat even if buggy.
+//! raw state, they go through a [`Corruptor`] that refuses over-budget moves
+//! and out-of-set values. A strategy cannot cheat even if buggy.
 //!
-//! The [`Corruptor`] also keeps the runner's [`LoadCounts`]: every accepted
-//! write is one load move, and strategies read loads and the lower median
-//! from it instead of recounting the state. On the ranked path the state,
-//! the allowed set and every write are ranks; every strategy uses values
-//! only through order and equality, so it flips the same balls either way.
+//! A [`Corruptor`] has two backings behind one surface (`load`,
+//! `lower_median`, `live_bins`, `allowed`, `remaining`, `move_balls`):
+//!
+//! * the dense n-ball state, together with the runner's [`LoadCounts`],
+//!   which every accepted write keeps in step, and a bitmap of the
+//!   processes written this round;
+//! * the adaptive engine's aggregated [`Histogram`] after the handoff.
+//!
+//! The median rule samples uniformly, so balls are exchangeable: a strategy
+//! that decides from the loads alone gives the same chain on either
+//! backing. Only the dense backing hands out process-level access
+//! ([`Corruptor::processes`]); [`AdversarySpec::needs_processes`] names the
+//! strategies that use it, and the runner keeps their trials dense. On the
+//! ranked path the state, the allowed set and every write are ranks; every
+//! strategy uses values only through order and equality, so it flips the
+//! same balls either way.
 
 use rand::RngCore;
 use stabcon_util::rng::gen_index;
 
 use crate::engine::adaptive::LoadCounts;
+use crate::histogram::Histogram;
 use crate::value::{Value, ValueSet};
 
 // ---------------------------------------------------------------------------
-// Dense corruption API
+// Corruption API
 // ---------------------------------------------------------------------------
 
-/// Budget- and validity-enforcing write handle over dense state, which
-/// keeps the state's [`LoadCounts`] in step with every write.
+/// Budget- and validity-enforcing handle over one round's loads.
 pub struct Corruptor<'a> {
-    state: &'a mut [Value],
-    loads: &'a mut LoadCounts,
+    backing: Backing<'a>,
     allowed: &'a ValueSet,
     budget: u64,
-    /// One bit per process: written this round.
-    touched: &'a mut Vec<u64>,
-    /// Processes written this round.
+    /// Processes (dense) or balls (aggregated) changed this round.
     count: u64,
 }
 
+enum Backing<'a> {
+    Dense(Dense<'a>),
+    Aggregated(&'a mut Histogram),
+}
+
+/// The dense backing: the n-ball state and the loads kept in step with it.
+struct Dense<'a> {
+    state: &'a mut [Value],
+    loads: &'a mut LoadCounts,
+    /// One bit per process: written this round.
+    touched: &'a mut Vec<u64>,
+    /// The source of the last `move_balls` and the index its scan reached.
+    cursor: (Value, usize),
+}
+
+impl Dense<'_> {
+    fn try_set(
+        &mut self,
+        i: usize,
+        v: Value,
+        allowed: &ValueSet,
+        budget: u64,
+        count: &mut u64,
+    ) -> bool {
+        if self.state[i] == v {
+            return true;
+        }
+        if !allowed.contains(v) {
+            return false;
+        }
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if self.touched[word] & bit == 0 {
+            if *count >= budget {
+                return false;
+            }
+            self.touched[word] |= bit;
+            *count += 1;
+        }
+        self.loads.record_move(self.state[i], v);
+        self.state[i] = v;
+        if v == self.cursor.0 {
+            // A new holder of the scanned source may sit below the cursor.
+            self.cursor.1 = 0;
+        }
+        true
+    }
+}
+
 impl<'a> Corruptor<'a> {
-    /// Wrap `state` and its `loads` with budget `T` and the initial-value-set
-    /// constraint. `touched` is a caller-parked bitmap, cleared here, that
-    /// marks this round's writes, so a warm round allocates nothing.
+    /// Wrap dense `state` and its `loads` with budget `T` and the
+    /// initial-value-set constraint. `touched` is a caller-parked bitmap,
+    /// cleared here, that marks this round's writes, so a warm round
+    /// allocates nothing.
     pub fn new(
         state: &'a mut [Value],
         loads: &'a mut LoadCounts,
@@ -51,45 +107,159 @@ impl<'a> Corruptor<'a> {
     ) -> Self {
         touched.clear();
         touched.resize(state.len().div_ceil(64), 0);
-        Self {
+        let dense = Dense {
             state,
             loads,
+            touched,
+            cursor: (0, 0),
+        };
+        Self {
+            backing: Backing::Dense(dense),
             allowed,
             budget,
-            touched,
             count: 0,
         }
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Read a process state (the adversary sees everything).
-    pub fn get(&self, i: usize) -> Value {
-        self.state[i]
+    /// Wrap aggregated loads with budget `T` (balls moved this round) and
+    /// the initial-value-set constraint.
+    pub fn aggregated(hist: &'a mut Histogram, allowed: &'a ValueSet, budget: u64) -> Self {
+        Self {
+            backing: Backing::Aggregated(hist),
+            allowed,
+            budget,
+            count: 0,
+        }
     }
 
     /// Balls currently holding `v`.
     pub fn load(&self, v: Value) -> u64 {
-        self.loads.count_of(v)
+        match &self.backing {
+            Backing::Dense(d) => d.loads.count_of(v),
+            Backing::Aggregated(h) => h.load(v),
+        }
     }
 
     /// The lower median of the state, `sorted[(n − 1) / 2]`: the first
     /// value whose cumulative load reaches `⌈n/2⌉`.
     pub fn lower_median(&self) -> Value {
-        self.loads.observe().median_value
+        match &self.backing {
+            Backing::Dense(d) => d.loads.observe().median_value,
+            Backing::Aggregated(h) => h.median_value(),
+        }
     }
 
-    /// Distinct processes still corruptible this round.
+    /// The live bins holding an allowed value, `(value, load)`
+    /// value-ascending.
+    pub fn live_bins(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
+        let (ranked, tree, hist) = match &self.backing {
+            Backing::Dense(d) => match &*d.loads {
+                LoadCounts::Ranked(r) => (Some(r), None, None),
+                LoadCounts::Tree(t) => (None, Some(t), None),
+            },
+            Backing::Aggregated(h) => (None, None, Some(h)),
+        };
+        // Ranked loads live in the initial universe, which is the allowed
+        // set; the tree also holds values a value-inventing rule made up.
+        let allowed = self.allowed;
+        let tree = tree.into_iter().flat_map(move |t| {
+            t.live_bins_iter()
+                .filter(move |&(v, _)| allowed.contains(v))
+        });
+        ranked
+            .into_iter()
+            .flat_map(|r| r.live_bins_iter())
+            .chain(tree)
+            .chain(hist.into_iter().flat_map(|h| h.bins().iter().copied()))
+    }
+
+    /// The allowed (initial) value set.
+    pub fn allowed(&self) -> &'a ValueSet {
+        self.allowed
+    }
+
+    /// Processes (dense) or balls (aggregated) still corruptible this round.
     pub fn remaining(&self) -> u64 {
         self.budget - self.count
     }
 
-    /// Processes changed so far this round.
+    /// Processes (dense) or balls (aggregated) changed so far this round.
     pub fn touched(&self) -> u64 {
         self.count
+    }
+
+    /// Move up to `k` balls from `from` to `to`; returns how many moved,
+    /// limited by the budget and the load of `from`, and 0 when `to` is
+    /// outside the initial value set. The dense backing flips the
+    /// lowest-index holders of `from`; a repeated call with the same source
+    /// continues the scan where the last one stopped.
+    pub fn move_balls(&mut self, from: Value, to: Value, k: u64) -> u64 {
+        if from == to || !self.allowed.contains(to) {
+            return 0;
+        }
+        let k = k.min(self.remaining()).min(self.load(from));
+        if k == 0 {
+            return 0;
+        }
+        match &mut self.backing {
+            Backing::Dense(d) => {
+                let mut i = if d.cursor.0 == from { d.cursor.1 } else { 0 };
+                let mut moved = 0;
+                while moved < k {
+                    if d.state[i] == from
+                        && d.try_set(i, to, self.allowed, self.budget, &mut self.count)
+                    {
+                        moved += 1;
+                    }
+                    i += 1;
+                }
+                d.cursor = (from, i);
+            }
+            Backing::Aggregated(h) => {
+                h.move_balls(from, to, k);
+                self.count += k;
+            }
+        }
+        k
+    }
+
+    /// Process-level access, on the dense backing only: the aggregated
+    /// backing has no processes to name.
+    pub fn processes(&mut self) -> Option<Processes<'_, 'a>> {
+        match &mut self.backing {
+            Backing::Dense(dense) => Some(Processes {
+                dense,
+                allowed: self.allowed,
+                budget: self.budget,
+                count: &mut self.count,
+            }),
+            Backing::Aggregated(_) => None,
+        }
+    }
+}
+
+/// Process-level writes through a dense [`Corruptor`], under its budget.
+pub struct Processes<'c, 'a> {
+    dense: &'c mut Dense<'a>,
+    allowed: &'a ValueSet,
+    budget: u64,
+    count: &'c mut u64,
+}
+
+impl Processes<'_, '_> {
+    /// Number of processes.
+    pub fn n(&self) -> usize {
+        self.dense.state.len()
+    }
+
+    /// Read a process state (the adversary sees everything).
+    pub fn get(&self, i: usize) -> Value {
+        self.dense.state[i]
+    }
+
+    /// Distinct processes still corruptible this round.
+    pub fn remaining(&self) -> u64 {
+        self.budget - *self.count
     }
 
     /// Attempt to set process `i` to `v`. Returns `false` (state untouched)
@@ -97,38 +267,24 @@ impl<'a> Corruptor<'a> {
     /// Rewriting an already-touched process is free; writing a process's
     /// current value back costs nothing.
     pub fn try_set(&mut self, i: usize, v: Value) -> bool {
-        if self.state[i] == v {
-            return true;
-        }
-        if !self.allowed.contains(v) {
-            return false;
-        }
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if self.touched[word] & bit == 0 {
-            if self.count >= self.budget {
-                return false;
-            }
-            self.touched[word] |= bit;
-            self.count += 1;
-        }
-        self.loads.record_move(self.state[i], v);
-        self.state[i] = v;
-        true
-    }
-
-    /// The allowed (initial) value set.
-    pub fn allowed(&self) -> &ValueSet {
-        self.allowed
+        self.dense
+            .try_set(i, v, self.allowed, self.budget, self.count)
     }
 }
 
-/// A T-bounded adversary strategy over dense state.
+/// A T-bounded adversary strategy.
 pub trait Adversary: Send {
     /// Short identifier for tables.
     fn name(&self) -> &'static str;
 
     /// Inspect and corrupt the state at the beginning of round `round`.
     fn corrupt(&mut self, round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore);
+}
+
+/// Process-level access for a strategy that [`AdversarySpec::needs_processes`].
+fn processes<'c, 'a>(c: &'c mut Corruptor<'a>) -> Processes<'c, 'a> {
+    c.processes()
+        .expect("a process-level strategy runs on the dense backing only")
 }
 
 // ---------------------------------------------------------------------------
@@ -156,13 +312,14 @@ impl Adversary for RandomCorruptor {
         "random"
     }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
-        let n = c.n() as u64;
-        let m = c.allowed().len() as u64;
-        let budget = c.remaining();
-        for _ in 0..budget {
+        let allowed = c.allowed();
+        let mut p = processes(c);
+        let n = p.n() as u64;
+        let m = allowed.len() as u64;
+        for _ in 0..p.remaining() {
             let i = gen_index(rng, n) as usize;
-            let v = c.allowed().nth(gen_index(rng, m) as usize);
-            let _ = c.try_set(i, v);
+            let v = allowed.nth(gen_index(rng, m) as usize);
+            let _ = p.try_set(i, v);
         }
     }
 }
@@ -179,53 +336,47 @@ impl Adversary for TwoBinBalancer {
         "balancer"
     }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
-        // Two most loaded allowed values; an empty one still counts.
-        let allowed = c.allowed().values().iter();
-        let Some(((big, big_load), (small, small_load))) =
-            top_two(allowed.map(|&v| (v, c.load(v))))
-        else {
-            return; // single allowed value: nothing to balance
+        let Some(((big, big_load), (small, small_load))) = balanced_pair(c) else {
+            return; // nothing to balance
         };
-        if big_load <= small_load {
-            return;
-        }
         // Each flip big→small closes the gap by 2.
-        let flips = ((big_load - small_load) / 2).min(c.remaining());
-        if flips == 0 {
-            return;
-        }
-        let mut done = 0u64;
-        for i in 0..c.n() {
-            if done == flips {
-                break;
-            }
-            if c.get(i) == big && c.try_set(i, small) {
-                done += 1;
-            }
+        if big_load > small_load {
+            c.move_balls(big, small, (big_load - small_load) / 2);
         }
     }
 }
 
+/// The balancer's pair: the two most loaded allowed values, ties to the
+/// smaller value, where a dead allowed value has load 0. The walk covers
+/// only live bins: with one live bin the second is the smallest other
+/// allowed value, exactly what a walk over the whole allowed set picks.
+/// `None` with no live allowed bin or fewer than two allowed values.
+fn balanced_pair(c: &Corruptor<'_>) -> Option<(Bin, Bin)> {
+    let (top, second) = top_two(c.live_bins());
+    let top = top?;
+    let second = match second {
+        Some(second) => second,
+        None => (*c.allowed().values().iter().find(|&&v| v != top.0)?, 0),
+    };
+    Some((top, second))
+}
+
+/// A `(value, load)` bin.
+type Bin = (Value, u64);
+
 /// The two most loaded of value-ascending `(value, load)` bins, ties to the
-/// smaller value (the first two after a stable sort by descending load);
-/// `None` with fewer than two bins.
-fn top_two(bins: impl Iterator<Item = (Value, u64)>) -> Option<((Value, u64), (Value, u64))> {
-    let mut top: Option<(Value, u64)> = None;
-    let mut second = None;
-    for (v, load) in bins {
-        match top {
-            Some((_, t)) if load <= t => {
-                if second.is_none_or(|(_, s)| load > s) {
-                    second = Some((v, load));
-                }
-            }
-            _ => {
-                second = top;
-                top = Some((v, load));
-            }
+/// smaller value (the first two after a stable sort by descending load).
+fn top_two(bins: impl Iterator<Item = Bin>) -> (Option<Bin>, Option<Bin>) {
+    bins.fold((None, None), |(top, second), (v, load)| match top {
+        Some((_, t)) if load <= t => {
+            let second = match second {
+                Some((_, s)) if load <= s => second,
+                _ => Some((v, load)),
+            };
+            (top, second)
         }
-    }
-    top.zip(second)
+        _ => (Some((v, load)), top),
+    })
 }
 
 /// The §1.1 minimum-rule killer: first erase every holder of the smallest
@@ -243,24 +394,26 @@ impl Adversary for Reviver {
         "reviver"
     }
     fn corrupt(&mut self, round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
-        let victim = c.allowed().min();
-        if c.allowed().len() < 2 {
+        let allowed = c.allowed();
+        let mut p = processes(c);
+        let victim = allowed.min();
+        if allowed.len() < 2 {
             return;
         }
-        let replacement = c.allowed().nth(1);
+        let replacement = allowed.nth(1);
         if round < self.revive_at {
             // Erase phase: flip holders of the victim value.
-            for i in 0..c.n() {
-                if c.remaining() == 0 {
+            for i in 0..p.n() {
+                if p.remaining() == 0 {
                     break;
                 }
-                if c.get(i) == victim {
-                    let _ = c.try_set(i, replacement);
+                if p.get(i) == victim {
+                    let _ = p.try_set(i, replacement);
                 }
             }
         } else if round == self.revive_at {
             // Revival: one ball suffices to poison the min rule forever.
-            let _ = c.try_set(0, victim);
+            let _ = p.try_set(0, victim);
         }
     }
 }
@@ -283,17 +436,15 @@ impl Adversary for MedianPusher {
             return;
         }
         let mut flip_low = gen_index(rng, 2) == 0;
-        for i in 0..c.n() {
+        loop {
             let target = if flip_low { lo } else { hi };
-            // `flip_low` changes only on a landed write, and no write lands
-            // once the target is the median itself (on two bins, one of
-            // `lo` and `hi` is): the rest of the scan could change nothing.
-            if c.remaining() == 0 || target == median {
+            // No move lands once the target is the median itself (on two
+            // bins, one of `lo` and `hi` is), the budget is spent, or the
+            // median bin is empty.
+            if target == median || c.move_balls(median, target, 1) == 0 {
                 break;
             }
-            if c.get(i) == median && c.try_set(i, target) {
-                flip_low = !flip_low;
-            }
+            flip_low = !flip_low;
         }
     }
 }
@@ -311,11 +462,12 @@ impl Adversary for StubbornSet {
     }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
         let target = c.allowed().min();
-        for i in 0..c.n() {
-            if c.remaining() == 0 && c.get(i) != target {
+        let mut p = processes(c);
+        for i in 0..p.n() {
+            if p.remaining() == 0 && p.get(i) != target {
                 break;
             }
-            if !c.try_set(i, target) {
+            if !p.try_set(i, target) {
                 break;
             }
         }
@@ -356,6 +508,16 @@ impl AdversarySpec {
         }
     }
 
+    /// Whether the strategy names processes ([`Corruptor::processes`]),
+    /// which keeps its trials on the dense backing. The others decide from
+    /// the loads alone and run on either backing.
+    pub fn needs_processes(&self) -> bool {
+        match self {
+            AdversarySpec::None | AdversarySpec::Balancer | AdversarySpec::MedianPusher => false,
+            AdversarySpec::Random | AdversarySpec::Reviver { .. } | AdversarySpec::Stubborn => true,
+        }
+    }
+
     /// Table label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -365,149 +527,6 @@ impl AdversarySpec {
             AdversarySpec::Reviver { .. } => "reviver",
             AdversarySpec::MedianPusher => "median-pusher",
             AdversarySpec::Stubborn => "stubborn",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Histogram-level corruption (for the O(m²) engine at huge n)
-// ---------------------------------------------------------------------------
-
-/// Budget-enforcing ball mover over aggregated loads.
-pub struct HistCorruptor<'a> {
-    loads: &'a mut Vec<(Value, u64)>,
-    allowed: &'a ValueSet,
-    budget: u64,
-    moved: u64,
-}
-
-impl<'a> HistCorruptor<'a> {
-    /// Wrap sorted `(value, load)` pairs with budget `T`.
-    pub fn new(loads: &'a mut Vec<(Value, u64)>, allowed: &'a ValueSet, budget: u64) -> Self {
-        Self {
-            loads,
-            allowed,
-            budget,
-            moved: 0,
-        }
-    }
-
-    /// Read-only view of the loads.
-    pub fn loads(&self) -> &[(Value, u64)] {
-        self.loads
-    }
-
-    /// Remaining budget.
-    pub fn remaining(&self) -> u64 {
-        self.budget - self.moved
-    }
-
-    /// The allowed value set.
-    pub fn allowed(&self) -> &ValueSet {
-        self.allowed
-    }
-
-    /// Move up to `k` balls from bin `from` to bin `to`; returns how many
-    /// moved (limited by budget, availability, and `to ∈ allowed`).
-    pub fn move_balls(&mut self, from: Value, to: Value, k: u64) -> u64 {
-        if from == to || !self.allowed.contains(to) {
-            return 0;
-        }
-        let k = k.min(self.remaining());
-        if k == 0 {
-            return 0;
-        }
-        let Some(src) = self.loads.iter().position(|&(v, _)| v == from) else {
-            return 0;
-        };
-        let take = self.loads[src].1.min(k);
-        if take == 0 {
-            return 0;
-        }
-        self.loads[src].1 -= take;
-        match self.loads.iter().position(|&(v, _)| v == to) {
-            Some(dst) => self.loads[dst].1 += take,
-            None => {
-                self.loads.push((to, take));
-                self.loads.sort_unstable_by_key(|&(v, _)| v);
-            }
-        }
-        self.loads.retain(|&(_, c)| c > 0);
-        self.moved += take;
-        take
-    }
-}
-
-/// A T-bounded adversary over aggregated loads.
-pub trait HistAdversary: Send {
-    /// Short identifier for tables.
-    fn name(&self) -> &'static str;
-    /// Inspect and corrupt the loads at the beginning of a round.
-    fn corrupt(&mut self, round: u64, c: &mut HistCorruptor<'_>, rng: &mut dyn RngCore);
-}
-
-/// No-op histogram adversary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HistNoAdversary;
-
-impl HistAdversary for HistNoAdversary {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn corrupt(&mut self, _round: u64, _c: &mut HistCorruptor<'_>, _rng: &mut dyn RngCore) {}
-}
-
-/// Histogram-level two-bin balancer (the Ω̃(√n) lower-bound strategy at
-/// populations far beyond dense-engine reach).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HistBalancer;
-
-impl HistAdversary for HistBalancer {
-    fn name(&self) -> &'static str {
-        "balancer"
-    }
-    fn corrupt(&mut self, _round: u64, c: &mut HistCorruptor<'_>, _rng: &mut dyn RngCore) {
-        let Some(((big, big_load), (small, small_load))) = top_two(c.loads().iter().copied())
-        else {
-            // Try to resurrect a second allowed value if the budget allows.
-            if let Some(&(only, _)) = c.loads().first() {
-                if let Some(&other) = c.allowed().values().iter().find(|&&v| v != only) {
-                    let want = c.remaining();
-                    c.move_balls(only, other, want);
-                }
-            }
-            return;
-        };
-        if big_load > small_load {
-            let flips = (big_load - small_load) / 2;
-            c.move_balls(big, small, flips);
-        }
-    }
-}
-
-/// Histogram selector for [`crate::runner::HistSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistAdversarySpec {
-    /// No adversary.
-    None,
-    /// Load balancer over the top two bins.
-    Balancer,
-}
-
-impl HistAdversarySpec {
-    /// Instantiate the strategy.
-    pub fn build(&self) -> Box<dyn HistAdversary> {
-        match self {
-            HistAdversarySpec::None => Box::new(HistNoAdversary),
-            HistAdversarySpec::Balancer => Box::new(HistBalancer),
-        }
-    }
-
-    /// Table label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            HistAdversarySpec::None => "none",
-            HistAdversarySpec::Balancer => "balancer",
         }
     }
 }
@@ -546,9 +565,10 @@ mod tests {
     fn corruptor_enforces_budget() {
         let (mut state, set) = setup(vec![0, 0, 0, 0, 1, 1]);
         with_corruptor(&mut state, &set, 2, |c| {
-            assert!(c.try_set(0, 1));
-            assert!(c.try_set(1, 1));
-            assert!(!c.try_set(2, 1), "third distinct process must be refused");
+            let mut p = c.processes().expect("dense");
+            assert!(p.try_set(0, 1));
+            assert!(p.try_set(1, 1));
+            assert!(!p.try_set(2, 1), "third distinct process must be refused");
             assert_eq!(c.touched(), 2);
         });
         assert_eq!(state, vec![1, 1, 0, 0, 1, 1]);
@@ -558,8 +578,10 @@ mod tests {
     fn corruptor_enforces_value_set() {
         let (mut state, set) = setup(vec![0, 1]);
         with_corruptor(&mut state, &set, 10, |c| {
-            assert!(!c.try_set(0, 99), "99 not an initial value");
-            assert!(c.try_set(0, 1));
+            let mut p = c.processes().expect("dense");
+            assert!(!p.try_set(0, 99), "99 not an initial value");
+            assert!(p.try_set(0, 1));
+            assert_eq!(c.move_balls(1, 99, 1), 0, "99 not an initial value");
         });
         assert_eq!(state, vec![1, 1]);
     }
@@ -568,9 +590,9 @@ mod tests {
     fn corruptor_noop_writes_are_free() {
         let (mut state, set) = setup(vec![0, 1]);
         with_corruptor(&mut state, &set, 1, |c| {
-            assert!(c.try_set(0, 0), "same-value write is free");
-            assert_eq!(c.touched(), 0);
-            assert!(c.try_set(1, 0));
+            assert!(c.processes().expect("dense").try_set(0, 0));
+            assert_eq!(c.touched(), 0, "same-value write is free");
+            assert!(c.processes().expect("dense").try_set(1, 0));
             assert_eq!(c.touched(), 1);
         });
     }
@@ -579,10 +601,22 @@ mod tests {
     fn corruptor_retouching_is_free() {
         let (mut state, set) = setup(vec![0, 1, 0, 1]);
         with_corruptor(&mut state, &set, 1, |c| {
-            assert!(c.try_set(0, 1));
-            assert!(c.try_set(0, 0), "retouching the same process is free");
+            let mut p = c.processes().expect("dense");
+            assert!(p.try_set(0, 1));
+            assert!(p.try_set(0, 0), "retouching the same process is free");
             assert_eq!(c.touched(), 1);
         });
+    }
+
+    #[test]
+    fn dense_move_balls_rescans_after_a_process_write() {
+        let (mut state, set) = setup(vec![1, 0, 0]);
+        with_corruptor(&mut state, &set, 4, |c| {
+            assert_eq!(c.move_balls(0, 1, 1), 1, "flips ball 1");
+            assert!(c.processes().expect("dense").try_set(0, 0));
+            assert_eq!(c.move_balls(0, 1, 2), 2, "ball 0 is below the cursor");
+        });
+        assert_eq!(state, vec![1, 1, 1]);
     }
 
     #[test]
@@ -725,13 +759,13 @@ mod tests {
         }
     }
 
-    // --- histogram level ---
+    // --- aggregated backing ---
 
     #[test]
     fn hist_corruptor_moves_and_enforces() {
         let set = ValueSet::from_values(&[1, 2, 3]);
-        let mut loads = vec![(1u32, 100u64), (2, 50)];
-        let mut c = HistCorruptor::new(&mut loads, &set, 30);
+        let mut h = Histogram::new(&[(1, 100), (2, 50)]);
+        let mut c = Corruptor::aggregated(&mut h, &set, 30);
         assert_eq!(c.move_balls(1, 2, 20), 20);
         assert_eq!(c.remaining(), 10);
         // Out-of-set target refused.
@@ -739,37 +773,78 @@ mod tests {
         // Budget-limited.
         assert_eq!(c.move_balls(1, 3, 50), 10);
         assert_eq!(c.remaining(), 0);
-        assert_eq!(loads, vec![(1, 70), (2, 70), (3, 10)]);
+        assert_eq!(h.bins(), &[(1, 70), (2, 70), (3, 10)]);
     }
 
     #[test]
     fn hist_corruptor_drains_bin() {
         let set = ValueSet::from_values(&[1, 2]);
-        let mut loads = vec![(1u32, 5u64), (2, 5)];
-        let mut c = HistCorruptor::new(&mut loads, &set, 100);
+        let mut h = Histogram::new(&[(1, 5), (2, 5)]);
+        let mut c = Corruptor::aggregated(&mut h, &set, 100);
+        assert!(c.processes().is_none(), "no processes to name");
         assert_eq!(c.move_balls(1, 2, 100), 5);
-        assert_eq!(loads, vec![(2, 10)]);
+        assert_eq!(h.bins(), &[(2, 10)]);
     }
 
     #[test]
     fn hist_balancer_balances() {
         let set = ValueSet::from_values(&[0, 1]);
-        let mut loads = vec![(0u32, 80u64), (1, 20)];
+        let mut h = Histogram::new(&[(0, 80), (1, 20)]);
         let mut rng = Xoshiro256pp::seed(6);
-        let mut adv = HistBalancer;
-        let mut c = HistCorruptor::new(&mut loads, &set, 1000);
-        adv.corrupt(0, &mut c, &mut rng);
-        assert_eq!(loads, vec![(0, 50), (1, 50)]);
+        TwoBinBalancer.corrupt(0, &mut Corruptor::aggregated(&mut h, &set, 1000), &mut rng);
+        assert_eq!(h.bins(), &[(0, 50), (1, 50)]);
     }
 
     #[test]
     fn hist_balancer_resurrects_dead_bin() {
         let set = ValueSet::from_values(&[0, 1]);
-        let mut loads = vec![(0u32, 100u64)];
+        let mut h = Histogram::new(&[(0, 100)]);
         let mut rng = Xoshiro256pp::seed(7);
-        let mut adv = HistBalancer;
-        let mut c = HistCorruptor::new(&mut loads, &set, 8);
-        adv.corrupt(0, &mut c, &mut rng);
-        assert_eq!(loads, vec![(0, 92), (1, 8)]);
+        TwoBinBalancer.corrupt(0, &mut Corruptor::aggregated(&mut h, &set, 8), &mut rng);
+        assert_eq!(h.bins(), &[(0, 92), (1, 8)]);
+    }
+
+    /// The balancer's pair as a walk over the whole allowed set, dead
+    /// values included, picks it.
+    fn allowed_set_pair(c: &Corruptor<'_>) -> Option<(Bin, Bin)> {
+        let (top, second) = top_two(c.allowed().values().iter().map(|&v| (v, c.load(v))));
+        top.zip(second)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The live-bin walk names the allowed-set walk's pair, one live bin
+        /// included, on ranked and tree loads and on the aggregated backing.
+        #[test]
+        fn live_bin_pair_is_the_allowed_set_pair(
+            values in prop::collection::vec(0u32..6, 1..40),
+            extra in prop::collection::vec(0u32..9, 0..4),
+            one_live in any::<bool>(),
+            ranked in any::<bool>(),
+        ) {
+            let mut state = values.clone();
+            let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), ranked);
+            let mut set = ValueSet::default();
+            if ranked {
+                loads.rebuild_value_set(&mut set);
+            } else {
+                set = ValueSet::from_values(&[values.clone(), extra].concat());
+            }
+            if one_live {
+                let only = state[0];
+                for v in state.iter_mut() {
+                    loads.record_move(*v, only);
+                    *v = only;
+                }
+            }
+            let bins: Vec<(Value, u64)> = state.iter().map(|&v| (v, 1)).collect();
+            let mut hist = Histogram::new(&bins);
+            let mut touched = Vec::new();
+            let dense = Corruptor::new(&mut state, &mut loads, &set, 0, &mut touched);
+            let want = allowed_set_pair(&dense);
+            prop_assert_eq!(balanced_pair(&dense), want);
+            prop_assert_eq!(balanced_pair(&Corruptor::aggregated(&mut hist, &set, 0)), want);
+        }
     }
 }

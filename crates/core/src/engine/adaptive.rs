@@ -9,7 +9,11 @@
 //! load CDF, see [`super::hist`]). The adaptive engine runs dense, maintains
 //! an **incremental histogram** of loads as balls move, and hands off to the
 //! histogram engine the moment the number of distinct values drops to the
-//! configured threshold.
+//! configured threshold. A trial whose initial condition has at most that
+//! many values starts on the histogram, built from the initial loads
+//! ([`crate::init::InitialCondition::loads_into`]). The adversary follows
+//! the trial across the handoff when its strategy decides from the loads
+//! alone: [`crate::adversary::Corruptor`] runs it on either backing.
 //!
 //! The handoff is *statistically exact*: conditioned on the loads at the
 //! handoff round, the dense process and the multinomial process induce the
@@ -344,10 +348,7 @@ impl LoadCounts {
     /// Snapshot the live bins into `slot`, reusing the histogram allocation
     /// when one is parked there (the adaptive handoff path).
     pub fn snapshot_into(&self, slot: &mut Option<Histogram>) {
-        match slot {
-            Some(h) => each!(self, c => h.rebuild_from_sorted(c.live_bins_iter())),
-            None => *slot = Some(self.to_histogram()),
-        }
+        each!(self, c => Histogram::refill(slot, c.live_bins_iter()));
     }
 
     /// Number of distinct live values.

@@ -25,14 +25,18 @@
 //! The **adaptive** engine runs dense while many values are live, then hands
 //! off to the exact `O(m²)` multinomial histogram process once the support
 //! has shrunk to the configured threshold (default
-//! [`adaptive::DEFAULT_HANDOFF_SUPPORT`] = 64 bins). The handoff is
+//! [`adaptive::DEFAULT_HANDOFF_SUPPORT`] = 64 bins); a start already that
+//! narrow is built on the histogram from its loads and never materializes
+//! its `n` balls, so `n` may reach 2⁴⁰ and beyond. The handoff is
 //! statistically exact for the median rule — the destination law depends
 //! only on the loads — and turns the long near-consensus tail of a trial
 //! from `O(n)`/round into `O(m²)`/round (a `TwoBins` trial at `n = 10⁶`
-//! completes ≥5× faster end-to-end). It applies only when nothing forces a
-//! per-ball view of the state: a dense-state adversary (`budget > 0`), an
-//! `update_fraction < 1` ablation, or a non-median protocol each keep the
-//! trial dense for all rounds (exact, just not faster).
+//! completes ≥5× faster end-to-end). A load-only adversary (balancer,
+//! median pusher) keeps acting on the histogram. The trial stays dense for
+//! all rounds (exact, just not faster) when something needs a per-ball
+//! view: an adversary that names processes
+//! ([`crate::adversary::AdversarySpec::needs_processes`]), an
+//! `update_fraction < 1` ablation, or a non-median protocol.
 
 pub mod adaptive;
 pub mod dense;
@@ -58,8 +62,9 @@ pub enum EngineSpec {
     /// `handoff_support`, then the exact `O(m²)` histogram engine.
     ///
     /// Only the median rule hands off (its destination law is load-only);
-    /// other protocols, adversarial runs (`budget > 0`), and
-    /// `update_fraction < 1` stay dense throughout.
+    /// other protocols, adversaries that name processes, and
+    /// `update_fraction < 1` stay dense throughout. A start with at most
+    /// `handoff_support` values runs on the histogram from round 0.
     Adaptive {
         /// Worker threads for the dense phase (1 = sequential).
         threads: usize,

@@ -87,15 +87,41 @@ impl Histogram {
             .expect("nonempty histogram")
     }
 
+    /// Balls holding `v`.
+    pub fn load(&self, v: Value) -> u64 {
+        self.bins
+            .binary_search_by_key(&v, |&(bv, _)| bv)
+            .map_or(0, |i| self.bins[i].1)
+    }
+
     /// Balls not holding `v`.
     pub fn disagreement_with(&self, v: Value) -> u64 {
-        self.n
-            - self
-                .bins
-                .iter()
-                .find(|&&(bv, _)| bv == v)
-                .map(|&(_, c)| c)
-                .unwrap_or(0)
+        self.n - self.load(v)
+    }
+
+    /// Move `k` balls from bin `from` to bin `to`, dropping `from` if it
+    /// empties and inserting `to` if it was dead.
+    ///
+    /// # Panics
+    /// Panics if `from` holds fewer than `k` balls.
+    pub fn move_balls(&mut self, from: Value, to: Value, k: u64) {
+        if k == 0 || from == to {
+            return;
+        }
+        let src = self
+            .bins
+            .binary_search_by_key(&from, |&(v, _)| v)
+            .ok()
+            .filter(|&i| self.bins[i].1 >= k)
+            .expect("move_balls: not enough balls in the source bin");
+        self.bins[src].1 -= k;
+        if self.bins[src].1 == 0 {
+            self.bins.remove(src);
+        }
+        match self.bins.binary_search_by_key(&to, |&(v, _)| v) {
+            Ok(dst) => self.bins[dst].1 += k,
+            Err(dst) => self.bins.insert(dst, (to, k)),
+        }
     }
 
     /// The median bin `m_t`: value of the ⌈n/2⌉-th smallest ball.
@@ -146,26 +172,31 @@ impl Histogram {
         self.bins.retain(|&(_, c)| c > 0);
     }
 
-    /// Refill from already sorted, strictly ascending, positive-load bins,
-    /// reusing the allocation — the adaptive engine's handoff path.
+    /// Refill `slot` from already sorted, strictly ascending, positive-load
+    /// bins, reusing the parked histogram's allocation when there is one —
+    /// the adaptive engine's handoff path.
     ///
     /// # Panics
     /// Panics if the bins are empty or the total exceeds 2^52 (debug builds
     /// also check ordering and positivity).
-    pub fn rebuild_from_sorted(&mut self, bins: impl Iterator<Item = (Value, u64)>) {
-        self.bins.clear();
-        self.n = 0;
+    pub fn refill(slot: &mut Option<Histogram>, bins: impl Iterator<Item = (Value, u64)>) {
+        let h = slot.get_or_insert_with(|| Histogram {
+            bins: Vec::new(),
+            n: 0,
+        });
+        h.bins.clear();
+        h.n = 0;
         for (v, c) in bins {
-            debug_assert!(c > 0, "rebuild_from_sorted: zero load for {v}");
+            debug_assert!(c > 0, "refill: zero load for {v}");
             debug_assert!(
-                self.bins.last().is_none_or(|&(lv, _)| lv < v),
-                "rebuild_from_sorted: bins not strictly ascending"
+                h.bins.last().is_none_or(|&(lv, _)| lv < v),
+                "refill: bins not strictly ascending"
             );
-            self.bins.push((v, c));
-            self.n += c;
+            h.bins.push((v, c));
+            h.n += c;
         }
-        assert!(self.n > 0, "Histogram: empty");
-        assert!(self.n <= 1 << 52, "Histogram: n exceeds 2^52");
+        assert!(h.n > 0, "Histogram: empty");
+        assert!(h.n <= 1 << 52, "Histogram: n exceeds 2^52");
     }
 
     /// Two-bin imbalance Δ (same convention as [`Config::imbalance`]).

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use rand::RngCore;
 use stabcon_util::rng::gen_index;
 
+use crate::histogram::Histogram;
 use crate::value::Value;
 
 /// How the `n` balls are initially assigned to bins.
@@ -85,6 +86,64 @@ impl InitialCondition {
                 out.extend_from_slice(values);
             }
         }
+    }
+
+    /// An upper bound on the number of distinct initial values, known
+    /// without drawing or materializing the `n` balls.
+    pub(crate) fn max_support(&self, n: usize) -> usize {
+        match self {
+            InitialCondition::AllDistinct | InitialCondition::Custom(_) => n,
+            InitialCondition::TwoBins { left } => 1 + usize::from(*left > 0 && *left < n),
+            InitialCondition::MBinsEqual { m } | InitialCondition::UniformRandom { m } => {
+                (*m as usize).min(n)
+            }
+        }
+    }
+
+    /// The initial loads, `(value, load)` value-ascending with every load
+    /// positive: a recount of [`InitialCondition::materialize_into`] from
+    /// the same RNG draws, without the `n` balls (in `O(m)` time for the
+    /// closed-form starts).
+    ///
+    /// # Panics
+    /// Panics on the parameters [`InitialCondition::materialize_into`]
+    /// refuses.
+    pub fn loads_into<R: RngCore + ?Sized>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        out: &mut Vec<(Value, u64)>,
+    ) {
+        assert!(n > 0, "materialize: n = 0");
+        out.clear();
+        let n64 = n as u64;
+        match self {
+            InitialCondition::AllDistinct => out.extend((0..n as Value).map(|v| (v, 1))),
+            InitialCondition::TwoBins { left } => {
+                assert!(*left <= n, "TwoBins: left > n");
+                out.extend([(0, *left as u64), (1, (n - left) as u64)]);
+            }
+            InitialCondition::MBinsEqual { m } => {
+                assert!(*m > 0, "MBinsEqual: m = 0");
+                let m = (*m as u64).min(n64);
+                // Ball i holds ⌊i·m/n⌋, so bin b starts at ball ⌈b·n/m⌉.
+                let start = |b: u64| (b as u128 * n as u128).div_ceil(m as u128) as u64;
+                out.extend((0..m).map(|b| (b as Value, start(b + 1) - start(b))));
+            }
+            InitialCondition::UniformRandom { m } => {
+                assert!(*m > 0, "UniformRandom: m = 0");
+                out.extend((0..*m).map(|v| (v, 0)));
+                for _ in 0..n {
+                    out[gen_index(rng, *m as u64) as usize].1 += 1;
+                }
+            }
+            InitialCondition::Custom(values) => {
+                assert_eq!(values.len(), n, "Custom: length mismatch");
+                let balls: Vec<(Value, u64)> = values.iter().map(|&v| (v, 1)).collect();
+                out.extend_from_slice(Histogram::new(&balls).bins());
+            }
+        }
+        out.retain(|&(_, load)| load > 0);
     }
 
     /// Table label.
@@ -172,6 +231,41 @@ mod tests {
     fn custom_length_mismatch_panics() {
         let mut rng = Xoshiro256pp::seed(7);
         InitialCondition::Custom(Arc::new(vec![1, 2])).materialize(3, &mut rng);
+    }
+
+    #[test]
+    fn loads_are_a_recount_of_the_materialized_state() {
+        let custom = InitialCondition::Custom(Arc::new(vec![9, 2, 9, 4, 2, 9, 7]));
+        for (n, init) in [
+            (7, custom),
+            (7, InitialCondition::AllDistinct),
+            (7, InitialCondition::TwoBins { left: 3 }),
+            (7, InitialCondition::TwoBins { left: 0 }),
+            (7, InitialCondition::TwoBins { left: 7 }),
+            (10, InitialCondition::MBinsEqual { m: 3 }),
+            (1000, InitialCondition::MBinsEqual { m: 7 }),
+            (4, InitialCondition::MBinsEqual { m: 100 }),
+            (500, InitialCondition::UniformRandom { m: 6 }),
+            (3, InitialCondition::UniformRandom { m: 40 }),
+        ] {
+            let (mut a, mut b) = (Xoshiro256pp::seed(8), Xoshiro256pp::seed(8));
+            let balls: Vec<(Value, u64)> = init
+                .materialize(n, &mut a)
+                .iter()
+                .map(|&v| (v, 1))
+                .collect();
+            let recount = Histogram::new(&balls);
+            let mut loads = vec![(5, 5)];
+            init.loads_into(n, &mut b, &mut loads);
+            assert_eq!(loads, recount.bins(), "{} at n = {n}", init.label());
+            assert!(loads.len() <= init.max_support(n), "{}", init.label());
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "{}: RNG draws differ",
+                init.label()
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Round structure (one iteration, matching the paper's model):
 //!
 //! 1. the adversary inspects the full state and corrupts up to `T`
-//!    processes (values restricted to the initial set);
+//!    processes (values restricted to the initial set) — on the dense state,
+//!    or on the adaptive engine's histogram after the handoff;
 //! 2. every process samples and updates synchronously (the engine step);
 //! 3. the load table absorbs the balls that moved, and the new state is
 //!    observed for consensus / almost-stability. A state with `s` live
@@ -18,7 +19,7 @@ use stabcon_net::RoundMetrics;
 use stabcon_obs as obs;
 use stabcon_util::rng::{derive_seed, Xoshiro256pp};
 
-use crate::adversary::{AdversarySpec, Corruptor, HistAdversarySpec, HistCorruptor};
+use crate::adversary::{AdversarySpec, Corruptor};
 use crate::engine::adaptive::{observe_histogram, LoadCounts};
 use crate::engine::{dense, hist, EngineSpec};
 use crate::histogram::Histogram;
@@ -28,7 +29,7 @@ use crate::protocol::{
     VoterRule,
 };
 use crate::stopping::{StabilityConfig, StabilityTracker};
-use crate::value::{Value, ValueSet};
+use crate::value::Value;
 use crate::workspace::TrialWorkspace;
 
 /// Per-round observables recorded when trajectories are enabled.
@@ -246,6 +247,28 @@ impl SimSpec {
         let mut init_rng = Xoshiro256pp::seed(derive_seed(seed, 0));
         let mut adv_rng = Xoshiro256pp::seed(derive_seed(seed, 1));
         let engine_seed = derive_seed(seed, 2);
+        // The adaptive engine hands off to the histogram once the support
+        // is narrow, for the median law and under a strategy that decides
+        // from the loads alone; a trial whose start is already that narrow
+        // never builds its n-ball state.
+        let handoff_support = match self.engine {
+            EngineSpec::Adaptive {
+                handoff_support, ..
+            } if (self.budget == 0 || !self.adversary.needs_processes())
+                && self.update_fraction >= 1.0
+                && self.protocol.is_median_law() =>
+            {
+                Some(handoff_support.max(1))
+            }
+            _ => None,
+        };
+        let start_aggregated = handoff_support.is_some_and(|t| self.init.max_support(self.n) <= t);
+        assert!(
+            start_aggregated || self.n <= u32::MAX as usize,
+            "SimSpec: n = {} exceeds u32::MAX = {}, the most balls a dense state holds",
+            self.n,
+            u32::MAX
+        );
         // Checked out outside the `init` timer: re-keying a message engine
         // redraws its fault sets under `faults`, and phases stay disjoint.
         let mut message_engine = match self.engine {
@@ -257,37 +280,41 @@ impl SimSpec {
         // engine only); reserved unconditionally so seeds stay stable.
         let mut hist_rng = Xoshiro256pp::seed(derive_seed(seed, 3));
 
-        self.init
-            .materialize_into(self.n, &mut init_rng, &mut ws.state);
+        // Post-handoff aggregated state (adaptive engine only). While this
+        // is `Some`, `state`/`counts` are frozen at the handoff round.
+        let mut hist_state: Option<Histogram> = None;
         // Incrementally maintained bin loads. For validity-preserving rules
         // this relabels the state to ranks: from here on the state, the
         // allowed set and every observable are in the maintainer's space,
         // and `counts.value_of` maps back at the end (winner, trajectory).
         let counts = ws.counts.take();
+        if start_aggregated {
+            // The histogram holds the loads, in rank space; the maintainer
+            // ranks one ball per initial value, for `value_of` and the
+            // value set only.
+            let loads = &mut ws.initial_loads;
+            self.init.loads_into(self.n, &mut init_rng, loads);
+            ws.state.clear();
+            ws.state.extend(loads.iter().map(|&(v, _)| v));
+            hist_state = ws.handoff.take();
+            let ranked = loads.iter().enumerate().map(|(r, &(_, c))| (r as Value, c));
+            Histogram::refill(&mut hist_state, ranked);
+        } else {
+            self.init
+                .materialize_into(self.n, &mut init_rng, &mut ws.state);
+        }
         let mut counts = LoadCounts::rebuild(
             counts,
             &mut ws.state,
             &mut ws.scratch,
             protocol.validity_preserving(),
         );
+        if !start_aggregated {
+            ws.scratch.resize(self.n, 0);
+        }
         let mut initial_set = ws.initial_set.take().unwrap_or_default();
         counts.rebuild_value_set(&mut initial_set);
         let mut adversary = self.adversary.build();
-
-        // Post-handoff aggregated state (adaptive engine only). While this
-        // is `Some`, `state`/`counts` are frozen at the handoff round.
-        let mut hist_state: Option<Histogram> = None;
-        let handoff_support = match self.engine {
-            EngineSpec::Adaptive {
-                handoff_support, ..
-            } if self.budget == 0
-                && self.update_fraction >= 1.0
-                && self.protocol.is_median_law() =>
-            {
-                Some(handoff_support.max(1))
-            }
-            _ => None,
-        };
 
         let threshold = self.disagreement_threshold();
         let mut tracker = StabilityTracker::new(StabilityConfig {
@@ -302,7 +329,6 @@ impl SimSpec {
         let observed = |support: usize| recording || support as u64 - 1 <= threshold;
         let mut trajectory = std::mem::take(&mut ws.trajectory);
         trajectory.clear();
-        ws.scratch.resize(self.n, 0);
         let mut max_after_stable: Option<u64> = None;
         // Without an adversary, full consensus is absorbing for every rule
         // (`combine(v, [v, …]) = v`, and the dropped-sample fallbacks of the
@@ -318,26 +344,26 @@ impl SimSpec {
                 EngineSpec::Message(cfg) => cfg.scenario.consensus_absorbing(),
                 _ => true,
             };
+        // The observables of whichever backing the trial is on, and the
+        // support with the observables only if the round can count.
+        let observe_all = |hist: &Option<Histogram>, counts: &LoadCounts| match hist {
+            Some(h) => observe_histogram(h),
+            None => counts.observe(),
+        };
+        let observe = |hist: &Option<Histogram>, counts: &LoadCounts| {
+            let support = hist
+                .as_ref()
+                .map_or(counts.support_size(), |h| h.support_size());
+            (
+                support,
+                observed(support).then(|| observe_all(hist, counts)),
+            )
+        };
         // Observe the initial state (round 0).
-        let support = counts.support_size();
-        let obs = observed(support).then(|| counts.observe());
+        let (mut support, obs) = observe(&hist_state, &counts);
         let mut done = self.track(&mut tracker, &mut trajectory, 0, obs.as_ref())
             || (absorbing && support == 1);
         drop(init);
-
-        // Adaptive handoff at round 0: a trial that *starts* at or below
-        // the threshold (two-bin cells, narrow uniform grids) runs entirely
-        // aggregated — the handoff is statistically exact conditioned on
-        // the loads, and the initial loads qualify like any later round's.
-        if let Some(threshold) = handoff_support {
-            if counts.support_size() <= threshold {
-                let t = obs::phase(obs::Phase::Handoff);
-                let mut h = ws.handoff.take();
-                counts.snapshot_into(&mut h);
-                hist_state = h;
-                drop(t);
-            }
-        }
 
         let mut rounds_executed = 0u64;
         let mut final_obs = obs;
@@ -345,27 +371,35 @@ impl SimSpec {
             if done && !self.full_horizon {
                 break;
             }
-            let (support, obs) = if let Some(h) = hist_state.as_mut() {
-                // Aggregated phase: one O(m²) multinomial round. (Handoff is
-                // gated on budget == 0, so there is no adversary step here.)
-                let _t = obs::phase(obs::Phase::Hist);
-                hist::step_in_place(h, &mut hist_rng, &mut ws.hist_scratch);
-                rounds_executed += 1;
-                let support = h.support_size();
-                (support, observed(support).then(|| observe_histogram(h)))
-            } else {
-                // 1. Adversary corrupts at the beginning of the round.
-                if self.budget > 0 {
-                    let _t = obs::phase(obs::Phase::Adversary);
-                    let mut corruptor = Corruptor::new(
+            // Adaptive handoff once the support is narrow enough: the
+            // switch is statistically exact conditioned on the loads, at
+            // round 0 as at any later round.
+            if hist_state.is_none() && handoff_support.is_some_and(|t| support <= t) {
+                let _t = obs::phase(obs::Phase::Handoff);
+                hist_state = ws.handoff.take();
+                counts.snapshot_into(&mut hist_state);
+            }
+            // 1. The adversary corrupts at the beginning of the round, on
+            // whichever backing the trial is on.
+            if self.budget > 0 {
+                let _t = obs::phase(obs::Phase::Adversary);
+                let mut corruptor = match hist_state.as_mut() {
+                    Some(h) => Corruptor::aggregated(h, &initial_set, self.budget),
+                    None => Corruptor::new(
                         &mut ws.state,
                         &mut counts,
                         &initial_set,
                         self.budget,
                         &mut ws.touched,
-                    );
-                    adversary.corrupt(round, &mut corruptor, &mut adv_rng);
-                }
+                    ),
+                };
+                adversary.corrupt(round, &mut corruptor, &mut adv_rng);
+            }
+            if let Some(h) = hist_state.as_mut() {
+                // Aggregated phase: one O(m²) multinomial round.
+                let _t = obs::phase(obs::Phase::Hist);
+                hist::step_in_place(h, &mut hist_rng, &mut ws.hist_scratch);
+            } else {
                 // 2. Synchronous protocol step. Full dense rounds sample
                 // peers through the load distribution once the support is
                 // small (same law as indexing the state array, without the
@@ -455,33 +489,22 @@ impl SimSpec {
                         engine.step(&ws.state, &mut ws.scratch, protocol, engine_seed, round);
                     }
                 }
-                // 3. Fold the moved balls into the loads, then observe
-                // (an O(m) walk over live bins) if the round can count.
-                let t = obs::phase(obs::Phase::Loads);
+                // 3. Fold the moved balls into the loads.
+                let _t = obs::phase(obs::Phase::Loads);
                 counts.apply_step(&ws.state, &ws.scratch, &mut ws.moves);
                 std::mem::swap(&mut ws.state, &mut ws.scratch);
-                rounds_executed += 1;
-                let support = counts.support_size();
-                let obs = observed(support).then(|| counts.observe());
-                drop(t);
-                // 4. Adaptive handoff once the support is narrow enough.
-                if let Some(threshold) = handoff_support {
-                    if support <= threshold {
-                        let t = obs::phase(obs::Phase::Handoff);
-                        let mut h = ws.handoff.take();
-                        counts.snapshot_into(&mut h);
-                        hist_state = h;
-                        drop(t);
-                    }
-                }
-                (support, obs)
-            };
+            }
+            rounds_executed += 1;
+            // 4. Observe (an O(m) walk over live bins) if the round can
+            // count, and track it.
             let _t = obs::phase(obs::Phase::Loads);
+            let obs;
+            (support, obs) = observe(&hist_state, &counts);
             done = self.track(&mut tracker, &mut trajectory, round + 1, obs.as_ref())
                 || (absorbing && support == 1);
             if let Some((_, v)) = tracker.stable_hit() {
                 let agreeing = match &hist_state {
-                    Some(h) => h.n() - h.disagreement_with(v),
+                    Some(h) => h.load(v),
                     None => counts.count_of(v),
                 };
                 let disagreement = self.n as u64 - agreeing;
@@ -491,16 +514,13 @@ impl SimSpec {
         }
 
         // The last executed round was skipped: observe the final state once.
-        let final_obs = final_obs.unwrap_or_else(|| match &hist_state {
-            Some(h) => observe_histogram(h),
-            None => counts.observe(),
-        });
+        let final_obs = final_obs.unwrap_or_else(|| observe_all(&hist_state, &counts));
         let winner = tracker
             .stable_hit()
             .map(|(_, v)| v)
             .unwrap_or(final_obs.plurality_value);
         let winner_count = match &hist_state {
-            Some(h) => h.n() - h.disagreement_with(winner),
+            Some(h) => h.load(winner),
             None => counts.count_of(winner),
         };
         let winner_valid = initial_set.contains(winner);
@@ -564,129 +584,6 @@ impl SimSpec {
             obs.plurality_count,
             self.n as u64,
         )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Histogram-engine runner (huge populations)
-// ---------------------------------------------------------------------------
-
-/// Declarative specification for histogram-engine trials.
-#[derive(Debug, Clone)]
-pub struct HistSpec {
-    initial: Histogram,
-    adversary: HistAdversarySpec,
-    budget: u64,
-    max_rounds: u64,
-    window: u64,
-    almost_factor: f64,
-}
-
-/// Result of a histogram-engine trial.
-#[derive(Debug, Clone)]
-pub struct HistRunResult {
-    /// Protocol steps executed.
-    pub rounds_executed: u64,
-    /// First observation with a single bin.
-    pub consensus_round: Option<u64>,
-    /// Start of the first sustained almost-stable window.
-    pub almost_stable_round: Option<u64>,
-    /// Winning value.
-    pub winner: Value,
-    /// Bins left at the end.
-    pub final_support: usize,
-}
-
-impl HistSpec {
-    /// Spec with defaults mirroring [`SimSpec::new`].
-    pub fn new(initial: Histogram) -> Self {
-        let lg = (initial.n().max(2) as f64).log2().ceil() as u64;
-        Self {
-            initial,
-            adversary: HistAdversarySpec::None,
-            budget: 0,
-            max_rounds: 60 * lg + 240,
-            window: 8,
-            almost_factor: 4.0,
-        }
-    }
-
-    /// Set the adversary and budget.
-    pub fn adversary(mut self, adversary: HistAdversarySpec, budget: u64) -> Self {
-        self.adversary = adversary;
-        self.budget = budget;
-        self
-    }
-
-    /// Set the round budget.
-    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Set the stability window.
-    pub fn stability_window(mut self, window: u64) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
-    /// Run one trial (median rule only — the histogram law is the median
-    /// rule's).
-    pub fn run_seeded(&self, seed: u64) -> HistRunResult {
-        let mut rng = Xoshiro256pp::seed(derive_seed(seed, 10));
-        let mut adv_rng = Xoshiro256pp::seed(derive_seed(seed, 11));
-        let initial_set = ValueSet::from_values(
-            &self
-                .initial
-                .bins()
-                .iter()
-                .map(|&(v, _)| v)
-                .collect::<Vec<_>>(),
-        );
-        let mut adversary = self.adversary.build();
-        let n = self.initial.n();
-        let threshold = if self.budget == 0 {
-            0
-        } else {
-            (self.almost_factor * self.budget as f64).ceil() as u64
-        };
-        let mut tracker = StabilityTracker::new(StabilityConfig {
-            disagreement_threshold: threshold,
-            window: self.window,
-        });
-
-        let mut state = self.initial.clone();
-        let (pv, pc) = state.plurality();
-        let mut done = tracker.observe(0, pv, pc, n);
-        let mut rounds_executed = 0u64;
-        for round in 0..self.max_rounds {
-            if done {
-                break;
-            }
-            if self.budget > 0 {
-                let mut loads = state.bins().to_vec();
-                {
-                    let mut c = HistCorruptor::new(&mut loads, &initial_set, self.budget);
-                    adversary.corrupt(round, &mut c, &mut adv_rng);
-                }
-                state = Histogram::new(&loads);
-            }
-            state = hist::step(&state, &mut rng);
-            rounds_executed += 1;
-            let (pv, pc) = state.plurality();
-            done = tracker.observe(round + 1, pv, pc, n);
-        }
-        let winner = tracker
-            .stable_hit()
-            .map(|(_, v)| v)
-            .unwrap_or(state.plurality().0);
-        HistRunResult {
-            rounds_executed,
-            consensus_round: tracker.consensus_hit(),
-            almost_stable_round: tracker.stable_hit().map(|(r, _)| r),
-            winner,
-            final_support: state.support_size(),
-        }
     }
 }
 
@@ -822,24 +719,42 @@ mod tests {
         }
     }
 
+    /// The adaptive engine at its default handoff.
+    fn adaptive() -> EngineSpec {
+        EngineSpec::Adaptive {
+            threads: 1,
+            handoff_support: crate::engine::adaptive::DEFAULT_HANDOFF_SUPPORT,
+        }
+    }
+
     #[test]
     fn hist_spec_converges() {
-        let h = Histogram::new(&[(0, 1 << 20), (1, 1 << 20)]);
-        let r = HistSpec::new(h).run_seeded(1);
+        // Two bins of 2²⁰: the trial runs aggregated from round 0.
+        let r = SimSpec::new(1 << 21)
+            .init(InitialCondition::TwoBins { left: 1 << 20 })
+            .engine(adaptive())
+            .run_seeded(1);
         assert!(r.consensus_round.is_some());
         assert_eq!(r.final_support, 1);
     }
 
     #[test]
     fn hist_spec_with_balancer_at_low_budget_still_converges() {
-        let h = Histogram::new(&[(0, 1 << 16), (1, 1 << 16)]);
         // Budget far below √n (= 2^8.5): the balancer cannot hold the tie.
-        let r = HistSpec::new(h)
-            .adversary(HistAdversarySpec::Balancer, 4)
+        let r = SimSpec::new(1 << 17)
+            .init(InitialCondition::TwoBins { left: 1 << 16 })
+            .engine(adaptive())
+            .adversary(AdversarySpec::Balancer, 4)
             .run_seeded(2);
         assert!(
             r.almost_stable_round.is_some(),
             "tiny balancer should not prevent stabilization: {r:?}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 1099511627776 exceeds u32::MAX")]
+    fn a_dense_start_past_u32_panics_before_allocating() {
+        SimSpec::new(1 << 40).run_seeded(1);
     }
 }

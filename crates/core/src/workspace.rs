@@ -6,7 +6,8 @@
 //! `values` table only for a universe that is not `0..m`; or the mean
 //! rule's tree), the initial value set, the adversary's touched set, the
 //! load upkeep's move buffer, the trajectory, the adaptive handoff
-//! histogram, and — for the message engine — the routing buffers. A
+//! histogram and the initial loads of a trial that starts aggregated,
+//! and — for the message engine — the routing buffers. A
 //! [`TrialWorkspace`] owns all of those once per worker for a whole
 //! campaign;
 //! [`crate::runner::SimSpec::run_seeded_into`] rebuilds them in place each
@@ -56,6 +57,8 @@ pub struct TrialWorkspace {
     pub(crate) moves: Vec<(Value, Value)>,
     /// Aggregated-phase histogram for the adaptive engine's handoff.
     pub(crate) handoff: Option<Histogram>,
+    /// Initial `(value, load)` pairs of a trial that starts aggregated.
+    pub(crate) initial_loads: Vec<(Value, u64)>,
     /// Histogram-engine per-round buffers (CDF, law, draws, new loads).
     pub(crate) hist_scratch: hist::StepScratch,
     /// Cached message engine, keyed by the `(n, config)` it was built for.

@@ -8,9 +8,11 @@
 //!    thread count, on both the plain and the load-sampled path;
 //! 3. the adaptive engine is statistically exact: its consensus-round
 //!    distribution agrees with pure dense (KS-style check over ≥200 seeded
-//!    trials).
+//!    trials);
+//! 4. an adversary that names processes keeps the adaptive engine dense.
 
 use proptest::prelude::*;
+use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::engine::{dense, EngineSpec};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
@@ -207,4 +209,39 @@ fn adaptive_voter_stays_dense_and_converges() {
     // in law.
     assert_eq!(dense.consensus_round, adaptive.consensus_round);
     assert_eq!(dense.winner, adaptive.winner);
+}
+
+/// Random, stubborn and reviver adversaries name processes, so the
+/// adaptive engine never hands off under them, not even from a start it
+/// could run aggregated: a trial equals the dense engine's on the same seed
+/// and thread count.
+#[test]
+fn process_level_adversaries_keep_the_adaptive_engine_dense() {
+    let base = SimSpec::new(1024)
+        .init(InitialCondition::TwoBins { left: 512 })
+        .max_rounds(300);
+    for (seed, adversary) in [
+        AdversarySpec::Random,
+        AdversarySpec::Stubborn,
+        AdversarySpec::Reviver { revive_at: 3 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert!(adversary.needs_processes());
+        for threads in [1, 2] {
+            let spec = base.clone().adversary(adversary, 8);
+            let dense = spec.clone().engine(EngineSpec::DensePar { threads });
+            let adaptive = spec.engine(EngineSpec::Adaptive {
+                threads,
+                handoff_support: 64,
+            });
+            let seed = seed as u64;
+            assert_eq!(
+                dense.run_seeded(seed),
+                adaptive.run_seeded(seed),
+                "{adversary:?}"
+            );
+        }
+    }
 }

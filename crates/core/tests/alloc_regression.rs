@@ -207,19 +207,43 @@ fn all_distinct_worst_case_universe_is_o1() {
 fn adversarial_cells_steady_state_is_o1() {
     // Figure 1's adversaries at budget ⌊√n/4⌋ read the runner's loads and
     // park their touched set in the workspace: no strategy allocates per
-    // round.
+    // round. The adaptive two-bins balancer cell runs on the parked
+    // histogram from round 0, its moves in place.
     let n = 2048;
     let budget = ((n as f64).sqrt() / 4.0).floor() as u64;
-    for (init, adversary) in [
-        (InitialCondition::AllDistinct, AdversarySpec::Balancer),
-        (InitialCondition::AllDistinct, AdversarySpec::MedianPusher),
+    let adaptive = EngineSpec::Adaptive {
+        threads: 1,
+        handoff_support: 64,
+    };
+    let two_bins = InitialCondition::TwoBins { left: n / 2 };
+    for (init, adversary, engine) in [
         (
-            InitialCondition::TwoBins { left: n / 2 },
-            AdversarySpec::Random,
+            InitialCondition::AllDistinct,
+            AdversarySpec::Balancer,
+            EngineSpec::DenseSeq,
         ),
+        (
+            InitialCondition::AllDistinct,
+            AdversarySpec::MedianPusher,
+            EngineSpec::DenseSeq,
+        ),
+        (
+            two_bins.clone(),
+            AdversarySpec::Random,
+            EngineSpec::DenseSeq,
+        ),
+        (two_bins, AdversarySpec::Balancer, adaptive),
     ] {
-        let label = format!("{} on {}", adversary.label(), init.label());
-        let sim = SimSpec::new(n).init(init).adversary(adversary, budget);
+        let label = format!(
+            "{} on {} ({})",
+            adversary.label(),
+            init.label(),
+            engine.label()
+        );
+        let sim = SimSpec::new(n)
+            .init(init)
+            .engine(engine)
+            .adversary(adversary, budget);
         let per_trial = allocations_per_trial(&sim, 4, 16);
         assert!(
             per_trial <= 2.0,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::RngCore;
-use stabcon_core::adversary::{Adversary, AdversarySpec, Corruptor, HistCorruptor, MedianPusher};
+use stabcon_core::adversary::{Adversary, AdversarySpec, Corruptor, MedianPusher};
 use stabcon_core::engine::adaptive::LoadCounts;
 use stabcon_core::engine::{dense, hist, EngineSpec, MessageConfig, Rejoin, ScenarioSpec};
 use stabcon_core::histogram::Histogram;
@@ -118,14 +118,49 @@ proptest! {
         let pairs: Vec<(u32, u64)> = loads.iter().enumerate().map(|(v, &c)| (v as u32, c)).collect();
         let set = ValueSet::from_values(&pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>());
         let total: u64 = loads.iter().sum();
-        let mut working = pairs.clone();
-        let moved = {
-            let mut c = HistCorruptor::new(&mut working, &set, budget);
-            c.move_balls(from as u32, to as u32, 30)
-        };
+        let mut working = Histogram::new(&pairs);
+        let moved = Corruptor::aggregated(&mut working, &set, budget)
+            .move_balls(from as u32, to as u32, 30);
         prop_assert!(moved <= budget);
-        let after: u64 = working.iter().map(|&(_, c)| c).sum();
+        prop_assert_eq!(working.n(), total, "population changed");
+        let after: u64 = working.bins().iter().map(|&(_, c)| c).sum();
         prop_assert_eq!(after, total, "population changed");
+    }
+
+    /// A load-only strategy moves each ball at most once per round, so the
+    /// dense budget (distinct processes) and the aggregated one (balls
+    /// moved) count the same thing, and both backings see the same loads.
+    #[test]
+    fn load_only_strategies_move_each_ball_once(
+        values in prop::collection::vec(0u32..6, 2..150),
+        budget in 0u64..40,
+        seed in any::<u64>(),
+        pusher in any::<bool>(),
+    ) {
+        let spec = if pusher { AdversarySpec::MedianPusher } else { AdversarySpec::Balancer };
+        prop_assert!(!spec.needs_processes());
+        let mut state = values.clone();
+        let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+        let mut set = ValueSet::default();
+        loads.rebuild_value_set(&mut set);
+        let mut hist = loads.to_histogram();
+        let (mut adv, mut hist_adv) = (spec.build(), spec.build());
+        let mut rng = Xoshiro256pp::seed(seed);
+        let mut hist_rng = rng.clone();
+        let mut touched = Vec::new();
+        for round in 0..3u64 {
+            let before = state.clone();
+            let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
+            adv.corrupt(round, &mut c, &mut rng);
+            let flips = c.touched();
+            let moved = state.iter().zip(&before).filter(|(a, b)| a != b).count() as u64;
+            prop_assert_eq!(flips, moved, "{} round {}", spec.label(), round);
+            prop_assert!(flips <= budget);
+            let mut h = Corruptor::aggregated(&mut hist, &set, budget);
+            hist_adv.corrupt(round, &mut h, &mut hist_rng);
+            prop_assert_eq!(h.touched(), flips, "{} round {}", spec.label(), round);
+            prop_assert_eq!(&hist, &loads.to_histogram(), "{} round {}", spec.label(), round);
+        }
     }
 
     // --- runner invariants -----------------------------------------------------
@@ -382,23 +417,24 @@ proptest! {
     }
 }
 
-/// The median pusher's scan before it learned to stop once no write can
-/// land: it kept scanning every ball, writing nothing.
+/// The median pusher's process-level scan before it moved balls through
+/// `move_balls` and learned to stop once no write can land: it kept
+/// scanning every ball, writing nothing.
 fn median_pusher_full_scan(c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
     let median = c.lower_median();
-    let lo = c.allowed().min();
-    let hi = c.allowed().max();
+    let (lo, hi) = (c.allowed().min(), c.allowed().max());
+    let mut p = c.processes().expect("dense backing");
     if lo == hi {
         return;
     }
     let mut flip_low = stabcon_util::rng::gen_index(rng, 2) == 0;
-    for i in 0..c.n() {
-        if c.remaining() == 0 {
+    for i in 0..p.n() {
+        if p.remaining() == 0 {
             break;
         }
-        if c.get(i) == median {
+        if p.get(i) == median {
             let target = if flip_low { lo } else { hi };
-            if target != median && c.try_set(i, target) {
+            if target != median && p.try_set(i, target) {
                 flip_low = !flip_low;
             }
         }
@@ -408,9 +444,9 @@ fn median_pusher_full_scan(c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The early-stopping median pusher flips the same balls, touches as
-    /// many and draws the same coins as the full scan, round after round,
-    /// on two-bins and all-distinct states.
+    /// The median pusher over `move_balls` flips the same balls, touches
+    /// as many and draws the same coins as the full process-level scan,
+    /// round after round, on two-bins and all-distinct states.
     #[test]
     fn median_pusher_stops_early_without_changing_a_flip(
         seed in any::<u64>(),

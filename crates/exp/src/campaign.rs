@@ -34,8 +34,8 @@ use crate::telemetry::{self, CampaignTelemetry, CellProfile};
 /// median rule at `T = √n` for laptop-scale `n`; at `T = √n/2` runs escape
 /// but with heavy-tailed escape times; at `T = √n/4` convergence is cleanly
 /// `O(log n)` — i.e. the measured crossover constant for the strongest
-/// balancer lies between 0.25 and 1. E5 (`threshold_table`) sweeps the
-/// exponent explicitly to locate the collapse.
+/// balancer lies between 0.25 and 1. The `threshold` preset sweeps the
+/// exponent explicitly ([`BudgetSpec::Power`]) to locate the collapse.
 pub fn sqrt_budget(n: usize) -> u64 {
     (((n as f64).sqrt() / 4.0).floor() as u64).max(1)
 }
@@ -85,6 +85,11 @@ pub enum BudgetSpec {
     Fixed(u64),
     /// The harness's canonical `⌊√n/4⌋` (see [`sqrt_budget`]).
     SqrtOver4,
+    /// `T = max(1, round(n^α))` with `α = per_mille / 1000`.
+    Power {
+        /// The exponent α in thousandths.
+        per_mille: u16,
+    },
 }
 
 impl BudgetSpec {
@@ -94,6 +99,10 @@ impl BudgetSpec {
             BudgetSpec::Zero => 0,
             BudgetSpec::Fixed(t) => t,
             BudgetSpec::SqrtOver4 => sqrt_budget(n),
+            BudgetSpec::Power { per_mille } => {
+                let alpha = f64::from(per_mille) / 1000.0;
+                (n as f64).powf(alpha).round().max(1.0) as u64
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Named campaign grids for the `stabcon` CLI.
 
 use stabcon_core::adversary::AdversarySpec;
+use stabcon_core::engine::adaptive::DEFAULT_HANDOFF_SUPPORT;
 use stabcon_core::engine::{EngineSpec, MessageConfig, Rejoin, ScenarioSpec};
 use stabcon_core::protocol::ProtocolSpec;
 
@@ -8,7 +9,7 @@ use crate::campaign::{BudgetSpec, CampaignSpec, InitSpec};
 use crate::observer::TrialObserver;
 
 /// Preset names accepted by [`preset`].
-pub const PRESET_NAMES: [&str; 8] = [
+pub const PRESET_NAMES: [&str; 9] = [
     "smoke",
     "figure1-small",
     "figure1",
@@ -17,6 +18,7 @@ pub const PRESET_NAMES: [&str; 8] = [
     "theorems",
     "robustness-small",
     "hostile-net",
+    "threshold",
 ];
 
 /// Look up a named campaign grid.
@@ -40,6 +42,11 @@ pub const PRESET_NAMES: [&str; 8] = [
 ///   faults: clean network, latency, link drops, a healing partition,
 ///   adversarial churn, and a Byzantine responder minority, with the
 ///   net-totals observer recording delivery/drop columns.
+/// * `threshold` — tightness of the `T ≤ √n` bound (remark after Theorem 2):
+///   the balancer on a tied two-bin start with `T = n^α`,
+///   `α ∈ {0.25, 0.5, 0.75}`, at n = 2¹⁶…2⁴⁰. The adaptive engine runs
+///   these trials aggregated from round 0, so a round costs the same at
+///   every n.
 pub fn preset(name: &str) -> Option<CampaignSpec> {
     let adversary_axis = vec![
         (AdversarySpec::None, BudgetSpec::Zero),
@@ -152,6 +159,22 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
             observer: TrialObserver::NetTotals,
             ..CampaignSpec::default()
         }),
+        "threshold" => Some(CampaignSpec {
+            name: "threshold".into(),
+            seed: 0x90_1D,
+            trials: 24,
+            ns: vec![1 << 16, 1 << 24, 1 << 32, 1 << 40],
+            inits: vec![InitSpec::TwoBinsHalf],
+            engines: vec![EngineSpec::Adaptive {
+                threads: 1,
+                handoff_support: DEFAULT_HANDOFF_SUPPORT,
+            }],
+            adversaries: [250, 500, 750]
+                .map(|per_mille| (AdversarySpec::Balancer, BudgetSpec::Power { per_mille }))
+                .to_vec(),
+            max_rounds: Some(400),
+            ..CampaignSpec::default()
+        }),
         _ => None,
     }
 }
@@ -220,6 +243,39 @@ mod tests {
         let spec = preset("figure1-small").expect("preset");
         assert_eq!(spec.ns, vec![256, 512, 1024]);
         assert_eq!(spec.expand().len(), 3 * 2 * 4);
+    }
+
+    /// Hit rates at n = 2²⁰ of the `threshold` preset's cells picked by
+    /// index (the cells run α = 0.25, 0.5, 0.75 in that order).
+    fn threshold_rates(picked: &[usize]) -> Vec<f64> {
+        let spec = CampaignSpec {
+            ns: vec![1 << 20],
+            trials: 4,
+            ..preset("threshold").expect("preset")
+        };
+        let cells = spec.expand();
+        assert_eq!(cells.len(), 3, "one cell per α");
+        let pool = ThreadPool::new(2);
+        picked
+            .iter()
+            .map(|&i| {
+                run_cell(&pool, &cells[i], 2)
+                    .convergence(cells[i].metric)
+                    .hit_rate()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threshold_preset_low_alpha_stabilizes() {
+        // At n = 2²⁰ the balancer cannot hold the tie with T = n^0.25.
+        assert_eq!(threshold_rates(&[0]), [1.0], "α = 0.25");
+    }
+
+    #[test]
+    fn threshold_preset_high_alpha_stalls() {
+        // With T = n^0.5 or n^0.75 no trial stabilizes within the 400 rounds.
+        assert_eq!(threshold_rates(&[1, 2]), [0.0, 0.0], "α = 0.5, 0.75");
     }
 
     #[test]

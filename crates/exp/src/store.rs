@@ -47,7 +47,11 @@ use crate::observer::ChannelKind;
 /// uniform samples per hashed word), so a trial's trajectory for a given
 /// seed changed; `/3` stores hold cells of the old stream and are rejected
 /// rather than resumed into a store that mixes two streams.
-pub const SCHEMA: &str = "stabcon-campaign/4";
+///
+/// `/5`: adaptive cells under a load-only adversary (balancer, median
+/// pusher) hand off to the histogram, so their trials for a given seed
+/// changed; `/4` stores are rejected for the same reason.
+pub const SCHEMA: &str = "stabcon-campaign/5";
 
 /// The campaign header record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -579,11 +583,16 @@ mod tests {
 
     #[test]
     fn old_schema_is_rejected_by_name() {
-        // A pre-observer `/1` store, or a `/3` store of the old dense
-        // stream, must fail with the schema in the message, not a
-        // confusing fingerprint mismatch downstream.
+        // A pre-observer `/1` store, a `/3` store of the old dense stream,
+        // or a `/4` store whose adversarial adaptive cells stayed dense,
+        // must fail with the schema in the message, not a confusing
+        // fingerprint mismatch downstream.
         let path = tmp("oldschema.jsonl");
-        for old in ["stabcon-campaign/1", "stabcon-campaign/3"] {
+        for old in [
+            "stabcon-campaign/1",
+            "stabcon-campaign/3",
+            "stabcon-campaign/4",
+        ] {
             std::fs::write(
                 &path,
                 format!(

@@ -157,7 +157,7 @@ fn reference_line(reference: &[u8], cell: u64) -> String {
 }
 
 #[test]
-fn old_fabric_hellos_are_rejected_naming_fabric_3() {
+fn old_fabric_hellos_are_rejected_naming_fabric_4() {
     let out = tmp("old-hello");
     cleanup_daemon(&out);
     let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind");
@@ -169,11 +169,11 @@ fn old_fabric_hellos_are_rejected_naming_fabric_3() {
     };
     let daemon = std::thread::spawn(move || server.run(&cfg));
 
-    for old in ["stabcon-fabric/1", "stabcon-fabric/2"] {
+    for old in ["stabcon-fabric/1", "stabcon-fabric/2", "stabcon-fabric/3"] {
         let (_, reply) = Raw::hello(&addr, old);
         match reply {
             Msg::Reject { reason } => {
-                assert!(reason.contains("stabcon-fabric/3"), "{reason}");
+                assert!(reason.contains("stabcon-fabric/4"), "{reason}");
                 assert!(reason.contains(old), "{reason}");
             }
             other => panic!("a {old} hello must be rejected, got {other:?}"),

@@ -1,44 +1,48 @@
-//! The histogram engine at planetary scale: a trillion-process consensus.
+//! A trillion-process consensus under a √n/4 balancing adversary: the
+//! worst-case tied two-bin start, below the √n threshold.
 //!
 //! The dense engine stores 4 bytes per process; at n = 2^40 that is 4 TiB.
-//! The histogram engine instead advances *all* processes of a bin with one
-//! multinomial draw from the median rule's closed-form destination law —
-//! `O(m²)` per round no matter how large n is.
+//! The adaptive engine instead starts a narrow initial condition straight
+//! on its histogram: all processes of a bin move with one multinomial draw
+//! from the median rule's closed-form destination law, and the balancer
+//! moves loads between bins — `O(m²)` per round no matter how large n is.
 //!
 //! ```sh
 //! cargo run --release --example huge_population
 //! ```
 
-use stabcon::core::adversary::HistAdversarySpec;
-use stabcon::core::histogram::Histogram;
-use stabcon::core::runner::HistSpec;
+use stabcon::core::adversary::AdversarySpec;
+use stabcon::core::engine::adaptive::DEFAULT_HANDOFF_SUPPORT;
+use stabcon::core::engine::EngineSpec;
+use stabcon::core::init::InitialCondition;
+use stabcon::core::runner::SimSpec;
+use stabcon::core::workspace::TrialWorkspace;
 use stabcon::util::stats::StreamingHistogram;
 
 fn main() {
-    let n: u64 = 1 << 40; // ~1.1e12 processes
-    println!("population: 2^40 = {n} processes, 9 initial opinions\n");
+    let n: usize = 1 << 40; // ~1.1e12 processes
+    println!("population: 2^40 = {n} processes, two tied initial opinions\n");
 
-    // Nine opinions with skewed popularity.
-    let bins: Vec<(u32, u64)> = (0..9u32)
-        .map(|v| (v * 10, n / 9 + (v as u64) * 1_000_000))
-        .collect();
-    let init = Histogram::new(&bins);
-
-    // Budget: T = √n/4 ≈ 262144 corrupted processes per round.
+    // Budget: T = √n/4 = 262144 corrupted processes per round.
     let t = ((n as f64).sqrt() / 4.0) as u64;
-    let spec = HistSpec::new(init)
-        .adversary(HistAdversarySpec::Balancer, t)
+    let spec = SimSpec::new(n)
+        .init(InitialCondition::TwoBins { left: n / 2 })
+        .engine(EngineSpec::Adaptive {
+            threads: 1,
+            handoff_support: DEFAULT_HANDOFF_SUPPORT,
+        })
+        .adversary(AdversarySpec::Balancer, t)
         .max_rounds(10_000);
 
     let trials = 25;
     let mut rounds_hist = StreamingHistogram::new(0.0, 200.0, 40);
     let mut winners = std::collections::BTreeMap::<u32, u32>::new();
+    let mut ws = TrialWorkspace::new();
     let start = std::time::Instant::now();
     for s in 0..trials {
-        let r = spec.run_seeded(1000 + s);
+        let r = spec.run_seeded_into(1000 + s, &mut ws);
         let hit = r
             .almost_stable_round
-            .or(r.consensus_round)
             .expect("must stabilize below threshold");
         rounds_hist.push(hit as f64);
         *winners.entry(r.winner).or_insert(0) += 1;

@@ -1,9 +1,14 @@
 //! End-to-end convergence across all three engines.
 
 use stabcon::core::engine::{EngineSpec, MessageConfig};
-use stabcon::core::histogram::Histogram;
-use stabcon::core::runner::HistSpec;
 use stabcon::prelude::*;
+
+/// The adaptive engine, one thread: a start of at most 64 values runs on
+/// the histogram from round 0.
+const HISTOGRAM: EngineSpec = EngineSpec::Adaptive {
+    threads: 1,
+    handoff_support: 64,
+};
 
 #[test]
 fn all_engines_reach_consensus_on_two_bins() {
@@ -60,13 +65,7 @@ fn histogram_engine_matches_dense_statistically() {
                 .expect("dense converges") as f64,
         );
     }
-    let hist0 = Histogram::new(&[
-        (0, (n / 4) as u64),
-        (1, (n / 4) as u64),
-        (2, (n / 4) as u64),
-        (3, (n / 4) as u64),
-    ]);
-    let hist_spec = HistSpec::new(hist0);
+    let hist_spec = dense_spec.clone().engine(HISTOGRAM);
     let mut hist_times = Vec::new();
     for s in 0..trials {
         hist_times.push(
@@ -130,12 +129,14 @@ fn median_rule_validity_is_universal() {
 
 #[test]
 fn huge_population_histogram_run() {
-    // 2^44 balls — only possible with the histogram engine.
-    let big = 1u64 << 44;
-    let h = Histogram::new(&[(10, big), (20, big), (30, big / 2)]);
-    let r = HistSpec::new(h).run_seeded(5);
+    // 2^44 balls in three equal bins — only possible on the histogram,
+    // from loads computed in closed form.
+    let r = SimSpec::new(1 << 44)
+        .init(InitialCondition::MBinsEqual { m: 3 })
+        .engine(HISTOGRAM)
+        .run_seeded(5);
     assert!(r.consensus_round.is_some());
-    assert!([10, 20, 30].contains(&r.winner));
+    assert!(r.winner < 3);
 }
 
 #[test]
