@@ -4,9 +4,9 @@
 //! Every trial of the median rule spends its early rounds with many live
 //! values (where the dense `O(n)` engine is the only exact option for
 //! arbitrary protocols) and its long tail near consensus with a handful
-//! (where the `O(m²)` multinomial histogram engine simulates the *same*
-//! process for free — the median rule's destination law depends only on the
-//! load CDF, see [`super::hist`]). The adaptive engine runs dense, maintains
+//! (where the `O(m)`-per-round histogram engine simulates the *same*
+//! process for free — where a median-rule ball lands depends only on the
+//! loads, see [`super::hist`]). The adaptive engine runs dense, maintains
 //! an **incremental histogram** of loads as balls move, and hands off to the
 //! histogram engine the moment the number of distinct values drops to the
 //! configured threshold. A trial whose initial condition has at most that
@@ -16,7 +16,7 @@
 //! alone: [`crate::adversary::Corruptor`] runs it on either backing.
 //!
 //! The handoff is *statistically exact*: conditioned on the loads at the
-//! handoff round, the dense process and the multinomial process induce the
+//! handoff round, the dense process and the histogram process induce the
 //! same distribution over subsequent load trajectories. It is **not**
 //! samplewise identical — the trajectory after the handoff is driven by the
 //! histogram engine's RNG stream — so seed-for-seed comparisons against
@@ -40,7 +40,7 @@ use crate::value::Value;
 pub const MOVE_BLOCK: usize = 1024;
 
 /// Default handoff threshold: hand off once at most this many distinct
-/// values survive. `m = 64` keeps the histogram step (`O(m²)` binomial
+/// values survive. `m = 64` keeps the histogram step (about `4m` binomial
 /// draws) far below one dense round even at `n = 10⁴`.
 pub const DEFAULT_HANDOFF_SUPPORT: usize = 64;
 

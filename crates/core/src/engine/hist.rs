@@ -1,119 +1,80 @@
-//! The histogram engine: `O(m²)` per round, independent of `n`.
+//! The histogram engine: `O(m)` binomial draws per round, independent of `n`.
 //!
-//! For a ball in bin `b` (bins indexed `0..m` in value order, load CDF `F`),
-//! the median-rule destination law is fully determined by `F`:
+//! Index the bins `0..m` in value order and let `C(c)` be the integer load
+//! at or below bin `c` (`C(−1) = 0`, `C(m−1) = n`), `F = C/n` and
+//! `G(c) = 1 − F(c−1)`, the mass at or above `c`. Under the median rule a
+//! ball in bin `b`
 //!
-//! * destination `c < b`: both samples land at or below `c`, the higher one
-//!   exactly at `c` → `P = F(c)² − F(c−1)²`;
-//! * destination `c = b`: not both samples strictly below, not both strictly
-//!   above → `P = 1 − F(b−1)² − (1 − F(b))²`;
-//! * destination `c > b`: with `G(c) = 1 − F(c−1)` (mass at or above `c`),
-//!   `P = G(c)² − G(c+1)²`.
+//! * moves down iff both samples lie below `b` (`P = F(b−1)²`), and then
+//!   lands at the higher sample: `c < b` with `P = F(c)² − F(c−1)²`;
+//! * moves up iff both samples lie above `b` (`P = (1 − F(b))²`), and then
+//!   lands at the lower sample: `c > b` with `P = G(c)² − G(c+1)²`;
+//! * stays otherwise.
 //!
-//! These sum to 1 exactly (telescoping). All `k_b` balls of bin `b` then
-//! move via **one multinomial draw**, so a round costs `m` multinomials of
-//! dimension `m` — populations of 2^52 balls simulate as fast as 2^10.
+//! Where a mover lands does not depend on `b`, so all movers of one
+//! direction pool. A round splits each bin three ways (down, up, stay) with
+//! two binomials, then sweeps each pool across the bins: a pooled ball that
+//! has passed every bin short of `c` lands there with probability
+//! `1 − (1 − r)² = r(2 − r)`, where `r = k_c / (n − C(c−1))` going up and
+//! `r = k_c / C(c)` going down. A round draws about `4m` binomials, and
+//! every probability is a ratio of integer counts in `[0, 1]` — populations
+//! of 2^52 balls simulate as fast as 2^10.
 
 use rand::RngCore;
-use stabcon_util::dist::multinomial_into;
+use stabcon_util::dist::Binomial;
 
 use crate::histogram::Histogram;
 
-/// The destination distribution for a ball currently in bin index `b`.
-///
-/// `cdf[i]` is the load CDF at bin `i` (see [`Histogram::cdf`]). Returns a
-/// probability vector over bin indices `0..m`.
-pub fn destination_law(cdf: &[f64], b: usize) -> Vec<f64> {
-    let mut law = vec![0.0; cdf.len()];
-    destination_law_into(cdf, b, &mut law);
-    law
-}
-
-/// In-place variant of [`destination_law`] for the hot loop.
-///
-/// # Panics
-/// Panics if `law.len() != cdf.len()` or `b` is out of range.
-pub fn destination_law_into(cdf: &[f64], b: usize, law: &mut [f64]) {
-    let m = cdf.len();
-    assert_eq!(law.len(), m, "law buffer size mismatch");
-    assert!(b < m, "bin index out of range");
-    let f = |i: isize| -> f64 {
-        if i < 0 {
-            0.0
-        } else {
-            cdf[i as usize]
-        }
-    };
-    // Mass at or above bin c.
-    let g = |c: usize| -> f64 { 1.0 - f(c as isize - 1) };
-
-    for (c, slot) in law.iter_mut().enumerate().take(b) {
-        *slot = (f(c as isize) * f(c as isize) - f(c as isize - 1) * f(c as isize - 1)).max(0.0);
-    }
-    let below = f(b as isize - 1);
-    let above = 1.0 - f(b as isize);
-    law[b] = (1.0 - below * below - above * above).max(0.0);
-    for (c, slot) in law.iter_mut().enumerate().skip(b + 1) {
-        let gc = g(c);
-        let gc1 = if c + 1 < m { g(c + 1) } else { 0.0 };
-        *slot = (gc * gc - gc1 * gc1).max(0.0);
-    }
-    // The telescoping identity makes the law sum to 1 exactly in real
-    // arithmetic, but the `.max(0.0)` clamps above discard the negative
-    // rounding residue of catastrophic cancellation near F(c) ≈ 1, leaking
-    // mass (up to ~1e-15 per entry) into the multinomial draw. Renormalize
-    // so the total is 1 within 1e-12 again.
-    let total: f64 = law.iter().sum();
-    debug_assert!(total > 0.0, "destination law lost all mass");
-    if total > 0.0 && total != 1.0 {
-        let inv = 1.0 / total;
-        for slot in law.iter_mut() {
-            *slot *= inv;
-        }
-    }
-}
-
-/// Reusable per-round buffers for [`step_in_place`] (CDF, one destination
-/// law, one draw vector, the accumulated new loads). One of these lives in
-/// a [`crate::workspace::TrialWorkspace`], so the adaptive engine's
+/// Reusable per-round buffers for [`step_in_place`] (the new loads, and each
+/// bin's down-movers between the split and the down sweep). One of these
+/// lives in a [`crate::workspace::TrialWorkspace`], so the adaptive engine's
 /// aggregated phase allocates nothing per round.
 #[derive(Debug, Clone, Default)]
 pub struct StepScratch {
-    cdf: Vec<f64>,
-    law: Vec<f64>,
-    draws: Vec<u64>,
     new_loads: Vec<u64>,
+    down: Vec<u64>,
 }
 
-/// Advance the median rule one round on aggregated loads.
-pub fn step<R: RngCore + ?Sized>(hist: &Histogram, rng: &mut R) -> Histogram {
-    let mut out = hist.clone();
-    step_in_place(&mut out, rng, &mut StepScratch::default());
-    out
-}
-
-/// [`step`] without the output histogram (or any per-round buffer)
-/// allocation: same draws from the same RNG stream, loads updated in place.
-/// At consensus (`m == 1`) this is a no-op that consumes no randomness,
-/// exactly like [`step`].
+/// Advance the median rule one round on aggregated loads, in place. At
+/// consensus (`m == 1`) this is a no-op that consumes no randomness.
 pub fn step_in_place<R: RngCore + ?Sized>(hist: &mut Histogram, rng: &mut R, ws: &mut StepScratch) {
-    let m = hist.support_size();
-    if m == 1 {
+    if hist.support_size() == 1 {
         return;
     }
-    hist.cdf_into(&mut ws.cdf);
-    ws.law.clear();
-    ws.law.resize(m, 0.0);
-    ws.draws.clear();
-    ws.draws.resize(m, 0);
+    let n = hist.n();
+    let mut draw = |balls: u64, p: f64| Binomial::new(balls, p).sample(rng);
     ws.new_loads.clear();
-    ws.new_loads.resize(m, 0);
-    for (b, &(_, load)) in hist.bins().iter().enumerate() {
-        destination_law_into(&ws.cdf, b, &mut ws.law);
-        multinomial_into(rng, load, &ws.law, &mut ws.draws);
-        for (acc, &d) in ws.new_loads.iter_mut().zip(&ws.draws) {
-            *acc += d;
-        }
+    ws.down.clear();
+    // Split every bin and sweep the up-movers upward. `below` is C(c−1).
+    let (mut below, mut pool) = (0u64, 0u64);
+    for &(_, k) in hist.bins() {
+        let above = n - below - k;
+        let down = draw(k, (below as f64 / n as f64).powi(2));
+        // P(up | not down) = (n − C(c))² / ((n − C(c−1)) · (n + C(c−1))).
+        let up_if_not_down =
+            (above as f64 / (n - below) as f64) * (above as f64 / (n + below) as f64);
+        let up = draw(k - down, up_if_not_down);
+        let r = k as f64 / (n - below) as f64;
+        let landed = draw(pool, r * (2.0 - r));
+        pool = pool - landed + up;
+        ws.new_loads.push(k - down - up + landed);
+        ws.down.push(down);
+        below += k;
+    }
+    // Sweep the down-movers downward. `below` is now C(c).
+    let mut pool = 0u64;
+    for ((&(_, k), load), &down) in hist
+        .bins()
+        .iter()
+        .zip(&mut ws.new_loads)
+        .zip(&ws.down)
+        .rev()
+    {
+        let r = k as f64 / below as f64;
+        let landed = draw(pool, r * (2.0 - r));
+        pool = pool - landed + down;
+        *load += landed;
+        below -= k;
     }
     hist.set_loads(&ws.new_loads);
 }
@@ -123,69 +84,127 @@ mod tests {
     use super::*;
     use crate::value::Value;
     use stabcon_util::rng::Xoshiro256pp;
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn law_sums_to_one() {
-        let h = Histogram::new(&[(0, 10), (5, 20), (9, 5), (12, 65)]);
-        let cdf = h.cdf();
-        for b in 0..4 {
-            let law = destination_law(&cdf, b);
-            let total: f64 = law.iter().sum();
-            assert!((total - 1.0).abs() < 1e-12, "bin {b}: total {total}");
-            for (c, &p) in law.iter().enumerate() {
-                assert!((0.0..=1.0).contains(&p), "law[{c}] = {p}");
+    /// Where one ball of bin `b` lands, written from the per-ball law of the
+    /// module docs (not from the pooled sweep).
+    fn destination_law(loads: &[u64], b: usize) -> Vec<f64> {
+        let n: u64 = loads.iter().sum();
+        let f = |c: isize| -> f64 {
+            let at_or_below: u64 = loads.iter().take((c + 1).max(0) as usize).sum();
+            at_or_below as f64 / n as f64
+        };
+        let g = |c: isize| 1.0 - f(c - 1);
+        (0..loads.len() as isize)
+            .map(|c| match c.cmp(&(b as isize)) {
+                std::cmp::Ordering::Less => f(c).powi(2) - f(c - 1).powi(2),
+                std::cmp::Ordering::Equal => 1.0 - f(c - 1).powi(2) - (1.0 - f(c)).powi(2),
+                std::cmp::Ordering::Greater => g(c).powi(2) - g(c + 1).powi(2),
+            })
+            .collect()
+    }
+
+    /// Every way to put `k` balls into `probs.len()` bins, with its
+    /// multinomial probability.
+    fn multinomial_outcomes(k: u64, probs: &[f64]) -> Vec<(Vec<u64>, f64)> {
+        let Some((&p, rest)) = probs.split_first() else {
+            return vec![(Vec::new(), if k == 0 { 1.0 } else { 0.0 })];
+        };
+        let mut out = Vec::new();
+        let mut choose = 1.0;
+        for x in 0..=k {
+            for (mut tail, q) in multinomial_outcomes(k - x, rest) {
+                tail.insert(0, x);
+                out.push((tail, choose * p.powi(x as i32) * q));
             }
+            choose *= (k - x) as f64 / (x + 1) as f64;
+        }
+        out
+    }
+
+    /// The exact law of the next loads: each bin's balls land
+    /// independently by [`destination_law`].
+    fn exact_next_law(loads: &[u64]) -> BTreeMap<Vec<u64>, f64> {
+        let mut law = BTreeMap::from([(vec![0; loads.len()], 1.0)]);
+        for (b, &k) in loads.iter().enumerate() {
+            let outcomes = multinomial_outcomes(k, &destination_law(loads, b));
+            let mut next = BTreeMap::new();
+            for (state, p) in &law {
+                for (moved, q) in &outcomes {
+                    let sum: Vec<u64> = state.iter().zip(moved).map(|(a, b)| a + b).collect();
+                    *next.entry(sum).or_insert(0.0) += p * q;
+                }
+            }
+            law = next;
+        }
+        law
+    }
+
+    #[test]
+    fn one_step_law_matches_exact_enumeration() {
+        // Gapped values: the step reads bin order, never the values. The
+        // empirical total variation of N rounds has mean at most
+        // ½ Σ √(p(1 − p)/N) and moves by at most 1/N per round, so it
+        // exceeds that plus √(ln(1/α)/2N) with probability below α = 10⁻⁹.
+        const N: usize = 100_000;
+        let cases: [&[(Value, u64)]; 3] = [
+            &[(0, 3), (7, 5)],
+            &[(1, 2), (4, 3), (10, 4)],
+            &[(0, 2), (3, 1), (8, 3), (20, 2)],
+        ];
+        for (i, pairs) in cases.into_iter().enumerate() {
+            let start = Histogram::new(pairs);
+            let loads: Vec<u64> = pairs.iter().map(|&(_, c)| c).collect();
+            let exact = exact_next_law(&loads);
+            let mut seen: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+            let mut rng = Xoshiro256pp::seed(0x5EED + i as u64);
+            let mut ws = StepScratch::default();
+            for _ in 0..N {
+                let mut h = start.clone();
+                step_in_place(&mut h, &mut rng, &mut ws);
+                let next: Vec<u64> = pairs.iter().map(|&(v, _)| h.load(v)).collect();
+                *seen.entry(next).or_insert(0) += 1;
+            }
+            let mut tv = 0.0;
+            for (state, &p) in &exact {
+                let p_hat = seen.get(state).map_or(0, |&c| c) as f64 / N as f64;
+                tv += (p_hat - p).abs() / 2.0;
+            }
+            for state in seen.keys() {
+                assert!(
+                    exact.contains_key(state),
+                    "m = {}: unreachable {state:?}",
+                    loads.len()
+                );
+            }
+            let mean_bound: f64 = exact
+                .values()
+                .map(|&p| (p * (1.0 - p) / N as f64).sqrt())
+                .sum::<f64>()
+                / 2.0;
+            let bound = mean_bound + ((1e9f64).ln() / (2.0 * N as f64)).sqrt();
+            assert!(tv <= bound, "m = {}: TV {tv:.4} > {bound:.4}", loads.len());
         }
     }
 
     #[test]
-    fn law_renormalized_under_cancellation() {
-        // A long tail of relatively tiny bins drives F(c) → 1 with heavy
-        // cancellation in F(c)² − F(c−1)²; post-clamp renormalization must
-        // keep every law summing to 1 within 1e-12.
-        let mut pairs: Vec<(Value, u64)> = vec![(0, u64::MAX >> 13)];
+    fn skewed_tail_steps_without_cancellation() {
+        // One bin of 2^51 balls under 399 tiny ones: F(c) is within 2⁻⁴⁰
+        // of 1 over the whole tail, where F(c)² − F(c−1)² cancels. The
+        // sweep's ratios come from integer counts, so no binomial sees a
+        // probability outside [0, 1] (it would panic), the population is
+        // conserved and the bins stay sorted.
+        let mut pairs: Vec<(Value, u64)> = vec![(0, 1 << 51)];
         pairs.extend((1..400u32).map(|v| (v, 1 + (v as u64 % 3))));
-        let h = Histogram::new(&pairs);
-        let cdf = h.cdf();
-        let m = cdf.len();
-        let mut law = vec![0.0; m];
-        for b in [0usize, 1, m / 2, m - 2, m - 1] {
-            destination_law_into(&cdf, b, &mut law);
-            let total: f64 = law.iter().sum();
-            assert!(
-                (total - 1.0).abs() < 1e-12,
-                "bin {b}: total deviates by {}",
-                (total - 1.0).abs()
-            );
-        }
-    }
-
-    #[test]
-    fn law_matches_hand_computation_two_bins() {
-        // Bins (0: 1/4 of mass) and (1: 3/4). For a ball in bin 0:
-        //   stay: 1 − 0 − (3/4)² = 7/16;  move right: (3/4)² = 9/16.
-        let h = Histogram::new(&[(0, 1), (1, 3)]);
-        let law0 = destination_law(&h.cdf(), 0);
-        assert!((law0[0] - 7.0 / 16.0).abs() < 1e-12);
-        assert!((law0[1] - 9.0 / 16.0).abs() < 1e-12);
-        // Ball in bin 1: move left needs both ≤ bin0: (1/4)².
-        let law1 = destination_law(&h.cdf(), 1);
-        assert!((law1[0] - 1.0 / 16.0).abs() < 1e-12);
-        assert!((law1[1] - 15.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn law_matches_two_bin_closed_form() {
-        // §3 of the paper: a ball in the smaller bin (load fraction q) stays
-        // with probability 1 − (1 − q)², a ball in the larger bin moves to
-        // the smaller with probability q².
-        for &(l, r) in &[(30u64, 70u64), (50, 50), (1, 99)] {
-            let h = Histogram::new(&[(0, l), (1, r)]);
-            let q = l as f64 / (l + r) as f64;
-            let law0 = destination_law(&h.cdf(), 0);
-            assert!((law0[1] - (1.0 - q) * (1.0 - q)).abs() < 1e-12);
-            let law1 = destination_law(&h.cdf(), 1);
-            assert!((law1[0] - q * q).abs() < 1e-12);
+        let mut h = Histogram::new(&pairs);
+        let n = h.n();
+        let mut rng = Xoshiro256pp::seed(6);
+        let mut ws = StepScratch::default();
+        for _ in 0..64 {
+            step_in_place(&mut h, &mut rng, &mut ws);
+            assert_eq!(h.bins().iter().map(|&(_, c)| c).sum::<u64>(), n);
+            assert!(h.bins().windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(h.bins().iter().all(|&(_, c)| c > 0));
         }
     }
 
@@ -193,10 +212,11 @@ mod tests {
     fn step_preserves_population_and_support() {
         let mut rng = Xoshiro256pp::seed(1);
         let mut h = Histogram::new(&[(3, 1000), (7, 2000), (11, 500), (20, 1500)]);
+        let mut ws = StepScratch::default();
         let n = h.n();
         let values: Vec<Value> = h.bins().iter().map(|&(v, _)| v).collect();
         for _ in 0..20 {
-            h = step(&h, &mut rng);
+            step_in_place(&mut h, &mut rng, &mut ws);
             assert_eq!(h.n(), n, "population must be conserved");
             for &(v, _) in h.bins() {
                 assert!(values.contains(&v), "value {v} invented");
@@ -205,17 +225,18 @@ mod tests {
     }
 
     #[test]
-    fn step_in_place_is_bit_identical_to_step() {
-        // Same RNG stream, same draws, loads updated in place through a
-        // dirty scratch — including the no-RNG consensus no-op.
+    fn dirty_scratch_is_bit_identical_to_fresh() {
+        // Same RNG stream, same draws, whatever the scratch last held —
+        // including the no-RNG consensus no-op.
         let mut a_rng = Xoshiro256pp::seed(9);
         let mut b_rng = Xoshiro256pp::seed(9);
-        let mut h = Histogram::new(&[(2, 700), (5, 100), (8, 1), (9, 199)]);
+        let mut a = Histogram::new(&[(2, 700), (5, 100), (8, 1), (9, 199)]);
+        let mut b = a.clone();
         let mut ws = StepScratch::default();
         for _ in 0..64 {
-            let fresh = step(&h, &mut a_rng);
-            step_in_place(&mut h, &mut b_rng, &mut ws);
-            assert_eq!(h, fresh);
+            step_in_place(&mut a, &mut a_rng, &mut StepScratch::default());
+            step_in_place(&mut b, &mut b_rng, &mut ws);
+            assert_eq!(a, b);
             assert_eq!(a_rng.next_u64(), b_rng.next_u64(), "streams diverged");
         }
     }
@@ -223,18 +244,21 @@ mod tests {
     #[test]
     fn consensus_is_absorbing() {
         let mut rng = Xoshiro256pp::seed(2);
-        let h = Histogram::new(&[(9, 12345)]);
-        let next = step(&h, &mut rng);
-        assert_eq!(next, h);
+        let mut h = Histogram::new(&[(9, 12345)]);
+        let before = h.clone();
+        step_in_place(&mut h, &mut rng, &mut StepScratch::default());
+        assert_eq!(h, before);
+        assert_eq!(rng.next_u64(), Xoshiro256pp::seed(2).next_u64());
     }
 
     #[test]
     fn two_bins_converge() {
         let mut rng = Xoshiro256pp::seed(3);
         let mut h = Histogram::new(&[(0, 2048), (1, 2048)]);
+        let mut ws = StepScratch::default();
         let mut rounds = 0u64;
         while h.support_size() > 1 && rounds < 500 {
-            h = step(&h, &mut rng);
+            step_in_place(&mut h, &mut rng, &mut ws);
             rounds += 1;
         }
         assert_eq!(h.support_size(), 1, "no consensus after {rounds} rounds");
@@ -247,9 +271,10 @@ mod tests {
         let mut rng = Xoshiro256pp::seed(4);
         let big = 1u64 << 40;
         let mut h = Histogram::new(&[(1, big), (2, big), (3, big)]);
+        let mut ws = StepScratch::default();
         let mut rounds = 0u64;
         while h.support_size() > 1 && rounds < 2000 {
-            h = step(&h, &mut rng);
+            step_in_place(&mut h, &mut rng, &mut ws);
             rounds += 1;
         }
         assert_eq!(h.support_size(), 1);
@@ -262,12 +287,13 @@ mod tests {
         // the middle bin; check the empirical mean over repeats.
         let mut rng = Xoshiro256pp::seed(5);
         let start = Histogram::new(&[(0, 300), (1, 400), (2, 300)]);
+        let mut ws = StepScratch::default();
         let mut mid_sum = 0u64;
         let reps = 300;
         for _ in 0..reps {
-            let next = step(&start, &mut rng);
-            mid_sum += next.disagreement_with(0) + next.disagreement_with(2) - next.n();
-            // disagreement_with(0)+disagreement_with(2) = (n-c0)+(n-c2) = n + c1.
+            let mut next = start.clone();
+            step_in_place(&mut next, &mut rng, &mut ws);
+            mid_sum += next.load(1);
         }
         let mean_mid = mid_sum as f64 / reps as f64;
         assert!(

@@ -3,8 +3,8 @@
 //! | engine | cost/round | population limit | communication model |
 //! |--------|-----------|------------------|---------------------|
 //! | [`dense`] | `O(n)` (seq or parallel) | memory (`4n` bytes) | idealized sampling |
-//! | [`hist`]  | `O(m²)` | `2^52` balls | idealized sampling |
-//! | [`adaptive`] | `O(n)` early, `O(m²)` after handoff | memory (`4n` bytes) | idealized sampling |
+//! | [`hist`]  | `O(m)` binomial draws | `2^52` balls | idealized sampling |
+//! | [`adaptive`] | `O(n)` early, `O(m)` after handoff | memory (`4n` bytes) | idealized sampling |
 //! | [`message`] | `O(n + messages)` | memory | full request/response with logarithmic inbox caps and drop policies |
 //!
 //! Dense parallel and dense sequential are **bit-identical** for any thread
@@ -23,14 +23,14 @@
 //! [`dense::LoadSampler`] whose alias table rebuilds in place each round.
 //!
 //! The **adaptive** engine runs dense while many values are live, then hands
-//! off to the exact `O(m²)` multinomial histogram process once the support
+//! off to the exact `O(m)`-per-round histogram process once the support
 //! has shrunk to the configured threshold (default
 //! [`adaptive::DEFAULT_HANDOFF_SUPPORT`] = 64 bins); a start already that
 //! narrow is built on the histogram from its loads and never materializes
 //! its `n` balls, so `n` may reach 2⁴⁰ and beyond. The handoff is
 //! statistically exact for the median rule — the destination law depends
 //! only on the loads — and turns the long near-consensus tail of a trial
-//! from `O(n)`/round into `O(m²)`/round (a `TwoBins` trial at `n = 10⁶`
+//! from `O(n)`/round into `O(m)`/round (a `TwoBins` trial at `n = 10⁶`
 //! completes ≥5× faster end-to-end). A load-only adversary (balancer,
 //! median pusher) keeps acting on the histogram. The trial stays dense for
 //! all rounds (exact, just not faster) when something needs a per-ball
@@ -59,7 +59,7 @@ pub enum EngineSpec {
         threads: usize,
     },
     /// Dense (parallel) until the live support shrinks to
-    /// `handoff_support`, then the exact `O(m²)` histogram engine.
+    /// `handoff_support`, then the exact `O(m)`-per-round histogram engine.
     ///
     /// Only the median rule hands off (its destination law is load-only);
     /// other protocols, adversaries that name processes, and

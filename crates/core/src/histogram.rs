@@ -2,9 +2,9 @@
 //!
 //! The histogram view makes two things possible:
 //!
-//! * the **histogram engine**, whose per-round cost is `O(m²)` independent
-//!   of `n` — the median rule's destination law depends only on the load
-//!   CDF, so all balls of a bin move via one multinomial draw;
+//! * the **histogram engine**, whose per-round cost is `O(m)` binomial
+//!   draws independent of `n` — where a median-rule ball lands depends only
+//!   on the loads, so the movers of each direction travel as one pool;
 //! * cheap observables for huge synthetic populations (up to 2^52 balls).
 
 use crate::config::Config;
@@ -137,24 +137,6 @@ impl Histogram {
         unreachable!("loads must cover all balls")
     }
 
-    /// Load prefix-CDF evaluated at each bin: `cdf[i] = Σ_{j ≤ i} load_j / n`.
-    pub fn cdf(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.cdf_into(&mut out);
-        out
-    }
-
-    /// [`Histogram::cdf`] into a reused buffer (the histogram engine's
-    /// per-round path).
-    pub fn cdf_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        let mut acc = 0u64;
-        out.extend(self.bins.iter().map(|&(_, c)| {
-            acc += c;
-            acc as f64 / self.n as f64
-        }));
-    }
-
     /// Replace every bin's load in place (bin order unchanged), dropping
     /// bins that went to zero — the allocation-free core of one histogram
     /// engine round.
@@ -249,18 +231,6 @@ mod tests {
         assert_eq!(h.consensus_value(), Some(4));
         assert_eq!(h.median_value(), 4);
         assert_eq!(h.disagreement_with(4), 0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_to_one() {
-        let h = Histogram::new(&[(1, 1), (2, 2), (3, 3), (4, 4)]);
-        let cdf = h.cdf();
-        assert_eq!(cdf.len(), 4);
-        assert!((cdf[3] - 1.0).abs() < 1e-12);
-        for w in cdf.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        assert!((cdf[0] - 0.1).abs() < 1e-12);
     }
 
     #[test]

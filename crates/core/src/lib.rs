@@ -15,7 +15,7 @@
 //!   median-pusher, random corruption);
 //! * [`engine`] — three interchangeable simulation engines: dense
 //!   (`O(n)`/round, sequential or deterministic-parallel), histogram
-//!   (`O(m²)`/round, independent of `n`), and message-level (full
+//!   (`O(m)` binomials/round, independent of `n`), and message-level (full
 //!   request/response rounds on `stabcon-net` with logarithmic inbox caps);
 //! * [`runner`] — the [`runner::SimSpec`] builder tying everything together,
 //!   with consensus / almost-stable-consensus detection ([`stopping`]);

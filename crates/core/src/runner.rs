@@ -396,7 +396,7 @@ impl SimSpec {
                 adversary.corrupt(round, &mut corruptor, &mut adv_rng);
             }
             if let Some(h) = hist_state.as_mut() {
-                // Aggregated phase: one O(m²) multinomial round.
+                // Aggregated phase: one pooled binomial sweep.
                 let _t = obs::phase(obs::Phase::Hist);
                 hist::step_in_place(h, &mut hist_rng, &mut ws.hist_scratch);
             } else {

@@ -59,7 +59,7 @@ pub struct TrialWorkspace {
     pub(crate) handoff: Option<Histogram>,
     /// Initial `(value, load)` pairs of a trial that starts aggregated.
     pub(crate) initial_loads: Vec<(Value, u64)>,
-    /// Histogram-engine per-round buffers (CDF, law, draws, new loads).
+    /// Histogram-engine per-round buffers (new loads, down-movers).
     pub(crate) hist_scratch: hist::StepScratch,
     /// Cached message engine, keyed by the `(n, config)` it was built for.
     pub(crate) message: Option<MessageEngine>,

@@ -52,9 +52,9 @@ proptest! {
     fn hist_step_keeps_values_sorted_unique(loads in prop::collection::vec(1u64..500, 1..10),
                                             seed in any::<u64>()) {
         let pairs: Vec<(u32, u64)> = loads.iter().enumerate().map(|(v, &c)| (v as u32 * 3, c)).collect();
-        let h = Histogram::new(&pairs);
+        let mut next = Histogram::new(&pairs);
         let mut rng = Xoshiro256pp::seed(seed);
-        let next = hist::step(&h, &mut rng);
+        hist::step_in_place(&mut next, &mut rng, &mut hist::StepScratch::default());
         let bins = next.bins();
         for w in bins.windows(2) {
             prop_assert!(w[0].0 < w[1].0, "values must stay sorted/unique");

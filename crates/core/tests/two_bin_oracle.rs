@@ -1,33 +1,52 @@
-//! The exact two-bin oracle: every engine against the chain itself, not
-//! against another engine.
+//! The exact chain oracles: every engine against the median-rule chain
+//! itself, not against another engine.
 //!
-//! On two bins the median rule's state is `k`, the load of value 0. With
-//! `p = k/n` a ball at 0 stays unless both samples are 1, and a ball at 1
-//! moves only if both are 0, so `k′ ~ Bin(k, 1 − (1 − p)²) + Bin(n − k, p²)`.
-//! The balancer is a function of `k`, applied before each step. Iterating
-//! the (n + 1)-state chain gives the exact law of the consensus round and
-//! of `k` after `r` rounds. Each engine's empirical CDF over fixed seeds
-//! must sit within the DKW band `sup|F̂ − F| ≤ √(ln(2/α) / 2N)`, with
-//! `α = 10⁻⁶` split Bonferroni-style over the cases.
+//! * **Two bins.** The state is `k`, the load of value 0. With `p = k/n` a
+//!   ball at 0 stays unless both samples are 1, and a ball at 1 moves only
+//!   if both are 0, so `k′ ~ Bin(k, 1 − (1 − p)²) + Bin(n − k, p²)`. The
+//!   balancer is a function of `k`, applied before each step. A round where
+//!   each ball takes part with probability `q` (the partial kernel) has
+//!   `k′ ~ Bin(k, 1 − q(1 − p)²) + Bin(n − k, q·p²)`.
+//! * **Three values.** The state is the load vector. A ball in bin `b`
+//!   lands at `c < b` with probability `F(c)² − F(c−1)²`, at `c > b` with
+//!   `G(c)² − G(c+1)²` (`G(c) = 1 − F(c−1)`), and stays otherwise; each
+//!   bin's balls spread by that multinomial.
+//!
+//! Iterating a chain gives the exact law of the consensus round and of `k`
+//! after `r` rounds. Each engine's empirical CDF over fixed seeds must sit
+//! within the DKW band `sup|F̂ − F| ≤ √(ln(2/α) / 2N)`, with `α = 10⁻⁶`
+//! split Bonferroni-style over every case of this file ([`CASES`]).
 
 use stabcon_core::adversary::AdversarySpec;
-use stabcon_core::engine::EngineSpec;
+use stabcon_core::engine::dense::{self, LoadSampler};
+use stabcon_core::engine::{hist, EngineSpec};
+use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
+use stabcon_core::protocol::MedianRule;
 use stabcon_core::runner::SimSpec;
+use stabcon_core::value::Value;
 use stabcon_core::workspace::TrialWorkspace;
+use stabcon_util::rng::Xoshiro256pp;
 
 const N: usize = 64;
 const TRIALS: u64 = 4000;
 /// Balancer budgets, and the rounds after which the law of `k` is judged.
 const BUDGETS: [u64; 2] = [2, 4];
 const ROUNDS: [usize; 2] = [3, 8];
-/// Per engine: the consensus round, and `k` per budget and round count.
-const CASES: usize = 3 * (1 + BUDGETS.len() * ROUNDS.len());
+/// The three-value population: three equal bins of 10.
+const N3: usize = 30;
+/// Rounds of each exact consensus-round law.
+const HORIZON: usize = 200;
+/// Every judged case: three engines × (the consensus round, and `k` per
+/// budget and round count) on two bins; the partial and the load-sampled
+/// kernel on two bins; four engines on three values.
+const CASES: usize = 3 * (1 + BUDGETS.len() * ROUNDS.len()) + 2 + 4;
 
-/// One round of the exact chain: the balancer (unless `budget` is 0) moves
-/// up to `budget` balls from the larger bin toward an even split, reviving
-/// a dead bin the same way; then the median-rule step.
-fn advance(law: &[f64], budget: u64) -> Vec<f64> {
+/// One round of the exact two-bin chain: the balancer (unless `budget` is
+/// 0) moves up to `budget` balls from the larger bin toward an even split,
+/// reviving a dead bin the same way; then the median-rule step, each ball
+/// taking part with probability `q`.
+fn advance(law: &[f64], budget: u64, q: f64) -> Vec<f64> {
     let binomial = |m: usize, q: f64| -> Vec<f64> {
         let mut choose = 1.0;
         (0..=m)
@@ -43,8 +62,8 @@ fn advance(law: &[f64], budget: u64) -> Vec<f64> {
         let flips = (k.abs_diff(N - k) / 2).min(budget as usize);
         let k = if k > N - k { k - flips } else { k + flips };
         let p = k as f64 / N as f64;
-        let stay = binomial(k, 1.0 - (1.0 - p) * (1.0 - p));
-        let join = binomial(N - k, p * p);
+        let stay = binomial(k, 1.0 - q * (1.0 - p) * (1.0 - p));
+        let join = binomial(N - k, q * p * p);
         for (a, &pa) in stay.iter().enumerate() {
             for (b, &pb) in join.iter().enumerate() {
                 next[a + b] += pk * pa * pb;
@@ -52,6 +71,34 @@ fn advance(law: &[f64], budget: u64) -> Vec<f64> {
         }
     }
     next
+}
+
+/// `P(consensus round = r)` for `r < HORIZON`: the mass newly absorbed by
+/// round `r`, iterating `step` from `law`.
+fn consensus_pmf(
+    mut law: Vec<f64>,
+    step: impl Fn(&[f64]) -> Vec<f64>,
+    absorbed: impl Fn(&[f64]) -> f64,
+) -> Vec<f64> {
+    let mut before = 0.0;
+    (0..HORIZON)
+        .map(|_| {
+            let now = absorbed(&law);
+            law = step(&law);
+            now - std::mem::replace(&mut before, now)
+        })
+        .collect()
+}
+
+/// The two-bin law of the tied start, `k = n/2`.
+fn tied() -> Vec<f64> {
+    (0..=N)
+        .map(|k| if k == N / 2 { 1.0 } else { 0.0 })
+        .collect()
+}
+
+fn two_bin_consensus_pmf(q: f64) -> Vec<f64> {
+    consensus_pmf(tied(), |law| advance(law, 0, q), |law| law[0] + law[N])
 }
 
 /// `sup_x |F̂(x) − F(x)|` of `samples` against the exact point masses
@@ -71,22 +118,42 @@ fn sup_gap(samples: &[usize], pmf: &[f64]) -> f64 {
     gap
 }
 
+/// Collects every case whose gap leaves the DKW band of its share of α.
+#[derive(Default)]
+struct Judge(Vec<String>);
+
+impl Judge {
+    fn case(&mut self, case: String, samples: &[usize], pmf: &[f64]) {
+        let eps = ((2.0 * CASES as f64 / 1e-6).ln() / (2.0 * samples.len() as f64)).sqrt();
+        let gap = sup_gap(samples, pmf);
+        if gap > eps {
+            self.0
+                .push(format!("{case}: sup|F̂ − F| = {gap:.4} > ε = {eps:.4}"));
+        }
+    }
+
+    fn finish(self) {
+        assert!(self.0.is_empty(), "{}", self.0.join("\n"));
+    }
+}
+
+/// Trial seeds of one case: `tag` keeps cases apart.
+fn seeds(tag: u64) -> impl Iterator<Item = u64> {
+    (0..TRIALS).map(move |i| tag << 16 | i)
+}
+
+fn consensus_rounds(spec: &SimSpec, tag: u64, ws: &mut TrialWorkspace) -> Vec<usize> {
+    seeds(tag)
+        .map(|seed| {
+            let r = spec.run_seeded_into(seed, ws).consensus_round;
+            r.map_or(usize::MAX, |c| c as usize)
+        })
+        .collect()
+}
+
 #[test]
 fn every_engine_follows_the_exact_two_bin_chain() {
-    let eps = ((2.0 * CASES as f64 / 1e-6).ln() / (2.0 * TRIALS as f64)).sqrt();
-    let tied: Vec<f64> = (0..=N)
-        .map(|k| if k == N / 2 { 1.0 } else { 0.0 })
-        .collect();
-    // P(consensus round = r): the mass newly absorbed at 0 or n by round r.
-    let mut law = tied.clone();
-    let mut absorbed = 0.0;
-    let consensus_pmf: Vec<f64> = (0..200)
-        .map(|_| {
-            let now = law[0] + law[N];
-            law = advance(&law, 0);
-            now - std::mem::replace(&mut absorbed, now)
-        })
-        .collect();
+    let consensus = two_bin_consensus_pmf(1.0);
     let engines = [
         ("DenseSeq", EngineSpec::DenseSeq),
         ("DensePar(2)", EngineSpec::DensePar { threads: 2 }),
@@ -100,28 +167,17 @@ fn every_engine_follows_the_exact_two_bin_chain() {
         ),
     ];
     let mut ws = TrialWorkspace::new();
-    let mut failures = Vec::new();
-    let mut judge = |case: String, samples: &[usize], pmf: &[f64]| {
-        let gap = sup_gap(samples, pmf);
-        if gap > eps {
-            failures.push(format!("{case}: sup|F̂ − F| = {gap:.4} > ε = {eps:.4}"));
-        }
-    };
+    let mut judge = Judge::default();
     for (e, (name, engine)) in engines.into_iter().enumerate() {
         let spec = SimSpec::new(N)
             .init(InitialCondition::TwoBins { left: N / 2 })
             .engine(engine);
-        let seeds = |base: u64| (0..TRIALS).map(move |i| (e as u64) << 32 | base << 16 | i);
-        let rounds: Vec<usize> = seeds(0)
-            .map(|seed| {
-                let r = spec.run_seeded_into(seed, &mut ws).consensus_round;
-                r.map_or(usize::MAX, |c| c as usize)
-            })
-            .collect();
-        judge(
+        let tag = |base: u64| (e as u64) << 16 | base;
+        let rounds = consensus_rounds(&spec, tag(0), &mut ws);
+        judge.case(
             format!("{name} / no adversary / consensus round"),
             &rounds,
-            &consensus_pmf,
+            &consensus,
         );
         for budget in BUDGETS {
             let balanced = spec
@@ -131,7 +187,7 @@ fn every_engine_follows_the_exact_two_bin_chain() {
                 .full_horizon(true)
                 .record_trajectory(true);
             // k after each round count of ROUNDS, per trial.
-            let ks: Vec<[usize; 2]> = seeds(budget)
+            let ks: Vec<[usize; 2]> = seeds(tag(budget))
                 .map(|seed| {
                     let traj = balanced.run_seeded_into(seed, &mut ws).trajectory;
                     let traj = traj.expect("recorded");
@@ -142,9 +198,9 @@ fn every_engine_follows_the_exact_two_bin_chain() {
                 })
                 .collect();
             for (j, r) in ROUNDS.into_iter().enumerate() {
-                let exact = (0..r).fold(tied.clone(), |law, _| advance(&law, budget));
+                let exact = (0..r).fold(tied(), |law, _| advance(&law, budget, 1.0));
                 let samples: Vec<usize> = ks.iter().map(|k| k[j]).collect();
-                judge(
+                judge.case(
                     format!("{name} / balancer T = {budget} / k after r = {r}"),
                     &samples,
                     &exact,
@@ -152,5 +208,189 @@ fn every_engine_follows_the_exact_two_bin_chain() {
             }
         }
     }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    judge.finish();
+}
+
+/// The load-sampled kernel driven directly from the tied start, its
+/// sampler rebuilt from the loads each round: the consensus round.
+fn sampled_consensus_round(seed: u64, sampler: &mut LoadSampler) -> usize {
+    let mut old: Vec<Value> = (0..N).map(|i| Value::from(i >= N / 2)).collect();
+    let mut new = vec![0; N];
+    for round in 0..HORIZON {
+        let zeros = old.iter().filter(|&&v| v == 0).count() as u64;
+        if zeros == 0 || zeros == N as u64 {
+            return round;
+        }
+        sampler.rebuild([(0, zeros), (1, N as u64 - zeros)], N as u64);
+        dense::step_seq_sampled(&old, &mut new, &MedianRule, seed, round as u64, sampler);
+        std::mem::swap(&mut old, &mut new);
+    }
+    usize::MAX
+}
+
+#[test]
+fn partial_and_sampled_kernels_follow_the_two_bin_chain() {
+    // Both kernels run only at large n or under `update_fraction < 1` in a
+    // campaign; here they run at n = 64.
+    let mut judge = Judge::default();
+    let partial = SimSpec::new(N)
+        .init(InitialCondition::TwoBins { left: N / 2 })
+        .update_fraction(0.5);
+    let rounds = consensus_rounds(&partial, 1 << 8, &mut TrialWorkspace::new());
+    judge.case(
+        "DenseSeq / update_fraction 0.5 / consensus round".into(),
+        &rounds,
+        &two_bin_consensus_pmf(0.5),
+    );
+    let mut sampler = LoadSampler::new();
+    let rounds: Vec<usize> = seeds(2 << 8)
+        .map(|seed| sampled_consensus_round(seed, &mut sampler))
+        .collect();
+    judge.case(
+        "step_seq_sampled / consensus round".into(),
+        &rounds,
+        &two_bin_consensus_pmf(1.0),
+    );
+    judge.finish();
+}
+
+/// Index of the three-value state `(a, b, n − a − b)`.
+fn state_index(a: usize, b: usize) -> usize {
+    // States with a smaller first load come first: Σ_{a' < a} (n − a' + 1).
+    a * (N3 + 1) - a * a.saturating_sub(1) / 2 + b
+}
+
+/// Where one ball of bin `b` lands under loads `k`, from the per-ball law.
+fn destination_law(k: [usize; 3], b: usize) -> [f64; 3] {
+    let f0 = k[0] as f64 / N3 as f64;
+    let f1 = (k[0] + k[1]) as f64 / N3 as f64;
+    let (g1, g2) = (1.0 - f0, 1.0 - f1);
+    match b {
+        0 => [1.0 - g1 * g1, g1 * g1 - g2 * g2, g2 * g2],
+        1 => [f0 * f0, 1.0 - f0 * f0 - g2 * g2, g2 * g2],
+        _ => [f0 * f0, f1 * f1 - f0 * f0, 1.0 - f1 * f1],
+    }
+}
+
+/// The exact next-state law from loads `k`, as `(a, b)` masses: each bin's
+/// balls spread by the multinomial of [`destination_law`].
+fn three_value_row(k: [usize; 3]) -> Vec<(usize, usize, f64)> {
+    let mut fact = [1.0f64; N3 + 1];
+    for i in 1..=N3 {
+        fact[i] = fact[i - 1] * i as f64;
+    }
+    let mut joint = vec![vec![0.0; N3 + 1]; N3 + 1];
+    joint[0][0] = 1.0;
+    let mut placed = 0;
+    for (b, &kb) in k.iter().enumerate() {
+        let law = destination_law(k, b);
+        // Bin b's balls: x land at 0, y at 1, the rest at 2.
+        let spread: Vec<(usize, usize, f64)> = (0..=kb)
+            .flat_map(|x| (0..=kb - x).map(move |y| (x, y)))
+            .map(|(x, y)| {
+                let z = kb - x - y;
+                let ways = fact[kb] / (fact[x] * fact[y] * fact[z]);
+                let p = law[0].powi(x as i32) * law[1].powi(y as i32) * law[2].powi(z as i32);
+                (x, y, ways * p)
+            })
+            .collect();
+        let mut next = vec![vec![0.0; N3 + 1]; N3 + 1];
+        for (a, row) in joint.iter().enumerate().take(placed + 1) {
+            for (c, &p) in row.iter().enumerate().take(placed + 1 - a) {
+                for &(x, y, q) in &spread {
+                    next[a + x][c + y] += p * q;
+                }
+            }
+        }
+        joint = next;
+        placed += kb;
+    }
+    let mut row = Vec::new();
+    for (a, masses) in joint.iter().enumerate() {
+        for (b, &p) in masses.iter().enumerate() {
+            if p > 0.0 {
+                row.push((a, b, p));
+            }
+        }
+    }
+    row
+}
+
+#[test]
+fn every_engine_follows_the_exact_three_value_chain() {
+    let states: Vec<[usize; 3]> = (0..=N3)
+        .flat_map(|a| (0..=N3 - a).map(move |b| [a, b, N3 - a - b]))
+        .collect();
+    assert!(states
+        .iter()
+        .enumerate()
+        .all(|(i, s)| state_index(s[0], s[1]) == i));
+    let rows: Vec<_> = states.iter().map(|&s| three_value_row(s)).collect();
+    let third = N3 / 3;
+    let mut start = vec![0.0; states.len()];
+    start[state_index(third, third)] = 1.0;
+    let consensus = consensus_pmf(
+        start,
+        |law| {
+            let mut next = vec![0.0; law.len()];
+            for (row, &p) in rows.iter().zip(law) {
+                if p > 0.0 {
+                    for &(a, b, q) in row {
+                        next[state_index(a, b)] += p * q;
+                    }
+                }
+            }
+            next
+        },
+        |law| law[state_index(N3, 0)] + law[state_index(0, N3)] + law[state_index(0, 0)],
+    );
+
+    let mut judge = Judge::default();
+    let mut ws = hist::StepScratch::default();
+    let rounds: Vec<usize> = seeds(3 << 8)
+        .map(|seed| {
+            let mut h = Histogram::new(&[(0, third as u64), (1, third as u64), (2, third as u64)]);
+            let mut rng = Xoshiro256pp::seed(seed);
+            let mut round = 0;
+            while h.support_size() > 1 && round < HORIZON {
+                hist::step_in_place(&mut h, &mut rng, &mut ws);
+                round += 1;
+            }
+            if h.support_size() == 1 {
+                round
+            } else {
+                usize::MAX
+            }
+        })
+        .collect();
+    judge.case(
+        "hist::step_in_place / three values / consensus round".into(),
+        &rounds,
+        &consensus,
+    );
+    let engines = [
+        ("DenseSeq", EngineSpec::DenseSeq),
+        ("DensePar(2)", EngineSpec::DensePar { threads: 2 }),
+        // Three values are under the handoff: aggregated from round 0.
+        (
+            "Adaptive",
+            EngineSpec::Adaptive {
+                threads: 1,
+                handoff_support: 64,
+            },
+        ),
+    ];
+    let mut ws = TrialWorkspace::new();
+    for (e, (name, engine)) in engines.into_iter().enumerate() {
+        let spec = SimSpec::new(N3)
+            .init(InitialCondition::MBinsEqual { m: 3 })
+            .engine(engine);
+        let rounds = consensus_rounds(&spec, 4 << 8 | e as u64, &mut ws);
+        judge.case(
+            format!("{name} / three values / consensus round"),
+            &rounds,
+            &consensus,
+        );
+    }
+    judge.finish();
 }

@@ -51,7 +51,11 @@ use crate::observer::ChannelKind;
 /// `/5`: adaptive cells under a load-only adversary (balancer, median
 /// pusher) hand off to the histogram, so their trials for a given seed
 /// changed; `/4` stores are rejected for the same reason.
-pub const SCHEMA: &str = "stabcon-campaign/5";
+///
+/// `/6`: the histogram step pools each direction's movers into one binomial
+/// sweep, so every adaptive cell's trials for a given seed changed; `/5`
+/// stores are rejected for the same reason.
+pub const SCHEMA: &str = "stabcon-campaign/6";
 
 /// The campaign header record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -584,14 +588,15 @@ mod tests {
     #[test]
     fn old_schema_is_rejected_by_name() {
         // A pre-observer `/1` store, a `/3` store of the old dense stream,
-        // or a `/4` store whose adversarial adaptive cells stayed dense,
-        // must fail with the schema in the message, not a confusing
+        // a `/4` store whose adversarial adaptive cells stayed dense, or a
+        // `/5` store of the per-bin multinomial histogram step, must fail with the schema in the message, not a confusing
         // fingerprint mismatch downstream.
         let path = tmp("oldschema.jsonl");
         for old in [
             "stabcon-campaign/1",
             "stabcon-campaign/3",
             "stabcon-campaign/4",
+            "stabcon-campaign/5",
         ] {
             std::fs::write(
                 &path,

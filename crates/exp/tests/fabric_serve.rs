@@ -169,11 +169,16 @@ fn old_fabric_hellos_are_rejected_naming_fabric_4() {
     };
     let daemon = std::thread::spawn(move || server.run(&cfg));
 
-    for old in ["stabcon-fabric/1", "stabcon-fabric/2", "stabcon-fabric/3"] {
+    for old in [
+        "stabcon-fabric/1",
+        "stabcon-fabric/2",
+        "stabcon-fabric/3",
+        "stabcon-fabric/4",
+    ] {
         let (_, reply) = Raw::hello(&addr, old);
         match reply {
             Msg::Reject { reason } => {
-                assert!(reason.contains("stabcon-fabric/4"), "{reason}");
+                assert!(reason.contains(FABRIC_SCHEMA), "{reason}");
                 assert!(reason.contains(old), "{reason}");
             }
             other => panic!("a {old} hello must be rejected, got {other:?}"),

@@ -78,8 +78,8 @@ fn sample_binv<R: RngCore + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     let s = p / q;
     let a = (n + 1) as f64 * s;
     // q^n in log space: `powi` takes an i32 exponent, and this path runs
-    // with n up to 2^52 (tiny conditional p in the histogram engine's
-    // multinomial chain). n·p < 10 bounds the result below by e^-10-ish,
+    // with n up to 2^52 (tiny landing probabilities in the histogram
+    // engine's sweeps). n·p < 10 bounds the result below by e^-10-ish,
     // so the exp never underflows.
     let r0 = (n as f64 * q.ln()).exp();
     loop {

@@ -2,8 +2,6 @@
 //!
 //! * [`Binomial`] — exact binomial sampling: inversion (BINV) for small
 //!   `n·p`, Hörmann's transformed rejection with squeeze (BTRS) for large;
-//! * [`multinomial`] / [`multinomial_into`] — conditional-binomial chain
-//!   with early exit on zero mass (the histogram engine's hot path);
 //! * [`PackedAlias`] — Vose's alias method, packed for O(1) categorical
 //!   draws from one random word;
 //! * [`ln_factorial`] / [`ln_binomial_coeff`] / [`binomial_pmf`] /
@@ -12,11 +10,9 @@
 
 mod alias;
 mod binomial;
-mod multinomial;
 
 pub use alias::{AliasScratch, PackedAlias};
 pub use binomial::{binomial_cdf, binomial_pmf, Binomial};
-pub use multinomial::{multinomial, multinomial_into};
 
 /// `ln(n!)` — exact summation for small `n`, Stirling's series beyond.
 ///

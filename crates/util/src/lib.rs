@@ -12,8 +12,8 @@
 //!   [`rng::CounterRng`] used to make parallel simulation bit-reproducible
 //!   for any thread count.
 //! * [`dist`] — random variates built on raw 64-bit outputs: exact
-//!   binomial (inversion + transformed rejection), multinomial, Vose's
-//!   alias method for categorical draws, and log-space combinatorics.
+//!   binomial (inversion + transformed rejection), Vose's alias method
+//!   for categorical draws, and log-space combinatorics.
 //! * [`stats`] — exact count sketches, quantiles, streaming histograms,
 //!   and least-squares line fits for the scaling laws in the experiment
 //!   harness.

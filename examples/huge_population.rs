@@ -3,9 +3,10 @@
 //!
 //! The dense engine stores 4 bytes per process; at n = 2^40 that is 4 TiB.
 //! The adaptive engine instead starts a narrow initial condition straight
-//! on its histogram: all processes of a bin move with one multinomial draw
-//! from the median rule's closed-form destination law, and the balancer
-//! moves loads between bins — `O(m²)` per round no matter how large n is.
+//! on its histogram: the processes that move in one direction travel as
+//! one pool through the median rule's closed-form landing law, and the
+//! balancer moves loads between bins — `O(m)` binomial draws per round no
+//! matter how large n is.
 //!
 //! ```sh
 //! cargo run --release --example huge_population

@@ -85,25 +85,11 @@ proptest! {
     #[test]
     fn hist_step_preserves_population(loads in prop::collection::vec(1u64..10_000, 1..12), seed in any::<u64>()) {
         let pairs: Vec<(u32, u64)> = loads.iter().enumerate().map(|(v, &c)| (v as u32, c)).collect();
-        let h = Histogram::new(&pairs);
+        let mut h = Histogram::new(&pairs);
+        let n: u64 = loads.iter().sum();
         let mut rng = Xoshiro256pp::seed(seed);
-        let next = hist::step(&h, &mut rng);
-        prop_assert_eq!(next.n(), h.n());
-    }
-
-    #[test]
-    fn hist_destination_law_is_distribution(loads in prop::collection::vec(1u64..1000, 2..10)) {
-        let pairs: Vec<(u32, u64)> = loads.iter().enumerate().map(|(v, &c)| (v as u32, c)).collect();
-        let h = Histogram::new(&pairs);
-        let cdf = h.cdf();
-        for b in 0..pairs.len() {
-            let law = hist::destination_law(&cdf, b);
-            let total: f64 = law.iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-9, "bin {} total {}", b, total);
-            for &p in &law {
-                prop_assert!((0.0..=1.0 + 1e-12).contains(&p));
-            }
-        }
+        hist::step_in_place(&mut h, &mut rng, &mut hist::StepScratch::default());
+        prop_assert_eq!(h.bins().iter().map(|&(_, c)| c).sum::<u64>(), n);
     }
 
     // --- adversary enforcement ----------------------------------------------
@@ -158,18 +144,33 @@ proptest! {
 
 #[test]
 fn dense_and_histogram_one_step_means_agree() {
-    // From a fixed 3-bin config, the expected next loads per the histogram
-    // law must match dense-engine empirical means.
+    // From a fixed 3-bin config, the expected next loads per the median
+    // rule's per-ball law must match dense-engine empirical means. With
+    // load CDF F over bins 0 < 1 < 2, a ball in bin b lands at c < b with
+    // probability F(c)² − F(c−1)², at c > b with G(c)² − G(c+1)² where
+    // G(c) = 1 − F(c−1), and stays otherwise.
     let n = 3000usize;
     let loads = [1000u64, 1200, 800];
-    let h = Histogram::new(&[(0, loads[0]), (1, loads[1]), (2, loads[2])]);
-    let cdf = h.cdf();
+    let f = |c: usize| loads[..c].iter().sum::<u64>() as f64 / n as f64;
+    let (f0, f1) = (f(1), f(2));
+    let law = [
+        [
+            1.0 - (1.0 - f0).powi(2),
+            (1.0 - f0).powi(2) - (1.0 - f1).powi(2),
+            (1.0 - f1).powi(2),
+        ],
+        [
+            f0 * f0,
+            1.0 - f0 * f0 - (1.0 - f1).powi(2),
+            (1.0 - f1).powi(2),
+        ],
+        [f0 * f0, f1 * f1 - f0 * f0, 1.0 - f1 * f1],
+    ];
     // Expected load of bin c next round = Σ_b load_b · law_b[c].
     let mut expected = [0.0f64; 3];
     for (b, &load) in loads.iter().enumerate() {
-        let law = hist::destination_law(&cdf, b);
         for (c, e) in expected.iter_mut().enumerate() {
-            *e += load as f64 * law[c];
+            *e += load as f64 * law[b][c];
         }
     }
     // Dense empirical means.
