@@ -24,10 +24,7 @@ use stabcon_util::table::{fmt_sig, Table};
 fn mean_last_unsettled_round(pool: &ThreadPool, spec: &SimSpec, trials: u64, seed: u64) -> f64 {
     let cell =
         CellSpec::new(spec.clone(), trials, seed).observer(TrialObserver::LastUnsettledRound);
-    run_cell(pool, &cell, chunk_for(cell.trials, pool.threads()))
-        .int_extra(0)
-        .expect("last-unsettled channel")
-        .mean()
+    run_cell(pool, &cell, chunk_for(cell.trials, pool.threads())).extras()[0].mean()
 }
 
 /// E6: median vs minimum rule under the hide-and-revive adversary.

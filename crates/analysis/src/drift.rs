@@ -6,9 +6,9 @@
 //!   further rounds (successive squaring of the minority fraction).
 //!
 //! Both tables execute through the campaign scheduler: E10 as one-round
-//! cells with the [`TrialObserver::DriftGrowth`] observer (growth samples
-//! reduced worker-side from the per-round trajectory), E11 as plain
-//! consensus-hitting-time sweeps.
+//! cells with the [`TrialObserver::OneStepDrift`] observer (the round pair
+//! reduced worker-side to integer gaps `2Δ₀`, `2Δ₁` and a growth
+//! indicator), E11 as plain consensus-hitting-time sweeps.
 
 use stabcon_core::init::InitialCondition;
 use stabcon_core::runner::SimSpec;
@@ -25,13 +25,14 @@ fn one_step_cell(n: usize, minority: usize, trials: u64, seed: u64) -> CellSpec 
         .init(InitialCondition::TwoBins { left: minority })
         .max_rounds(1);
     CellSpec::new(sim, trials, seed)
-        .observer(TrialObserver::DriftGrowth)
+        .observer(TrialObserver::OneStepDrift)
         .label("minority", minority.to_string())
 }
 
 /// E10: one-step drift table. For each starting imbalance `Δ₀` (as a
 /// fraction of the Lemma-15 scale `√n`), measure `E[Δ₁/Δ₀]` and
-/// `Pr[Δ₁ ≥ (4/3)Δ₀]`.
+/// `Pr[Δ₁ ≥ (4/3)Δ₀]`. `Δ₀` is fixed within a cell, so the ratio's mean is
+/// the mean of the `2Δ₁` channel over the `2Δ₀` channel's one value.
 pub fn one_step_drift_table(
     n: usize,
     deltas_sqrt: &[f64],
@@ -60,15 +61,18 @@ pub fn one_step_drift_table(
         let minority = n / 2 - delta0;
         let cell = one_step_cell(n, minority, trials, seed ^ delta0 as u64);
         let agg = run_cell(&pool, &cell, chunk_for(cell.trials, pool.threads()));
-        let ratio = agg.float_extra(0).expect("drift_ratio channel");
-        let growth = agg.float_extra(1).expect("drift_growth channel");
+        let [gap0, gap1, growth] = agg.extras() else {
+            panic!("drift_gap0, drift_gap1 and drift_growth channels");
+        };
+        let twice_delta0 = gap0.min().expect("a 2Δ0 sample");
+        assert_eq!(gap0.max(), Some(twice_delta0), "2Δ0 is fixed within a cell");
         // Lemma 15's qualitative bound: 1 − exp(−Δ²/n) up to constants; we
         // print the Θ-form with constant 1 for orientation.
         let paper_p = 1.0 - (-((delta0 * delta0) as f64) / n as f64).exp();
         table.push_row(vec![
             fmt_f64(ds, 2),
             delta0.to_string(),
-            fmt_f64(ratio.mean(), 3),
+            fmt_f64(gap1.mean() / twice_delta0 as f64, 3),
             fmt_f64(growth.mean(), 3),
             "≥ 1.5".into(),
             format!("≈ {}", fmt_sig(paper_p)),
@@ -153,7 +157,7 @@ mod tests {
     #[test]
     fn campaign_port_is_numerically_unchanged() {
         // E10: the streamed observer fold equals the materialized fold, and
-        // the channel means equal the hand-computed trajectory statistics.
+        // the channels hold the hand-computed trajectory statistics exactly.
         let (n, trials, seed) = (4096usize, 24u64, 5u64);
         let delta0 = (2.0 * (n as f64).sqrt()).round() as usize; // Δ0 = 2√n
         let minority = n / 2 - delta0;
@@ -161,22 +165,28 @@ mod tests {
         let pool = ThreadPool::new(4);
         let streamed = run_cell(&pool, &cell, 3);
         let mut materialized = CellAggregate::new();
-        let mut ratio_sum = 0.0f64;
+        let mut gap1_sum = 0u64;
         let mut growth_hits = 0u64;
         for i in 0..trials {
             let r = cell.sim.run_seeded(derive_seed(cell.seed, i));
             let traj = r.trajectory.as_ref().expect("recorded");
             let (d0, d1) = (traj[0].imbalance, traj[1].imbalance);
-            ratio_sum += d1 / d0;
+            assert_eq!(d0, delta0 as f64);
+            gap1_sum += (2.0 * d1) as u64;
             growth_hits += u64::from(d1 >= (4.0 / 3.0) * d0);
-            materialized.push(&TrialMetrics::capture(&r, cell.observer));
+            materialized.push(&TrialMetrics::capture(&cell.sim, &r, cell.observer));
         }
         assert_eq!(streamed, materialized);
-        let ratio = streamed.float_extra(0).expect("ratio");
-        assert_eq!(ratio.count, trials);
-        assert_eq!(ratio.sum, ratio_sum, "trial-order fold must match");
-        let growth = streamed.float_extra(1).expect("growth");
-        assert_eq!(growth.sum, growth_hits as f64);
+        let [gap0, gap1, growth] = streamed.extras() else {
+            panic!("three drift channels");
+        };
+        assert_eq!(gap0.pairs(), [(2 * delta0 as u64, trials)]);
+        let sum = |c: &stabcon_util::stats::SparseCounts| -> u64 {
+            c.pairs().iter().map(|&(v, w)| v * w).sum()
+        };
+        assert_eq!(gap1.count(), trials);
+        assert_eq!(sum(gap1), gap1_sum, "exact integer sum");
+        assert_eq!(sum(growth), growth_hits);
 
         // E11: sweep_stats equals the materialized convergence fold.
         use crate::experiment::{run_trials, ConvergenceStats};

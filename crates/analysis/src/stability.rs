@@ -34,13 +34,9 @@ fn horizon_cell(
         .adversary(adv, t_budget)
         .max_rounds(horizon)
         .full_horizon(true);
-    let observer = TrialObserver::StabilityExcursions {
-        n: n as u64,
-        threshold: spec.disagreement_threshold(),
-    };
     CellSpec::new(spec, trials, seed ^ adv.label().len() as u64)
         .metric(HitMetric::AlmostStable)
-        .observer(observer)
+        .observer(TrialObserver::StabilityExcursions)
         .label("adversary", adv.label())
 }
 
@@ -73,9 +69,9 @@ pub fn stability_horizon_table(
     for &adv in adversaries {
         let cell = horizon_cell(n, adv, trials, horizon, t_budget, seed);
         let agg = run_cell(&pool, &cell, chunk_for(cell.trials, pool.threads()));
-        let stable = agg.int_extra(0).expect("stable_round channel");
-        let post = agg.int_extra(1).expect("post_disagreement channel");
-        let excursions = agg.int_extra(2).expect("excursion_rounds channel");
+        let [stable, post, excursions] = agg.extras() else {
+            panic!("stable_round, post_disagreement and excursion_rounds channels");
+        };
         let hit_rate = stable.count() as f64 / agg.trials() as f64;
         let worst_post = post.max().unwrap_or(0);
         table.push_row(vec![
@@ -129,7 +125,7 @@ mod tests {
             let mut materialized = CellAggregate::new();
             for i in 0..cell.trials {
                 let r = cell.sim.run_seeded(derive_seed(cell.seed, i));
-                materialized.push(&TrialMetrics::capture(&r, cell.observer));
+                materialized.push(&TrialMetrics::capture(&cell.sim, &r, cell.observer));
             }
             let pool = ThreadPool::new(4);
             let streamed = run_cell(&pool, &cell, 2);
@@ -142,19 +138,13 @@ mod tests {
                 .iter()
                 .filter(|r| r.almost_stable_round.is_some())
                 .collect();
-            assert_eq!(
-                streamed.int_extra(0).expect("stable").count(),
-                hits.len() as u64
-            );
+            assert_eq!(streamed.extras()[0].count(), hits.len() as u64);
             let worst = hits
                 .iter()
                 .filter_map(|r| r.max_disagreement_after_stable)
                 .max()
                 .unwrap_or(0);
-            assert_eq!(
-                streamed.int_extra(1).expect("post").max().unwrap_or(0),
-                worst
-            );
+            assert_eq!(streamed.extras()[1].max().unwrap_or(0), worst);
         }
     }
 }

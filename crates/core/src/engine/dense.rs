@@ -929,9 +929,8 @@ mod tests {
 
     /// `old`'s live bins, value-ascending.
     fn bins_of(old: &[Value]) -> Vec<(Value, u64)> {
-        crate::histogram::Histogram::from_config(&crate::config::Config::new(old.to_vec()))
-            .bins()
-            .to_vec()
+        let balls: Vec<(Value, u64)> = old.iter().map(|&v| (v, 1)).collect();
+        crate::histogram::Histogram::new(&balls).bins().to_vec()
     }
 
     /// A fresh sampler over `old`'s live bins.

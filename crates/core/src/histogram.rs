@@ -7,7 +7,6 @@
 //!   on the loads, so the movers of each direction travel as one pool;
 //! * cheap observables for huge synthetic populations (up to 2^52 balls).
 
-use crate::config::Config;
 use crate::value::Value;
 
 /// A configuration aggregated by value: sorted `(value, load)` pairs with
@@ -41,20 +40,6 @@ impl Histogram {
         Self { bins: merged, n }
     }
 
-    /// Aggregate a dense configuration.
-    pub fn from_config(config: &Config) -> Self {
-        Self::new(&config.counts())
-    }
-
-    /// Expand into a dense configuration (requires `n` to fit memory).
-    pub fn to_config(&self) -> Config {
-        let mut values = Vec::with_capacity(self.n as usize);
-        for &(v, c) in &self.bins {
-            values.extend(std::iter::repeat_n(v, c as usize));
-        }
-        Config::new(values)
-    }
-
     /// Total number of balls.
     #[inline]
     pub fn n(&self) -> u64 {
@@ -73,30 +58,11 @@ impl Histogram {
         self.bins.len()
     }
 
-    /// `Some(v)` iff all balls share value `v`.
-    pub fn consensus_value(&self) -> Option<Value> {
-        (self.bins.len() == 1).then(|| self.bins[0].0)
-    }
-
-    /// Most loaded bin `(value, load)`, ties toward the smaller value.
-    pub fn plurality(&self) -> (Value, u64) {
-        self.bins
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .expect("nonempty histogram")
-    }
-
     /// Balls holding `v`.
     pub fn load(&self, v: Value) -> u64 {
         self.bins
             .binary_search_by_key(&v, |&(bv, _)| bv)
             .map_or(0, |i| self.bins[i].1)
-    }
-
-    /// Balls not holding `v`.
-    pub fn disagreement_with(&self, v: Value) -> u64 {
-        self.n - self.load(v)
     }
 
     /// Move `k` balls from bin `from` to bin `to`, dropping `from` if it
@@ -180,15 +146,6 @@ impl Histogram {
         assert!(h.n > 0, "Histogram: empty");
         assert!(h.n <= 1 << 52, "Histogram: n exceeds 2^52");
     }
-
-    /// Two-bin imbalance Δ (same convention as [`Config::imbalance`]).
-    pub fn imbalance(&self) -> f64 {
-        let mut loads: Vec<u64> = self.bins.iter().map(|&(_, c)| c).collect();
-        loads.sort_unstable_by(|a, b| b.cmp(a));
-        let top = loads.first().copied().unwrap_or(0);
-        let second = loads.get(1).copied().unwrap_or(0);
-        (top as f64 - second as f64) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -204,33 +161,22 @@ mod tests {
     }
 
     #[test]
-    fn config_roundtrip() {
-        let c = Config::new(vec![2, 7, 2, 2, 9]);
-        let h = Histogram::from_config(&c);
-        assert_eq!(h.bins(), &[(2, 3), (7, 1), (9, 1)]);
-        let c2 = h.to_config();
-        // to_config emits values in ascending order.
-        assert_eq!(c2.values(), &[2, 2, 2, 7, 9]);
-        assert_eq!(Histogram::from_config(&c2), h);
-    }
-
-    #[test]
     fn observables_match_dense() {
-        let c = Config::new(vec![1, 1, 2, 9, 9, 9]);
-        let h = Histogram::from_config(&c);
-        assert_eq!(h.median_value(), c.median_value());
-        assert_eq!(h.plurality(), c.plurality());
-        assert_eq!(h.disagreement_with(9), c.disagreement_with(9));
-        assert_eq!(h.imbalance(), c.imbalance());
-        assert_eq!(h.consensus_value(), None);
+        let dense = [1u32, 1, 2, 9, 9, 9];
+        let h = Histogram::new(&dense.map(|v| (v, 1)));
+        assert_eq!(h.median_value(), 2, "the ⌈6/2⌉-th smallest ball");
+        for v in [1, 2, 7, 9] {
+            let balls = dense.iter().filter(|&&x| x == v).count() as u64;
+            assert_eq!(h.load(v), balls, "value {v}");
+        }
     }
 
     #[test]
     fn consensus() {
         let h = Histogram::new(&[(4, 100)]);
-        assert_eq!(h.consensus_value(), Some(4));
+        assert_eq!(h.support_size(), 1);
         assert_eq!(h.median_value(), 4);
-        assert_eq!(h.disagreement_with(4), 0);
+        assert_eq!(h.load(4), h.n());
     }
 
     #[test]
@@ -239,7 +185,7 @@ mod tests {
         let h = Histogram::new(&[(0, big), (1, big + 7)]);
         assert_eq!(h.n(), 2 * big + 7);
         assert_eq!(h.median_value(), 1);
-        assert_eq!(h.plurality(), (1, big + 7));
+        assert_eq!(h.load(1), big + 7);
     }
 
     #[test]

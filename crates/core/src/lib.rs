@@ -3,9 +3,9 @@
 //! The paper's contribution and every dynamic it is compared against:
 //!
 //! * [`value`] — values ("bins") and the initial-value-set constraint;
-//! * [`config`] / [`histogram`] — dense and aggregated views of a
-//!   balls-into-bins configuration, with the observables the analysis uses
-//!   (support, plurality, median ball, two-bin imbalance Δ and Ψ);
+//! * [`histogram`] — the aggregated view of a balls-into-bins
+//!   configuration (sorted `(value, load)` pairs), which the histogram
+//!   engine steps and the adversaries read;
 //! * [`protocol`] — the **median rule** plus the baselines the paper
 //!   discusses: minimum/maximum rule, mean rule, 3-majority, voter, and the
 //!   k-sample median generalization;
@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod config;
 pub mod engine;
 pub mod histogram;
 pub mod init;
@@ -39,7 +38,6 @@ pub mod workspace;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::adversary::AdversarySpec;
-    pub use crate::config::Config;
     pub use crate::engine::EngineSpec;
     pub use crate::histogram::Histogram;
     pub use crate::init::InitialCondition;

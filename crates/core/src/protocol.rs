@@ -11,7 +11,7 @@
 //! | [`MedianRule`] | 2 | `median(own, a, b)` | the contribution (§1.2) |
 //! | [`MinRule`] | 1 | `min(own, a)` | §1.1 counterexample baseline |
 //! | [`MaxRule`] | 1 | `max(own, a)` | symmetric baseline |
-//! | [`MeanRule`] | 2 | rounded mean | §1.2 comparison ([17]) — violates validity |
+//! | [`MeanRule`] | 2 | rounded mean | §1.2 comparison (\[17\]) — violates validity |
 //! | [`MajorityRule`] | 2 | adopt if `a == b` | 3-majority dynamics; equals median on 2 values |
 //! | [`VoterRule`] | 1 | adopt `a` | single-choice baseline |
 //! | [`KMedianRule`] | k | median of own + k samples | "power of k choices" ablation |
@@ -93,7 +93,7 @@ impl Protocol for MaxRule {
     }
 }
 
-/// The mean rule of Dolev et al. [17] adapted to two samples: the rounded
+/// The mean rule of Dolev et al. \[17\] adapted to two samples: the rounded
 /// mean of the three values. Converges towards a single number but **does
 /// not solve consensus** — the limit need not be one of the initial values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

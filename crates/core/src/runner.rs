@@ -414,72 +414,6 @@ impl SimSpec {
                     counts.rebuild_sampler(&mut ws.sampler);
                 }
                 match self.engine {
-                    EngineSpec::DenseSeq if self.update_fraction < 1.0 => {
-                        dense::step_partial(
-                            1,
-                            &ws.state,
-                            &mut ws.scratch,
-                            protocol,
-                            engine_seed,
-                            round,
-                            self.update_fraction,
-                        );
-                    }
-                    EngineSpec::DensePar { threads } | EngineSpec::Adaptive { threads, .. }
-                        if self.update_fraction < 1.0 =>
-                    {
-                        dense::step_partial(
-                            threads,
-                            &ws.state,
-                            &mut ws.scratch,
-                            protocol,
-                            engine_seed,
-                            round,
-                            self.update_fraction,
-                        );
-                    }
-                    EngineSpec::DenseSeq => {
-                        if use_sampled {
-                            dense::step_seq_sampled(
-                                &ws.state,
-                                &mut ws.scratch,
-                                protocol,
-                                engine_seed,
-                                round,
-                                &ws.sampler,
-                            );
-                        } else {
-                            dense::step_seq(
-                                &ws.state,
-                                &mut ws.scratch,
-                                protocol,
-                                engine_seed,
-                                round,
-                            );
-                        }
-                    }
-                    EngineSpec::DensePar { threads } | EngineSpec::Adaptive { threads, .. } => {
-                        if use_sampled {
-                            dense::step_par_sampled(
-                                threads,
-                                &ws.state,
-                                &mut ws.scratch,
-                                protocol,
-                                engine_seed,
-                                round,
-                                &ws.sampler,
-                            );
-                        } else {
-                            dense::step_par(
-                                threads,
-                                &ws.state,
-                                &mut ws.scratch,
-                                protocol,
-                                engine_seed,
-                                round,
-                            );
-                        }
-                    }
                     EngineSpec::Message(_) => {
                         assert!(
                             self.update_fraction >= 1.0,
@@ -487,6 +421,34 @@ impl SimSpec {
                         );
                         let engine = message_engine.as_mut().expect("message engine built");
                         engine.step(&ws.state, &mut ws.scratch, protocol, engine_seed, round);
+                    }
+                    // One dense call per kernel: a sequential engine is the
+                    // one-thread split, which runs the same code.
+                    EngineSpec::DenseSeq
+                    | EngineSpec::DensePar { .. }
+                    | EngineSpec::Adaptive { .. } => {
+                        let threads = match self.engine {
+                            EngineSpec::DensePar { threads }
+                            | EngineSpec::Adaptive { threads, .. } => threads,
+                            _ => 1,
+                        };
+                        let (old, new) = (&ws.state, &mut ws.scratch);
+                        if self.update_fraction < 1.0 {
+                            let q = self.update_fraction;
+                            dense::step_partial(threads, old, new, protocol, engine_seed, round, q);
+                        } else if use_sampled {
+                            dense::step_par_sampled(
+                                threads,
+                                old,
+                                new,
+                                protocol,
+                                engine_seed,
+                                round,
+                                &ws.sampler,
+                            );
+                        } else {
+                            dense::step_par(threads, old, new, protocol, engine_seed, round);
+                        }
                     }
                 }
                 // 3. Fold the moved balls into the loads.

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::RngCore;
 use stabcon_core::adversary::{Adversary, AdversarySpec, Corruptor, MedianPusher};
-use stabcon_core::engine::adaptive::LoadCounts;
+use stabcon_core::engine::adaptive::{observe_histogram, LoadCounts};
 use stabcon_core::engine::{dense, hist, EngineSpec, MessageConfig, Rejoin, ScenarioSpec};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
@@ -18,20 +18,48 @@ use stabcon_util::rng::Xoshiro256pp;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // --- configuration/histogram agreement ----------------------------------
+    // --- observables against a sort-based reference --------------------------
 
+    /// Every production observable path — the ranked and the tree load
+    /// table, and the aggregated histogram — reports the dense
+    /// configuration's support, plurality (ties to the smaller value),
+    /// lower-median bin and two-bin imbalance, as computed here by sorting.
     #[test]
     fn histogram_and_config_observables_agree(values in prop::collection::vec(0u32..20, 1..200)) {
-        let config = stabcon_core::config::Config::new(values);
-        let h = Histogram::from_config(&config);
-        prop_assert_eq!(h.n() as usize, config.n());
-        prop_assert_eq!(h.support_size(), config.support_size());
-        prop_assert_eq!(h.plurality(), config.plurality());
-        prop_assert_eq!(h.median_value(), config.median_value());
-        prop_assert_eq!(h.consensus_value(), config.consensus_value());
-        prop_assert_eq!(h.imbalance(), config.imbalance());
-        for v in 0..20u32 {
-            prop_assert_eq!(h.disagreement_with(v), config.disagreement_with(v));
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        let mut bins: Vec<(Value, u64)> = Vec::new();
+        for &v in &sorted {
+            match bins.last_mut() {
+                Some((last, load)) if *last == v => *load += 1,
+                _ => bins.push((v, 1)),
+            }
+        }
+        let plurality = *bins
+            .iter()
+            .max_by_key(|&&(v, load)| (load, std::cmp::Reverse(v)))
+            .expect("nonempty");
+        let median = sorted[sorted.len().div_ceil(2) - 1];
+        let mut loads: Vec<u64> = bins.iter().map(|&(_, load)| load).collect();
+        loads.sort_unstable_by(|a, b| b.cmp(a));
+        let imbalance = (loads[0] - loads.get(1).copied().unwrap_or(0)) as f64 / 2.0;
+
+        let balls: Vec<(Value, u64)> = values.iter().map(|&v| (v, 1)).collect();
+        let mut observed = vec![("histogram", observe_histogram(&Histogram::new(&balls)))];
+        for (name, ranked) in [("ranked", true), ("tree", false)] {
+            let mut state = values.clone();
+            let counts = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), ranked);
+            // The ranked table reports ranks; map them back to values.
+            let mut obs = counts.observe();
+            obs.plurality_value = counts.value_of(obs.plurality_value);
+            obs.median_value = counts.value_of(obs.median_value);
+            observed.push((name, obs));
+        }
+        for (name, obs) in observed {
+            prop_assert_eq!(obs.support, bins.len(), "{} support", name);
+            prop_assert_eq!((obs.plurality_value, obs.plurality_count), plurality, "{} plurality", name);
+            prop_assert_eq!(obs.median_value, median, "{} median", name);
+            prop_assert_eq!(obs.imbalance, imbalance, "{} imbalance", name);
         }
     }
 

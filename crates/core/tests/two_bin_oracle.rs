@@ -16,6 +16,13 @@
 //! after `r` rounds. Each engine's empirical CDF over fixed seeds must sit
 //! within the DKW band `sup|F̂ − F| ≤ √(ln(2/α) / 2N)`, with `α = 10⁻⁶`
 //! split Bonferroni-style over every case of this file ([`CASES`]).
+//!
+//! At these populations the dense kernels never split a round: below
+//! 4,096 balls they run the sequential body, so the chain judges
+//! `DenseSeq`'s code, and `DensePar(2)` here is that code on other seeds.
+//! [`dense_par_split_replays_dense_seq`] carries the verdict to the
+//! parallel split: at [`SPLIT_N`] balls, a whole `DensePar(2)` trial must
+//! equal the `DenseSeq` trial of the same seed, trajectory included.
 
 use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::engine::dense::{self, LoadSampler};
@@ -37,6 +44,8 @@ const ROUNDS: [usize; 2] = [3, 8];
 const N3: usize = 30;
 /// Rounds of each exact consensus-round law.
 const HORIZON: usize = 200;
+/// A population above the dense kernels' 4,096-ball split cutoff.
+const SPLIT_N: usize = 8192;
 /// Every judged case: three engines × (the consensus round, and `k` per
 /// budget and round count) on two bins; the partial and the load-sampled
 /// kernel on two bins; four engines on three values.
@@ -393,4 +402,27 @@ fn every_engine_follows_the_exact_three_value_chain() {
         );
     }
     judge.finish();
+}
+
+#[test]
+fn dense_par_split_replays_dense_seq() {
+    let tied = SimSpec::new(SPLIT_N)
+        .init(InitialCondition::TwoBins { left: SPLIT_N / 2 })
+        .record_trajectory(true);
+    let cases = [
+        ("no adversary", tied.clone()),
+        (
+            "balancer T = 2",
+            tied.clone().adversary(AdversarySpec::Balancer, 2),
+        ),
+        ("update_fraction 0.5", tied.update_fraction(0.5)),
+    ];
+    for (name, spec) in cases {
+        let par = spec.clone().engine(EngineSpec::DensePar { threads: 2 });
+        for seed in 0..3 {
+            let seq = spec.run_seeded(seed);
+            assert!(seq.consensus_round.is_some(), "{name}: seed {seed} stalled");
+            assert_eq!(par.run_seeded(seed), seq, "{name}: seed {seed}");
+        }
+    }
 }

@@ -4,26 +4,26 @@
 //! `Vec<RunResult>` per cell (the pre-campaign pattern) costs memory
 //! proportional to the trial count and loses everything on interruption.
 //! Instead each trial is reduced to a tiny [`TrialMetrics`] the moment it
-//! finishes, and folded — **in trial order** — into a [`CellAggregate`]
-//! built on exact [`SparseCounts`] sketches. Because the sketches are
-//! lossless for integer samples and the fold order is the global trial
-//! order, the aggregate is bit-identical to the materialized computation
-//! for any thread count and any chunking.
+//! finishes, and folded into a [`CellAggregate`] built on exact
+//! [`SparseCounts`] sketches. Every number a cell keeps is an integer
+//! count or an integer sample in one of those sketches, and they merge by
+//! integer addition — so an aggregate folded from any split of the trials,
+//! merged in any order, is bit-identical to the materialized computation
+//! at any thread count and any chunking.
 //!
 //! Extra metrics beyond the universal hitting-time/winner set come from a
 //! [`TrialObserver`] (see [`crate::observer`]): per-trial values are reduced
-//! worker-side into [`TrialExtras`] channels and folded here — integer
-//! channels into [`SparseCounts`], float channels into trial-order
-//! [`FloatMoments`].
+//! worker-side into [`TrialExtras`] channels and each channel folds here
+//! into a [`SparseCounts`] of its own.
 
-use stabcon_core::runner::RunResult;
+use stabcon_core::runner::{RunResult, SimSpec};
 use stabcon_core::value::Value;
 use stabcon_net::RoundMetrics;
 use stabcon_obs::{Counter, Gauge, WorkerSnap};
 use stabcon_util::stats::SparseCounts;
 
 use crate::metrics::{ConvergenceStats, HitMetric};
-use crate::observer::{FloatMoments, TrialChannel, TrialExtras, TrialObserver};
+use crate::observer::{TrialExtras, TrialObserver};
 
 /// Everything the aggregator keeps from one trial.
 ///
@@ -52,19 +52,29 @@ pub struct TrialMetrics {
 }
 
 impl TrialMetrics {
-    /// Reduce one run result, capturing the observer's extra channels.
+    /// Reduce one run result of `spec`, capturing the observer's extra
+    /// channels.
     ///
     /// Never panics: a trajectory-needing observer on a run that did not
-    /// record a trajectory emits no-sample sentinels (which the sketches
-    /// skip) instead of the panic this path used to raise.
-    pub fn capture(r: &RunResult, observer: TrialObserver) -> Self {
+    /// record a trajectory emits `None` samples, which the sketches skip.
+    pub fn capture(spec: &SimSpec, r: &RunResult, observer: TrialObserver) -> Self {
+        Self {
+            extras: observer.capture(spec, r),
+            ..Self::from(r)
+        }
+    }
+}
+
+impl From<&RunResult> for TrialMetrics {
+    /// Reduce one run result with no observer channels.
+    fn from(r: &RunResult) -> Self {
         Self {
             consensus: r.consensus_round,
             almost: r.almost_stable_round.or(r.consensus_round),
             winner: r.winner,
             winner_valid: r.winner_valid,
             rounds_executed: r.rounds_executed,
-            extras: observer.capture(r),
+            extras: TrialExtras::none(),
         }
     }
 }
@@ -89,138 +99,6 @@ pub fn fold_net_totals(delta: &mut WorkerSnap, totals: &RoundMetrics) {
     delta.gauge_max(Gauge::NetInFlightPeak, totals.in_flight);
 }
 
-/// One extra-metric channel's cell-level aggregate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChannelAggregate {
-    /// Exact distribution sketch of an integer channel.
-    Int(SparseCounts),
-    /// Trial-order moments of a float channel.
-    Float(FloatMoments),
-}
-
-impl ChannelAggregate {
-    fn for_trial_channel(ch: &TrialChannel) -> Self {
-        match ch {
-            TrialChannel::Int(_) => ChannelAggregate::Int(SparseCounts::new()),
-            TrialChannel::Float(_) => ChannelAggregate::Float(FloatMoments::new()),
-        }
-    }
-
-    fn fold(&mut self, ch: &TrialChannel) {
-        match (self, ch) {
-            (ChannelAggregate::Int(counts), TrialChannel::Int(v)) => {
-                if let Some(v) = v {
-                    counts.push(*v);
-                }
-            }
-            (ChannelAggregate::Float(moments), TrialChannel::Float(m)) => {
-                moments.merge(m);
-            }
-            _ => panic!("observer channel kind changed mid-cell"),
-        }
-    }
-
-    /// Samples folded into this channel.
-    pub fn count(&self) -> u64 {
-        match self {
-            ChannelAggregate::Int(c) => c.count(),
-            ChannelAggregate::Float(m) => m.count,
-        }
-    }
-
-    /// Channel mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        match self {
-            ChannelAggregate::Int(c) => c.mean(),
-            ChannelAggregate::Float(m) => m.mean(),
-        }
-    }
-
-    /// Channel maximum (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        match self {
-            ChannelAggregate::Int(c) => c.max().map(|v| v as f64),
-            ChannelAggregate::Float(m) => (!m.is_empty()).then_some(m.max),
-        }
-    }
-
-    /// Channel minimum (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        match self {
-            ChannelAggregate::Int(c) => c.min().map(|v| v as f64),
-            ChannelAggregate::Float(m) => (!m.is_empty()).then_some(m.min),
-        }
-    }
-
-    /// The integer sketch, if this is an integer channel.
-    pub fn as_counts(&self) -> Option<&SparseCounts> {
-        match self {
-            ChannelAggregate::Int(c) => Some(c),
-            ChannelAggregate::Float(_) => None,
-        }
-    }
-
-    /// The float moments, if this is a float channel.
-    pub fn as_moments(&self) -> Option<&FloatMoments> {
-        match self {
-            ChannelAggregate::Float(m) => Some(m),
-            ChannelAggregate::Int(_) => None,
-        }
-    }
-}
-
-/// One chunk's worker-side partial aggregate: everything that merges
-/// exactly (counters, [`SparseCounts`] sketches, integer channels) is
-/// folded on the worker; float channels — whose f64 sums are sensitive to
-/// association — are carried as per-trial rows and folded by
-/// [`CellAggregate::merge`] in global trial order. The partial a chunk
-/// ships back to the scheduler is therefore compact (no
-/// `Vec<TrialMetrics>`) without giving up bit-reproducibility across
-/// thread counts and chunk sizes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChunkAggregate {
-    ints: CellAggregate,
-    /// Per-trial extras in trial order; empty unless constructed with
-    /// `collect_floats` (i.e. the observer declares a float channel).
-    float_rows: Vec<TrialExtras>,
-    collect_floats: bool,
-}
-
-impl ChunkAggregate {
-    /// Empty partial. Pass `collect_floats = true` iff the cell's observer
-    /// declares a float channel (see
-    /// [`crate::observer::TrialObserver::has_float_channels`]).
-    pub fn new(collect_floats: bool) -> Self {
-        Self::with_capacity(collect_floats, 0)
-    }
-
-    /// [`ChunkAggregate::new`] with the float-row buffer sized for
-    /// `trials` up front, so a float-observing worker batches its whole
-    /// chunk into one allocation instead of growing the row vector trial
-    /// by trial. Rows still fold in trial order at the scheduler, so float
-    /// aggregates stay bit-identical.
-    pub fn with_capacity(collect_floats: bool, trials: usize) -> Self {
-        Self {
-            ints: CellAggregate::new(),
-            float_rows: Vec::with_capacity(if collect_floats { trials } else { 0 }),
-            collect_floats,
-        }
-    }
-
-    /// Fold one trial in (call in trial order within the chunk).
-    pub fn push(&mut self, m: &TrialMetrics) {
-        self.ints.push_impl(m, self.collect_floats);
-        if self.collect_floats {
-            self.float_rows.push(m.extras);
-        }
-    }
-
-    /// Trials folded into this partial.
-    pub fn trials(&self) -> u64 {
-        self.ints.trials
-    }
-}
-
 /// Streaming aggregate of one campaign cell.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellAggregate {
@@ -232,7 +110,7 @@ pub struct CellAggregate {
     winners: SparseCounts,
     /// Observer channels, sized lazily from the first trial (every trial
     /// of a cell shares one observer, so the layout is constant).
-    extras: Vec<ChannelAggregate>,
+    extras: Vec<SparseCounts>,
 }
 
 impl CellAggregate {
@@ -241,16 +119,8 @@ impl CellAggregate {
         Self::default()
     }
 
-    /// Fold one trial in. **Call in global trial order** — the scheduler
-    /// guarantees this; it is what makes aggregates reproducible across
-    /// thread counts.
+    /// Fold one trial in.
     pub fn push(&mut self, m: &TrialMetrics) {
-        self.push_impl(m, false);
-    }
-
-    /// [`CellAggregate::push`] with float channels optionally left unfolded
-    /// (the [`ChunkAggregate`] path keeps those per-trial instead).
-    fn push_impl(&mut self, m: &TrialMetrics, skip_floats: bool) {
         self.trials += 1;
         self.valid += m.winner_valid as u64;
         self.rounds_total += m.rounds_executed;
@@ -261,36 +131,19 @@ impl CellAggregate {
             self.almost.push(r);
         }
         self.winners.push(m.winner as u64);
-        if self.extras.is_empty() && !m.extras.is_empty() {
-            self.extras = m
-                .extras
-                .channels()
-                .iter()
-                .map(ChannelAggregate::for_trial_channel)
-                .collect();
-        }
-        assert_eq!(
-            self.extras.len(),
-            m.extras.len(),
-            "observer channel count changed mid-cell"
-        );
-        for (agg, ch) in self.extras.iter_mut().zip(m.extras.channels()) {
-            if skip_floats && matches!(ch, TrialChannel::Float(_)) {
-                continue;
+        self.size_extras(m.extras.len());
+        for (counts, v) in self.extras.iter_mut().zip(m.extras.channels()) {
+            if let Some(v) = v {
+                counts.push(*v);
             }
-            agg.fold(ch);
         }
     }
 
-    /// Fold a chunk's partial in. Merging partials **in chunk order** is
-    /// bit-identical to pushing the same trials sequentially: the counters
-    /// and [`SparseCounts`] sketches merge exactly (integer addition is
-    /// associative), and float channels never live in the partial's folded
-    /// half — the chunk carries them per trial and this method folds them
-    /// here, in global trial order, because f64 addition is not
-    /// associative.
-    pub fn merge(&mut self, part: &ChunkAggregate) {
-        let o = &part.ints;
+    /// Fold another partial aggregate in — typically one chunk's, folded
+    /// by a worker. Every field merges by integer addition, so merging
+    /// partials in **any** order is bit-identical to pushing the same
+    /// trials sequentially.
+    pub fn merge(&mut self, o: &CellAggregate) {
         if o.trials == 0 {
             return;
         }
@@ -300,38 +153,23 @@ impl CellAggregate {
         self.consensus.merge(&o.consensus);
         self.almost.merge(&o.almost);
         self.winners.merge(&o.winners);
-        if self.extras.is_empty() && !o.extras.is_empty() {
-            self.extras = o
-                .extras
-                .iter()
-                .map(|ch| match ch {
-                    ChannelAggregate::Int(_) => ChannelAggregate::Int(SparseCounts::new()),
-                    ChannelAggregate::Float(_) => ChannelAggregate::Float(FloatMoments::new()),
-                })
-                .collect();
+        self.size_extras(o.extras.len());
+        for (mine, theirs) in self.extras.iter_mut().zip(&o.extras) {
+            mine.merge(theirs);
+        }
+    }
+
+    /// Allocate `channels` empty sketches on first use; afterwards the
+    /// count must never change.
+    fn size_extras(&mut self, channels: usize) {
+        if self.extras.is_empty() {
+            self.extras.resize(channels, SparseCounts::new());
         }
         assert_eq!(
             self.extras.len(),
-            o.extras.len(),
+            channels,
             "observer channel count changed mid-cell"
         );
-        for (mine, theirs) in self.extras.iter_mut().zip(&o.extras) {
-            match (mine, theirs) {
-                (ChannelAggregate::Int(a), ChannelAggregate::Int(b)) => a.merge(b),
-                // Non-empty only when the partial was folded without
-                // float-row collection; merge order is then the caller's
-                // responsibility.
-                (ChannelAggregate::Float(a), ChannelAggregate::Float(b)) => a.merge(b),
-                _ => panic!("observer channel kind changed mid-cell"),
-            }
-        }
-        for row in &part.float_rows {
-            for (agg, ch) in self.extras.iter_mut().zip(row.channels()) {
-                if let (ChannelAggregate::Float(moments), TrialChannel::Float(m)) = (agg, ch) {
-                    moments.merge(m);
-                }
-            }
-        }
     }
 
     /// Trials folded so far.
@@ -371,22 +209,10 @@ impl CellAggregate {
         &self.winners
     }
 
-    /// Observer channel aggregates, in the observer's declaration order
+    /// Observer channel sketches, in the observer's declaration order
     /// (empty when no observer was attached or no trial was folded).
-    pub fn extras(&self) -> &[ChannelAggregate] {
+    pub fn extras(&self) -> &[SparseCounts] {
         &self.extras
-    }
-
-    /// Integer sketch of observer channel `i` (`None` if out of range or a
-    /// float channel).
-    pub fn int_extra(&self, i: usize) -> Option<&SparseCounts> {
-        self.extras.get(i).and_then(ChannelAggregate::as_counts)
-    }
-
-    /// Float moments of observer channel `i` (`None` if out of range or an
-    /// integer channel).
-    pub fn float_extra(&self, i: usize) -> Option<&FloatMoments> {
-        self.extras.get(i).and_then(ChannelAggregate::as_moments)
     }
 
     /// The classic convergence summary under the chosen metric —
@@ -408,7 +234,6 @@ impl CellAggregate {
 mod tests {
     use super::*;
     use stabcon_core::init::InitialCondition;
-    use stabcon_core::runner::SimSpec;
     use stabcon_util::rng::derive_seed;
 
     fn run_batch(n: usize, trials: u64, seed: u64) -> Vec<RunResult> {
@@ -423,7 +248,7 @@ mod tests {
         let results = run_batch(512, 24, 0xA66);
         let mut agg = CellAggregate::new();
         for r in &results {
-            agg.push(&TrialMetrics::capture(r, TrialObserver::None));
+            agg.push(&TrialMetrics::from(r));
         }
         for metric in [HitMetric::Consensus, HitMetric::AlmostStable] {
             let streamed = agg.convergence(metric);
@@ -443,8 +268,8 @@ mod tests {
             .init(InitialCondition::TwoBins { left: 64 })
             .record_trajectory(true);
         let r = spec.run_seeded(3);
-        let m = TrialMetrics::capture(&r, TrialObserver::LastUnsettledRound);
-        let [TrialChannel::Int(Some(last))] = m.extras.channels() else {
+        let m = TrialMetrics::capture(&spec, &r, TrialObserver::LastUnsettledRound);
+        let [Some(last)] = m.extras.channels() else {
             panic!("one integer sample expected: {:?}", m.extras);
         };
         // The run reached consensus, so the last unsettled round is the one
@@ -456,28 +281,27 @@ mod tests {
     fn last_unsettled_without_trajectory_is_a_skipped_sentinel() {
         // This used to panic ("trajectory recording required"); now the
         // trial simply contributes no sample to the sketch.
-        let r = SimSpec::new(64)
-            .init(InitialCondition::TwoBins { left: 32 })
-            .run_seeded(1);
-        let m = TrialMetrics::capture(&r, TrialObserver::LastUnsettledRound);
-        assert_eq!(m.extras.channels(), &[TrialChannel::Int(None)]);
+        let spec = SimSpec::new(64).init(InitialCondition::TwoBins { left: 32 });
+        let r = spec.run_seeded(1);
+        let m = TrialMetrics::capture(&spec, &r, TrialObserver::LastUnsettledRound);
+        assert_eq!(m.extras.channels(), &[None]);
         let mut agg = CellAggregate::new();
         agg.push(&m);
         assert_eq!(agg.trials(), 1);
-        let sketch = agg.int_extra(0).expect("channel allocated");
-        assert!(sketch.is_empty(), "sentinel must not be folded");
+        assert_eq!(agg.extras().len(), 1, "channel allocated");
+        assert!(agg.extras()[0].is_empty(), "sentinel must not be folded");
     }
 
     #[test]
     fn last_unsettled_on_never_unsettled_run_is_round_zero() {
         // A single-bin start never has support > 1: the metric degrades to
         // round 0 rather than panicking or skewing the sketch.
-        let r = SimSpec::new(64)
+        let spec = SimSpec::new(64)
             .init(InitialCondition::TwoBins { left: 0 })
-            .record_trajectory(true)
-            .run_seeded(2);
-        let m = TrialMetrics::capture(&r, TrialObserver::LastUnsettledRound);
-        assert_eq!(m.extras.channels(), &[TrialChannel::Int(Some(0))]);
+            .record_trajectory(true);
+        let r = spec.run_seeded(2);
+        let m = TrialMetrics::capture(&spec, &r, TrialObserver::LastUnsettledRound);
+        assert_eq!(m.extras.channels(), &[Some(0)]);
     }
 
     #[test]
@@ -490,13 +314,24 @@ mod tests {
         let mut agg = CellAggregate::new();
         for i in 0..6 {
             let r = spec.run_seeded(derive_seed(9, i));
-            agg.push(&TrialMetrics::capture(&r, TrialObserver::DriftGrowth));
+            agg.push(&TrialMetrics::capture(
+                &spec,
+                &r,
+                TrialObserver::OneStepDrift,
+            ));
         }
-        let ratio = agg.float_extra(0).expect("ratio channel");
-        let growth = agg.float_extra(1).expect("growth channel");
-        assert_eq!(ratio.count, 6, "one sample per one-round trial");
-        assert_eq!(growth.count, 6);
-        assert!(ratio.mean() > 0.0);
-        assert!((0.0..=1.0).contains(&growth.mean()));
+        let [gap0, gap1, growth] = agg.extras() else {
+            panic!("three drift channels: {agg:?}");
+        };
+        for channel in [gap0, gap1, growth] {
+            assert_eq!(channel.count(), 6, "one sample per one-round trial");
+        }
+        assert_eq!(
+            (gap0.min(), gap0.max()),
+            (Some(128), Some(128)),
+            "2Δ₀ is fixed"
+        );
+        assert!(gap1.mean() > 0.0);
+        assert!(growth.max() <= Some(1), "an indicator");
     }
 }

@@ -139,8 +139,8 @@ pub struct CampaignSpec {
     pub window: Option<u64>,
     /// Almost-stability factor override.
     pub almost_factor: Option<f64>,
-    /// Extra-metric observer attached to every cell (observers with
-    /// population-dependent parameters suit single-`n` grids).
+    /// Extra-metric observer attached to every cell (an observer reads
+    /// its parameters from each cell's spec, so it suits any grid).
     pub observer: TrialObserver,
 }
 

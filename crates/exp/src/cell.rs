@@ -7,10 +7,10 @@
 //! and submits **one long-lived job per pool thread** for the whole call.
 //! Each worker owns one [`TrialWorkspace`] that it reuses across every
 //! trial of every cell it touches, pulls the next unit off the shared
-//! cursor, folds the chunk worker-side into a compact [`ChunkAggregate`]
-//! partial, and ships the partial (not a `Vec<TrialMetrics>`) back over a
-//! channel. A worker that finishes the last chunk of one cell simply takes
-//! the first chunk of the next, so cells never wait for each other.
+//! cursor, folds the chunk worker-side into a partial [`CellAggregate`],
+//! and ships the partial (not a `Vec<TrialMetrics>`) back over a channel.
+//! A worker that finishes the last chunk of one cell simply takes the
+//! first chunk of the next, so cells never wait for each other.
 //!
 //! The caller merges partials in unit order: within a cell that is chunk
 //! order, and a cell is handed back the moment its last chunk merges — so
@@ -21,12 +21,13 @@
 //! all its to-do cells.
 //!
 //! Determinism contract: trial `i` of a cell always runs with seed
-//! `derive_seed(cell.seed, i)`, trials within a chunk fold in order, and
-//! [`CellAggregate::merge`] of chunk-ordered partials is bit-identical to a
-//! sequential fold (float observer channels ride along per trial — see
-//! [`crate::aggregate::ChunkAggregate`]). Each resulting [`CellAggregate`]
-//! is therefore a pure function of its [`CellSpec`] — independent of thread
-//! count, chunk size, scheduling, and which other cells share the cursor.
+//! `derive_seed(cell.seed, i)`, and [`CellAggregate::merge`] is exact
+//! integer arithmetic, so merging partials in any order equals a
+//! sequential fold. Each resulting [`CellAggregate`] is therefore a pure
+//! function of its [`CellSpec`] — independent of thread count, chunk
+//! size, scheduling, and which other cells share the cursor. (The merger
+//! still goes in unit order, so telemetry can attribute each chunk's delta
+//! to its cell as the cell completes.)
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +41,7 @@ use stabcon_obs::{self as obs, Counter, Hist, WorkerHandle, WorkerSnap};
 use stabcon_par::ThreadPool;
 use stabcon_util::rng::derive_seed;
 
-use crate::aggregate::{fold_net_totals, CellAggregate, ChunkAggregate, TrialMetrics};
+use crate::aggregate::{fold_net_totals, CellAggregate, TrialMetrics};
 use crate::metrics::{ConvergenceStats, HitMetric};
 use crate::observer::TrialObserver;
 use crate::telemetry::CampaignTelemetry;
@@ -162,8 +163,7 @@ impl Plan {
         let k = unit - c.checked_sub(1).map_or(0, |p| self.ends[p]);
         let (cell, chunk) = &self.cells[c];
         let (lo, hi) = (k * chunk, ((k + 1) * chunk).min(cell.trials));
-        let collect_floats = cell.observer.has_float_channels();
-        let mut part = ChunkAggregate::with_capacity(collect_floats, (hi - lo) as usize);
+        let mut part = CellAggregate::new();
         let mut delta = handle.map(|_| Box::new(WorkerSnap::zero()));
         for i in lo..hi {
             let trial_clock = obs::stopwatch();
@@ -178,7 +178,7 @@ impl Plan {
                     fold_net_totals(d, totals);
                 }
             }
-            part.push(&TrialMetrics::capture(&result, cell.observer));
+            part.push(&TrialMetrics::capture(&cell.sim, &result, cell.observer));
             ws.recycle(result);
         }
         if let (Some(h), Some(d)) = (handle, delta.as_deref_mut()) {
@@ -200,7 +200,7 @@ impl Plan {
 /// One chunk on its way from a worker to the merger.
 struct Finished {
     unit: u64,
-    part: ChunkAggregate,
+    part: CellAggregate,
     started: Instant,
     finished: Instant,
     /// What the chunk recorded, when telemetry is armed.

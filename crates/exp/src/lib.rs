@@ -15,8 +15,9 @@
 //!   [`stabcon_util::stats::SparseCounts`] sketches; **bit-identical** to
 //!   materializing every `RunResult` (the property tests assert this).
 //! * [`observer`] — [`observer::TrialObserver`]: trajectory-derived extra
-//!   metrics (last-unsettled round, drift growth samples, stability
-//!   excursions), reduced worker-side and folded per channel.
+//!   metrics (last-unsettled round, one-step drift, stability excursions,
+//!   network totals), reduced worker-side to integers and folded per
+//!   channel into the same exact sketches.
 //! * [`metrics`] — [`metrics::HitMetric`] / [`metrics::ConvergenceStats`],
 //!   shared with `stabcon-analysis`.
 //! * [`store`] — the append-only JSONL result store with torn-tail
@@ -50,14 +51,12 @@ pub mod scaling;
 pub mod store;
 pub mod telemetry;
 
-pub use aggregate::{
-    fold_net_totals, CellAggregate, ChannelAggregate, ChunkAggregate, TrialMetrics,
-};
+pub use aggregate::{fold_net_totals, CellAggregate, TrialMetrics};
 pub use campaign::{
     run_campaign, sqrt_budget, BudgetSpec, CampaignOutcome, CampaignSpec, InitSpec, RunConfig,
 };
 pub use cell::{chunk_for, run_cell, run_cell_monitored, sweep_stats, CellSpec};
 pub use fabric::{run_worker_any, QueueServeConfig, QueueServer};
 pub use metrics::{ConvergenceStats, HitMetric};
-pub use observer::{ChannelKind, ChannelSpec, FloatMoments, TrialExtras, TrialObserver};
+pub use observer::{TrialExtras, TrialObserver};
 pub use telemetry::{check_telemetry, CampaignTelemetry, CellProfile};

@@ -8,7 +8,6 @@ use stabcon_core::runner::RunResult;
 use stabcon_util::stats::Quantiles;
 
 use crate::aggregate::{CellAggregate, TrialMetrics};
-use crate::observer::TrialObserver;
 
 /// Which hitting time a sweep aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,7 @@ impl ConvergenceStats {
     pub fn from_results(results: &[RunResult], metric: HitMetric) -> Self {
         let mut agg = CellAggregate::new();
         for r in results {
-            agg.push(&TrialMetrics::capture(r, TrialObserver::None));
+            agg.push(&TrialMetrics::from(r));
         }
         agg.convergence(metric)
     }

@@ -1,170 +1,58 @@
 //! Trial observers: trajectory-derived extra metrics, folded worker-side.
 //!
-//! [`ExtraMetric::LastUnsettledRound`](crate) started life as a single
-//! post-hoc scalar bolted onto [`crate::aggregate::TrialMetrics`]. The
-//! drift and stability drivers need more: *per-round* samples (one-step
-//! imbalance growth) and post-hit excursion statistics. A [`TrialObserver`]
-//! generalizes the idea into a small protocol:
+//! Beyond the hitting times every cell reports, some drivers need a few
+//! more numbers per trial: the last unsettled round, the first round pair
+//! (one-step imbalance growth), post-hit excursion statistics, network
+//! totals. A [`TrialObserver`] is the protocol for them:
 //!
 //! * the observer declares up to [`MAX_CHANNELS`] named channels
-//!   ([`ChannelSpec`]), each either integer-valued (folded into an exact
-//!   [`SparseCounts`] sketch) or float-valued (folded into trial-order
-//!   [`FloatMoments`]);
+//!   ([`TrialObserver::channels`]); every channel is integer-valued, one
+//!   sample per trial at most, folded into an exact
+//!   [`SparseCounts`](stabcon_util::stats::SparseCounts) sketch;
 //! * for every finished trial, [`TrialObserver::capture`] walks the run's
 //!   per-round observables ([`RoundObs`]) **inside the worker** and reduces
 //!   them to one [`TrialExtras`] — the trajectory is dropped with the
 //!   `RunResult`, so a million-trial cell never materializes a million
 //!   trajectories;
-//! * the scheduler folds `TrialExtras` into the cell aggregate in global
-//!   trial order, so every channel is bit-identical across thread counts
-//!   and chunk sizes (integer channels are order-independent outright;
-//!   float channels fold per-trial partials in a fixed canonical order).
+//! * the sketches merge exactly in any order, so every channel is
+//!   bit-identical across thread counts and chunk sizes by arithmetic, not
+//!   by fold order.
+//!
+//! A quantity that is naturally a ratio is emitted as its integer parts:
+//! the drift observer's `Δ₀` is fixed within a cell, so `E[Δ₁/Δ₀]` is the
+//! mean of the `Δ₁` channel over the (constant) `Δ₀` channel.
 //!
 //! Observers are enum-dispatched: a cell is a value that crosses threads
 //! and gets fingerprinted into the result store, so the observer must be
 //! `Copy`, comparable, and nameable — a trait object is none of those.
+//! Parameters an observer needs (population, thresholds) come from the
+//! cell's [`SimSpec`], never from the observer itself.
 
-use stabcon_core::runner::{RoundObs, RunResult};
+use stabcon_core::runner::{RoundObs, RunResult, SimSpec};
 
 /// Maximum channels one observer may declare (keeps [`TrialExtras`] a small
 /// fixed-size `Copy` value on the worker → scheduler channel).
 pub const MAX_CHANNELS: usize = 5;
 
-/// How a channel's samples are aggregated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelKind {
-    /// Integer samples, folded into an exact [`SparseCounts`] sketch
-    /// (order-independent; full distribution retained).
-    ///
-    /// [`SparseCounts`]: stabcon_util::stats::SparseCounts
-    Int,
-    /// Float samples, folded into [`FloatMoments`] (count/sum/min/max) in
-    /// canonical trial order.
-    Float,
-}
-
-/// One named extra-metric channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelSpec {
-    /// Store field stem: the JSONL record uses `extra_<name>_count`,
-    /// `extra_<name>_mean`, … (snake_case, stable across releases).
-    pub name: &'static str,
-    /// Aggregation kind.
-    pub kind: ChannelKind,
-}
-
-/// Exact streaming moments of a float-valued sample stream.
-///
-/// Merging is *not* reassociated: the cell fold merges per-trial partials in
-/// global trial order, which makes the result a pure function of the cell
-/// spec (independent of threads/chunking) even though f64 addition is
-/// non-associative.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FloatMoments {
-    /// Samples folded.
-    pub count: u64,
-    /// Running sum (trial order).
-    pub sum: f64,
-    /// Smallest sample (`+inf` placeholder when empty).
-    pub min: f64,
-    /// Largest sample (`-inf` placeholder when empty).
-    pub max: f64,
-}
-
-impl FloatMoments {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Fold another accumulator in (call in canonical order).
-    pub fn merge(&mut self, other: &FloatMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-
-    /// Whether no sample was folded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// One trial's contribution to one channel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrialChannel {
-    /// Integer channel: at most one sample per trial (`None` = no sample).
-    Int(Option<u64>),
-    /// Float channel: the trial's per-round samples, already reduced.
-    Float(FloatMoments),
-}
-
 /// Everything one trial emits for its observer's channels, as a fixed-size
-/// `Copy` value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `Copy` value: at most one sample per channel (`None` = no sample).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrialExtras {
     len: u8,
-    vals: [TrialChannel; MAX_CHANNELS],
-}
-
-impl Default for TrialExtras {
-    fn default() -> Self {
-        Self::none()
-    }
+    vals: [Option<u64>; MAX_CHANNELS],
 }
 
 impl TrialExtras {
     /// No channels (the [`TrialObserver::None`] case).
     pub fn none() -> Self {
-        Self {
-            len: 0,
-            vals: [TrialChannel::Int(None); MAX_CHANNELS],
-        }
+        Self::default()
     }
 
     /// Build from a channel slice.
     ///
     /// # Panics
     /// Panics if more than [`MAX_CHANNELS`] channels are given.
-    pub fn from_slice(channels: &[TrialChannel]) -> Self {
+    pub fn from_slice(channels: &[Option<u64>]) -> Self {
         assert!(channels.len() <= MAX_CHANNELS, "too many observer channels");
         let mut out = Self::none();
         out.len = channels.len() as u8;
@@ -173,7 +61,7 @@ impl TrialExtras {
     }
 
     /// The populated channels, in declaration order.
-    pub fn channels(&self) -> &[TrialChannel] {
+    pub fn channels(&self) -> &[Option<u64>] {
         &self.vals[..self.len as usize]
     }
 
@@ -189,115 +77,61 @@ impl TrialExtras {
 }
 
 /// A per-trial observer: reduces one finished run (including its per-round
-/// trajectory, when recorded) to a fixed set of extra-metric channels.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// trajectory, when recorded) to a fixed set of integer channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrialObserver {
     /// No extra metrics.
     #[default]
     None,
     /// The last round in which more than one value was present (the
-    /// minimum-rule counterexample's metric). One integer channel,
+    /// minimum-rule counterexample's metric). One channel,
     /// `last_unsettled`. Requires trajectory recording; without it the
-    /// trial contributes no sample (the sentinel the sketch skips — see
-    /// [`TrialObserver::capture`]).
+    /// trial contributes no sample (see [`TrialObserver::capture`]).
     LastUnsettledRound,
-    /// One-step imbalance drift (Lemmas 12/15): for every consecutive
-    /// trajectory pair with positive imbalance `Δ_t`, sample the growth
-    /// ratio `Δ_{t+1}/Δ_t` (float channel `drift_ratio`) and the indicator
-    /// `Δ_{t+1} ≥ (4/3)·Δ_t` (float channel `drift_growth`, so its mean is
-    /// the growth probability). Requires trajectory recording.
-    DriftGrowth,
+    /// One-step imbalance drift (Lemmas 12/15) from the trajectory's first
+    /// round pair, in twice-imbalance units `2Δ` = top load − second load:
+    /// `drift_gap0` (`2Δ₀`), `drift_gap1` (`2Δ₁`), and `drift_growth`, the
+    /// indicator `3·(2Δ₁) ≥ 4·(2Δ₀)`. A trial with `Δ₀ = 0` emits no
+    /// sample. Requires trajectory recording.
+    OneStepDrift,
     /// Post-stabilization excursion statistics (E12): the raw
     /// almost-stable hit round (`stable_round`, *no* consensus fallback),
     /// the runner's exact maximum post-hit disagreement
     /// (`post_disagreement`), and the number of post-hit rounds whose
-    /// plurality left more than `threshold` balls disagreeing
-    /// (`excursion_rounds`, trajectory-derived).
-    StabilityExcursions {
-        /// Population size (disagreement = `n -` plurality count).
-        n: u64,
-        /// Excursion threshold in balls (typically the spec's
-        /// almost-stability threshold `⌈factor·T⌉`).
-        threshold: u64,
-    },
+    /// plurality left more than the spec's almost-stability threshold
+    /// disagreeing (`excursion_rounds`, trajectory-derived).
+    StabilityExcursions,
     /// Message-engine network totals: requests sent, responses delivered,
     /// legs dropped (inbox overflow + link/crash loss), peak in-flight
     /// queue depth, and partition-cut losses, summed over the trial. Five
-    /// integer channels from `RunResult::net_totals` — no trajectory
-    /// needed; trials on non-message engines contribute no samples.
+    /// channels from `RunResult::net_totals` — no trajectory needed;
+    /// trials on non-message engines contribute no samples.
     NetTotals,
 }
 
-const LAST_UNSETTLED_CHANNELS: [ChannelSpec; 1] = [ChannelSpec {
-    name: "last_unsettled",
-    kind: ChannelKind::Int,
-}];
-const DRIFT_CHANNELS: [ChannelSpec; 2] = [
-    ChannelSpec {
-        name: "drift_ratio",
-        kind: ChannelKind::Float,
-    },
-    ChannelSpec {
-        name: "drift_growth",
-        kind: ChannelKind::Float,
-    },
-];
-const NET_CHANNELS: [ChannelSpec; 5] = [
-    ChannelSpec {
-        name: "net_requests",
-        kind: ChannelKind::Int,
-    },
-    ChannelSpec {
-        name: "net_delivered",
-        kind: ChannelKind::Int,
-    },
-    ChannelSpec {
-        name: "net_dropped",
-        kind: ChannelKind::Int,
-    },
-    ChannelSpec {
-        name: "net_in_flight",
-        kind: ChannelKind::Int,
-    },
-    ChannelSpec {
-        name: "net_partitioned",
-        kind: ChannelKind::Int,
-    },
-];
-const STABILITY_CHANNELS: [ChannelSpec; 3] = [
-    ChannelSpec {
-        name: "stable_round",
-        kind: ChannelKind::Int,
-    },
-    ChannelSpec {
-        name: "post_disagreement",
-        kind: ChannelKind::Int,
-    },
-    ChannelSpec {
-        name: "excursion_rounds",
-        kind: ChannelKind::Int,
-    },
+const LAST_UNSETTLED_CHANNELS: [&str; 1] = ["last_unsettled"];
+const DRIFT_CHANNELS: [&str; 3] = ["drift_gap0", "drift_gap1", "drift_growth"];
+const STABILITY_CHANNELS: [&str; 3] = ["stable_round", "post_disagreement", "excursion_rounds"];
+const NET_CHANNELS: [&str; 5] = [
+    "net_requests",
+    "net_delivered",
+    "net_dropped",
+    "net_in_flight",
+    "net_partitioned",
 ];
 
 impl TrialObserver {
-    /// The channels this observer emits, in order.
-    pub fn channels(&self) -> &'static [ChannelSpec] {
+    /// The names of the channels this observer emits, in order. Each is a
+    /// store field stem: the JSONL record uses `extra_<name>_count`,
+    /// `extra_<name>_mean`, … (snake_case, stable across releases).
+    pub fn channels(&self) -> &'static [&'static str] {
         match self {
             TrialObserver::None => &[],
             TrialObserver::LastUnsettledRound => &LAST_UNSETTLED_CHANNELS,
-            TrialObserver::DriftGrowth => &DRIFT_CHANNELS,
-            TrialObserver::StabilityExcursions { .. } => &STABILITY_CHANNELS,
+            TrialObserver::OneStepDrift => &DRIFT_CHANNELS,
+            TrialObserver::StabilityExcursions => &STABILITY_CHANNELS,
             TrialObserver::NetTotals => &NET_CHANNELS,
         }
-    }
-
-    /// Whether any declared channel is float-valued. Float sums are not
-    /// associative, so the chunk scheduler keeps those per-trial (see
-    /// [`crate::aggregate::ChunkAggregate`]).
-    pub fn has_float_channels(&self) -> bool {
-        self.channels()
-            .iter()
-            .any(|c| matches!(c.kind, ChannelKind::Float))
     }
 
     /// Whether the observer reads per-round observables — when true, the
@@ -309,28 +143,23 @@ impl TrialObserver {
         !matches!(self, TrialObserver::None | TrialObserver::NetTotals)
     }
 
-    /// A stable label, hashed into the campaign fingerprint (parameters
-    /// included — a different threshold is a different campaign).
-    pub fn label(&self) -> String {
+    /// A stable label, hashed into the campaign fingerprint.
+    pub fn label(&self) -> &'static str {
         match self {
-            TrialObserver::None => "none".into(),
-            TrialObserver::LastUnsettledRound => "last-unsettled".into(),
-            TrialObserver::DriftGrowth => "drift-growth".into(),
-            TrialObserver::StabilityExcursions { n, threshold } => {
-                format!("excursions(n={n},thr={threshold})")
-            }
-            TrialObserver::NetTotals => "net-totals".into(),
+            TrialObserver::None => "none",
+            TrialObserver::LastUnsettledRound => "last-unsettled",
+            TrialObserver::OneStepDrift => "one-step-drift",
+            TrialObserver::StabilityExcursions => "excursions",
+            TrialObserver::NetTotals => "net-totals",
         }
     }
 
-    /// Reduce one finished run to this observer's channels.
+    /// Reduce one finished run of `spec` to this observer's channels.
     ///
     /// Never panics: a trajectory-needing observer on a run without a
-    /// recorded trajectory emits the no-sample sentinel on every
-    /// trajectory-derived channel (`Int(None)` / empty `Float`), which the
-    /// aggregate simply does not fold — the pre-observer code paths used to
-    /// panic here (see the `last_unsettled_*` tests).
-    pub fn capture(&self, r: &RunResult) -> TrialExtras {
+    /// recorded trajectory emits `None` on every trajectory-derived
+    /// channel, which the aggregate simply does not fold.
+    pub fn capture(&self, spec: &SimSpec, r: &RunResult) -> TrialExtras {
         match self {
             TrialObserver::None => TrialExtras::none(),
             TrialObserver::LastUnsettledRound => {
@@ -341,82 +170,62 @@ impl TrialObserver {
                         .max()
                         .unwrap_or(0)
                 });
-                TrialExtras::from_slice(&[TrialChannel::Int(last)])
+                TrialExtras::from_slice(&[last])
             }
-            TrialObserver::DriftGrowth => {
-                let mut ratio = FloatMoments::new();
-                let mut growth = FloatMoments::new();
-                if let Some(t) = r.trajectory.as_ref() {
-                    for w in t.windows(2) {
-                        let (d0, d1) = (w[0].imbalance, w[1].imbalance);
-                        if d0 > 0.0 {
-                            ratio.push(d1 / d0);
-                            growth.push(f64::from(u8::from(d1 >= (4.0 / 3.0) * d0)));
-                        }
-                    }
-                }
-                TrialExtras::from_slice(&[TrialChannel::Float(ratio), TrialChannel::Float(growth)])
+            TrialObserver::OneStepDrift => {
+                let pair = r
+                    .trajectory
+                    .as_deref()
+                    .and_then(|t| t.get(..2))
+                    .map(|w| (twice_imbalance(&w[0]), twice_imbalance(&w[1])))
+                    .filter(|&(g0, _)| g0 > 0);
+                TrialExtras::from_slice(&[
+                    pair.map(|(g0, _)| g0),
+                    pair.map(|(_, g1)| g1),
+                    pair.map(|(g0, g1)| u64::from(3 * g1 >= 4 * g0)),
+                ])
             }
-            TrialObserver::StabilityExcursions { n, threshold } => {
+            TrialObserver::StabilityExcursions => {
+                let n = spec.n_processes() as u64;
+                let threshold = spec.disagreement_threshold();
                 let hit = r.almost_stable_round;
                 let post = hit.and(r.max_disagreement_after_stable);
                 let excursions = match (hit, r.trajectory.as_ref()) {
                     (Some(h), Some(t)) => Some(
                         t.iter()
-                            .filter(|obs| obs.round > h && disagreement(*n, obs) > *threshold)
+                            .filter(|obs| {
+                                obs.round > h && n.saturating_sub(obs.plurality_count) > threshold
+                            })
                             .count() as u64,
                     ),
                     _ => None,
                 };
-                TrialExtras::from_slice(&[
-                    TrialChannel::Int(hit),
-                    TrialChannel::Int(post),
-                    TrialChannel::Int(excursions),
-                ])
+                TrialExtras::from_slice(&[hit, post, excursions])
             }
             TrialObserver::NetTotals => {
                 let t = r.net_totals;
                 TrialExtras::from_slice(&[
-                    TrialChannel::Int(t.map(|m| m.requests)),
-                    TrialChannel::Int(t.map(|m| m.delivered)),
-                    TrialChannel::Int(t.map(|m| m.dropped + m.link_dropped)),
-                    TrialChannel::Int(t.map(|m| m.in_flight)),
-                    TrialChannel::Int(t.map(|m| m.partition_dropped)),
+                    t.map(|m| m.requests),
+                    t.map(|m| m.delivered),
+                    t.map(|m| m.dropped + m.link_dropped),
+                    t.map(|m| m.in_flight),
+                    t.map(|m| m.partition_dropped),
                 ])
             }
         }
     }
 }
 
-/// Balls not in the round's plurality bin — a lower bound on disagreement
-/// with any single value.
-fn disagreement(n: u64, obs: &RoundObs) -> u64 {
-    n.saturating_sub(obs.plurality_count)
+/// `2Δ`: the top load minus the second load (exact — `imbalance` is a
+/// half-integer well inside f64's integer range).
+fn twice_imbalance(obs: &RoundObs) -> u64 {
+    (2.0 * obs.imbalance) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stabcon_core::init::InitialCondition;
-    use stabcon_core::runner::SimSpec;
-
-    #[test]
-    fn float_moments_fold_and_merge() {
-        let mut a = FloatMoments::new();
-        assert!(a.is_empty());
-        assert!(a.mean().is_nan());
-        for x in [2.0, 8.0, 5.0] {
-            a.push(x);
-        }
-        assert_eq!((a.count, a.sum, a.min, a.max), (3, 15.0, 2.0, 8.0));
-        let mut b = FloatMoments::new();
-        b.push(1.0);
-        a.merge(&b);
-        assert_eq!((a.count, a.min), (4, 1.0));
-        let mut empty = FloatMoments::new();
-        empty.merge(&a);
-        assert_eq!(empty, a, "merge into empty adopts the other side");
-    }
 
     #[test]
     fn observer_channel_declarations() {
@@ -424,11 +233,8 @@ mod tests {
         assert!(!TrialObserver::None.needs_trajectory());
         for obs in [
             TrialObserver::LastUnsettledRound,
-            TrialObserver::DriftGrowth,
-            TrialObserver::StabilityExcursions {
-                n: 64,
-                threshold: 4,
-            },
+            TrialObserver::OneStepDrift,
+            TrialObserver::StabilityExcursions,
         ] {
             assert!(obs.needs_trajectory(), "{}", obs.label());
             assert!(!obs.channels().is_empty());
@@ -438,20 +244,18 @@ mod tests {
         let net = TrialObserver::NetTotals;
         assert!(!net.needs_trajectory());
         assert_eq!(net.channels().len(), 5);
-        assert!(!net.has_float_channels());
-        // Parameters are part of the label (and hence the fingerprint).
-        assert_ne!(
-            TrialObserver::StabilityExcursions {
-                n: 64,
-                threshold: 4
-            }
-            .label(),
-            TrialObserver::StabilityExcursions {
-                n: 64,
-                threshold: 5
-            }
-            .label(),
-        );
+        // Labels tell the observers apart (they are fingerprinted).
+        let labels: std::collections::BTreeSet<_> = [
+            TrialObserver::None,
+            TrialObserver::LastUnsettledRound,
+            TrialObserver::OneStepDrift,
+            TrialObserver::StabilityExcursions,
+            TrialObserver::NetTotals,
+        ]
+        .iter()
+        .map(TrialObserver::label)
+        .collect();
+        assert_eq!(labels.len(), 5);
     }
 
     #[test]
@@ -465,27 +269,27 @@ mod tests {
             .full_horizon(true);
         let r = spec.run_seeded(7);
         let totals = r.net_totals.expect("message run records net totals");
-        let extras = TrialObserver::NetTotals.capture(&r);
+        let extras = TrialObserver::NetTotals.capture(&spec, &r);
         assert_eq!(
             extras.channels(),
             &[
-                TrialChannel::Int(Some(totals.requests)),
-                TrialChannel::Int(Some(totals.delivered)),
-                TrialChannel::Int(Some(totals.dropped + totals.link_dropped)),
-                TrialChannel::Int(Some(totals.in_flight)),
-                TrialChannel::Int(Some(totals.partition_dropped)),
+                Some(totals.requests),
+                Some(totals.delivered),
+                Some(totals.dropped + totals.link_dropped),
+                Some(totals.in_flight),
+                Some(totals.partition_dropped),
             ]
         );
         assert!(totals.requests > 0);
 
-        // A dense run has no net totals: every channel is the no-sample
-        // sentinel rather than a panic.
+        // A dense run has no net totals: every channel is `None` rather
+        // than a panic.
         let dense = SimSpec::new(n)
             .init(InitialCondition::TwoBins { left: n / 2 })
-            .max_rounds(2)
-            .run_seeded(7);
-        for ch in TrialObserver::NetTotals.capture(&dense).channels() {
-            assert_eq!(*ch, TrialChannel::Int(None));
+            .max_rounds(2);
+        let r = dense.run_seeded(7);
+        for ch in TrialObserver::NetTotals.capture(&dense, &r).channels() {
+            assert_eq!(*ch, None);
         }
     }
 
@@ -497,19 +301,32 @@ mod tests {
             .max_rounds(1)
             .record_trajectory(true);
         let r = spec.run_seeded(3);
-        let extras = TrialObserver::DriftGrowth.capture(&r);
-        let TrialChannel::Float(ratio) = extras.channels()[0] else {
-            panic!("ratio channel must be float");
+        let extras = TrialObserver::OneStepDrift.capture(&spec, &r);
+        let &[Some(g0), Some(g1), Some(growth)] = extras.channels() else {
+            panic!("one step → one sample per channel: {extras:?}");
         };
-        assert_eq!(ratio.count, 1, "one step → one growth sample");
+        assert_eq!(g0, 256, "2Δ₀ = 2·128");
         let traj = r.trajectory.expect("recorded");
-        assert_eq!(ratio.sum, traj[1].imbalance / traj[0].imbalance);
+        assert_eq!(g1 as f64, 2.0 * traj[1].imbalance);
+        assert_eq!(
+            growth,
+            u64::from(traj[1].imbalance >= (4.0 / 3.0) * traj[0].imbalance)
+        );
+
+        // A tied start has Δ₀ = 0: no sample on any channel.
+        let tied = SimSpec::new(n)
+            .init(InitialCondition::TwoBins { left: n / 2 })
+            .max_rounds(1)
+            .record_trajectory(true);
+        let r = tied.run_seeded(3);
+        let extras = TrialObserver::OneStepDrift.capture(&tied, &r);
+        assert_eq!(extras.channels(), &[None, None, None]);
     }
 
     #[test]
     fn stability_excursions_without_hit_emits_nothing() {
         // Tied two bins with a generous balancer and a tiny round budget:
-        // no almost-stable hit, so every channel is the no-sample sentinel.
+        // no almost-stable hit, so every channel is `None`.
         let n = 1024;
         let spec = SimSpec::new(n)
             .init(InitialCondition::TwoBins { left: n / 2 })
@@ -519,13 +336,9 @@ mod tests {
             .record_trajectory(true);
         let r = spec.run_seeded(1);
         assert!(r.almost_stable_round.is_none(), "{r:?}");
-        let extras = TrialObserver::StabilityExcursions {
-            n: n as u64,
-            threshold: 4,
-        }
-        .capture(&r);
+        let extras = TrialObserver::StabilityExcursions.capture(&spec, &r);
         for ch in extras.channels() {
-            assert_eq!(*ch, TrialChannel::Int(None));
+            assert_eq!(*ch, None);
         }
     }
 }

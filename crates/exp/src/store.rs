@@ -28,9 +28,8 @@ use std::path::Path;
 
 use stabcon_util::jsonl::{get, parse_flat, FlatObject, JsonObj};
 
-use crate::aggregate::{CellAggregate, ChannelAggregate};
+use crate::aggregate::CellAggregate;
 use crate::cell::CellSpec;
-use crate::observer::ChannelKind;
 
 /// Store schema identifier.
 ///
@@ -154,36 +153,18 @@ pub fn cell_line(cell: &CellSpec, agg: &CellAggregate) -> String {
     // Observer channels: one `extra_<name>_*` field group per channel, in
     // declaration order. `count` is always written (so a resumed store is
     // byte-identical even when a channel happens to collect no samples);
-    // the summaries are `null` when empty, numbers otherwise — integer
-    // channels keep `max`/`min` as exact integers, float channels use
-    // shortest-roundtrip floats throughout.
-    for (spec, channel) in cell.observer.channels().iter().zip(agg.extras()) {
-        let stem = |suffix: &str| format!("extra_{}_{suffix}", spec.name);
-        obj = obj.u64_field(&stem("count"), channel.count());
-        obj = obj.f64_field(&stem("mean"), channel.mean());
-        match channel {
-            ChannelAggregate::Int(counts) => {
-                for (suffix, v) in [("min", counts.min()), ("max", counts.max())] {
-                    obj = match v {
-                        Some(v) => obj.u64_field(&stem(suffix), v),
-                        None => obj.null_field(&stem(suffix)),
-                    };
-                }
-            }
-            ChannelAggregate::Float(_) => {
-                for (suffix, v) in [("min", channel.min()), ("max", channel.max())] {
-                    obj = match v {
-                        Some(v) => obj.f64_field(&stem(suffix), v),
-                        None => obj.null_field(&stem(suffix)),
-                    };
-                }
-            }
+    // the summaries are `null` when empty, and `min`/`max` are exact
+    // integers otherwise.
+    for (name, counts) in cell.observer.channels().iter().zip(agg.extras()) {
+        let stem = |suffix: &str| format!("extra_{name}_{suffix}");
+        obj = obj.u64_field(&stem("count"), counts.count());
+        obj = obj.f64_field(&stem("mean"), counts.mean());
+        for (suffix, v) in [("min", counts.min()), ("max", counts.max())] {
+            obj = match v {
+                Some(v) => obj.u64_field(&stem(suffix), v),
+                None => obj.null_field(&stem(suffix)),
+            };
         }
-        debug_assert_eq!(
-            matches!(channel, ChannelAggregate::Int(_)),
-            spec.kind == ChannelKind::Int,
-            "channel kind drifted from the observer declaration"
-        );
     }
     obj.finish()
 }
@@ -628,64 +609,51 @@ mod tests {
         use crate::observer::TrialObserver;
         let n = 1024usize;
         let pool = ThreadPool::new(2);
-        let observer = TrialObserver::StabilityExcursions {
-            n: n as u64,
-            threshold: 8,
-        };
         let sim = SimSpec::new(n)
             .init(InitialCondition::TwoBins { left: n / 2 })
             .adversary(stabcon_core::adversary::AdversarySpec::Random, 2)
             .max_rounds(400)
             .full_horizon(true);
-        let cell = CellSpec::new(sim, 6, 0xE12).observer(observer);
-        let agg = crate::cell::run_cell(&pool, &cell, 2);
-        let line = cell_line(&cell, &agg);
-        let obj = parse_flat(&line).expect("parse");
-        // Every channel writes its field group, values matching the
-        // in-memory aggregate exactly.
-        for (i, spec) in observer.channels().iter().enumerate() {
-            let stem = |s: &str| format!("extra_{}_{s}", spec.name);
-            let channel = &agg.extras()[i];
-            assert_eq!(
-                get(&obj, &stem("count")).and_then(|v| v.as_u64()),
-                Some(channel.count()),
-                "{line}"
-            );
-            if channel.count() > 0 {
-                assert_eq!(
-                    get(&obj, &stem("mean")).and_then(|v| v.as_f64()),
-                    Some(channel.mean()),
-                    "{line}"
-                );
-                assert_eq!(
-                    get(&obj, &stem("max")).and_then(|v| v.as_f64()),
-                    channel.max(),
-                    "{line}"
-                );
-            } else {
-                assert_eq!(
-                    get(&obj, &stem("mean")),
-                    Some(&stabcon_util::jsonl::JsonScalar::Null),
-                    "{line}"
-                );
-            }
-        }
-        // A float channel round-trips too (drift observer).
+        let stability = CellSpec::new(sim, 6, 0xE12).observer(TrialObserver::StabilityExcursions);
+        // The drift observer's growth channel is a 0/1 indicator, so its
+        // stored mean is the growth probability.
         let sim = SimSpec::new(2048)
             .init(InitialCondition::TwoBins { left: 960 })
             .max_rounds(1);
-        let cell = CellSpec::new(sim, 5, 0xD1F).observer(TrialObserver::DriftGrowth);
-        let agg = crate::cell::run_cell(&pool, &cell, 2);
-        let obj = parse_flat(&cell_line(&cell, &agg)).expect("parse");
-        let ratio = agg.float_extra(0).expect("ratio channel");
-        assert_eq!(
-            get(&obj, "extra_drift_ratio_mean").and_then(|v| v.as_f64()),
-            Some(ratio.mean())
-        );
-        assert_eq!(
-            get(&obj, "extra_drift_ratio_count").and_then(|v| v.as_u64()),
-            Some(ratio.count)
-        );
+        let drift = CellSpec::new(sim, 5, 0xD1F).observer(TrialObserver::OneStepDrift);
+        for cell in [stability, drift] {
+            let agg = crate::cell::run_cell(&pool, &cell, 2);
+            let line = cell_line(&cell, &agg);
+            let obj = parse_flat(&line).expect("parse");
+            // Every channel writes its field group, values matching the
+            // in-memory aggregate exactly.
+            for (name, counts) in cell.observer.channels().iter().zip(agg.extras()) {
+                let field = |s: &str| get(&obj, &format!("extra_{name}_{s}"));
+                assert_eq!(
+                    field("count").and_then(|v| v.as_u64()),
+                    Some(counts.count()),
+                    "{line}"
+                );
+                if counts.count() > 0 {
+                    assert_eq!(
+                        field("mean").and_then(|v| v.as_f64()),
+                        Some(counts.mean()),
+                        "{line}"
+                    );
+                    assert_eq!(
+                        field("max").and_then(|v| v.as_u64()),
+                        counts.max(),
+                        "{line}"
+                    );
+                } else {
+                    assert_eq!(
+                        field("mean"),
+                        Some(&stabcon_util::jsonl::JsonScalar::Null),
+                        "{line}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

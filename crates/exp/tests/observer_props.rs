@@ -3,10 +3,9 @@
 //! fold (run every trial sequentially, capture, push in trial order), at
 //! any thread count and chunk size.
 //!
-//! This is the property the driver ports lean on: integer channels are
-//! order-independent sketches, float channels fold per-trial partials in
-//! global trial order, so neither scheduling nor chunking can leak into the
-//! numbers.
+//! This is the property the driver ports lean on: every channel is an
+//! order-independent integer sketch, so neither scheduling nor chunking can
+//! leak into the numbers.
 
 use proptest::prelude::*;
 use stabcon_core::adversary::AdversarySpec;
@@ -44,20 +43,16 @@ fn cell_for(observer_ix: usize, n: usize, trials: u64, seed: u64) -> CellSpec {
             trials,
             seed,
         )
-        .observer(TrialObserver::DriftGrowth),
+        .observer(TrialObserver::OneStepDrift),
         _ => {
             let sim = SimSpec::new(n)
                 .init(InitialCondition::TwoBins { left: n / 2 })
                 .adversary(AdversarySpec::Random, 2)
                 .max_rounds(120)
                 .full_horizon(true);
-            let threshold = sim.disagreement_threshold();
             CellSpec::new(sim, trials, seed)
                 .metric(HitMetric::AlmostStable)
-                .observer(TrialObserver::StabilityExcursions {
-                    n: n as u64,
-                    threshold,
-                })
+                .observer(TrialObserver::StabilityExcursions)
         }
     }
 }
@@ -66,7 +61,7 @@ fn materialized_fold(cell: &CellSpec) -> CellAggregate {
     let mut agg = CellAggregate::new();
     for i in 0..cell.trials {
         let r = cell.sim.run_seeded(derive_seed(cell.seed, i));
-        agg.push(&TrialMetrics::capture(&r, cell.observer));
+        agg.push(&TrialMetrics::capture(&cell.sim, &r, cell.observer));
     }
     agg
 }

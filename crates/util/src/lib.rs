@@ -14,9 +14,8 @@
 //! * [`dist`] — random variates built on raw 64-bit outputs: exact
 //!   binomial (inversion + transformed rejection), Vose's alias method
 //!   for categorical draws, and log-space combinatorics.
-//! * [`stats`] — exact count sketches, quantiles, streaming histograms,
-//!   and least-squares line fits for the scaling laws in the experiment
-//!   harness.
+//! * [`stats`] — exact count sketches, quantiles, and least-squares line
+//!   fits for the scaling laws in the experiment harness.
 //! * [`table`] — plain-text / markdown / CSV table rendering for the
 //!   analysis drivers' output.
 //! * [`jsonl`] — a minimal JSON writer (with proper string escaping) and a

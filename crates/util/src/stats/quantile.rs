@@ -47,7 +47,7 @@ fn order_stat(pairs: &[(u64, u64)], idx: u64) -> u64 {
 
 /// Quantile of weighted integer samples, given as `(value, count)` pairs
 /// sorted by value. **Bit-identical** to sorting the expanded multiset and
-/// calling [`quantile_sorted`] — streaming campaign aggregates rely on this
+/// calling `quantile_sorted` — streaming campaign aggregates rely on this
 /// to reproduce materialized sweeps exactly.
 ///
 /// # Panics

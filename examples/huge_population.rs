@@ -6,7 +6,8 @@
 //! on its histogram: the processes that move in one direction travel as
 //! one pool through the median rule's closed-form landing law, and the
 //! balancer moves loads between bins — `O(m)` binomial draws per round no
-//! matter how large n is.
+//! matter how large n is. The stabilization rounds fold into an exact
+//! `SparseCounts` sketch, so the printed mean, p95 and max are exact.
 //!
 //! ```sh
 //! cargo run --release --example huge_population
@@ -18,7 +19,7 @@ use stabcon::core::engine::EngineSpec;
 use stabcon::core::init::InitialCondition;
 use stabcon::core::runner::SimSpec;
 use stabcon::core::workspace::TrialWorkspace;
-use stabcon::util::stats::StreamingHistogram;
+use stabcon::util::stats::SparseCounts;
 
 fn main() {
     let n: usize = 1 << 40; // ~1.1e12 processes
@@ -36,7 +37,7 @@ fn main() {
         .max_rounds(10_000);
 
     let trials = 25;
-    let mut rounds_hist = StreamingHistogram::new(0.0, 200.0, 40);
+    let mut rounds = SparseCounts::new();
     let mut winners = std::collections::BTreeMap::<u32, u32>::new();
     let mut ws = TrialWorkspace::new();
     let start = std::time::Instant::now();
@@ -45,7 +46,7 @@ fn main() {
         let hit = r
             .almost_stable_round
             .expect("must stabilize below threshold");
-        rounds_hist.push(hit as f64);
+        rounds.push(hit);
         *winners.entry(r.winner).or_insert(0) += 1;
     }
     let elapsed = start.elapsed();
@@ -53,12 +54,12 @@ fn main() {
     println!("adversary            : balancing, T = {t} per round");
     println!("trials               : {trials}");
     println!(
-        "rounds to stability  : mean {:.1}, p95 {:.1}, max {:.0}",
-        rounds_hist.mean(),
-        rounds_hist.quantile(0.95),
-        rounds_hist.max()
+        "rounds to stability  : mean {:.1}, p95 {:.1}, max {}",
+        rounds.mean(),
+        rounds.quantile(0.95),
+        rounds.max().expect("at least one trial")
     );
-    println!("distribution         : {}", rounds_hist.sparkline());
+    println!("(round, trials)      : {:?}", rounds.pairs());
     println!("winning opinions     : {winners:?}");
     println!(
         "wall clock           : {:.2?} total ({:.1?} per trillion-process trial)",
