@@ -421,6 +421,14 @@ impl Adversary for Reviver {
 /// Pushes balls *away from the current median bin* toward the extreme
 /// initial values, alternating sides — the natural "stall the median"
 /// heuristic attack.
+///
+/// The alternation stops as soon as the next target is the median bin. On
+/// two bins one of the extremes *is* the median bin, so the strategy moves
+/// at most one ball a round, and only when its coin picks the other bin
+/// (probability ½), whatever the budget: a two-bins trial under it is
+/// nearly adversary-free, and Figure 1's two-bins median-pusher rows show
+/// the unattacked chain plus one coin-flipped ball a round.
+/// `tests/two_bin_oracle.rs` pins that law.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MedianPusher;
 

@@ -8,9 +8,11 @@
 //! process for free — where a median-rule ball lands depends only on the
 //! loads, see [`super::hist`]). The adaptive engine runs dense, maintains
 //! an **incremental histogram** of loads as balls move, and hands off to the
-//! histogram engine the moment the number of distinct values drops to the
-//! configured threshold. A trial whose initial condition has at most that
-//! many values starts on the histogram, built from the initial loads
+//! histogram engine the moment a histogram round costs less than a dense
+//! one: once the number of distinct values drops to
+//! [`handoff_threshold`], `max(handoff_support, n / BALLS_PER_BIN)`. A
+//! trial whose initial condition has at most that many values starts on
+//! the histogram, built from the initial loads
 //! ([`crate::init::InitialCondition::loads_into`]). The adversary follows
 //! the trial across the handoff when its strategy decides from the loads
 //! alone: [`crate::adversary::Corruptor`] runs it on either backing.
@@ -39,10 +41,29 @@ use crate::value::Value;
 /// `(old, new)` pairs, L1-resident).
 pub const MOVE_BLOCK: usize = 1024;
 
-/// Default handoff threshold: hand off once at most this many distinct
-/// values survive. `m = 64` keeps the histogram step (about `4m` binomial
-/// draws) far below one dense round even at `n = 10⁴`.
+/// Default floor of the handoff threshold ([`handoff_threshold`]): a trial
+/// hands off at this support even where `n / BALLS_PER_BIN` is smaller.
+/// `m = 64` keeps the histogram step (about `4m` binomial draws) far below
+/// one dense round even at `n = 10⁴`.
 pub const DEFAULT_HANDOFF_SUPPORT: usize = 64;
+
+/// Dense balls one histogram bin costs: a histogram round over `m` bins
+/// costs about as much as a dense round over `m · BALLS_PER_BIN` balls.
+/// Measured at `n = 2²⁰` on one core of a 2-core Xeon host, where the
+/// pooled step takes about 0.45–0.55 µs per bin and the dense kernel about
+/// 14 ns per ball (a ratio of 30–40). An all-distinct adaptive trial there
+/// takes the same time for any handoff at or above `n / 40` bins, and
+/// longer below it.
+pub const BALLS_PER_BIN: usize = 40;
+
+/// The support at or below which an adaptive trial of `n` balls runs on the
+/// histogram: `max(floor, n / BALLS_PER_BIN)`, where `floor` is
+/// [`crate::engine::EngineSpec::Adaptive`]'s `handoff_support` (at least
+/// 1). It depends on neither the thread count nor the adversary, so every
+/// thread count hands off at the same round.
+pub fn handoff_threshold(floor: usize, n: usize) -> usize {
+    floor.max(n / BALLS_PER_BIN).max(1)
+}
 
 /// Live bin loads maintained incrementally as balls move.
 ///

@@ -4,7 +4,7 @@
 //! |--------|-----------|------------------|---------------------|
 //! | [`dense`] | `O(n)` (seq or parallel) | memory (`4n` bytes) | idealized sampling |
 //! | [`hist`]  | `O(m)` binomial draws | `2^52` balls | idealized sampling |
-//! | [`adaptive`] | `O(n)` early, `O(m)` after handoff | memory (`4n` bytes) | idealized sampling |
+//! | [`adaptive`] | `O(n)` while `m > max(64, n/40)`, then `O(m)` | `2^52` balls from a start within the handoff, else memory (`4n` bytes) | idealized sampling |
 //! | [`message`] | `O(n + messages)` | memory | full request/response with logarithmic inbox caps and drop policies |
 //!
 //! Dense parallel and dense sequential are **bit-identical** for any thread
@@ -23,19 +23,22 @@
 //! [`dense::LoadSampler`] whose alias table rebuilds in place each round.
 //!
 //! The **adaptive** engine runs dense while many values are live, then hands
-//! off to the exact `O(m)`-per-round histogram process once the support
-//! has shrunk to the configured threshold (default
-//! [`adaptive::DEFAULT_HANDOFF_SUPPORT`] = 64 bins); a start already that
+//! off to the exact `O(m)`-per-round histogram process once a histogram
+//! round costs less than a dense one: at support
+//! `m ≤ max(handoff_support, n / BALLS_PER_BIN)`
+//! ([`adaptive::handoff_threshold`]). One bin costs about
+//! [`adaptive::BALLS_PER_BIN`] = 40 dense balls, and the floor defaults to
+//! [`adaptive::DEFAULT_HANDOFF_SUPPORT`] = 64 bins. A start already that
 //! narrow is built on the histogram from its loads and never materializes
 //! its `n` balls, so `n` may reach 2⁴⁰ and beyond. The handoff is
 //! statistically exact for the median rule — the destination law depends
-//! only on the loads — and turns the long near-consensus tail of a trial
-//! from `O(n)`/round into `O(m)`/round (a `TwoBins` trial at `n = 10⁶`
-//! completes ≥5× faster end-to-end). A load-only adversary (balancer,
-//! median pusher) keeps acting on the histogram. The trial stays dense for
-//! all rounds (exact, just not faster) when something needs a per-ball
-//! view: an adversary that names processes
-//! ([`crate::adversary::AdversarySpec::needs_processes`]), an
+//! only on the loads — and turns every round after it from `O(n)` into
+//! `O(m)`: an all-distinct trial at `n = 2²⁰` runs about 11 dense rounds
+//! of its 40; it would reach the 64-bin floor only at round 27. A
+//! load-only adversary (balancer, median pusher) keeps acting on the
+//! histogram. The trial stays dense for all rounds (exact, just not
+//! faster) when something needs a per-ball view: an adversary that names
+//! processes ([`crate::adversary::AdversarySpec::needs_processes`]), an
 //! `update_fraction < 1` ablation, or a non-median protocol.
 
 pub mod adaptive;
@@ -59,16 +62,20 @@ pub enum EngineSpec {
         threads: usize,
     },
     /// Dense (parallel) until the live support shrinks to
-    /// `handoff_support`, then the exact `O(m)`-per-round histogram engine.
+    /// `max(handoff_support, n / BALLS_PER_BIN)`
+    /// ([`adaptive::handoff_threshold`]), then the exact `O(m)`-per-round
+    /// histogram engine.
     ///
     /// Only the median rule hands off (its destination law is load-only);
     /// other protocols, adversaries that name processes, and
     /// `update_fraction < 1` stay dense throughout. A start with at most
-    /// `handoff_support` values runs on the histogram from round 0.
+    /// that many values runs on the histogram from round 0.
     Adaptive {
-        /// Worker threads for the dense phase (1 = sequential).
+        /// Worker threads for the dense phase (1 = sequential). The handoff
+        /// round does not depend on it.
         threads: usize,
-        /// Hand off once the number of distinct values is ≤ this.
+        /// The floor of the handoff threshold: hand off once the number of
+        /// distinct values is ≤ this, or ≤ `n / BALLS_PER_BIN` if larger.
         handoff_support: usize,
     },
     /// Full message-level engine on `stabcon-net`.
@@ -76,7 +83,7 @@ pub enum EngineSpec {
 }
 
 impl EngineSpec {
-    /// Adaptive engine with default threads and handoff threshold.
+    /// Adaptive engine with default threads and handoff floor.
     pub fn adaptive() -> Self {
         EngineSpec::Adaptive {
             threads: stabcon_par::default_threads(),
@@ -92,7 +99,10 @@ impl EngineSpec {
             EngineSpec::Adaptive {
                 threads,
                 handoff_support,
-            } => format!("adaptive({threads},m≤{handoff_support})"),
+            } => format!(
+                "adaptive({threads},m≤max({handoff_support},n/{}))",
+                adaptive::BALLS_PER_BIN
+            ),
             EngineSpec::Message(cfg) => {
                 // Keep the historical label for clean-network configs; only
                 // faulted scenarios grow a suffix.

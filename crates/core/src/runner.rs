@@ -20,7 +20,7 @@ use stabcon_obs as obs;
 use stabcon_util::rng::{derive_seed, Xoshiro256pp};
 
 use crate::adversary::{AdversarySpec, Corruptor};
-use crate::engine::adaptive::{observe_histogram, LoadCounts};
+use crate::engine::adaptive::{handoff_threshold, observe_histogram, LoadCounts};
 use crate::engine::{dense, hist, EngineSpec};
 use crate::histogram::Histogram;
 use crate::init::InitialCondition;
@@ -247,22 +247,22 @@ impl SimSpec {
         let mut init_rng = Xoshiro256pp::seed(derive_seed(seed, 0));
         let mut adv_rng = Xoshiro256pp::seed(derive_seed(seed, 1));
         let engine_seed = derive_seed(seed, 2);
-        // The adaptive engine hands off to the histogram once the support
-        // is narrow, for the median law and under a strategy that decides
-        // from the loads alone; a trial whose start is already that narrow
-        // never builds its n-ball state.
-        let handoff_support = match self.engine {
+        // The adaptive engine hands off to the histogram once a histogram
+        // round costs less than a dense one, for the median law and under a
+        // strategy that decides from the loads alone; a trial whose start
+        // is already that narrow never builds its n-ball state.
+        let handoff_at = match self.engine {
             EngineSpec::Adaptive {
                 handoff_support, ..
             } if (self.budget == 0 || !self.adversary.needs_processes())
                 && self.update_fraction >= 1.0
                 && self.protocol.is_median_law() =>
             {
-                Some(handoff_support.max(1))
+                Some(handoff_threshold(handoff_support, self.n))
             }
             _ => None,
         };
-        let start_aggregated = handoff_support.is_some_and(|t| self.init.max_support(self.n) <= t);
+        let start_aggregated = handoff_at.is_some_and(|t| self.init.max_support(self.n) <= t);
         assert!(
             start_aggregated || self.n <= u32::MAX as usize,
             "SimSpec: n = {} exceeds u32::MAX = {}, the most balls a dense state holds",
@@ -371,10 +371,10 @@ impl SimSpec {
             if done && !self.full_horizon {
                 break;
             }
-            // Adaptive handoff once the support is narrow enough: the
-            // switch is statistically exact conditioned on the loads, at
-            // round 0 as at any later round.
-            if hist_state.is_none() && handoff_support.is_some_and(|t| support <= t) {
+            // Adaptive handoff once a histogram round is the cheaper one:
+            // the switch is statistically exact conditioned on the loads,
+            // at round 0 as at any later round.
+            if hist_state.is_none() && handoff_at.is_some_and(|t| support <= t) {
                 let _t = obs::phase(obs::Phase::Handoff);
                 hist_state = ws.handoff.take();
                 counts.snapshot_into(&mut hist_state);

@@ -1,6 +1,6 @@
 //! Properties of the monomorphized dense hot path and the adaptive engine.
 //!
-//! Three contracts from the perf refactor:
+//! Five contracts:
 //!
 //! 1. monomorphized (static-dispatch) and `dyn Protocol` dense rounds are
 //!    **bit-identical** — the generic step must not change a single draw;
@@ -9,11 +9,13 @@
 //! 3. the adaptive engine is statistically exact: its consensus-round
 //!    distribution agrees with pure dense (KS-style check over ≥200 seeded
 //!    trials);
-//! 4. an adversary that names processes keeps the adaptive engine dense.
+//! 4. an adversary that names processes keeps the adaptive engine dense;
+//! 5. the handoff round depends on the loads alone: up to it an adaptive
+//!    trial is the dense trial, at any thread count.
 
 use proptest::prelude::*;
 use stabcon_core::adversary::AdversarySpec;
-use stabcon_core::engine::{dense, EngineSpec};
+use stabcon_core::engine::{adaptive, dense, EngineSpec};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
 use stabcon_core::protocol::{KMedianRule, MedianRule, Protocol, VoterRule};
@@ -167,15 +169,18 @@ fn adaptive_consensus_round_distribution_matches_dense() {
     }
 }
 
-/// The adaptive engine with a handoff threshold of 1 never hands off before
-/// consensus (support must *reach* 1 first) — it must still converge and
-/// agree with plain dense on every observable that is sample-exact.
+/// With a floor of 1 bin the handoff threshold is `n / BALLS_PER_BIN`
+/// (25 at n = 1,024), so an all-distinct trial starts dense and hands off
+/// mid-trial. Up to and including the handoff round the adaptive trial is
+/// the dense one, ball for ball: the same rounds on the same word stream.
+/// After it the histogram draws its own stream, so only the law agrees.
 #[test]
 fn adaptive_with_tiny_threshold_behaves_like_dense() {
     let n = 1024usize;
     let base = SimSpec::new(n)
-        .init(InitialCondition::UniformRandom { m: 8 })
-        .max_rounds(4000);
+        .init(InitialCondition::AllDistinct)
+        .max_rounds(4000)
+        .record_trajectory(true);
     let dense = base.clone().engine(EngineSpec::DenseSeq).run_seeded(3);
     let adaptive = base
         .clone()
@@ -184,8 +189,45 @@ fn adaptive_with_tiny_threshold_behaves_like_dense() {
             handoff_support: 1,
         })
         .run_seeded(3);
-    assert_eq!(dense.consensus_round, adaptive.consensus_round);
-    assert_eq!(dense.winner, adaptive.winner);
+    let threshold = adaptive::handoff_threshold(1, n);
+    assert_eq!(threshold, n / adaptive::BALLS_PER_BIN);
+    let dense_traj = dense.trajectory.expect("recorded");
+    let adaptive_traj = adaptive.trajectory.expect("recorded");
+    let handoff = dense_traj
+        .iter()
+        .position(|o| o.support <= threshold)
+        .expect("the dense trial narrows to the threshold");
+    assert!(handoff > 0, "an all-distinct start is above the threshold");
+    assert_eq!(dense_traj[..=handoff], adaptive_traj[..=handoff]);
+    assert!(adaptive.consensus_round.is_some());
+    assert!(adaptive.winner_valid);
+}
+
+/// The handoff round depends on the loads alone, never on the thread
+/// count: at n = 2¹³ the threshold is `n/40 = 204`, above the 64-bin
+/// floor, and a whole `Adaptive { threads: 1 }` trial equals the
+/// `threads: 2` one (whose dense rounds split), trajectory included.
+#[test]
+fn adaptive_handoff_does_not_depend_on_threads() {
+    let n = 1usize << 13;
+    assert_eq!(
+        adaptive::handoff_threshold(adaptive::DEFAULT_HANDOFF_SUPPORT, n),
+        204
+    );
+    let spec = |threads| {
+        SimSpec::new(n)
+            .init(InitialCondition::AllDistinct)
+            .record_trajectory(true)
+            .engine(EngineSpec::Adaptive {
+                threads,
+                handoff_support: adaptive::DEFAULT_HANDOFF_SUPPORT,
+            })
+    };
+    for seed in 0..3 {
+        let one = spec(1).run_seeded(seed);
+        assert!(one.consensus_round.is_some(), "seed {seed} stalled");
+        assert_eq!(spec(2).run_seeded(seed), one, "seed {seed}");
+    }
 }
 
 /// Non-median protocols must not hand off (the histogram law is the median

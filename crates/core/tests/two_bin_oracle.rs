@@ -4,8 +4,9 @@
 //! * **Two bins.** The state is `k`, the load of value 0. With `p = k/n` a
 //!   ball at 0 stays unless both samples are 1, and a ball at 1 moves only
 //!   if both are 0, so `k′ ~ Bin(k, 1 − (1 − p)²) + Bin(n − k, p²)`. The
-//!   balancer is a function of `k`, applied before each step. A round where
-//!   each ball takes part with probability `q` (the partial kernel) has
+//!   balancer is a function of `k`, and the median pusher a coin and a
+//!   function of `k`, applied before each step. A round where each ball
+//!   takes part with probability `q` (the partial kernel) has
 //!   `k′ ~ Bin(k, 1 − q(1 − p)²) + Bin(n − k, q·p²)`.
 //! * **Three values.** The state is the load vector. A ball in bin `b`
 //!   lands at `c < b` with probability `F(c)² − F(c−1)²`, at `c > b` with
@@ -17,6 +18,16 @@
 //! within the DKW band `sup|F̂ − F| ≤ √(ln(2/α) / 2N)`, with `α = 10⁻⁶`
 //! split Bonferroni-style over every case of this file ([`CASES`]).
 //!
+//! The message engine joins the two-bin cases with an inbox cap of at
+//! least `2n` ([`LOSSLESS_CAP_MULT`]), so that no request can drop: a
+//! ball's two targets are uniform through its private numbering, and at
+//! zero fault the engine is the same chain.
+//!
+//! The adaptive engine is judged twice on three values: aggregated from
+//! round 0, and with a floor of 2 bins (`n/40` is 0 at `n = 30`), so the
+//! trial starts dense and hands off at the random round where the first
+//! value dies.
+//!
 //! At these populations the dense kernels never split a round: below
 //! 4,096 balls they run the sequential body, so the chain judges
 //! `DenseSeq`'s code, and `DensePar(2)` here is that code on other seeds.
@@ -26,7 +37,7 @@
 
 use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::engine::dense::{self, LoadSampler};
-use stabcon_core::engine::{hist, EngineSpec};
+use stabcon_core::engine::{hist, EngineSpec, MessageConfig};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
 use stabcon_core::protocol::MedianRule;
@@ -46,16 +57,52 @@ const N3: usize = 30;
 const HORIZON: usize = 200;
 /// A population above the dense kernels' 4,096-ball split cutoff.
 const SPLIT_N: usize = 8192;
-/// Every judged case: three engines × (the consensus round, and `k` per
-/// budget and round count) on two bins; the partial and the load-sampled
-/// kernel on two bins; four engines on three values.
-const CASES: usize = 3 * (1 + BUDGETS.len() * ROUNDS.len()) + 2 + 4;
+/// The median pusher's budget: the canonical `⌊√n/4⌋`. It spends at most
+/// one ball a round on two bins, so any budget ≥ 1 gives the same chain.
+const PUSHER_BUDGET: u64 = 2;
+/// Inbox cap multiplier with `cap_mult · log₂ N ≥ 2N`: every ball's two
+/// requests fit any inbox, so the message engine drops none.
+const LOSSLESS_CAP_MULT: usize = (2 * N).div_ceil(N.ilog2() as usize);
+/// Every judged case: three engines × (the consensus round with no
+/// adversary and under the median pusher, and `k` per balancer budget and
+/// round count) and the message engine's consensus round on two bins; the
+/// partial and the load-sampled kernel on two bins; the histogram step and
+/// four engines on three values.
+const CASES: usize = 3 * (2 + BUDGETS.len() * ROUNDS.len()) + 1 + 2 + 5;
 
-/// One round of the exact two-bin chain: the balancer (unless `budget` is
-/// 0) moves up to `budget` balls from the larger bin toward an even split,
-/// reviving a dead bin the same way; then the median-rule step, each ball
-/// taking part with probability `q`.
-fn advance(law: &[f64], budget: u64, q: f64) -> Vec<f64> {
+/// Where an adversary leaves the two-bin state `k` before a step: up to two
+/// outcomes with their probabilities.
+type Outcomes = [(usize, f64); 2];
+
+fn no_adversary(k: usize) -> Outcomes {
+    [(k, 1.0), (k, 0.0)]
+}
+
+/// The balancer moves up to `budget` balls from the larger bin toward an
+/// even split, reviving a dead bin the same way.
+fn balancer(budget: u64) -> impl Fn(usize) -> Outcomes {
+    move |k| {
+        let flips = (k.abs_diff(N - k) / 2).min(budget as usize);
+        no_adversary(if k > N - k { k - flips } else { k + flips })
+    }
+}
+
+/// The median pusher on two bins: value 0 holds the lower median iff
+/// `k ≥ ⌈n/2⌉`. A fair coin picks the first target; the pusher moves one
+/// ball out of the median bin when the target is the other bin, and stops
+/// at the median bin. A consensus state is held, so the mass absorbed by
+/// round `r` is the law of the first consensus round.
+fn median_pusher(k: usize) -> Outcomes {
+    if k == 0 || k == N {
+        return no_adversary(k);
+    }
+    let pushed = if k >= N.div_ceil(2) { k - 1 } else { k + 1 };
+    [(k, 0.5), (pushed, 0.5)]
+}
+
+/// One round of the exact two-bin chain: the adversary, then the
+/// median-rule step, each ball taking part with probability `q`.
+fn advance(law: &[f64], adversary: &impl Fn(usize) -> Outcomes, q: f64) -> Vec<f64> {
     let binomial = |m: usize, q: f64| -> Vec<f64> {
         let mut choose = 1.0;
         (0..=m)
@@ -68,14 +115,17 @@ fn advance(law: &[f64], budget: u64, q: f64) -> Vec<f64> {
     };
     let mut next = vec![0.0; N + 1];
     for (k, &pk) in law.iter().enumerate() {
-        let flips = (k.abs_diff(N - k) / 2).min(budget as usize);
-        let k = if k > N - k { k - flips } else { k + flips };
-        let p = k as f64 / N as f64;
-        let stay = binomial(k, 1.0 - q * (1.0 - p) * (1.0 - p));
-        let join = binomial(N - k, q * p * p);
-        for (a, &pa) in stay.iter().enumerate() {
-            for (b, &pb) in join.iter().enumerate() {
-                next[a + b] += pk * pa * pb;
+        for (k, pa) in adversary(k) {
+            if pk * pa == 0.0 {
+                continue;
+            }
+            let p = k as f64 / N as f64;
+            let stay = binomial(k, 1.0 - q * (1.0 - p) * (1.0 - p));
+            let join = binomial(N - k, q * p * p);
+            for (a, &ps) in stay.iter().enumerate() {
+                for (b, &pj) in join.iter().enumerate() {
+                    next[a + b] += pk * pa * ps * pj;
+                }
             }
         }
     }
@@ -106,8 +156,12 @@ fn tied() -> Vec<f64> {
         .collect()
 }
 
-fn two_bin_consensus_pmf(q: f64) -> Vec<f64> {
-    consensus_pmf(tied(), |law| advance(law, 0, q), |law| law[0] + law[N])
+fn two_bin_consensus_pmf(adversary: impl Fn(usize) -> Outcomes, q: f64) -> Vec<f64> {
+    consensus_pmf(
+        tied(),
+        |law| advance(law, &adversary, q),
+        |law| law[0] + law[N],
+    )
 }
 
 /// `sup_x |F̂(x) − F(x)|` of `samples` against the exact point masses
@@ -162,7 +216,8 @@ fn consensus_rounds(spec: &SimSpec, tag: u64, ws: &mut TrialWorkspace) -> Vec<us
 
 #[test]
 fn every_engine_follows_the_exact_two_bin_chain() {
-    let consensus = two_bin_consensus_pmf(1.0);
+    let consensus = two_bin_consensus_pmf(no_adversary, 1.0);
+    let pushed = two_bin_consensus_pmf(median_pusher, 1.0);
     let engines = [
         ("DenseSeq", EngineSpec::DenseSeq),
         ("DensePar(2)", EngineSpec::DensePar { threads: 2 }),
@@ -173,6 +228,13 @@ fn every_engine_follows_the_exact_two_bin_chain() {
                 threads: 1,
                 handoff_support: 64,
             },
+        ),
+        (
+            "Message(zero fault)",
+            EngineSpec::Message(MessageConfig {
+                cap_mult: LOSSLESS_CAP_MULT,
+                ..MessageConfig::default()
+            }),
         ),
     ];
     let mut ws = TrialWorkspace::new();
@@ -187,6 +249,24 @@ fn every_engine_follows_the_exact_two_bin_chain() {
             format!("{name} / no adversary / consensus round"),
             &rounds,
             &consensus,
+        );
+        if matches!(engine, EngineSpec::Message(_)) {
+            // An adversary acts on the same dense backing under every
+            // dense-state engine, and a message round costs many dense ones.
+            continue;
+        }
+        // Threshold 0 and a one-round window: the trial stops at its first
+        // consensus round.
+        let pusher = spec
+            .clone()
+            .adversary(AdversarySpec::MedianPusher, PUSHER_BUDGET)
+            .almost_factor(0.0)
+            .stability_window(1);
+        let rounds = consensus_rounds(&pusher, tag(1), &mut ws);
+        judge.case(
+            format!("{name} / median pusher / consensus round"),
+            &rounds,
+            &pushed,
         );
         for budget in BUDGETS {
             let balanced = spec
@@ -207,7 +287,7 @@ fn every_engine_follows_the_exact_two_bin_chain() {
                 })
                 .collect();
             for (j, r) in ROUNDS.into_iter().enumerate() {
-                let exact = (0..r).fold(tied(), |law, _| advance(&law, budget, 1.0));
+                let exact = (0..r).fold(tied(), |law, _| advance(&law, &balancer(budget), 1.0));
                 let samples: Vec<usize> = ks.iter().map(|k| k[j]).collect();
                 judge.case(
                     format!("{name} / balancer T = {budget} / k after r = {r}"),
@@ -249,7 +329,7 @@ fn partial_and_sampled_kernels_follow_the_two_bin_chain() {
     judge.case(
         "DenseSeq / update_fraction 0.5 / consensus round".into(),
         &rounds,
-        &two_bin_consensus_pmf(0.5),
+        &two_bin_consensus_pmf(no_adversary, 0.5),
     );
     let mut sampler = LoadSampler::new();
     let rounds: Vec<usize> = seeds(2 << 8)
@@ -258,7 +338,7 @@ fn partial_and_sampled_kernels_follow_the_two_bin_chain() {
     judge.case(
         "step_seq_sampled / consensus round".into(),
         &rounds,
-        &two_bin_consensus_pmf(1.0),
+        &two_bin_consensus_pmf(no_adversary, 1.0),
     );
     judge.finish();
 }
@@ -386,6 +466,14 @@ fn every_engine_follows_the_exact_three_value_chain() {
             EngineSpec::Adaptive {
                 threads: 1,
                 handoff_support: 64,
+            },
+        ),
+        // Dense until the first value dies, then aggregated.
+        (
+            "Adaptive(floor 2)",
+            EngineSpec::Adaptive {
+                threads: 1,
+                handoff_support: 2,
             },
         ),
     ];

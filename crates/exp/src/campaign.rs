@@ -184,6 +184,9 @@ impl CampaignSpec {
             for init in &self.inits {
                 for &protocol in &self.protocols {
                     for &engine in &self.engines {
+                        // The engine column stays the axis value; the
+                        // scenario has its own.
+                        let engine_label = engine.label();
                         for &scenario in &self.scenarios {
                             let cell_engine = match engine {
                                 EngineSpec::Message(mut cfg) => {
@@ -232,9 +235,7 @@ impl CampaignSpec {
                                         ("n".into(), n.to_string()),
                                         ("init".into(), init.label()),
                                         ("protocol".into(), protocol.label()),
-                                        // The engine column stays the axis
-                                        // value; the scenario has its own.
-                                        ("engine".into(), engine.label()),
+                                        ("engine".into(), engine_label.clone()),
                                         ("scenario".into(), scenario.label()),
                                         ("adversary".into(), adversary.label().into()),
                                         ("T".into(), t.to_string()),

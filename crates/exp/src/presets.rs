@@ -26,7 +26,9 @@ pub const PRESET_NAMES: [&str; 9] = [
 /// * `smoke` — the [`CampaignSpec::default`] grid (seconds; CI).
 /// * `figure1-small` — Figure 1 rows 1–2 at test scale: {two-bins,
 ///   all-distinct} × {none, balancer, median-pusher, random} adversaries
-///   with the canonical `⌊√n/4⌋` budget.
+///   with the canonical `⌊√n/4⌋` budget. On two bins the median pusher
+///   moves at most one ball a round, so its rows are nearly
+///   adversary-free (see [`AdversarySpec::MedianPusher`]).
 /// * `figure1` — the same grid at paper scale (n up to 2¹⁶, 100 trials).
 /// * `average-case` — Figure 1 row 3: uniform random starts over
 ///   `m ∈ 2..=16` bins at n = 2¹⁴, with and without the random adversary
@@ -47,7 +49,19 @@ pub const PRESET_NAMES: [&str; 9] = [
 ///   `α ∈ {0.25, 0.5, 0.75}`, at n = 2¹⁶…2⁴⁰. The adaptive engine runs
 ///   these trials aggregated from round 0, so a round costs the same at
 ///   every n.
+///
+/// `figure1-small`, `figure1`, `average-case`, `theorems` and `threshold`
+/// run on the adaptive engine: a start of at most `max(64, n/40)` values
+/// under no adversary, the balancer or the median pusher runs on the
+/// histogram from round 0, an all-distinct start hands off at about `n/40`
+/// bins, and random-adversary rows stay dense.
 pub fn preset(name: &str) -> Option<CampaignSpec> {
+    // The median rule's next state depends only on the loads, so the
+    // paper's grids run where a round is cheapest.
+    let adaptive = vec![EngineSpec::Adaptive {
+        threads: 1,
+        handoff_support: DEFAULT_HANDOFF_SUPPORT,
+    }];
     let adversary_axis = vec![
         (AdversarySpec::None, BudgetSpec::Zero),
         (AdversarySpec::Balancer, BudgetSpec::SqrtOver4),
@@ -63,6 +77,7 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
             ns: vec![256, 512, 1024],
             inits: vec![InitSpec::TwoBinsHalf, InitSpec::AllDistinct],
             adversaries: adversary_axis,
+            engines: adaptive.clone(),
             ..CampaignSpec::default()
         }),
         "figure1" => Some(CampaignSpec {
@@ -72,6 +87,7 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
             ns: (10..=16).map(|e| 1usize << e).collect(),
             inits: vec![InitSpec::TwoBinsHalf, InitSpec::AllDistinct],
             adversaries: adversary_axis,
+            engines: adaptive.clone(),
             ..CampaignSpec::default()
         }),
         "average-case" => Some(CampaignSpec {
@@ -84,6 +100,7 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
                 (AdversarySpec::None, BudgetSpec::Zero),
                 (AdversarySpec::Random, BudgetSpec::SqrtOver4),
             ],
+            engines: adaptive.clone(),
             ..CampaignSpec::default()
         }),
         "duel" => Some(CampaignSpec {
@@ -114,6 +131,7 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
                 (AdversarySpec::Balancer, BudgetSpec::SqrtOver4),
                 (AdversarySpec::Random, BudgetSpec::SqrtOver4),
             ],
+            engines: adaptive.clone(),
             ..CampaignSpec::default()
         }),
         "robustness-small" => Some(CampaignSpec {
@@ -165,10 +183,7 @@ pub fn preset(name: &str) -> Option<CampaignSpec> {
             trials: 24,
             ns: vec![1 << 16, 1 << 24, 1 << 32, 1 << 40],
             inits: vec![InitSpec::TwoBinsHalf],
-            engines: vec![EngineSpec::Adaptive {
-                threads: 1,
-                handoff_support: DEFAULT_HANDOFF_SUPPORT,
-            }],
+            engines: adaptive,
             adversaries: [250, 500, 750]
                 .map(|per_mille| (AdversarySpec::Balancer, BudgetSpec::Power { per_mille }))
                 .to_vec(),

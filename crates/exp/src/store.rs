@@ -54,7 +54,12 @@ use crate::cell::CellSpec;
 /// `/6`: the histogram step pools each direction's movers into one binomial
 /// sweep, so every adaptive cell's trials for a given seed changed; `/5`
 /// stores are rejected for the same reason.
-pub const SCHEMA: &str = "stabcon-campaign/6";
+///
+/// `/7`: the adaptive engine hands off at `max(handoff_support, n/40)`
+/// bins, so adaptive trials that start above that support changed, and the
+/// engine label names the rule; `/6` stores are rejected for the same
+/// reason.
+pub const SCHEMA: &str = "stabcon-campaign/7";
 
 /// The campaign header record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -569,15 +574,18 @@ mod tests {
     #[test]
     fn old_schema_is_rejected_by_name() {
         // A pre-observer `/1` store, a `/3` store of the old dense stream,
-        // a `/4` store whose adversarial adaptive cells stayed dense, or a
-        // `/5` store of the per-bin multinomial histogram step, must fail with the schema in the message, not a confusing
-        // fingerprint mismatch downstream.
+        // a `/4` store whose adversarial adaptive cells stayed dense, a `/5`
+        // store of the per-bin multinomial histogram step, or a `/6` store
+        // whose adaptive cells handed off only at 64 bins, must fail with
+        // the schema in the message, not a confusing fingerprint mismatch
+        // downstream.
         let path = tmp("oldschema.jsonl");
         for old in [
             "stabcon-campaign/1",
             "stabcon-campaign/3",
             "stabcon-campaign/4",
             "stabcon-campaign/5",
+            "stabcon-campaign/6",
         ] {
             std::fs::write(
                 &path,
