@@ -20,10 +20,14 @@
 //! that decides from the loads alone gives the same chain on either
 //! backing. Only the dense backing hands out process-level access
 //! ([`Corruptor::processes`]); [`AdversarySpec::needs_processes`] names the
-//! strategies that use it, and the runner keeps their trials dense. On the
-//! ranked path the state, the allowed set and every write are ranks; every
-//! strategy uses values only through order and equality, so it flips the
-//! same balls either way.
+//! strategies that use it (the reviver and the stubborn set), and the
+//! runner keeps their trials dense. The random strategy names processes
+//! only uniformly at random, so it also has a load-level form with the same
+//! law. On the ranked path the state, the allowed set and every write are
+//! ranks; every strategy uses values only through order and equality, so it
+//! flips the same balls either way.
+
+use std::cmp::Reverse;
 
 use rand::RngCore;
 use stabcon_util::rng::gen_index;
@@ -47,8 +51,12 @@ pub struct Corruptor<'a> {
 
 enum Backing<'a> {
     Dense(Dense<'a>),
-    Aggregated(&'a mut Histogram),
+    Aggregated(&'a mut Histogram, &'a mut Draws),
 }
+
+/// The random strategy's parked draws on the aggregated backing, one
+/// `(process, draw, value)` triple per draw.
+pub type Draws = Vec<(u64, u64, Value)>;
 
 /// The dense backing: the n-ball state and the loads kept in step with it.
 struct Dense<'a> {
@@ -122,10 +130,16 @@ impl<'a> Corruptor<'a> {
     }
 
     /// Wrap aggregated loads with budget `T` (balls moved this round) and
-    /// the initial-value-set constraint.
-    pub fn aggregated(hist: &'a mut Histogram, allowed: &'a ValueSet, budget: u64) -> Self {
+    /// the initial-value-set constraint. `draws` is a caller-parked buffer
+    /// for the random strategy, so a warm round allocates nothing.
+    pub fn aggregated(
+        hist: &'a mut Histogram,
+        allowed: &'a ValueSet,
+        budget: u64,
+        draws: &'a mut Draws,
+    ) -> Self {
         Self {
-            backing: Backing::Aggregated(hist),
+            backing: Backing::Aggregated(hist, draws),
             allowed,
             budget,
             count: 0,
@@ -136,7 +150,7 @@ impl<'a> Corruptor<'a> {
     pub fn load(&self, v: Value) -> u64 {
         match &self.backing {
             Backing::Dense(d) => d.loads.count_of(v),
-            Backing::Aggregated(h) => h.load(v),
+            Backing::Aggregated(h, _) => h.load(v),
         }
     }
 
@@ -145,7 +159,7 @@ impl<'a> Corruptor<'a> {
     pub fn lower_median(&self) -> Value {
         match &self.backing {
             Backing::Dense(d) => d.loads.observe().median_value,
-            Backing::Aggregated(h) => h.median_value(),
+            Backing::Aggregated(h, _) => h.median_value(),
         }
     }
 
@@ -157,7 +171,7 @@ impl<'a> Corruptor<'a> {
                 LoadCounts::Ranked(r) => (Some(r), None, None),
                 LoadCounts::Tree(t) => (None, Some(t), None),
             },
-            Backing::Aggregated(h) => (None, None, Some(h)),
+            Backing::Aggregated(h, _) => (None, None, Some(h)),
         };
         // Ranked loads live in the initial universe, which is the allowed
         // set; the tree also holds values a value-inventing rule made up.
@@ -215,7 +229,7 @@ impl<'a> Corruptor<'a> {
                 }
                 d.cursor = (from, i);
             }
-            Backing::Aggregated(h) => {
+            Backing::Aggregated(h, _) => {
                 h.move_balls(from, to, k);
                 self.count += k;
             }
@@ -233,7 +247,7 @@ impl<'a> Corruptor<'a> {
                 budget: self.budget,
                 count: &mut self.count,
             }),
-            Backing::Aggregated(_) => None,
+            Backing::Aggregated(..) => None,
         }
     }
 }
@@ -304,6 +318,12 @@ impl Adversary for NoAdversary {
 
 /// Corrupts `T` uniformly random processes to uniformly random initial
 /// values — the "noise floor" adversary.
+///
+/// On the aggregated backing it draws the same `T` (process, value) pairs,
+/// a process being a ball in value order at the round's start. Rewriting a
+/// process is free and its last write wins, and given the loads what the
+/// dense form changes depends only on which bins the drawn processes sit
+/// in, so both forms move the loads by the same law.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomCorruptor;
 
@@ -313,13 +333,44 @@ impl Adversary for RandomCorruptor {
     }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
         let allowed = c.allowed();
-        let mut p = processes(c);
-        let n = p.n() as u64;
         let m = allowed.len() as u64;
-        for _ in 0..p.remaining() {
-            let i = gen_index(rng, n) as usize;
-            let v = allowed.nth(gen_index(rng, m) as usize);
-            let _ = p.try_set(i, v);
+        let t = c.remaining();
+        let Backing::Aggregated(hist, parked) = &mut c.backing else {
+            let mut p = processes(c);
+            let n = p.n() as u64;
+            for _ in 0..p.remaining() {
+                let i = gen_index(rng, n) as usize;
+                let v = allowed.nth(gen_index(rng, m) as usize);
+                let _ = p.try_set(i, v);
+            }
+            return;
+        };
+        let mut draws = std::mem::take(&mut **parked);
+        draws.clear();
+        for draw in 0..t {
+            let i = gen_index(rng, hist.n());
+            draws.push((i, draw, allowed.nth(gen_index(rng, m) as usize)));
+        }
+        // One entry per process, its last write.
+        draws.sort_unstable_by_key(|&(i, draw, _)| (i, Reverse(draw)));
+        draws.dedup_by_key(|&mut (i, _, _)| i);
+        // Ball `i` sits in the first bin whose cumulative load passes `i`:
+        // one sweep over the starting loads, writing each source into the
+        // draw slot.
+        let mut bins = hist.bins().iter();
+        let (mut from, mut end) = (0, 0);
+        for (i, source, _) in &mut draws {
+            while end <= *i {
+                let &(v, load) = bins.next().expect("a drawn ball is below n");
+                (from, end) = (v, end + load);
+            }
+            *source = u64::from(from);
+        }
+        for &(_, from, to) in &draws {
+            c.move_balls(from as Value, to, 1);
+        }
+        if let Backing::Aggregated(_, parked) = &mut c.backing {
+            **parked = draws;
         }
     }
 }
@@ -517,12 +568,16 @@ impl AdversarySpec {
     }
 
     /// Whether the strategy names processes ([`Corruptor::processes`]),
-    /// which keeps its trials on the dense backing. The others decide from
-    /// the loads alone and run on either backing.
+    /// which keeps its trials on the dense backing. The others run on
+    /// either backing: they decide from the loads alone, or (random) name
+    /// processes only uniformly at random.
     pub fn needs_processes(&self) -> bool {
         match self {
-            AdversarySpec::None | AdversarySpec::Balancer | AdversarySpec::MedianPusher => false,
-            AdversarySpec::Random | AdversarySpec::Reviver { .. } | AdversarySpec::Stubborn => true,
+            AdversarySpec::Reviver { .. } | AdversarySpec::Stubborn => true,
+            AdversarySpec::None
+            | AdversarySpec::Random
+            | AdversarySpec::Balancer
+            | AdversarySpec::MedianPusher => false,
         }
     }
 
@@ -773,7 +828,8 @@ mod tests {
     fn hist_corruptor_moves_and_enforces() {
         let set = ValueSet::from_values(&[1, 2, 3]);
         let mut h = Histogram::new(&[(1, 100), (2, 50)]);
-        let mut c = Corruptor::aggregated(&mut h, &set, 30);
+        let mut draws = Vec::new();
+        let mut c = Corruptor::aggregated(&mut h, &set, 30, &mut draws);
         assert_eq!(c.move_balls(1, 2, 20), 20);
         assert_eq!(c.remaining(), 10);
         // Out-of-set target refused.
@@ -788,7 +844,8 @@ mod tests {
     fn hist_corruptor_drains_bin() {
         let set = ValueSet::from_values(&[1, 2]);
         let mut h = Histogram::new(&[(1, 5), (2, 5)]);
-        let mut c = Corruptor::aggregated(&mut h, &set, 100);
+        let mut draws = Vec::new();
+        let mut c = Corruptor::aggregated(&mut h, &set, 100, &mut draws);
         assert!(c.processes().is_none(), "no processes to name");
         assert_eq!(c.move_balls(1, 2, 100), 5);
         assert_eq!(h.bins(), &[(2, 10)]);
@@ -799,7 +856,9 @@ mod tests {
         let set = ValueSet::from_values(&[0, 1]);
         let mut h = Histogram::new(&[(0, 80), (1, 20)]);
         let mut rng = Xoshiro256pp::seed(6);
-        TwoBinBalancer.corrupt(0, &mut Corruptor::aggregated(&mut h, &set, 1000), &mut rng);
+        let mut draws = Vec::new();
+        let mut c = Corruptor::aggregated(&mut h, &set, 1000, &mut draws);
+        TwoBinBalancer.corrupt(0, &mut c, &mut rng);
         assert_eq!(h.bins(), &[(0, 50), (1, 50)]);
     }
 
@@ -808,7 +867,9 @@ mod tests {
         let set = ValueSet::from_values(&[0, 1]);
         let mut h = Histogram::new(&[(0, 100)]);
         let mut rng = Xoshiro256pp::seed(7);
-        TwoBinBalancer.corrupt(0, &mut Corruptor::aggregated(&mut h, &set, 8), &mut rng);
+        let mut draws = Vec::new();
+        let mut c = Corruptor::aggregated(&mut h, &set, 8, &mut draws);
+        TwoBinBalancer.corrupt(0, &mut c, &mut rng);
         assert_eq!(h.bins(), &[(0, 92), (1, 8)]);
     }
 
@@ -852,7 +913,9 @@ mod tests {
             let dense = Corruptor::new(&mut state, &mut loads, &set, 0, &mut touched);
             let want = allowed_set_pair(&dense);
             prop_assert_eq!(balanced_pair(&dense), want);
-            prop_assert_eq!(balanced_pair(&Corruptor::aggregated(&mut hist, &set, 0)), want);
+            let mut draws = Vec::new();
+            let hist = Corruptor::aggregated(&mut hist, &set, 0, &mut draws);
+            prop_assert_eq!(balanced_pair(&hist), want);
         }
     }
 }

@@ -34,11 +34,12 @@
 //! statistically exact for the median rule — the destination law depends
 //! only on the loads — and turns every round after it from `O(n)` into
 //! `O(m)`: an all-distinct trial at `n = 2²⁰` runs about 11 dense rounds
-//! of its 40; it would reach the 64-bin floor only at round 27. A
-//! load-only adversary (balancer, median pusher) keeps acting on the
-//! histogram. The trial stays dense for all rounds (exact, just not
-//! faster) when something needs a per-ball view: an adversary that names
-//! processes ([`crate::adversary::AdversarySpec::needs_processes`]), an
+//! of its 40; it would reach the 64-bin floor only at round 27. An
+//! adversary with a load-level form (balancer, median pusher, random)
+//! keeps acting on the histogram. The trial stays dense for all rounds
+//! (exact, just not faster) when something needs a per-ball view: an
+//! adversary that names processes (reviver, stubborn:
+//! [`crate::adversary::AdversarySpec::needs_processes`]), an
 //! `update_fraction < 1` ablation, or a non-median protocol.
 
 pub mod adaptive;
@@ -67,8 +68,8 @@ pub enum EngineSpec {
     /// histogram engine.
     ///
     /// Only the median rule hands off (its destination law is load-only);
-    /// other protocols, adversaries that name processes, and
-    /// `update_fraction < 1` stay dense throughout. A start with at most
+    /// other protocols, adversaries that name processes (reviver,
+    /// stubborn), and `update_fraction < 1` stay dense throughout. A start with at most
     /// that many values runs on the histogram from round 0.
     Adaptive {
         /// Worker threads for the dense phase (1 = sequential). The handoff

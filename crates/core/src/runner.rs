@@ -384,7 +384,7 @@ impl SimSpec {
             if self.budget > 0 {
                 let _t = obs::phase(obs::Phase::Adversary);
                 let mut corruptor = match hist_state.as_mut() {
-                    Some(h) => Corruptor::aggregated(h, &initial_set, self.budget),
+                    Some(h) => Corruptor::aggregated(h, &initial_set, self.budget, &mut ws.draws),
                     None => Corruptor::new(
                         &mut ws.state,
                         &mut counts,

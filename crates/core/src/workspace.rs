@@ -4,8 +4,8 @@
 //! one of them re-allocated its whole world: the state vector, the scratch
 //! vector, the load table (per-rank `u32` `counts`, plus a rank → value
 //! `values` table only for a universe that is not `0..m`; or the mean
-//! rule's tree), the initial value set, the adversary's touched set, the
-//! load upkeep's move buffer, the trajectory, the adaptive handoff
+//! rule's tree), the initial value set, the adversary's touched set and
+//! draws, the load upkeep's move buffer, the trajectory, the adaptive handoff
 //! histogram and the initial loads of a trial that starts aggregated,
 //! and — for the message engine — the routing buffers. A
 //! [`TrialWorkspace`] owns all of those once per worker for a whole
@@ -20,6 +20,7 @@
 //! workspace produces a bit-identical [`RunResult`] to a fresh one
 //! (`tests/workspace_props.rs` pins this across engines × protocols).
 
+use crate::adversary::Draws;
 use crate::engine::adaptive::LoadCounts;
 use crate::engine::dense::LoadSampler;
 use crate::engine::hist;
@@ -52,6 +53,8 @@ pub struct TrialWorkspace {
     pub(crate) initial_set: Option<ValueSet>,
     /// The adversary's per-round bitmap of written processes.
     pub(crate) touched: Vec<u64>,
+    /// The random adversary's per-round draws on the aggregated backing.
+    pub(crate) draws: Draws,
     /// The load upkeep's per-block `(old, new)` move buffer
     /// (`LoadCounts::apply_step`), sized once.
     pub(crate) moves: Vec<(Value, Value)>,

@@ -9,7 +9,8 @@
 //! 3. the adaptive engine is statistically exact: its consensus-round
 //!    distribution agrees with pure dense (KS-style check over ≥200 seeded
 //!    trials);
-//! 4. an adversary that names processes keeps the adaptive engine dense;
+//! 4. an adversary that names processes keeps the adaptive engine dense,
+//!    and the random one hands off like a load-only strategy;
 //! 5. the handoff round depends on the loads alone: up to it an adaptive
 //!    trial is the dense trial, at any thread count.
 
@@ -203,6 +204,45 @@ fn adaptive_with_tiny_threshold_behaves_like_dense() {
     assert!(adaptive.winner_valid);
 }
 
+/// The random adversary has a load-level form, so the adaptive engine
+/// hands off under it: up to and including the handoff round an
+/// all-distinct trial is the dense one, adversary draws included, and it
+/// runs aggregated after.
+#[test]
+fn random_adversary_trial_is_dense_up_to_its_handoff() {
+    let n = 1024usize;
+    let base = SimSpec::new(n)
+        .init(InitialCondition::AllDistinct)
+        .adversary(AdversarySpec::Random, 8)
+        .max_rounds(300)
+        .record_trajectory(true);
+    assert!(!AdversarySpec::Random.needs_processes());
+    let threshold = adaptive::handoff_threshold(1, n);
+    for seed in 0..3 {
+        let dense = base.clone().engine(EngineSpec::DenseSeq).run_seeded(seed);
+        let adaptive = base
+            .clone()
+            .engine(EngineSpec::Adaptive {
+                threads: 1,
+                handoff_support: 1,
+            })
+            .run_seeded(seed);
+        let dense_traj = dense.trajectory.expect("recorded");
+        let adaptive_traj = adaptive.trajectory.expect("recorded");
+        let handoff = dense_traj
+            .iter()
+            .position(|o| o.support <= threshold)
+            .expect("the dense trial narrows to the threshold");
+        assert!(handoff > 0, "an all-distinct start is above the threshold");
+        assert_eq!(
+            dense_traj[..=handoff],
+            adaptive_traj[..=handoff],
+            "seed {seed}"
+        );
+        assert!(adaptive.winner_valid, "seed {seed}");
+    }
+}
+
 /// The handoff round depends on the loads alone, never on the thread
 /// count: at n = 2¹³ the threshold is `n/40 = 204`, above the 64-bin
 /// floor, and a whole `Adaptive { threads: 1 }` trial equals the
@@ -253,17 +293,16 @@ fn adaptive_voter_stays_dense_and_converges() {
     assert_eq!(dense.winner, adaptive.winner);
 }
 
-/// Random, stubborn and reviver adversaries name processes, so the
-/// adaptive engine never hands off under them, not even from a start it
-/// could run aggregated: a trial equals the dense engine's on the same seed
-/// and thread count.
+/// Stubborn and reviver adversaries name processes, so the adaptive engine
+/// never hands off under them, not even from a start it could run
+/// aggregated: a trial equals the dense engine's on the same seed and
+/// thread count.
 #[test]
 fn process_level_adversaries_keep_the_adaptive_engine_dense() {
     let base = SimSpec::new(1024)
         .init(InitialCondition::TwoBins { left: 512 })
         .max_rounds(300);
     for (seed, adversary) in [
-        AdversarySpec::Random,
         AdversarySpec::Stubborn,
         AdversarySpec::Reviver { revive_at: 3 },
     ]

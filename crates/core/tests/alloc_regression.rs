@@ -206,9 +206,10 @@ fn all_distinct_worst_case_universe_is_o1() {
 #[test]
 fn adversarial_cells_steady_state_is_o1() {
     // Figure 1's adversaries at budget ⌊√n/4⌋ read the runner's loads and
-    // park their touched set in the workspace: no strategy allocates per
-    // round. The adaptive two-bins balancer cell runs on the parked
-    // histogram from round 0, its moves in place.
+    // park their touched set and draws in the workspace: no strategy
+    // allocates per round. The adaptive two-bins cells run on the parked
+    // histogram from round 0, their moves in place; the all-distinct
+    // random cell hands off to it mid-trial.
     let n = 2048;
     let budget = ((n as f64).sqrt() / 4.0).floor() as u64;
     let adaptive = EngineSpec::Adaptive {
@@ -232,7 +233,13 @@ fn adversarial_cells_steady_state_is_o1() {
             AdversarySpec::Random,
             EngineSpec::DenseSeq,
         ),
-        (two_bins, AdversarySpec::Balancer, adaptive),
+        (two_bins.clone(), AdversarySpec::Balancer, adaptive),
+        (two_bins, AdversarySpec::Random, adaptive),
+        (
+            InitialCondition::AllDistinct,
+            AdversarySpec::Random,
+            adaptive,
+        ),
     ] {
         let label = format!(
             "{} on {} ({})",

@@ -147,12 +147,61 @@ proptest! {
         let set = ValueSet::from_values(&pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>());
         let total: u64 = loads.iter().sum();
         let mut working = Histogram::new(&pairs);
-        let moved = Corruptor::aggregated(&mut working, &set, budget)
+        let moved = Corruptor::aggregated(&mut working, &set, budget, &mut Vec::new())
             .move_balls(from as u32, to as u32, 30);
         prop_assert!(moved <= budget);
         prop_assert_eq!(working.n(), total, "population changed");
         let after: u64 = working.bins().iter().map(|&(_, c)| c).sum();
         prop_assert_eq!(after, total, "population changed");
+    }
+
+    /// Every strategy that runs on loads (`needs_processes()` is false, the
+    /// random one included) on the aggregated backing over an arbitrary
+    /// histogram: the population is conserved, at most `T` balls move, and
+    /// every live bin holds an allowed value.
+    #[test]
+    fn aggregated_strategies_conserve_budget_and_set(
+        values in prop::collection::vec(0u32..12, 1..8),
+        loads in prop::collection::vec(1u64..60, 8..9),
+        extra in prop::collection::vec(0u32..12, 0..4),
+        budget in 0u64..40,
+        seed in any::<u64>(),
+    ) {
+        let pairs: Vec<(Value, u64)> = values.into_iter().zip(loads).collect();
+        let start = Histogram::new(&pairs);
+        let values: Vec<Value> = start.bins().iter().map(|&(v, _)| v).chain(extra).collect();
+        let set = ValueSet::from_values(&values);
+        let mut rng = Xoshiro256pp::seed(seed);
+        let mut draws = Vec::new();
+        let specs = [
+            AdversarySpec::None,
+            AdversarySpec::Random,
+            AdversarySpec::Balancer,
+            AdversarySpec::Reviver { revive_at: 2 },
+            AdversarySpec::MedianPusher,
+            AdversarySpec::Stubborn,
+        ];
+        for spec in specs.into_iter().filter(|s| !s.needs_processes()) {
+            let (mut hist, mut adv) = (start.clone(), spec.build());
+            for round in 0..3u64 {
+                let before = hist.clone();
+                let mut c = Corruptor::aggregated(&mut hist, &set, budget, &mut draws);
+                adv.corrupt(round, &mut c, &mut rng);
+                prop_assert!(c.touched() <= budget, "{} round {}", spec.label(), round);
+                let total: u64 = hist.bins().iter().map(|&(_, c)| c).sum();
+                prop_assert_eq!(total, start.n(), "{} round {}", spec.label(), round);
+                prop_assert_eq!(hist.n(), start.n());
+                let moved: u64 = before
+                    .bins()
+                    .iter()
+                    .map(|&(v, c)| c.saturating_sub(hist.load(v)))
+                    .sum();
+                prop_assert!(moved <= budget, "{} moved {} > {}", spec.label(), moved, budget);
+                for &(v, _) in hist.bins() {
+                    prop_assert!(set.contains(v), "{} left {} live", spec.label(), v);
+                }
+            }
+        }
     }
 
     /// A load-only strategy moves each ball at most once per round, so the
@@ -175,7 +224,7 @@ proptest! {
         let (mut adv, mut hist_adv) = (spec.build(), spec.build());
         let mut rng = Xoshiro256pp::seed(seed);
         let mut hist_rng = rng.clone();
-        let mut touched = Vec::new();
+        let (mut touched, mut draws) = (Vec::new(), Vec::new());
         for round in 0..3u64 {
             let before = state.clone();
             let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
@@ -184,7 +233,7 @@ proptest! {
             let moved = state.iter().zip(&before).filter(|(a, b)| a != b).count() as u64;
             prop_assert_eq!(flips, moved, "{} round {}", spec.label(), round);
             prop_assert!(flips <= budget);
-            let mut h = Corruptor::aggregated(&mut hist, &set, budget);
+            let mut h = Corruptor::aggregated(&mut hist, &set, budget, &mut draws);
             hist_adv.corrupt(round, &mut h, &mut hist_rng);
             prop_assert_eq!(h.touched(), flips, "{} round {}", spec.label(), round);
             prop_assert_eq!(&hist, &loads.to_histogram(), "{} round {}", spec.label(), round);

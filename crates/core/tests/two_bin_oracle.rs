@@ -4,8 +4,9 @@
 //! * **Two bins.** The state is `k`, the load of value 0. With `p = k/n` a
 //!   ball at 0 stays unless both samples are 1, and a ball at 1 moves only
 //!   if both are 0, so `k′ ~ Bin(k, 1 − (1 − p)²) + Bin(n − k, p²)`. The
-//!   balancer is a function of `k`, and the median pusher a coin and a
-//!   function of `k`, applied before each step. A round where each ball
+//!   balancer is a function of `k`, the median pusher a coin and a
+//!   function of `k`, and the random adversary a kernel of `k` (see
+//!   [`random`]), applied before each step. A round where each ball
 //!   takes part with probability `q` (the partial kernel) has
 //!   `k′ ~ Bin(k, 1 − q(1 − p)²) + Bin(n − k, q·p²)`.
 //! * **Three values.** The state is the load vector. A ball in bin `b`
@@ -51,6 +52,9 @@ const TRIALS: u64 = 4000;
 /// Balancer budgets, and the rounds after which the law of `k` is judged.
 const BUDGETS: [u64; 2] = [2, 4];
 const ROUNDS: [usize; 2] = [3, 8];
+/// The random adversary's budget: four draws from 64 processes hit one
+/// process twice in about 9% of rounds, so its last write must win.
+const RANDOM_BUDGET: u64 = 4;
 /// The three-value population: three equal bins of 10.
 const N3: usize = 30;
 /// Rounds of each exact consensus-round law.
@@ -64,18 +68,53 @@ const PUSHER_BUDGET: u64 = 2;
 /// requests fit any inbox, so the message engine drops none.
 const LOSSLESS_CAP_MULT: usize = (2 * N).div_ceil(N.ilog2() as usize);
 /// Every judged case: three engines × (the consensus round with no
-/// adversary and under the median pusher, and `k` per balancer budget and
-/// round count) and the message engine's consensus round on two bins; the
-/// partial and the load-sampled kernel on two bins; the histogram step and
-/// four engines on three values.
-const CASES: usize = 3 * (2 + BUDGETS.len() * ROUNDS.len()) + 1 + 2 + 5;
+/// adversary and under the median pusher, and `k` per round count under
+/// each balancer budget and the random adversary) and the message engine's
+/// consensus round on two bins; the partial and the load-sampled kernel on
+/// two bins; the histogram step and four engines on three values.
+const CASES: usize = 3 * (2 + (BUDGETS.len() + 1) * ROUNDS.len()) + 1 + 2 + 5;
 
-/// Where an adversary leaves the two-bin state `k` before a step: up to two
+/// Where an adversary leaves the two-bin state `k` before a step: the
 /// outcomes with their probabilities.
-type Outcomes = [(usize, f64); 2];
+type Outcomes = Vec<(usize, f64)>;
 
 fn no_adversary(k: usize) -> Outcomes {
-    [(k, 1.0), (k, 0.0)]
+    vec![(k, 1.0)]
+}
+
+/// `C(n, j)` as a float.
+fn choose(n: usize, j: usize) -> f64 {
+    (0..j).fold(1.0, |c, i| c * (n - i) as f64 / (i + 1) as f64)
+}
+
+/// The random adversary on two bins: `budget` draws of a uniform process
+/// and a uniform value. They hit `d` distinct processes, by the occupancy
+/// law of the draws; `j ~ Hypergeometric(n, k, d)` of those leave value 0,
+/// and each keeps its last drawn value, so `Bin(d, ½)` land on 0.
+fn random(budget: u64) -> impl Fn(usize) -> Outcomes {
+    // occupancy[d]: P(d distinct processes), one draw at a time.
+    let mut occupancy = vec![1.0];
+    for _ in 0..budget {
+        let mut next = vec![0.0; occupancy.len() + 1];
+        for (d, &p) in occupancy.iter().enumerate() {
+            next[d] += p * d as f64 / N as f64;
+            next[d + 1] += p * (N - d) as f64 / N as f64;
+        }
+        occupancy = next;
+    }
+    move |k| {
+        let mut out = Vec::new();
+        for (d, &pd) in occupancy.iter().enumerate() {
+            for j in d.saturating_sub(N - k)..=d.min(k) {
+                let pj = choose(k, j) * choose(N - k, d - j) / choose(N, d);
+                for back in 0..=d {
+                    let pb = choose(d, back) / 2f64.powi(d as i32);
+                    out.push((k - j + back, pd * pj * pb));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// The balancer moves up to `budget` balls from the larger bin toward an
@@ -97,7 +136,7 @@ fn median_pusher(k: usize) -> Outcomes {
         return no_adversary(k);
     }
     let pushed = if k >= N.div_ceil(2) { k - 1 } else { k + 1 };
-    [(k, 0.5), (pushed, 0.5)]
+    vec![(k, 0.5), (pushed, 0.5)]
 }
 
 /// One round of the exact two-bin chain: the adversary, then the
@@ -268,17 +307,26 @@ fn every_engine_follows_the_exact_two_bin_chain() {
             &rounds,
             &pushed,
         );
-        for budget in BUDGETS {
-            let balanced = spec
+        let attacks = [
+            (AdversarySpec::Balancer, BUDGETS[0]),
+            (AdversarySpec::Balancer, BUDGETS[1]),
+            (AdversarySpec::Random, RANDOM_BUDGET),
+        ];
+        for (a, (adversary, budget)) in attacks.into_iter().enumerate() {
+            let kernel: Box<dyn Fn(usize) -> Outcomes> = match adversary {
+                AdversarySpec::Random => Box::new(random(budget)),
+                _ => Box::new(balancer(budget)),
+            };
+            let attacked = spec
                 .clone()
-                .adversary(AdversarySpec::Balancer, budget)
+                .adversary(adversary, budget)
                 .max_rounds(ROUNDS[1] as u64)
                 .full_horizon(true)
                 .record_trajectory(true);
             // k after each round count of ROUNDS, per trial.
-            let ks: Vec<[usize; 2]> = seeds(tag(budget))
+            let ks: Vec<[usize; 2]> = seeds(tag(a as u64 + 2))
                 .map(|seed| {
-                    let traj = balanced.run_seeded_into(seed, &mut ws).trajectory;
+                    let traj = attacked.run_seeded_into(seed, &mut ws).trajectory;
                     let traj = traj.expect("recorded");
                     ROUNDS.map(|r| match traj[r].plurality_value {
                         0 => traj[r].plurality_count as usize,
@@ -287,10 +335,11 @@ fn every_engine_follows_the_exact_two_bin_chain() {
                 })
                 .collect();
             for (j, r) in ROUNDS.into_iter().enumerate() {
-                let exact = (0..r).fold(tied(), |law, _| advance(&law, &balancer(budget), 1.0));
+                let exact = (0..r).fold(tied(), |law, _| advance(&law, &kernel, 1.0));
                 let samples: Vec<usize> = ks.iter().map(|k| k[j]).collect();
+                let adversary = adversary.label();
                 judge.case(
-                    format!("{name} / balancer T = {budget} / k after r = {r}"),
+                    format!("{name} / {adversary} T = {budget} / k after r = {r}"),
                     &samples,
                     &exact,
                 );

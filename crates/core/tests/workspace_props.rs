@@ -84,6 +84,7 @@ fn dirty(ws: &mut TrialWorkspace, salt: u64) {
         let sim = SimSpec::new(96 + 32 * i)
             .init(InitialCondition::TwoBins { left: 48 })
             .engine(e)
+            .adversary(AdversarySpec::Random, 4)
             .max_rounds(40)
             .record_trajectory(true);
         let r = sim.run_seeded_into(salt ^ i as u64, ws);
@@ -128,16 +129,21 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let t = (n as f64).sqrt() as u64;
-        let sim = SimSpec::new(n)
-            .init(InitialCondition::TwoBins { left: n / 2 })
-            .adversary(AdversarySpec::Random, t)
-            .max_rounds(150)
-            .full_horizon(true)
-            .record_trajectory(true);
-        let fresh = sim.run_seeded(seed);
-        let mut ws = TrialWorkspace::new();
-        dirty(&mut ws, seed ^ 0xD1);
-        let reused = sim.run_seeded_into(seed, &mut ws);
-        prop_assert_eq!(&reused, &fresh);
+        // The adaptive engine runs the random adversary on the histogram,
+        // its draws parked in the workspace.
+        for engine in [EngineSpec::DenseSeq, engine(2)] {
+            let sim = SimSpec::new(n)
+                .init(InitialCondition::TwoBins { left: n / 2 })
+                .engine(engine)
+                .adversary(AdversarySpec::Random, t)
+                .max_rounds(150)
+                .full_horizon(true)
+                .record_trajectory(true);
+            let fresh = sim.run_seeded(seed);
+            let mut ws = TrialWorkspace::new();
+            dirty(&mut ws, seed ^ 0xD1);
+            let reused = sim.run_seeded_into(seed, &mut ws);
+            prop_assert_eq!(&reused, &fresh);
+        }
     }
 }

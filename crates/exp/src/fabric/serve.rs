@@ -864,7 +864,7 @@ impl QueueServer {
     }
 }
 
-/// One connection, from handshake to disconnect. Only `stabcon-fabric/6`
+/// One connection, from handshake to disconnect. Only `stabcon-fabric/7`
 /// hellos are welcomed; the connection may then mix control frames
 /// (submit, status, cancel) with the claim/lease/result loop.
 fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShared>>) {

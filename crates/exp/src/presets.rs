@@ -52,9 +52,9 @@ pub const PRESET_NAMES: [&str; 9] = [
 ///
 /// `figure1-small`, `figure1`, `average-case`, `theorems` and `threshold`
 /// run on the adaptive engine: a start of at most `max(64, n/40)` values
-/// under no adversary, the balancer or the median pusher runs on the
-/// histogram from round 0, an all-distinct start hands off at about `n/40`
-/// bins, and random-adversary rows stay dense.
+/// under no adversary, the balancer, the median pusher or the random
+/// adversary runs on the histogram from round 0, and an all-distinct start
+/// hands off at about `n/40` bins.
 pub fn preset(name: &str) -> Option<CampaignSpec> {
     // The median rule's next state depends only on the loads, so the
     // paper's grids run where a round is cheapest.

@@ -59,7 +59,11 @@ use crate::cell::CellSpec;
 /// bins, so adaptive trials that start above that support changed, and the
 /// engine label names the rule; `/6` stores are rejected for the same
 /// reason.
-pub const SCHEMA: &str = "stabcon-campaign/7";
+///
+/// `/8`: the random adversary has a load-level form, so adaptive cells
+/// under it hand off to the histogram and their trials for a given seed
+/// changed; `/7` stores are rejected for the same reason.
+pub const SCHEMA: &str = "stabcon-campaign/8";
 
 /// The campaign header record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -575,9 +579,10 @@ mod tests {
     fn old_schema_is_rejected_by_name() {
         // A pre-observer `/1` store, a `/3` store of the old dense stream,
         // a `/4` store whose adversarial adaptive cells stayed dense, a `/5`
-        // store of the per-bin multinomial histogram step, or a `/6` store
-        // whose adaptive cells handed off only at 64 bins, must fail with
-        // the schema in the message, not a confusing fingerprint mismatch
+        // store of the per-bin multinomial histogram step, a `/6` store
+        // whose adaptive cells handed off only at 64 bins, or a `/7` store
+        // whose random-adversary cells stayed dense, must fail with the
+        // schema in the message, not a confusing fingerprint mismatch
         // downstream.
         let path = tmp("oldschema.jsonl");
         for old in [
@@ -586,6 +591,7 @@ mod tests {
             "stabcon-campaign/4",
             "stabcon-campaign/5",
             "stabcon-campaign/6",
+            "stabcon-campaign/7",
         ] {
             std::fs::write(
                 &path,

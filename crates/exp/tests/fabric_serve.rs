@@ -175,6 +175,7 @@ fn old_fabric_hellos_are_rejected_naming_fabric_4() {
         "stabcon-fabric/3",
         "stabcon-fabric/4",
         "stabcon-fabric/5",
+        "stabcon-fabric/6",
     ] {
         let (_, reply) = Raw::hello(&addr, old);
         match reply {
