@@ -27,6 +27,7 @@
 //! ranks; every strategy uses values only through order and equality, so it
 //! flips the same balls either way.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 
 use rand::RngCore;
@@ -581,16 +582,18 @@ impl AdversarySpec {
         }
     }
 
-    /// Table label.
-    pub fn label(&self) -> &'static str {
-        match self {
+    /// Table label; the reviver's names its delay, `reviver(50)`.
+    pub fn label(&self) -> Cow<'static, str> {
+        Cow::Borrowed(match self {
             AdversarySpec::None => "none",
             AdversarySpec::Random => "random",
             AdversarySpec::Balancer => "balancer",
-            AdversarySpec::Reviver { .. } => "reviver",
+            AdversarySpec::Reviver { revive_at } => {
+                return Cow::Owned(format!("reviver({revive_at})"));
+            }
             AdversarySpec::MedianPusher => "median-pusher",
             AdversarySpec::Stubborn => "stubborn",
-        }
+        })
     }
 }
 

@@ -12,6 +12,7 @@
 //! [`crate::cell`]).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use stabcon_core::adversary::AdversarySpec;
 use stabcon_core::engine::{EngineSpec, ScenarioSpec};
@@ -52,17 +53,54 @@ pub enum InitSpec {
     MBinsEqual(u32),
     /// Every ball uniform over `m` bins.
     UniformRandom(u32),
+    /// Two bins whose value-0 bin holds a minority sized from `n`.
+    TwoBinsMinority(Minority),
+    /// Values `0` and `k` alternating over the balls: the two-point
+    /// instance on which an averaging rule leaves the initial values.
+    ZeroOrK(u32),
+}
+
+/// The minority of an [`InitSpec::TwoBinsMinority`] start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Minority {
+    /// `⌊√n/4⌋` (at least 1): no more holders than the canonical budget
+    /// (see [`sqrt_budget`]) can erase.
+    SqrtOver4,
+    /// `⌊n/3⌋`: Lemma 11's doubling regime, imbalance `Δ₀ ≈ n/6`.
+    Third,
+    /// `⌊n/2⌋ − round(c·√n)`: imbalance `Δ₀ = round(c·√n)` on Lemma 15's
+    /// scale. No such start exists once `2Δ₀ ≥ n`.
+    HalfLessSqrt(u32),
 }
 
 impl InitSpec {
-    /// Resolve to a concrete [`InitialCondition`] for population `n`.
-    pub fn materialize(&self, n: usize) -> InitialCondition {
-        match *self {
+    /// Resolve to a concrete [`InitialCondition`] for population `n`, or
+    /// `None` where the start does not exist at that `n` (a
+    /// [`Minority::HalfLessSqrt`] imbalance of zero or of at least `n/2`).
+    pub fn materialize(&self, n: usize) -> Option<InitialCondition> {
+        Some(match *self {
             InitSpec::AllDistinct => InitialCondition::AllDistinct,
             InitSpec::TwoBinsHalf => InitialCondition::TwoBins { left: n / 2 },
             InitSpec::MBinsEqual(m) => InitialCondition::MBinsEqual { m },
             InitSpec::UniformRandom(m) => InitialCondition::UniformRandom { m },
-        }
+            InitSpec::TwoBinsMinority(minority) => {
+                let left = match minority {
+                    Minority::SqrtOver4 => (sqrt_budget(n) as usize).min(n),
+                    Minority::Third => n / 3,
+                    Minority::HalfLessSqrt(c) => {
+                        let delta0 = (f64::from(c) * (n as f64).sqrt()).round() as usize;
+                        if delta0 == 0 || 2 * delta0 >= n {
+                            return None;
+                        }
+                        n / 2 - delta0
+                    }
+                };
+                InitialCondition::TwoBins { left }
+            }
+            InitSpec::ZeroOrK(k) => InitialCondition::Custom(Arc::new(
+                (0..n).map(|i| if i % 2 == 0 { 0 } else { k }).collect(),
+            )),
+        })
     }
 
     /// Axis label.
@@ -72,6 +110,12 @@ impl InitSpec {
             InitSpec::TwoBinsHalf => "two-bins-half".into(),
             InitSpec::MBinsEqual(m) => format!("m-equal({m})"),
             InitSpec::UniformRandom(m) => format!("uniform({m})"),
+            InitSpec::TwoBinsMinority(Minority::SqrtOver4) => "two-bins(sqrt(n)/4)".into(),
+            InitSpec::TwoBinsMinority(Minority::Third) => "two-bins(n/3)".into(),
+            InitSpec::TwoBinsMinority(Minority::HalfLessSqrt(c)) => {
+                format!("two-bins(n/2-{c}*sqrt(n))")
+            }
+            InitSpec::ZeroOrK(k) => format!("{{0,{k}}}"),
         }
     }
 }
@@ -133,6 +177,10 @@ pub struct CampaignSpec {
     pub scenarios: Vec<ScenarioSpec>,
     /// Adversary axis (strategy + budget; budget 0 disables corruption).
     pub adversaries: Vec<(AdversarySpec, BudgetSpec)>,
+    /// Update-fraction axis: the share of balls that update each round
+    /// (the α-asynchrony ablation, dense engines only). A cell below 1
+    /// carries an `update` label; a cell at 1 carries none.
+    pub update_fractions: Vec<f64>,
     /// Round-budget override (default: the [`SimSpec::new`] heuristic).
     pub max_rounds: Option<u64>,
     /// Stability-window override.
@@ -158,6 +206,7 @@ impl Default for CampaignSpec {
             engines: vec![EngineSpec::DenseSeq],
             scenarios: vec![ScenarioSpec::clean()],
             adversaries: vec![(AdversarySpec::None, BudgetSpec::Zero)],
+            update_fractions: vec![1.0],
             max_rounds: None,
             window: None,
             almost_factor: None,
@@ -168,20 +217,26 @@ impl Default for CampaignSpec {
 
 impl CampaignSpec {
     /// Expand the grid into cells, in the fixed axis order
-    /// `n → init → protocol → engine → scenario → adversary`.
+    /// `n → init → protocol → engine → scenario → adversary → update`.
     ///
     /// A faulted scenario combines only with message engines (overriding
     /// the scenario embedded in their `MessageConfig`); non-message engines
-    /// skip it, so the idealized cells appear once. Cell ids — and with
-    /// them the cell seeds — number the *emitted* cells consecutively.
+    /// skip it, so the idealized cells appear once. An init that does not
+    /// exist at some `n` (see [`InitSpec::materialize`]) skips that `n`.
+    /// Cell ids — and with them the cell seeds — number the *emitted*
+    /// cells consecutively.
     ///
     /// Adversarial cells report [`HitMetric::AlmostStable`], others
-    /// [`HitMetric::Consensus`].
+    /// [`HitMetric::Consensus`]. The observer decides trajectory recording
+    /// and whether trials run to `max_rounds` past stability.
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
         let mut id = 0u64;
         for &n in &self.ns {
             for init in &self.inits {
+                let Some(initial) = init.materialize(n) else {
+                    continue;
+                };
                 for &protocol in &self.protocols {
                     for &engine in &self.engines {
                         // The engine column stays the axis value; the
@@ -199,49 +254,59 @@ impl CampaignSpec {
                                 _ => continue,
                             };
                             for &(adversary, budget) in &self.adversaries {
-                                let t = budget.resolve(n);
-                                let mut sim = SimSpec::new(n)
-                                    .init(init.materialize(n))
-                                    .protocol(protocol)
-                                    .engine(cell_engine);
-                                if t > 0 {
-                                    sim = sim.adversary(adversary, t);
-                                }
-                                if let Some(mr) = self.max_rounds {
-                                    sim = sim.max_rounds(mr);
-                                }
-                                if let Some(w) = self.window {
-                                    sim = sim.stability_window(w);
-                                }
-                                if let Some(f) = self.almost_factor {
-                                    sim = sim.almost_factor(f);
-                                }
-                                if self.observer.needs_trajectory() {
-                                    sim = sim.record_trajectory(true);
-                                }
-                                let metric = if t > 0 {
-                                    HitMetric::AlmostStable
-                                } else {
-                                    HitMetric::Consensus
-                                };
-                                cells.push(CellSpec {
-                                    id,
-                                    sim,
-                                    trials: self.trials,
-                                    seed: derive_seed(self.seed, id),
-                                    metric,
-                                    observer: self.observer,
-                                    labels: vec![
+                                for &fraction in &self.update_fractions {
+                                    let t = budget.resolve(n);
+                                    let mut sim = SimSpec::new(n)
+                                        .init(initial.clone())
+                                        .protocol(protocol)
+                                        .engine(cell_engine);
+                                    if t > 0 {
+                                        sim = sim.adversary(adversary, t);
+                                    }
+                                    if let Some(mr) = self.max_rounds {
+                                        sim = sim.max_rounds(mr);
+                                    }
+                                    if let Some(w) = self.window {
+                                        sim = sim.stability_window(w);
+                                    }
+                                    if let Some(f) = self.almost_factor {
+                                        sim = sim.almost_factor(f);
+                                    }
+                                    if self.observer.needs_trajectory() {
+                                        sim = sim.record_trajectory(true);
+                                    }
+                                    if self.observer.needs_full_horizon() {
+                                        sim = sim.full_horizon(true);
+                                    }
+                                    let metric = if t > 0 {
+                                        HitMetric::AlmostStable
+                                    } else {
+                                        HitMetric::Consensus
+                                    };
+                                    let mut labels = vec![
                                         ("n".into(), n.to_string()),
                                         ("init".into(), init.label()),
                                         ("protocol".into(), protocol.label()),
                                         ("engine".into(), engine_label.clone()),
                                         ("scenario".into(), scenario.label()),
-                                        ("adversary".into(), adversary.label().into()),
+                                        ("adversary".into(), adversary.label().into_owned()),
                                         ("T".into(), t.to_string()),
-                                    ],
-                                });
-                                id += 1;
+                                    ];
+                                    if fraction < 1.0 {
+                                        sim = sim.update_fraction(fraction);
+                                        labels.push(("update".into(), fraction.to_string()));
+                                    }
+                                    cells.push(CellSpec {
+                                        id,
+                                        sim,
+                                        trials: self.trials,
+                                        seed: derive_seed(self.seed, id),
+                                        metric,
+                                        observer: self.observer,
+                                        labels,
+                                    });
+                                    id += 1;
+                                }
                             }
                         }
                     }

@@ -16,9 +16,8 @@
 //! order, and a cell is handed back the moment its last chunk merges — so
 //! finished cells come back in cell order, and partials that arrive early
 //! (a later cell's chunks included) are parked until their turn.
-//! [`run_cell`], [`run_cell_monitored`] and [`sweep_stats`] are the
-//! one-cell case of the same stream; `run_campaign` makes one stream over
-//! all its to-do cells.
+//! [`run_cell`] and [`run_cell_monitored`] are the one-cell case of the
+//! same stream; `run_campaign` makes one stream over all its to-do cells.
 //!
 //! Determinism contract: trial `i` of a cell always runs with seed
 //! `derive_seed(cell.seed, i)`, and [`CellAggregate::merge`] is exact
@@ -42,7 +41,7 @@ use stabcon_par::ThreadPool;
 use stabcon_util::rng::derive_seed;
 
 use crate::aggregate::{fold_net_totals, CellAggregate, TrialMetrics};
-use crate::metrics::{ConvergenceStats, HitMetric};
+use crate::metrics::HitMetric;
 use crate::observer::TrialObserver;
 use crate::telemetry::CampaignTelemetry;
 
@@ -379,24 +378,10 @@ pub fn run_cell_monitored(
     stream.next_cell(telemetry).expect("one cell").agg
 }
 
-/// Convenience for table drivers: run `trials` trials of `sim` with trial
-/// seeds `derive_seed(seed, i)` and report [`ConvergenceStats`] under
-/// `metric`. Numerically identical to the materialized
-/// `run_trials` + `ConvergenceStats::from_results` pattern it replaces.
-pub fn sweep_stats(
-    pool: &ThreadPool,
-    sim: &SimSpec,
-    trials: u64,
-    seed: u64,
-    metric: HitMetric,
-) -> ConvergenceStats {
-    let cell = CellSpec::new(sim.clone(), trials, seed).metric(metric);
-    run_cell(pool, &cell, chunk_for(trials, pool.threads())).convergence(metric)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ConvergenceStats;
     use stabcon_core::init::InitialCondition;
 
     fn base_cell() -> CellSpec {
@@ -434,13 +419,8 @@ mod tests {
             .collect();
         let materialized = ConvergenceStats::from_results(&results, HitMetric::Consensus);
         let pool = ThreadPool::new(4);
-        let streamed = sweep_stats(
-            &pool,
-            &cell.sim,
-            cell.trials,
-            cell.seed,
-            HitMetric::Consensus,
-        );
+        let streamed = run_cell(&pool, &cell, chunk_for(cell.trials, pool.threads()))
+            .convergence(HitMetric::Consensus);
         assert_eq!(streamed.rounds, materialized.rounds);
         assert_eq!(streamed.hits, materialized.hits);
     }

@@ -82,7 +82,8 @@ impl SpecDescriptor {
 
 /// Parse the CLI's comma-separated population list (`"64,96"`, hex with
 /// `0x` allowed) — the wire keeps it as a string so every side parses it
-/// through this one function.
+/// through this one function. A population of 0 is refused here, before
+/// any cell is expanded.
 pub fn parse_ns(s: &str) -> Result<Vec<usize>, String> {
     s.split(',')
         .map(|tok| {
@@ -91,7 +92,11 @@ pub fn parse_ns(s: &str) -> Result<Vec<usize>, String> {
                 Some(hex) => (hex, 16),
                 None => (tok, 10),
             };
-            usize::from_str_radix(digits, radix).map_err(|e| format!("ns: bad number '{tok}': {e}"))
+            match usize::from_str_radix(digits, radix) {
+                Ok(0) => Err("ns: a population must be positive".to_string()),
+                Ok(n) => Ok(n),
+                Err(e) => Err(format!("ns: bad number '{tok}': {e}")),
+            }
         })
         .collect()
 }
@@ -1058,6 +1063,16 @@ mod tests {
         assert_eq!(spec.seed, 0xBEEF);
         assert_eq!(spec.ns, vec![64]);
         assert!(desc("warp", "x").build().unwrap_err().contains("preset"));
+        // A resized preset builds, and drops the starts that do not exist
+        // at the new n: at n = 64 the drift imbalance 4·√n = n/2 would
+        // leave no minority bin. The cells that remain run.
+        let drift = desc("drift", "small").build().expect("build");
+        let cells = drift.expand();
+        assert_eq!(cells.len(), 2, "Δ₀ = 8 and 16 only");
+        let pool = stabcon_par::ThreadPool::new(2);
+        for cell in &cells {
+            assert_eq!(crate::run_cell(&pool, cell, 1).trials(), 2);
+        }
         assert!(SpecDescriptor {
             ns: Some("64,oops".into()),
             ..desc("smoke", "x")
@@ -1072,6 +1087,7 @@ mod tests {
         assert_eq!(parse_ns("64,96"), Ok(vec![64, 96]));
         assert_eq!(parse_ns(" 64 , 0x60 "), Ok(vec![64, 96]));
         assert!(parse_ns("").is_err());
+        assert!(parse_ns("64,0").unwrap_err().contains("positive"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Campaign orchestration for the `stabcon` workspace: reproducing the
 //! paper's results table means millions of trials over a grid of
 //! populations, protocols, engines, and adversaries — this crate owns that
-//! sweep so the drivers in `stabcon-analysis` don't each hand-roll one.
+//! sweep, and every paper table is a preset rendered from its store.
 //!
 //! * [`campaign`] — [`campaign::CampaignSpec`] expands a cartesian grid
 //!   into cells; [`campaign::run_campaign`] executes them with
@@ -19,14 +19,13 @@
 //!   network totals), reduced worker-side to integers and folded per
 //!   channel into the same exact sketches.
 //! * [`metrics`] — [`metrics::HitMetric`] / [`metrics::ConvergenceStats`],
-//!   shared with `stabcon-analysis`.
+//!   the hitting-time summary of a cell.
 //! * [`store`] — the append-only JSONL result store with torn-tail
 //!   recovery; a resumed campaign reproduces the uninterrupted store
 //!   byte-for-byte.
 //! * [`report`] — Figure-1-style tables rendered from a store, with an
 //!   `ln n` fit note per series that spans three or more populations.
-//! * [`scaling`] — the paper's predictors as one-variable regressions
-//!   (`ln n`, `ln ln n`), shared by the report and the `drift` driver.
+//! * [`scaling`] — the `ln n` regression behind the report's fit notes.
 //! * [`presets`] — named grids for the `stabcon` CLI
 //!   (`stabcon campaign run/resume/report`).
 //! * [`telemetry`] — observation-only campaign telemetry: live progress,
@@ -55,7 +54,7 @@ pub use aggregate::{fold_net_totals, CellAggregate, TrialMetrics};
 pub use campaign::{
     run_campaign, sqrt_budget, BudgetSpec, CampaignOutcome, CampaignSpec, InitSpec, RunConfig,
 };
-pub use cell::{chunk_for, run_cell, run_cell_monitored, sweep_stats, CellSpec};
+pub use cell::{chunk_for, run_cell, run_cell_monitored, CellSpec};
 pub use fabric::{run_worker_any, QueueServeConfig, QueueServer};
 pub use metrics::{ConvergenceStats, HitMetric};
 pub use observer::{TrialExtras, TrialObserver};

@@ -1,8 +1,7 @@
 //! Per-trial metrics and the convergence summary every sweep reports.
 //!
-//! These types used to live in `stabcon-analysis`; the campaign subsystem
-//! owns them now (and `stabcon_analysis::experiment` re-exports them) so
-//! streaming aggregation and materialized sweeps share one definition.
+//! Streaming aggregation and materialized sweeps share this one
+//! definition.
 
 use stabcon_core::runner::RunResult;
 use stabcon_util::stats::Quantiles;

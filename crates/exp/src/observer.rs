@@ -1,6 +1,6 @@
 //! Trial observers: trajectory-derived extra metrics, folded worker-side.
 //!
-//! Beyond the hitting times every cell reports, some drivers need a few
+//! Beyond the hitting times every cell reports, some presets need a few
 //! more numbers per trial: the last unsettled round, the first round pair
 //! (one-step imbalance growth), post-hit excursion statistics, network
 //! totals. A [`TrialObserver`] is the protocol for them:
@@ -143,6 +143,17 @@ impl TrialObserver {
         !matches!(self, TrialObserver::None | TrialObserver::NetTotals)
     }
 
+    /// Whether the observer reads rounds past the first stable one — when
+    /// true, the campaign expander sets `full_horizon(true)`, so every
+    /// trial runs to `max_rounds` (a revival late in the run, or an
+    /// excursion after the hit, is what these observers measure).
+    pub fn needs_full_horizon(&self) -> bool {
+        matches!(
+            self,
+            TrialObserver::LastUnsettledRound | TrialObserver::StabilityExcursions
+        )
+    }
+
     /// A stable label, hashed into the campaign fingerprint.
     pub fn label(&self) -> &'static str {
         match self {
@@ -243,6 +254,11 @@ mod tests {
         // NetTotals reads runner scalars, not the trajectory.
         let net = TrialObserver::NetTotals;
         assert!(!net.needs_trajectory());
+        // Only the post-stability observers keep trials running.
+        assert!(TrialObserver::StabilityExcursions.needs_full_horizon());
+        assert!(TrialObserver::LastUnsettledRound.needs_full_horizon());
+        assert!(!TrialObserver::OneStepDrift.needs_full_horizon());
+        assert!(!net.needs_full_horizon());
         assert_eq!(net.channels().len(), 5);
         // Labels tell the observers apart (they are fingerprinted).
         let labels: std::collections::BTreeSet<_> = [

@@ -9,7 +9,7 @@ use crate::scaling::{describe_line, fit_log_n};
 use crate::store::LoadedStore;
 
 /// Label columns shown when present in the records, in order.
-const AXIS_COLUMNS: [&str; 7] = [
+const AXIS_COLUMNS: [&str; 8] = [
     "n",
     "init",
     "protocol",
@@ -17,6 +17,7 @@ const AXIS_COLUMNS: [&str; 7] = [
     "scenario",
     "adversary",
     "T",
+    "update",
 ];
 
 /// Compress sorted ids into a compact `0-3, 7, 12-23` listing (capped).
@@ -181,7 +182,11 @@ pub fn report_table_with_timings(
     for obj in &loaded.cells {
         let mut row = vec![int_text(obj, "cell")];
         for k in &axes {
-            row.push(cell_text(obj, k));
+            // A cell whose every ball updates carries no `update` label.
+            row.push(match (*k, get(obj, k)) {
+                ("update", None) => "1".into(),
+                _ => cell_text(obj, k),
+            });
         }
         row.push(cell_text(obj, "metric"));
         row.push(percent(obj, "hit_rate"));

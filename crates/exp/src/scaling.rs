@@ -2,22 +2,15 @@
 //!
 //! The reproduction never expects to match absolute constants — the claim
 //! under test is always the *functional form*: is the measured time linear
-//! in `log n`? In `log log n`? The fits here return `R²` so tables can
-//! print goodness-of-fit next to slopes. [`crate::report`] fits `ln n` per
-//! series of a campaign store; the `drift` driver in `stabcon-analysis`
-//! fits `ln ln n`.
+//! in `log n`? The fit here returns `R²` so tables can print
+//! goodness-of-fit next to slopes. [`crate::report`] fits `ln n` per
+//! series of a campaign store.
 
 use stabcon_util::stats::{fit_line, LineFit};
 
 /// Fit `T = a + b·ln n`.
 pub fn fit_log_n(ns: &[f64], times: &[f64]) -> LineFit {
     let xs: Vec<f64> = ns.iter().map(|&n| n.ln()).collect();
-    fit_line(&xs, times)
-}
-
-/// Fit `T = a + b·ln ln n`.
-pub fn fit_loglog_n(ns: &[f64], times: &[f64]) -> LineFit {
-    let xs: Vec<f64> = ns.iter().map(|&n| n.ln().ln()).collect();
     fit_line(&xs, times)
 }
 
@@ -40,14 +33,6 @@ mod tests {
         let fit = fit_log_n(&ns, &ts);
         assert!((fit.slope - 2.5).abs() < 1e-9);
         assert!((fit.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn loglog_fit_recovers_synthetic_law() {
-        let ns: Vec<f64> = (8..=30).map(|k| (1u64 << k) as f64).collect();
-        let ts: Vec<f64> = ns.iter().map(|n| 1.0 + 4.0 * n.ln().ln()).collect();
-        let fit = fit_loglog_n(&ns, &ts);
-        assert!((fit.slope - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`stats`] — exact count sketches, quantiles, and least-squares line
 //!   fits for the scaling laws in the experiment harness.
 //! * [`table`] — plain-text / markdown / CSV table rendering for the
-//!   analysis drivers' output.
+//!   campaign reports.
 //! * [`jsonl`] — a minimal JSON writer (with proper string escaping) and a
 //!   flat-object parser for the campaign result store and telemetry sinks.
 

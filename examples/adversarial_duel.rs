@@ -10,12 +10,11 @@
 //! cargo run --release --example adversarial_duel
 //! ```
 
-use stabcon::analysis::baselines::min_rule_table;
+use stabcon::exp::{presets, report, run_campaign, store, RunConfig};
 use stabcon::prelude::*;
 
 fn main() {
     let n = 2048;
-    let threads = stabcon::par::default_threads();
 
     // Narrative single run first: watch the min rule get burned.
     let t = ((n as f64).sqrt() / 2.0) as u64;
@@ -47,7 +46,12 @@ fn main() {
     }
 
     println!();
-    // Sweep revive delays: the min rule's settlement time tracks d.
-    let table = min_rule_table(n, &[50, 200, 800], 10, 0xD0E1, threads);
-    print!("{}", table.to_text());
+    // Sweep revive delays (the `min-rule` preset): the min rule's
+    // `last_unsettled` tracks d, the median rule's does not.
+    let spec = presets::preset("min-rule").expect("preset");
+    let path = std::env::temp_dir().join("stabcon-adversarial-duel.jsonl");
+    std::fs::remove_file(&path).ok();
+    run_campaign(&spec, &path, &RunConfig::default()).expect("campaign run");
+    let loaded = store::load(&path).expect("load store");
+    print!("{}", report::report_table(&loaded).to_text());
 }

@@ -12,13 +12,11 @@
 //!   baselines), adversaries, and three interchangeable engines;
 //! * [`net`] (`stabcon-net`) — the synchronous anonymous message-passing
 //!   model with logarithmic inbox caps;
-//! * [`analysis`] (`stabcon-analysis`) — convergence statistics and the
-//!   paper-table drivers no campaign preset covers (threshold, baselines,
-//!   drift, stability, α-asynchrony);
 //! * [`exp`] (`stabcon-exp`) — campaign orchestration: declarative grids,
 //!   parallel execution, streaming aggregation, a checkpoint/resume JSONL
-//!   result store, the presets and report tables behind Figure 1 and
-//!   Theorem 2, scaling fits, the `serve`/`work` fabric that spreads a
+//!   result store, the presets and report tables behind every paper table
+//!   (Figure 1, Theorem 2, the baselines, the drift lemmas, stability and
+//!   asynchrony), scaling fits, the `serve`/`work` fabric that spreads a
 //!   campaign over hosts, and the `stabcon` CLI (`stabcon campaign
 //!   run/resume/report`);
 //! * [`util`] (`stabcon-util`) — RNGs, random variates, statistics,
@@ -38,7 +36,6 @@
 //! assert!(result.consensus_round.is_some(), "median rule must converge");
 //! ```
 
-pub use stabcon_analysis as analysis;
 pub use stabcon_core as core;
 pub use stabcon_exp as exp;
 pub use stabcon_net as net;
@@ -47,7 +44,6 @@ pub use stabcon_util as util;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use stabcon_analysis::prelude::*;
     pub use stabcon_core::prelude::*;
-    pub use stabcon_exp::scaling::{fit_log_n, fit_loglog_n};
+    pub use stabcon_exp::scaling::fit_log_n;
 }
