@@ -289,9 +289,6 @@ impl Processes<'_, '_> {
 
 /// A T-bounded adversary strategy.
 pub trait Adversary: Send {
-    /// Short identifier for tables.
-    fn name(&self) -> &'static str;
-
     /// Inspect and corrupt the state at the beginning of round `round`.
     fn corrupt(&mut self, round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore);
 }
@@ -311,9 +308,6 @@ fn processes<'c, 'a>(c: &'c mut Corruptor<'a>) -> Processes<'c, 'a> {
 pub struct NoAdversary;
 
 impl Adversary for NoAdversary {
-    fn name(&self) -> &'static str {
-        "none"
-    }
     fn corrupt(&mut self, _round: u64, _c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {}
 }
 
@@ -329,9 +323,6 @@ impl Adversary for NoAdversary {
 pub struct RandomCorruptor;
 
 impl Adversary for RandomCorruptor {
-    fn name(&self) -> &'static str {
-        "random"
-    }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
         let allowed = c.allowed();
         let m = allowed.len() as u64;
@@ -384,9 +375,6 @@ impl Adversary for RandomCorruptor {
 pub struct TwoBinBalancer;
 
 impl Adversary for TwoBinBalancer {
-    fn name(&self) -> &'static str {
-        "balancer"
-    }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
         let Some(((big, big_load), (small, small_load))) = balanced_pair(c) else {
             return; // nothing to balance
@@ -442,9 +430,6 @@ pub struct Reviver {
 }
 
 impl Adversary for Reviver {
-    fn name(&self) -> &'static str {
-        "reviver"
-    }
     fn corrupt(&mut self, round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
         let allowed = c.allowed();
         let mut p = processes(c);
@@ -485,9 +470,6 @@ impl Adversary for Reviver {
 pub struct MedianPusher;
 
 impl Adversary for MedianPusher {
-    fn name(&self) -> &'static str {
-        "median-pusher"
-    }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
         let median = c.lower_median();
         let lo = c.allowed().min();
@@ -517,9 +499,6 @@ impl Adversary for MedianPusher {
 pub struct StubbornSet;
 
 impl Adversary for StubbornSet {
-    fn name(&self) -> &'static str {
-        "stubborn"
-    }
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
         let target = c.allowed().min();
         let mut p = processes(c);
@@ -805,8 +784,7 @@ mod tests {
             AdversarySpec::MedianPusher,
             AdversarySpec::Stubborn,
         ] {
-            let adv = spec.build();
-            assert!(!adv.name().is_empty());
+            let _ = spec.build();
             assert!(!spec.label().is_empty());
         }
     }

@@ -183,10 +183,6 @@ pub struct CampaignSpec {
     pub update_fractions: Vec<f64>,
     /// Round-budget override (default: the [`SimSpec::new`] heuristic).
     pub max_rounds: Option<u64>,
-    /// Stability-window override.
-    pub window: Option<u64>,
-    /// Almost-stability factor override.
-    pub almost_factor: Option<f64>,
     /// Extra-metric observer attached to every cell (an observer reads
     /// its parameters from each cell's spec, so it suits any grid).
     pub observer: TrialObserver,
@@ -208,8 +204,6 @@ impl Default for CampaignSpec {
             adversaries: vec![(AdversarySpec::None, BudgetSpec::Zero)],
             update_fractions: vec![1.0],
             max_rounds: None,
-            window: None,
-            almost_factor: None,
             observer: TrialObserver::None,
         }
     }
@@ -265,12 +259,6 @@ impl CampaignSpec {
                                     }
                                     if let Some(mr) = self.max_rounds {
                                         sim = sim.max_rounds(mr);
-                                    }
-                                    if let Some(w) = self.window {
-                                        sim = sim.stability_window(w);
-                                    }
-                                    if let Some(f) = self.almost_factor {
-                                        sim = sim.almost_factor(f);
                                     }
                                     if self.observer.needs_trajectory() {
                                         sim = sim.record_trajectory(true);
@@ -339,8 +327,10 @@ impl CampaignSpec {
         eat(&self.seed.to_le_bytes());
         eat(&self.trials.to_le_bytes());
         eat(&self.max_rounds.unwrap_or(0).to_le_bytes());
-        eat(&self.window.unwrap_or(0).to_le_bytes());
-        eat(&self.almost_factor.unwrap_or(-1.0).to_le_bytes());
+        // The retired stability-window and almost-factor overrides, at
+        // their unset values, so every stored fingerprint stays valid.
+        eat(&0u64.to_le_bytes());
+        eat(&(-1.0f64).to_le_bytes());
         for cell in cells {
             eat(&cell.id.to_le_bytes());
             eat(&cell.seed.to_le_bytes());

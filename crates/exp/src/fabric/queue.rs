@@ -33,8 +33,9 @@
 //! the events reconstructs every job's descriptor and last state, jobs
 //! that were running are re-activated against their (torn-tail-repaired)
 //! per-campaign stores, and the daemon converges to the same bytes the
-//! uncrashed daemon would have written. Torn journal tails are truncated
-//! on open by the result store's own open path.
+//! uncrashed daemon would have written. The journal is one of the
+//! crate's append-only logs ([`crate::store`]): the store's one reader
+//! replays it and the store's one opener truncates its torn tail.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -44,7 +45,7 @@ use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
 use crate::campaign::CampaignSpec;
 use crate::presets::{preset, PRESET_NAMES};
-use crate::store::{open_log, Durability, StoreWriter};
+use crate::store::{open_log, scan_log, Durability, Log, StoreWriter};
 
 use super::protocol::{Msg, SpecDescriptor};
 use super::serve::{Ingest, Parked, ServeState};
@@ -952,71 +953,33 @@ fn journal_header() -> String {
         .finish()
 }
 
-/// Read a journal, stopping at the first torn or unparsable line — the
-/// same byte-level discipline as [`crate::store::load`].
+/// Read a journal through [`scan_log`], stopping at the first torn or
+/// unparsable line.
 ///
 /// Returns the parsed events and the byte length of the valid prefix.
 pub fn load_journal(path: &Path) -> Result<(Vec<JournalEvent>, u64), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    let mut valid_len = 0u64;
-    let mut saw_header = false;
-    for raw in bytes.split_inclusive(|&b| b == b'\n') {
-        if raw.last() != Some(&b'\n') {
-            break; // torn tail from an interrupted append
-        }
-        let Ok(line) = std::str::from_utf8(raw) else {
-            break; // torn multi-byte character
-        };
-        let trimmed = line.trim_end();
-        if !saw_header {
-            let Ok(obj) = parse_flat(trimmed) else { break };
-            let kind = get(&obj, "kind").and_then(JsonScalar::as_str);
-            let schema = get(&obj, "schema").and_then(JsonScalar::as_str);
-            if kind != Some("jobs") {
-                break;
-            }
-            match schema {
-                Some(JOBS_SCHEMA) => {}
-                Some(other) => return Err(format!("unsupported jobs-journal schema '{other}'")),
-                None => break,
-            }
-            saw_header = true;
-        } else {
-            let Ok(event) = JournalEvent::decode(trimmed) else {
-                break; // corrupt tail
-            };
-            events.push(event);
-        }
-        valid_len += line.len() as u64;
-    }
-    Ok((events, valid_len))
+    let scan = scan_log(path, Some(JOBS_SCHEMA), |_| Ok(()), JournalEvent::decode)?;
+    Ok((scan.records, scan.valid_len))
 }
 
 /// Open (or create) the jobs journal for appending.
 ///
-/// The result store's open path (`store::open_log`): fresh opens refuse an
+/// The one log open path (`store::open_log`): fresh opens refuse an
 /// existing journal; with `resume` any torn tail is truncated away and
-/// synced before the append handle opens, and the surviving events are
-/// returned for [`JobQueue::replay`].
+/// synced before the first append, and the surviving events are returned
+/// for [`JobQueue::replay`].
 pub fn open_journal(
     path: &Path,
     resume: bool,
     durability: Durability,
 ) -> Result<(StoreWriter, Vec<JournalEvent>), String> {
     let mut events = Vec::new();
-    let writer = open_log(
-        path,
-        &journal_header(),
-        "jobs journal",
-        resume,
-        durability,
-        || {
-            let (loaded, valid_len) = load_journal(path)?;
-            events = loaded;
-            Ok(valid_len)
-        },
-    )?;
+    let log = Log::Durable("jobs journal", durability);
+    let writer = open_log(path, &journal_header(), log, resume, || {
+        let (loaded, valid_len) = load_journal(path)?;
+        events = loaded;
+        Ok(valid_len)
+    })?;
     Ok((writer, events))
 }
 

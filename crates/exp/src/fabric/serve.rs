@@ -42,7 +42,6 @@
 //! worker can never corrupt a sink.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -50,10 +49,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
+use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
 
 use crate::store::{self, Durability, StoreWriter};
-use crate::telemetry::{self, TELEMETRY_SCHEMA};
+use crate::telemetry;
 
 use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 use super::queue::{
@@ -375,12 +374,12 @@ pub struct QueueOutcome {
     pub journal_path: PathBuf,
 }
 
-/// Per-active-job file handles: the store plus its timings sidecar and
-/// telemetry sink.
+/// Per-active-job logs: the store plus its timings sidecar and telemetry
+/// sink.
 struct JobIo {
     store: StoreWriter,
-    timings: File,
-    telemetry: File,
+    timings: StoreWriter,
+    telemetry: StoreWriter,
 }
 
 /// Everything the daemon's connections share: the pure [`JobQueue`] plus the
@@ -456,18 +455,9 @@ impl QShared {
         let (store, done) = store::open_for_append(&path, &header, resume, self.durability)?;
         let timings = telemetry::open_timings(&path, resume)?;
         let done_len = done.len();
-        let sink_header = JsonObj::new()
-            .str_field("schema", TELEMETRY_SCHEMA)
-            .str_field("campaign", &campaign)
-            .u64_field("threads", 0)
-            .u64_field("cells", header.cells)
-            .u64_field(
-                "trials_planned",
-                (header.cells - done_len as u64) * header.trials,
-            )
-            .finish();
-        let telemetry =
-            telemetry::open_sidecar(&telemetry::sink_path(&path), resume, &sink_header)?;
+        let trials_planned = (header.cells - done_len as u64) * header.trials;
+        let sink_header = telemetry::telemetry_header(&campaign, 0, header.cells, trials_planned);
+        let telemetry = telemetry::open_sink(&telemetry::sink_path(&path), &sink_header, resume)?;
         self.stores.insert(
             id,
             JobIo {
@@ -518,7 +508,7 @@ impl QShared {
     fn ingest_telemetry(&mut self, job: Option<u64>, line: &str) {
         let landed = match job.and_then(|id| self.stores.get_mut(&id)) {
             Some(io) if telemetry::validate_record_line(line).is_ok() => {
-                store::append_line(&mut io.telemetry, line).is_ok()
+                io.telemetry.append(line).is_ok()
             }
             _ => false,
         };

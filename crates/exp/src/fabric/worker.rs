@@ -35,7 +35,7 @@
 //!   and exits cleanly instead of mid-frame.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Lines, Write};
+use std::io::{BufRead, BufReader, Lines};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -122,33 +122,8 @@ pub struct WorkerOutcome {
     pub drained_early: bool,
 }
 
-/// A telemetry sink that ships each complete line to the daemon as a
-/// [`Msg::Telemetry`] frame instead of writing a local file. Buffers until
-/// a newline so partial `write` calls never tear a frame, and shares the
-/// connection mutex with the protocol sends so frames stay line-atomic.
-struct FrameWriter {
-    stream: Arc<Mutex<TcpStream>>,
-    buf: Vec<u8>,
-}
-
-impl Write for FrameWriter {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(bytes);
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let rest = self.buf.split_off(pos + 1);
-            self.buf.pop(); // the newline
-            let line = String::from_utf8(std::mem::replace(&mut self.buf, rest))
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            send_locked(&self.stream, &Msg::Telemetry { line })?;
-        }
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
+/// Send one frame under the connection mutex it shares with the heartbeat
+/// and the worker's telemetry sink, so frames never interleave.
 fn send_locked(stream: &Arc<Mutex<TcpStream>>, msg: &Msg) -> std::io::Result<()> {
     let mut s = stream
         .lock()
@@ -321,17 +296,18 @@ fn run_leased_cell(
     cfg: &WorkerConfig,
 ) -> Result<Msg, String> {
     let _heartbeat = Heartbeat::start(Arc::clone(&session.stream), job, cell.id, lease_ms);
-    // Telemetry streams to the daemon; progress printing stays off (the
-    // daemon renders progress for the whole queue).
+    // Telemetry streams to the daemon, one `Telemetry` frame per sink line;
+    // progress printing stays off (the daemon renders progress for the
+    // whole queue).
+    let stream = Arc::clone(&session.stream);
     let mut tel = CampaignTelemetry::create_with_sink(
         &grid.spec.name,
         pool.threads().max(1),
         grid.cells.len() as u64,
         cell.trials,
         false,
-        Some(Box::new(FrameWriter {
-            stream: Arc::clone(&session.stream),
-            buf: Vec::new(),
+        Some(Box::new(move |line: &str| {
+            let _ = send_locked(&stream, &Msg::Telemetry { line: line.into() });
         })),
     )?;
     let chunk = cfg

@@ -144,22 +144,25 @@ pub fn report_table_with_timings(
         Some(h) => format!(
             "campaign '{}' — {} of {} cells, {} trials/cell, seed {:#x}",
             h.name,
-            loaded.cells.len(),
+            loaded.records.len(),
             h.cells,
             h.trials,
             h.seed
         ),
-        None => format!("campaign (headerless store) — {} cells", loaded.cells.len()),
+        None => format!(
+            "campaign (headerless store) — {} cells",
+            loaded.records.len()
+        ),
     };
     let axes: Vec<&str> = AXIS_COLUMNS
         .iter()
         .copied()
-        .filter(|k| loaded.cells.iter().any(|c| get(c, k).is_some()))
+        .filter(|k| loaded.records.iter().any(|c| get(c, k).is_some()))
         .collect();
     // Observer extras: every `extra_<name>_mean` field present in any cell
     // becomes a `<name>` column (rendered as its mean), in first-seen order.
     let mut extra_stems: Vec<String> = Vec::new();
-    for obj in &loaded.cells {
+    for obj in &loaded.records {
         for (k, _) in obj.iter() {
             if let Some(stem) = k
                 .strip_prefix("extra_")
@@ -179,7 +182,7 @@ pub fn report_table_with_timings(
         headers.extend(["secs", "trials/s"]);
     }
     let mut table = Table::new(title, &headers);
-    for obj in &loaded.cells {
+    for obj in &loaded.records {
         let mut row = vec![int_text(obj, "cell")];
         for k in &axes {
             // A cell whose every ball updates carries no `update` label.
@@ -214,7 +217,7 @@ pub fn report_table_with_timings(
         }
         table.push_row(row);
     }
-    for note in fit_notes(&loaded.cells, &axes) {
+    for note in fit_notes(&loaded.records, &axes) {
         table.push_note(note);
     }
     if let Some(h) = &loaded.header {
@@ -259,7 +262,7 @@ mod tests {
             })
             .collect();
         LoadedStore {
-            cells,
+            records: cells,
             ..LoadedStore::default()
         }
     }

@@ -1,32 +1,47 @@
-//! The append-only JSONL result store.
+//! The append-only JSONL logs: the result store, and the one open path
+//! and one reader that every log of the crate shares.
 //!
-//! Line 0 is a campaign header (name, seed, grid fingerprint); every
-//! following line is one completed cell's streamed aggregate. Cells are
-//! appended in cell order; a killed campaign leaves at worst one torn
-//! trailing line, which [`load`] detects and [`recover`] truncates away
-//! (and syncs the truncation), so `resume` reproduces the uninterrupted
-//! store byte-for-byte.
+//! Four logs share one format. Line 0 is a header whose `schema` field
+//! names the log; every following line is one flat record:
 //!
-//! How much of the store survives a crash harder than a process kill —
-//! power loss, `kill -9` racing the page cache — is the [`Durability`]
-//! policy: `none` (flush to the OS only, the historical behavior) or
-//! `cell` (`fsync` after every appended record). Both policies write
-//! identical bytes; they differ only in when those bytes are forced to
-//! stable storage. [`StoreWriter`] owns the policy so every appender (the
-//! single-host runner, the serve daemon's job stores and its jobs journal)
-//! applies it uniformly, and `open_log` is the one open-and-repair path
-//! all of them share.
+//! | log | schema | records |
+//! |---|---|---|
+//! | result store (this module) | [`SCHEMA`] | one completed cell's streamed aggregate |
+//! | jobs journal ([`crate::fabric::queue`]) | `stabcon-jobs/1` | one queue event |
+//! | timings sidecar ([`crate::telemetry`]) | `stabcon-timings/1` | one cell's wall clock |
+//! | telemetry sink ([`crate::telemetry`]) | `stabcon-telemetry/1` | one snapshot or cell profile |
+//!
+//! Records are appended whole, one `write` per line. A killed writer
+//! leaves at worst one torn trailing line, so a log is always a *valid
+//! prefix* plus an optional torn tail. [`scan_log`] is the one reader: it
+//! checks the header's `schema`, hands each complete line to the log's
+//! record parser, and stops at the first torn, non-UTF-8 or unparsable
+//! line, reporting the byte length of the valid prefix. `open_log` is the
+//! one opener: it creates a log with its header, or on resume cuts it back
+//! to its valid prefix (syncing the cut) before appending, so `resume`
+//! reproduces the uninterrupted log byte-for-byte.
+//!
+//! The store's line 0 is a campaign header (name, seed, grid fingerprint);
+//! cells are appended in cell order. How much of a store or journal
+//! survives a crash harder than a process kill — power loss, `kill -9`
+//! racing the page cache — is the [`Durability`] policy: `none` (flush to
+//! the OS only, the historical behavior) or `cell` (`fsync` after every
+//! appended record). Both policies write identical bytes; they differ only
+//! in when those bytes are forced to stable storage. [`StoreWriter`] owns
+//! the policy so every appender applies it uniformly. The timings sidecar
+//! and telemetry sinks are advisory: they never `fsync`, and a fresh run
+//! replaces them where it refuses an existing store or journal.
 //!
 //! Records are *flat* JSON objects (scalars only) written through
 //! [`stabcon_util::jsonl`], with floats in shortest-roundtrip form: the
 //! store is lossless and deterministic, never timestamped.
 
 use std::collections::BTreeSet;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
 
-use stabcon_util::jsonl::{get, parse_flat, FlatObject, JsonObj};
+use stabcon_util::jsonl::{get, parse_flat, FlatObject, JsonObj, JsonScalar};
 
 use crate::aggregate::CellAggregate;
 use crate::cell::CellSpec;
@@ -95,6 +110,7 @@ impl StoreHeader {
             .finish()
     }
 
+    /// Parse line 0 of a store whose `schema` [`scan_log`] has checked.
     fn from_fields(obj: &FlatObject) -> Result<Self, String> {
         let str_of = |k: &str| {
             get(obj, k)
@@ -107,12 +123,6 @@ impl StoreHeader {
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| format!("header: missing integer field '{k}'"))
         };
-        let schema = str_of("schema")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unsupported store schema '{schema}' (this build reads '{SCHEMA}')"
-            ));
-        }
         let fingerprint = u64::from_str_radix(&str_of("fingerprint")?, 16)
             .map_err(|e| format!("header: bad fingerprint: {e}"))?;
         Ok(Self {
@@ -215,23 +225,18 @@ impl Durability {
     }
 }
 
-/// An open store plus its [`Durability`] policy: every append goes through
-/// [`StoreWriter::append`] so the policy is applied uniformly by the
-/// single-host runner and the serve daemon alike.
+/// An open log plus its [`Durability`] policy: every append to every log
+/// goes through [`StoreWriter::append`], so the policy is applied uniformly
+/// by the single-host runner and the serve daemon alike.
 #[derive(Debug)]
 pub struct StoreWriter {
-    file: std::fs::File,
+    file: File,
     durability: Durability,
 }
 
 impl StoreWriter {
-    /// Wrap an already-open append handle.
-    pub(crate) fn new(file: std::fs::File, durability: Durability) -> Self {
-        Self { file, durability }
-    }
-
-    /// Append one pre-rendered record line (adds the newline), flush, and
-    /// sync per the policy.
+    /// Append one pre-rendered record line (adds the newline) as one
+    /// `write`, and sync per the policy.
     pub fn append(&mut self, line: &str) -> std::io::Result<()> {
         append_line(&mut self.file, line)?;
         match self.durability {
@@ -278,10 +283,10 @@ pub fn describe_mismatch(stored: &StoreHeader, requested: &StoreHeader) -> Strin
 ///
 /// Fresh opens refuse an existing file; with `resume` the stored header is
 /// validated against `header`, any torn tail is **truncated away and the
-/// truncation synced** before the append handle opens (see `open_log` —
-/// the repair happens on open, it is not merely tolerated on read), and
-/// the ids of cells already present are returned so the caller can skip
-/// them. Used by both `run_campaign` and the fabric's `serve` daemon.
+/// truncation synced** before the first append (see `open_log` — the
+/// repair happens on open, it is not merely tolerated on read), and the
+/// ids of cells already present are returned so the caller can skip them.
+/// Used by both `run_campaign` and the fabric's `serve` daemon.
 pub fn open_for_append(
     path: &Path,
     header: &StoreHeader,
@@ -289,7 +294,8 @@ pub fn open_for_append(
     durability: Durability,
 ) -> Result<(StoreWriter, BTreeSet<u64>), String> {
     let mut done = BTreeSet::new();
-    let writer = open_log(path, &header.to_line(), "store", resume, durability, || {
+    let log = Log::Durable("store", durability);
+    let writer = open_log(path, &header.to_line(), log, resume, || {
         let loaded = load(path)?;
         match &loaded.header {
             Some(h) if h == header => {
@@ -308,51 +314,75 @@ pub fn open_for_append(
     Ok((writer, done))
 }
 
-/// Open an append-only JSONL log whose line 0 is `header`: the one open
-/// path of the result store ([`open_for_append`]) and the serve daemon's
-/// jobs journal.
+/// Which log `open_log` opens, and so how it treats an existing file.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Log {
+    /// A result store or the jobs journal (named in errors), synced per
+    /// its [`Durability`]: a fresh open refuses an existing file, and a
+    /// resume fails if the file cannot be read.
+    Durable(&'static str, Durability),
+    /// The timings sidecar or a telemetry sink. Advisory: it never syncs,
+    /// and an existing file is replaced by a fresh open, or by a resume
+    /// that cannot read it.
+    Advisory,
+}
+
+/// Open an append-only log whose line 0 is `header`: the one open path of
+/// every log (see the module doc).
 ///
-/// A missing file is created with the header. An existing one is refused
-/// (`what` names it in the error) unless `resume`; then `valid_prefix`
-/// reads and validates it and returns the byte length of its valid prefix.
-/// A prefix of 0 restarts the log from the header; anything shorter than
-/// the file is a torn tail, truncated away ([`truncate_tail`]) before the
-/// append handle opens. Under [`Durability::Cell`] the header or repaired
+/// A missing file is created with the header. On `resume` an existing one
+/// is read by `valid_prefix`, which returns the byte length of its valid
+/// prefix (usually from [`scan_log`]): a prefix of 0 restarts the log from
+/// the header, and anything after the prefix is a torn tail, cut away by
+/// one `ftruncate` to a record boundary before the first append. A
+/// durable log syncs that cut, so a crash right after the repair cannot
+/// resurrect the tail; under [`Durability::Cell`] the header or repaired
 /// prefix — and, best effort, the directory entry of a fresh file — is
 /// forced to stable storage before any record lands on top of it.
 pub(crate) fn open_log(
     path: &Path,
     header: &str,
-    what: &str,
+    log: Log,
     resume: bool,
-    durability: Durability,
     valid_prefix: impl FnOnce() -> Result<u64, String>,
 ) -> Result<StoreWriter, String> {
     let err = |e: std::io::Error| format!("{}: {e}", path.display());
-    let valid_len = if path.exists() {
-        if !resume {
+    let valid_len = match log {
+        // A missing or unreadable advisory log reads as empty.
+        Log::Advisory if resume => valid_prefix().unwrap_or(0),
+        Log::Advisory => 0,
+        Log::Durable(..) if !path.exists() => 0,
+        Log::Durable(..) if resume => valid_prefix()?,
+        Log::Durable(what, _) => {
             return Err(format!(
                 "{}: {what} exists — use resume (or a fresh path)",
                 path.display()
-            ));
+            ))
         }
-        valid_prefix()?
-    } else {
-        0
     };
     let file = if valid_len == 0 {
-        let mut f = std::fs::File::create(path).map_err(err)?;
+        let mut f = File::create(path).map_err(err)?;
         append_line(&mut f, header).map_err(err)?;
         f
     } else {
-        truncate_tail(path, valid_len).map_err(err)?;
-        OpenOptions::new().append(true).open(path).map_err(err)?
+        let f = OpenOptions::new().append(true).open(path).map_err(err)?;
+        if f.metadata().map_err(err)?.len() != valid_len {
+            f.set_len(valid_len).map_err(err)?;
+            if let Log::Durable(..) = log {
+                f.sync_all().map_err(err)?;
+            }
+        }
+        f
     };
-    let mut writer = StoreWriter::new(file, durability);
+    let durability = match log {
+        Log::Durable(_, d) => d,
+        Log::Advisory => Durability::None,
+    };
+    let mut writer = StoreWriter { file, durability };
     if durability == Durability::Cell {
         writer.sync().map_err(err)?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
+            if let Ok(d) = File::open(dir) {
                 let _ = d.sync_all();
             }
         }
@@ -360,22 +390,119 @@ pub(crate) fn open_log(
     Ok(writer)
 }
 
-/// A store read back from disk.
-#[derive(Debug, Clone, Default)]
-pub struct LoadedStore {
-    /// The header, if the first line parsed as one.
-    pub header: Option<StoreHeader>,
-    /// Completed cell records, in file order.
-    pub cells: Vec<FlatObject>,
+/// A log read back by [`scan_log`].
+#[derive(Debug, Clone)]
+pub struct LogScan<H, R> {
+    /// Line 0 as the log's header parser read it; `None` when line 0 is
+    /// torn, unparsable or carries no `schema` (nothing in the log is
+    /// valid).
+    pub header: Option<H>,
+    /// The records of the valid prefix, in file order.
+    pub records: Vec<R>,
     /// Byte length of the valid prefix (everything after it is a torn or
     /// corrupt tail).
     pub valid_len: u64,
+    /// Where the valid prefix ends before the end of the file: the 1-based
+    /// number of the first invalid line, and what is wrong with it.
+    pub stopped: Option<(usize, String)>,
 }
+
+impl<H, R> Default for LogScan<H, R> {
+    fn default() -> Self {
+        Self {
+            header: None,
+            records: Vec::new(),
+            valid_len: 0,
+            stopped: None,
+        }
+    }
+}
+
+impl<H, R> LogScan<H, R> {
+    /// The header and records of a log that must be valid to its last
+    /// byte, as the schema checkers read one: the first invalid line is an
+    /// error that names it by number.
+    pub fn strict(self, path: &Path) -> Result<(H, Vec<R>), String> {
+        match (self.stopped, self.header) {
+            (Some((line, e)), _) => Err(format!("{}: line {line}: {e}", path.display())),
+            (None, Some(header)) => Ok((header, self.records)),
+            (None, None) => Err(format!("{}: empty file", path.display())),
+        }
+    }
+}
+
+/// Read a log: the one reader of every log's bytes (see the module doc).
+///
+/// Line 0 must carry a `schema` field. One equal to `schema` (any value
+/// when `None`) is handed to `header`; another value is refused by name,
+/// so an old store is never mistaken for a torn one. Every further line is
+/// handed to `record`. The scan stops at the first torn, non-UTF-8 or
+/// unparsable line (or line 0 without a `schema`); what precedes it is the
+/// valid prefix. I/O errors, a foreign schema and a header that `header`
+/// rejects are errors.
+pub fn scan_log<H, R>(
+    path: &Path,
+    schema: Option<&str>,
+    header: impl FnOnce(&FlatObject) -> Result<H, String>,
+    mut record: impl FnMut(&str) -> Result<R, String>,
+) -> Result<LogScan<H, R>, String> {
+    // Bytes, not `read_to_string`: a kill mid-append can tear a multi-byte
+    // UTF-8 sequence at the end of the file, and that tail must be
+    // recovered from, not reported as an I/O error.
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut scan = LogScan::default();
+    let mut header = Some(header);
+    for (i, raw) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let line = match raw.strip_suffix(b"\n").map(std::str::from_utf8) {
+            None => Err("torn line (no trailing newline)".to_string()),
+            Some(Err(e)) => Err(format!("not UTF-8: {e}")),
+            Some(Ok(line)) => Ok(line.trim_end()),
+        };
+        let parsed = match (line, header.take()) {
+            (Err(e), _) => Err(e),
+            (Ok(line), None) => record(line).map(|r| scan.records.push(r)),
+            (Ok(line), Some(parse)) => match header_schema(line) {
+                Err(e) => Err(e),
+                Ok((obj, found)) => {
+                    if let Some(want) = schema.filter(|&want| want != found) {
+                        return Err(format!(
+                            "{}: line 1: unsupported schema '{found}' (this build reads '{want}')",
+                            path.display()
+                        ));
+                    }
+                    let parsed =
+                        parse(&obj).map_err(|e| format!("{}: line 1: {e}", path.display()));
+                    scan.header = Some(parsed?);
+                    Ok(())
+                }
+            },
+        };
+        if let Err(e) = parsed {
+            scan.stopped = Some((i + 1, e));
+            break;
+        }
+        scan.valid_len += raw.len() as u64;
+    }
+    Ok(scan)
+}
+
+/// Line 0 of a log and its `schema`, or why line 0 is not a header.
+fn header_schema(line: &str) -> Result<(FlatObject, String), String> {
+    let obj = parse_flat(line)?;
+    let schema = get(&obj, "schema")
+        .and_then(JsonScalar::as_str)
+        .ok_or("missing 'schema' field")?
+        .to_string();
+    Ok((obj, schema))
+}
+
+/// A store read back by [`load`]: its header and its cell records.
+pub type LoadedStore = LogScan<StoreHeader, FlatObject>;
 
 impl LoadedStore {
     /// Ids of the cells present in the valid prefix.
     pub fn done_ids(&self) -> Vec<u64> {
-        self.cells
+        self.records
             .iter()
             .filter_map(|c| get(c, "cell").and_then(|v| v.as_u64()))
             .collect()
@@ -384,68 +511,21 @@ impl LoadedStore {
 
 /// Read a store, stopping at the first torn or unparsable line.
 pub fn load(path: &Path) -> Result<LoadedStore, String> {
-    // Bytes, not `read_to_string`: a kill mid-append can tear a multi-byte
-    // UTF-8 sequence at the end of the file, and that tail must be
-    // recovered from, not reported as an I/O error.
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut out = LoadedStore::default();
-    for raw in bytes.split_inclusive(|&b| b == b'\n') {
-        if raw.last() != Some(&b'\n') {
-            break; // torn tail from an interrupted append
+    scan_log(path, Some(SCHEMA), StoreHeader::from_fields, |line| {
+        let obj = parse_flat(line)?;
+        match get(&obj, "kind").and_then(JsonScalar::as_str) {
+            Some("cell") => Ok(obj),
+            _ => Err("not a cell record".into()),
         }
-        let Ok(line) = std::str::from_utf8(raw) else {
-            break; // torn multi-byte character
-        };
-        let Ok(obj) = parse_flat(line.trim_end()) else {
-            break; // corrupt tail
-        };
-        let kind = get(&obj, "kind").and_then(|v| v.as_str()).unwrap_or("");
-        match kind {
-            "campaign" if out.header.is_none() && out.cells.is_empty() => {
-                match StoreHeader::from_fields(&obj) {
-                    Ok(h) => out.header = Some(h),
-                    Err(e) => return Err(e),
-                }
-            }
-            "cell" if out.header.is_some() => out.cells.push(obj),
-            _ => break,
-        }
-        out.valid_len += line.len() as u64;
-    }
-    Ok(out)
+    })
 }
 
-/// Truncate `path` to the valid prefix found by [`load`], discarding a torn
-/// tail so appends resume from a clean record boundary.
-///
-/// The cut is synced before returning (see `truncate_tail`).
-pub fn recover(path: &Path, loaded: &LoadedStore) -> std::io::Result<()> {
-    truncate_tail(path, loaded.valid_len)
-}
-
-/// Cut `path` back to its first `valid_len` bytes if anything follows them.
-///
-/// The truncation is a single `ftruncate` to a record boundary — there is
-/// no window in which the file holds a *different* partial record — and it
-/// is `fsync`ed before returning, so a crash immediately after repair
-/// cannot resurrect the torn tail.
-pub(crate) fn truncate_tail(path: &Path, valid_len: u64) -> std::io::Result<()> {
-    if std::fs::metadata(path)?.len() != valid_len {
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(valid_len)?;
-        f.sync_all()?;
-    }
-    Ok(())
-}
-
-/// Append one pre-rendered record line plus its newline as a single
-/// `write_all`, then flush.
-pub fn append_line(file: &mut std::fs::File, line: &str) -> std::io::Result<()> {
+/// Append one pre-rendered record line plus its newline as one `write`.
+fn append_line(file: &mut File, line: &str) -> std::io::Result<()> {
     let mut buf = String::with_capacity(line.len() + 1);
     buf.push_str(line);
     buf.push('\n');
-    file.write_all(buf.as_bytes())?;
-    file.flush()
+    file.write_all(buf.as_bytes())
 }
 
 #[cfg(test)]
@@ -501,11 +581,13 @@ mod tests {
 
         let loaded = load(&path).expect("load");
         assert_eq!(loaded.header.as_ref(), Some(&header));
-        assert_eq!(loaded.cells.len(), 1);
+        assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.done_ids(), vec![0]);
         assert_eq!(loaded.valid_len, full.len() as u64);
+        assert_eq!(loaded.stopped.as_ref().map(|s| s.0), Some(3));
 
-        recover(&path, &loaded).expect("recover");
+        let (_, done) = open_for_append(&path, &header, true, Durability::None).expect("resume");
+        assert_eq!(done.into_iter().collect::<Vec<_>>(), vec![0]);
         assert_eq!(std::fs::read_to_string(&path).expect("read"), full);
         std::fs::remove_file(&path).ok();
     }
@@ -513,39 +595,106 @@ mod tests {
     #[test]
     fn truncation_at_every_offset_of_the_final_record_repairs_on_open() {
         // Simulate a crash torn anywhere inside the final record (every
-        // byte offset, including the trailing newline): `open_for_append`
-        // must truncate back to the last record boundary, and appending
-        // the lost cell again must reproduce the clean store exactly.
+        // byte offset, including the trailing newline) of each of the four
+        // logs: reopening through the log's own opener must truncate back
+        // to the last record boundary, and appending the lost record again
+        // must reproduce the clean log exactly.
+        use crate::fabric::queue::{open_journal, JobState, JournalEvent};
+        use crate::telemetry::{open_sink, open_timings, telemetry_header, timings_path};
+        type Open<'a> = Box<dyn Fn(bool) -> Result<StoreWriter, String> + 'a>;
         let (header, line_a, line_b) = sample_lines();
-        let prefix = format!("{}\n{}\n", header.to_line(), line_a);
-        let full = format!("{prefix}{line_b}\n");
-        let path = tmp("tear-sweep.jsonl");
-        let final_record_len = line_b.len() + 1;
-        for cut in 0..final_record_len {
-            std::fs::write(&path, &full.as_bytes()[..prefix.len() + cut]).expect("write");
-            let (mut w, done) =
-                open_for_append(&path, &header, true, Durability::Cell).expect("open repairs");
-            assert_eq!(
-                std::fs::read_to_string(&path).expect("read"),
-                prefix,
-                "cut at {cut}: torn tail must be gone after open"
-            );
-            assert_eq!(done.into_iter().collect::<Vec<_>>(), vec![0]);
-            w.append(&line_b).expect("append");
-            w.finish().expect("finish");
-            assert_eq!(
-                std::fs::read_to_string(&path).expect("read"),
-                full,
-                "cut at {cut}: re-appended store must match the clean run"
-            );
+        let store = tmp("tear-sweep.jsonl");
+        let journal = tmp("tear-sweep.jobs.jsonl");
+        let sink = tmp("tear-sweep.telemetry.jsonl");
+        let state = |job| JournalEvent::State {
+            job,
+            state: JobState::Running,
+        };
+        let timing = |cell| {
+            JsonObj::new()
+                .u64_field("cell", cell)
+                .u64_field("trials", 4)
+                .fixed_field("elapsed_secs", 0.5, 3)
+                .fixed_field("trials_per_sec", 8.0, 1)
+                .finish()
+        };
+        let snapshot = |cell| {
+            let mut obj = JsonObj::new().str_field("record", "snapshot");
+            for key in ["cell", "trials_done", "trials_total", "chunks_issued"] {
+                obj = obj.u64_field(key, cell);
+            }
+            for key in ["chunks_merged", "cursor_lag", "workers"] {
+                obj = obj.u64_field(key, 1);
+            }
+            obj.u64_field("worker_trials_min", 2)
+                .u64_field("worker_trials_max", 3)
+                .fixed_field("elapsed_secs", 0.5, 3)
+                .fixed_field("trials_per_sec", 16.0, 1)
+                .fixed_field("eta_secs", 3.5, 1)
+                .finish()
+        };
+        let logs: Vec<(std::path::PathBuf, Open, [String; 2])> = vec![
+            (
+                store.clone(),
+                Box::new(|resume| {
+                    let (w, done) = open_for_append(&store, &header, resume, Durability::Cell)?;
+                    assert_eq!(done.len(), usize::from(resume), "cells before the torn one");
+                    Ok(w)
+                }),
+                [line_a, line_b],
+            ),
+            (
+                journal.clone(),
+                Box::new(|resume| Ok(open_journal(&journal, resume, Durability::Cell)?.0)),
+                [state(1).to_line(), state(2).to_line()],
+            ),
+            (
+                timings_path(&store),
+                Box::new(|resume| open_timings(&store, resume)),
+                [timing(0), timing(1)],
+            ),
+            (
+                sink.clone(),
+                Box::new(|resume| open_sink(&sink, &telemetry_header("t", 1, 2, 8), resume)),
+                [snapshot(0), snapshot(1)],
+            ),
+        ];
+        for (path, open, [first, last]) in &logs {
+            std::fs::remove_file(path).ok();
+            let mut w = open(false).expect("fresh open");
+            w.append(first).expect("append");
+            w.append(last).expect("append");
+            drop(w);
+            let full = std::fs::read(path).expect("read");
+            let prefix = &full[..full.len() - last.len() - 1];
+            for cut in 0..=last.len() {
+                std::fs::write(path, &full[..prefix.len() + cut]).expect("write");
+                let mut w = open(true).expect("open repairs");
+                assert_eq!(
+                    std::fs::read(path).expect("read"),
+                    prefix,
+                    "{}: cut at {cut}: torn tail must be gone after open",
+                    path.display()
+                );
+                w.append(last).expect("append");
+                w.finish().expect("finish");
+                assert_eq!(
+                    std::fs::read(path).expect("read"),
+                    full,
+                    "{}: cut at {cut}: re-appended log must match the clean run",
+                    path.display()
+                );
+            }
+            std::fs::remove_file(path).ok();
         }
-        // The boundary case: the file ends exactly at the record boundary
+        // The boundary case: the store ends exactly at the record boundary
         // (nothing torn) — open must not truncate anything.
-        std::fs::write(&path, &full).expect("write");
-        let (_, done) = open_for_append(&path, &header, true, Durability::None).expect("open");
+        let full = format!("{}\n{}\n{}\n", header.to_line(), logs[0].2[0], logs[0].2[1]);
+        std::fs::write(&store, &full).expect("write");
+        let (_, done) = open_for_append(&store, &header, true, Durability::None).expect("open");
         assert_eq!(done.len(), 2);
-        assert_eq!(std::fs::read_to_string(&path).expect("read"), full);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(std::fs::read_to_string(&store).expect("read"), full);
+        std::fs::remove_file(&store).ok();
     }
 
     #[test]
@@ -603,6 +752,22 @@ mod tests {
             .expect("write");
             let err = load(&path).expect_err("old schema must not load");
             assert!(err.contains(old), "{err}");
+            let before = std::fs::read(&path).expect("read");
+            let requested = StoreHeader {
+                name: "t".into(),
+                seed: 7,
+                trials: 4,
+                cells: 2,
+                fingerprint: 0xab,
+            };
+            let err = open_for_append(&path, &requested, true, Durability::None)
+                .expect_err("old schema must not resume");
+            assert!(err.contains(old), "{err}");
+            assert_eq!(
+                std::fs::read(&path).expect("read"),
+                before,
+                "left untouched"
+            );
         }
         std::fs::remove_file(&path).ok();
     }

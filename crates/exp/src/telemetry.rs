@@ -40,20 +40,23 @@
 //!
 //! [`check_telemetry`] validates a file against this schema (the
 //! `stabcon telemetry check` subcommand CI runs on the smoke campaign).
+//!
+//! The sink and the timings sidecar are append-only logs of
+//! [`crate::store`]'s one format: written and repaired through its one
+//! opener, read through its one reader. Both are advisory, so they never
+//! `fsync`, and a fresh run replaces a stale one.
 
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use stabcon_obs::{self as obs, Counter, Gauge, Hist, MetricRegistry, Phase, Snapshot, WorkerSnap};
-use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
+use stabcon_util::jsonl::{get, parse_flat, FlatObject, JsonObj, JsonScalar};
 use stabcon_util::table::Table;
 
 use crate::cell::CellSpec;
-use crate::store::append_line;
+use crate::store::{open_log, scan_log, Log, LogScan, StoreWriter};
 
 /// Version tag of the telemetry sink (line 1 of every telemetry file).
 pub const TELEMETRY_SCHEMA: &str = "stabcon-telemetry/1";
@@ -134,6 +137,27 @@ fn fmt_eta(secs: f64) -> String {
     }
 }
 
+/// Where a [`CampaignTelemetry`] sends its sink lines (no trailing newline):
+/// a telemetry sink file, or the fabric worker's connection to `stabcon
+/// serve`.
+pub type LineSink = Box<dyn FnMut(&str) + Send>;
+
+/// Line 1 of a telemetry sink.
+pub(crate) fn telemetry_header(
+    campaign: &str,
+    threads: u64,
+    cells: u64,
+    trials_planned: u64,
+) -> String {
+    JsonObj::new()
+        .str_field("schema", TELEMETRY_SCHEMA)
+        .str_field("campaign", campaign)
+        .u64_field("threads", threads)
+        .u64_field("cells", cells)
+        .u64_field("trials_planned", trials_planned)
+        .finish()
+}
+
 /// Telemetry state for one campaign invocation. Construct with
 /// [`CampaignTelemetry::create`] (arms the global instrumentation flag),
 /// drive with `on_chunk_merged`/`end_cell`, and consume with
@@ -141,7 +165,7 @@ fn fmt_eta(secs: f64) -> String {
 pub struct CampaignTelemetry {
     registry: Arc<MetricRegistry>,
     snap: Snapshot,
-    sink: Option<BufWriter<Box<dyn Write + Send>>>,
+    sink: Option<LineSink>,
     progress: bool,
     campaign_started: Instant,
     cells_total: u64,
@@ -157,7 +181,7 @@ pub struct CampaignTelemetry {
 impl CampaignTelemetry {
     /// Arm telemetry for a campaign invocation: `workers` registry slots,
     /// progress lines to stderr when `progress`, and (optionally) a JSONL
-    /// sink at `sink_path` (truncated — snapshots describe this run, not
+    /// sink at `sink_path` (replaced — snapshots describe this run, not
     /// the store's history). Flips the global `stabcon-obs` flag on.
     pub fn create(
         campaign: &str,
@@ -167,53 +191,65 @@ impl CampaignTelemetry {
         progress: bool,
         sink_path: Option<&Path>,
     ) -> Result<Self, String> {
-        let sink: Option<Box<dyn Write + Send>> = match sink_path {
+        let sink: Option<LineSink> = match sink_path {
             Some(p) => {
-                Some(Box::new(File::create(p).map_err(|e| {
-                    format!("{}: create telemetry sink: {e}", p.display())
-                })?))
+                let header =
+                    telemetry_header(campaign, workers as u64, cells_total, trials_planned);
+                let mut sink = open_sink(p, &header, false)?;
+                Some(Box::new(move |line| {
+                    let _ = sink.append(line);
+                }))
             }
             None => None,
         };
-        Self::create_with_sink(
-            campaign,
+        Ok(Self::armed(
             workers,
             cells_total,
             trials_planned,
             progress,
             sink,
-        )
+        ))
     }
 
-    /// [`CampaignTelemetry::create`] with an arbitrary sink writer instead
-    /// of a file path — the fabric worker streams its sink lines over the
-    /// connection to `stabcon serve` as the live progress protocol.
+    /// [`CampaignTelemetry::create`] with an arbitrary line sink instead
+    /// of a file path, which receives the header line first — the fabric
+    /// worker streams its sink lines over the connection to `stabcon
+    /// serve` as the live progress protocol.
     pub fn create_with_sink(
         campaign: &str,
         workers: usize,
         cells_total: u64,
         trials_planned: u64,
         progress: bool,
-        sink: Option<Box<dyn Write + Send>>,
+        mut sink: Option<LineSink>,
     ) -> Result<Self, String> {
-        let sink = match sink {
-            Some(w) => {
-                let mut w = BufWriter::new(w);
-                let header = JsonObj::new()
-                    .str_field("schema", TELEMETRY_SCHEMA)
-                    .str_field("campaign", campaign)
-                    .u64_field("threads", workers as u64)
-                    .u64_field("cells", cells_total)
-                    .u64_field("trials_planned", trials_planned)
-                    .finish();
-                writeln!(w, "{header}").map_err(|e| format!("write telemetry header: {e}"))?;
-                Some(w)
-            }
-            None => None,
-        };
+        if let Some(sink) = sink.as_mut() {
+            sink(&telemetry_header(
+                campaign,
+                workers as u64,
+                cells_total,
+                trials_planned,
+            ));
+        }
+        Ok(Self::armed(
+            workers,
+            cells_total,
+            trials_planned,
+            progress,
+            sink,
+        ))
+    }
+
+    fn armed(
+        workers: usize,
+        cells_total: u64,
+        trials_planned: u64,
+        progress: bool,
+        sink: Option<LineSink>,
+    ) -> Self {
         obs::set_enabled(true);
         let now = Instant::now();
-        Ok(Self {
+        Self {
             registry: Arc::new(MetricRegistry::new(workers)),
             snap: Snapshot::new(workers),
             sink,
@@ -225,7 +261,7 @@ impl CampaignTelemetry {
             cell: WorkerSnap::zero(),
             last_emit: now,
             profiles: Vec::new(),
-        })
+        }
     }
 
     /// The shared registry (workers clone this and record into their slot).
@@ -301,7 +337,7 @@ impl CampaignTelemetry {
                 .u64_field("worker_trials_min", w_min)
                 .u64_field("worker_trials_max", w_max)
                 .finish();
-            let _ = writeln!(sink, "{line}");
+            sink(&line);
         }
         if self.progress {
             eprintln!(
@@ -373,18 +409,14 @@ impl CampaignTelemetry {
                 )
                 .u64_field("trial_p50_nanos", profile.trial_p50_nanos)
                 .u64_field("trial_p99_nanos", profile.trial_p99_nanos);
-            let _ = writeln!(sink, "{}", line.finish());
-            let _ = sink.flush();
+            sink(&line.finish());
         }
         self.profiles.push(profile);
     }
 
-    /// Disarm instrumentation, flush the sink, and hand back the per-cell
-    /// profiles for the CLI's final table.
+    /// Disarm instrumentation and hand back the per-cell profiles for the
+    /// CLI's final table.
     pub fn finish(mut self) -> Vec<CellProfile> {
-        if let Some(sink) = self.sink.as_mut() {
-            let _ = sink.flush();
-        }
         obs::set_enabled(false);
         std::mem::take(&mut self.profiles)
     }
@@ -428,50 +460,32 @@ pub fn profile_table(profiles: &[CellProfile]) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Timings sidecar.
+// The sink and timings sidecar logs.
 // ---------------------------------------------------------------------------
 
-/// Open an append-only sidecar — the timings sidecar or a job's telemetry
-/// sink — whose line 1 is `header`: truncated with a fresh header on a new
-/// run, appended on resume. A resumed sidecar is first cut back to its last
-/// complete line, so a record torn by a crash never glues onto the next
-/// append; the header is written whenever nothing complete survives.
-pub(crate) fn open_sidecar(path: &Path, resume: bool, header: &str) -> Result<File, String> {
-    let err = |e: std::io::Error| format!("{}: open sidecar: {e}", path.display());
-    let kept = if resume {
-        std::fs::read(path)
-            .ok()
-            .and_then(|bytes| bytes.iter().rposition(|&b| b == b'\n'))
-            .map_or(0, |last| last as u64 + 1)
-    } else {
-        0
-    };
-    let mut file = OpenOptions::new()
-        .create(true)
-        .truncate(kept == 0)
-        .write(true)
-        .open(path)
-        .map_err(err)?;
-    if kept == 0 {
-        append_line(&mut file, header).map_err(err)?;
-    } else {
-        file.set_len(kept).map_err(err)?;
-        file.seek(SeekFrom::End(0)).map_err(err)?;
-    }
-    Ok(file)
+/// Open a telemetry sink whose line 1 is `header` through the one log
+/// opener (see [`crate::store`]): replaced on a new run, cut back to its
+/// valid prefix and appended on resume. Sinks are advisory and never sync.
+pub(crate) fn open_sink(path: &Path, header: &str, resume: bool) -> Result<StoreWriter, String> {
+    open_log(path, header, Log::Advisory, resume, || {
+        scan_telemetry(path).map(|scan| scan.valid_len)
+    })
 }
 
-/// Open the timings sidecar for a store: truncated with a fresh header on a
-/// new run, appended on resume after its last complete line (see
-/// `open_sidecar`).
-pub fn open_timings(store: &Path, resume: bool) -> Result<File, String> {
+/// Open the timings sidecar for a store through the one log opener:
+/// replaced on a new run, cut back to its valid prefix and appended on
+/// resume. The sidecar is advisory and never syncs.
+pub fn open_timings(store: &Path, resume: bool) -> Result<StoreWriter, String> {
+    let path = timings_path(store);
     let header = JsonObj::new().str_field("schema", TIMINGS_SCHEMA).finish();
-    open_sidecar(&timings_path(store), resume, &header)
+    open_log(&path, &header, Log::Advisory, resume, || {
+        scan_timings(&path).map(|scan| scan.valid_len)
+    })
 }
 
 /// Append one completed cell's timing line.
 pub fn append_timing(
-    file: &mut File,
+    timings: &mut StoreWriter,
     cell: u64,
     trials: u64,
     elapsed_secs: f64,
@@ -482,31 +496,39 @@ pub fn append_timing(
         .fixed_field("elapsed_secs", elapsed_secs, 3)
         .fixed_field("trials_per_sec", trials as f64 / elapsed_secs.max(1e-9), 1)
         .finish();
-    append_line(file, &line).map_err(|e| format!("timings append: {e}"))
+    timings
+        .append(&line)
+        .map_err(|e| format!("timings append: {e}"))
+}
+
+/// One timings record: `(cell, elapsed_secs, trials_per_sec)`, after
+/// checking that `trials` is present too.
+fn timing_record(line: &str) -> Result<(u64, f64, f64), String> {
+    let obj = parse_flat(line)?;
+    let cell = require_u64(&obj, "cell")?;
+    require_u64(&obj, "trials")?;
+    let secs = require_f64(&obj, "elapsed_secs")?;
+    Ok((cell, secs, require_f64(&obj, "trials_per_sec")?))
+}
+
+fn scan_timings(path: &Path) -> Result<LogScan<(), (u64, f64, f64)>, String> {
+    scan_log(path, Some(TIMINGS_SCHEMA), |_| Ok(()), timing_record)
 }
 
 /// Load a timings sidecar into `cell id → (elapsed_secs, trials_per_sec)`.
-/// Missing file or torn lines simply yield fewer entries (timings are
-/// advisory; the store stays the source of truth). Duplicate ids keep the
-/// last line (a cell re-run after an interrupted store append).
+/// A missing or foreign file, or a torn tail, simply yields fewer entries
+/// (timings are advisory; the store stays the source of truth). Duplicate
+/// ids keep the last line (a cell re-run after an interrupted store
+/// append).
 pub fn load_timings(store: &Path) -> BTreeMap<u64, (f64, f64)> {
-    let mut out = BTreeMap::new();
-    let Ok(file) = File::open(timings_path(store)) else {
-        return out;
-    };
-    for line in BufReader::new(file).lines() {
-        let Ok(line) = line else { break };
-        let Ok(obj) = parse_flat(&line) else { continue };
-        let (Some(cell), Some(secs), Some(rate)) = (
-            get(&obj, "cell").and_then(JsonScalar::as_u64),
-            get(&obj, "elapsed_secs").and_then(JsonScalar::as_f64),
-            get(&obj, "trials_per_sec").and_then(JsonScalar::as_f64),
-        ) else {
-            continue;
-        };
-        out.insert(cell, (secs, rate));
-    }
-    out
+    scan_timings(&timings_path(store))
+        .map(|scan| {
+            let records = scan.records.into_iter();
+            records
+                .map(|(cell, secs, rate)| (cell, (secs, rate)))
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
@@ -522,16 +544,15 @@ pub struct TelemetryCheck {
     pub cell_profiles: u64,
 }
 
-fn require_u64(obj: &stabcon_util::jsonl::FlatObject, key: &str) -> Result<u64, String> {
+fn require_u64(obj: &FlatObject, key: &str) -> Result<u64, String> {
     get(obj, key)
         .and_then(JsonScalar::as_u64)
         .ok_or_else(|| format!("missing or non-integer field '{key}'"))
 }
 
-fn require_f64(obj: &stabcon_util::jsonl::FlatObject, key: &str) -> Result<(), String> {
+fn require_f64(obj: &FlatObject, key: &str) -> Result<f64, String> {
     get(obj, key)
         .and_then(JsonScalar::as_f64)
-        .map(|_| ())
         .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
 }
 
@@ -607,70 +628,55 @@ pub fn validate_record_line(line: &str) -> Result<TelemetryRecord, String> {
     }
 }
 
+/// Line 1 of a telemetry sink: the counts a reader needs.
+fn telemetry_header_fields(header: &FlatObject) -> Result<(), String> {
+    for key in ["threads", "cells", "trials_planned"] {
+        require_u64(header, key)?;
+    }
+    Ok(())
+}
+
+fn scan_telemetry(path: &Path) -> Result<LogScan<(), TelemetryRecord>, String> {
+    scan_log(
+        path,
+        Some(TELEMETRY_SCHEMA),
+        telemetry_header_fields,
+        validate_record_line,
+    )
+}
+
 /// Validate a telemetry file against the `stabcon-telemetry/1` schema:
 /// header line first, then flat `snapshot` / `cell_profile` records with
 /// their required fields. Returns the record counts on success.
 pub fn check_telemetry(path: &Path) -> Result<TelemetryCheck, String> {
-    let file =
-        File::open(path).map_err(|e| format!("{}: open telemetry file: {e}", path.display()))?;
-    let mut lines = BufReader::new(file).lines().enumerate();
-
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| format!("{}: empty telemetry file", path.display()))?;
-    let header = header.map_err(|e| format!("line 1: {e}"))?;
-    let header = parse_flat(&header).map_err(|e| format!("line 1: {e}"))?;
-    match get(&header, "schema").and_then(JsonScalar::as_str) {
-        Some(TELEMETRY_SCHEMA) => {}
-        Some(other) => return Err(format!("line 1: schema '{other}' != '{TELEMETRY_SCHEMA}'")),
-        None => return Err("line 1: missing 'schema' field".into()),
-    }
-    require_u64(&header, "threads").map_err(|e| format!("line 1: {e}"))?;
-    require_u64(&header, "cells").map_err(|e| format!("line 1: {e}"))?;
-    require_u64(&header, "trials_planned").map_err(|e| format!("line 1: {e}"))?;
-
-    let mut check = TelemetryCheck {
-        snapshots: 0,
-        cell_profiles: 0,
-    };
-    for (i, line) in lines {
-        let ln = i + 1;
-        let line = line.map_err(|e| format!("line {ln}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match validate_record_line(&line).map_err(|e| format!("line {ln}: {e}"))? {
-            TelemetryRecord::Snapshot => check.snapshots += 1,
-            TelemetryRecord::CellProfile => check.cell_profiles += 1,
-        }
-    }
-    if check.cell_profiles == 0 {
+    let (_, records) = scan_telemetry(path)?.strict(path)?;
+    let cell_profiles = records
+        .iter()
+        .filter(|&&r| r == TelemetryRecord::CellProfile)
+        .count() as u64;
+    if cell_profiles == 0 {
         return Err(format!(
             "{}: no cell_profile records (campaign produced no cells?)",
             path.display()
         ));
     }
-    Ok(check)
+    Ok(TelemetryCheck {
+        snapshots: records.len() as u64 - cell_profiles,
+        cell_profiles,
+    })
 }
 
-/// Read just the `schema` tag from a JSONL file's first line, for CLI
+/// Read just the `schema` tag from a log's first line, for CLI
 /// auto-detection: `stabcon telemetry check` accepts both a telemetry sink
 /// (`stabcon-telemetry/1`) and a timings sidecar (`stabcon-timings/1`) and
 /// dispatches on this.
 pub fn peek_schema(path: &Path) -> Result<String, String> {
-    let file = File::open(path).map_err(|e| format!("{}: open: {e}", path.display()))?;
-    let mut first = String::new();
-    BufReader::new(file)
-        .read_line(&mut first)
-        .map_err(|e| format!("{}: read line 1: {e}", path.display()))?;
-    if first.trim().is_empty() {
-        return Err(format!("{}: empty file", path.display()));
-    }
-    let obj = parse_flat(first.trim_end()).map_err(|e| format!("line 1: {e}"))?;
-    get(&obj, "schema")
-        .and_then(JsonScalar::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{}: line 1 has no 'schema' field", path.display()))
+    let schema = |header: &FlatObject| {
+        let schema = get(header, "schema").and_then(JsonScalar::as_str);
+        Ok(schema.unwrap_or_default().to_string())
+    };
+    let (schema, _) = scan_log(path, None, schema, |_| Ok(()))?.strict(path)?;
+    Ok(schema)
 }
 
 /// What [`check_timings`] found in a valid timings sidecar.
@@ -690,45 +696,13 @@ pub struct TimingsCheck {
 /// `elapsed_secs`/`trials_per_sec` numbers. Duplicate cell ids are legal
 /// (last wins, as [`load_timings`] resolves them) and are counted.
 pub fn check_timings(path: &Path) -> Result<TimingsCheck, String> {
-    let file =
-        File::open(path).map_err(|e| format!("{}: open timings file: {e}", path.display()))?;
-    let mut lines = BufReader::new(file).lines().enumerate();
-
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| format!("{}: empty timings file", path.display()))?;
-    let header = header.map_err(|e| format!("line 1: {e}"))?;
-    let header = parse_flat(&header).map_err(|e| format!("line 1: {e}"))?;
-    match get(&header, "schema").and_then(JsonScalar::as_str) {
-        Some(TIMINGS_SCHEMA) => {}
-        Some(other) => return Err(format!("line 1: schema '{other}' != '{TIMINGS_SCHEMA}'")),
-        None => return Err("line 1: missing 'schema' field".into()),
-    }
-
-    let mut check = TimingsCheck {
-        lines: 0,
-        cells: 0,
-        duplicates: 0,
-    };
-    let mut seen = std::collections::BTreeSet::new();
-    for (i, line) in lines {
-        let ln = i + 1;
-        let line = line.map_err(|e| format!("line {ln}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = parse_flat(&line).map_err(|e| format!("line {ln}: {e}"))?;
-        let cell = require_u64(&obj, "cell").map_err(|e| format!("line {ln}: {e}"))?;
-        require_u64(&obj, "trials").map_err(|e| format!("line {ln}: {e}"))?;
-        require_f64(&obj, "elapsed_secs").map_err(|e| format!("line {ln}: {e}"))?;
-        require_f64(&obj, "trials_per_sec").map_err(|e| format!("line {ln}: {e}"))?;
-        check.lines += 1;
-        if !seen.insert(cell) {
-            check.duplicates += 1;
-        }
-    }
-    check.cells = seen.len() as u64;
-    Ok(check)
+    let (_, records) = scan_timings(path)?.strict(path)?;
+    let cells: BTreeSet<u64> = records.iter().map(|&(cell, ..)| cell).collect();
+    Ok(TimingsCheck {
+        lines: records.len() as u64,
+        cells: cells.len() as u64,
+        duplicates: (records.len() - cells.len()) as u64,
+    })
 }
 
 #[cfg(test)]

@@ -196,7 +196,7 @@ fn overlapping_cells_keep_their_own_profiles() {
     };
     let store = stabcon_exp::store::load(&path).expect("load store");
     let stored: Vec<(u64, u64, u64)> = store
-        .cells
+        .records
         .iter()
         .map(|c| {
             (
