@@ -26,6 +26,15 @@
 //! law. On the ranked path the state, the allowed set and every write are
 //! ranks; every strategy uses values only through order and equality, so it
 //! flips the same balls either way.
+//!
+//! The ranked path also answers the load queries from the rank table in
+//! plain passes that vectorize, instead of walking the live bins:
+//! `lower_median` is a chunked prefix sum ([`RankedCounts::lower_median`]),
+//! the balancer's pair is a max pass, a first-index pass and a max on
+//! either side of the top rank ([`RankedCounts::top_two`]), and
+//! `move_balls` finds the next holder of its source with a chunked
+//! equality scan. Each gives the same answer as the bin walk, which the
+//! tree path and the aggregated backing keep.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -33,7 +42,7 @@ use std::cmp::Reverse;
 use rand::RngCore;
 use stabcon_util::rng::gen_index;
 
-use crate::engine::adaptive::LoadCounts;
+use crate::engine::adaptive::{first_index, LoadCounts, RankedCounts};
 use crate::histogram::Histogram;
 use crate::value::{Value, ValueSet};
 
@@ -158,9 +167,23 @@ impl<'a> Corruptor<'a> {
     /// The lower median of the state, `sorted[(n − 1) / 2]`: the first
     /// value whose cumulative load reaches `⌈n/2⌉`.
     pub fn lower_median(&self) -> Value {
+        if let Some(r) = self.ranked() {
+            return r.lower_median();
+        }
         match &self.backing {
             Backing::Dense(d) => d.loads.observe().median_value,
             Backing::Aggregated(h, _) => h.median_value(),
+        }
+    }
+
+    /// The rank table of a dense backing on the ranked path.
+    fn ranked(&self) -> Option<&RankedCounts> {
+        match &self.backing {
+            Backing::Dense(Dense {
+                loads: LoadCounts::Ranked(r),
+                ..
+            }) => Some(r),
+            _ => None,
         }
     }
 
@@ -221,9 +244,9 @@ impl<'a> Corruptor<'a> {
                 let mut i = if d.cursor.0 == from { d.cursor.1 } else { 0 };
                 let mut moved = 0;
                 while moved < k {
-                    if d.state[i] == from
-                        && d.try_set(i, to, self.allowed, self.budget, &mut self.count)
-                    {
+                    // Every holder of `from` sits at or above the cursor.
+                    i += first_index(&d.state[i..], from).expect("k ≤ load(from)");
+                    if d.try_set(i, to, self.allowed, self.budget, &mut self.count) {
                         moved += 1;
                     }
                     i += 1;
@@ -387,11 +410,16 @@ impl Adversary for TwoBinBalancer {
 }
 
 /// The balancer's pair: the two most loaded allowed values, ties to the
-/// smaller value, where a dead allowed value has load 0. The walk covers
+/// smaller value, where a dead allowed value has load 0. On the ranked
+/// path the allowed set is the whole rank table, dead ranks included, so
+/// the pair comes from [`RankedCounts::top_two`]. Elsewhere the walk covers
 /// only live bins: with one live bin the second is the smallest other
 /// allowed value, exactly what a walk over the whole allowed set picks.
 /// `None` with no live allowed bin or fewer than two allowed values.
 fn balanced_pair(c: &Corruptor<'_>) -> Option<(Bin, Bin)> {
+    if let Some(r) = c.ranked() {
+        return r.top_two();
+    }
     let (top, second) = top_two(c.live_bins());
     let top = top?;
     let second = match second {
@@ -861,6 +889,7 @@ mod tests {
         top.zip(second)
     }
 
+    use crate::engine::adaptive::SCAN_CHUNK;
     use proptest::prelude::*;
 
     proptest! {
@@ -897,6 +926,48 @@ mod tests {
             let mut draws = Vec::new();
             let hist = Corruptor::aggregated(&mut hist, &set, 0, &mut draws);
             prop_assert_eq!(balanced_pair(&hist), want);
+        }
+
+        /// The rank-table passes give the bin walks' answers on ranked
+        /// states with dead ranks, tied loads and a single live bin, over
+        /// tables that span several scan chunks. With `chunks > 0` the
+        /// state is `2 · chunks` all-distinct scan chunks, so the median's
+        /// prefix ends exactly at a chunk end; a kill moves a ball to the
+        /// first rank of its chunk, which keeps every chunk's sum.
+        #[test]
+        fn ranked_queries_match_the_bin_walks(
+            raw in prop::collection::vec(0u32..1000, 1..400),
+            spread in 1u32..300,
+            chunks in 0usize..4,
+            kill in prop::collection::vec(any::<bool>(), 0..300),
+            one_live in any::<bool>(),
+        ) {
+            let mut state: Vec<Value> = match chunks {
+                0 => raw.iter().map(|v| v % spread).collect(),
+                _ => (0..(2 * chunks * SCAN_CHUNK) as Value).collect(),
+            };
+            let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+            let mut set = ValueSet::default();
+            loads.rebuild_value_set(&mut set);
+            let only = one_live.then_some(state[0]);
+            for v in state.iter_mut() {
+                let to = match only {
+                    Some(only) => only,
+                    None if kill.get(*v as usize) == Some(&true) => {
+                        *v - *v % SCAN_CHUNK as Value
+                    }
+                    None => *v,
+                };
+                loads.record_move(*v, to);
+                *v = to;
+            }
+            let mut sorted = state.clone();
+            sorted.sort_unstable();
+            let mut touched = Vec::new();
+            let dense = Corruptor::new(&mut state, &mut loads, &set, 0, &mut touched);
+            prop_assert!(dense.ranked().is_some());
+            prop_assert_eq!(dense.lower_median(), sorted[(sorted.len() - 1) / 2]);
+            prop_assert_eq!(balanced_pair(&dense), allowed_set_pair(&dense));
         }
     }
 }

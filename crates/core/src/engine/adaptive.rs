@@ -299,6 +299,68 @@ impl RankedCounts {
             .filter(|&(_, &c)| c > 0)
             .map(|(r, &c)| (r as Value, c as u64))
     }
+
+    /// The lower median rank, `sorted[(n − 1) / 2]`: the first rank whose
+    /// cumulative load reaches `⌈n/2⌉`. A chunked prefix sum: each whole
+    /// chunk is one vectorized sum (no chunk holds more than `n ≤ u32::MAX`
+    /// balls), and only the chunk that reaches the target is walked rank by
+    /// rank.
+    pub fn lower_median(&self) -> Value {
+        let target = self.n.div_ceil(2);
+        let mut acc = 0u64;
+        for (c, chunk) in self.counts.chunks(SCAN_CHUNK).enumerate() {
+            let sum = chunk.iter().sum::<u32>() as u64;
+            if acc + sum >= target {
+                for (i, &load) in chunk.iter().enumerate() {
+                    acc += load as u64;
+                    if acc >= target {
+                        return (c * SCAN_CHUNK + i) as Value;
+                    }
+                }
+            }
+            acc += sum;
+        }
+        unreachable!("the loads sum to n")
+    }
+
+    /// The two most loaded ranks `(rank, load)`, ties to the smaller rank
+    /// (the first two after a stable sort by descending load), over the
+    /// whole universe with dead ranks at load 0; `None` for a one-rank
+    /// universe. Plain passes over the table: a max, the first rank at it,
+    /// then the max on either side of that rank, where every rank below it
+    /// is lighter and a tie across the two sides goes to the lower one.
+    pub fn top_two(&self) -> Option<((Value, u64), (Value, u64))> {
+        let counts = &self.counts[..];
+        let max = counts.iter().copied().max()?;
+        let top = first_index(counts, max).expect("the max is in the table");
+        let (below, above) = (&counts[..top], &counts[top + 1..]);
+        let second = match (below.iter().copied().max(), above.iter().copied().max()) {
+            (Some(b), a) if a.is_none_or(|a| a <= b) => first_index(below, b),
+            (_, Some(a)) => first_index(above, a).map(|i| top + 1 + i),
+            _ => None,
+        }?;
+        let bin = |r: usize| (r as Value, counts[r] as u64);
+        Some((bin(top), bin(second)))
+    }
+}
+
+/// Entries per chunk of the table scans ([`RankedCounts::lower_median`],
+/// [`RankedCounts::top_two`], the dense adversary's holder scan): one
+/// vectorized reduction per chunk, then an entry-by-entry walk of the one
+/// chunk that holds the answer.
+pub(crate) const SCAN_CHUNK: usize = 64;
+
+/// The first index of `x` in `xs`.
+pub(crate) fn first_index(xs: &[u32], x: u32) -> Option<usize> {
+    let (c, chunk) = xs
+        .chunks(SCAN_CHUNK)
+        .enumerate()
+        .find(|(_, chunk)| chunk.iter().fold(false, |hit, &y| hit | (y == x)))?;
+    let i = chunk
+        .iter()
+        .position(|&y| y == x)
+        .expect("the chunk holds x");
+    Some(c * SCAN_CHUNK + i)
 }
 
 /// Per-trial load maintainer, and the one place that knows how state

@@ -55,6 +55,19 @@
 //! power-of-two `n`; otherwise a half rejects with probability
 //! `(2³² mod n) / 2³² < n / 2³²` (about 2·10⁻⁴ per half at `n = 10⁶`).
 //!
+//! # What vectorizes
+//!
+//! The workspace builds for x86-64-v3 (`.cargo/config.toml`: AVX2, BMI2,
+//! FMA), so three of the four phases compile to 256-bit vector loops: the
+//! RNG fill (`mix64`'s multiplies and xor-shifts), the resolve (Lemire's
+//! 32 × 32 → 64-bit multiply and the exact zone test) and the apply (the
+//! median rule's `min`/`max`). The gather stays scalar: its loads go to
+//! random addresses, so memory, not instruction count, bounds it. The
+//! runner's load upkeep ([`crate::engine::adaptive::RankedCounts::apply_step`])
+//! stays scalar too: each move is a decrement and an increment at
+//! data-dependent ranks. Every phase is integer arithmetic, so the output
+//! does not depend on the ISA the kernel was built for.
+//!
 //! The phase buffers are fixed-size stack arrays (~40 KiB): every caller —
 //! the sequential runner path and each `par_chunks_mut` worker alike —
 //! gets private buffers with zero plumbing, they cost one memset per

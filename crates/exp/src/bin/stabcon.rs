@@ -431,8 +431,7 @@ fn serve(args: &Args) -> Result<(), String> {
     );
     if outcome.telemetry_dropped > 0 {
         eprintln!(
-            "serve: dropped {} telemetry line(s) (worker sink headers, invalid records, or \
-             lines for a finished job)",
+            "serve: dropped {} telemetry line(s) (invalid records or lines for a finished job)",
             outcome.telemetry_dropped
         );
     }

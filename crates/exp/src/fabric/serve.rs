@@ -37,9 +37,10 @@
 //! Worker telemetry frames ([`Msg::Telemetry`]) land in a per-job sink,
 //! `<job store>.telemetry.jsonl`, filed under the job of the last lease the
 //! connection was dealt — but only lines that fully validate as
-//! `stabcon-telemetry/1` records (shipped worker sink *headers* and torn or
-//! malformed lines are dropped and counted), so a hostile or desynced
-//! worker can never corrupt a sink.
+//! `stabcon-telemetry/1` records. A worker ships records only, never a
+//! header; header lines and torn or malformed lines are dropped and
+//! counted, so a hostile or desynced worker can never corrupt a sink, and
+//! a clean run drops nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
@@ -363,8 +364,8 @@ pub struct QueueOutcome {
     /// of reclaimed leases; first ingest wins).
     pub results_deduped: u64,
     /// Telemetry lines dropped: failed `stabcon-telemetry/1` record
-    /// validation (torn frames, shipped headers, malformed workers), or
-    /// arrived for a job with no open sink.
+    /// validation (torn frames, header lines, malformed workers), or
+    /// arrived for a job with no open sink. Zero on a clean run.
     pub telemetry_dropped: u64,
     /// Connections that announced a graceful drain ([`Msg::Goodbye`]).
     pub goodbyes: u64,
@@ -502,9 +503,9 @@ impl QShared {
     }
 
     /// File one worker-shipped telemetry line in `job`'s sink. Only lines
-    /// that fully validate as telemetry records land; shipped worker
-    /// headers, torn or malformed lines, and lines for a job with no open
-    /// sink are dropped and counted, so a sink always stays schema-valid.
+    /// that fully validate as telemetry records land; header lines, torn
+    /// or malformed lines, and lines for a job with no open sink are
+    /// dropped and counted, so a sink always stays schema-valid.
     fn ingest_telemetry(&mut self, job: Option<u64>, line: &str) {
         let landed = match job.and_then(|id| self.stores.get_mut(&id)) {
             Some(io) if telemetry::validate_record_line(line).is_ok() => {

@@ -296,9 +296,9 @@ fn run_leased_cell(
     cfg: &WorkerConfig,
 ) -> Result<Msg, String> {
     let _heartbeat = Heartbeat::start(Arc::clone(&session.stream), job, cell.id, lease_ms);
-    // Telemetry streams to the daemon, one `Telemetry` frame per sink line;
-    // progress printing stays off (the daemon renders progress for the
-    // whole queue).
+    // Telemetry streams to the daemon, one `Telemetry` frame per record
+    // (the job sink's header is the daemon's); progress printing stays off
+    // (the daemon renders progress for the whole queue).
     let stream = Arc::clone(&session.stream);
     let mut tel = CampaignTelemetry::create_with_sink(
         &grid.spec.name,

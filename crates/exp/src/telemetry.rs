@@ -212,25 +212,18 @@ impl CampaignTelemetry {
     }
 
     /// [`CampaignTelemetry::create`] with an arbitrary line sink instead
-    /// of a file path, which receives the header line first — the fabric
-    /// worker streams its sink lines over the connection to `stabcon
-    /// serve` as the live progress protocol.
+    /// of a file path, which receives the records only: the header belongs
+    /// to whatever log the lines land in, so `campaign` goes unused. The
+    /// fabric worker streams its records over the connection to `stabcon
+    /// serve`, which files them under the job sink's own header.
     pub fn create_with_sink(
-        campaign: &str,
+        _campaign: &str,
         workers: usize,
         cells_total: u64,
         trials_planned: u64,
         progress: bool,
-        mut sink: Option<LineSink>,
+        sink: Option<LineSink>,
     ) -> Result<Self, String> {
-        if let Some(sink) = sink.as_mut() {
-            sink(&telemetry_header(
-                campaign,
-                workers as u64,
-                cells_total,
-                trials_planned,
-            ));
-        }
         Ok(Self::armed(
             workers,
             cells_total,

@@ -284,9 +284,14 @@ fn serve_survives_killed_and_hung_workers() {
         "serve-assembled store differs from the single-host store"
     );
 
-    // The job's telemetry sink satisfies the telemetry schema.
+    // The job's telemetry sink satisfies the telemetry schema, and every
+    // line the healthy worker shipped landed in it.
     let check = check_telemetry(&sink_path(&store)).expect("valid job telemetry sink");
     assert!(check.cell_profiles >= 4, "one profile per ingested cell");
+    assert_eq!(
+        served.telemetry_dropped, 0,
+        "a clean worker ships records only"
+    );
 
     cleanup_daemon(&out);
 }
@@ -332,6 +337,10 @@ fn heartbeats_keep_a_slow_but_alive_worker_leased() {
         .expect("serve outcome");
     drop(slow);
     assert_eq!(served.leases_reclaimed, 0, "nobody died, nobody expired");
+    assert_eq!(
+        served.telemetry_dropped, 0,
+        "a clean worker ships records only"
+    );
     assert!(
         served.leases_renewed >= 2,
         "heartbeats extended the lease (got {})",
