@@ -8,33 +8,34 @@
 //! raw state, they go through a [`Corruptor`] that refuses over-budget moves
 //! and out-of-set values. A strategy cannot cheat even if buggy.
 //!
-//! A [`Corruptor`] has two backings behind one surface (`load`,
-//! `lower_median`, `live_bins`, `allowed`, `remaining`, `move_balls`):
-//!
-//! * the dense n-ball state, together with the runner's [`LoadCounts`],
-//!   which every accepted write keeps in step, and a bitmap of the
-//!   processes written this round;
-//! * the adaptive engine's aggregated [`Histogram`] after the handoff.
+//! A [`Corruptor`] is the trial's one load handle ([`LoadCounts`]) plus an
+//! optional view of the processes: the dense n-ball state the loads count,
+//! which every accepted write keeps in step, and a bitmap of the processes
+//! written this round. The load queries (`load`, `lower_median`,
+//! `live_bins`, the balancer's pair) are the handle's, whichever table it
+//! holds. With a view the budget counts distinct processes written;
+//! without one (the adaptive engine after the handoff) it counts balls
+//! moved.
 //!
 //! The median rule samples uniformly, so balls are exchangeable: a strategy
-//! that decides from the loads alone gives the same chain on either
-//! backing. Only the dense backing hands out process-level access
+//! that decides from the loads alone gives the same chain with or without
+//! the view. Only a view hands out process-level access
 //! ([`Corruptor::processes`]); [`AdversarySpec::needs_processes`] names the
 //! strategies that use it (the reviver and the stubborn set), and the
 //! runner keeps their trials dense. The random strategy names processes
 //! only uniformly at random, so it also has a load-level form with the same
-//! law. On the ranked path the state, the allowed set and every write are
+//! law. On the rank table the state, the allowed set and every write are
 //! ranks; every strategy uses values only through order and equality, so it
 //! flips the same balls either way.
 //!
-//! The ranked path also answers the load queries from the rank table in
-//! plain passes that vectorize, instead of walking the live bins:
-//! `lower_median` is a chunked prefix sum ([`RankedCounts::lower_median`]),
-//! the balancer's pair is a max pass, a first-index pass and a max on
-//! either side of the top rank ([`RankedCounts::top_two`]), and
-//! `move_balls` finds the next holder of its source with a chunked
-//! equality scan. Each gives the same answer as the bin walk, which the
-//! tree path and the aggregated backing keep.
+//! The rank table answers the load queries in plain passes that vectorize,
+//! instead of walking the live bins: `lower_median` is a chunked prefix sum
+//! ([`crate::engine::adaptive::RankedCounts::lower_median`]), the
+//! balancer's pair is a max pass, a first-index pass and a max on either
+//! side of the top rank ([`crate::engine::adaptive::RankedCounts::top_two`]),
+//! and `move_balls` with a view finds the next holder of its source with a
+//! chunked equality scan. Each gives the same answer as the bin walk that
+//! sorted bins keep.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -42,8 +43,7 @@ use std::cmp::Reverse;
 use rand::RngCore;
 use stabcon_util::rng::gen_index;
 
-use crate::engine::adaptive::{first_index, LoadCounts, RankedCounts};
-use crate::histogram::Histogram;
+use crate::engine::adaptive::{first_index, LoadCounts};
 use crate::value::{Value, ValueSet};
 
 // ---------------------------------------------------------------------------
@@ -52,163 +52,79 @@ use crate::value::{Value, ValueSet};
 
 /// Budget- and validity-enforcing handle over one round's loads.
 pub struct Corruptor<'a> {
-    backing: Backing<'a>,
+    loads: &'a mut LoadCounts,
+    view: Option<View<'a>>,
     allowed: &'a ValueSet,
     budget: u64,
-    /// Processes (dense) or balls (aggregated) changed this round.
+    /// Processes (with a view) or balls (without) changed this round.
     count: u64,
+    draws: &'a mut Draws,
 }
 
-enum Backing<'a> {
-    Dense(Dense<'a>),
-    Aggregated(&'a mut Histogram, &'a mut Draws),
-}
-
-/// The random strategy's parked draws on the aggregated backing, one
+/// The random strategy's parked draws without a process view, one
 /// `(process, draw, value)` triple per draw.
 pub type Draws = Vec<(u64, u64, Value)>;
 
-/// The dense backing: the n-ball state and the loads kept in step with it.
-struct Dense<'a> {
+/// The process view: the n-ball state the loads count.
+struct View<'a> {
     state: &'a mut [Value],
-    loads: &'a mut LoadCounts,
     /// One bit per process: written this round.
     touched: &'a mut Vec<u64>,
     /// The source of the last `move_balls` and the index its scan reached.
     cursor: (Value, usize),
 }
 
-impl Dense<'_> {
-    fn try_set(
-        &mut self,
-        i: usize,
-        v: Value,
-        allowed: &ValueSet,
-        budget: u64,
-        count: &mut u64,
-    ) -> bool {
-        if self.state[i] == v {
-            return true;
-        }
-        if !allowed.contains(v) {
-            return false;
-        }
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if self.touched[word] & bit == 0 {
-            if *count >= budget {
-                return false;
-            }
-            self.touched[word] |= bit;
-            *count += 1;
-        }
-        self.loads.record_move(self.state[i], v);
-        self.state[i] = v;
-        if v == self.cursor.0 {
-            // A new holder of the scanned source may sit below the cursor.
-            self.cursor.1 = 0;
-        }
-        true
-    }
-}
-
 impl<'a> Corruptor<'a> {
-    /// Wrap dense `state` and its `loads` with budget `T` and the
-    /// initial-value-set constraint. `touched` is a caller-parked bitmap,
-    /// cleared here, that marks this round's writes, so a warm round
-    /// allocates nothing.
+    /// Wrap `loads` with budget `T` (balls moved this round, until
+    /// [`Corruptor::with_processes`]) and the initial-value-set constraint.
+    /// `draws` is a caller-parked buffer for the random strategy's
+    /// load-level form, so a warm round allocates nothing.
     pub fn new(
-        state: &'a mut [Value],
         loads: &'a mut LoadCounts,
-        allowed: &'a ValueSet,
-        budget: u64,
-        touched: &'a mut Vec<u64>,
-    ) -> Self {
-        touched.clear();
-        touched.resize(state.len().div_ceil(64), 0);
-        let dense = Dense {
-            state,
-            loads,
-            touched,
-            cursor: (0, 0),
-        };
-        Self {
-            backing: Backing::Dense(dense),
-            allowed,
-            budget,
-            count: 0,
-        }
-    }
-
-    /// Wrap aggregated loads with budget `T` (balls moved this round) and
-    /// the initial-value-set constraint. `draws` is a caller-parked buffer
-    /// for the random strategy, so a warm round allocates nothing.
-    pub fn aggregated(
-        hist: &'a mut Histogram,
         allowed: &'a ValueSet,
         budget: u64,
         draws: &'a mut Draws,
     ) -> Self {
         Self {
-            backing: Backing::Aggregated(hist, draws),
+            loads,
+            view: None,
             allowed,
             budget,
             count: 0,
+            draws,
         }
+    }
+
+    /// Add the process view: `state` is the dense state the loads count,
+    /// and the budget now counts distinct processes written. `touched` is a
+    /// caller-parked bitmap, cleared here, that marks this round's writes,
+    /// so a warm round allocates nothing.
+    pub fn with_processes(mut self, state: &'a mut [Value], touched: &'a mut Vec<u64>) -> Self {
+        touched.clear();
+        touched.resize(state.len().div_ceil(64), 0);
+        self.view = Some(View {
+            state,
+            touched,
+            cursor: (0, 0),
+        });
+        self
     }
 
     /// Balls currently holding `v`.
     pub fn load(&self, v: Value) -> u64 {
-        match &self.backing {
-            Backing::Dense(d) => d.loads.count_of(v),
-            Backing::Aggregated(h, _) => h.load(v),
-        }
+        self.loads.count_of(v)
     }
 
     /// The lower median of the state, `sorted[(n − 1) / 2]`: the first
     /// value whose cumulative load reaches `⌈n/2⌉`.
     pub fn lower_median(&self) -> Value {
-        if let Some(r) = self.ranked() {
-            return r.lower_median();
-        }
-        match &self.backing {
-            Backing::Dense(d) => d.loads.observe().median_value,
-            Backing::Aggregated(h, _) => h.median_value(),
-        }
-    }
-
-    /// The rank table of a dense backing on the ranked path.
-    fn ranked(&self) -> Option<&RankedCounts> {
-        match &self.backing {
-            Backing::Dense(Dense {
-                loads: LoadCounts::Ranked(r),
-                ..
-            }) => Some(r),
-            _ => None,
-        }
+        self.loads.lower_median()
     }
 
     /// The live bins holding an allowed value, `(value, load)`
     /// value-ascending.
     pub fn live_bins(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
-        let (ranked, tree, hist) = match &self.backing {
-            Backing::Dense(d) => match &*d.loads {
-                LoadCounts::Ranked(r) => (Some(r), None, None),
-                LoadCounts::Tree(t) => (None, Some(t), None),
-            },
-            Backing::Aggregated(h, _) => (None, None, Some(h)),
-        };
-        // Ranked loads live in the initial universe, which is the allowed
-        // set; the tree also holds values a value-inventing rule made up.
-        let allowed = self.allowed;
-        let tree = tree.into_iter().flat_map(move |t| {
-            t.live_bins_iter()
-                .filter(move |&(v, _)| allowed.contains(v))
-        });
-        ranked
-            .into_iter()
-            .flat_map(|r| r.live_bins_iter())
-            .chain(tree)
-            .chain(hist.into_iter().flat_map(|h| h.bins().iter().copied()))
+        self.loads.allowed_bins(self.allowed)
     }
 
     /// The allowed (initial) value set.
@@ -216,19 +132,21 @@ impl<'a> Corruptor<'a> {
         self.allowed
     }
 
-    /// Processes (dense) or balls (aggregated) still corruptible this round.
+    /// Processes (with a view) or balls (without) still corruptible this
+    /// round.
     pub fn remaining(&self) -> u64 {
         self.budget - self.count
     }
 
-    /// Processes (dense) or balls (aggregated) changed so far this round.
+    /// Processes (with a view) or balls (without) changed so far this
+    /// round.
     pub fn touched(&self) -> u64 {
         self.count
     }
 
     /// Move up to `k` balls from `from` to `to`; returns how many moved,
     /// limited by the budget and the load of `from`, and 0 when `to` is
-    /// outside the initial value set. The dense backing flips the
+    /// outside the initial value set. With a process view it flips the
     /// lowest-index holders of `from`; a repeated call with the same source
     /// continues the scan where the last one stopped.
     pub fn move_balls(&mut self, from: Value, to: Value, k: u64) -> u64 {
@@ -239,65 +157,85 @@ impl<'a> Corruptor<'a> {
         if k == 0 {
             return 0;
         }
-        match &mut self.backing {
-            Backing::Dense(d) => {
-                let mut i = if d.cursor.0 == from { d.cursor.1 } else { 0 };
-                let mut moved = 0;
-                while moved < k {
-                    // Every holder of `from` sits at or above the cursor.
-                    i += first_index(&d.state[i..], from).expect("k ≤ load(from)");
-                    if d.try_set(i, to, self.allowed, self.budget, &mut self.count) {
-                        moved += 1;
-                    }
-                    i += 1;
-                }
-                d.cursor = (from, i);
-            }
-            Backing::Aggregated(h, _) => {
-                h.move_balls(from, to, k);
-                self.count += k;
-            }
+        let Some(view) = &self.view else {
+            self.loads.move_balls(from, to, k);
+            self.count += k;
+            return k;
+        };
+        let mut i = if view.cursor.0 == from {
+            view.cursor.1
+        } else {
+            0
+        };
+        let mut moved = 0;
+        while moved < k {
+            // Every holder of `from` sits at or above the cursor.
+            let state = &self.view.as_ref().expect("a process view").state;
+            i += first_index(&state[i..], from).expect("k ≤ load(from)");
+            moved += u64::from(self.try_set(i, to));
+            i += 1;
         }
+        self.view.as_mut().expect("a process view").cursor = (from, i);
         k
     }
 
-    /// Process-level access, on the dense backing only: the aggregated
-    /// backing has no processes to name.
+    /// Process-level access, with a process view only: loads alone have
+    /// no processes to name.
     pub fn processes(&mut self) -> Option<Processes<'_, 'a>> {
-        match &mut self.backing {
-            Backing::Dense(dense) => Some(Processes {
-                dense,
-                allowed: self.allowed,
-                budget: self.budget,
-                count: &mut self.count,
-            }),
-            Backing::Aggregated(..) => None,
+        self.view.is_some().then_some(Processes { c: self })
+    }
+
+    /// Set process `i` to `v` through the view, under the budget.
+    fn try_set(&mut self, i: usize, v: Value) -> bool {
+        let view = self.view.as_mut().expect("a process view");
+        if view.state[i] == v {
+            return true;
         }
+        if !self.allowed.contains(v) {
+            return false;
+        }
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if view.touched[word] & bit == 0 {
+            if self.count >= self.budget {
+                return false;
+            }
+            view.touched[word] |= bit;
+            self.count += 1;
+        }
+        self.loads.move_balls(view.state[i], v, 1);
+        view.state[i] = v;
+        if v == view.cursor.0 {
+            // A new holder of the scanned source may sit below the cursor.
+            view.cursor.1 = 0;
+        }
+        true
     }
 }
 
-/// Process-level writes through a dense [`Corruptor`], under its budget.
+/// Process-level writes through a [`Corruptor`] with a process view, under
+/// its budget.
 pub struct Processes<'c, 'a> {
-    dense: &'c mut Dense<'a>,
-    allowed: &'a ValueSet,
-    budget: u64,
-    count: &'c mut u64,
+    c: &'c mut Corruptor<'a>,
 }
 
 impl Processes<'_, '_> {
+    fn state(&self) -> &[Value] {
+        self.c.view.as_ref().expect("a process view").state
+    }
+
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.dense.state.len()
+        self.state().len()
     }
 
     /// Read a process state (the adversary sees everything).
     pub fn get(&self, i: usize) -> Value {
-        self.dense.state[i]
+        self.state()[i]
     }
 
     /// Distinct processes still corruptible this round.
     pub fn remaining(&self) -> u64 {
-        self.budget - *self.count
+        self.c.remaining()
     }
 
     /// Attempt to set process `i` to `v`. Returns `false` (state untouched)
@@ -305,8 +243,7 @@ impl Processes<'_, '_> {
     /// Rewriting an already-touched process is free; writing a process's
     /// current value back costs nothing.
     pub fn try_set(&mut self, i: usize, v: Value) -> bool {
-        self.dense
-            .try_set(i, v, self.allowed, self.budget, self.count)
+        self.c.try_set(i, v)
     }
 }
 
@@ -319,7 +256,7 @@ pub trait Adversary: Send {
 /// Process-level access for a strategy that [`AdversarySpec::needs_processes`].
 fn processes<'c, 'a>(c: &'c mut Corruptor<'a>) -> Processes<'c, 'a> {
     c.processes()
-        .expect("a process-level strategy runs on the dense backing only")
+        .expect("a process-level strategy runs with a process view only")
 }
 
 // ---------------------------------------------------------------------------
@@ -337,11 +274,11 @@ impl Adversary for NoAdversary {
 /// Corrupts `T` uniformly random processes to uniformly random initial
 /// values — the "noise floor" adversary.
 ///
-/// On the aggregated backing it draws the same `T` (process, value) pairs,
-/// a process being a ball in value order at the round's start. Rewriting a
+/// Without a process view it draws the same `T` (process, value) pairs, a
+/// process being a ball in value order at the round's start. Rewriting a
 /// process is free and its last write wins, and given the loads what the
-/// dense form changes depends only on which bins the drawn processes sit
-/// in, so both forms move the loads by the same law.
+/// process-level form changes depends only on which bins the drawn
+/// processes sit in, so both forms move the loads by the same law.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomCorruptor;
 
@@ -349,9 +286,7 @@ impl Adversary for RandomCorruptor {
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
         let allowed = c.allowed();
         let m = allowed.len() as u64;
-        let t = c.remaining();
-        let Backing::Aggregated(hist, parked) = &mut c.backing else {
-            let mut p = processes(c);
+        if let Some(mut p) = c.processes() {
             let n = p.n() as u64;
             for _ in 0..p.remaining() {
                 let i = gen_index(rng, n) as usize;
@@ -359,11 +294,11 @@ impl Adversary for RandomCorruptor {
                 let _ = p.try_set(i, v);
             }
             return;
-        };
-        let mut draws = std::mem::take(&mut **parked);
+        }
+        let mut draws = std::mem::take(&mut *c.draws);
         draws.clear();
-        for draw in 0..t {
-            let i = gen_index(rng, hist.n());
+        for draw in 0..c.remaining() {
+            let i = gen_index(rng, c.loads.n());
             draws.push((i, draw, allowed.nth(gen_index(rng, m) as usize)));
         }
         // One entry per process, its last write.
@@ -372,21 +307,19 @@ impl Adversary for RandomCorruptor {
         // Ball `i` sits in the first bin whose cumulative load passes `i`:
         // one sweep over the starting loads, writing each source into the
         // draw slot.
-        let mut bins = hist.bins().iter();
-        let (mut from, mut end) = (0, 0);
+        let (mut bins, mut from, mut end) = (c.loads.live_bins(), 0, 0);
         for (i, source, _) in &mut draws {
             while end <= *i {
-                let &(v, load) = bins.next().expect("a drawn ball is below n");
+                let (v, load) = bins.next().expect("a drawn ball is below n");
                 (from, end) = (v, end + load);
             }
             *source = u64::from(from);
         }
+        drop(bins);
         for &(_, from, to) in &draws {
             c.move_balls(from as Value, to, 1);
         }
-        if let Backing::Aggregated(_, parked) = &mut c.backing {
-            **parked = draws;
-        }
+        *c.draws = draws;
     }
 }
 
@@ -399,7 +332,7 @@ pub struct TwoBinBalancer;
 
 impl Adversary for TwoBinBalancer {
     fn corrupt(&mut self, _round: u64, c: &mut Corruptor<'_>, _rng: &mut dyn RngCore) {
-        let Some(((big, big_load), (small, small_load))) = balanced_pair(c) else {
+        let Some(((big, big_load), (small, small_load))) = c.loads.balanced_pair(c.allowed) else {
             return; // nothing to balance
         };
         // Each flip big→small closes the gap by 2.
@@ -407,44 +340,6 @@ impl Adversary for TwoBinBalancer {
             c.move_balls(big, small, (big_load - small_load) / 2);
         }
     }
-}
-
-/// The balancer's pair: the two most loaded allowed values, ties to the
-/// smaller value, where a dead allowed value has load 0. On the ranked
-/// path the allowed set is the whole rank table, dead ranks included, so
-/// the pair comes from [`RankedCounts::top_two`]. Elsewhere the walk covers
-/// only live bins: with one live bin the second is the smallest other
-/// allowed value, exactly what a walk over the whole allowed set picks.
-/// `None` with no live allowed bin or fewer than two allowed values.
-fn balanced_pair(c: &Corruptor<'_>) -> Option<(Bin, Bin)> {
-    if let Some(r) = c.ranked() {
-        return r.top_two();
-    }
-    let (top, second) = top_two(c.live_bins());
-    let top = top?;
-    let second = match second {
-        Some(second) => second,
-        None => (*c.allowed().values().iter().find(|&&v| v != top.0)?, 0),
-    };
-    Some((top, second))
-}
-
-/// A `(value, load)` bin.
-type Bin = (Value, u64);
-
-/// The two most loaded of value-ascending `(value, load)` bins, ties to the
-/// smaller value (the first two after a stable sort by descending load).
-fn top_two(bins: impl Iterator<Item = Bin>) -> (Option<Bin>, Option<Bin>) {
-    bins.fold((None, None), |(top, second), (v, load)| match top {
-        Some((_, t)) if load <= t => {
-            let second = match second {
-                Some((_, s)) if load <= s => second,
-                _ => Some((v, load)),
-            };
-            (top, second)
-        }
-        _ => (Some((v, load)), top),
-    })
 }
 
 /// The §1.1 minimum-rule killer: first erase every holder of the smallest
@@ -576,9 +471,9 @@ impl AdversarySpec {
     }
 
     /// Whether the strategy names processes ([`Corruptor::processes`]),
-    /// which keeps its trials on the dense backing. The others run on
-    /// either backing: they decide from the loads alone, or (random) name
-    /// processes only uniformly at random.
+    /// which keeps its trials dense, with a process view. The others run
+    /// with or without one: they decide from the loads alone, or (random)
+    /// name processes only uniformly at random.
     pub fn needs_processes(&self) -> bool {
         match self {
             AdversarySpec::Reviver { .. } | AdversarySpec::Stubborn => true,
@@ -614,23 +509,35 @@ mod tests {
         (values, set)
     }
 
-    /// Run `f` on a [`Corruptor`] over `state` with fresh value-space loads,
-    /// then check the loads it kept against a recount of the state.
+    /// Loads of `state` as a value-inventing rule keeps them: open bins.
+    fn open(state: &mut [Value]) -> LoadCounts {
+        let mut loads = LoadCounts::default();
+        loads.rebuild(state, &mut Vec::new(), false);
+        loads
+    }
+
+    /// Loads of a trial on the histogram engine, in value space.
+    fn aggregated(bins: &[Bin]) -> LoadCounts {
+        let mut loads = LoadCounts::default();
+        loads.rebuild_aggregated(bins.iter().copied());
+        loads
+    }
+
+    /// Run `f` on a [`Corruptor`] with a process view of `state` and fresh
+    /// value-space loads, then check the loads it kept against a recount of
+    /// the state.
     fn with_corruptor<R>(
         state: &mut [Value],
         set: &ValueSet,
         budget: u64,
         f: impl FnOnce(&mut Corruptor<'_>) -> R,
     ) -> R {
-        let mut loads = LoadCounts::rebuild(None, state, &mut Vec::new(), false);
-        let mut touched = Vec::new();
-        let mut c = Corruptor::new(state, &mut loads, set, budget, &mut touched);
+        let mut loads = open(state);
+        let (mut touched, mut draws) = (Vec::new(), Vec::new());
+        let mut c =
+            Corruptor::new(&mut loads, set, budget, &mut draws).with_processes(state, &mut touched);
         let out = f(&mut c);
-        assert_eq!(
-            loads,
-            LoadCounts::rebuild(None, state, &mut Vec::new(), false),
-            "loads kept"
-        );
+        assert_eq!(loads, open(state), "loads kept");
         out
     }
 
@@ -831,14 +738,19 @@ mod tests {
         }
     }
 
-    // --- aggregated backing ---
+    // --- without a process view ---
+
+    /// The live bins of `loads`.
+    fn bins(loads: &LoadCounts) -> Vec<Bin> {
+        loads.live_bins().collect()
+    }
 
     #[test]
     fn hist_corruptor_moves_and_enforces() {
         let set = ValueSet::from_values(&[1, 2, 3]);
-        let mut h = Histogram::new(&[(1, 100), (2, 50)]);
+        let mut h = aggregated(&[(1, 100), (2, 50)]);
         let mut draws = Vec::new();
-        let mut c = Corruptor::aggregated(&mut h, &set, 30, &mut draws);
+        let mut c = Corruptor::new(&mut h, &set, 30, &mut draws);
         assert_eq!(c.move_balls(1, 2, 20), 20);
         assert_eq!(c.remaining(), 10);
         // Out-of-set target refused.
@@ -846,40 +758,40 @@ mod tests {
         // Budget-limited.
         assert_eq!(c.move_balls(1, 3, 50), 10);
         assert_eq!(c.remaining(), 0);
-        assert_eq!(h.bins(), &[(1, 70), (2, 70), (3, 10)]);
+        assert_eq!(bins(&h), [(1, 70), (2, 70), (3, 10)]);
     }
 
     #[test]
     fn hist_corruptor_drains_bin() {
         let set = ValueSet::from_values(&[1, 2]);
-        let mut h = Histogram::new(&[(1, 5), (2, 5)]);
+        let mut h = aggregated(&[(1, 5), (2, 5)]);
         let mut draws = Vec::new();
-        let mut c = Corruptor::aggregated(&mut h, &set, 100, &mut draws);
+        let mut c = Corruptor::new(&mut h, &set, 100, &mut draws);
         assert!(c.processes().is_none(), "no processes to name");
         assert_eq!(c.move_balls(1, 2, 100), 5);
-        assert_eq!(h.bins(), &[(2, 10)]);
+        assert_eq!(bins(&h), [(2, 10)]);
     }
 
     #[test]
     fn hist_balancer_balances() {
         let set = ValueSet::from_values(&[0, 1]);
-        let mut h = Histogram::new(&[(0, 80), (1, 20)]);
+        let mut h = aggregated(&[(0, 80), (1, 20)]);
         let mut rng = Xoshiro256pp::seed(6);
         let mut draws = Vec::new();
-        let mut c = Corruptor::aggregated(&mut h, &set, 1000, &mut draws);
+        let mut c = Corruptor::new(&mut h, &set, 1000, &mut draws);
         TwoBinBalancer.corrupt(0, &mut c, &mut rng);
-        assert_eq!(h.bins(), &[(0, 50), (1, 50)]);
+        assert_eq!(bins(&h), [(0, 50), (1, 50)]);
     }
 
     #[test]
     fn hist_balancer_resurrects_dead_bin() {
         let set = ValueSet::from_values(&[0, 1]);
-        let mut h = Histogram::new(&[(0, 100)]);
+        let mut h = aggregated(&[(0, 100)]);
         let mut rng = Xoshiro256pp::seed(7);
         let mut draws = Vec::new();
-        let mut c = Corruptor::aggregated(&mut h, &set, 8, &mut draws);
+        let mut c = Corruptor::new(&mut h, &set, 8, &mut draws);
         TwoBinBalancer.corrupt(0, &mut c, &mut rng);
-        assert_eq!(h.bins(), &[(0, 92), (1, 8)]);
+        assert_eq!(bins(&h), [(0, 92), (1, 8)]);
     }
 
     /// The balancer's pair as a walk over the whole allowed set, dead
@@ -889,12 +801,17 @@ mod tests {
         top.zip(second)
     }
 
-    use crate::engine::adaptive::SCAN_CHUNK;
+    /// The balancer's pair the loads name.
+    fn balanced_pair(c: &Corruptor<'_>) -> Option<(Bin, Bin)> {
+        c.loads.balanced_pair(c.allowed)
+    }
+
+    use crate::engine::adaptive::{top_two, Bin, Table, SCAN_CHUNK};
     use proptest::prelude::*;
 
     proptest! {
         /// The live-bin walk names the allowed-set walk's pair, one live bin
-        /// included, on ranked and tree loads and on the aggregated backing.
+        /// included, on the rank table, open bins and aggregated bins.
         #[test]
         fn live_bin_pair_is_the_allowed_set_pair(
             values in prop::collection::vec(0u32..6, 1..40),
@@ -903,7 +820,8 @@ mod tests {
             ranked in any::<bool>(),
         ) {
             let mut state = values.clone();
-            let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), ranked);
+            let mut loads = LoadCounts::default();
+            loads.rebuild(&mut state, &mut Vec::new(), ranked);
             let mut set = ValueSet::default();
             if ranked {
                 loads.rebuild_value_set(&mut set);
@@ -913,18 +831,18 @@ mod tests {
             if one_live {
                 let only = state[0];
                 for v in state.iter_mut() {
-                    loads.record_move(*v, only);
+                    loads.move_balls(*v, only, 1);
                     *v = only;
                 }
             }
-            let bins: Vec<(Value, u64)> = state.iter().map(|&v| (v, 1)).collect();
-            let mut hist = Histogram::new(&bins);
-            let mut touched = Vec::new();
-            let dense = Corruptor::new(&mut state, &mut loads, &set, 0, &mut touched);
+            let balls: Vec<Bin> = state.iter().map(|&v| (v, 1)).collect();
+            let mut hist = aggregated(crate::histogram::Histogram::new(&balls).bins());
+            let (mut touched, mut draws) = (Vec::new(), Vec::new());
+            let dense = Corruptor::new(&mut loads, &set, 0, &mut draws)
+                .with_processes(&mut state, &mut touched);
             let want = allowed_set_pair(&dense);
             prop_assert_eq!(balanced_pair(&dense), want);
-            let mut draws = Vec::new();
-            let hist = Corruptor::aggregated(&mut hist, &set, 0, &mut draws);
+            let hist = Corruptor::new(&mut hist, &set, 0, &mut draws);
             prop_assert_eq!(balanced_pair(&hist), want);
         }
 
@@ -933,7 +851,11 @@ mod tests {
         /// tables that span several scan chunks. With `chunks > 0` the
         /// state is `2 · chunks` all-distinct scan chunks, so the median's
         /// prefix ends exactly at a chunk end; a kill moves a ball to the
-        /// first rank of its chunk, which keeps every chunk's sum.
+        /// first rank of its chunk, which keeps every chunk's sum. The same
+        /// loads in sorted bins, with a process view (open bins) and without
+        /// (aggregated), answer `load`, `lower_median`, `live_bins` and the
+        /// balancer's pair alike, the dead-bin fallback of one live bin
+        /// included.
         #[test]
         fn ranked_queries_match_the_bin_walks(
             raw in prop::collection::vec(0u32..1000, 1..400),
@@ -946,7 +868,8 @@ mod tests {
                 0 => raw.iter().map(|v| v % spread).collect(),
                 _ => (0..(2 * chunks * SCAN_CHUNK) as Value).collect(),
             };
-            let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+            let mut loads = LoadCounts::default();
+            loads.rebuild(&mut state, &mut Vec::new(), true);
             let mut set = ValueSet::default();
             loads.rebuild_value_set(&mut set);
             let only = one_live.then_some(state[0]);
@@ -958,16 +881,36 @@ mod tests {
                     }
                     None => *v,
                 };
-                loads.record_move(*v, to);
+                loads.move_balls(*v, to, 1);
                 *v = to;
             }
             let mut sorted = state.clone();
             sorted.sort_unstable();
-            let mut touched = Vec::new();
-            let dense = Corruptor::new(&mut state, &mut loads, &set, 0, &mut touched);
-            prop_assert!(dense.ranked().is_some());
-            prop_assert_eq!(dense.lower_median(), sorted[(sorted.len() - 1) / 2]);
-            prop_assert_eq!(balanced_pair(&dense), allowed_set_pair(&dense));
+            let mut open_state = state.clone();
+            let mut open_loads = open(&mut open_state);
+            let mut hist = aggregated(&bins(&loads));
+            let (mut touched, mut open_touched, mut draws) = (Vec::new(), Vec::new(), Vec::new());
+            let dense = Corruptor::new(&mut loads, &set, 0, &mut draws)
+                .with_processes(&mut state, &mut touched);
+            prop_assert_eq!(dense.loads.table, Table::Ranks);
+            let median = sorted[(sorted.len() - 1) / 2];
+            prop_assert_eq!(dense.lower_median(), median);
+            let pair = allowed_set_pair(&dense);
+            prop_assert_eq!(balanced_pair(&dense), pair);
+            let live: Vec<Bin> = dense.live_bins().collect();
+            let mut no_draws = Vec::new();
+            let open = Corruptor::new(&mut open_loads, &set, 0, &mut no_draws)
+                .with_processes(&mut open_state, &mut open_touched);
+            let mut hist_draws = Vec::new();
+            let hist = Corruptor::new(&mut hist, &set, 0, &mut hist_draws);
+            for (name, c) in [("open", &open), ("aggregated", &hist)] {
+                for &v in set.values() {
+                    prop_assert_eq!(c.load(v), dense.load(v), "{} load({})", name, v);
+                }
+                prop_assert_eq!(c.lower_median(), median, "{} median", name);
+                prop_assert_eq!(c.live_bins().collect::<Vec<_>>(), live.clone(), "{} bins", name);
+                prop_assert_eq!(balanced_pair(c), pair, "{} pair", name);
+            }
         }
     }
 }

@@ -1,21 +1,21 @@
 //! The adaptive engine: dense while the support is wide, histogram once it
-//! narrows.
+//! narrows, over one load table per trial.
 //!
 //! Every trial of the median rule spends its early rounds with many live
 //! values (where the dense `O(n)` engine is the only exact option for
 //! arbitrary protocols) and its long tail near consensus with a handful
 //! (where the `O(m)`-per-round histogram engine simulates the *same*
 //! process for free — where a median-rule ball lands depends only on the
-//! loads, see [`super::hist`]). The adaptive engine runs dense, maintains
-//! an **incremental histogram** of loads as balls move, and hands off to the
-//! histogram engine the moment a histogram round costs less than a dense
-//! one: once the number of distinct values drops to
-//! [`handoff_threshold`], `max(handoff_support, n / BALLS_PER_BIN)`. A
-//! trial whose initial condition has at most that many values starts on
-//! the histogram, built from the initial loads
-//! ([`crate::init::InitialCondition::loads_into`]). The adversary follows
-//! the trial across the handoff when its strategy decides from the loads
-//! alone: [`crate::adversary::Corruptor`] runs it on either backing.
+//! loads, see [`super::hist`]). The adaptive engine runs dense, keeps the
+//! loads in step as balls move, and hands off to the histogram engine the
+//! moment a histogram round costs less than a dense one: once the number of
+//! distinct values drops to [`handoff_threshold`],
+//! `max(handoff_support, n / BALLS_PER_BIN)`. A trial whose initial
+//! condition has at most that many values starts on the histogram, built
+//! from the initial loads ([`crate::init::InitialCondition::loads_into`]).
+//! The adversary follows the trial across the handoff when its strategy
+//! decides from the loads alone: [`crate::adversary::Corruptor`] runs it
+//! on the loads, with or without a view of the processes.
 //!
 //! The handoff is *statistically exact*: conditioned on the loads at the
 //! handoff round, the dense process and the histogram process induce the
@@ -25,17 +25,21 @@
 //! `DenseSeq` agree in distribution, not bit-for-bit
 //! (`tests/adaptive_props.rs` pins this with a KS-style check).
 //!
-//! The incremental histogram also powers the runner's per-round observables
-//! ([`crate::runner::RoundObs`]): support, plurality, median, and imbalance
-//! fall out of one `O(m)` walk over the live bins. The runner takes that walk
-//! only for rounds that can count toward stability (or are recorded): the
-//! maintained support alone rules the others out.
-
-use std::collections::BTreeMap;
+//! A trial holds its loads in one [`LoadCounts`] handle for its whole life:
+//! the rank table ([`RankedCounts`]) beside a dense state, or sorted live
+//! bins ([`Histogram`]) — beside the dense state of a value-inventing rule,
+//! or alone after the handoff. The handoff switches the handle from table
+//! to bins in place, and the rank → value map stays with the handle, so
+//! [`LoadCounts::value_of`] works to the trial's end. The handle also
+//! answers the runner's per-round observables ([`crate::runner::RoundObs`]):
+//! support, plurality, median, and imbalance fall out of one `O(m)` walk
+//! over the live bins. The runner takes that walk only for rounds that can
+//! count toward stability (or are recorded): the maintained support alone
+//! rules the others out.
 
 use crate::histogram::Histogram;
 use crate::runner::RoundObs;
-use crate::value::Value;
+use crate::value::{Value, ValueSet};
 
 /// Balls per block of [`RankedCounts::apply_step`]'s move buffer (8 KiB of
 /// `(old, new)` pairs, L1-resident).
@@ -65,103 +69,22 @@ pub fn handoff_threshold(floor: usize, n: usize) -> usize {
     floor.max(n / BALLS_PER_BIN).max(1)
 }
 
-/// Live bin loads maintained incrementally as balls move.
-///
-/// Updates are `O(log m)` per *changed* ball (balls that keep their value
-/// cost one comparison), observables are one `O(m)` ordered walk.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IncrementalHistogram {
-    counts: BTreeMap<Value, u64>,
-    n: u64,
-}
-
-impl IncrementalHistogram {
-    /// Count a full state vector (`O(n)`; done once per trial).
-    pub fn from_values(state: &[Value]) -> Self {
-        let mut this = Self::default();
-        this.rebuild_from(state);
-        this
-    }
-
-    /// Recount a fresh trial's state into this maintainer. The tree itself
-    /// cannot keep its nodes across a clear, so this is `O(m)` small
-    /// allocations — still far below the `O(n)` state walk (and the tree
-    /// path only serves value-inventing rules; see [`RankedCounts`] for the
-    /// allocation-free fast path).
-    pub fn rebuild_from(&mut self, state: &[Value]) {
-        self.counts.clear();
-        for &v in state {
-            *self.counts.entry(v).or_insert(0) += 1;
-        }
-        self.n = state.len() as u64;
-    }
-
-    /// Total number of balls.
-    #[inline]
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Number of distinct live values.
-    #[inline]
-    pub fn support_size(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Balls currently holding `v`.
-    pub fn count_of(&self, v: Value) -> u64 {
-        self.counts.get(&v).copied().unwrap_or(0)
-    }
-
-    /// Record one ball moving `from → to` (no-op when equal).
-    ///
-    /// # Panics
-    /// Panics if no ball holds `from`.
-    pub fn record_move(&mut self, from: Value, to: Value) {
-        if from == to {
-            return;
-        }
-        match self.counts.get_mut(&from) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.counts.remove(&from);
-            }
-            None => panic!("IncrementalHistogram: move from empty bin {from}"),
-        }
-        *self.counts.entry(to).or_insert(0) += 1;
-    }
-
-    /// The live `(value, load)` pairs, value-ascending.
-    pub fn live_bins_iter(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
-        self.counts.iter().map(|(&v, &c)| (v, c))
-    }
-}
-
-/// Round observables straight from an aggregated histogram (post-handoff).
-pub fn observe_histogram(h: &Histogram) -> RoundObs {
-    observe_bins(h.n(), h.bins().iter().copied())
-}
-
-/// Load counts over a *fixed* value universe in rank space — the
-/// maintainer for validity-preserving protocols, where every value a ball
-/// can ever hold comes from the initial set.
+/// Load counts over a *fixed* value universe in rank space — the table
+/// for validity-preserving protocols, where every value a ball can ever
+/// hold comes from the initial set.
 ///
 /// Such rules (and every adversary strategy) use values only through order
-/// and equality, so the trial runs on ranks: [`RankedCounts::rebuild_from`]
+/// and equality, so the trial runs on ranks: [`LoadCounts::rebuild`]
 /// relabels the state to `0..m` in place, a ball move is a decrement and an
 /// increment at `counts[rank]`, and values come back only at the trial's
 /// edges through [`LoadCounts::value_of`]. A whole engine round folds in
 /// through [`RankedCounts::apply_step`], which pays per *moved* ball with no
 /// data-dependent branch.
 ///
-/// At `n = 2²⁰` all-distinct balls the table is `counts` alone, 4 MiB: loads
-/// fit `u32` (n ≤ `u32::MAX` is asserted), and the rank → value table is
-/// kept only for a universe that is not already `0..m`.
+/// At `n = 2²⁰` all-distinct balls the table is 4 MiB: loads fit `u32`
+/// (n ≤ `u32::MAX` is asserted).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankedCounts {
-    /// Sorted distinct initial values (rank → value) — empty when the
-    /// universe is `0..m`, where every rank is its own value.
-    values: Vec<Value>,
     /// Load per rank.
     counts: Vec<u32>,
     /// Number of ranks with a nonzero load.
@@ -170,41 +93,15 @@ pub struct RankedCounts {
 }
 
 impl RankedCounts {
-    /// Recount a fresh trial's state, reusing every internal buffer. The
-    /// universe is found by sorting and deduplicating a copy of the state
-    /// in `sorted`, a buffer the caller owns and may overwrite afterwards.
-    /// Unless that universe is already `0..m`, the state is then relabelled
-    /// in place, `state[i] = rank(state[i])`, and the m universe values are
-    /// kept for [`LoadCounts::value_of`].
-    ///
-    /// # Panics
-    /// Panics if `state` is empty or longer than `u32::MAX`.
-    pub fn rebuild_from(&mut self, state: &mut [Value], sorted: &mut Vec<Value>) {
-        assert!(!state.is_empty(), "RankedCounts: empty state");
-        assert!(
-            state.len() <= u32::MAX as usize,
-            "RankedCounts: loads are u32, so n must be at most u32::MAX"
-        );
-        self.n = state.len() as u64;
-        sorted.clear();
-        sorted.extend_from_slice(state);
-        sorted.sort_unstable();
-        sorted.dedup();
-        let m = sorted.len();
-        self.values.clear();
-        // Distinct sorted values are exactly `0..m` iff the largest is m − 1.
-        if sorted[m - 1] as usize != m - 1 {
-            self.values.extend_from_slice(sorted);
-            for v in state.iter_mut() {
-                *v = self.values.binary_search(v).expect("value from the state") as Value;
-            }
-        }
+    /// Count a state already in rank space over a universe of `m` ranks,
+    /// every one of them held, reusing the table.
+    fn count(&mut self, ranks: &[Value], m: usize) {
+        self.n = ranks.len() as u64;
         self.counts.clear();
         self.counts.resize(m, 0);
-        for &r in state.iter() {
+        for &r in ranks {
             self.counts[r as usize] += 1;
         }
-        // Every universe value came from the state, so all loads are ≥ 1.
         self.support = m;
     }
 
@@ -225,26 +122,21 @@ impl RankedCounts {
         self.counts.get(r as usize).map_or(0, |&c| c as u64)
     }
 
-    /// Record one ball moving `from → to` (no-op when equal).
-    ///
-    /// # Panics
-    /// Panics if either rank is outside the universe (the protocol invented
-    /// a value — use [`IncrementalHistogram`] for such rules).
-    #[inline]
-    pub fn record_move(&mut self, from: Value, to: Value) {
-        if from == to {
+    /// Move `k` balls from rank `from` to rank `to` (no-op when equal).
+    fn move_balls(&mut self, from: Value, to: Value, k: u64) {
+        if from == to || k == 0 {
             return;
         }
         let (rf, rt) = (from as usize, to as usize);
-        debug_assert!(self.counts[rf] > 0, "move from empty bin {from}");
-        self.counts[rf] -= 1;
+        debug_assert!(self.counts[rf] as u64 >= k, "move from a light bin {from}");
+        self.counts[rf] -= k as u32;
         if self.counts[rf] == 0 {
             self.support -= 1;
         }
         if self.counts[rt] == 0 {
             self.support += 1;
         }
-        self.counts[rt] += 1;
+        self.counts[rt] += k as u32;
     }
 
     /// Fold in one engine round, `old[i] → new[i]` for every ball, without
@@ -363,111 +255,276 @@ pub(crate) fn first_index(xs: &[u32], x: u32) -> Option<usize> {
     Some(c * SCAN_CHUNK + i)
 }
 
-/// Per-trial load maintainer, and the one place that knows how state
-/// entries map to values: rank-indexed for rules that can only output
-/// values they saw (the state runs on ranks), tree-backed in value space
-/// for value-inventing rules (the mean rule).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadCounts {
-    /// Fixed-universe fast path.
-    Ranked(RankedCounts),
-    /// Open-universe fallback.
-    Tree(IncrementalHistogram),
+/// A `(value, load)` bin.
+pub type Bin = (Value, u64);
+
+/// The one load handle a trial holds for its whole life, and the one place
+/// that knows how state entries map to values.
+///
+/// It holds either the rank table ([`RankedCounts`]) of a
+/// validity-preserving rule's dense state, or sorted live bins
+/// ([`Histogram`]): in value space beside the dense state of a
+/// value-inventing rule (the mean rule; its open universe has no ranks),
+/// or on their own once the trial runs on the histogram engine
+/// ([`LoadCounts::hand_off`], [`LoadCounts::rebuild_aggregated`]). The
+/// table not in use keeps its buffers, so one parked handle serves every
+/// kind of trial without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct LoadCounts {
+    /// Rank → value: empty where every state entry is its own value (a
+    /// `0..m` universe, the open universe, or an aggregated start).
+    values: Vec<Value>,
+    /// The rank table, live on [`Table::Ranks`].
+    ranks: RankedCounts,
+    /// The sorted live bins, live on the other tables.
+    bins: Histogram,
+    pub(crate) table: Table,
 }
 
-/// Run `$body` on whichever maintainer `$counts` holds, bound to `$c`.
-macro_rules! each {
-    ($counts:expr, $c:ident => $body:expr) => {
-        match $counts {
-            LoadCounts::Ranked($c) => $body,
-            LoadCounts::Tree($c) => $body,
+/// Which table of a [`LoadCounts`] holds the loads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Table {
+    /// The rank table beside a dense state.
+    #[default]
+    Ranks,
+    /// Bins in value space beside the dense state of a value-inventing
+    /// rule: they may hold values outside the initial set.
+    Open,
+    /// Bins with no state behind them, stepped by the histogram engine.
+    Aggregated,
+}
+
+/// Two handles are equal when they hold the same loads the same way: the
+/// parked table is not compared.
+impl PartialEq for LoadCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.table == other.table
+            && self.values == other.values
+            && match self.table {
+                Table::Ranks => self.ranks == other.ranks,
+                Table::Open | Table::Aggregated => self.bins == other.bins,
+            }
+    }
+}
+
+impl Eq for LoadCounts {}
+
+/// Run `$body` with `$bins` bound to the live `(value, load)` bins of
+/// `$loads`, value-ascending, each table through its own iterator type.
+macro_rules! with_live_bins {
+    ($loads:expr, $bins:ident => $body:expr) => {
+        match $loads.table {
+            Table::Ranks => {
+                let $bins = $loads.ranks.live_bins_iter();
+                $body
+            }
+            Table::Open | Table::Aggregated => {
+                let $bins = $loads.bins.bins().iter().copied();
+                $body
+            }
         }
     };
 }
 
 impl LoadCounts {
-    /// Count a trial's initial state, reusing `prev`'s buffers when its
-    /// kind matches: ranked iff the protocol is validity-preserving. The
-    /// ranked maintainer relabels `state` to ranks in place, sorting a copy
-    /// of it in `sorted` (the trial's engine scratch buffer, which the round
-    /// loop overwrites anyway); the tree leaves `sorted` alone.
+    /// Count a trial's dense initial state, reusing every buffer. A
+    /// validity-preserving rule gets the rank table: the universe is found
+    /// by sorting and deduplicating a copy of the state in `sorted` (the
+    /// trial's engine scratch buffer, which the round loop overwrites
+    /// anyway); unless it is already `0..m`, the state is relabelled in
+    /// place, `state[i] = rank(state[i])`, and the m universe values are
+    /// kept for [`LoadCounts::value_of`]. A value-inventing rule gets bins
+    /// in value space and leaves `state` and `sorted` alone.
+    ///
+    /// # Panics
+    /// Panics if `state` is empty, or longer than `u32::MAX` for the rank
+    /// table.
     pub fn rebuild(
-        prev: Option<LoadCounts>,
+        &mut self,
         state: &mut [Value],
         sorted: &mut Vec<Value>,
         validity_preserving: bool,
-    ) -> Self {
-        let mut counts = match (prev, validity_preserving) {
-            (Some(c @ LoadCounts::Ranked(_)), true) | (Some(c @ LoadCounts::Tree(_)), false) => c,
-            (_, true) => LoadCounts::Ranked(RankedCounts::default()),
-            (_, false) => LoadCounts::Tree(IncrementalHistogram::default()),
-        };
-        match &mut counts {
-            LoadCounts::Ranked(r) => r.rebuild_from(state, sorted),
-            LoadCounts::Tree(t) => t.rebuild_from(state),
+    ) {
+        assert!(!state.is_empty(), "LoadCounts: empty state");
+        self.values.clear();
+        if !validity_preserving {
+            self.bins.recount(state);
+            self.table = Table::Open;
+            return;
         }
-        counts
+        assert!(
+            state.len() <= u32::MAX as usize,
+            "LoadCounts: ranked loads are u32, so n must be at most u32::MAX"
+        );
+        sorted.clear();
+        sorted.extend_from_slice(state);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let m = sorted.len();
+        // Distinct sorted values are exactly `0..m` iff the largest is m − 1.
+        if sorted[m - 1] as usize != m - 1 {
+            self.values.extend_from_slice(sorted);
+            for v in state.iter_mut() {
+                *v = self.values.binary_search(v).expect("value from the state") as Value;
+            }
+        }
+        // Every universe value came from the state, so all loads are ≥ 1.
+        self.ranks.count(state, m);
+        self.table = Table::Ranks;
+    }
+
+    /// Start a trial on the histogram engine from its initial loads:
+    /// value-ascending bins with positive loads, such as
+    /// [`crate::init::InitialCondition::loads_into`] writes. The bins stay
+    /// in value space, so no n-ball state and no rank map are built.
+    ///
+    /// # Panics
+    /// Panics if the bins are empty or hold more than 2^52 balls.
+    pub fn rebuild_aggregated(&mut self, bins: impl IntoIterator<Item = Bin>) {
+        self.values.clear();
+        self.bins.refill(bins);
+        self.table = Table::Aggregated;
+    }
+
+    /// The adaptive handoff: the rank table's live bins become the trial's
+    /// bins, in rank space, and the rank → value map stays. From here on
+    /// the histogram engine steps the loads ([`LoadCounts::bins_mut`]).
+    pub fn hand_off(&mut self) {
+        debug_assert_eq!(self.table, Table::Ranks, "hand off from the rank table");
+        self.bins.refill(self.ranks.live_bins_iter());
+        self.table = Table::Aggregated;
+    }
+
+    /// Whether the loads have no state behind them: the trial runs on the
+    /// histogram engine.
+    pub fn aggregated(&self) -> bool {
+        self.table == Table::Aggregated
+    }
+
+    /// The live bins, for a histogram-engine round.
+    pub fn bins_mut(&mut self) -> &mut Histogram {
+        debug_assert_ne!(self.table, Table::Ranks, "the rank table has no bins");
+        &mut self.bins
     }
 
     /// Refill `set` with the initial value set as the state holds it: the
-    /// ranks `0..m`, or the tree's distinct values. Call right after a
+    /// ranks `0..m`, or the values of the bins. Call right after a
     /// (re)build from the initial state.
-    pub fn rebuild_value_set(&self, set: &mut crate::value::ValueSet) {
-        match self {
-            LoadCounts::Ranked(r) => set.rebuild_sorted_unique(0..r.counts.len() as Value),
-            LoadCounts::Tree(t) => set.rebuild_sorted_unique(t.counts.keys().copied()),
-        }
-    }
-
-    /// The value a state entry `v` stands for: the initial value of rank
-    /// `v`, or `v` itself on the tree path and for a `0..m` universe.
-    pub fn value_of(&self, v: Value) -> Value {
-        match self {
-            LoadCounts::Ranked(r) if !r.values.is_empty() => r.values[v as usize],
-            _ => v,
-        }
-    }
-
-    /// Snapshot the live bins into `slot`, reusing the histogram allocation
-    /// when one is parked there (the adaptive handoff path).
-    pub fn snapshot_into(&self, slot: &mut Option<Histogram>) {
-        each!(self, c => Histogram::refill(slot, c.live_bins_iter()));
-    }
-
-    /// Number of distinct live values.
-    pub fn support_size(&self) -> usize {
-        each!(self, c => c.support_size())
-    }
-
-    /// Balls currently holding state entry `v`.
-    pub fn count_of(&self, v: Value) -> u64 {
-        each!(self, c => c.count_of(v))
-    }
-
-    /// Record one ball moving `from → to`.
-    pub fn record_move(&mut self, from: Value, to: Value) {
-        each!(self, c => c.record_move(from, to))
-    }
-
-    /// Fold in one engine round: every ball whose entry changed between
-    /// `old` and `new` moves. The ranked path is block-compacted and
-    /// branch-free ([`RankedCounts::apply_step`], using the caller-parked
-    /// `moves` buffer); the tree path records each changed ball.
-    pub fn apply_step(&mut self, old: &[Value], new: &[Value], moves: &mut Vec<(Value, Value)>) {
-        debug_assert_eq!(old.len(), new.len());
-        match self {
-            LoadCounts::Ranked(r) => r.apply_step(old, new, moves),
-            LoadCounts::Tree(t) => {
-                for (&o, &n) in old.iter().zip(new) {
-                    t.record_move(o, n);
-                }
+    pub fn rebuild_value_set(&self, set: &mut ValueSet) {
+        match self.table {
+            Table::Ranks => set.rebuild_sorted_unique(0..self.ranks.counts.len() as Value),
+            Table::Open | Table::Aggregated => {
+                set.rebuild_sorted_unique(self.bins.bins().iter().map(|&(v, _)| v))
             }
         }
     }
 
-    /// Snapshot the live bins as an immutable [`Histogram`].
-    pub fn to_histogram(&self) -> Histogram {
-        Histogram::new(&each!(self, c => c.live_bins_iter().collect::<Vec<_>>()))
+    /// The value a state entry `v` stands for: the initial value of rank
+    /// `v`, or `v` itself where the entries are values.
+    pub fn value_of(&self, v: Value) -> Value {
+        match self.values.get(v as usize) {
+            Some(&value) => value,
+            None => v,
+        }
+    }
+
+    /// Total number of balls.
+    pub fn n(&self) -> u64 {
+        match self.table {
+            Table::Ranks => self.ranks.n(),
+            Table::Open | Table::Aggregated => self.bins.n(),
+        }
+    }
+
+    /// Number of distinct live values.
+    pub fn support_size(&self) -> usize {
+        match self.table {
+            Table::Ranks => self.ranks.support_size(),
+            Table::Open | Table::Aggregated => self.bins.support_size(),
+        }
+    }
+
+    /// Balls currently holding state entry `v`.
+    pub fn count_of(&self, v: Value) -> u64 {
+        match self.table {
+            Table::Ranks => self.ranks.count_of(v),
+            Table::Open | Table::Aggregated => self.bins.load(v),
+        }
+    }
+
+    /// Move `k` balls from `from` to `to` (no-op when equal).
+    ///
+    /// # Panics
+    /// Panics if `from` holds fewer than `k` balls (on the rank table, in
+    /// debug builds) or either entry is outside the rank universe.
+    pub fn move_balls(&mut self, from: Value, to: Value, k: u64) {
+        match self.table {
+            Table::Ranks => self.ranks.move_balls(from, to, k),
+            Table::Open | Table::Aggregated => self.bins.move_balls(from, to, k),
+        }
+    }
+
+    /// Fold in one engine round: every ball whose entry changed between
+    /// `old` and `new` moves. The rank table is block-compacted and
+    /// branch-free ([`RankedCounts::apply_step`], using the caller-parked
+    /// `moves` buffer). Bins recount `new`: a value-inventing rule makes
+    /// and empties bins by the thousand in a busy round, where one sort
+    /// beats inserting them one at a time, and a quiet round sorts few
+    /// distinct values.
+    pub fn apply_step(&mut self, old: &[Value], new: &[Value], moves: &mut Vec<(Value, Value)>) {
+        debug_assert_eq!(old.len(), new.len());
+        match self.table {
+            Table::Ranks => self.ranks.apply_step(old, new, moves),
+            Table::Open | Table::Aggregated => self.bins.recount(new),
+        }
+    }
+
+    /// The live `(value, load)` bins, value-ascending.
+    pub fn live_bins(&self) -> impl Iterator<Item = Bin> + '_ {
+        let (ranks, bins) = match self.table {
+            Table::Ranks => (Some(&self.ranks), None),
+            Table::Open | Table::Aggregated => (None, Some(self.bins.bins())),
+        };
+        let ranks = ranks.into_iter().flat_map(RankedCounts::live_bins_iter);
+        ranks.chain(bins.into_iter().flatten().copied())
+    }
+
+    /// The live bins holding a value of `allowed`: every live bin, but on
+    /// open bins only those a rule did not invent.
+    pub fn allowed_bins<'s>(&'s self, allowed: &'s ValueSet) -> impl Iterator<Item = Bin> + 's {
+        let open = self.table == Table::Open;
+        self.live_bins()
+            .filter(move |&(v, _)| !open || allowed.contains(v))
+    }
+
+    /// The lower median of the state, `sorted[(n − 1) / 2]`: the first
+    /// entry whose cumulative load reaches `⌈n/2⌉`.
+    pub fn lower_median(&self) -> Value {
+        match self.table {
+            Table::Ranks => self.ranks.lower_median(),
+            Table::Open | Table::Aggregated => self.bins.median_value(),
+        }
+    }
+
+    /// The balancer's pair: the two most loaded values of `allowed`, ties
+    /// to the smaller value, where a dead allowed value has load 0. On the
+    /// rank table the allowed set is the rank universe, dead ranks
+    /// included, so the pair comes from [`RankedCounts::top_two`]. On bins
+    /// the walk covers only the live allowed bins: with one of them the
+    /// second is the smallest other allowed value, exactly what a walk over
+    /// the whole allowed set picks. `None` with no live allowed bin or
+    /// fewer than two allowed values.
+    pub fn balanced_pair(&self, allowed: &ValueSet) -> Option<(Bin, Bin)> {
+        if self.table == Table::Ranks {
+            return self.ranks.top_two();
+        }
+        let (top, second) = top_two(self.allowed_bins(allowed));
+        let top = top?;
+        let second = match second {
+            Some(second) => second,
+            None => (*allowed.values().iter().find(|&&v| v != top.0)?, 0),
+        };
+        Some((top, second))
     }
 
     /// Rebuild a [`crate::engine::dense::LoadSampler`] from the live bins —
@@ -476,13 +533,28 @@ impl LoadCounts {
     /// its alias table in place, so a sampled round allocates nothing at
     /// steady state.
     pub fn rebuild_sampler(&self, sampler: &mut crate::engine::dense::LoadSampler) {
-        each!(self, c => sampler.rebuild(c.live_bins_iter(), c.n()))
+        with_live_bins!(self, bins => sampler.rebuild(bins, self.n()))
     }
 
     /// Derive the round observables in one ordered `O(m)` walk.
     pub fn observe(&self) -> RoundObs {
-        each!(self, c => observe_bins(c.n(), c.live_bins_iter()))
+        with_live_bins!(self, bins => observe_bins(self.n(), bins))
     }
+}
+
+/// The two most loaded of value-ascending `(value, load)` bins, ties to the
+/// smaller value (the first two after a stable sort by descending load).
+pub(crate) fn top_two(bins: impl Iterator<Item = Bin>) -> (Option<Bin>, Option<Bin>) {
+    bins.fold((None, None), |(top, second), (v, load)| match top {
+        Some((_, t)) if load <= t => {
+            let second = match second {
+                Some((_, s)) if load <= s => second,
+                _ => Some((v, load)),
+            };
+            (top, second)
+        }
+        _ => (Some((v, load)), top),
+    })
 }
 
 /// Shared single-pass observable derivation over value-ascending bins.
@@ -530,9 +602,16 @@ fn observe_bins(n: u64, bins: impl Iterator<Item = (Value, u64)>) -> RoundObs {
 mod tests {
     use super::*;
 
+    /// Open (value-space) bins over `state`, as a value-inventing rule gets.
+    fn open(state: &[Value]) -> LoadCounts {
+        let mut loads = LoadCounts::default();
+        loads.rebuild(&mut state.to_vec(), &mut Vec::new(), false);
+        loads
+    }
+
     #[test]
     fn from_values_counts() {
-        let inc = IncrementalHistogram::from_values(&[3, 1, 3, 3, 9]);
+        let inc = open(&[3, 1, 3, 3, 9]);
         assert_eq!(inc.n(), 5);
         assert_eq!(inc.support_size(), 3);
         assert_eq!(inc.count_of(3), 3);
@@ -541,11 +620,11 @@ mod tests {
 
     #[test]
     fn moves_update_counts_and_drop_empty_bins() {
-        let mut inc = IncrementalHistogram::from_values(&[0, 0, 1]);
-        inc.record_move(1, 0);
+        let mut inc = open(&[0, 0, 1]);
+        inc.move_balls(1, 0, 1);
         assert_eq!(inc.support_size(), 1);
         assert_eq!(inc.count_of(0), 3);
-        inc.record_move(0, 5);
+        inc.move_balls(0, 5, 1);
         assert_eq!(inc.count_of(5), 1);
         assert_eq!(inc.n(), 3);
     }
@@ -553,38 +632,43 @@ mod tests {
     #[test]
     #[should_panic]
     fn move_from_empty_bin_panics() {
-        let mut inc = IncrementalHistogram::from_values(&[0]);
-        inc.record_move(9, 0);
+        let mut inc = open(&[0]);
+        inc.move_balls(9, 0, 1);
     }
 
     #[test]
     fn apply_step_tracks_engine_round() {
         let old = vec![0u32, 1, 2, 2, 1];
         let new = vec![0u32, 2, 2, 2, 0];
-        let mut inc = LoadCounts::Tree(IncrementalHistogram::from_values(&old));
+        let mut inc = open(&old);
         inc.apply_step(&old, &new, &mut Vec::new());
-        assert_eq!(
-            inc,
-            LoadCounts::Tree(IncrementalHistogram::from_values(&new))
-        );
+        assert_eq!(inc, open(&new));
+        // A quiet round (one ball of eight over two bins) makes a new bin.
+        let old = [0u32, 0, 0, 0, 0, 0, 1, 1];
+        let new = [0u32, 0, 0, 0, 0, 0, 1, 7];
+        let mut inc = open(&old);
+        inc.apply_step(&old, &new, &mut Vec::new());
+        assert_eq!(inc, open(&new));
     }
 
     #[test]
     fn observe_matches_histogram_observables() {
         let state = vec![5u32, 5, 5, 2, 2, 9, 9, 9, 9];
-        let inc = LoadCounts::Tree(IncrementalHistogram::from_values(&state));
+        let inc = open(&state);
         let obs = inc.observe();
         assert_eq!(obs.support, 3);
         assert_eq!((obs.plurality_value, obs.plurality_count), (9, 4));
         assert_eq!(obs.median_value, 5, "the 5th smallest of 9 balls");
         assert_eq!(obs.imbalance, 0.5, "loads 4 and 3");
-        assert_eq!(observe_histogram(&inc.to_histogram()), obs);
+        let mut aggregated = LoadCounts::default();
+        aggregated.rebuild_aggregated(inc.live_bins().collect::<Vec<_>>());
+        assert_eq!(aggregated.observe(), obs);
     }
 
-    /// A fresh ranked maintainer over `state`, relabelled in place.
-    fn ranked(state: &mut [Value]) -> RankedCounts {
-        let mut r = RankedCounts::default();
-        r.rebuild_from(state, &mut Vec::new());
+    /// A fresh ranked handle over `state`, relabelled in place.
+    fn ranked(state: &mut [Value]) -> LoadCounts {
+        let mut r = LoadCounts::default();
+        r.rebuild(state, &mut Vec::new(), true);
         r
     }
 
@@ -594,25 +678,24 @@ mod tests {
         // Dirty it with a different, larger universe, then rebuild small.
         let mut big: Vec<Value> = (0..500u32).map(|i| i * 3).collect();
         let mut sorted = Vec::new();
-        r.rebuild_from(&mut big, &mut sorted);
+        r.rebuild(&mut big, &mut sorted, true);
         assert_eq!(r.support_size(), 500);
         let mut small = [7, 7, 3, 9, 3, 3];
-        r.rebuild_from(&mut small, &mut sorted);
+        r.rebuild(&mut small, &mut sorted, true);
         let fresh = ranked(&mut [7, 7, 3, 9, 3, 3]);
         assert_eq!(r.n(), fresh.n());
         assert_eq!(r.support_size(), 3);
         for v in [0u32, 1, 2, 100] {
             assert_eq!(r.count_of(v), fresh.count_of(v), "rank {v}");
         }
-        let (r, fresh) = (LoadCounts::Ranked(r), LoadCounts::Ranked(fresh));
         assert_eq!(r.observe(), fresh.observe());
-        assert_eq!(r.to_histogram(), fresh.to_histogram());
+        assert!(r.live_bins().eq(fresh.live_bins()));
     }
 
     #[test]
     fn ranked_rebuild_relabels_only_off_rank_universes() {
         let mut sparse = [7u32, 7, 3, 9, 3, 3];
-        let r = LoadCounts::Ranked(ranked(&mut sparse));
+        let r = ranked(&mut sparse);
         assert_eq!(sparse, [1, 1, 0, 2, 0, 0]);
         assert_eq!([0, 1, 2].map(|rank| r.value_of(rank)), [3, 7, 9]);
         assert_eq!([0, 1, 2].map(|rank| r.count_of(rank)), [3, 2, 1]);
@@ -625,38 +708,43 @@ mod tests {
     fn a_0_to_m_universe_keeps_no_rank_table() {
         let mut state = [2u32, 0, 1, 1, 3];
         let mut sorted = vec![99; 2];
-        let mut r = RankedCounts::default();
-        r.rebuild_from(&mut state, &mut sorted);
+        let mut r = LoadCounts::default();
+        r.rebuild(&mut state, &mut sorted, true);
         assert!(r.values.is_empty(), "no rank → value table for 0..m");
-        assert_eq!(r.counts, [1, 2, 1, 1]);
+        assert_eq!(r.ranks.counts, [1, 2, 1, 1]);
         assert_eq!(
             sorted,
             [0, 1, 2, 3],
             "the universe was sorted in the caller's buffer"
         );
-        let r = LoadCounts::Ranked(r);
         assert_eq!([0, 1, 2, 3].map(|rank| r.value_of(rank)), [0, 1, 2, 3]);
-        let mut set = crate::value::ValueSet::default();
+        let mut set = ValueSet::default();
         r.rebuild_value_set(&mut set);
         assert_eq!(set.values(), &[0, 1, 2, 3]);
     }
 
     #[test]
     fn a_sparse_universe_keeps_exactly_m_values() {
-        // A dirty maintainer that last held a large universe.
-        let mut r = RankedCounts::default();
+        // A dirty handle that last held a large universe.
+        let mut r = LoadCounts::default();
         let mut sorted = Vec::new();
-        r.rebuild_from(
+        r.rebuild(
             &mut (0..300u32).map(|i| i * 2).collect::<Vec<_>>(),
             &mut sorted,
+            true,
         );
         assert_eq!(r.values.len(), 300);
         let mut state = [40u32, 10, 40, 70, 10, 10];
-        r.rebuild_from(&mut state, &mut sorted);
+        r.rebuild(&mut state, &mut sorted, true);
         assert_eq!(r.values, [10, 40, 70], "m = 3 entries, not n");
-        assert_eq!(r.counts, [3, 2, 1]);
+        assert_eq!(r.ranks.counts, [3, 2, 1]);
+        // The map outlives the handoff to bins.
+        r.hand_off();
+        assert!(r.aggregated());
+        assert_eq!(r.live_bins().collect::<Vec<_>>(), [(0, 3), (1, 2), (2, 1)]);
+        assert_eq!([0, 1, 2].map(|rank| r.value_of(rank)), [10, 40, 70]);
         // Back to a 0..m universe: the table empties again.
-        r.rebuild_from(&mut [1u32, 0, 0], &mut sorted);
+        r.rebuild(&mut [1u32, 0, 0], &mut sorted, true);
         assert!(r.values.is_empty());
     }
 
@@ -664,22 +752,23 @@ mod tests {
     fn load_counts_rebuild_switches_maintainer_kind() {
         let state = [1u32, 1, 2, 5];
         let mut sorted = Vec::new();
-        let ranked = LoadCounts::rebuild(None, &mut state.clone(), &mut sorted, true);
-        assert!(matches!(ranked, LoadCounts::Ranked(_)));
-        // Kind mismatch: fall back to a fresh build of the right kind.
-        let tree = LoadCounts::rebuild(Some(ranked), &mut state.clone(), &mut sorted, false);
-        assert!(matches!(tree, LoadCounts::Tree(_)));
+        let mut loads = LoadCounts::default();
+        loads.rebuild(&mut state.clone(), &mut sorted, true);
+        assert_eq!(loads.table, Table::Ranks);
+        // A value-inventing rule reuses the same handle on bins.
+        loads.rebuild(&mut state.clone(), &mut sorted, false);
+        assert_eq!(loads.table, Table::Open);
         let mut ranks = state;
-        let back = LoadCounts::rebuild(Some(tree), &mut ranks, &mut sorted, true);
-        assert!(matches!(back, LoadCounts::Ranked(_)));
-        assert_eq!(back.count_of(ranks[0]), 2);
-        let mut set = crate::value::ValueSet::default();
-        back.rebuild_value_set(&mut set);
+        loads.rebuild(&mut ranks, &mut sorted, true);
+        assert_eq!(loads.table, Table::Ranks);
+        assert_eq!(loads.count_of(ranks[0]), 2);
+        let mut set = ValueSet::default();
+        loads.rebuild_value_set(&mut set);
         assert_eq!(set.values(), &[0, 1, 2]);
         assert_eq!(
             set.values()
                 .iter()
-                .map(|&r| back.value_of(r))
+                .map(|&r| loads.value_of(r))
                 .collect::<Vec<_>>(),
             [1, 2, 5]
         );
@@ -687,7 +776,7 @@ mod tests {
 
     #[test]
     fn observe_plurality_tie_prefers_smaller_value() {
-        let inc = LoadCounts::Tree(IncrementalHistogram::from_values(&[4, 4, 7, 7, 1]));
+        let inc = open(&[4, 4, 7, 7, 1]);
         let obs = inc.observe();
         assert_eq!(obs.plurality_value, 4);
         assert_eq!(obs.plurality_count, 2);

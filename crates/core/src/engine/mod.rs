@@ -34,9 +34,11 @@
 //! statistically exact for the median rule — the destination law depends
 //! only on the loads — and turns every round after it from `O(n)` into
 //! `O(m)`: an all-distinct trial at `n = 2²⁰` runs about 11 dense rounds
-//! of its 40; it would reach the 64-bin floor only at round 27. An
-//! adversary with a load-level form (balancer, median pusher, random)
-//! keeps acting on the histogram. The trial stays dense for all rounds
+//! of its 40; it would reach the 64-bin floor only at round 27. The
+//! handoff switches the trial's one load handle
+//! ([`adaptive::LoadCounts`]) from the rank table to sorted bins in place,
+//! and an adversary with a load-level form (balancer, median pusher,
+//! random) keeps acting on those bins. The trial stays dense for all rounds
 //! (exact, just not faster) when something needs a per-ball view: an
 //! adversary that names processes (reviver, stubborn:
 //! [`crate::adversary::AdversarySpec::needs_processes`]), an

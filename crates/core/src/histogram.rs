@@ -11,7 +11,12 @@ use crate::value::Value;
 
 /// A configuration aggregated by value: sorted `(value, load)` pairs with
 /// strictly increasing values and strictly positive loads.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The `Default` value is an **empty placeholder** kept only so a bin
+/// buffer can be parked between trials (see
+/// [`crate::engine::adaptive::LoadCounts`]); it must be filled before
+/// queries.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     bins: Vec<(Value, u64)>,
     n: u64,
@@ -24,20 +29,38 @@ impl Histogram {
     /// # Panics
     /// Panics if the total load is zero or exceeds 2^52.
     pub fn new(pairs: &[(Value, u64)]) -> Self {
-        let mut bins: Vec<(Value, u64)> = pairs.iter().copied().filter(|&(_, c)| c > 0).collect();
-        bins.sort_unstable_by_key(|&(v, _)| v);
-        // Merge duplicates.
-        let mut merged: Vec<(Value, u64)> = Vec::with_capacity(bins.len());
-        for (v, c) in bins {
-            match merged.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => merged.push((v, c)),
+        let mut h = Self {
+            bins: pairs.to_vec(),
+            n: 0,
+        };
+        h.normalize();
+        h
+    }
+
+    /// Recount from one value per ball, reusing the bin buffer.
+    ///
+    /// # Panics
+    /// Panics if `values` is empty or longer than 2^52.
+    pub fn recount(&mut self, values: &[Value]) {
+        self.bins.clear();
+        self.bins.extend(values.iter().map(|&v| (v, 1)));
+        self.normalize();
+    }
+
+    /// Sort the bins by value, merge duplicates, drop zero loads, total.
+    fn normalize(&mut self) {
+        self.bins.sort_unstable_by_key(|&(v, _)| v);
+        self.bins.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
             }
-        }
-        let n: u64 = merged.iter().map(|&(_, c)| c).sum();
-        assert!(n > 0, "Histogram: empty");
-        assert!(n <= 1 << 52, "Histogram: n exceeds 2^52");
-        Self { bins: merged, n }
+            same
+        });
+        self.bins.retain(|&(_, c)| c > 0);
+        self.n = self.bins.iter().map(|&(_, c)| c).sum();
+        assert!(self.n > 0, "Histogram: empty");
+        assert!(self.n <= 1 << 52, "Histogram: n exceeds 2^52");
     }
 
     /// Total number of balls.
@@ -120,31 +143,26 @@ impl Histogram {
         self.bins.retain(|&(_, c)| c > 0);
     }
 
-    /// Refill `slot` from already sorted, strictly ascending, positive-load
-    /// bins, reusing the parked histogram's allocation when there is one —
-    /// the adaptive engine's handoff path.
+    /// Refill from already sorted, strictly ascending, positive-load bins,
+    /// reusing the bin buffer — the adaptive engine's handoff path.
     ///
     /// # Panics
     /// Panics if the bins are empty or the total exceeds 2^52 (debug builds
     /// also check ordering and positivity).
-    pub fn refill(slot: &mut Option<Histogram>, bins: impl Iterator<Item = (Value, u64)>) {
-        let h = slot.get_or_insert_with(|| Histogram {
-            bins: Vec::new(),
-            n: 0,
-        });
-        h.bins.clear();
-        h.n = 0;
+    pub fn refill(&mut self, bins: impl IntoIterator<Item = (Value, u64)>) {
+        self.bins.clear();
+        self.n = 0;
         for (v, c) in bins {
             debug_assert!(c > 0, "refill: zero load for {v}");
             debug_assert!(
-                h.bins.last().is_none_or(|&(lv, _)| lv < v),
+                self.bins.last().is_none_or(|&(lv, _)| lv < v),
                 "refill: bins not strictly ascending"
             );
-            h.bins.push((v, c));
-            h.n += c;
+            self.bins.push((v, c));
+            self.n += c;
         }
-        assert!(h.n > 0, "Histogram: empty");
-        assert!(h.n <= 1 << 52, "Histogram: n exceeds 2^52");
+        assert!(self.n > 0, "Histogram: empty");
+        assert!(self.n <= 1 << 52, "Histogram: n exceeds 2^52");
     }
 }
 

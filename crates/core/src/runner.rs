@@ -4,8 +4,9 @@
 //! Round structure (one iteration, matching the paper's model):
 //!
 //! 1. the adversary inspects the full state and corrupts up to `T`
-//!    processes (values restricted to the initial set) — on the dense state,
-//!    or on the adaptive engine's histogram after the handoff;
+//!    processes (values restricted to the initial set) — through the
+//!    trial's load handle, with a view of the dense state while there is
+//!    one;
 //! 2. every process samples and updates synchronously (the engine step);
 //! 3. the load table absorbs the balls that moved, and the new state is
 //!    observed for consensus / almost-stability. A state with `s` live
@@ -20,9 +21,8 @@ use stabcon_obs as obs;
 use stabcon_util::rng::{derive_seed, Xoshiro256pp};
 
 use crate::adversary::{AdversarySpec, Corruptor};
-use crate::engine::adaptive::{handoff_threshold, observe_histogram, LoadCounts};
+use crate::engine::adaptive::handoff_threshold;
 use crate::engine::{dense, hist, EngineSpec};
-use crate::histogram::Histogram;
 use crate::init::InitialCondition;
 use crate::protocol::{
     KMedianRule, MajorityRule, MaxRule, MeanRule, MedianRule, MinRule, Protocol, ProtocolSpec,
@@ -280,40 +280,27 @@ impl SimSpec {
         // engine only); reserved unconditionally so seeds stay stable.
         let mut hist_rng = Xoshiro256pp::seed(derive_seed(seed, 3));
 
-        // Post-handoff aggregated state (adaptive engine only). While this
-        // is `Some`, `state`/`counts` are frozen at the handoff round.
-        let mut hist_state: Option<Histogram> = None;
-        // Incrementally maintained bin loads. For validity-preserving rules
-        // this relabels the state to ranks: from here on the state, the
-        // allowed set and every observable are in the maintainer's space,
-        // and `counts.value_of` maps back at the end (winner, trajectory).
-        let counts = ws.counts.take();
+        // The trial's one load handle. For validity-preserving rules its
+        // rebuild relabels the state to ranks: from here on the state, the
+        // allowed set and every observable are in the handle's space, and
+        // `loads.value_of` maps back at the end (winner, trajectory).
+        let mut loads = std::mem::take(&mut ws.loads);
         if start_aggregated {
-            // The histogram holds the loads, in rank space; the maintainer
-            // ranks one ball per initial value, for `value_of` and the
-            // value set only.
-            let loads = &mut ws.initial_loads;
-            self.init.loads_into(self.n, &mut init_rng, loads);
-            ws.state.clear();
-            ws.state.extend(loads.iter().map(|&(v, _)| v));
-            hist_state = ws.handoff.take();
-            let ranked = loads.iter().enumerate().map(|(r, &(_, c))| (r as Value, c));
-            Histogram::refill(&mut hist_state, ranked);
+            let bins = &mut ws.initial_loads;
+            self.init.loads_into(self.n, &mut init_rng, bins);
+            loads.rebuild_aggregated(bins.iter().copied());
         } else {
             self.init
                 .materialize_into(self.n, &mut init_rng, &mut ws.state);
-        }
-        let mut counts = LoadCounts::rebuild(
-            counts,
-            &mut ws.state,
-            &mut ws.scratch,
-            protocol.validity_preserving(),
-        );
-        if !start_aggregated {
+            loads.rebuild(
+                &mut ws.state,
+                &mut ws.scratch,
+                protocol.validity_preserving(),
+            );
             ws.scratch.resize(self.n, 0);
         }
         let mut initial_set = ws.initial_set.take().unwrap_or_default();
-        counts.rebuild_value_set(&mut initial_set);
+        loads.rebuild_value_set(&mut initial_set);
         let mut adversary = self.adversary.build();
 
         let threshold = self.disagreement_threshold();
@@ -344,23 +331,9 @@ impl SimSpec {
                 EngineSpec::Message(cfg) => cfg.scenario.consensus_absorbing(),
                 _ => true,
             };
-        // The observables of whichever backing the trial is on, and the
-        // support with the observables only if the round can count.
-        let observe_all = |hist: &Option<Histogram>, counts: &LoadCounts| match hist {
-            Some(h) => observe_histogram(h),
-            None => counts.observe(),
-        };
-        let observe = |hist: &Option<Histogram>, counts: &LoadCounts| {
-            let support = hist
-                .as_ref()
-                .map_or(counts.support_size(), |h| h.support_size());
-            (
-                support,
-                observed(support).then(|| observe_all(hist, counts)),
-            )
-        };
         // Observe the initial state (round 0).
-        let (mut support, obs) = observe(&hist_state, &counts);
+        let mut support = loads.support_size();
+        let obs = observed(support).then(|| loads.observe());
         let mut done = self.track(&mut tracker, &mut trajectory, 0, obs.as_ref())
             || (absorbing && support == 1);
         drop(init);
@@ -374,31 +347,26 @@ impl SimSpec {
             // Adaptive handoff once a histogram round is the cheaper one:
             // the switch is statistically exact conditioned on the loads,
             // at round 0 as at any later round.
-            if hist_state.is_none() && handoff_at.is_some_and(|t| support <= t) {
+            if !loads.aggregated() && handoff_at.is_some_and(|t| support <= t) {
                 let _t = obs::phase(obs::Phase::Handoff);
-                hist_state = ws.handoff.take();
-                counts.snapshot_into(&mut hist_state);
+                loads.hand_off();
             }
-            // 1. The adversary corrupts at the beginning of the round, on
-            // whichever backing the trial is on.
+            let aggregated = loads.aggregated();
+            // 1. The adversary corrupts at the beginning of the round,
+            // with a view of the processes while the trial is dense.
             if self.budget > 0 {
                 let _t = obs::phase(obs::Phase::Adversary);
-                let mut corruptor = match hist_state.as_mut() {
-                    Some(h) => Corruptor::aggregated(h, &initial_set, self.budget, &mut ws.draws),
-                    None => Corruptor::new(
-                        &mut ws.state,
-                        &mut counts,
-                        &initial_set,
-                        self.budget,
-                        &mut ws.touched,
-                    ),
-                };
+                let mut corruptor =
+                    Corruptor::new(&mut loads, &initial_set, self.budget, &mut ws.draws);
+                if !aggregated {
+                    corruptor = corruptor.with_processes(&mut ws.state, &mut ws.touched);
+                }
                 adversary.corrupt(round, &mut corruptor, &mut adv_rng);
             }
-            if let Some(h) = hist_state.as_mut() {
+            if aggregated {
                 // Aggregated phase: one pooled binomial sweep.
                 let _t = obs::phase(obs::Phase::Hist);
-                hist::step_in_place(h, &mut hist_rng, &mut ws.hist_scratch);
+                hist::step_in_place(loads.bins_mut(), &mut hist_rng, &mut ws.hist_scratch);
             } else {
                 // 2. Synchronous protocol step. Full dense rounds sample
                 // peers through the load distribution once the support is
@@ -408,10 +376,10 @@ impl SimSpec {
                 let use_sampled = self.update_fraction >= 1.0
                     && !matches!(self.engine, EngineSpec::Message(_))
                     && self.n >= dense::SAMPLED_N_MIN
-                    && counts.support_size() <= dense::SAMPLED_SUPPORT_MAX;
+                    && loads.support_size() <= dense::SAMPLED_SUPPORT_MAX;
                 if use_sampled {
                     let _t = obs::phase(obs::Phase::Sampler);
-                    counts.rebuild_sampler(&mut ws.sampler);
+                    loads.rebuild_sampler(&mut ws.sampler);
                 }
                 match self.engine {
                     EngineSpec::Message(_) => {
@@ -453,53 +421,43 @@ impl SimSpec {
                 }
                 // 3. Fold the moved balls into the loads.
                 let _t = obs::phase(obs::Phase::Loads);
-                counts.apply_step(&ws.state, &ws.scratch, &mut ws.moves);
+                loads.apply_step(&ws.state, &ws.scratch, &mut ws.moves);
                 std::mem::swap(&mut ws.state, &mut ws.scratch);
             }
             rounds_executed += 1;
             // 4. Observe (an O(m) walk over live bins) if the round can
             // count, and track it.
             let _t = obs::phase(obs::Phase::Loads);
-            let obs;
-            (support, obs) = observe(&hist_state, &counts);
+            support = loads.support_size();
+            let obs = observed(support).then(|| loads.observe());
             done = self.track(&mut tracker, &mut trajectory, round + 1, obs.as_ref())
                 || (absorbing && support == 1);
             if let Some((_, v)) = tracker.stable_hit() {
-                let agreeing = match &hist_state {
-                    Some(h) => h.load(v),
-                    None => counts.count_of(v),
-                };
-                let disagreement = self.n as u64 - agreeing;
+                let disagreement = self.n as u64 - loads.count_of(v);
                 max_after_stable = Some(max_after_stable.unwrap_or(0).max(disagreement));
             }
             final_obs = obs;
         }
 
         // The last executed round was skipped: observe the final state once.
-        let final_obs = final_obs.unwrap_or_else(|| observe_all(&hist_state, &counts));
+        let final_obs = final_obs.unwrap_or_else(|| loads.observe());
         let winner = tracker
             .stable_hit()
             .map(|(_, v)| v)
             .unwrap_or(final_obs.plurality_value);
-        let winner_count = match &hist_state {
-            Some(h) => h.load(winner),
-            None => counts.count_of(winner),
-        };
+        let winner_count = loads.count_of(winner);
         let winner_valid = initial_set.contains(winner);
         // Back from the state's space to values, at the trial's edges.
-        let winner = counts.value_of(winner);
+        let winner = loads.value_of(winner);
         for obs in &mut trajectory {
-            obs.plurality_value = counts.value_of(obs.plurality_value);
-            obs.median_value = counts.value_of(obs.median_value);
+            obs.plurality_value = loads.value_of(obs.plurality_value);
+            obs.median_value = loads.value_of(obs.median_value);
         }
         let net_totals = message_engine.as_ref().map(|e| *e.totals());
 
         // Park every reusable buffer for the next trial.
-        ws.counts = Some(counts);
+        ws.loads = loads;
         ws.initial_set = Some(initial_set);
-        if hist_state.is_some() {
-            ws.handoff = hist_state.take();
-        }
         if message_engine.is_some() {
             ws.message = message_engine.take();
         }

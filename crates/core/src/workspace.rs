@@ -2,18 +2,18 @@
 //!
 //! A campaign runs millions of short trials, and before this module every
 //! one of them re-allocated its whole world: the state vector, the scratch
-//! vector, the load table (per-rank `u32` `counts`, plus a rank → value
-//! `values` table only for a universe that is not `0..m`; or the mean
-//! rule's tree), the initial value set, the adversary's touched set and
-//! draws, the load upkeep's move buffer, the trajectory, the adaptive handoff
-//! histogram and the initial loads of a trial that starts aggregated,
-//! and — for the message engine — the routing buffers. A
+//! vector, the load handle (a per-rank `u32` table, sorted live bins for
+//! the mean rule and after the adaptive handoff, and a rank → value map
+//! only for a universe that is not `0..m`), the initial value set, the
+//! adversary's touched set and draws, the load upkeep's move buffer, the
+//! trajectory, the initial loads of a trial that starts aggregated, and —
+//! for the message engine — the routing buffers. A
 //! [`TrialWorkspace`] owns all of those once per worker for a whole
 //! campaign;
 //! [`crate::runner::SimSpec::run_seeded_into`] rebuilds them in place each
 //! trial, so the steady-state allocation count per dense trial is O(1)
 //! (pinned by `tests/alloc_regression.rs`). At n = 2²⁰ all-distinct balls
-//! the state, scratch and load table take 4 MiB each: the initial universe
+//! the state, scratch and rank table take 4 MiB each: the initial universe
 //! is sorted in `scratch`, so no n-sized copy of it is kept.
 //!
 //! Reuse is **observationally invisible**: a trial through a dirty, reused
@@ -25,7 +25,6 @@ use crate::engine::adaptive::LoadCounts;
 use crate::engine::dense::LoadSampler;
 use crate::engine::hist;
 use crate::engine::{MessageConfig, MessageEngine};
-use crate::histogram::Histogram;
 use crate::runner::{RoundObs, RunResult};
 use crate::value::{Value, ValueSet};
 
@@ -47,19 +46,18 @@ pub struct TrialWorkspace {
     /// Load-sampled dense round state: live value table + packed alias,
     /// rebuilt in place each sampled round (no per-round allocation).
     pub(crate) sampler: LoadSampler,
-    /// Incremental load maintainer (parked between trials).
-    pub(crate) counts: Option<LoadCounts>,
+    /// The trial's load handle: rank table and bins, both kept for their
+    /// buffers (parked between trials).
+    pub(crate) loads: LoadCounts,
     /// Initial value set (parked between trials).
     pub(crate) initial_set: Option<ValueSet>,
     /// The adversary's per-round bitmap of written processes.
     pub(crate) touched: Vec<u64>,
-    /// The random adversary's per-round draws on the aggregated backing.
+    /// The random adversary's per-round draws without a process view.
     pub(crate) draws: Draws,
     /// The load upkeep's per-block `(old, new)` move buffer
     /// (`LoadCounts::apply_step`), sized once.
     pub(crate) moves: Vec<(Value, Value)>,
-    /// Aggregated-phase histogram for the adaptive engine's handoff.
-    pub(crate) handoff: Option<Histogram>,
     /// Initial `(value, load)` pairs of a trial that starts aggregated.
     pub(crate) initial_loads: Vec<(Value, u64)>,
     /// Histogram-engine per-round buffers (new loads, down-movers).

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::RngCore;
 use stabcon_core::adversary::{Adversary, AdversarySpec, Corruptor, MedianPusher};
-use stabcon_core::engine::adaptive::{observe_histogram, LoadCounts};
+use stabcon_core::engine::adaptive::LoadCounts;
 use stabcon_core::engine::{dense, hist, EngineSpec, MessageConfig, Rejoin, ScenarioSpec};
 use stabcon_core::histogram::Histogram;
 use stabcon_core::init::InitialCondition;
@@ -15,13 +15,28 @@ use stabcon_core::value::{Value, ValueSet};
 use stabcon_core::workspace::TrialWorkspace;
 use stabcon_util::rng::Xoshiro256pp;
 
+/// The loads of a dense `state`: the rank table (relabelling `state`) or,
+/// for a value-inventing rule, open bins.
+fn rebuilt(state: &mut [Value], validity_preserving: bool) -> LoadCounts {
+    let mut loads = LoadCounts::default();
+    loads.rebuild(state, &mut Vec::new(), validity_preserving);
+    loads
+}
+
+/// The loads of a trial on the histogram engine: the bins of `hist`.
+fn aggregated(hist: &Histogram) -> LoadCounts {
+    let mut loads = LoadCounts::default();
+    loads.rebuild_aggregated(hist.bins().iter().copied());
+    loads
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // --- observables against a sort-based reference --------------------------
 
-    /// Every production observable path — the ranked and the tree load
-    /// table, and the aggregated histogram — reports the dense
+    /// Every production observable path — the rank table, open bins, and
+    /// the aggregated histogram — reports the dense
     /// configuration's support, plurality (ties to the smaller value),
     /// lower-median bin and two-bin imbalance, as computed here by sorting.
     #[test]
@@ -45,10 +60,10 @@ proptest! {
         let imbalance = (loads[0] - loads.get(1).copied().unwrap_or(0)) as f64 / 2.0;
 
         let balls: Vec<(Value, u64)> = values.iter().map(|&v| (v, 1)).collect();
-        let mut observed = vec![("histogram", observe_histogram(&Histogram::new(&balls)))];
-        for (name, ranked) in [("ranked", true), ("tree", false)] {
+        let mut observed = vec![("histogram", aggregated(&Histogram::new(&balls)).observe())];
+        for (name, ranked) in [("ranked", true), ("open", false)] {
             let mut state = values.clone();
-            let counts = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), ranked);
+            let counts = rebuilt(&mut state, ranked);
             // The ranked table reports ranks; map them back to values.
             let mut obs = counts.observe();
             obs.plurality_value = counts.value_of(obs.plurality_value);
@@ -122,12 +137,13 @@ proptest! {
         let mut adv = specs[which].build();
         let mut rng = Xoshiro256pp::seed(seed);
         let mut state = values.clone();
-        let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), false);
-        let mut touched = Vec::new();
+        let mut loads = rebuilt(&mut state, false);
+        let (mut touched, mut draws) = (Vec::new(), Vec::new());
         for round in 0..4u64 {
             let before = state.clone();
             {
-                let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
+                let mut c = Corruptor::new(&mut loads, &set, budget, &mut draws)
+                    .with_processes(&mut state, &mut touched);
                 adv.corrupt(round, &mut c, &mut rng);
             }
             let changed = state.iter().zip(&before).filter(|(a, b)| a != b).count() as u64;
@@ -146,17 +162,17 @@ proptest! {
         let pairs: Vec<(u32, u64)> = loads.iter().enumerate().map(|(v, &c)| (v as u32, c)).collect();
         let set = ValueSet::from_values(&pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>());
         let total: u64 = loads.iter().sum();
-        let mut working = Histogram::new(&pairs);
-        let moved = Corruptor::aggregated(&mut working, &set, budget, &mut Vec::new())
+        let mut working = aggregated(&Histogram::new(&pairs));
+        let moved = Corruptor::new(&mut working, &set, budget, &mut Vec::new())
             .move_balls(from as u32, to as u32, 30);
         prop_assert!(moved <= budget);
         prop_assert_eq!(working.n(), total, "population changed");
-        let after: u64 = working.bins().iter().map(|&(_, c)| c).sum();
+        let after: u64 = working.live_bins().map(|(_, c)| c).sum();
         prop_assert_eq!(after, total, "population changed");
     }
 
     /// Every strategy that runs on loads (`needs_processes()` is false, the
-    /// random one included) on the aggregated backing over an arbitrary
+    /// random one included) without a process view over an arbitrary
     /// histogram: the population is conserved, at most `T` balls move, and
     /// every live bin holds an allowed value.
     #[test]
@@ -182,22 +198,21 @@ proptest! {
             AdversarySpec::Stubborn,
         ];
         for spec in specs.into_iter().filter(|s| !s.needs_processes()) {
-            let (mut hist, mut adv) = (start.clone(), spec.build());
+            let (mut hist, mut adv) = (aggregated(&start), spec.build());
             for round in 0..3u64 {
                 let before = hist.clone();
-                let mut c = Corruptor::aggregated(&mut hist, &set, budget, &mut draws);
+                let mut c = Corruptor::new(&mut hist, &set, budget, &mut draws);
                 adv.corrupt(round, &mut c, &mut rng);
                 prop_assert!(c.touched() <= budget, "{} round {}", spec.label(), round);
-                let total: u64 = hist.bins().iter().map(|&(_, c)| c).sum();
+                let total: u64 = hist.live_bins().map(|(_, c)| c).sum();
                 prop_assert_eq!(total, start.n(), "{} round {}", spec.label(), round);
                 prop_assert_eq!(hist.n(), start.n());
                 let moved: u64 = before
-                    .bins()
-                    .iter()
-                    .map(|&(v, c)| c.saturating_sub(hist.load(v)))
+                    .live_bins()
+                    .map(|(v, c)| c.saturating_sub(hist.count_of(v)))
                     .sum();
                 prop_assert!(moved <= budget, "{} moved {} > {}", spec.label(), moved, budget);
-                for &(v, _) in hist.bins() {
+                for (v, _) in hist.live_bins() {
                     prop_assert!(set.contains(v), "{} left {} live", spec.label(), v);
                 }
             }
@@ -205,8 +220,8 @@ proptest! {
     }
 
     /// A load-only strategy moves each ball at most once per round, so the
-    /// dense budget (distinct processes) and the aggregated one (balls
-    /// moved) count the same thing, and both backings see the same loads.
+    /// budget with a process view (distinct processes) and without one
+    /// (balls moved) count the same thing, and both see the same loads.
     #[test]
     fn load_only_strategies_move_each_ball_once(
         values in prop::collection::vec(0u32..6, 2..150),
@@ -217,26 +232,28 @@ proptest! {
         let spec = if pusher { AdversarySpec::MedianPusher } else { AdversarySpec::Balancer };
         prop_assert!(!spec.needs_processes());
         let mut state = values.clone();
-        let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+        let mut loads = rebuilt(&mut state, true);
         let mut set = ValueSet::default();
         loads.rebuild_value_set(&mut set);
-        let mut hist = loads.to_histogram();
+        let mut hist = aggregated(&Histogram::new(&loads.live_bins().collect::<Vec<_>>()));
         let (mut adv, mut hist_adv) = (spec.build(), spec.build());
         let mut rng = Xoshiro256pp::seed(seed);
         let mut hist_rng = rng.clone();
         let (mut touched, mut draws) = (Vec::new(), Vec::new());
         for round in 0..3u64 {
             let before = state.clone();
-            let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
+            let mut c = Corruptor::new(&mut loads, &set, budget, &mut draws)
+                .with_processes(&mut state, &mut touched);
             adv.corrupt(round, &mut c, &mut rng);
             let flips = c.touched();
             let moved = state.iter().zip(&before).filter(|(a, b)| a != b).count() as u64;
             prop_assert_eq!(flips, moved, "{} round {}", spec.label(), round);
             prop_assert!(flips <= budget);
-            let mut h = Corruptor::aggregated(&mut hist, &set, budget, &mut draws);
+            let mut h = Corruptor::new(&mut hist, &set, budget, &mut draws);
             hist_adv.corrupt(round, &mut h, &mut hist_rng);
             prop_assert_eq!(h.touched(), flips, "{} round {}", spec.label(), round);
-            prop_assert_eq!(&hist, &loads.to_histogram(), "{} round {}", spec.label(), round);
+            let (hist_bins, bins): (Vec<_>, Vec<_>) = (hist.live_bins().collect(), loads.live_bins().collect());
+            prop_assert_eq!(hist_bins, bins, "{} round {}", spec.label(), round);
         }
     }
 
@@ -401,7 +418,7 @@ proptest! {
                 .collect()
         };
         let mut state = old.clone();
-        let start = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+        let start = rebuilt(&mut state, true);
         prop_assert_eq!(&state, &old);
         let (mut blocked, mut per_ball) = (start.clone(), start);
         let mut moves = Vec::new();
@@ -410,7 +427,7 @@ proptest! {
             let to = next(&from, round, keep, bulk);
             blocked.apply_step(&from, &to, &mut moves);
             for (&o, &t) in from.iter().zip(&to) {
-                per_ball.record_move(o, t);
+                per_ball.move_balls(o, t, 1);
             }
             prop_assert_eq!(&blocked, &per_ball, "round {}", round);
             let live = (0..m).filter(|&r| per_ball.count_of(r) > 0).count();
@@ -427,7 +444,7 @@ proptest! {
     /// threshold is invisible: a trial reports the same result with its
     /// trajectory recorded (every round observed) as without. Covers every
     /// adversary at budget 0 and ⌊√n/4⌋, full horizon on and off, the
-    /// adaptive handoff, the mean rule's tree path, and a round cap that
+    /// adaptive handoff, the mean rule's open bins, and a round cap that
     /// ends trials while the support is still wide.
     #[test]
     fn recording_a_trajectory_does_not_change_the_result(
@@ -500,7 +517,7 @@ proptest! {
 fn median_pusher_full_scan(c: &mut Corruptor<'_>, rng: &mut dyn RngCore) {
     let median = c.lower_median();
     let (lo, hi) = (c.allowed().min(), c.allowed().max());
-    let mut p = c.processes().expect("dense backing");
+    let mut p = c.processes().expect("a process view");
     if lo == hi {
         return;
     }
@@ -537,19 +554,20 @@ proptest! {
         } else {
             (0..n as Value).collect()
         };
-        let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), true);
+        let mut loads = rebuilt(&mut state, true);
         let mut allowed = ValueSet::default();
         loads.rebuild_value_set(&mut allowed);
         let (mut ref_state, mut ref_loads) = (state.clone(), loads.clone());
-        let (mut touched, mut ref_touched) = (Vec::new(), Vec::new());
+        let (mut touched, mut ref_touched, mut draws) = (Vec::new(), Vec::new(), Vec::new());
         let mut rng = Xoshiro256pp::seed(seed);
         let mut ref_rng = rng.clone();
         for round in 0..4 {
-            let mut c = Corruptor::new(&mut state, &mut loads, &allowed, budget, &mut touched);
+            let mut c = Corruptor::new(&mut loads, &allowed, budget, &mut draws)
+                .with_processes(&mut state, &mut touched);
             MedianPusher.corrupt(round, &mut c, &mut rng);
             let flips = c.touched();
-            let mut r = Corruptor::new(&mut ref_state, &mut ref_loads, &allowed, budget,
-                                       &mut ref_touched);
+            let mut r = Corruptor::new(&mut ref_loads, &allowed, budget, &mut draws)
+                .with_processes(&mut ref_state, &mut ref_touched);
             median_pusher_full_scan(&mut r, &mut ref_rng);
             prop_assert_eq!(flips, r.touched(), "round {}", round);
             prop_assert_eq!(&state, &ref_state, "round {}", round);

@@ -290,7 +290,7 @@ fn every_engine_follows_the_exact_two_bin_chain() {
             &consensus,
         );
         if matches!(engine, EngineSpec::Message(_)) {
-            // An adversary acts on the same dense backing under every
+            // An adversary acts on the same dense state under every
             // dense-state engine, and a message round costs many dense ones.
             continue;
         }

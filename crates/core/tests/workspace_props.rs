@@ -90,7 +90,7 @@ fn dirty(ws: &mut TrialWorkspace, salt: u64) {
         let r = sim.run_seeded_into(salt ^ i as u64, ws);
         ws.recycle(r);
     }
-    // Dirty the tree maintainer too (mean rule → IncrementalHistogram).
+    // Dirty the open bins too (the mean rule's loads).
     let sim = SimSpec::new(64)
         .init(InitialCondition::AllDistinct)
         .protocol(ProtocolSpec::Mean)

@@ -271,15 +271,18 @@ fn descriptor_from(args: &Args) -> SpecDescriptor {
     }
 }
 
-/// SIGTERM → queue-daemon halt: stop dealing leases, refuse submissions,
-/// let in-flight cells come home, park the queue in the journal, exit. The
-/// handler body is a single atomic store; a bridge thread forwards the
-/// static flag into the daemon's shutdown handle.
+/// SIGTERM → `flag`: the queue daemon's halt for `serve` (stop dealing
+/// leases, refuse submissions, let in-flight cells come home, park the
+/// queue in the journal, exit) and the graceful drain for `work` (finish
+/// the in-flight cell, ship its result, say goodbye). The handler body is a
+/// single atomic store (async-signal-safe); a bridge thread forwards the
+/// static flag into `flag`. Every other subcommand keeps the default
+/// terminate-now behavior.
 #[cfg(unix)]
-fn install_sigterm_halt(flag: Arc<AtomicBool>) {
-    static HALT: AtomicBool = AtomicBool::new(false);
+fn install_sigterm(flag: Arc<AtomicBool>) {
+    static TERM: AtomicBool = AtomicBool::new(false);
     extern "C" fn on_sigterm(_sig: i32) {
-        HALT.store(true, Ordering::SeqCst);
+        TERM.store(true, Ordering::SeqCst);
     }
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
@@ -289,7 +292,7 @@ fn install_sigterm_halt(flag: Arc<AtomicBool>) {
         signal(SIGTERM, on_sigterm);
     }
     std::thread::spawn(move || loop {
-        if HALT.load(Ordering::SeqCst) {
+        if TERM.load(Ordering::SeqCst) {
             flag.store(true, Ordering::SeqCst);
             return;
         }
@@ -298,7 +301,7 @@ fn install_sigterm_halt(flag: Arc<AtomicBool>) {
 }
 
 #[cfg(not(unix))]
-fn install_sigterm_halt(_flag: Arc<AtomicBool>) {}
+fn install_sigterm(_flag: Arc<AtomicBool>) {}
 
 /// The campaign `serve` submits at startup: any spec flag turns the daemon
 /// into a one-job queue for it.
@@ -354,7 +357,7 @@ fn serve(args: &Args) -> Result<(), String> {
     );
     let startup = startup_campaign(args);
     let halt = Arc::new(AtomicBool::new(false));
-    install_sigterm_halt(Arc::clone(&halt));
+    install_sigterm(Arc::clone(&halt));
     let cfg = QueueServeConfig {
         lease: Duration::from_secs(args.lease_secs.unwrap_or(60).max(1)),
         progress: args.progress,
@@ -468,34 +471,17 @@ fn chaos(args: &Args) -> Result<(), String> {
     })
 }
 
-/// SIGTERM → graceful worker drain: finish the in-flight cell, ship its
-/// result, say goodbye. The handler body is a single atomic store
-/// (async-signal-safe). Registered only for `stabcon work` — every other
-/// subcommand keeps the default terminate-now behavior.
-#[cfg(unix)]
-fn install_sigterm_drain() {
-    extern "C" fn on_sigterm(_sig: i32) {
-        stabcon_exp::fabric::request_drain();
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_sigterm);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_sigterm_drain() {}
-
 fn work(args: &Args) -> Result<(), String> {
     let addr = args
         .connect
         .as_deref()
         .ok_or_else(|| format!("--connect HOST:PORT is required\n\n{}", usage()))?;
-    install_sigterm_drain();
-    let mut cfg = WorkerConfig::default();
+    let drain = Arc::new(AtomicBool::new(false));
+    install_sigterm(Arc::clone(&drain));
+    let mut cfg = WorkerConfig {
+        drain: Some(drain),
+        ..WorkerConfig::default()
+    };
     if let Some(t) = args.threads {
         cfg.threads = t;
     }
@@ -627,31 +613,25 @@ fn report(args: &Args) -> Result<(), String> {
 }
 
 fn telemetry_check(args: &Args) -> Result<(), String> {
-    // Auto-detect which schema the file claims and validate against it:
-    // a telemetry sink (`stabcon-telemetry/1`) or a per-cell timings
-    // sidecar (`stabcon-timings/1`).
-    match telemetry::peek_schema(&args.out)?.as_str() {
-        telemetry::TIMINGS_SCHEMA => {
-            let check = telemetry::check_timings(&args.out)?;
-            println!(
-                "{}: valid {} — {} line(s), {} cell(s), {} superseded duplicate(s) (last wins)",
-                args.out.display(),
-                telemetry::TIMINGS_SCHEMA,
-                check.lines,
-                check.cells,
-                check.duplicates
-            );
-        }
-        _ => {
-            let check = telemetry::check_telemetry(&args.out)?;
-            println!(
-                "{}: valid {} — {} snapshot(s), {} cell profile(s)",
-                args.out.display(),
-                telemetry::TELEMETRY_SCHEMA,
-                check.snapshots,
-                check.cell_profiles
-            );
-        }
+    // One pass: the file's line 0 says which schema it claims, a telemetry
+    // sink (`stabcon-telemetry/1`) or a per-cell timings sidecar
+    // (`stabcon-timings/1`), and every record is validated against it.
+    match telemetry::check_log(&args.out)? {
+        telemetry::LogCheck::Timings(check) => println!(
+            "{}: valid {} — {} line(s), {} cell(s), {} superseded duplicate(s) (last wins)",
+            args.out.display(),
+            telemetry::TIMINGS_SCHEMA,
+            check.lines,
+            check.cells,
+            check.duplicates
+        ),
+        telemetry::LogCheck::Telemetry(check) => println!(
+            "{}: valid {} — {} snapshot(s), {} cell profile(s)",
+            args.out.display(),
+            telemetry::TELEMETRY_SCHEMA,
+            check.snapshots,
+            check.cell_profiles
+        ),
     }
     Ok(())
 }

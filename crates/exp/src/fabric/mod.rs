@@ -46,4 +46,4 @@ pub use queue::{
     Rejection, JOBS_SCHEMA,
 };
 pub use serve::{Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeState};
-pub use worker::{request_drain, run_worker_any, WorkerConfig, WorkerOutcome};
+pub use worker::{run_worker_any, WorkerConfig, WorkerOutcome};

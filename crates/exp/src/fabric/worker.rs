@@ -29,10 +29,10 @@
 //! * **Lease heartbeats.** While a cell runs, a background thread sends
 //!   fire-and-forget [`Msg::Renew2`] frames every third of the lease, so a
 //!   slow cell on a live worker never gets re-leased out from under it.
-//! * **Graceful drain.** On SIGTERM (the binary installs a handler that
-//!   calls [`request_drain`]) or a test-injected drain flag, the worker
-//!   finishes the cell in flight, ships its result, says [`Msg::Goodbye`],
-//!   and exits cleanly instead of mid-frame.
+//! * **Graceful drain.** Once [`WorkerConfig::drain`] is set (the `stabcon
+//!   work` binary sets it on SIGTERM), the worker finishes the cell in
+//!   flight, ships its result, says [`Msg::Goodbye`], and exits cleanly
+//!   instead of mid-frame.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Lines};
@@ -51,18 +51,6 @@ use crate::telemetry::CampaignTelemetry;
 
 use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 
-/// Process-wide graceful-drain flag, set by the SIGTERM handler in the
-/// `stabcon` binary (signal handlers can only touch static state).
-static DRAIN: AtomicBool = AtomicBool::new(false);
-
-/// Request a graceful drain of every worker in this process: finish the
-/// cell in flight, ship its result, send [`Msg::Goodbye`], and return.
-/// Async-signal-safe (a single atomic store) — the `stabcon work` SIGTERM
-/// handler is exactly this call.
-pub fn request_drain() {
-    DRAIN.store(true, Ordering::SeqCst);
-}
-
 /// Worker knobs.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
@@ -80,8 +68,9 @@ pub struct WorkerConfig {
     /// Base reconnect backoff in milliseconds; doubles per consecutive
     /// failure (capped at 64× and 30 s) with deterministic ±50% jitter.
     pub backoff_ms: u64,
-    /// Extra drain flag ORed with the process-wide SIGTERM flag, so tests
-    /// (and embedders) can drain one worker without draining the process.
+    /// Graceful-drain flag: once set, the worker finishes the cell in
+    /// flight, ships its result, sends [`Msg::Goodbye`], and returns. Each
+    /// config has its own, so one worker drains without the others.
     pub drain: Option<Arc<AtomicBool>>,
 }
 
@@ -100,11 +89,9 @@ impl Default for WorkerConfig {
 
 impl WorkerConfig {
     fn drain_requested(&self) -> bool {
-        DRAIN.load(Ordering::SeqCst)
-            || self
-                .drain
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::SeqCst))
+        self.drain
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::SeqCst))
     }
 }
 

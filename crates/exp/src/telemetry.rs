@@ -38,8 +38,9 @@
 //!   gauge, and `trial_p50_nanos`/`trial_p99_nanos` (power-of-2-bucket
 //!   quantile lower bounds).
 //!
-//! [`check_telemetry`] validates a file against this schema (the
-//! `stabcon telemetry check` subcommand CI runs on the smoke campaign).
+//! [`check_log`] validates a sink against this schema, or a timings
+//! sidecar against its own, in one pass (the `stabcon telemetry check`
+//! subcommand CI runs on the smoke campaign).
 //!
 //! The sink and the timings sidecar are append-only logs of
 //! [`crate::store`]'s one format: written and repaired through its one
@@ -638,41 +639,19 @@ fn scan_telemetry(path: &Path) -> Result<LogScan<(), TelemetryRecord>, String> {
     )
 }
 
-/// Validate a telemetry file against the `stabcon-telemetry/1` schema:
-/// header line first, then flat `snapshot` / `cell_profile` records with
-/// their required fields. Returns the record counts on success.
+/// Validate a telemetry sink against the `stabcon-telemetry/1` schema:
+/// [`check_log`], refusing a timings sidecar by its schema.
 pub fn check_telemetry(path: &Path) -> Result<TelemetryCheck, String> {
-    let (_, records) = scan_telemetry(path)?.strict(path)?;
-    let cell_profiles = records
-        .iter()
-        .filter(|&&r| r == TelemetryRecord::CellProfile)
-        .count() as u64;
-    if cell_profiles == 0 {
-        return Err(format!(
-            "{}: no cell_profile records (campaign produced no cells?)",
+    match check_log(path)? {
+        LogCheck::Telemetry(check) => Ok(check),
+        LogCheck::Timings(_) => Err(format!(
+            "{}: line 1: unsupported schema '{TIMINGS_SCHEMA}' (this build reads '{TELEMETRY_SCHEMA}')",
             path.display()
-        ));
+        )),
     }
-    Ok(TelemetryCheck {
-        snapshots: records.len() as u64 - cell_profiles,
-        cell_profiles,
-    })
 }
 
-/// Read just the `schema` tag from a log's first line, for CLI
-/// auto-detection: `stabcon telemetry check` accepts both a telemetry sink
-/// (`stabcon-telemetry/1`) and a timings sidecar (`stabcon-timings/1`) and
-/// dispatches on this.
-pub fn peek_schema(path: &Path) -> Result<String, String> {
-    let schema = |header: &FlatObject| {
-        let schema = get(header, "schema").and_then(JsonScalar::as_str);
-        Ok(schema.unwrap_or_default().to_string())
-    };
-    let (schema, _) = scan_log(path, None, schema, |_| Ok(()))?.strict(path)?;
-    Ok(schema)
-}
-
-/// What [`check_timings`] found in a valid timings sidecar.
+/// What [`check_log`] found in a valid timings sidecar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingsCheck {
     /// Record lines (excluding the header).
@@ -684,18 +663,64 @@ pub struct TimingsCheck {
     pub duplicates: u64,
 }
 
-/// Validate a `stabcon-timings/1` sidecar: header line first, then one
-/// flat record per cell with `cell`/`trials` integers and
-/// `elapsed_secs`/`trials_per_sec` numbers. Duplicate cell ids are legal
+/// What [`check_log`] found in a valid log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogCheck {
+    /// A `stabcon-telemetry/1` sink.
+    Telemetry(TelemetryCheck),
+    /// A `stabcon-timings/1` sidecar.
+    Timings(TimingsCheck),
+}
+
+/// Validate a telemetry sink or a timings sidecar in one pass: line 0's
+/// `schema` picks the header and record checks. A sink has a header with
+/// its counts, then flat `snapshot` / `cell_profile` records with their
+/// required fields, at least one a `cell_profile`. A sidecar has one flat
+/// record per cell with `cell`/`trials` integers and
+/// `elapsed_secs`/`trials_per_sec` numbers; duplicate cell ids are legal
 /// (last wins, as [`load_timings`] resolves them) and are counted.
-pub fn check_timings(path: &Path) -> Result<TimingsCheck, String> {
-    let (_, records) = scan_timings(path)?.strict(path)?;
-    let cells: BTreeSet<u64> = records.iter().map(|&(cell, ..)| cell).collect();
-    Ok(TimingsCheck {
-        lines: records.len() as u64,
-        cells: cells.len() as u64,
-        duplicates: (records.len() - cells.len()) as u64,
-    })
+pub fn check_log(path: &Path) -> Result<LogCheck, String> {
+    let timings = std::cell::Cell::new(false);
+    let header = |header: &FlatObject| match get(header, "schema").and_then(JsonScalar::as_str) {
+        Some(TIMINGS_SCHEMA) => {
+            timings.set(true);
+            Ok(())
+        }
+        Some(TELEMETRY_SCHEMA) => telemetry_header_fields(header),
+        other => Err(format!(
+            "unsupported schema '{}' (this build reads '{TELEMETRY_SCHEMA}')",
+            other.unwrap_or_default()
+        )),
+    };
+    let (mut cells, mut cell_profiles) = (BTreeSet::new(), 0u64);
+    let record = |line: &str| {
+        if timings.get() {
+            cells.insert(timing_record(line)?.0);
+        } else if validate_record_line(line)? == TelemetryRecord::CellProfile {
+            cell_profiles += 1;
+        }
+        Ok(())
+    };
+    let (_, records) = scan_log(path, None, header, record)?.strict(path)?;
+    let lines = records.len() as u64;
+    if timings.get() {
+        let cells = cells.len() as u64;
+        return Ok(LogCheck::Timings(TimingsCheck {
+            lines,
+            cells,
+            duplicates: lines - cells,
+        }));
+    }
+    if cell_profiles == 0 {
+        return Err(format!(
+            "{}: no cell_profile records (campaign produced no cells?)",
+            path.display()
+        ));
+    }
+    Ok(LogCheck::Telemetry(TelemetryCheck {
+        snapshots: lines - cell_profiles,
+        cell_profiles,
+    }))
 }
 
 #[cfg(test)]
@@ -771,8 +796,13 @@ mod tests {
         append_timing(&mut f, 1, 100, 5.0).expect("append");
         append_timing(&mut f, 2, 100, 2.5).expect("append");
         drop(f);
-        let check = check_timings(&path).expect("resumed sidecar stays valid");
-        assert_eq!((check.lines, check.cells, check.duplicates), (3, 3, 0));
+        let check = check_log(&path).expect("resumed sidecar stays valid");
+        let want = TimingsCheck {
+            lines: 3,
+            cells: 3,
+            duplicates: 0,
+        };
+        assert_eq!(check, LogCheck::Timings(want));
         let map = load_timings(&store);
         assert_eq!(map[&1], (5.0, 20.0));
         assert_eq!(map[&2], (2.5, 40.0));
@@ -838,25 +868,24 @@ mod tests {
         append_timing(&mut f, 1, 100, 4.0).expect("append");
         append_timing(&mut f, 1, 100, 5.0).expect("append"); // re-run: last wins
         drop(f);
-        let check = check_timings(&timings_path(&store)).expect("valid sidecar");
+        let check = check_log(&timings_path(&store)).expect("valid sidecar");
         assert_eq!(
             check,
-            TimingsCheck {
+            LogCheck::Timings(TimingsCheck {
                 lines: 3,
                 cells: 2,
                 duplicates: 1
-            }
+            })
         );
-        assert_eq!(
-            peek_schema(&timings_path(&store)).expect("schema"),
-            TIMINGS_SCHEMA
-        );
-        // A telemetry header peeks as the telemetry schema.
+        // A telemetry header is read as a telemetry sink, which needs a
+        // cell profile.
         let p = tmp("peek-telemetry.jsonl");
-        std::fs::write(&p, "{\"schema\": \"stabcon-telemetry/1\"}\n").expect("write");
-        assert_eq!(peek_schema(&p).expect("schema"), TELEMETRY_SCHEMA);
-        // A timings file with a wrong-schema header is refused.
-        assert!(check_timings(&p).unwrap_err().contains("schema"));
+        std::fs::write(&p, "{\"schema\": \"stabcon-telemetry/1\", \"threads\": 1, \"cells\": 0, \"trials_planned\": 0}\n").expect("write");
+        assert!(check_log(&p).unwrap_err().contains("no cell_profile"));
+        // A timings sidecar is refused where a telemetry sink is wanted.
+        assert!(check_telemetry(&timings_path(&store))
+            .unwrap_err()
+            .contains("schema"));
         std::fs::remove_file(&p).ok();
         std::fs::remove_file(timings_path(&store)).ok();
     }

@@ -53,30 +53,6 @@ impl Xoshiro256pp {
         s[3] = rotl(s[3], 45);
         result
     }
-
-    /// The 2^128-step jump, for manually splitting one stream into far-apart
-    /// substreams (equivalent to 2^128 `next` calls).
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if j & (1u64 << b) != 0 {
-                    acc[0] ^= self.s[0];
-                    acc[1] ^= self.s[1];
-                    acc[2] ^= self.s[2];
-                    acc[3] ^= self.s[3];
-                }
-                self.next();
-            }
-        }
-        self.s = acc;
-    }
 }
 
 impl RngCore for Xoshiro256pp {
@@ -143,21 +119,6 @@ mod tests {
         let a = rng.next();
         let b = rng.next();
         assert!(a != 0 || b != 0);
-    }
-
-    #[test]
-    fn jump_decorrelates() {
-        let mut a = Xoshiro256pp::seed(5);
-        let mut b = a.clone();
-        b.jump();
-        // After a jump the streams should diverge immediately.
-        let mut same = 0;
-        for _ in 0..64 {
-            if a.next() == b.next() {
-                same += 1;
-            }
-        }
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -101,9 +101,11 @@ proptest! {
         let mut rng = Xoshiro256pp::seed(seed);
         let mut adv = RandomCorruptor;
         {
-            let mut loads = LoadCounts::rebuild(None, &mut state, &mut Vec::new(), false);
-            let mut touched = Vec::new();
-            let mut c = Corruptor::new(&mut state, &mut loads, &set, budget, &mut touched);
+            let mut loads = LoadCounts::default();
+            loads.rebuild(&mut state, &mut Vec::new(), false);
+            let (mut touched, mut draws) = (Vec::new(), Vec::new());
+            let mut c = Corruptor::new(&mut loads, &set, budget, &mut draws)
+                .with_processes(&mut state, &mut touched);
             adv.corrupt(0, &mut c, &mut rng);
         }
         let changed = state.iter().zip(&values).filter(|(a, b)| a != b).count() as u64;
