@@ -40,7 +40,6 @@
 //! final per-cell phase-profile table. `telemetry check` validates a sink
 //! file against the schema (CI runs it on the smoke campaign's sink).
 
-use std::net::{Ipv4Addr, Ipv6Addr};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,9 +49,9 @@ use std::time::Duration;
 use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::fabric::queue::load_journal;
 use stabcon_exp::fabric::{
-    cancel_job, job_store_path, jobs_journal_path, query_status, run_worker_any, submit_campaign,
-    ChaosProxy, ChaosSpec, JournalEvent, QueueServeConfig, QueueServer, SpecDescriptor,
-    WorkerConfig,
+    cancel_job, job_store_path, jobs_journal_path, local_dial_addr, query_status, run_worker_any,
+    submit_campaign, ChaosProxy, ChaosSpec, JournalEvent, QueueServeConfig, QueueServer,
+    SpecDescriptor, WorkerConfig,
 };
 use stabcon_exp::presets::PRESET_NAMES;
 use stabcon_exp::store::Durability;
@@ -383,15 +382,8 @@ fn serve(args: &Args) -> Result<(), String> {
                 None => {
                     // The listener is already bound, so this connect queues
                     // until the daemon thread accepts it.
-                    let mut dial = bound;
-                    if dial.ip().is_unspecified() {
-                        dial.set_ip(if dial.is_ipv4() {
-                            Ipv4Addr::LOCALHOST.into()
-                        } else {
-                            Ipv6Addr::LOCALHOST.into()
-                        });
-                    }
-                    submit_campaign(&dial.to_string(), "serve", &desc).map(|s| s.job)
+                    let dial = local_dial_addr(bound).to_string();
+                    submit_campaign(&dial, "serve", &desc).map(|s| s.job)
                 }
             };
             let job = match job {

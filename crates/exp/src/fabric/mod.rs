@@ -16,11 +16,15 @@
 //! are submitted over the line-oriented [`protocol`] (`stabcon-fabric/7`)
 //! with per-client admission quotas, activated FIFO, and leased cell by
 //! cell, round-robin across running campaigns, to workers that each run
-//! the one lease loop in [`worker`]. Cells whose worker died are re-leased
-//! (deterministic seeds make a re-run exact), and results are appended to
-//! each job's store in canonical order, so a completed job store is
-//! byte-identical to the single-host run. A single-campaign `stabcon serve
-//! --preset X` is just this daemon with one job submitted at startup.
+//! the one lease loop in [`worker`]. The daemon pushes work as it appears:
+//! a claim that finds nothing to lease is held open and answered the
+//! moment a cell frees up (or with `Drained` once the queue closes), so
+//! an idle worker neither polls nor sleeps past new work. Cells whose
+//! worker died are re-leased (deterministic seeds make a re-run exact),
+//! and results are appended to each job's store in canonical order, so a
+//! completed job store is byte-identical to the single-host run. A
+//! single-campaign `stabcon serve --preset X` is just this daemon with one
+//! job submitted at startup.
 //!
 //! The fabric is WAN-hardened end to end: workers reconnect with capped
 //! jittered backoff and resubmit completed results idempotently, lease
@@ -45,5 +49,7 @@ pub use queue::{
     job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent, QueueConfig,
     Rejection, JOBS_SCHEMA,
 };
-pub use serve::{Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeState};
+pub use serve::{
+    local_dial_addr, Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeState,
+};
 pub use worker::{run_worker_any, WorkerConfig, WorkerOutcome};

@@ -29,7 +29,11 @@
 //!                            ←  Cancelled{job,state} | Rejected{…}
 //!   Claim                    →
 //!                            ←  Lease2{job,cell,lease_ms,descriptor,fp}
-//!                            ←  Wait{retry_ms}            (all leased out)
+//!                            ←  Wait{retry_ms}            (all leased out;
+//!                                 the daemon holds the claim until a
+//!                                 cell frees up or lease/4 passes, and
+//!                                 a hold that runs out says 0: claim
+//!                                 again now)
 //!                            ←  Drained                   (queue idle and
 //!                                 closed, or daemon halting)
 //!   Renew2{job,cell}         →     (heartbeat while the cell runs — the
@@ -190,9 +194,12 @@ pub enum Msg {
         lease_ms: u64,
     },
     /// Daemon → worker: nothing free right now (all remaining cells are
-    /// leased out) — claim again after `retry_ms`.
+    /// leased out) — claim again after `retry_ms`. The queue daemon holds
+    /// a claim for up to its retry window before it answers this, so its
+    /// `Wait` says `0`: claim again now.
     Wait {
-        /// Suggested retry delay in milliseconds.
+        /// Suggested retry delay in milliseconds; `0` means claim again
+        /// now.
         retry_ms: u64,
     },
     /// Daemon → worker: the queue is idle and closed (or the daemon is

@@ -34,6 +34,15 @@
 //! daemon restarted with `--resume` replays its journal, repairs any torn
 //! store tail on open, and finishes every interrupted job.
 //!
+//! Work is pushed, not polled. A [`Msg::Claim`] that finds nothing to
+//! lease is held: its connection thread waits on the daemon's one
+//! `Condvar` and claims again whenever a frame, a disconnect or the 25 ms
+//! housekeeping tick may have changed the queue, answering with the
+//! lease or [`Msg::Drained`] at once, or with `Wait { retry_ms: 0 }` when
+//! the lease's retry window (`lease/4`, 50–1000 ms) runs out. Connections
+//! are taken by a thread blocked in `accept()`, so a submit or status
+//! request is answered without waiting for the tick.
+//!
 //! Worker telemetry frames ([`Msg::Telemetry`]) land in a per-job sink,
 //! `<job store>.telemetry.jsonl`, filed under the job of the last lease the
 //! connection was dealt — but only lines that fully validate as
@@ -44,10 +53,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
@@ -395,6 +405,20 @@ struct QShared {
     workers_seen: u64,
     telemetry_dropped: u64,
     goodbyes: u64,
+    /// Claims held open right now. The daemon exits only once this is 0,
+    /// a tick after it woke them, so every parked worker hears its
+    /// `Drained` first.
+    held_claims: u64,
+}
+
+/// The state every connection shares, and the signal its held claims wait
+/// on. `changed` is notified whenever a claim may get a new answer: after
+/// each frame that can change the queue, after each disconnect, and on
+/// each housekeeping tick (lease expiry, activation, halt, closing
+/// admission).
+struct Daemon {
+    state: Mutex<QShared>,
+    changed: Condvar,
 }
 
 /// A job's display name: the built spec's name, else what the descriptor
@@ -752,6 +776,10 @@ impl QueueServer {
     /// submissions, lease cells, and flush stores until the shutdown flag
     /// flips (drain leases, park the queue, exit) or — with
     /// `exit_when_idle` — until every job the queue has seen is terminal.
+    ///
+    /// One thread blocks in `accept()` and gives each connection a thread
+    /// of its own; this one keeps house every 25 ms. On return the acceptor
+    /// is joined and the listener closed.
     pub fn run(self, cfg: &QueueServeConfig) -> Result<QueueOutcome, String> {
         let journal_path = jobs_journal_path(&self.out);
         let (journal, events) = open_journal(&journal_path, cfg.resume, cfg.durability)?;
@@ -772,121 +800,246 @@ impl QueueServer {
                 c.failed
             );
         }
-        let shared = Arc::new(Mutex::new(QShared {
-            queue,
-            stores: BTreeMap::new(),
-            journal,
-            out: self.out.clone(),
-            durability: cfg.durability,
-            progress: cfg.progress,
-            workers_seen: 0,
-            telemetry_dropped: 0,
-            goodbyes: 0,
-        }));
+        let daemon = Arc::new(Daemon {
+            state: Mutex::new(QShared {
+                queue,
+                stores: BTreeMap::new(),
+                journal,
+                out: self.out.clone(),
+                durability: cfg.durability,
+                progress: cfg.progress,
+                workers_seen: 0,
+                telemetry_dropped: 0,
+                goodbyes: 0,
+                held_claims: 0,
+            }),
+            changed: Condvar::new(),
+        });
         {
-            let mut q = shared.lock().map_err(|_| "serve: state poisoned")?;
+            let mut q = daemon.state.lock().map_err(|_| "serve: state poisoned")?;
             q.activate_ready(Instant::now());
         }
 
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("serve: set_nonblocking: {e}"))?;
-        // Exit-when-idle linger: long enough for every connected worker to
-        // wake from a Wait sleep, claim once more, and hear Drained —
-        // instead of finding a dead socket and burning its retry budget.
-        let retry_ms = (cfg.lease.as_millis() as u64 / 4).clamp(50, 1000);
-        let grace = Duration::from_millis(retry_ms * 2 + 200);
-        let mut idle_since: Option<Instant> = None;
-        let mut conn_id = 0u64;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Frames are small request/reply lines: send each now.
-                    let _ = stream.set_nodelay(true);
-                    conn_id += 1;
-                    let conn = conn_id;
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        handle_queue_conn(stream, conn, &shared);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("serve: accept: {e}")),
+        let wake = local_dial_addr(self.local_addr()?);
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let (listener, daemon, stop) = (self.listener, Arc::clone(&daemon), Arc::clone(&stop));
+            std::thread::spawn(move || accept_loop(&listener, &daemon, &stop))
+        };
+        let outcome = keep_house(&daemon, cfg, &acceptor);
+        stop.store(true, Ordering::SeqCst);
+        if !acceptor.is_finished() {
+            // The acceptor is blocked in accept(): one connection of our
+            // own wakes it to see the stop flag.
+            TcpStream::connect(wake)
+                .map_err(|e| format!("serve: wake the acceptor at {wake}: {e}"))?;
+        }
+        acceptor
+            .join()
+            .map_err(|_| "serve: acceptor panicked".to_string())??;
+        outcome
+    }
+}
+
+/// The address a peer on this host dials to reach a listener bound at
+/// `addr`: `addr` itself, with an unspecified IP replaced by its family's
+/// loopback.
+pub fn local_dial_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Block in `accept()` and hand each connection its own thread, until a
+/// connection arrives with `stop` set (the daemon's own wake-up call).
+fn accept_loop(
+    listener: &TcpListener,
+    daemon: &Arc<Daemon>,
+    stop: &AtomicBool,
+) -> Result<(), String> {
+    let mut conn_id = 0u64;
+    loop {
+        let (stream, _) = listener
+            .accept()
+            .map_err(|e| format!("serve: accept: {e}"))?;
+        if stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        // Frames are small request/reply lines: send each now.
+        let _ = stream.set_nodelay(true);
+        conn_id += 1;
+        let conn = conn_id;
+        let daemon = Arc::clone(daemon);
+        std::thread::spawn(move || handle_queue_conn(stream, conn, &daemon));
+    }
+}
+
+/// The daemon's 25 ms housekeeping: expire leases, activate queued jobs,
+/// honour a halt, and decide when to exit. Each tick wakes every held
+/// claim to claim again.
+fn keep_house(
+    daemon: &Daemon,
+    cfg: &QueueServeConfig,
+    acceptor: &JoinHandle<Result<(), String>>,
+) -> Result<QueueOutcome, String> {
+    // Exit-when-idle linger. A held claim hears Drained as soon as
+    // admission closes; the linger is for workers between frames (one
+    // still running a cancelled job's cell, or a peer sleeping out a
+    // nonzero Wait), so they too claim once more and hear Drained instead
+    // of finding a dead socket and burning their retry budget.
+    let retry_ms = (cfg.lease.as_millis() as u64 / 4).clamp(50, 1000);
+    let grace = Duration::from_millis(retry_ms * 2 + 200);
+    let mut idle_since: Option<Instant> = None;
+    loop {
+        if acceptor.is_finished() {
+            return Err("serve: the acceptor stopped".into());
+        }
+        {
+            let mut q = daemon.state.lock().map_err(|_| "serve: state poisoned")?;
+            let now = Instant::now();
+            for (job, cell) in q.queue.sweep_expired(now) {
+                eprintln!("serve: job {job} cell {cell} lease expired — reclaimed");
             }
-            {
-                let mut q = shared.lock().map_err(|_| "serve: state poisoned")?;
-                let now = Instant::now();
-                for (job, cell) in q.queue.sweep_expired(now) {
-                    eprintln!("serve: job {job} cell {cell} lease expired — reclaimed");
-                }
-                q.activate_ready(now);
-                let halt_requested = cfg
-                    .shutdown
-                    .as_ref()
-                    .is_some_and(|f| f.load(Ordering::Relaxed));
-                if halt_requested && !q.queue.halted() {
-                    q.queue.halt();
-                    eprintln!(
-                        "serve: halt requested — draining leases, parking queue, \
-                         refusing submissions"
-                    );
-                }
-                if q.queue.halted() && q.queue.leases_settled() {
-                    return q.outcome(true);
-                }
-                if cfg.exit_when_idle && q.queue.jobs().next().is_some() && q.queue.idle() {
-                    match idle_since {
-                        None => {
-                            // Stop accepting so claims answer Drained, and
-                            // linger so connected workers hear it.
-                            q.queue.set_accepting(false);
-                            idle_since = Some(now);
-                            eprintln!("serve: queue idle — draining workers before exit");
-                        }
-                        Some(since) if now.duration_since(since) >= grace => {
-                            return q.outcome(false);
-                        }
-                        Some(_) => {}
+            q.activate_ready(now);
+            let halt_requested = cfg
+                .shutdown
+                .as_ref()
+                .is_some_and(|f| f.load(Ordering::Relaxed));
+            if halt_requested && !q.queue.halted() {
+                q.queue.halt();
+                eprintln!(
+                    "serve: halt requested — draining leases, parking queue, \
+                     refusing submissions"
+                );
+            }
+            if q.queue.halted() && q.queue.leases_settled() && q.held_claims == 0 {
+                return q.outcome(true);
+            }
+            if cfg.exit_when_idle && q.queue.jobs().next().is_some() && q.queue.idle() {
+                match idle_since {
+                    None => {
+                        // Stop accepting so claims answer Drained, and
+                        // linger so connected workers hear it.
+                        q.queue.set_accepting(false);
+                        idle_since = Some(now);
+                        eprintln!("serve: queue idle — draining workers before exit");
                     }
+                    Some(since) if now.duration_since(since) >= grace && q.held_claims == 0 => {
+                        return q.outcome(false);
+                    }
+                    Some(_) => {}
                 }
             }
-            std::thread::sleep(Duration::from_millis(25));
+        }
+        daemon.changed.notify_all();
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// Answer one claim, holding it while there is nothing to lease: as long
+/// as [`JobQueue::claim`] says [`Msg::Wait`] and the peer stays `quiet`,
+/// wait on `changed` and claim again on each wake, until a lease or
+/// [`Msg::Drained`] comes back. When the `Wait`'s retry window runs out,
+/// or the peer sends another frame (a duplicated claim, say, whose
+/// worker goes on to ship a result), answer `Wait { retry_ms: 0 }`:
+/// "claim again now". `None` if the state is poisoned.
+fn hold_claim<'a>(
+    daemon: &'a Daemon,
+    mut q: MutexGuard<'a, QShared>,
+    conn: u64,
+    now: Instant,
+    quiet: impl Fn() -> bool,
+) -> Option<(MutexGuard<'a, QShared>, Msg)> {
+    let reply = q.queue.claim(conn, now);
+    let Msg::Wait { retry_ms } = reply else {
+        return Some((q, reply));
+    };
+    let deadline = now + Duration::from_millis(retry_ms);
+    q.held_claims += 1;
+    let reply = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || !quiet() {
+            break Msg::Wait { retry_ms: 0 };
+        }
+        q = daemon.changed.wait_timeout(q, left).ok()?.0;
+        let reply = q.queue.claim(conn, Instant::now());
+        if !matches!(reply, Msg::Wait { .. }) {
+            break reply;
+        }
+    };
+    q.held_claims -= 1;
+    Some((q, reply))
+}
+
+/// Read the next frame line into `line`, newline stripped; `false` at EOF
+/// or on a read error.
+fn next_frame(reader: &mut BufReader<TcpStream>, line: &mut String) -> bool {
+    line.clear();
+    if !matches!(reader.read_line(line), Ok(n) if n > 0) {
+        return false;
+    }
+    if line.ends_with('\n') {
+        line.pop();
+        if line.ends_with('\r') {
+            line.pop();
         }
     }
+    true
+}
+
+/// Whether the peer has sent nothing since its last frame: no bytes in
+/// the read buffer and none waiting on the socket (a closed socket is not
+/// quiet either).
+fn peer_quiet(reader: &BufReader<TcpStream>) -> bool {
+    if !reader.buffer().is_empty() {
+        return false;
+    }
+    let socket = reader.get_ref();
+    if socket.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let waiting = socket.peek(&mut [0u8; 1]);
+    let _ = socket.set_nonblocking(false);
+    matches!(waiting, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
 }
 
 /// One connection, from handshake to disconnect. Only `stabcon-fabric/7`
 /// hellos are welcomed; the connection may then mix control frames
 /// (submit, status, cancel) with the claim/lease/result loop.
-fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShared>>) {
+fn handle_queue_conn(mut stream: TcpStream, conn: u64, daemon: &Daemon) {
     let Ok(reader) = stream.try_clone() else {
         return;
     };
-    let mut lines = BufReader::new(reader).lines();
+    let mut reader = BufReader::new(reader);
+    let mut line = String::new();
 
-    let worker_name = match lines.next() {
-        Some(Ok(line)) => {
-            let greeting = match Msg::decode(&line) {
-                Ok(Msg::Hello { schema, worker }) if schema == FABRIC_SCHEMA => Ok(worker),
-                Ok(Msg::Hello { schema, .. }) => Err(format!(
-                    "protocol version '{schema}' is not supported; this daemon speaks \
-                     '{FABRIC_SCHEMA}'"
-                )),
-                _ => Err("expected hello".to_string()),
-            };
-            match greeting {
-                Ok(worker) => worker,
-                Err(reason) => {
-                    let _ = write_frame(&mut stream, &Msg::Reject { reason });
-                    return;
-                }
-            }
+    if !next_frame(&mut reader, &mut line) {
+        return;
+    }
+    let greeting = match Msg::decode(&line) {
+        Ok(Msg::Hello { schema, worker }) if schema == FABRIC_SCHEMA => Ok(worker),
+        Ok(Msg::Hello { schema, .. }) => Err(format!(
+            "protocol version '{schema}' is not supported; this daemon speaks \
+             '{FABRIC_SCHEMA}'"
+        )),
+        _ => Err("expected hello".to_string()),
+    };
+    let worker_name = match greeting {
+        Ok(worker) => worker,
+        Err(reason) => {
+            let _ = write_frame(&mut stream, &Msg::Reject { reason });
+            return;
         }
-        _ => return,
     };
 
     let welcome = {
-        let Ok(mut q) = shared.lock() else { return };
+        let Ok(mut q) = daemon.state.lock() else {
+            return;
+        };
         q.workers_seen += 1;
         Msg::Welcome {
             campaign: "queue".into(),
@@ -901,15 +1054,24 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
     // last lease dealt on this connection (a worker streams a cell's
     // telemetry between its Lease2 and its Result2).
     let mut leased_job: Option<u64> = None;
-    for line in lines {
-        let Ok(line) = line else { break };
+    while next_frame(&mut reader, &mut line) {
         let Ok(msg) = Msg::decode(&line) else { break }; // desynced: drop
         let now = Instant::now();
+        // Heartbeats and telemetry stream in while a cell runs and never
+        // free a cell: only the other frames wake held claims.
+        let wakes = !matches!(msg, Msg::Renew2 { .. } | Msg::Telemetry { .. });
         let (replies, quit) = {
-            let Ok(mut q) = shared.lock() else { break };
+            let Ok(mut q) = daemon.state.lock() else {
+                break;
+            };
             match msg {
                 Msg::Claim => {
-                    let reply = q.queue.claim(conn, now);
+                    let Some((guard, reply)) =
+                        hold_claim(daemon, q, conn, now, || peer_quiet(&reader))
+                    else {
+                        break;
+                    };
+                    q = guard;
                     if let Msg::Lease2 { job, cell, .. } = &reply {
                         leased_job = Some(*job);
                         if q.progress {
@@ -965,6 +1127,9 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
                 _ => (vec![], true),
             }
         };
+        if wakes {
+            daemon.changed.notify_all();
+        }
         let mut dead = false;
         for reply in &replies {
             let drained = matches!(reply, Msg::Drained);
@@ -980,9 +1145,10 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
 
     // Disconnect (or violation, or goodbye): whatever this connection held
     // goes back to its jobs' pending sets.
-    if let Ok(mut q) = shared.lock() {
+    if let Ok(mut q) = daemon.state.lock() {
         q.queue.release_conn(conn, Instant::now());
     }
+    daemon.changed.notify_all();
 }
 
 #[cfg(test)]
@@ -999,6 +1165,17 @@ mod tests {
             trials: 4,
             elapsed_secs: 0.5,
         }
+    }
+
+    #[test]
+    fn a_wildcard_listener_is_dialled_on_its_familys_loopback() {
+        let addr = |s: &str| s.parse::<SocketAddr>().expect("socket address");
+        assert_eq!(
+            local_dial_addr(addr("0.0.0.0:7677")),
+            addr("127.0.0.1:7677")
+        );
+        assert_eq!(local_dial_addr(addr("[::]:7677")), addr("[::1]:7677"));
+        assert_eq!(local_dial_addr(addr("10.1.2.3:9")), addr("10.1.2.3:9"));
     }
 
     #[test]

@@ -32,13 +32,15 @@
 //! * **Graceful drain.** Once [`WorkerConfig::drain`] is set (the `stabcon
 //!   work` binary sets it on SIGTERM), the worker finishes the cell in
 //!   flight, ships its result, says [`Msg::Goodbye`], and exits cleanly
-//!   instead of mid-frame.
+//!   instead of mid-frame. An idle worker is parked in a held claim (the
+//!   daemon answers a [`Msg::Claim`] only once a cell frees up or the
+//!   lease's retry window ends), so it drains within one hold window.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Lines};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stabcon_par::ThreadPool;
@@ -140,11 +142,16 @@ fn name_seed(name: &str) -> u64 {
     h
 }
 
-/// Sleep in 25 ms slices so a drain request cuts the wait short.
+/// Sleep in slices of at most 25 ms so a drain request cuts the wait
+/// short; the last slice ends at the deadline, not past it.
 fn interruptible_sleep(total: Duration, cfg: &WorkerConfig) {
     let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !cfg.drain_requested() {
-        std::thread::sleep(Duration::from_millis(25));
+    while !cfg.drain_requested() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        std::thread::sleep(left.min(Duration::from_millis(25)));
     }
 }
 
@@ -181,32 +188,28 @@ impl From<Fatal> for WorkErr {
 
 /// Keeps [`Msg::Renew2`] heartbeats flowing for one leased cell; stops
 /// (and joins) on drop, so a finished or failed cell never heartbeats a
-/// lease it no longer wants.
+/// lease it no longer wants. The thread waits on a channel between
+/// renewals, so dropping the heartbeat wakes it at once.
 struct Heartbeat {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
     fn start(stream: Arc<Mutex<TcpStream>>, job: u64, cell: u64, lease_ms: u64) -> Self {
         let renew = Msg::Renew2 { job, cell };
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         // A third of the lease keeps two renewals of headroom before the
         // deadline even if one frame is delayed.
         let interval = Duration::from_millis((lease_ms / 3).clamp(50, 5000));
         let handle = std::thread::spawn(move || {
-            let mut next = Instant::now() + interval;
-            while !stop2.load(Ordering::SeqCst) {
-                if Instant::now() >= next {
-                    // Fire-and-forget: a send failure means the session is
-                    // dying, which the main loop notices on its own.
-                    if send_locked(&stream, &renew).is_err() {
-                        return;
-                    }
-                    next = Instant::now() + interval;
+            // Only a timeout renews: the stop message ends the thread.
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                // Fire-and-forget: a send failure means the session is
+                // dying, which the main loop notices on its own.
+                if send_locked(&stream, &renew).is_err() {
+                    return;
                 }
-                std::thread::sleep(Duration::from_millis(25));
             }
         });
         Self {
@@ -218,7 +221,7 @@ impl Heartbeat {
 
 impl Drop for Heartbeat {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        let _ = self.stop.send(());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -416,6 +419,8 @@ fn run_session_any(
                 progress.pending = Some(result.clone());
                 session.send(&result)?;
             }
+            // A held claim that ran out its window: claim again now.
+            Msg::Wait { retry_ms: 0 } => {}
             Msg::Wait { retry_ms } => {
                 interruptible_sleep(Duration::from_millis(retry_ms.clamp(10, 5000)), cfg);
             }
@@ -528,6 +533,26 @@ mod tests {
             backoff_delay(seed, 20, 200),
             backoff_delay(seed, 20, 200),
             "cap region still deterministic"
+        );
+    }
+
+    #[test]
+    fn a_heartbeat_dropped_before_its_interval_sends_nothing() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut daemon_side, _) = listener.accept().expect("accept");
+        let stream = Arc::new(Mutex::new(client));
+        // A 15 s lease renews every 5 s; the drop comes long before that.
+        drop(Heartbeat::start(Arc::clone(&stream), 1, 0, 15_000));
+        // The heartbeat thread is joined, so this is the last handle:
+        // dropping it closes the connection and the read below ends.
+        drop(stream);
+        let mut sent = Vec::new();
+        std::io::Read::read_to_end(&mut daemon_side, &mut sent).expect("read to EOF");
+        assert!(
+            sent.is_empty(),
+            "no Renew2 before the first interval: {:?}",
+            String::from_utf8_lossy(&sent)
         );
     }
 

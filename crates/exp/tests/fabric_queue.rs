@@ -4,12 +4,18 @@
 //! chaos proxy — and the per-job stores are byte-identical to clean
 //! single-host runs.
 //!
-//! Also here: the crash-recovery acceptance test. A `stabcon serve`
+//! Also here: held claims. A claim that finds nothing to lease is held
+//! open and answered by the next lease or by `Drained`, never by a `Wait`
+//! while its hold window lasts.
+//!
+//! And the crash-recovery acceptance test. A `stabcon serve`
 //! subprocess is `kill -9`'d mid-run; a restart with `--resume`
 //! replays the `stabcon-jobs/1` journal, re-queues the interrupted jobs,
 //! resumes their partial stores, and still converges to the exact
 //! reference bytes.
 
+use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,7 +25,8 @@ use std::time::{Duration, Instant};
 use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::fabric::{
     cancel_job, job_store_path, jobs_journal_path, query_status, run_worker_any, submit_campaign,
-    ChaosProxy, ChaosSpec, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig,
+    write_frame, ChaosProxy, ChaosSpec, Msg, QueueOutcome, QueueServeConfig, QueueServer,
+    SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
 };
 use stabcon_exp::store::Durability;
 use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
@@ -112,6 +119,135 @@ fn wait_for_lines(path: &Path, lines: usize, timeout: Duration) {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+/// A raw `stabcon-fabric/7` peer that speaks frame by frame.
+struct Raw {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Raw {
+    /// Connect and complete the handshake.
+    fn handshake(addr: &str) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut raw = Self { stream, reader };
+        raw.send(&Msg::Hello {
+            schema: FABRIC_SCHEMA.into(),
+            worker: "raw".into(),
+        });
+        match raw.recv() {
+            Msg::Welcome { .. } => raw,
+            other => panic!("handshake failed: {other:?}"),
+        }
+    }
+
+    fn send(&mut self, msg: &Msg) {
+        write_frame(&mut self.stream, msg).expect("send frame");
+    }
+
+    fn recv(&mut self) -> Msg {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read reply");
+        Msg::decode(line.trim_end()).expect("decode reply")
+    }
+}
+
+/// A daemon on a 4 s lease, so a held claim waits out the whole 1 s
+/// retry window, with a halt flag so the test ends it without lingering.
+fn held_claim_daemon(
+    out: &Path,
+    exit_when_idle: bool,
+) -> (
+    String,
+    Arc<AtomicBool>,
+    std::thread::JoinHandle<Result<QueueOutcome, String>>,
+) {
+    cleanup_queue(out);
+    let server = QueueServer::bind("127.0.0.1:0", out).expect("bind queue daemon");
+    let addr = server.local_addr().expect("daemon addr").to_string();
+    let halt = Arc::new(AtomicBool::new(false));
+    let cfg = QueueServeConfig {
+        lease: Duration::from_secs(4),
+        exit_when_idle,
+        shutdown: Some(Arc::clone(&halt)),
+        ..QueueServeConfig::default()
+    };
+    let daemon = std::thread::spawn(move || server.run(&cfg));
+    (addr, halt, daemon)
+}
+
+/// A claim sent to an empty queue is held, not answered `Wait`: the job a
+/// second connection submits meanwhile comes back as the claim's lease.
+#[test]
+fn a_claim_on_an_empty_queue_is_answered_by_the_next_submission() {
+    let out = tmp("held-lease");
+    let (addr, halt, daemon) = held_claim_daemon(&out, false);
+    let mut worker = Raw::handshake(&addr);
+    worker.send(&Msg::Claim);
+    let [da, _] = descriptors();
+    let sub = submit_with_retry(&addr, "lab", &da);
+    match worker.recv() {
+        Msg::Lease2 { job, cell, .. } => {
+            assert_eq!(job, sub.job, "the lease is the new job's");
+            assert!(cell < sub.cells, "cell {cell} of {}", sub.cells);
+        }
+        other => panic!("the held claim must be answered by a lease, got {other:?}"),
+    }
+    drop(worker); // releases the lease, so the halt settles at once
+
+    halt.store(true, Ordering::SeqCst);
+    let outcome = daemon.join().expect("daemon thread").expect("outcome");
+    assert!(outcome.halted);
+    assert_eq!(outcome.running, 1, "the job stays parked for a --resume");
+    cleanup_queue(&out);
+}
+
+/// A claim held on an `--exit-when-idle` daemon hears `Drained` once the
+/// queue goes idle: here the one job's cells are all leased, so the claim
+/// is held, and then the job is cancelled.
+#[test]
+fn a_claim_held_on_an_idle_exit_when_idle_daemon_is_drained() {
+    let out = tmp("held-drained");
+    let (addr, halt, daemon) = held_claim_daemon(&out, true);
+    let [_, db] = descriptors();
+    let sub = submit_with_retry(&addr, "lab", &db);
+    let mut holder = Raw::handshake(&addr);
+    for _ in 0..sub.cells {
+        holder.send(&Msg::Claim);
+        assert!(matches!(holder.recv(), Msg::Lease2 { .. }), "a free cell");
+    }
+    let mut idle = Raw::handshake(&addr);
+    idle.send(&Msg::Claim);
+    assert_eq!(
+        cancel_job(&addr, "lab", sub.job).expect("cancel"),
+        "cancelled"
+    );
+    assert_eq!(idle.recv(), Msg::Drained, "the held claim hears Drained");
+    drop((holder, idle));
+
+    halt.store(true, Ordering::SeqCst);
+    let outcome = daemon.join().expect("daemon thread").expect("outcome");
+    assert_eq!((outcome.jobs, outcome.cancelled), (1, 1));
+    cleanup_queue(&out);
+}
+
+/// A halt answers a held claim `Drained`, and the daemon still exits.
+#[test]
+fn a_halt_answers_a_held_claim_drained() {
+    let out = tmp("held-halt");
+    let (addr, halt, daemon) = held_claim_daemon(&out, false);
+    let mut idle = Raw::handshake(&addr);
+    idle.send(&Msg::Claim);
+    // Most likely parks the claim before the halt; a claim that comes
+    // in after it hears Drained all the same.
+    query_status(&addr, "probe", None).expect("status");
+    halt.store(true, Ordering::SeqCst);
+    assert_eq!(idle.recv(), Msg::Drained, "the held claim hears Drained");
+    let outcome = daemon.join().expect("daemon thread").expect("outcome");
+    assert!(outcome.halted);
+    cleanup_queue(&out);
 }
 
 /// Two campaigns over the wire, shared workers through the chaos proxy,
