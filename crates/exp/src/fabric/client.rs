@@ -10,38 +10,20 @@
 //! a version skew between client and daemon binaries is caught at submit
 //! time — not after a store full of mismatched bytes.
 
-use std::io::{BufRead, BufReader, Lines};
 use std::net::TcpStream;
 
-use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
+use super::protocol::{dial, read_frame, write_frame, FrameLines, Msg, PeerError, SpecDescriptor};
 
-/// One `/3` control connection, from handshake to drop.
+/// One control connection, from handshake to drop.
 struct Control {
     stream: TcpStream,
-    lines: Lines<BufReader<TcpStream>>,
+    lines: FrameLines,
 }
 
 impl Control {
     fn connect(addr: &str, client: &str) -> Result<Self, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        // Frames are small request/reply lines: send each now.
-        let _ = stream.set_nodelay(true);
-        let reader = stream
-            .try_clone()
-            .map_err(|e| format!("clone connection: {e}"))?;
-        let mut control = Self {
-            stream,
-            lines: BufReader::new(reader).lines(),
-        };
-        control.send(&Msg::Hello {
-            schema: FABRIC_SCHEMA.into(),
-            worker: client.into(),
-        })?;
-        match control.recv()? {
-            Msg::Welcome { .. } => Ok(control),
-            Msg::Reject { reason } => Err(format!("{addr}: rejected: {reason}")),
-            other => Err(format!("{addr}: unexpected handshake reply {other:?}")),
-        }
+        let (stream, lines) = dial(addr, client).map_err(reason)?;
+        Ok(Self { stream, lines })
     }
 
     fn send(&mut self, msg: &Msg) -> Result<(), String> {
@@ -49,12 +31,14 @@ impl Control {
     }
 
     fn recv(&mut self) -> Result<Msg, String> {
-        let line = self
-            .lines
-            .next()
-            .ok_or("server closed the connection")?
-            .map_err(|e| format!("read: {e}"))?;
-        Msg::decode(&line)
+        read_frame(&mut self.lines).map_err(reason)
+    }
+}
+
+/// A control action has no retry loop: lost or refused, it failed.
+fn reason(e: PeerError) -> String {
+    match e {
+        PeerError::Lost(r) | PeerError::Fatal(r) => r,
     }
 }
 
@@ -109,7 +93,7 @@ pub struct QueueStatus {
     pub accepting: bool,
     /// Jobs waiting for an activation slot.
     pub queued: u64,
-    /// Jobs running or draining.
+    /// Jobs running.
     pub running: u64,
     /// Jobs fully written.
     pub done: u64,

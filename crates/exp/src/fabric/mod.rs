@@ -46,10 +46,8 @@ pub use chaos::{fault_for, ChaosProxy, ChaosSpec, Fault};
 pub use client::{cancel_job, query_status, submit_campaign, JobInfo, QueueStatus, SubmitOutcome};
 pub use protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 pub use queue::{
-    job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent, QueueConfig,
-    Rejection, JOBS_SCHEMA,
+    job_store_path, jobs_journal_path, open_journal, Ingest, JobQueue, JobState, JournalEvent,
+    Parked, QueueConfig, Rejection, JOBS_SCHEMA,
 };
-pub use serve::{
-    local_dial_addr, Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeState,
-};
+pub use serve::{local_dial_addr, QueueOutcome, QueueServeConfig, QueueServer};
 pub use worker::{run_worker_any, WorkerConfig, WorkerOutcome};

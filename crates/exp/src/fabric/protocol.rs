@@ -16,7 +16,7 @@
 //! ```text
 //! peer                            daemon
 //!   Hello{schema,worker}     →
-//!                            ←  Welcome{campaign,cells}   (schema is /2;
+//!                            ←  Welcome{campaign,cells}   (schema is /7;
 //!                                 cells counts live jobs)
 //!                            ←  Reject{reason}            (any other schema)
 //!   Submit{descriptor,fp}    →
@@ -57,7 +57,8 @@
 //! violation; they remain decodable so that tools matching [`Msg`]
 //! exhaustively (the benchmark's frame-counting relay) keep compiling.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Lines, Write};
+use std::net::TcpStream;
 
 use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
@@ -78,6 +79,55 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, msg: &Msg) -> std::io::Result<(
     let mut line = msg.encode();
     line.push('\n');
     w.write_all(line.as_bytes())
+}
+
+/// Why a peer's exchange with the daemon ended.
+#[derive(Debug)]
+pub(crate) enum PeerError {
+    /// The connection failed or desynced (refused connect, closed socket,
+    /// torn or unexpected frame): the daemon may be restarting, so dialling
+    /// again can help.
+    Lost(String),
+    /// The daemon refused the peer, or the two sides disagree: dialling
+    /// again cannot help.
+    Fatal(String),
+}
+
+/// A line reader over the read half of a daemon connection.
+pub(crate) type FrameLines = Lines<BufReader<TcpStream>>;
+
+/// Dial the daemon at `addr` and say Hello as `peer`: the one handshake of
+/// workers and control clients. Returns the write half and a line reader
+/// on the read half. A [`Msg::Reject`] is [`PeerError::Fatal`]; every
+/// other failure is [`PeerError::Lost`].
+pub(crate) fn dial(addr: &str, peer: &str) -> Result<(TcpStream, FrameLines), PeerError> {
+    let lost = PeerError::Lost;
+    let mut stream = TcpStream::connect(addr).map_err(|e| lost(format!("connect {addr}: {e}")))?;
+    // Frames are small request/reply lines: send each now.
+    let _ = stream.set_nodelay(true);
+    let reader = stream
+        .try_clone()
+        .map_err(|e| lost(format!("clone connection: {e}")))?;
+    let mut lines = BufReader::new(reader).lines();
+    let hello = Msg::Hello {
+        schema: FABRIC_SCHEMA.into(),
+        worker: peer.into(),
+    };
+    write_frame(&mut stream, &hello).map_err(|e| lost(format!("send: {e}")))?;
+    match read_frame(&mut lines)? {
+        Msg::Welcome { .. } => Ok((stream, lines)),
+        Msg::Reject { reason } => Err(PeerError::Fatal(format!("rejected: {reason}"))),
+        other => Err(lost(format!("unexpected handshake reply {other:?}"))),
+    }
+}
+
+/// Read and decode the daemon's next frame.
+pub(crate) fn read_frame(lines: &mut FrameLines) -> Result<Msg, PeerError> {
+    let line = lines
+        .next()
+        .ok_or_else(|| PeerError::Lost("daemon closed the connection".into()))?
+        .map_err(|e| PeerError::Lost(format!("read: {e}")))?;
+    Msg::decode(&line).map_err(PeerError::Lost)
 }
 
 /// The CLI-shaped campaign descriptor shipped inside [`Msg::Submit`] and
@@ -278,7 +328,7 @@ pub enum Msg {
         accepting: bool,
         /// Jobs waiting for a free activation slot.
         queued: u64,
-        /// Jobs currently running or draining.
+        /// Jobs currently running.
         running: u64,
         /// Jobs fully written to their stores.
         done: u64,
@@ -296,8 +346,8 @@ pub enum Msg {
         job: u64,
         /// Campaign name.
         name: String,
-        /// Lifecycle state: `queued`, `running`, `draining`, `done`,
-        /// `cancelled`, or `failed`.
+        /// Lifecycle state: `queued`, `running`, `done`, `cancelled`, or
+        /// `failed`.
         state: String,
         /// Submitting client.
         client: String,

@@ -1,29 +1,34 @@
-//! The daemon's multi-campaign job queue: a pure state machine over
-//! submitted campaigns plus the durable journal that makes it crash-safe.
+//! The daemon's multi-campaign job queue: one pure state machine over
+//! submitted campaigns and their cells, plus the durable journal that
+//! makes it crash-safe.
 //!
-//! [`JobQueue`] is the queue-level analogue of [`ServeState`]: no sockets,
-//! no files. Each submitted campaign is a [`Job`] walking the lifecycle
+//! [`JobQueue`] has no sockets and no files. Each submitted campaign is a
+//! [`Job`] walking the lifecycle
 //!
 //! ```text
-//! Queued → Running ⇄ Draining → Done
-//!    │        │          │
-//!    └────────┴──────────┴────→ Cancelled        (client asked)
-//!    └────────────────────────→ Failed           (store I/O on activation)
+//! Queued → Running → Done
+//!    │        │
+//!    └────────┴────→ Cancelled        (client asked)
+//!    └─────────────→ Failed           (store I/O on activation)
 //! ```
 //!
 //! Admission is FIFO with a per-client quota on live (non-terminal) jobs;
 //! activation is FIFO up to `max_active` concurrently running campaigns;
 //! cell leases are dealt round-robin across running jobs so shared workers
 //! interleave campaigns instead of head-of-line blocking on the oldest
-//! one. Per-cell bookkeeping inside a running job *is* a [`ServeState`] —
-//! the lease/park/flush discipline (and its invariants) carry over
-//! unchanged, one instance per campaign.
+//! one. A job is Running from activation until the flush that writes its
+//! last cell makes it Done.
 //!
-//! `Running ⇄ Draining` is observational: a job drains once every cell is
-//! handed out (nothing pending, results still in flight), and an expired
-//! lease moves it back. Cancellation from any non-terminal state drops the
-//! job's leases; results for a cancelled job are ignored idempotently, and
-//! its partial store stays on disk.
+//! Inside a running job every cell is in exactly one place: pending (nobody
+//! works on it), leased (to a connection, until a monotonic deadline),
+//! parked (ingested, waiting for its turn in canonical order) or written.
+//! The queue moves cells between those sets directly: claims lease the
+//! lowest pending cell, heartbeats move deadlines, disconnects and expiries
+//! return leases to pending, results park (first ingest wins; duplicates
+//! and mismatched ids are counted), and flushes pop the contiguous prefix.
+//! The daemon-wide counters live on the queue, once. Cancellation from any
+//! non-terminal state drops the job's leases; results for a cancelled job
+//! are ignored idempotently, and its partial store stays on disk.
 //!
 //! ## The journal (`stabcon-jobs/1`)
 //!
@@ -38,6 +43,7 @@
 //! replays it and the store's one opener truncates its torn tail.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -48,7 +54,6 @@ use crate::presets::{preset, PRESET_NAMES};
 use crate::store::{open_log, scan_log, Durability, Log, StoreWriter};
 
 use super::protocol::{Msg, SpecDescriptor};
-use super::serve::{Ingest, Parked, ServeState};
 
 /// Jobs-journal schema identifier (line 0 of `<out>.jobs.jsonl`).
 pub const JOBS_SCHEMA: &str = "stabcon-jobs/1";
@@ -127,11 +132,8 @@ pub fn jobs_journal_path(out: &Path) -> PathBuf {
 pub enum JobState {
     /// Admitted and journaled; waiting for an activation slot.
     Queued,
-    /// Activated: store open, cells being leased out.
+    /// Activated: store open, cells being leased out, results flushed.
     Running,
-    /// Every cell handed out; results still in flight. An expired lease
-    /// moves the job back to [`JobState::Running`].
-    Draining,
     /// Every cell flushed to the job's store.
     Done,
     /// Cancelled by a client before completion (partial store kept).
@@ -147,7 +149,6 @@ impl JobState {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Draining => "draining",
             JobState::Done => "done",
             JobState::Cancelled => "cancelled",
             JobState::Failed => "failed",
@@ -159,7 +160,6 @@ impl JobState {
         match s {
             "queued" => Ok(JobState::Queued),
             "running" => Ok(JobState::Running),
-            "draining" => Ok(JobState::Draining),
             "done" => Ok(JobState::Done),
             "cancelled" => Ok(JobState::Cancelled),
             "failed" => Ok(JobState::Failed),
@@ -174,11 +174,45 @@ impl JobState {
             JobState::Done | JobState::Cancelled | JobState::Failed
         )
     }
+}
 
-    /// States that occupy an activation slot.
-    pub fn active(&self) -> bool {
-        matches!(self, JobState::Running | JobState::Draining)
-    }
+/// One ingested-but-not-yet-flushed result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Parked {
+    /// The raw store cell line.
+    pub line: String,
+    /// Trials the cell ran (timings sidecar).
+    pub trials: u64,
+    /// Worker-reported wall clock (timings sidecar).
+    pub elapsed_secs: f64,
+}
+
+/// What [`JobQueue::ingest`] did with a result frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ingest {
+    /// Fresh result, parked for in-order flushing.
+    Parked,
+    /// The cell was already parked or written, or the job is not running;
+    /// frame ignored and counted.
+    Duplicate,
+    /// The embedded line's cell id disagreed with the frame's — buggy or
+    /// hostile worker; record dropped, cell back to pending.
+    Rejected,
+}
+
+/// Where each cell of an activated job is. Empty until activation.
+#[derive(Debug, Default, PartialEq)]
+struct Cells {
+    /// Cells nobody is working on.
+    pending: BTreeSet<u64>,
+    /// Leased cells: id → (connection, monotonic deadline).
+    leases: BTreeMap<u64, (u64, Instant)>,
+    /// Ingested results waiting for their turn in canonical order.
+    parked: BTreeMap<u64, Parked>,
+    /// Cells already flushed to the store file.
+    written: BTreeSet<u64>,
+    /// Smallest id that might still need writing (flush cursor).
+    cursor: u64,
 }
 
 /// One submitted campaign in the queue.
@@ -199,9 +233,9 @@ pub struct Job {
     /// The built spec (`None` only for a replayed job whose descriptor no
     /// longer builds — such jobs are [`JobState::Failed`]).
     pub spec: Option<CampaignSpec>,
-    /// Per-cell lease/park/flush state while active (and kept after, for
+    /// Per-cell lease/park/flush sets from activation on (kept after, for
     /// the final written count).
-    pub cells: Option<ServeState>,
+    cells: Cells,
     /// Trials ingested so far (the numerator of the status trials/s).
     pub trials_ingested: u64,
     /// Monotonic activation time (the denominator of trials/s).
@@ -216,10 +250,7 @@ pub struct Job {
 impl Job {
     /// Cells already in the job's store (written prefix + parked results).
     pub fn written(&self) -> u64 {
-        self.cells
-            .as_ref()
-            .map(|c| c.written_len() + c.parked_len())
-            .unwrap_or(0)
+        (self.cells.written.len() + self.cells.parked.len()) as u64
     }
 
     /// Wall-clock seconds the job has been running (frozen at terminal).
@@ -230,6 +261,19 @@ impl Job {
             self.started
                 .map(|t| now.duration_since(t).as_secs_f64())
                 .unwrap_or(0.0)
+        }
+    }
+
+    /// Move to a terminal state, freezing the elapsed clock.
+    fn end(&mut self, state: JobState, now: Instant) {
+        self.elapsed_final = self.elapsed_secs(now);
+        self.state = state;
+    }
+
+    /// A running job whose every cell is written is done.
+    fn finish_if_written(&mut self, now: Instant) {
+        if self.state == JobState::Running && self.cells.written.len() as u64 == self.cells_total {
+            self.end(JobState::Done, now);
         }
     }
 }
@@ -265,7 +309,7 @@ pub struct QueueConfig {
     pub max_active: usize,
     /// Live (non-terminal) jobs one client may hold.
     pub quota: usize,
-    /// Cell lease duration handed to each job's [`ServeState`].
+    /// How long a cell lease lasts without a heartbeat.
     pub lease: Duration,
 }
 
@@ -284,7 +328,7 @@ impl Default for QueueConfig {
 pub struct QueueCounts {
     /// Jobs waiting for an activation slot.
     pub queued: u64,
-    /// Jobs running or draining.
+    /// Jobs running.
     pub running: u64,
     /// Jobs fully written.
     pub done: u64,
@@ -312,8 +356,18 @@ pub struct JobQueue {
     halted: bool,
     /// Last job id that dealt a lease (round-robin pointer).
     rr_last: u64,
-    /// Result frames for unknown/terminal jobs, ignored idempotently.
+    /// Result frames for unknown/non-running jobs, ignored idempotently.
     pub results_ignored: u64,
+    /// Results accepted (parked), over every job.
+    pub cells_ingested: u64,
+    /// Leases returned to pending (disconnect or expiry).
+    pub leases_reclaimed: u64,
+    /// Heartbeat extensions honored.
+    pub leases_renewed: u64,
+    /// Duplicate result frames ignored (first ingest wins).
+    pub results_deduped: u64,
+    /// Result frames rejected for an id mismatch or an out-of-range cell.
+    pub results_rejected: u64,
 }
 
 impl JobQueue {
@@ -328,6 +382,11 @@ impl JobQueue {
             halted: false,
             rr_last: 0,
             results_ignored: 0,
+            cells_ingested: 0,
+            leases_reclaimed: 0,
+            leases_renewed: 0,
+            results_deduped: 0,
+            results_rejected: 0,
         }
     }
 
@@ -353,11 +412,6 @@ impl JobQueue {
         self.halted = true;
     }
 
-    /// The configured lease duration.
-    pub fn lease(&self) -> Duration {
-        self.cfg.lease
-    }
-
     /// Look up one job.
     pub fn job(&self, id: u64) -> Option<&Job> {
         self.jobs.get(&id)
@@ -374,7 +428,7 @@ impl JobQueue {
         for job in self.jobs.values() {
             match job.state {
                 JobState::Queued => c.queued += 1,
-                JobState::Running | JobState::Draining => c.running += 1,
+                JobState::Running => c.running += 1,
                 JobState::Done => c.done += 1,
                 JobState::Cancelled => c.cancelled += 1,
                 JobState::Failed => c.failed += 1,
@@ -383,13 +437,13 @@ impl JobQueue {
         c
     }
 
-    /// Nothing queued and nothing active.
+    /// Nothing queued and nothing running.
     pub fn idle(&self) -> bool {
         self.jobs.values().all(|j| j.state.terminal())
     }
 
-    fn active_count(&self) -> usize {
-        self.jobs.values().filter(|j| j.state.active()).count()
+    fn running(&self) -> impl Iterator<Item = &Job> {
+        self.jobs.values().filter(|j| j.state == JobState::Running)
     }
 
     fn live_count(&self, client: &str) -> usize {
@@ -482,7 +536,7 @@ impl JobQueue {
                 state: JobState::Queued,
                 cells_total,
                 spec,
-                cells: None,
+                cells: Cells::default(),
                 trials_ingested: 0,
                 started: None,
                 elapsed_final: 0.0,
@@ -493,21 +547,20 @@ impl JobQueue {
     }
 
     /// The next job an activation slot should go to, if any: FIFO head
-    /// while fewer than `max_active` jobs are active. The caller opens the
+    /// while fewer than `max_active` jobs are running. The caller opens the
     /// job's store and then calls [`JobQueue::start`] (or
     /// [`JobQueue::fail`] if the open failed).
     pub fn next_activation(&self) -> Option<u64> {
-        if self.halted || self.active_count() >= self.cfg.max_active {
+        if self.halted || self.running().count() >= self.cfg.max_active {
             return None;
         }
         self.fifo.first().copied()
     }
 
     /// Activate a queued job: `done` is the set of cells already in its
-    /// (re-opened) store. Flips to Running (or straight to Done when the
-    /// store was already complete).
+    /// (re-opened) store. Flips to Running, or straight to Done when the
+    /// store was already complete.
     pub fn start(&mut self, id: u64, done: BTreeSet<u64>, now: Instant) -> Result<(), String> {
-        let lease = self.cfg.lease;
         let job = self
             .jobs
             .get_mut(&id)
@@ -515,11 +568,15 @@ impl JobQueue {
         if job.state != JobState::Queued {
             return Err(format!("start: job {id} is {}", job.state.label()));
         }
-        job.cells = Some(ServeState::new(job.cells_total, done, lease));
+        job.cells = Cells {
+            pending: (0..job.cells_total).filter(|c| !done.contains(c)).collect(),
+            written: done,
+            ..Cells::default()
+        };
         job.state = JobState::Running;
         job.started = Some(now);
+        job.finish_if_written(now);
         self.fifo.retain(|&q| q != id);
-        self.refresh_state(id, now);
         Ok(())
     }
 
@@ -527,8 +584,7 @@ impl JobQueue {
     pub fn fail(&mut self, id: u64, now: Instant) {
         if let Some(job) = self.jobs.get_mut(&id) {
             if !job.state.terminal() {
-                job.elapsed_final = job.elapsed_secs(now);
-                job.state = JobState::Failed;
+                job.end(JobState::Failed, now);
                 self.fifo.retain(|&q| q != id);
             }
         }
@@ -547,71 +603,44 @@ impl JobQueue {
                 format!("job {id} is already {}", job.state.label()),
             ));
         }
-        job.elapsed_final = job.elapsed_secs(now);
-        job.state = JobState::Cancelled;
+        job.end(JobState::Cancelled, now);
         self.fifo.retain(|&q| q != id);
         Ok(JobState::Cancelled)
     }
 
-    /// Recompute one active job's Running/Draining/Done split after a
-    /// transition touched its cells. Returns the new state if it changed
-    /// (the daemon journals and logs exactly those).
-    pub fn refresh_state(&mut self, id: u64, now: Instant) -> Option<JobState> {
-        let job = self.jobs.get_mut(&id)?;
-        if !job.state.active() {
-            return None;
-        }
-        let cells = job.cells.as_ref()?;
-        let next = if cells.drained() {
-            JobState::Done
-        } else if cells.pending_len() == 0 {
-            JobState::Draining
-        } else {
-            JobState::Running
-        };
-        if next == job.state {
-            return None;
-        }
-        if next == JobState::Done {
-            job.elapsed_final = job.elapsed_secs(now);
-        }
-        job.state = next;
-        Some(next)
-    }
-
-    /// Deal a lease to a worker: round-robin across active jobs, starting
-    /// after the last job that dealt one. Returns
-    /// [`Msg::Lease2`] when a cell is free, [`Msg::Wait`] while work may
-    /// still appear, [`Msg::Drained`] once the queue is idle and closed.
+    /// Deal a lease to a worker: the lowest pending cell of the first
+    /// running job after the last one that dealt a lease (round-robin).
+    /// Returns [`Msg::Lease2`] when a cell is free, [`Msg::Wait`] while
+    /// work may still appear, [`Msg::Drained`] once the queue is idle and
+    /// closed.
     pub fn claim(&mut self, conn: u64, now: Instant) -> Msg {
         if self.halted {
             return Msg::Drained;
         }
-        let active: Vec<u64> = self
-            .jobs
-            .values()
-            .filter(|j| j.state.active())
-            .map(|j| j.id)
-            .collect();
-        // Rotate so the job after `rr_last` gets first refusal.
-        let start = active.partition_point(|&id| id <= self.rr_last);
-        let order = active[start..].iter().chain(active[..start].iter());
-        for &id in order {
-            let job = self.jobs.get_mut(&id).expect("active id");
-            let cells = job.cells.as_mut().expect("active job has cells");
-            if let Some(cell) = cells.claim(conn, now) {
-                self.rr_last = id;
-                self.refresh_state(id, now);
-                let job = self.jobs.get(&id).expect("active id");
-                return Msg::Lease2 {
-                    job: id,
-                    cell,
-                    lease_ms: self.cfg.lease.as_millis() as u64,
-                    spec: job.descriptor.clone(),
-                    fingerprint: format!("{:016x}", job.fingerprint),
-                };
+        let deadline = now + self.cfg.lease;
+        let lease = |(&id, job): (&u64, &mut Job)| {
+            if job.state != JobState::Running {
+                return None;
             }
-            self.refresh_state(id, now);
+            let cell = job.cells.pending.pop_first()?;
+            job.cells.leases.insert(cell, (conn, deadline));
+            Some((id, cell))
+        };
+        let leased = self
+            .jobs
+            .range_mut((Excluded(self.rr_last), Unbounded))
+            .find_map(lease)
+            .or_else(|| self.jobs.range_mut(..=self.rr_last).find_map(lease));
+        if let Some((id, cell)) = leased {
+            self.rr_last = id;
+            let job = &self.jobs[&id];
+            return Msg::Lease2 {
+                job: id,
+                cell,
+                lease_ms: self.cfg.lease.as_millis() as u64,
+                spec: job.descriptor.clone(),
+                fingerprint: format!("{:016x}", job.fingerprint),
+            };
         }
         if self.idle() && !self.accepting {
             Msg::Drained
@@ -622,104 +651,123 @@ impl JobQueue {
         }
     }
 
-    /// Heartbeat one job's cell lease.
+    /// Heartbeat: push a running job's cell lease to `now + lease`, but
+    /// only if `conn` still holds it. A renewal for a reclaimed (or never
+    /// granted) lease is ignored: the original worker lost it, and its
+    /// eventual duplicate result will be deduped instead.
     pub fn renew(&mut self, conn: u64, id: u64, cell: u64, now: Instant) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            if let Some(cells) = job.cells.as_mut() {
-                if job.state.active() {
-                    cells.renew(conn, cell, now);
-                }
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        match job.cells.leases.get_mut(&cell) {
+            Some((owner, deadline)) if *owner == conn && job.state == JobState::Running => {
+                *deadline = now + self.cfg.lease;
+                self.leases_renewed += 1;
             }
+            _ => {}
         }
     }
 
-    /// Ingest one result frame for one job. Results for unknown or
-    /// non-active jobs are ignored idempotently (a cancelled job's workers
-    /// limp home late; that is not an error).
-    pub fn ingest(
-        &mut self,
-        id: u64,
-        cell: u64,
-        parked: Parked,
-        id_ok: bool,
-        now: Instant,
-    ) -> Ingest {
-        let trials = parked.trials;
-        match self.jobs.get_mut(&id) {
-            Some(job) if job.state.active() => {
-                let outcome = job
-                    .cells
-                    .as_mut()
-                    .expect("active job has cells")
-                    .ingest(cell, parked, id_ok);
-                if outcome == Ingest::Parked {
-                    job.trials_ingested += trials;
-                }
-                self.refresh_state(id, now);
-                outcome
-            }
-            _ => {
-                self.results_ignored += 1;
-                Ingest::Duplicate
-            }
+    /// Ingest one result frame for one job. `id_ok` is whether the
+    /// embedded store line's `cell` field matches `cell` (the caller
+    /// parses the line; the queue stays serialization-free). Results for
+    /// unknown or non-running jobs are ignored idempotently (a cancelled
+    /// job's workers limp home late; that is not an error).
+    pub fn ingest(&mut self, id: u64, cell: u64, parked: Parked, id_ok: bool) -> Ingest {
+        let Some(job) = self
+            .jobs
+            .get_mut(&id)
+            .filter(|j| j.state == JobState::Running)
+        else {
+            self.results_ignored += 1;
+            return Ingest::Duplicate;
+        };
+        let (c, total) = (&mut job.cells, job.cells_total);
+        c.leases.remove(&cell);
+        c.pending.remove(&cell);
+        if c.written.contains(&cell) || c.parked.contains_key(&cell) {
+            self.results_deduped += 1;
+            return Ingest::Duplicate;
         }
+        if !id_ok || cell >= total {
+            // Buggy or hostile worker: drop the record. An in-range cell
+            // goes back to pending so a healthy worker re-runs it.
+            if cell < total {
+                c.pending.insert(cell);
+            }
+            self.results_rejected += 1;
+            return Ingest::Rejected;
+        }
+        job.trials_ingested += parked.trials;
+        c.parked.insert(cell, parked);
+        self.cells_ingested += 1;
+        Ingest::Parked
     }
 
-    /// Pop the next flushable result of one job (contiguous-prefix
-    /// order); the final pop flips the job to [`JobState::Done`].
+    /// Pop the next parked result of a running job that extends its
+    /// store's contiguous prefix, marking it written; `None` means the
+    /// prefix can't grow yet. The pop that writes the last cell flips the
+    /// job to [`JobState::Done`].
     pub fn pop_flushable(&mut self, id: u64, now: Instant) -> Option<(u64, Parked)> {
-        let popped = self.jobs.get_mut(&id)?.cells.as_mut()?.pop_flushable();
-        self.refresh_state(id, now);
-        popped
-    }
-
-    /// Return every lease `conn` holds, in every active job (disconnect).
-    pub fn release_conn(&mut self, conn: u64, now: Instant) {
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        for id in ids {
-            if let Some(job) = self.jobs.get_mut(&id) {
-                if job.state.active() {
-                    job.cells
-                        .as_mut()
-                        .expect("active job has cells")
-                        .release_conn(conn);
-                    self.refresh_state(id, now);
-                }
-            }
+        let job = self
+            .jobs
+            .get_mut(&id)
+            .filter(|j| j.state == JobState::Running)?;
+        let c = &mut job.cells;
+        while c.written.contains(&c.cursor) {
+            c.cursor += 1;
         }
+        let cell = c.cursor;
+        let parked = c.parked.remove(&cell)?;
+        c.written.insert(cell);
+        job.finish_if_written(now);
+        Some((cell, parked))
     }
 
-    /// Expire overdue leases in every active job; returns the reclaimed
-    /// `(job, cell)` pairs so the daemon can log each expiry.
+    /// Return every lease `conn` holds, in every running job (disconnect).
+    pub fn release_conn(&mut self, conn: u64) {
+        self.reclaim(|owner, _| owner == conn);
+    }
+
+    /// Return every lease whose monotonic deadline has passed to its job's
+    /// pending set. Heartbeats ([`JobQueue::renew`]) move deadlines, so
+    /// only silent workers expire. Returns the reclaimed `(job, cell)`
+    /// pairs so the daemon can log each expiry.
     pub fn sweep_expired(&mut self, now: Instant) -> Vec<(u64, u64)> {
+        self.reclaim(|_, deadline| now >= deadline)
+    }
+
+    /// Return every lease of a running job that `lost(conn, deadline)`
+    /// picks to its pending set.
+    fn reclaim(&mut self, lost: impl Fn(u64, Instant) -> bool) -> Vec<(u64, u64)> {
         let mut reclaimed = Vec::new();
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        for id in ids {
-            if let Some(job) = self.jobs.get_mut(&id) {
-                if job.state.active() {
-                    let cells = job.cells.as_mut().expect("active job has cells");
-                    for cell in cells.sweep_expired(now) {
-                        reclaimed.push((id, cell));
-                    }
-                    self.refresh_state(id, now);
-                }
+        for job in self.jobs.values_mut() {
+            if job.state != JobState::Running {
+                continue;
             }
+            let c = &mut job.cells;
+            c.leases.retain(|&cell, &mut (conn, deadline)| {
+                let keep = !lost(conn, deadline);
+                if !keep {
+                    c.pending.insert(cell);
+                    reclaimed.push((job.id, cell));
+                }
+                keep
+            });
         }
+        self.leases_reclaimed += reclaimed.len() as u64;
         reclaimed
     }
 
     /// Every in-flight lease has resolved (come home or expired) — the
     /// SIGTERM drain is complete once this holds while halted.
     pub fn leases_settled(&self) -> bool {
-        self.jobs
-            .values()
-            .filter(|j| j.state.active())
-            .all(|j| j.cells.as_ref().is_none_or(|c| c.leased_len() == 0))
+        self.running().all(|j| j.cells.leases.is_empty())
     }
 
     /// Rebuild the queue from journal events (crash recovery). Jobs whose
-    /// last journaled state was queued/running/draining go back into the
-    /// FIFO (in admission order, ahead of nothing — the queue is empty);
+    /// last journaled state was queued or running go back into the FIFO
+    /// (in admission order, ahead of nothing — the queue is empty);
     /// previously-running jobs are flagged to re-open their stores with
     /// resume. Terminal jobs are kept as records for the status plane.
     pub fn replay(&mut self, events: &[JournalEvent]) -> Result<(), String> {
@@ -751,9 +799,9 @@ impl JobQueue {
                         .ok_or_else(|| format!("journal: state event for unknown job {job}"))?;
                     match state {
                         // Fold to the last journaled lifecycle point. A
-                        // running/draining job has no live ServeState here;
-                        // it re-queues flagged for store resume.
-                        JobState::Running | JobState::Draining => {
+                        // running job has no live cell sets here; it
+                        // re-queues flagged for store resume.
+                        JobState::Running => {
                             j.state = JobState::Queued;
                             j.resume_store = true;
                         }
@@ -781,11 +829,13 @@ impl JobQueue {
 
     /// Structural invariants, for property tests:
     /// - the FIFO holds exactly the queued jobs, each once;
-    /// - at most `max_active` jobs are active;
-    /// - every active job has cell state satisfying
-    ///   [`ServeState::check_invariants`], with Running ⇔ cells pending
-    ///   and Draining ⇔ none pending, and is never silently complete;
-    /// - done jobs are fully written; queued jobs have no cell state yet.
+    /// - at most `max_active` jobs are running;
+    /// - every cell of a running job is in exactly one of {pending,
+    ///   leased, parked, written}, no set holds an out-of-range cell, the
+    ///   flush cursor never passes an unwritten cell, and the job is never
+    ///   silently complete;
+    /// - a job done in this run is fully written; queued jobs have no
+    ///   cell state yet.
     pub fn check_invariants(&self) -> Result<(), String> {
         let queued: Vec<u64> = self
             .jobs
@@ -806,51 +856,56 @@ impl JobQueue {
                 self.fifo
             ));
         }
-        if self.active_count() > self.cfg.max_active {
+        let running = self.running().count();
+        if running > self.cfg.max_active {
             return Err(format!(
-                "{} active jobs exceeds max_active {}",
-                self.active_count(),
+                "{running} running jobs exceeds max_active {}",
                 self.cfg.max_active
             ));
         }
         for job in self.jobs.values() {
+            let (c, total) = (&job.cells, job.cells_total);
             match job.state {
-                JobState::Queued => {
-                    if job.cells.is_some() {
-                        return Err(format!("queued job {} has cell state", job.id));
-                    }
+                JobState::Queued if *c != Cells::default() => {
+                    return Err(format!("queued job {} has cell state", job.id));
                 }
-                JobState::Running | JobState::Draining => {
-                    let cells = job
-                        .cells
-                        .as_ref()
-                        .ok_or_else(|| format!("active job {} without cell state", job.id))?;
-                    cells
-                        .check_invariants()
-                        .map_err(|e| format!("job {}: {e}", job.id))?;
-                    if cells.drained() {
-                        return Err(format!("job {} complete but not marked done", job.id));
-                    }
-                    let draining = cells.pending_len() == 0;
-                    if draining != (job.state == JobState::Draining) {
-                        return Err(format!(
-                            "job {} is {} with {} pending cells",
-                            job.id,
-                            job.state.label(),
-                            cells.pending_len()
-                        ));
-                    }
-                }
-                JobState::Done => {
-                    // `None` cells = a terminal record restored by journal
-                    // replay; a live completion always has drained cells.
-                    if let Some(cells) = job.cells.as_ref() {
-                        if !cells.drained() {
-                            return Err(format!("done job {} is not fully written", job.id));
+                JobState::Running => {
+                    for id in 0..total {
+                        let places = [
+                            c.pending.contains(&id),
+                            c.leases.contains_key(&id),
+                            c.parked.contains_key(&id),
+                            c.written.contains(&id),
+                        ];
+                        let count = places.iter().filter(|&&p| p).count();
+                        if count != 1 {
+                            return Err(format!(
+                                "job {}: cell {id} is in {count} sets (pending={}, \
+                                 leased={}, parked={}, written={})",
+                                job.id, places[0], places[1], places[2], places[3]
+                            ));
                         }
                     }
+                    let held = c.pending.len() + c.leases.len() + c.parked.len() + c.written.len();
+                    if held as u64 != total {
+                        return Err(format!("job {}: an out-of-range cell is held", job.id));
+                    }
+                    if let Some(id) = (0..c.cursor.min(total)).find(|id| !c.written.contains(id)) {
+                        return Err(format!(
+                            "job {}: cursor {} passed unwritten cell {id}",
+                            job.id, c.cursor
+                        ));
+                    }
+                    if c.written.len() as u64 == total {
+                        return Err(format!("job {} complete but not marked done", job.id));
+                    }
                 }
-                JobState::Cancelled | JobState::Failed => {}
+                // A done record restored by journal replay never started
+                // here; a live completion is always fully written.
+                JobState::Done if job.started.is_some() && c.written.len() as u64 != total => {
+                    return Err(format!("done job {} is not fully written", job.id));
+                }
+                _ => {}
             }
         }
         Ok(())
@@ -1076,7 +1131,7 @@ mod tests {
         assert_eq!(err.code, "over-quota");
         // A different client still gets in.
         q.submit("other", &d3, &fp_of(&d3)).expect("other client");
-        // Draining queue refuses everything.
+        // A queue closed to admission refuses everything.
         q.set_accepting(false);
         let err = q.submit("fresh", &d3, &fp_of(&d3)).unwrap_err();
         assert_eq!(err.code, "draining");
@@ -1103,7 +1158,7 @@ mod tests {
                 panic!("expected lease")
             };
             assert_eq!(job, 1);
-            assert_eq!(q.ingest(job, c, parked(c), true, now), Ingest::Parked);
+            assert_eq!(q.ingest(job, c, parked(c), true), Ingest::Parked);
             while q.pop_flushable(job, now).is_some() {}
         }
         assert_eq!(q.job(1).unwrap().state, JobState::Done);
@@ -1130,6 +1185,32 @@ mod tests {
         };
         assert_ne!(j1, j2, "shared worker interleaves campaigns");
         q.check_invariants().expect("invariants");
+
+        // Three jobs, the middle one done at activation (its store was
+        // complete): the rotation skips it, so the claim after job 1's
+        // lease goes to job 3, and the next wraps back to job 1.
+        let mut q = queue(3, 8);
+        for name in ["a", "b", "c"] {
+            let d = desc("smoke", name);
+            q.submit("lab", &d, &fp_of(&d)).expect("admit");
+        }
+        let total = q.job(2).unwrap().cells_total;
+        q.start(1, BTreeSet::new(), now).expect("start 1");
+        q.start(2, (0..total).collect(), now).expect("start 2");
+        q.start(3, BTreeSet::new(), now).expect("start 3");
+        assert_eq!(q.job(2).unwrap().state, JobState::Done);
+        let dealt: Vec<u64> = (0..3)
+            .map(|_| match q.claim(7, now) {
+                Msg::Lease2 { job, .. } => job,
+                other => panic!("lease, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            dealt,
+            [1, 3, 1],
+            "a done job is skipped, then the rotation wraps"
+        );
+        q.check_invariants().expect("invariants");
     }
 
     #[test]
@@ -1144,37 +1225,12 @@ mod tests {
         };
         assert_eq!(q.cancel(1, now), Ok(JobState::Cancelled));
         // The in-flight worker ships its result anyway: ignored, counted.
-        assert_eq!(
-            q.ingest(job, cell, parked(cell), true, now),
-            Ingest::Duplicate
-        );
+        assert_eq!(q.ingest(job, cell, parked(cell), true), Ingest::Duplicate);
         assert_eq!(q.results_ignored, 1);
         // Cancel again: terminal-job.
         assert_eq!(q.cancel(1, now).unwrap_err().code, "terminal-job");
         // Unknown job: unknown-job.
         assert_eq!(q.cancel(99, now).unwrap_err().code, "unknown-job");
-        q.check_invariants().expect("invariants");
-    }
-
-    #[test]
-    fn draining_tracks_pending_and_reverses_on_expiry() {
-        let mut q = queue(1, 8);
-        let now = Instant::now();
-        let d = desc("smoke", "a");
-        q.submit("lab", &d, &fp_of(&d)).expect("admit");
-        q.start(1, BTreeSet::new(), now).expect("start");
-        let total = q.job(1).unwrap().cells_total;
-        // Lease every cell out: the job drains.
-        for _ in 0..total {
-            let Msg::Lease2 { .. } = q.claim(7, now) else {
-                panic!("lease")
-            };
-        }
-        assert_eq!(q.job(1).unwrap().state, JobState::Draining);
-        q.check_invariants().expect("invariants while draining");
-        // The silent worker's leases expire: back to Running.
-        q.sweep_expired(now + Duration::from_secs(2));
-        assert_eq!(q.job(1).unwrap().state, JobState::Running);
         q.check_invariants().expect("invariants");
     }
 

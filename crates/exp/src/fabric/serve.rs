@@ -18,12 +18,12 @@
 //! wall-clock step (NTP correction, manual `date`, DST) can never
 //! mass-expire live leases or stretch them indefinitely.
 //!
-//! The per-job lease/park/flush bookkeeping lives in [`ServeState`], a pure
-//! state machine decoupled from sockets and files (one instance per running
-//! job, owned by the [`JobQueue`]): the connection handlers translate wire
-//! frames into state transitions, and property tests drive arbitrary
-//! hostile interleavings (duplicate results, reconnects, expired leases)
-//! against [`ServeState::check_invariants`] directly.
+//! The lease/park/flush decisions are not made here: they are
+//! [`JobQueue`]'s, one pure state machine over every job and its cells,
+//! with no sockets and no files. This module keeps the I/O around it — the
+//! listener and connection threads that translate wire frames into queue
+//! transitions under one lock, the held-claim wait, and the journal and
+//! store writers that make each transition durable.
 //!
 //! Results are parked and flushed to the job's store as a contiguous prefix
 //! in cell-index order (the same discipline as the in-order merger of
@@ -51,7 +51,7 @@
 //! counted, so a hostile or desynced worker can never corrupt a sink, and
 //! a clean run drops nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -67,241 +67,9 @@ use crate::telemetry;
 
 use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
 use super::queue::{
-    job_store_path, jobs_journal_path, open_journal, Job, JobQueue, JobState, JournalEvent,
-    QueueConfig,
+    job_store_path, jobs_journal_path, open_journal, Ingest, Job, JobQueue, JobState, JournalEvent,
+    Parked, QueueConfig,
 };
-
-/// One ingested-but-not-yet-flushed result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Parked {
-    /// The raw store cell line.
-    pub line: String,
-    /// Trials the cell ran (timings sidecar).
-    pub trials: u64,
-    /// Worker-reported wall clock (timings sidecar).
-    pub elapsed_secs: f64,
-}
-
-/// What [`ServeState::ingest`] did with a result frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ingest {
-    /// Fresh result, parked for in-order flushing.
-    Parked,
-    /// The cell was already parked or written; frame ignored, dedupe
-    /// counter bumped.
-    Duplicate,
-    /// The embedded line's cell id disagreed with the frame's — buggy or
-    /// hostile worker; record dropped, cell back to pending.
-    Rejected,
-}
-
-/// The serve daemon's pure lease/ingest state machine: which cells are
-/// pending, leased (to which connection, until which monotonic deadline),
-/// parked awaiting their flush turn, or written. No sockets, no files —
-/// the connection handlers call into it under a lock, and property tests
-/// drive hostile interleavings against it directly.
-#[derive(Debug)]
-pub struct ServeState {
-    /// Cells nobody is working on.
-    pending: BTreeSet<u64>,
-    /// Leased cells: id → (connection, monotonic deadline).
-    leases: BTreeMap<u64, (u64, Instant)>,
-    /// Ingested results waiting for their turn in canonical order.
-    parked: BTreeMap<u64, Parked>,
-    /// Cells already flushed to the store file.
-    written: BTreeSet<u64>,
-    /// Smallest id that might still need writing (flush cursor).
-    cursor: u64,
-    total: u64,
-    lease: Duration,
-    /// Leases returned to pending (disconnect or expiry).
-    pub leases_reclaimed: u64,
-    /// Heartbeat extensions honored.
-    pub leases_renewed: u64,
-    /// Duplicate result frames ignored.
-    pub results_deduped: u64,
-    /// Result frames rejected for id mismatch.
-    pub results_rejected: u64,
-    /// Results accepted (parked) by this invocation.
-    pub cells_ingested: u64,
-}
-
-impl ServeState {
-    /// Fresh state for a `total`-cell grid with `done` cells already in the
-    /// store (resume) and the given lease duration.
-    pub fn new(total: u64, done: BTreeSet<u64>, lease: Duration) -> Self {
-        let mut cursor = 0u64;
-        while done.contains(&cursor) {
-            cursor += 1;
-        }
-        Self {
-            pending: (0..total).filter(|id| !done.contains(id)).collect(),
-            leases: BTreeMap::new(),
-            parked: BTreeMap::new(),
-            written: done,
-            cursor,
-            total,
-            lease,
-            leases_reclaimed: 0,
-            leases_renewed: 0,
-            results_deduped: 0,
-            results_rejected: 0,
-            cells_ingested: 0,
-        }
-    }
-
-    /// Every cell is in the store.
-    pub fn drained(&self) -> bool {
-        self.written.len() as u64 == self.total
-    }
-
-    /// Cells flushed so far.
-    pub fn written_len(&self) -> u64 {
-        self.written.len() as u64
-    }
-
-    /// Cells nobody is working on.
-    pub fn pending_len(&self) -> u64 {
-        self.pending.len() as u64
-    }
-
-    /// Cells currently leased out.
-    pub fn leased_len(&self) -> u64 {
-        self.leases.len() as u64
-    }
-
-    /// Ingested cells waiting for their flush turn.
-    pub fn parked_len(&self) -> u64 {
-        self.parked.len() as u64
-    }
-
-    /// Lease the lowest pending cell to `conn` until `now + lease`, and
-    /// return its id; `None` when nothing is pending.
-    pub fn claim(&mut self, conn: u64, now: Instant) -> Option<u64> {
-        let cell = self.pending.pop_first()?;
-        self.leases.insert(cell, (conn, now + self.lease));
-        Some(cell)
-    }
-
-    /// Heartbeat: push `cell`'s deadline to `now + lease` — but only if
-    /// `conn` still holds the lease. A renewal for a reclaimed (or never
-    /// granted) lease is ignored: the original worker lost it, and its
-    /// eventual duplicate result will be deduped instead.
-    pub fn renew(&mut self, conn: u64, cell: u64, now: Instant) {
-        if let Some(entry) = self.leases.get_mut(&cell) {
-            if entry.0 == conn {
-                entry.1 = now + self.lease;
-                self.leases_renewed += 1;
-            }
-        }
-    }
-
-    /// Ingest one result frame. `id_ok` is whether the embedded store
-    /// line's `cell` field matches `cell` (the caller parses the line; the
-    /// state machine stays serialization-free).
-    pub fn ingest(&mut self, cell: u64, parked: Parked, id_ok: bool) -> Ingest {
-        self.leases.remove(&cell);
-        self.pending.remove(&cell);
-        if self.written.contains(&cell) || self.parked.contains_key(&cell) {
-            self.results_deduped += 1;
-            return Ingest::Duplicate;
-        }
-        if !id_ok || cell >= self.total {
-            // Buggy or hostile worker: drop the record. An in-range cell
-            // goes back to pending so a healthy worker re-runs it.
-            if cell < self.total {
-                self.pending.insert(cell);
-            }
-            self.results_rejected += 1;
-            return Ingest::Rejected;
-        }
-        self.parked.insert(cell, parked);
-        self.cells_ingested += 1;
-        Ingest::Parked
-    }
-
-    /// Pop the next parked result that extends the store's contiguous
-    /// prefix, marking it written. Call in a loop after each ingest; `None`
-    /// means the prefix can't grow yet.
-    pub fn pop_flushable(&mut self) -> Option<(u64, Parked)> {
-        loop {
-            if self.written.contains(&self.cursor) {
-                self.cursor += 1;
-                continue;
-            }
-            let parked = self.parked.remove(&self.cursor)?;
-            self.written.insert(self.cursor);
-            return Some((self.cursor, parked));
-        }
-    }
-
-    /// Return every lease owned by `conn` to the pending set (disconnect).
-    /// Returns the reclaimed cell ids so callers can log each one.
-    pub fn release_conn(&mut self, conn: u64) -> Vec<u64> {
-        let cells: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, &(owner, _))| owner == conn)
-            .map(|(&c, _)| c)
-            .collect();
-        for &c in &cells {
-            self.leases.remove(&c);
-            self.pending.insert(c);
-            self.leases_reclaimed += 1;
-        }
-        cells
-    }
-
-    /// Return every lease whose monotonic deadline has passed to the
-    /// pending set. Heartbeats ([`ServeState::renew`]) move deadlines, so
-    /// only silent workers expire. Returns the reclaimed cell ids so
-    /// callers can log each one.
-    pub fn sweep_expired(&mut self, now: Instant) -> Vec<u64> {
-        let expired: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, &(_, deadline))| now >= deadline)
-            .map(|(&c, _)| c)
-            .collect();
-        for &c in &expired {
-            self.leases.remove(&c);
-            self.pending.insert(c);
-            self.leases_reclaimed += 1;
-        }
-        expired
-    }
-
-    /// Structural invariants, for property tests: every cell of the grid
-    /// is in exactly one of {pending, leased, parked, written}, the flush
-    /// cursor never passes an unwritten cell, and written cells are never
-    /// simultaneously pending/leased/parked.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for id in 0..self.total {
-            let places = [
-                self.pending.contains(&id),
-                self.leases.contains_key(&id),
-                self.parked.contains_key(&id),
-                self.written.contains(&id),
-            ];
-            let count = places.iter().filter(|&&p| p).count();
-            if count != 1 {
-                return Err(format!(
-                    "cell {id} is in {count} sets (pending={}, leased={}, parked={}, written={})",
-                    places[0], places[1], places[2], places[3]
-                ));
-            }
-        }
-        for id in 0..self.cursor.min(self.total) {
-            if !self.written.contains(&id) {
-                return Err(format!("cursor {} passed unwritten cell {id}", self.cursor));
-            }
-        }
-        if self.parked.keys().any(|&id| id >= self.total) {
-            return Err("out-of-range cell parked".into());
-        }
-        Ok(())
-    }
-}
 
 /// Daemon knobs.
 #[derive(Clone)]
@@ -353,7 +121,7 @@ pub struct QueueOutcome {
     pub jobs: u64,
     /// Jobs still queued at exit (parked for the next `--resume`).
     pub queued: u64,
-    /// Jobs still running/draining at exit (parked likewise).
+    /// Jobs still running at exit (parked likewise).
     pub running: u64,
     /// Jobs fully written to their stores.
     pub done: u64,
@@ -520,7 +288,7 @@ impl QShared {
             trials,
             elapsed_secs,
         };
-        if self.queue.ingest(job, cell, parked, id_ok, now) == Ingest::Parked {
+        if self.queue.ingest(job, cell, parked, id_ok) == Ingest::Parked {
             self.flush_job(job, now)?;
         }
         Ok(())
@@ -719,31 +487,24 @@ impl QShared {
         self.journal
             .finish()
             .map_err(|e| format!("sync jobs journal on exit: {e}"))?;
-        let c = self.queue.counts();
-        let mut outcome = QueueOutcome {
-            jobs: self.queue.jobs().count() as u64,
+        let (q, c) = (&self.queue, self.queue.counts());
+        Ok(QueueOutcome {
+            jobs: q.jobs().count() as u64,
             queued: c.queued,
             running: c.running,
             done: c.done,
             cancelled: c.cancelled,
             failed: c.failed,
             workers_seen: self.workers_seen,
-            cells_ingested: 0,
-            leases_reclaimed: 0,
-            leases_renewed: 0,
-            results_deduped: 0,
+            cells_ingested: q.cells_ingested,
+            leases_reclaimed: q.leases_reclaimed,
+            leases_renewed: q.leases_renewed,
+            results_deduped: q.results_deduped,
             telemetry_dropped: self.telemetry_dropped,
             goodbyes: self.goodbyes,
             halted,
             journal_path: jobs_journal_path(&self.out),
-        };
-        for cells in self.queue.jobs().filter_map(|j| j.cells.as_ref()) {
-            outcome.cells_ingested += cells.cells_ingested;
-            outcome.leases_reclaimed += cells.leases_reclaimed;
-            outcome.leases_renewed += cells.leases_renewed;
-            outcome.results_deduped += cells.results_deduped;
-        }
-        Ok(outcome)
+        })
     }
 }
 
@@ -1146,17 +907,47 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, daemon: &Daemon) {
     // Disconnect (or violation, or goodbye): whatever this connection held
     // goes back to its jobs' pending sets.
     if let Ok(mut q) = daemon.state.lock() {
-        q.queue.release_conn(conn, Instant::now());
+        q.queue.release_conn(conn);
     }
     daemon.changed.notify_all();
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
-    fn state(total: u64) -> ServeState {
-        ServeState::new(total, BTreeSet::new(), Duration::from_millis(500))
+    /// A one-job queue, running, over a `total`-cell grid with a 500 ms
+    /// lease: the daemon's lease contract without a socket. A journal
+    /// record fixes the grid size without expanding a preset.
+    fn one_job(total: u64) -> JobQueue {
+        let mut q = JobQueue::new(QueueConfig {
+            lease: Duration::from_millis(500),
+            ..QueueConfig::default()
+        });
+        let spec = SpecDescriptor {
+            preset: "smoke".into(),
+            ..SpecDescriptor::default()
+        };
+        q.replay(&[JournalEvent::Submit {
+            job: 1,
+            client: "t".into(),
+            spec,
+            fingerprint: 0,
+            cells: total,
+        }])
+        .expect("replay");
+        q.start(1, BTreeSet::new(), Instant::now()).expect("start");
+        q
+    }
+
+    /// Claim one cell for `conn`; panics unless a lease comes back.
+    fn lease(q: &mut JobQueue, conn: u64, now: Instant) -> u64 {
+        match q.claim(conn, now) {
+            Msg::Lease2 { job: 1, cell, .. } => cell,
+            other => panic!("expected a lease of job 1, got {other:?}"),
+        }
     }
 
     fn parked(cell: u64) -> Parked {
@@ -1180,23 +971,23 @@ mod tests {
 
     #[test]
     fn renew_extends_only_the_holders_lease() {
-        let mut s = state(2);
+        let mut q = one_job(2);
         let t0 = Instant::now();
-        let cell = s.claim(1, t0).expect("a pending cell");
+        let cell = lease(&mut q, 1, t0);
         // Without a heartbeat the lease expires...
         let after = t0 + Duration::from_millis(600);
         // ...but a renewal from the holder moves the deadline.
-        s.renew(1, cell, t0 + Duration::from_millis(400));
-        s.sweep_expired(after);
-        assert_eq!(s.leases_reclaimed, 0, "heartbeat kept the lease alive");
-        assert_eq!(s.leases_renewed, 1);
+        q.renew(1, 1, cell, t0 + Duration::from_millis(400));
+        q.sweep_expired(after);
+        assert_eq!(q.leases_reclaimed, 0, "heartbeat kept the lease alive");
+        assert_eq!(q.leases_renewed, 1);
         // A renewal from a *different* connection is ignored.
-        s.renew(2, cell, after + Duration::from_secs(10));
-        assert_eq!(s.leases_renewed, 1);
+        q.renew(2, 1, cell, after + Duration::from_secs(10));
+        assert_eq!(q.leases_renewed, 1);
         // Silence past the renewed deadline expires it.
-        s.sweep_expired(t0 + Duration::from_secs(2));
-        assert_eq!(s.leases_reclaimed, 1);
-        s.check_invariants().expect("invariants");
+        assert_eq!(q.sweep_expired(t0 + Duration::from_secs(2)), [(1, cell)]);
+        assert_eq!(q.leases_reclaimed, 1);
+        q.check_invariants().expect("invariants");
     }
 
     #[test]
@@ -1204,66 +995,68 @@ mod tests {
         // Deadlines are Instants: sweeping with a `now` *before* the
         // deadline never expires, at/after always does — there is no
         // wall-clock involvement to step.
-        let mut s = state(1);
+        let mut q = one_job(1);
         let t0 = Instant::now();
-        s.claim(1, t0);
-        s.sweep_expired(t0 + Duration::from_millis(499));
-        assert_eq!(s.leases_reclaimed, 0);
-        s.sweep_expired(t0 + Duration::from_millis(500));
-        assert_eq!(s.leases_reclaimed, 1);
-        s.check_invariants().expect("invariants");
+        lease(&mut q, 1, t0);
+        q.sweep_expired(t0 + Duration::from_millis(499));
+        assert_eq!(q.leases_reclaimed, 0);
+        q.sweep_expired(t0 + Duration::from_millis(500));
+        assert_eq!(q.leases_reclaimed, 1);
+        q.check_invariants().expect("invariants");
     }
 
     #[test]
     fn duplicate_results_across_reconnects_are_counted_once_each() {
-        let mut s = state(2);
+        let mut q = one_job(2);
         let t0 = Instant::now();
-        let cell = s.claim(1, t0).expect("a pending cell");
-        assert_eq!(s.ingest(cell, parked(cell), true), Ingest::Parked);
+        let cell = lease(&mut q, 1, t0);
+        assert_eq!(q.ingest(1, cell, parked(cell), true), Ingest::Parked);
         // The same worker resubmits after a reconnect (conn 2), twice.
-        assert_eq!(s.ingest(cell, parked(cell), true), Ingest::Duplicate);
-        assert_eq!(s.ingest(cell, parked(cell), true), Ingest::Duplicate);
-        assert_eq!(s.results_deduped, 2);
-        assert_eq!(s.cells_ingested, 1);
+        assert_eq!(q.ingest(1, cell, parked(cell), true), Ingest::Duplicate);
+        assert_eq!(q.ingest(1, cell, parked(cell), true), Ingest::Duplicate);
+        assert_eq!(q.results_deduped, 2);
+        assert_eq!(q.cells_ingested, 1);
         // Flush, then a late re-run of the written cell arrives: still dup.
-        let flushed = s.pop_flushable().expect("flushable");
+        let flushed = q.pop_flushable(1, t0).expect("flushable");
         assert_eq!(flushed.0, cell);
-        assert_eq!(s.ingest(cell, parked(cell), true), Ingest::Duplicate);
-        assert_eq!(s.results_deduped, 3);
-        s.check_invariants().expect("invariants");
+        assert_eq!(q.ingest(1, cell, parked(cell), true), Ingest::Duplicate);
+        assert_eq!(q.results_deduped, 3);
+        q.check_invariants().expect("invariants");
     }
 
     #[test]
     fn mismatched_or_out_of_range_results_are_rejected() {
-        let mut s = state(2);
+        let mut q = one_job(2);
         let t0 = Instant::now();
-        let cell = s.claim(1, t0).expect("a pending cell");
-        assert_eq!(s.ingest(cell, parked(cell), false), Ingest::Rejected);
-        assert_eq!(s.results_rejected, 1);
-        s.check_invariants().expect("rejected cell back to pending");
+        let cell = lease(&mut q, 1, t0);
+        assert_eq!(q.ingest(1, cell, parked(cell), false), Ingest::Rejected);
+        assert_eq!(q.results_rejected, 1);
+        q.check_invariants().expect("rejected cell back to pending");
         // Out-of-range cell id: dropped without poisoning the sets.
-        assert_eq!(s.ingest(99, parked(99), true), Ingest::Rejected);
-        s.check_invariants().expect("invariants");
+        assert_eq!(q.ingest(1, 99, parked(99), true), Ingest::Rejected);
+        assert_eq!(q.results_rejected, 2);
+        q.check_invariants().expect("invariants");
     }
 
     #[test]
     fn flush_emits_a_contiguous_prefix_in_order() {
-        let mut s = state(3);
+        let mut q = one_job(3);
         let t0 = Instant::now();
         for conn in 1..=3 {
-            s.claim(conn, t0);
+            lease(&mut q, conn, t0);
         }
+        let pop = |q: &mut JobQueue| q.pop_flushable(1, t0).map(|(c, _)| c);
         // Results arrive out of order: 2, 0, 1.
-        s.ingest(2, parked(2), true);
-        assert!(s.pop_flushable().is_none(), "cell 0 missing: no flush yet");
-        s.ingest(0, parked(0), true);
-        assert_eq!(s.pop_flushable().map(|(c, _)| c), Some(0));
-        assert!(s.pop_flushable().is_none(), "cell 1 missing");
-        s.ingest(1, parked(1), true);
-        assert_eq!(s.pop_flushable().map(|(c, _)| c), Some(1));
-        assert_eq!(s.pop_flushable().map(|(c, _)| c), Some(2));
-        assert!(s.pop_flushable().is_none());
-        assert!(s.drained());
-        s.check_invariants().expect("invariants");
+        q.ingest(1, 2, parked(2), true);
+        assert_eq!(pop(&mut q), None, "cell 0 missing: no flush yet");
+        q.ingest(1, 0, parked(0), true);
+        assert_eq!(pop(&mut q), Some(0));
+        assert_eq!(pop(&mut q), None, "cell 1 missing");
+        q.ingest(1, 1, parked(1), true);
+        assert_eq!(pop(&mut q), Some(1));
+        assert_eq!(pop(&mut q), Some(2));
+        assert_eq!(pop(&mut q), None);
+        assert_eq!(q.job(1).expect("job 1").state, JobState::Done);
+        q.check_invariants().expect("invariants");
     }
 }

@@ -37,7 +37,6 @@
 //!   lease's retry window ends), so it drains within one hold window.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Lines};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -51,7 +50,7 @@ use crate::cell::{chunk_for, run_cell_monitored, CellSpec};
 use crate::store;
 use crate::telemetry::CampaignTelemetry;
 
-use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA};
+use super::protocol::{dial, read_frame, write_frame, FrameLines, Msg, PeerError, SpecDescriptor};
 
 /// Worker knobs.
 #[derive(Debug, Clone)]
@@ -163,29 +162,6 @@ enum SessionEnd {
     DrainRequested,
 }
 
-/// A session-level failure: tear down and reconnect.
-struct SessionLost(String);
-
-/// A fatal refusal: retrying cannot help (handshake reject, grid
-/// fingerprint mismatch).
-struct Fatal(String);
-
-enum WorkErr {
-    Lost(SessionLost),
-    Fatal(Fatal),
-}
-
-impl From<SessionLost> for WorkErr {
-    fn from(e: SessionLost) -> Self {
-        WorkErr::Lost(e)
-    }
-}
-impl From<Fatal> for WorkErr {
-    fn from(e: Fatal) -> Self {
-        WorkErr::Fatal(e)
-    }
-}
-
 /// Keeps [`Msg::Renew2`] heartbeats flowing for one leased cell; stops
 /// (and joins) on drop, so a finished or failed cell never heartbeats a
 /// lease it no longer wants. The thread waits on a channel between
@@ -229,48 +205,31 @@ impl Drop for Heartbeat {
 }
 
 /// One established, handshake-validated connection to the daemon.
+/// [`PeerError::Lost`] tears it down and dials again;
+/// [`PeerError::Fatal`] (a handshake reject, a grid fingerprint mismatch)
+/// ends the worker.
 struct Session {
     stream: Arc<Mutex<TcpStream>>,
-    lines: Lines<BufReader<TcpStream>>,
+    lines: FrameLines,
 }
 
 impl Session {
-    fn recv(&mut self) -> Result<Msg, SessionLost> {
-        let line = self
-            .lines
-            .next()
-            .ok_or_else(|| SessionLost("daemon closed the connection".into()))?
-            .map_err(|e| SessionLost(format!("read: {e}")))?;
-        Msg::decode(&line).map_err(SessionLost)
+    /// Dial and handshake. Connect errors are session-level (the daemon may
+    /// be restarting); a [`Msg::Reject`] is fatal.
+    fn connect(addr: &str, name: &str) -> Result<Self, PeerError> {
+        let (stream, lines) = dial(addr, name)?;
+        Ok(Self {
+            stream: Arc::new(Mutex::new(stream)),
+            lines,
+        })
     }
 
-    fn send(&self, msg: &Msg) -> Result<(), SessionLost> {
-        send_locked(&self.stream, msg).map_err(|e| SessionLost(format!("send: {e}")))
+    fn recv(&mut self) -> Result<Msg, PeerError> {
+        read_frame(&mut self.lines)
     }
-}
 
-/// Dial and handshake. Connect errors are session-level (the daemon may be
-/// restarting); a [`Msg::Reject`] is fatal.
-fn connect_session(addr: &str, name: &str) -> Result<Session, WorkErr> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| SessionLost(format!("connect {addr}: {e}")))?;
-    // Frames are small request/reply lines: send each now.
-    let _ = stream.set_nodelay(true);
-    let reader = stream
-        .try_clone()
-        .map_err(|e| SessionLost(format!("clone connection: {e}")))?;
-    let mut session = Session {
-        stream: Arc::new(Mutex::new(stream)),
-        lines: BufReader::new(reader).lines(),
-    };
-    session.send(&Msg::Hello {
-        schema: FABRIC_SCHEMA.into(),
-        worker: name.into(),
-    })?;
-    match session.recv()? {
-        Msg::Welcome { .. } => Ok(session),
-        Msg::Reject { reason } => Err(Fatal(format!("rejected: {reason}")).into()),
-        other => Err(SessionLost(format!("unexpected handshake reply {other:?}")).into()),
+    fn send(&self, msg: &Msg) -> Result<(), PeerError> {
+        send_locked(&self.stream, msg).map_err(|e| PeerError::Lost(format!("send: {e}")))
     }
 }
 
@@ -342,16 +301,16 @@ fn grid_for<'a>(
     job: u64,
     desc: &SpecDescriptor,
     fingerprint: &str,
-) -> Result<&'a JobGrid, Fatal> {
+) -> Result<&'a JobGrid, PeerError> {
     match grids.entry(job) {
         std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
         std::collections::hash_map::Entry::Vacant(e) => {
-            let spec = desc
-                .build()
-                .map_err(|err| Fatal(format!("job {job}: descriptor does not build: {err}")))?;
+            let spec = desc.build().map_err(|err| {
+                PeerError::Fatal(format!("job {job}: descriptor does not build: {err}"))
+            })?;
             let local = format!("{:016x}", spec.fingerprint());
             if local != fingerprint {
-                return Err(Fatal(format!(
+                return Err(PeerError::Fatal(format!(
                     "job {job}: daemon grid fingerprint {fingerprint} != local {local} — \
                      daemon and worker built different campaigns from the same descriptor"
                 )));
@@ -372,7 +331,7 @@ fn run_session_any(
     cfg: &WorkerConfig,
     progress: &mut Progress,
     attempts: &mut u32,
-) -> Result<SessionEnd, WorkErr> {
+) -> Result<SessionEnd, PeerError> {
     // The handshake reply proved the daemon is talking to us.
     *attempts = 0;
     // Idempotent resubmission: if a result was completed but never provably
@@ -402,14 +361,16 @@ fn run_session_any(
                 spec,
                 fingerprint,
             } => {
-                let grid = grid_for(grids, job, &spec, &fingerprint).map_err(WorkErr::Fatal)?;
+                let grid = grid_for(grids, job, &spec, &fingerprint)?;
                 let cell = grid
                     .cells
                     .get(cell as usize)
                     .filter(|c| c.id == cell)
-                    .ok_or_else(|| Fatal(format!("job {job}: leased unknown cell {cell}")))?;
+                    .ok_or_else(|| {
+                        PeerError::Fatal(format!("job {job}: leased unknown cell {cell}"))
+                    })?;
                 let result = run_leased_cell(session, pool, grid, job, cell, lease_ms, cfg)
-                    .map_err(Fatal)?;
+                    .map_err(PeerError::Fatal)?;
                 if let Msg::Result2 { trials, .. } = &result {
                     progress.outcome.trials_run += trials;
                 }
@@ -425,8 +386,12 @@ fn run_session_any(
                 interruptible_sleep(Duration::from_millis(retry_ms.clamp(10, 5000)), cfg);
             }
             Msg::Drained => return Ok(SessionEnd::QueueDrained),
-            Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-            other => return Err(SessionLost(format!("unexpected daemon message {other:?}")).into()),
+            Msg::Reject { reason } => return Err(PeerError::Fatal(format!("rejected: {reason}"))),
+            other => {
+                return Err(PeerError::Lost(format!(
+                    "unexpected daemon message {other:?}"
+                )))
+            }
         }
     }
 }
@@ -461,45 +426,40 @@ pub fn run_worker_any(addr: &str, cfg: &WorkerConfig) -> Result<WorkerOutcome, S
             progress.outcome.drained_early = true;
             return Ok(progress.outcome);
         }
-        let lost = match connect_session(addr, &cfg.name) {
-            Ok(mut session) => {
-                sessions_seen += 1;
-                if sessions_seen > 1 {
-                    progress.outcome.reconnects += 1;
-                }
-                match run_session_any(
-                    &mut session,
-                    &pool,
-                    &mut grids,
-                    cfg,
-                    &mut progress,
-                    &mut attempts,
-                ) {
-                    Ok(SessionEnd::QueueDrained) => return Ok(progress.outcome),
-                    Ok(SessionEnd::DrainRequested) => {
-                        progress.outcome.drained_early = true;
-                        return Ok(progress.outcome);
-                    }
-                    Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-                    Err(WorkErr::Lost(e)) => e,
-                }
+        let ended = Session::connect(addr, &cfg.name).and_then(|mut session| {
+            sessions_seen += 1;
+            if sessions_seen > 1 {
+                progress.outcome.reconnects += 1;
             }
-            Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-            Err(WorkErr::Lost(e)) => e,
+            run_session_any(
+                &mut session,
+                &pool,
+                &mut grids,
+                cfg,
+                &mut progress,
+                &mut attempts,
+            )
+        });
+        let lost = match ended {
+            Ok(SessionEnd::QueueDrained) => return Ok(progress.outcome),
+            Ok(SessionEnd::DrainRequested) => {
+                progress.outcome.drained_early = true;
+                return Ok(progress.outcome);
+            }
+            Err(PeerError::Fatal(msg)) => return Err(format!("work: {msg}")),
+            Err(PeerError::Lost(msg)) => msg,
         };
         attempts += 1;
         if attempts > cfg.retries {
             return Err(format!(
                 "work: {addr}: gave up after {attempts} consecutive session failures \
-                 (last: {}) — raise --retries/--backoff-ms for flakier links",
-                lost.0
+                 (last: {lost}) — raise --retries/--backoff-ms for flakier links"
             ));
         }
         let delay = backoff_delay(seed, attempts, cfg.backoff_ms);
         eprintln!(
-            "work: session with {addr} lost (attempt {attempts}/{}): {} — retrying in {}ms",
+            "work: session with {addr} lost (attempt {attempts}/{}): {lost} — retrying in {}ms",
             cfg.retries,
-            lost.0,
             delay.as_millis()
         );
         interruptible_sleep(delay, cfg);

@@ -11,43 +11,21 @@
 //! only the missing cells, and completes the campaign to the exact
 //! reference bytes.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::io::Write;
 use std::process::{Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stabcon_exp::campaign::{run_campaign, RunConfig};
+use common::{cleanup_daemon, reference_bytes, reference_line, tmp, wait_for_lines, Raw};
 use stabcon_exp::fabric::{
-    job_store_path, jobs_journal_path, run_worker_any, submit_campaign, write_frame, ChaosProxy,
-    ChaosSpec, Msg, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
+    job_store_path, run_worker_any, submit_campaign, ChaosProxy, ChaosSpec, Msg, QueueServeConfig,
+    QueueServer, SpecDescriptor, WorkerConfig,
 };
 use stabcon_exp::store::Durability;
-use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
-use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
-
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("stabcon-fabric-chaos");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir.join(format!("{}-{tag}.jsonl", std::process::id()))
-}
-
-fn cleanup(store: &Path) {
-    std::fs::remove_file(store).ok();
-    std::fs::remove_file(timings_path(store)).ok();
-}
-
-/// Remove a daemon's footprint: journal, job stores, sidecars.
-fn cleanup_daemon(out: &Path) {
-    std::fs::remove_file(jobs_journal_path(out)).ok();
-    for job in 1..=2 {
-        let store = job_store_path(out, job);
-        std::fs::remove_file(sink_path(&store)).ok();
-        cleanup(&store);
-    }
-}
+use stabcon_exp::telemetry::{check_telemetry, sink_path};
 
 /// 4 quick cells.
 fn descriptor() -> SpecDescriptor {
@@ -58,17 +36,6 @@ fn descriptor() -> SpecDescriptor {
         seed: Some(0xC4A0),
         ns: Some("64,96".into()),
     }
-}
-
-/// Clean single-host reference bytes for `desc`.
-fn reference_bytes(desc: &SpecDescriptor, tag: &str) -> Vec<u8> {
-    let path = tmp(tag);
-    cleanup(&path);
-    let spec = desc.build().expect("descriptor builds");
-    run_campaign(&spec, &path, &RunConfig::default()).expect("single-host run");
-    let bytes = std::fs::read(&path).expect("read reference");
-    cleanup(&path);
-    bytes
 }
 
 /// Run one full campaign — a one-job daemon + 2 retrying workers — through
@@ -156,26 +123,6 @@ fn chaos_campaign_store_is_byte_identical_at_any_seed() {
     }
 }
 
-/// Poll until `path` has at least `lines` newline-terminated lines (or
-/// panic after `timeout`).
-fn wait_for_lines(path: &Path, lines: usize, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let have = std::fs::read(path)
-            .map(|b| b.iter().filter(|&&c| c == b'\n').count())
-            .unwrap_or(0);
-        if have >= lines {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {lines} lines in {} (have {have})",
-            path.display()
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
 /// Run a `stabcon` subprocess to completion, killing it (and failing the
 /// test) if it outlives `timeout`.
 fn run_cli(args: &[&str], timeout: Duration) -> ExitStatus {
@@ -199,62 +146,24 @@ fn run_cli(args: &[&str], timeout: Duration) -> ExitStatus {
     }
 }
 
-/// The canonical store cell line for `cell`, looked up in a finished
-/// reference store by id — what an honest worker would ship.
-fn reference_line(reference: &[u8], cell: u64) -> String {
-    String::from_utf8_lossy(reference)
-        .lines()
-        .skip(1) // header
-        .find(|l| {
-            parse_flat(l)
-                .ok()
-                .and_then(|o| get(&o, "cell").and_then(JsonScalar::as_u64))
-                == Some(cell)
-        })
-        .unwrap_or_else(|| panic!("reference store has no cell {cell}"))
-        .to_string()
-}
-
 /// A scripted worker: dial `addr` (retrying while the subprocess binds),
 /// then claim `cells` cells and ship each one's reference line.
 fn ship_reference_cells(addr: &str, reference: &[u8], cells: usize) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut stream = loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) => {
-                assert!(Instant::now() < deadline, "daemon never listened: {e}");
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    };
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut recv = move || {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read reply");
-        Msg::decode(line.trim_end()).expect("decode reply")
-    };
-    let hello = Msg::Hello {
-        schema: FABRIC_SCHEMA.into(),
-        worker: "scripted".into(),
-    };
-    write_frame(&mut stream, &hello).expect("hello");
-    assert!(matches!(recv(), Msg::Welcome { .. }), "handshake");
+    let mut raw = Raw::handshake(addr);
     let mut shipped = 0;
     while shipped < cells {
-        write_frame(&mut stream, &Msg::Claim).expect("claim");
-        match recv() {
+        raw.send(&Msg::Claim);
+        match raw.recv() {
             // The startup submission may not have landed yet.
             Msg::Wait { retry_ms } => std::thread::sleep(Duration::from_millis(retry_ms)),
             Msg::Lease2 { job, cell, .. } => {
-                let result = Msg::Result2 {
+                raw.send(&Msg::Result2 {
                     job,
                     cell,
                     line: reference_line(reference, cell),
                     elapsed_secs: 0.01,
                     trials: 4,
-                };
-                write_frame(&mut stream, &result).expect("result");
+                });
                 shipped += 1;
             }
             other => panic!("unexpected reply {other:?}"),

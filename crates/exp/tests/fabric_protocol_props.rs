@@ -9,15 +9,18 @@
 //! Also pinned here: the serve side's WAN-hardening contracts. Torn or
 //! interleaved Telemetry frames never corrupt a `stabcon-telemetry/1`
 //! sink (the daemon's record validator rejects every mangled line), and
-//! the [`ServeState`] lease/ingest machine keeps its counters and set
-//! invariants consistent under arbitrary hostile interleavings of claims,
-//! renewals, duplicate results, disconnects, and lease expiries.
+//! a one-job [`JobQueue`] keeps its counters and cell-set invariants
+//! consistent under arbitrary hostile interleavings of claims, renewals,
+//! duplicate results, disconnects, and lease expiries.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stabcon_exp::fabric::{Ingest, Msg, Parked, ServeState, SpecDescriptor, FABRIC_SCHEMA};
+use stabcon_exp::fabric::{
+    Ingest, JobQueue, JobState, JournalEvent, Msg, Parked, QueueConfig, SpecDescriptor,
+    FABRIC_SCHEMA,
+};
 use stabcon_exp::telemetry::{check_telemetry, validate_record_line};
 
 /// Escaping stress pool: quotes, backslashes, newlines, control characters,
@@ -274,21 +277,32 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The serve state machine under hostile interleavings: claims,
-    /// renewals for live/reclaimed/foreign leases, duplicate and
-    /// out-of-range results, abrupt disconnects, clock advances past the
-    /// lease, and flushes — in any order. After every step the cell sets
-    /// partition the grid exactly, and the ingest/dedupe counters match an
-    /// independent tally (duplicate Result frames across reconnects are
-    /// counted, never double-ingested).
+    /// A one-job queue under hostile interleavings: claims, renewals for
+    /// live/reclaimed/foreign leases, duplicate and out-of-range results,
+    /// abrupt disconnects, clock advances past the lease, and flushes — in
+    /// any order. After every step the cell sets partition the grid
+    /// exactly, and every queue-wide counter matches the test's own tally
+    /// (duplicate Result frames across reconnects are counted, never
+    /// double-ingested).
     #[test]
     fn serve_state_invariants_survive_hostile_interleavings(
         total in 1u64..8,
         ops in proptest::collection::vec(any::<u64>(), 1..120),
     ) {
-        let mut s = ServeState::new(total, BTreeSet::new(), Duration::from_millis(100));
+        let mut q = JobQueue::new(QueueConfig {
+            lease: Duration::from_millis(100),
+            ..QueueConfig::default()
+        });
+        // A journal record fixes the grid size without expanding a preset.
+        let spec = SpecDescriptor { preset: "smoke".into(), ..SpecDescriptor::default() };
+        q.replay(&[JournalEvent::Submit { job: 1, client: "t".into(), spec, fingerprint: 0, cells: total }])
+            .expect("replay");
         let mut now = Instant::now();
-        let (mut ingested, mut deduped) = (0u64, 0u64);
+        q.start(1, BTreeSet::new(), now).expect("start");
+        // The tally: who holds which cell, and what each counter should read.
+        let mut owner: BTreeMap<u64, u64> = BTreeMap::new();
+        let (mut ingested, mut deduped, mut rejected, mut ignored) = (0u64, 0u64, 0u64, 0u64);
+        let (mut reclaimed, mut renewed) = (0u64, 0u64);
         for word in ops {
             // One word per op: low bits pick the op, a golden-ratio mix
             // decorrelates the two operand draws.
@@ -297,36 +311,63 @@ proptest! {
             let y = word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let conn = x % 4;
             let cell = y % (total + 2); // sometimes out of range
+            let running = q.job(1).expect("job 1").state == JobState::Running;
             match op {
-                0 => { let _ = s.claim(conn, now); }
-                1 => s.renew(conn, cell, now),
+                0 => {
+                    if let Msg::Lease2 { job, cell, .. } = q.claim(conn, now) {
+                        prop_assert_eq!(job, 1);
+                        prop_assert!(owner.insert(cell, conn).is_none(), "cell {} leased twice", cell);
+                    }
+                }
+                1 => {
+                    renewed += u64::from(owner.get(&cell) == Some(&conn));
+                    q.renew(conn, 1, cell, now);
+                }
                 2 => {
                     let parked = Parked {
                         line: format!("{{\"cell\": {cell}}}"),
                         trials: 1,
                         elapsed_secs: 0.1,
                     };
-                    match s.ingest(cell, parked, x % 7 != 0) {
-                        Ingest::Parked => ingested += 1,
-                        Ingest::Duplicate => deduped += 1,
-                        Ingest::Rejected => {}
+                    let outcome = q.ingest(1, cell, parked, x % 7 != 0);
+                    if !running {
+                        prop_assert_eq!(outcome, Ingest::Duplicate);
+                        ignored += 1;
+                    } else {
+                        owner.remove(&cell);
+                        match outcome {
+                            Ingest::Parked => ingested += 1,
+                            Ingest::Duplicate => deduped += 1,
+                            Ingest::Rejected => rejected += 1,
+                        }
                     }
                 }
                 3 => {
-                    let _ = s.release_conn(conn);
+                    let before = owner.len();
+                    owner.retain(|_, &mut holder| holder != conn);
+                    reclaimed += (before - owner.len()) as u64;
+                    q.release_conn(conn);
                 }
                 4 => {
                     now += Duration::from_millis(x % 250);
-                    s.sweep_expired(now);
+                    for (job, cell) in q.sweep_expired(now) {
+                        prop_assert_eq!(job, 1);
+                        prop_assert!(owner.remove(&cell).is_some(), "expired an unleased cell {}", cell);
+                        reclaimed += 1;
+                    }
                 }
-                _ => while s.pop_flushable().is_some() {},
+                _ => while q.pop_flushable(1, now).is_some() {},
             }
-            if let Err(e) = s.check_invariants() {
+            if let Err(e) = q.check_invariants() {
                 prop_assert!(false, "invariant violated after op {op}: {e}");
             }
-            prop_assert_eq!(s.cells_ingested, ingested);
-            prop_assert_eq!(s.results_deduped, deduped);
-            prop_assert!(s.written_len() <= total);
+            prop_assert_eq!(q.cells_ingested, ingested);
+            prop_assert_eq!(q.results_deduped, deduped);
+            prop_assert_eq!(q.results_rejected, rejected);
+            prop_assert_eq!(q.results_ignored, ignored);
+            prop_assert_eq!(q.leases_reclaimed, reclaimed);
+            prop_assert_eq!(q.leases_renewed, renewed);
+            prop_assert!(q.job(1).expect("job 1").written() <= total);
         }
     }
 }

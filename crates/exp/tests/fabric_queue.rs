@@ -14,41 +14,22 @@
 //! resumes their partial stores, and still converges to the exact
 //! reference bytes.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stabcon_exp::campaign::{run_campaign, RunConfig};
+use common::{cleanup_daemon, reference_bytes, tmp, wait_for_lines, Raw};
 use stabcon_exp::fabric::{
-    cancel_job, job_store_path, jobs_journal_path, query_status, run_worker_any, submit_campaign,
-    write_frame, ChaosProxy, ChaosSpec, Msg, QueueOutcome, QueueServeConfig, QueueServer,
-    SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
+    cancel_job, job_store_path, query_status, run_worker_any, submit_campaign, ChaosProxy,
+    ChaosSpec, Msg, QueueOutcome, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig,
 };
 use stabcon_exp::store::Durability;
-use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
+use stabcon_exp::telemetry::{check_telemetry, sink_path};
 use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
-
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("stabcon-fabric-queue");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir.join(format!("{}-{tag}.jsonl", std::process::id()))
-}
-
-/// Remove a queue daemon's whole on-disk footprint: journal plus per-job
-/// stores, their timings sidecars and telemetry sinks.
-fn cleanup_queue(out: &Path) {
-    std::fs::remove_file(jobs_journal_path(out)).ok();
-    for job in 1..=4u64 {
-        let store = job_store_path(out, job);
-        std::fs::remove_file(timings_path(&store)).ok();
-        std::fs::remove_file(sink_path(&store)).ok();
-        std::fs::remove_file(&store).ok();
-    }
-}
 
 /// The two campaigns every test submits: different grids, names, seeds.
 fn descriptors() -> [SpecDescriptor; 2] {
@@ -70,19 +51,6 @@ fn descriptors() -> [SpecDescriptor; 2] {
     ]
 }
 
-/// Clean single-host reference bytes for one descriptor.
-fn reference_bytes(desc: &SpecDescriptor, tag: &str) -> Vec<u8> {
-    let spec = desc.build().expect("descriptor builds");
-    let path = tmp(tag);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(timings_path(&path)).ok();
-    run_campaign(&spec, &path, &RunConfig::default()).expect("single-host run");
-    let bytes = std::fs::read(&path).expect("read reference");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(timings_path(&path)).ok();
-    bytes
-}
-
 /// Submit with a connect-retry budget — the daemon (or subprocess) may
 /// still be binding its listener.
 fn submit_with_retry(
@@ -102,58 +70,6 @@ fn submit_with_retry(
     }
 }
 
-/// Poll until `path` has at least `lines` newline-terminated lines.
-fn wait_for_lines(path: &Path, lines: usize, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let have = std::fs::read(path)
-            .map(|b| b.iter().filter(|&&c| c == b'\n').count())
-            .unwrap_or(0);
-        if have >= lines {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {lines} lines in {} (have {have})",
-            path.display()
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// A raw `stabcon-fabric/7` peer that speaks frame by frame.
-struct Raw {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Raw {
-    /// Connect and complete the handshake.
-    fn handshake(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut raw = Self { stream, reader };
-        raw.send(&Msg::Hello {
-            schema: FABRIC_SCHEMA.into(),
-            worker: "raw".into(),
-        });
-        match raw.recv() {
-            Msg::Welcome { .. } => raw,
-            other => panic!("handshake failed: {other:?}"),
-        }
-    }
-
-    fn send(&mut self, msg: &Msg) {
-        write_frame(&mut self.stream, msg).expect("send frame");
-    }
-
-    fn recv(&mut self) -> Msg {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read reply");
-        Msg::decode(line.trim_end()).expect("decode reply")
-    }
-}
-
 /// A daemon on a 4 s lease, so a held claim waits out the whole 1 s
 /// retry window, with a halt flag so the test ends it without lingering.
 fn held_claim_daemon(
@@ -164,7 +80,7 @@ fn held_claim_daemon(
     Arc<AtomicBool>,
     std::thread::JoinHandle<Result<QueueOutcome, String>>,
 ) {
-    cleanup_queue(out);
+    cleanup_daemon(out);
     let server = QueueServer::bind("127.0.0.1:0", out).expect("bind queue daemon");
     let addr = server.local_addr().expect("daemon addr").to_string();
     let halt = Arc::new(AtomicBool::new(false));
@@ -201,7 +117,7 @@ fn a_claim_on_an_empty_queue_is_answered_by_the_next_submission() {
     let outcome = daemon.join().expect("daemon thread").expect("outcome");
     assert!(outcome.halted);
     assert_eq!(outcome.running, 1, "the job stays parked for a --resume");
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 }
 
 /// A claim held on an `--exit-when-idle` daemon hears `Drained` once the
@@ -230,7 +146,7 @@ fn a_claim_held_on_an_idle_exit_when_idle_daemon_is_drained() {
     halt.store(true, Ordering::SeqCst);
     let outcome = daemon.join().expect("daemon thread").expect("outcome");
     assert_eq!((outcome.jobs, outcome.cancelled), (1, 1));
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 }
 
 /// A halt answers a held claim `Drained`, and the daemon still exits.
@@ -247,7 +163,7 @@ fn a_halt_answers_a_held_claim_drained() {
     assert_eq!(idle.recv(), Msg::Drained, "the held claim hears Drained");
     let outcome = daemon.join().expect("daemon thread").expect("outcome");
     assert!(outcome.halted);
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 }
 
 /// Two campaigns over the wire, shared workers through the chaos proxy,
@@ -260,7 +176,7 @@ fn two_campaigns_share_workers_and_stay_byte_identical() {
     let ref_b = reference_bytes(&db, "shared-ref-b");
 
     let out = tmp("shared");
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 
     let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind queue daemon");
     let addr = server.local_addr().expect("daemon addr").to_string();
@@ -358,7 +274,7 @@ fn two_campaigns_share_workers_and_stay_byte_identical() {
         ref_b,
         "job 2 store differs from the clean single-host run"
     );
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 }
 
 /// Two jobs through one daemon and two workers on a clean loopback: each
@@ -371,7 +287,7 @@ fn each_job_telemetry_sink_profiles_every_cell() {
     let ref_b = reference_bytes(&db, "sinks-ref-b");
 
     let out = tmp("sinks");
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
     let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind queue daemon");
     let addr = server.local_addr().expect("daemon addr").to_string();
     let cfg = QueueServeConfig {
@@ -428,7 +344,7 @@ fn each_job_telemetry_sink_profiles_every_cell() {
             sub.job
         );
     }
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 }
 
 /// The crash-recovery acceptance test: a real queue-daemon subprocess is
@@ -442,7 +358,7 @@ fn kill_dash_nine_queue_daemon_replays_journal_to_identical_stores() {
     let ref_b = reference_bytes(&db, "kill9q-ref-b");
 
     let out = tmp("kill9q");
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 
     // A free port the restart can re-bind (bind :0, read it back, release).
     let port = std::net::TcpListener::bind("127.0.0.1:0")
@@ -541,5 +457,5 @@ fn kill_dash_nine_queue_daemon_replays_journal_to_identical_stores() {
         ref_b,
         "job 2: kill -9 + journal replay must still converge to the reference bytes"
     );
-    cleanup_queue(&out);
+    cleanup_daemon(&out);
 }

@@ -10,11 +10,13 @@
 //! strings — so a journal written by one daemon build is always readable
 //! by the next.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stabcon_exp::fabric::{JobQueue, JobState, JournalEvent, Parked, QueueConfig, SpecDescriptor};
+use stabcon_exp::fabric::{
+    Ingest, JobQueue, JobState, JournalEvent, Parked, QueueConfig, SpecDescriptor,
+};
 
 /// A descriptor that builds (smoke preset, tiny grid), plus its verified
 /// fingerprint hex — what a well-behaved client ships.
@@ -34,31 +36,24 @@ fn good_descriptor(which: u64) -> (SpecDescriptor, String) {
 
 /// Mirror of the daemon's journal discipline: append the events the serve
 /// loop would append at each transition, into an in-memory journal the
-/// crash-replay op feeds back through [`JobQueue::replay`].
+/// crash-replay op feeds back through [`JobQueue::replay`]. The daemon
+/// journals Running when it activates a job and Done when the flush that
+/// writes the last cell (or the activation of an already complete store)
+/// finishes it.
+#[derive(Default)]
 struct Shadow {
     journal: Vec<JournalEvent>,
-    /// Last state journaled per job, to detect Done/Draining transitions
-    /// that happen inside claim/ingest/flush ops.
-    journaled: BTreeMap<u64, JobState>,
 }
 
 impl Shadow {
     fn state(&mut self, job: u64, state: JobState) {
         self.journal.push(JournalEvent::State { job, state });
-        self.journaled.insert(job, state);
     }
 
-    /// Journal any lifecycle transitions the last op caused (the daemon
-    /// does this from `refresh_state`'s return value; the test re-derives
-    /// it by diffing against the last journaled state).
-    fn sync(&mut self, q: &JobQueue) {
-        let moved: Vec<(u64, JobState)> = q
-            .jobs()
-            .filter(|j| self.journaled.get(&j.id) != Some(&j.state))
-            .map(|j| (j.id, j.state))
-            .collect();
-        for (job, state) in moved {
-            self.state(job, state);
+    /// Journal Done if the activation or flush just run finished `job`.
+    fn done_after_flush(&mut self, q: &JobQueue, job: u64) {
+        if q.job(job).is_some_and(|j| j.state == JobState::Done) {
+            self.state(job, JobState::Done);
         }
     }
 }
@@ -85,7 +80,7 @@ proptest! {
         };
         let mut q = JobQueue::new(cfg.clone());
         let mut now = Instant::now();
-        let mut shadow = Shadow { journal: Vec::new(), journaled: BTreeMap::new() };
+        let mut shadow = Shadow::default();
         let clients = ["ana", "bo", "cy"];
         for word in ops {
             let op = word % 13;
@@ -108,7 +103,6 @@ proptest! {
                             fingerprint: u64::from_str_radix(&fp, 16).unwrap(),
                             cells,
                         });
-                        shadow.journaled.insert(id, JobState::Queued);
                     }
                 }
                 // A hostile submission: bad preset, bad fingerprint, or
@@ -143,6 +137,7 @@ proptest! {
                             shadow.state(id, JobState::Failed);
                         } else {
                             q.start(id, done, now).expect("start queued job");
+                            shadow.done_after_flush(&q, id);
                         }
                     }
                 }
@@ -159,10 +154,13 @@ proptest! {
                         trials: 2,
                         elapsed_secs: 0.1,
                     };
-                    let _ = q.ingest(job, cell, parked, x % 7 != 0, now);
-                    while q.pop_flushable(job, now).is_some() {}
+                    // Like the daemon, flush only after a result parks.
+                    if q.ingest(job, cell, parked, x % 7 != 0) == Ingest::Parked {
+                        while q.pop_flushable(job, now).is_some() {}
+                        shadow.done_after_flush(&q, job);
+                    }
                 }
-                10 => q.release_conn(conn, now),
+                10 => q.release_conn(conn),
                 11 => {
                     now += Duration::from_millis(x % 250);
                     let _ = q.sweep_expired(now);
@@ -179,14 +177,9 @@ proptest! {
                     }
                     let mut fresh = JobQueue::new(cfg.clone());
                     fresh.replay(&shadow.journal).expect("replay own journal");
-                    // Replay folds active states back to Queued; re-sync
-                    // the dedupe map so re-activation journals Running
-                    // again, as the daemon would.
-                    shadow.journaled = fresh.jobs().map(|j| (j.id, j.state)).collect();
                     q = fresh;
                 }
             }
-            shadow.sync(&q);
             if let Err(e) = q.check_invariants() {
                 prop_assert!(false, "invariant violated after op {op}: {e}");
             }
@@ -206,6 +199,15 @@ proptest! {
         fresh.replay(&shadow.journal).expect("final replay");
         prop_assert!(fresh.check_invariants().is_ok());
         prop_assert_eq!(fresh.jobs().count(), q.jobs().count());
+        // Running and Done are all the journal needs: every job replays to
+        // its live state, a running one folded back to queued.
+        for job in q.jobs() {
+            let folded = match job.state {
+                JobState::Running => JobState::Queued,
+                other => other,
+            };
+            prop_assert_eq!(fresh.job(job.id).map(|j| j.state), Some(folded), "job {}", job.id);
+        }
     }
 }
 
@@ -249,12 +251,11 @@ proptest! {
             },
             _ => JournalEvent::State {
                 job: x,
-                state: match y % 6 {
+                state: match y % 5 {
                     0 => JobState::Queued,
                     1 => JobState::Running,
-                    2 => JobState::Draining,
-                    3 => JobState::Done,
-                    4 => JobState::Cancelled,
+                    2 => JobState::Done,
+                    3 => JobState::Cancelled,
                     _ => JobState::Failed,
                 },
             },

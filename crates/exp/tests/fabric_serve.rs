@@ -6,39 +6,18 @@
 //! byte-identical to the single-host run, because re-runs from
 //! deterministic seeds are exact.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use stabcon_exp::campaign::{run_campaign, RunConfig};
+use common::{cleanup_daemon, reference_bytes, reference_line, tmp, Raw};
 use stabcon_exp::fabric::{
-    job_store_path, jobs_journal_path, run_worker_any, submit_campaign, write_frame, Msg,
-    QueueOutcome, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
+    job_store_path, run_worker_any, submit_campaign, Msg, QueueOutcome, QueueServeConfig,
+    QueueServer, SpecDescriptor, WorkerConfig, FABRIC_SCHEMA,
 };
-use stabcon_exp::telemetry::{check_telemetry, sink_path, timings_path};
-use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
-
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("stabcon-fabric-serve");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir.join(format!("{}-{tag}.jsonl", std::process::id()))
-}
-
-/// Remove a single-host store and its timings sidecar.
-fn cleanup(store: &Path) {
-    std::fs::remove_file(store).ok();
-    std::fs::remove_file(timings_path(store)).ok();
-}
-
-/// Remove a one-job daemon's footprint: journal, job store, sidecars.
-fn cleanup_daemon(out: &Path) {
-    let store = job_store_path(out, 1);
-    std::fs::remove_file(jobs_journal_path(out)).ok();
-    std::fs::remove_file(sink_path(&store)).ok();
-    cleanup(&store);
-}
+use stabcon_exp::telemetry::{check_telemetry, sink_path};
 
 /// 4 quick cells.
 fn descriptor() -> SpecDescriptor {
@@ -49,17 +28,6 @@ fn descriptor() -> SpecDescriptor {
         seed: Some(0x5E4E),
         ns: Some("64,96".into()),
     }
-}
-
-/// The single-host reference store bytes for [`descriptor`].
-fn reference_bytes(tag: &str) -> Vec<u8> {
-    let path = tmp(tag);
-    cleanup(&path);
-    let spec = descriptor().build().expect("descriptor builds");
-    run_campaign(&spec, &path, &RunConfig::default()).expect("single-host run");
-    let bytes = std::fs::read(&path).expect("read reference");
-    cleanup(&path);
-    bytes
 }
 
 /// Start a daemon that exits once its one job is done, and submit
@@ -82,82 +50,8 @@ fn one_job_daemon(
     (addr, daemon)
 }
 
-/// A raw peer connection: the write side and its buffered read side.
-struct Raw {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Raw {
-    /// Connect and send a Hello with `schema`; return the connection and
-    /// the daemon's reply.
-    fn hello(addr: &str, schema: &str) -> (Self, Msg) {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut raw = Self { stream, reader };
-        raw.send(&Msg::Hello {
-            schema: schema.into(),
-            worker: "rogue".into(),
-        });
-        let reply = raw.recv();
-        (raw, reply)
-    }
-
-    /// Connect and complete the `/3` handshake.
-    fn handshake(addr: &str) -> Self {
-        match Self::hello(addr, FABRIC_SCHEMA) {
-            (raw, Msg::Welcome { .. }) => raw,
-            (_, other) => panic!("handshake failed: {other:?}"),
-        }
-    }
-
-    fn send(&mut self, msg: &Msg) {
-        write_frame(&mut self.stream, msg).expect("send frame");
-    }
-
-    fn recv(&mut self) -> Msg {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read reply");
-        Msg::decode(line.trim_end()).expect("decode reply")
-    }
-
-    /// Claim one cell and return its `(job, cell)` (the rogue never runs
-    /// it).
-    fn claim_one(&mut self) -> (u64, u64) {
-        self.send(&Msg::Claim);
-        match self.recv() {
-            Msg::Lease2 {
-                job,
-                cell,
-                lease_ms,
-                ..
-            } => {
-                assert!(lease_ms > 0);
-                (job, cell)
-            }
-            other => panic!("expected a lease, got {other:?}"),
-        }
-    }
-}
-
-/// The canonical store cell line for `cell`, looked up in a finished
-/// reference store by id — what an honest worker would ship.
-fn reference_line(reference: &[u8], cell: u64) -> String {
-    String::from_utf8_lossy(reference)
-        .lines()
-        .skip(1) // header
-        .find(|l| {
-            parse_flat(l)
-                .ok()
-                .and_then(|o| get(&o, "cell").and_then(JsonScalar::as_u64))
-                == Some(cell)
-        })
-        .unwrap_or_else(|| panic!("reference store has no cell {cell}"))
-        .to_string()
-}
-
 #[test]
-fn old_fabric_hellos_are_rejected_naming_fabric_4() {
+fn old_fabric_hellos_are_rejected_naming_the_current_schema() {
     let out = tmp("old-hello");
     cleanup_daemon(&out);
     let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind");
@@ -195,7 +89,7 @@ fn old_fabric_hellos_are_rejected_naming_fabric_4() {
 
 #[test]
 fn serve_survives_killed_and_hung_workers() {
-    let reference = reference_bytes("reference");
+    let reference = reference_bytes(&descriptor(), "reference");
     let out = tmp("served");
     // Long enough that the healthy worker's lease/3 heartbeats keep ≥ 1 s
     // of slack on a stalled machine; the hung worker still has to wait it
@@ -300,7 +194,7 @@ fn serve_survives_killed_and_hung_workers() {
 fn heartbeats_keep_a_slow_but_alive_worker_leased() {
     // A worker that takes 2× the lease to finish a cell keeps its lease by
     // heartbeating: the deadline sweep must distinguish slow from dead.
-    let reference = reference_bytes("slow-reference");
+    let reference = reference_bytes(&descriptor(), "slow-reference");
     let out = tmp("slow-served");
     let lease = Duration::from_millis(1500);
     let renew_every = Duration::from_millis(100);
@@ -361,7 +255,7 @@ fn duplicate_results_across_reconnects_are_deduped_exactly() {
     // A worker that ships the same completed cell three times — the
     // reconnect-resubmission pattern, amplified — lands exactly one store
     // line, and the dedupe counter reports the other two.
-    let reference = reference_bytes("dup-reference");
+    let reference = reference_bytes(&descriptor(), "dup-reference");
     let out = tmp("dup-served");
     let (addr, daemon) = one_job_daemon(&out, Duration::from_millis(500));
 
