@@ -15,10 +15,10 @@
 //! keeps the original path alive as a regression oracle.
 
 use stabcon_net::{
-    log_inbox_cap, run_round, DropPolicy, FeistelPerm, KeepFirst, NetScenario, ProcessId,
-    RandomDrop, RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
+    apply_lanes, log_inbox_cap, run_round, DropPolicy, FeistelPerm, KeepFirst, NetScenario,
+    ProcessId, RandomDrop, RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
 };
-use stabcon_util::rng::{gen_index, hash3, CounterRng, Xoshiro256pp};
+use stabcon_util::rng::{gen_index, hash3, CounterKey, CounterRng, Xoshiro256pp};
 
 use crate::protocol::{Protocol, MAX_SAMPLES};
 use crate::value::Value;
@@ -109,6 +109,12 @@ pub struct MessageEngine {
     policy: Box<dyn DropPolicy + Send>,
     net_rng: Xoshiro256pp,
     scenario: NetScenario<Value>,
+    /// Each process's private numbering, built once per trial seed.
+    perms: Vec<FeistelPerm>,
+    /// The seed `perms` was built for (`None` until the first step).
+    perms_seed: Option<u64>,
+    /// Lanes still cycle-walking in [`apply_lanes`] (parked between rounds).
+    pending: Vec<(u32, u32)>,
     targets: Vec<ProcessId>,
     responses: Vec<Vec<(ProcessId, Value)>>,
     totals: RoundMetrics,
@@ -128,6 +134,9 @@ impl MessageEngine {
             policy: cfg.drop.build(n),
             net_rng: Xoshiro256pp::seed(hash3(seed, ANON_STREAM, 1)),
             scenario: NetScenario::new(n, cfg.scenario, hash3(seed, SCEN_STREAM, 0)),
+            perms: Vec::new(),
+            perms_seed: None,
+            pending: Vec::new(),
             targets: Vec::new(),
             responses: vec![Vec::new(); n],
             totals: RoundMetrics::default(),
@@ -189,17 +198,66 @@ impl MessageEngine {
     /// Coordinates match the dense engine (`seed`, `round·n + ball`); the
     /// layout is identical whether or not a process is crashed, so fault
     /// scenarios never shift the sampling randomness of live processes.
+    ///
+    /// Process `i`'s numbering is keyed by `hash3(seed, ANON_STREAM, i)`.
+    /// The `n` permutations depend on the seed alone, so they are rebuilt
+    /// only when `seed` differs from the last step's, not every round.
+    /// Every local index is drawn first; then [`apply_lanes`] maps all
+    /// `n·k` of them in one cipher pass plus a walk over the stragglers.
     fn draw_targets(&mut self, n: usize, k: usize, seed: u64, round: u64) {
+        if self.perms_seed != Some(seed) {
+            let anon = CounterKey::new(seed).stream(ANON_STREAM);
+            self.perms.clear();
+            self.perms
+                .extend((0..n as u64).map(|i| FeistelPerm::new(n as u64, anon.word(i))));
+            self.perms_seed = Some(seed);
+        }
+        let key = CounterKey::new(seed);
+        let base = round.wrapping_mul(n as u64);
         self.targets.clear();
         self.targets.reserve(n * k);
-        for i in 0..n {
-            let perm = FeistelPerm::new(n as u64, hash3(seed, ANON_STREAM, i as u64));
-            let mut rng = CounterRng::new(seed, round.wrapping_mul(n as u64) + i as u64);
+        for i in 0..n as u64 {
+            let mut rng = CounterRng::from_stream(key.stream(base.wrapping_add(i)));
             for _ in 0..k {
-                let local = gen_index(&mut rng, n as u64);
-                self.targets.push(perm.apply(local) as ProcessId);
+                self.targets
+                    .push(gen_index(&mut rng, n as u64) as ProcessId);
             }
         }
+        apply_lanes(&self.perms, k, &mut self.targets, &mut self.pending);
+    }
+
+    /// Check the buffers against the engine and draw this round's targets;
+    /// returns the protocol's sample count `k`.
+    fn begin_round(
+        &mut self,
+        old: &[Value],
+        new: &[Value],
+        protocol: &dyn Protocol,
+        seed: u64,
+        round: u64,
+    ) -> usize {
+        let n = old.len();
+        assert_eq!(new.len(), n, "state buffers differ in length");
+        assert_eq!(self.responses.len(), n, "engine built for different n");
+        let k = protocol.samples();
+        assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
+        self.draw_targets(n, k, seed, round);
+        k
+    }
+
+    /// Process `i`'s next value from the responses it received: a missing
+    /// sample is filled per [`OnMissing`], then the protocol combines.
+    fn combine(&self, protocol: &dyn Protocol, k: usize, i: usize, own: Value) -> Value {
+        let got = &self.responses[i];
+        let fallback = match self.cfg.on_missing {
+            OnMissing::KeepOwn => own,
+            OnMissing::Adopt => got.first().map(|&(_, v)| v).unwrap_or(own),
+        };
+        let mut samples = [0 as Value; MAX_SAMPLES];
+        for (j, sample) in samples.iter_mut().take(k).enumerate() {
+            *sample = got.get(j).map(|&(_, v)| v).unwrap_or(fallback);
+        }
+        protocol.combine(own, &samples[..k])
     }
 
     /// Advance one round: reads `old`, writes `new`.
@@ -221,14 +279,8 @@ impl MessageEngine {
         seed: u64,
         round: u64,
     ) -> RoundMetrics {
-        let n = old.len();
-        assert_eq!(new.len(), n, "state buffers differ in length");
-        assert_eq!(self.responses.len(), n, "engine built for different n");
-        let k = protocol.samples();
-        assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
-
         // Phase 1: draw targets through private numberings.
-        self.draw_targets(n, k, seed, round);
+        let k = self.begin_round(old, new, protocol, seed, round);
 
         // The adversary's forge value: the smallest value currently held,
         // i.e. the choice that keeps a minority value alive longest against
@@ -260,26 +312,14 @@ impl MessageEngine {
 
         // Phase 3: combine. Crashed processes hold their value (or rejoin
         // at the adversary's choice on the window boundary).
-        let mut samples = [0 as Value; MAX_SAMPLES];
         for (i, slot) in new.iter_mut().enumerate() {
-            if self.scenario.is_down(i, round) {
-                *slot = if self.scenario.adversarial_rejoin(i, round) {
-                    forge.unwrap_or(old[i])
-                } else {
-                    old[i]
-                };
-                continue;
-            }
-            let got = &self.responses[i];
-            let own = old[i];
-            let fallback = match self.cfg.on_missing {
-                OnMissing::KeepOwn => own,
-                OnMissing::Adopt => got.first().map(|&(_, v)| v).unwrap_or(own),
+            *slot = if !self.scenario.is_down(i, round) {
+                self.combine(protocol, k, i, old[i])
+            } else if self.scenario.adversarial_rejoin(i, round) {
+                forge.unwrap_or(old[i])
+            } else {
+                old[i]
             };
-            for (j, sample) in samples.iter_mut().take(k).enumerate() {
-                *sample = got.get(j).map(|&(_, v)| v).unwrap_or(fallback);
-            }
-            *slot = protocol.combine(own, &samples[..k]);
         }
         metrics
     }
@@ -299,14 +339,7 @@ impl MessageEngine {
         seed: u64,
         round: u64,
     ) -> RoundMetrics {
-        let n = old.len();
-        assert_eq!(new.len(), n, "state buffers differ in length");
-        assert_eq!(self.responses.len(), n, "engine built for different n");
-        let k = protocol.samples();
-        assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
-
-        self.draw_targets(n, k, seed, round);
-
+        let k = self.begin_round(old, new, protocol, seed, round);
         let metrics = run_round(
             old,
             &self.targets,
@@ -317,19 +350,8 @@ impl MessageEngine {
             &mut self.responses,
         );
         self.totals.absorb(&metrics);
-
-        let mut samples = [0 as Value; MAX_SAMPLES];
         for (i, slot) in new.iter_mut().enumerate() {
-            let got = &self.responses[i];
-            let own = old[i];
-            let fallback = match self.cfg.on_missing {
-                OnMissing::KeepOwn => own,
-                OnMissing::Adopt => got.first().map(|&(_, v)| v).unwrap_or(own),
-            };
-            for (j, sample) in samples.iter_mut().take(k).enumerate() {
-                *sample = got.get(j).map(|&(_, v)| v).unwrap_or(fallback);
-            }
-            *slot = protocol.combine(own, &samples[..k]);
+            *slot = self.combine(protocol, k, i, old[i]);
         }
         metrics
     }
@@ -481,6 +503,36 @@ mod tests {
             std::mem::swap(&mut sb, &mut nb);
         }
         assert_eq!(a.totals(), b.totals());
+    }
+
+    #[test]
+    fn step_rekeys_numberings_on_its_own_seed() {
+        // The private numberings are cached per trial seed. An engine that
+        // stepped under seed `a`, then was reset to `a`, must step under
+        // seed `b` exactly like a fresh engine does: the cache follows the
+        // seed `step` receives, not `reset`.
+        let n = 300;
+        let cfg = MessageConfig {
+            cap_mult: 1,
+            ..MessageConfig::default()
+        };
+        let (a, b) = (31, 32);
+        let init: Vec<Value> = (0..n).map(|i| (i % 5) as Value).collect();
+        let run = |engine: &mut MessageEngine, seed: u64| {
+            let mut state = init.clone();
+            let mut scratch = vec![0; n];
+            for round in 0..6u64 {
+                engine.step(&state, &mut scratch, &MedianRule, seed, round);
+                std::mem::swap(&mut state, &mut scratch);
+            }
+            (state, *engine.totals())
+        };
+        let mut dirty = MessageEngine::new(n, cfg, a);
+        let under_a = run(&mut dirty, a);
+        dirty.reset(a);
+        let under_b = run(&mut dirty, b);
+        assert_ne!(under_a, under_b, "the seed must matter");
+        assert_eq!(under_b, run(&mut MessageEngine::new(n, cfg, a), b));
     }
 
     #[test]

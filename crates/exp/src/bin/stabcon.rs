@@ -424,6 +424,13 @@ fn serve(args: &Args) -> Result<(), String> {
         outcome.workers_seen,
         outcome.journal_path.display(),
     );
+    if outcome.results_rejected + outcome.results_ignored > 0 {
+        eprintln!(
+            "serve: {} result(s) rejected (cell id mismatch or out of range), \
+             {} ignored (job unknown or no longer running)",
+            outcome.results_rejected, outcome.results_ignored
+        );
+    }
     if outcome.telemetry_dropped > 0 {
         eprintln!(
             "serve: dropped {} telemetry line(s) (invalid records or lines for a finished job)",

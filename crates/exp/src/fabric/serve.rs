@@ -141,6 +141,12 @@ pub struct QueueOutcome {
     /// Duplicate result frames ignored (reconnect resubmissions and re-runs
     /// of reclaimed leases; first ingest wins).
     pub results_deduped: u64,
+    /// Result frames rejected: the store line names another cell, or the
+    /// cell is out of the job's range. Zero on a clean run.
+    pub results_rejected: u64,
+    /// Result frames for unknown or no longer running jobs (a cancelled
+    /// job's in-flight cells), ignored.
+    pub results_ignored: u64,
     /// Telemetry lines dropped: failed `stabcon-telemetry/1` record
     /// validation (torn frames, header lines, malformed workers), or
     /// arrived for a job with no open sink. Zero on a clean run.
@@ -500,6 +506,8 @@ impl QShared {
             leases_reclaimed: q.leases_reclaimed,
             leases_renewed: q.leases_renewed,
             results_deduped: q.results_deduped,
+            results_rejected: q.results_rejected,
+            results_ignored: q.results_ignored,
             telemetry_dropped: self.telemetry_dropped,
             goodbyes: self.goodbyes,
             halted,
@@ -1036,6 +1044,33 @@ mod tests {
         assert_eq!(q.ingest(1, 99, parked(99), true), Ingest::Rejected);
         assert_eq!(q.results_rejected, 2);
         q.check_invariants().expect("invariants");
+        // A result for a job the queue never saw is ignored, not rejected.
+        assert_eq!(q.ingest(7, 0, parked(0), true), Ingest::Duplicate);
+        assert_eq!(q.results_ignored, 1);
+
+        // Both counts reach the daemon's exit summary.
+        let dir = std::env::temp_dir().join("stabcon-serve-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let out = dir.join(format!("{}-outcome.jsonl", std::process::id()));
+        std::fs::remove_file(jobs_journal_path(&out)).ok();
+        let (journal, _) =
+            open_journal(&jobs_journal_path(&out), false, Durability::None).expect("journal");
+        let mut shared = QShared {
+            queue: q,
+            stores: BTreeMap::new(),
+            journal,
+            out: out.clone(),
+            durability: Durability::None,
+            progress: false,
+            workers_seen: 0,
+            telemetry_dropped: 0,
+            goodbyes: 0,
+            held_claims: 0,
+        };
+        let outcome = shared.outcome(false).expect("outcome");
+        assert_eq!(outcome.results_rejected, 2);
+        assert_eq!(outcome.results_ignored, 1);
+        std::fs::remove_file(jobs_journal_path(&out)).ok();
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod network;
 pub mod policy;
 pub mod scenario;
 
-pub use anonymity::FeistelPerm;
+pub use anonymity::{apply_lanes, FeistelPerm};
 pub use network::{log_inbox_cap, run_round, RoundConfig, RoundMetrics};
 pub use policy::{DropPolicy, KeepFirst, RandomDrop, StarveSet};
 pub use scenario::{ChurnSpec, NetScenario, PartitionSpec, Rejoin, ScenarioSpec};

@@ -1,10 +1,40 @@
 //! Property-based tests for the network model.
 
 use proptest::prelude::*;
+use rand::RngCore;
 use stabcon_net::{
-    log_inbox_cap, run_round, FeistelPerm, KeepFirst, ProcessId, RandomDrop, RoundConfig, StarveSet,
+    apply_lanes, log_inbox_cap, run_round, DropPolicy, FeistelPerm, KeepFirst, NetScenario,
+    ProcessId, RandomDrop, RoundConfig, ScenarioSpec, StarveSet,
 };
-use stabcon_util::rng::Xoshiro256pp;
+use stabcon_util::rng::{gen_index, Xoshiro256pp};
+
+#[test]
+fn lane_pass_equals_apply_for_every_domain() {
+    // Odd and even half-widths alike (511–513 and 1023–1025 included):
+    // a few processes with random keys, k random local indices each.
+    let mut rng = Xoshiro256pp::seed(0x1A7E);
+    let mut pending = Vec::new();
+    for n in 1..=2100u64 {
+        let procs = 1 + gen_index(&mut rng, 6) as usize;
+        let k = 1 + gen_index(&mut rng, 3) as usize;
+        let perms: Vec<FeistelPerm> = (0..procs)
+            .map(|_| FeistelPerm::new(n, rng.next_u64()))
+            .collect();
+        let locals: Vec<ProcessId> = (0..procs * k)
+            .map(|_| gen_index(&mut rng, n) as ProcessId)
+            .collect();
+        let mut lanes = locals.clone();
+        apply_lanes(&perms, k, &mut lanes, &mut pending);
+        assert!(pending.is_empty(), "n = {n}: pending list left behind");
+        for (l, (&got, &local)) in lanes.iter().zip(&locals).enumerate() {
+            assert_eq!(
+                got as u64,
+                perms[l / k].apply(local as u64),
+                "n = {n}, k = {k}, lane {l}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -74,6 +104,47 @@ proptest! {
             for &(who, v) in resp {
                 prop_assert_eq!(v, values[who as usize]);
             }
+        }
+    }
+
+    #[test]
+    fn zero_fault_route_round_equals_run_round(
+        seed in any::<u64>(),
+        n in 1usize..600,
+        k in 1usize..3,
+        cap in 1usize..8,
+        which in 0usize..3,
+    ) {
+        // The scenario router with every fault knob off against the
+        // synchronous oracle: same responses, metrics and drop-policy
+        // randomness, round after round.
+        let mut draw = Xoshiro256pp::seed(seed);
+        let values: Vec<u32> = (0..n as u32).map(|i| i % 5).collect();
+        let cfg = RoundConfig { inbox_cap: cap, self_bypass: true };
+        let policy = || -> Box<dyn DropPolicy> {
+            match which {
+                0 => Box::new(RandomDrop),
+                1 => Box::new(KeepFirst),
+                _ => Box::new(StarveSet::first_k(n, n / 3)),
+            }
+        };
+        let (mut pa, mut pb) = (policy(), policy());
+        let mut scen: NetScenario<u32> = NetScenario::new(n, ScenarioSpec::clean(), seed);
+        let mut rng_a = Xoshiro256pp::seed(seed ^ 1);
+        let mut rng_b = Xoshiro256pp::seed(seed ^ 1);
+        let mut resp_a = vec![Vec::new(); n];
+        let mut resp_b = vec![Vec::new(); n];
+        for round in 0..3u64 {
+            let targets: Vec<ProcessId> = (0..n * k)
+                .map(|_| gen_index(&mut draw, n as u64) as ProcessId)
+                .collect();
+            let ma = run_round(&values, &targets, k, &cfg, pa.as_mut(), &mut rng_a, &mut resp_a);
+            let mb = scen.route_round(
+                round, &values, &targets, k, &cfg, pb.as_mut(), &mut rng_b, &mut resp_b, None,
+            );
+            prop_assert_eq!(ma, mb, "round {} metrics", round);
+            prop_assert_eq!(&resp_a, &resp_b, "round {} responses", round);
+            prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "round {} rng", round);
         }
     }
 

@@ -118,12 +118,14 @@ impl CounterStream {
 ///
 /// Two `CounterRng`s with the same `(seed, stream)` produce the same
 /// sequence; distinct streams are statistically independent. Cheap to
-/// construct (no state expansion), so the parallel engine creates one per
-/// logical work item.
+/// construct (the seed and stream folds are done once, so each word costs
+/// only the counter fold), so the parallel engine creates one per logical
+/// work item. Callers deriving many streams from one seed hoist the seed
+/// fold themselves and build each generator with
+/// [`CounterRng::from_stream`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterRng {
-    seed: u64,
-    stream: u64,
+    stream: CounterStream,
     counter: u64,
 }
 
@@ -131,21 +133,24 @@ impl CounterRng {
     /// Generator for the given key and stream, starting at counter 0.
     #[inline]
     pub fn new(seed: u64, stream: u64) -> Self {
-        Self {
-            seed,
-            stream,
-            counter: 0,
-        }
+        Self::at(seed, stream, 0)
     }
 
     /// Generator starting at an arbitrary counter offset.
     #[inline]
     pub fn at(seed: u64, stream: u64, counter: u64) -> Self {
         Self {
-            seed,
-            stream,
+            stream: CounterKey::new(seed).stream(stream),
             counter,
         }
+    }
+
+    /// Generator over an already keyed stream, starting at counter 0:
+    /// `CounterRng::from_stream(CounterKey::new(s).stream(t))` draws the
+    /// same words as `CounterRng::new(s, t)`.
+    #[inline]
+    pub fn from_stream(stream: CounterStream) -> Self {
+        Self { stream, counter: 0 }
     }
 
     /// The current counter (number of words consumed since construction at
@@ -169,7 +174,7 @@ impl RngCore for CounterRng {
     }
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let w = hash3(self.seed, self.stream, self.counter);
+        let w = self.stream.word(self.counter);
         self.counter = self.counter.wrapping_add(1);
         w
     }
@@ -229,6 +234,15 @@ mod tests {
         let mut rng = CounterRng::new(7, 3);
         for k in 0..100 {
             assert_eq!(rng.next_u64(), CounterRng::word(7, 3, k));
+        }
+    }
+
+    #[test]
+    fn from_stream_matches_new() {
+        let mut a = CounterRng::new(5, 77);
+        let mut b = CounterRng::from_stream(CounterKey::new(5).stream(77));
+        for _ in 0..20 {
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
