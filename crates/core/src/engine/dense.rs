@@ -44,6 +44,9 @@
 //! 4. **apply** — run the monomorphized protocol over own value + gathered
 //!    samples and write the output chunk.
 //!
+//! The uniform path's phases 1–2 are one routine, which the message engine
+//! also calls to draw its request targets (`sample_indices`).
+//!
 //! The kernel is **bit-identical** to the scalar reference (kept below as
 //! [`step_seq_reference`] and friends, pinned by
 //! `tests/dense_kernel_props.rs`). The one place where batching could
@@ -311,7 +314,6 @@ fn update_range<P: Protocol + ?Sized>(
     assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
     assert_indexable(n);
     let zone = lemire_zone32(n.max(1));
-    let w = k.div_ceil(2);
     let key = CounterKey::new(seed);
     let stream_base = round.wrapping_mul(n).wrapping_add(offset as u64);
     let block = WORD_CAP / k.max(1);
@@ -321,22 +323,16 @@ fn update_range<P: Protocol + ?Sized>(
         let len = block.min(chunk.len() - start);
         let count = k * len;
         let base = stream_base.wrapping_add(start as u64);
-        let t = obs::phase(obs::Phase::Rng);
-        fill_stream_words(key, base, w, &mut bufs.words[..w * len]);
-        drop(t);
-        let t = obs::phase(obs::Phase::Index);
-        resolve_halves(
+        draw_block(
             key,
             base,
-            0,
             k,
             n,
             zone,
-            &bufs.words[..w * len],
+            &mut bufs.words,
             &mut bufs.idx[..count],
             &mut bufs.active,
         );
-        drop(t);
         let t = obs::phase(obs::Phase::Gather);
         for (d, v) in bufs.idx[..count].iter().zip(bufs.vals[..count].iter_mut()) {
             *v = old[*d as usize];
@@ -352,6 +348,53 @@ fn update_range<P: Protocol + ?Sized>(
         );
         drop(t);
         start += len;
+    }
+}
+
+/// Phases 1–2 of the uniform kernel for one block: the `k` sample indices
+/// of each of the `idx.len() / k` balls whose streams start at `base`,
+/// ball `j`'s at `idx[k·j..k·j + k]`. Timed as `Rng` and `Index`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn draw_block(
+    key: CounterKey,
+    base: u64,
+    k: usize,
+    n: u64,
+    zone: u32,
+    words: &mut [u64; WORD_CAP],
+    idx: &mut [u32],
+    flagged: &mut [u32; WORD_CAP],
+) {
+    let words = &mut words[..k.div_ceil(2) * (idx.len() / k.max(1))];
+    let t = obs::phase(obs::Phase::Rng);
+    fill_stream_words(key, base, k.div_ceil(2), words);
+    drop(t);
+    let t = obs::phase(obs::Phase::Index);
+    resolve_halves(key, base, 0, k, n, zone, words, idx, flagged);
+    drop(t);
+}
+
+/// The sample indices [`step_seq`] draws in round `round` of an `n`-ball
+/// population, `k` per ball: ball `b`'s land at `idx[k·b..k·b + k]`. The
+/// message engine sends its requests to exactly these targets.
+///
+/// # Panics
+/// Panics if `idx.len() != n · k` or `n > 2³²`.
+pub(crate) fn sample_indices(seed: u64, round: u64, n: u64, k: usize, idx: &mut [u32]) {
+    assert_indexable(n);
+    assert_eq!(idx.len() as u64, n * k as u64, "index buffer shape");
+    if k == 0 {
+        return;
+    }
+    let key = CounterKey::new(seed);
+    let zone = lemire_zone32(n.max(1));
+    let block = WORD_CAP / k;
+    let mut words = [0; WORD_CAP];
+    let mut flagged = [0; WORD_CAP];
+    for (b, chunk) in idx.chunks_mut(k * block).enumerate() {
+        let base = round.wrapping_mul(n).wrapping_add((b * block) as u64);
+        draw_block(key, base, k, n, zone, &mut words, chunk, &mut flagged);
     }
 }
 

@@ -1,11 +1,20 @@
 //! The message-level engine: protocol rounds over the real communication
-//! model (`stabcon-net`), including logarithmic inbox caps, drop policies,
-//! and anonymous private numbering.
+//! model (`stabcon-net`), including logarithmic inbox caps and drop
+//! policies.
 //!
 //! Where the dense engine *assumes* each ball learns its two samples, this
 //! engine actually routes request/response messages: a sample is lost when
 //! the target's inbox overflowed and the drop policy discarded the request.
 //! [`OnMissing`] decides how the protocol degrades.
+//!
+//! A process sends its requests to the very processes whose values the
+//! dense kernel samples ([`dense::step_seq`]): the same counter streams,
+//! drawn by the same batched routine. The paper's processes are anonymous,
+//! each with a private numbering of the others, but a fixed bijection maps
+//! a uniform local index to a uniform global id, so the numbering does not
+//! change the law of any target and the engine models none. With a
+//! lossless cap and no faults a message round therefore equals a dense
+//! round bit for bit.
 //!
 //! On top of the clean synchronous executor the engine can route every
 //! round through a [`NetScenario`] — seeded latency, link drops,
@@ -15,11 +24,12 @@
 //! keeps the original path alive as a regression oracle.
 
 use stabcon_net::{
-    apply_lanes, log_inbox_cap, run_round, DropPolicy, FeistelPerm, KeepFirst, NetScenario,
-    ProcessId, RandomDrop, RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
+    log_inbox_cap, run_round, DropPolicy, KeepFirst, NetScenario, ProcessId, RandomDrop,
+    RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
 };
-use stabcon_util::rng::{gen_index, hash3, CounterKey, CounterRng, Xoshiro256pp};
+use stabcon_util::rng::{hash3, Xoshiro256pp};
 
+use crate::engine::dense;
 use crate::protocol::{Protocol, MAX_SAMPLES};
 use crate::value::Value;
 
@@ -94,12 +104,11 @@ impl Default for MessageConfig {
     }
 }
 
-/// Stream id used to derive per-process anonymity keys (arbitrary tag).
-const ANON_STREAM: u64 = 0xA11CE5;
+/// Stream id keying the network-side randomness (drop selection).
+const NET_STREAM: u64 = 0xA11CE5;
 
 /// Stream id keying the scenario's fault randomness (distinct from
-/// [`ANON_STREAM`] so fault draws never alias anonymity or drop-policy
-/// randomness).
+/// [`NET_STREAM`] so fault draws never alias drop-policy randomness).
 const SCEN_STREAM: u64 = 0x5CE11A;
 
 /// A reusable message-level engine for one population size.
@@ -109,21 +118,15 @@ pub struct MessageEngine {
     policy: Box<dyn DropPolicy + Send>,
     net_rng: Xoshiro256pp,
     scenario: NetScenario<Value>,
-    /// Each process's private numbering, built once per trial seed.
-    perms: Vec<FeistelPerm>,
-    /// The seed `perms` was built for (`None` until the first step).
-    perms_seed: Option<u64>,
-    /// Lanes still cycle-walking in [`apply_lanes`] (parked between rounds).
-    pending: Vec<(u32, u32)>,
     targets: Vec<ProcessId>,
     responses: Vec<Vec<(ProcessId, Value)>>,
     totals: RoundMetrics,
 }
 
 impl MessageEngine {
-    /// Build an engine for `n` processes. `seed` keys the anonymity
-    /// permutations, the network-side randomness (drop selection), and the
-    /// fault scenario.
+    /// Build an engine for `n` processes. `seed` keys the network-side
+    /// randomness (drop selection) and the fault scenario; the sample
+    /// targets follow the seed each step receives.
     pub fn new(n: usize, cfg: MessageConfig, seed: u64) -> Self {
         Self {
             cfg,
@@ -132,11 +135,8 @@ impl MessageEngine {
                 self_bypass: true,
             },
             policy: cfg.drop.build(n),
-            net_rng: Xoshiro256pp::seed(hash3(seed, ANON_STREAM, 1)),
+            net_rng: Xoshiro256pp::seed(hash3(seed, NET_STREAM, 1)),
             scenario: NetScenario::new(n, cfg.scenario, hash3(seed, SCEN_STREAM, 0)),
-            perms: Vec::new(),
-            perms_seed: None,
-            pending: Vec::new(),
             targets: Vec::new(),
             responses: vec![Vec::new(); n],
             totals: RoundMetrics::default(),
@@ -170,7 +170,7 @@ impl MessageEngine {
     /// cross-trial state — they are pure functions of `(n, config)` plus
     /// the per-round randomness). No allocation happens on this path.
     pub fn reset(&mut self, seed: u64) {
-        self.net_rng = Xoshiro256pp::seed(hash3(seed, ANON_STREAM, 1));
+        self.net_rng = Xoshiro256pp::seed(hash3(seed, NET_STREAM, 1));
         self.scenario.reset(hash3(seed, SCEN_STREAM, 0));
         // Undo a `with_inbox_cap` override so reset ≡ new.
         self.round_cfg.inbox_cap = log_inbox_cap(self.n(), self.cfg.cap_mult.max(1));
@@ -194,36 +194,15 @@ impl MessageEngine {
         &self.totals
     }
 
-    /// Draw this round's sample targets through the private numberings.
-    /// Coordinates match the dense engine (`seed`, `round·n + ball`); the
-    /// layout is identical whether or not a process is crashed, so fault
-    /// scenarios never shift the sampling randomness of live processes.
-    ///
-    /// Process `i`'s numbering is keyed by `hash3(seed, ANON_STREAM, i)`.
-    /// The `n` permutations depend on the seed alone, so they are rebuilt
-    /// only when `seed` differs from the last step's, not every round.
-    /// Every local index is drawn first; then [`apply_lanes`] maps all
-    /// `n·k` of them in one cipher pass plus a walk over the stragglers.
+    /// Draw this round's sample targets: process `i` sends its `k`
+    /// requests to the balls [`dense::step_seq`] samples for ball `i`,
+    /// drawn from the stream `(seed, round·n + i)` by the dense kernel's
+    /// own batched routine. The layout is identical whether or not a
+    /// process is crashed, so fault scenarios never shift the sampling
+    /// randomness of live processes.
     fn draw_targets(&mut self, n: usize, k: usize, seed: u64, round: u64) {
-        if self.perms_seed != Some(seed) {
-            let anon = CounterKey::new(seed).stream(ANON_STREAM);
-            self.perms.clear();
-            self.perms
-                .extend((0..n as u64).map(|i| FeistelPerm::new(n as u64, anon.word(i))));
-            self.perms_seed = Some(seed);
-        }
-        let key = CounterKey::new(seed);
-        let base = round.wrapping_mul(n as u64);
-        self.targets.clear();
-        self.targets.reserve(n * k);
-        for i in 0..n as u64 {
-            let mut rng = CounterRng::from_stream(key.stream(base.wrapping_add(i)));
-            for _ in 0..k {
-                self.targets
-                    .push(gen_index(&mut rng, n as u64) as ProcessId);
-            }
-        }
-        apply_lanes(&self.perms, k, &mut self.targets, &mut self.pending);
+        self.targets.resize(n * k, 0);
+        dense::sample_indices(seed, round, n as u64, k, &mut self.targets);
     }
 
     /// Check the buffers against the engine and draw this round's targets;
@@ -262,11 +241,10 @@ impl MessageEngine {
 
     /// Advance one round: reads `old`, writes `new`.
     ///
-    /// Sampling matches the dense engine's coordinates (`seed`,
-    /// `round·n + ball`), but each draw is routed through the ball's private
-    /// numbering (anonymity) and then through the network — with caps, and
-    /// with whatever faults the configured [`ScenarioSpec`] injects. With
-    /// the zero-fault scenario this is bit-identical to
+    /// Each process requests the samples the dense engine would draw for
+    /// it, and the requests go through the network — with caps, and with
+    /// whatever faults the configured [`ScenarioSpec`] injects. With the
+    /// zero-fault scenario this is bit-identical to
     /// [`MessageEngine::step_reference`].
     ///
     /// # Panics
@@ -279,7 +257,7 @@ impl MessageEngine {
         seed: u64,
         round: u64,
     ) -> RoundMetrics {
-        // Phase 1: draw targets through private numberings.
+        // Phase 1: draw targets.
         let k = self.begin_round(old, new, protocol, seed, round);
 
         // The adversary's forge value: the smallest value currently held,
@@ -507,10 +485,9 @@ mod tests {
 
     #[test]
     fn step_rekeys_numberings_on_its_own_seed() {
-        // The private numberings are cached per trial seed. An engine that
-        // stepped under seed `a`, then was reset to `a`, must step under
-        // seed `b` exactly like a fresh engine does: the cache follows the
-        // seed `step` receives, not `reset`.
+        // The targets follow the seed `step` receives, not `reset`'s: an
+        // engine that stepped under seed `a`, then was reset to `a`, must
+        // step under seed `b` exactly like a fresh engine does.
         let n = 300;
         let cfg = MessageConfig {
             cap_mult: 1,

@@ -8,10 +8,14 @@
 //! This is the contract that lets the engine batch-generate RNG words,
 //! resolve indices, gather, and apply in separate vector-friendly loops
 //! without changing the stream any trajectory reads.
+//!
+//! The message engine draws its targets with the same routine, so at a
+//! lossless inbox cap and with no faults it must equal `step_seq` too.
 
 use proptest::prelude::*;
 use stabcon_core::engine::dense::{self, LoadSampler, KERNEL_BLOCK};
-use stabcon_core::protocol::{KMedianRule, MedianRule, MinRule, Protocol};
+use stabcon_core::engine::{MessageConfig, MessageEngine};
+use stabcon_core::protocol::{KMedianRule, MaxRule, MedianRule, MinRule, Protocol};
 use stabcon_core::value::Value;
 
 /// k ∈ {1, 2, 5}: the fixed-size fast paths and the general-k loop.
@@ -53,6 +57,40 @@ fn sampler_for(state: &[Value]) -> LoadSampler {
     let mut sampler = LoadSampler::new();
     sampler.rebuild(bins_of(state), state.len() as u64);
     sampler
+}
+
+#[test]
+fn lossless_message_engine_equals_step_seq() {
+    // Cap n·k: no inbox can overflow, so every request is answered, and
+    // the median, min and max rules do not care in which order.
+    let protocols: [&dyn Protocol; 3] = [&MedianRule, &MinRule, &MaxRule];
+    for n in [1usize, 2, 7, 300, 512, 1000, 1024] {
+        let all_distinct = (0..n).map(|i| i as Value).collect();
+        let starts = [all_distinct, state(n, 2)];
+        for protocol in protocols {
+            let k = protocol.samples();
+            for (start_ix, start) in starts.iter().enumerate() {
+                let seed = 0xD1CE ^ ((n as u64) << 8) ^ start_ix as u64;
+                let mut engine =
+                    MessageEngine::new(n, MessageConfig::default(), seed).with_inbox_cap(n * k);
+                let (mut dense_state, mut message_state) = (start.clone(), start.clone());
+                let (mut dense_next, mut message_next) = (vec![0; n], vec![0; n]);
+                for round in 0..40u64 {
+                    dense::step_seq(&dense_state, &mut dense_next, protocol, seed, round);
+                    let m = engine.step(&message_state, &mut message_next, protocol, seed, round);
+                    assert_eq!(m.dropped, 0, "the cap must be lossless");
+                    assert_eq!(
+                        dense_next,
+                        message_next,
+                        "{} rule, n = {n}, start {start_ix}, round {round}",
+                        protocol.name()
+                    );
+                    std::mem::swap(&mut dense_state, &mut dense_next);
+                    std::mem::swap(&mut message_state, &mut message_next);
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! One-shot control-plane clients for a `stabcon serve` daemon:
 //! submit a campaign, query the live status plane, cancel a job. Each call
-//! dials, speaks `stabcon-fabric/7`, and hangs up — no retry loop, because
+//! dials, speaks `stabcon-fabric/8`, and hangs up — no retry loop, because
 //! a control action either happened or it didn't, and the caller (the CLI)
 //! should report which.
 //!

@@ -13,7 +13,7 @@
 //!   on every cell id before a trial runs.
 //!
 //! The [`serve`] daemon is a durable multi-campaign job queue. Campaigns
-//! are submitted over the line-oriented [`protocol`] (`stabcon-fabric/7`)
+//! are submitted over the line-oriented [`protocol`] (`stabcon-fabric/8`)
 //! with per-client admission quotas, activated FIFO, and leased cell by
 //! cell, round-robin across running campaigns, to workers that each run
 //! the one lease loop in [`worker`]. The daemon pushes work as it appears:

@@ -1,4 +1,4 @@
-//! The line-oriented fabric protocol (`stabcon-fabric/7`) between the
+//! The line-oriented fabric protocol (`stabcon-fabric/8`) between the
 //! `stabcon serve` queue daemon, `stabcon work` workers, and the
 //! submission clients (`stabcon submit` / `status` / `cancel`).
 //!
@@ -66,11 +66,11 @@ use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 /// any other value. Fingerprints travel per job (in [`Msg::Submit`] and
 /// [`Msg::Lease2`]), not per connection.
 ///
-/// `/3` through `/7` frames are those of `/2`; each bump moves with the
-/// store's schema (`stabcon-campaign/4` through `/8`), so a worker built
+/// `/3` through `/8` frames are those of `/2`; each bump moves with the
+/// store's schema (`stabcon-campaign/4` through `/9`), so a worker built
 /// for an older stream cannot lease cells from a daemon that writes
 /// new-stream stores.
-pub const FABRIC_SCHEMA: &str = "stabcon-fabric/7";
+pub const FABRIC_SCHEMA: &str = "stabcon-fabric/8";
 
 /// Write `msg` as one wire line with a single `write_all`, so a frame never
 /// leaves in two segments (which Nagle's algorithm and delayed ACKs would

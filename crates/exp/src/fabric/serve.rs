@@ -776,7 +776,7 @@ fn peer_quiet(reader: &BufReader<TcpStream>) -> bool {
     matches!(waiting, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
 }
 
-/// One connection, from handshake to disconnect. Only `stabcon-fabric/7`
+/// One connection, from handshake to disconnect. Only `stabcon-fabric/8`
 /// hellos are welcomed; the connection may then mix control frames
 /// (submit, status, cancel) with the claim/lease/result loop.
 fn handle_queue_conn(mut stream: TcpStream, conn: u64, daemon: &Daemon) {

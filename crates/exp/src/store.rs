@@ -78,7 +78,12 @@ use crate::cell::CellSpec;
 /// `/8`: the random adversary has a load-level form, so adaptive cells
 /// under it hand off to the histogram and their trials for a given seed
 /// changed; `/7` stores are rejected for the same reason.
-pub const SCHEMA: &str = "stabcon-campaign/8";
+///
+/// `/9`: the message engine draws its targets on the dense kernel's
+/// streams instead of through per-process permutations, so message-engine
+/// trials for a given seed changed (their law did not); `/8` stores are
+/// rejected for the same reason.
+pub const SCHEMA: &str = "stabcon-campaign/9";
 
 /// The campaign header record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -729,9 +734,10 @@ mod tests {
         // A pre-observer `/1` store, a `/3` store of the old dense stream,
         // a `/4` store whose adversarial adaptive cells stayed dense, a `/5`
         // store of the per-bin multinomial histogram step, a `/6` store
-        // whose adaptive cells handed off only at 64 bins, or a `/7` store
-        // whose random-adversary cells stayed dense, must fail with the
-        // schema in the message, not a confusing fingerprint mismatch
+        // whose adaptive cells handed off only at 64 bins, a `/7` store
+        // whose random-adversary cells stayed dense, or an `/8` store whose
+        // message-engine cells drew through permutations, must fail with
+        // the schema in the message, not a confusing fingerprint mismatch
         // downstream.
         let path = tmp("oldschema.jsonl");
         for old in [
@@ -741,6 +747,7 @@ mod tests {
             "stabcon-campaign/5",
             "stabcon-campaign/6",
             "stabcon-campaign/7",
+            "stabcon-campaign/8",
         ] {
             std::fs::write(
                 &path,

@@ -1,4 +1,4 @@
-//! Property tests for the `stabcon-fabric/7` wire protocol: every
+//! Property tests for the `stabcon-fabric/8` wire protocol: every
 //! message — including the submission-plane frames, the spec descriptors
 //! they carry, and the decode-only retired `/1` frames — survives an
 //! encode→decode round trip with payload strings full of quotes,

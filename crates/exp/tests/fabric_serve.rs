@@ -70,6 +70,7 @@ fn old_fabric_hellos_are_rejected_naming_the_current_schema() {
         "stabcon-fabric/4",
         "stabcon-fabric/5",
         "stabcon-fabric/6",
+        "stabcon-fabric/7",
     ] {
         let (_, reply) = Raw::hello(&addr, old);
         match reply {

@@ -1,35 +1,22 @@
-//! Anonymous private numbering via format-preserving permutations.
+//! Keyed permutations of `[0, n)`, which pick the scenario's seeded
+//! crash and Byzantine subsets ([`crate::scenario`]): the first `count`
+//! images of a permutation are a uniform `count`-subset.
 //!
-//! The paper's network is anonymous: "no unique process IDs are known, but
-//! rather each process has its own, private numbering of the other
-//! processes". Materializing `n` permutations of `[n]` would cost `O(n²)`
-//! memory, so each process instead owns a keyed **Feistel permutation** over
-//! `[0, n)`: a 4-round balanced Feistel network on the smallest even-width
-//! binary domain covering `n`, with cycle-walking to stay inside `[0, n)`.
+//! Each permutation is a 4-round balanced Feistel network on the smallest
+//! even-width binary domain covering `n`, with cycle-walking to stay
+//! inside `[0, n)`, so it costs `O(1)` memory at any `n`.
+//! [`FeistelPerm::new`] folds the key into the four round streams once,
+//! so a cipher round costs one counter fold ([`CounterStream::word`]).
 //!
-//! Because π is a bijection, drawing a uniform *local* index and mapping it
-//! through π yields a uniform *global* process — exactly the sampling the
-//! median rule needs — while the simulation faithfully represents "private
-//! numbering" semantics (two processes' numberings are unrelated).
-//!
-//! A permutation hoists its key schedule: [`FeistelPerm::new`] folds the
-//! key into the four round streams once, so a cipher round costs one
-//! counter fold ([`CounterStream::word`]) rather than a full
-//! [`hash3`](stabcon_util::rng::hash3). Cycle walking costs domain/n cipher
-//! passes on average: 1 when `n` is a power of four, 2 at `n = 512`
-//! (domain 1024), and below 4 always. [`apply_lanes`] maps a whole round of
-//! draws at once: one cipher pass over every lane, then a walk over only
-//! the lanes that left `[0, n)`.
+//! The paper's processes are anonymous: each has a private numbering of
+//! the others. A simulation needs no cipher for that. A process draws a
+//! uniform local index, and any fixed bijection maps it to a uniform
+//! global id, so drawing the global id directly has the same law. The
+//! message engine does exactly that.
 
 use stabcon_util::rng::{CounterKey, CounterStream};
 
-use crate::ProcessId;
-
 const ROUNDS: usize = 4;
-
-/// Lanes [`apply_lanes`] ciphers together: enough independent multiply
-/// chains to hide their latency (and to fill vector registers).
-const BATCH: usize = 16;
 
 /// A keyed permutation over `[0, n)` (4-round Feistel + cycle walking).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,28 +60,19 @@ impl FeistelPerm {
         false
     }
 
-    /// One pass of the cipher over the even-width domain for `W` lanes at
-    /// once, lane `j` keyed by the round streams `keys[·][j]`; an image may
-    /// leave `[0, n)`. The only place the Feistel rounds are written.
-    #[inline(always)]
-    fn encrypt_once<const W: usize>(
-        keys: &[[CounterStream; W]; ROUNDS],
-        half_bits: u32,
-        xs: &mut [u64; W],
-    ) {
-        let mask = (1u64 << half_bits) - 1;
-        let mut left = xs.map(|x| x >> half_bits);
-        let mut right = xs.map(|x| x & mask);
-        for round in keys {
-            for j in 0..W {
-                let next_right = (left[j] ^ round[j].word(right[j])) & mask;
-                left[j] = right[j];
-                right[j] = next_right;
-            }
+    /// One pass of the cipher over the even-width domain; the image may
+    /// leave `[0, n)`.
+    #[inline]
+    fn encrypt_once(&self, x: u64) -> u64 {
+        let mask = (1u64 << self.half_bits) - 1;
+        let mut left = x >> self.half_bits;
+        let mut right = x & mask;
+        for round in &self.rounds {
+            let next_right = (left ^ round.word(right)) & mask;
+            left = right;
+            right = next_right;
         }
-        for j in 0..W {
-            xs[j] = (left[j] << half_bits) | right[j];
-        }
+        (left << self.half_bits) | right
     }
 
     /// Apply the permutation: local index → global index.
@@ -104,102 +82,13 @@ impl FeistelPerm {
     #[inline]
     pub fn apply(&self, local: u64) -> u64 {
         debug_assert!(local < self.n);
-        let keys = self.rounds.map(|stream| [stream]);
         // Cycle walking: iterate the cipher until the image lands in [0, n).
-        let mut x = [local];
-        Self::encrypt_once(&keys, self.half_bits, &mut x);
-        while x[0] >= self.n {
-            Self::encrypt_once(&keys, self.half_bits, &mut x);
+        // The expected number of steps is domain/n < 4.
+        let mut x = self.encrypt_once(local);
+        while x >= self.n {
+            x = self.encrypt_once(x);
         }
-        x[0]
-    }
-}
-
-/// Map a round of local indices through per-process permutations in place:
-/// lane `l` belongs to process `l / k` and ends holding
-/// `perms[l / k].apply(lanes[l])`.
-///
-/// One cipher pass runs over every lane; the lanes whose image left
-/// `[0, n)` are then compacted into `pending` (a parked buffer of
-/// `(lane, process)` pairs, left empty on return) and walk on together
-/// until none is left.
-///
-/// # Panics
-/// Panics if `lanes.len() != perms.len() · k`, there are `2³²` lanes or
-/// more, or the permutations' domain exceeds the process-id range;
-/// debug-panics if the permutations disagree on `n` or a lane is not a
-/// local index.
-pub fn apply_lanes(
-    perms: &[FeistelPerm],
-    k: usize,
-    lanes: &mut [ProcessId],
-    pending: &mut Vec<(u32, u32)>,
-) {
-    assert_eq!(lanes.len(), perms.len() * k, "lanes shape mismatch");
-    assert!(
-        lanes.len() <= u32::MAX as usize,
-        "apply_lanes: too many lanes"
-    );
-    let Some(first) = perms.first() else {
-        return;
-    };
-    let n = first.n;
-    // Images below the even-width domain fit a process id.
-    assert!(
-        2 * first.half_bits <= ProcessId::BITS,
-        "apply_lanes: domain exceeds the process-id range"
-    );
-    debug_assert!(perms
-        .iter()
-        .all(|p| p.n == n && p.half_bits == first.half_bits));
-    debug_assert!(lanes.iter().all(|&x| (x as u64) < n));
-    let every_lane =
-        (0..perms.len() as u32).flat_map(|i| (0..k as u32).map(move |j| (i * k as u32 + j, i)));
-    cipher_pass(perms, lanes, every_lane);
-    pending.clear();
-    pending.extend(
-        (0..lanes.len() as u32)
-            .filter(|&l| lanes[l as usize] as u64 >= n)
-            .map(|l| (l, l / k as u32)),
-    );
-    while !pending.is_empty() {
-        cipher_pass(perms, lanes, pending.iter().copied());
-        pending.retain(|&(l, _)| lanes[l as usize] as u64 >= n);
-    }
-}
-
-/// Cipher each `(lane, process)` of `work` once under its process's
-/// permutation, [`BATCH`] lanes at a time. The lanes of a short last batch
-/// past its length recompute stale inputs and are not stored.
-fn cipher_pass(
-    perms: &[FeistelPerm],
-    lanes: &mut [ProcessId],
-    mut work: impl Iterator<Item = (u32, u32)>,
-) {
-    let half_bits = perms[0].half_bits;
-    let mut keys = [[perms[0].rounds[0]; BATCH]; ROUNDS];
-    let mut xs = [0u64; BATCH];
-    let mut at = [0usize; BATCH];
-    loop {
-        let mut len = 0;
-        for (lane, process) in work.by_ref().take(BATCH) {
-            at[len] = lane as usize;
-            xs[len] = lanes[lane as usize] as u64;
-            for (slot, stream) in keys.iter_mut().zip(&perms[process as usize].rounds) {
-                slot[len] = *stream;
-            }
-            len += 1;
-        }
-        if len == 0 {
-            return;
-        }
-        FeistelPerm::encrypt_once(&keys, half_bits, &mut xs);
-        for (&lane, &x) in at.iter().zip(&xs).take(len) {
-            lanes[lane] = x as ProcessId;
-        }
-        if len < BATCH {
-            return;
-        }
+        x
     }
 }
 

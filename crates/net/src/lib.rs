@@ -5,8 +5,9 @@
 //! Choices* (§1.1 of the paper):
 //!
 //! * `n` processes, completely interconnected, **anonymous**: no global ids;
-//!   each process holds a private numbering of the others (modelled by a
-//!   per-process format-preserving permutation, [`anonymity::FeistelPerm`]);
+//!   each process holds a private numbering of the others. A fixed
+//!   bijection maps a uniform local index to a uniform global id, so the
+//!   simulation draws global ids directly and keeps no numbering;
 //! * time proceeds in synchronized rounds; per round every process contacts
 //!   at most a logarithmic number of other processes and exchanges a
 //!   logarithmic amount of information;
@@ -26,7 +27,7 @@ pub mod network;
 pub mod policy;
 pub mod scenario;
 
-pub use anonymity::{apply_lanes, FeistelPerm};
+pub use anonymity::FeistelPerm;
 pub use network::{log_inbox_cap, run_round, RoundConfig, RoundMetrics};
 pub use policy::{DropPolicy, KeepFirst, RandomDrop, StarveSet};
 pub use scenario::{ChurnSpec, NetScenario, PartitionSpec, Rejoin, ScenarioSpec};
