@@ -21,10 +21,14 @@
 //! partitions, churn, and Byzantine response forging (see
 //! `stabcon_net::scenario`). The zero-fault scenario (the default) is
 //! bit-identical to the plain executor; [`MessageEngine::step_reference`]
-//! keeps the original path alive as a regression oracle.
+//! keeps the original path alive as a regression oracle. Both fill one
+//! flat [`Responses`] table, a row of `(responder, value)` pairs per
+//! process, and the protocol combines the first `k` of each row. Without
+//! latency the scenario answers every request in place and stores no
+//! message; only latency keeps messages in delay rings between rounds.
 
 use stabcon_net::{
-    log_inbox_cap, run_round, DropPolicy, KeepFirst, NetScenario, ProcessId, RandomDrop,
+    log_inbox_cap, run_round, DropPolicy, KeepFirst, NetScenario, ProcessId, RandomDrop, Responses,
     RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
 };
 use stabcon_util::rng::{hash3, Xoshiro256pp};
@@ -119,7 +123,7 @@ pub struct MessageEngine {
     net_rng: Xoshiro256pp,
     scenario: NetScenario<Value>,
     targets: Vec<ProcessId>,
-    responses: Vec<Vec<(ProcessId, Value)>>,
+    responses: Responses<Value>,
     totals: RoundMetrics,
 }
 
@@ -138,7 +142,7 @@ impl MessageEngine {
             net_rng: Xoshiro256pp::seed(hash3(seed, NET_STREAM, 1)),
             scenario: NetScenario::new(n, cfg.scenario, hash3(seed, SCEN_STREAM, 0)),
             targets: Vec::new(),
-            responses: vec![Vec::new(); n],
+            responses: Responses::new(),
             totals: RoundMetrics::default(),
         }
     }
@@ -150,7 +154,7 @@ impl MessageEngine {
 
     /// The population size this engine was built for.
     pub fn n(&self) -> usize {
-        self.responses.len()
+        self.scenario.n()
     }
 
     /// The configuration this engine was built with.
@@ -164,8 +168,8 @@ impl MessageEngine {
     }
 
     /// Re-key the engine for a fresh trial with the same `(n, config)`,
-    /// keeping the routing buffers (including the scenario's delay rings
-    /// and inboxes): after this the engine behaves exactly like
+    /// keeping the routing buffers (the response table and the scenario's
+    /// delay rings, counts and inboxes): after this the engine behaves exactly like
     /// [`MessageEngine::new`] with `seed` (drop policies carry no
     /// cross-trial state — they are pure functions of `(n, config)` plus
     /// the per-round randomness). No allocation happens on this path.
@@ -176,9 +180,6 @@ impl MessageEngine {
         self.round_cfg.inbox_cap = log_inbox_cap(self.n(), self.cfg.cap_mult.max(1));
         self.totals = RoundMetrics::default();
         self.targets.clear();
-        for inbox in &mut self.responses {
-            inbox.clear();
-        }
     }
 
     /// Override the inbox cap with an absolute value (stress-testing knob:
@@ -217,7 +218,7 @@ impl MessageEngine {
     ) -> usize {
         let n = old.len();
         assert_eq!(new.len(), n, "state buffers differ in length");
-        assert_eq!(self.responses.len(), n, "engine built for different n");
+        assert_eq!(self.n(), n, "engine built for different n");
         let k = protocol.samples();
         assert!(k <= MAX_SAMPLES, "protocol requests too many samples");
         self.draw_targets(n, k, seed, round);
@@ -227,7 +228,7 @@ impl MessageEngine {
     /// Process `i`'s next value from the responses it received: a missing
     /// sample is filled per [`OnMissing`], then the protocol combines.
     fn combine(&self, protocol: &dyn Protocol, k: usize, i: usize, own: Value) -> Value {
-        let got = &self.responses[i];
+        let got = self.responses.get(i);
         let fallback = match self.cfg.on_missing {
             OnMissing::KeepOwn => own,
             OnMissing::Adopt => got.first().map(|&(_, v)| v).unwrap_or(own),

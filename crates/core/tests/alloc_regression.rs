@@ -120,30 +120,37 @@ fn load_sampled_dense_cell_steady_state_is_o1() {
 
 #[test]
 fn message_cell_steady_state_is_o1() {
-    // The message engine routes real request/response traffic — targets
-    // buffer, response buffers, and (with a faulted scenario) the delay
-    // rings and fault bitmaps must all be workspace-parked: `reset`
-    // re-keys without allocating, and `route_round` pre-reserves per-process
-    // headroom so balls-in-bins load maxima never grow a warm buffer.
-    // `DropSpec::Random` keeps the drop policy alloc-free (`StarveSet`
-    // sorts, which allocates by design).
-    use stabcon_core::engine::{MessageConfig, ScenarioSpec};
+    // The message engine routes real request/response traffic. Its
+    // buffers — targets, the response table, the scenario's per-target
+    // counts, request ranks and inboxes, the delay rings and the fault
+    // bitmaps — are workspace-parked and sized by `n`, `k` or the round's
+    // traffic, so after warm-up no trial grows them: `reset` re-keys
+    // without allocating. Every fault knob is on, once with latency (the
+    // ring path) and once without (the in-place path). `DropSpec::Random`
+    // keeps the drop policy alloc-free (`StarveSet` sorts, which allocates
+    // by design).
+    use stabcon_core::engine::{MessageConfig, Rejoin, ScenarioSpec};
     let n = 1024;
-    let cfg = MessageConfig {
-        scenario: ScenarioSpec::clean()
-            .with_latency(0, 2)
-            .with_drop_per_mille(100)
-            .with_byzantine(4),
-        ..MessageConfig::default()
-    };
-    let sim = SimSpec::new(n)
-        .init(InitialCondition::TwoBins { left: n / 2 })
-        .engine(EngineSpec::Message(cfg));
-    let per_trial = allocations_per_trial(&sim, 4, 16);
-    assert!(
-        per_trial <= 2.0,
-        "message trial steady state allocates {per_trial} times per trial (expected ≈ 0)"
-    );
+    let faults = ScenarioSpec::clean()
+        .with_drop_per_mille(100)
+        .with_partition(500, 3, 20)
+        .with_churn(32, 5, 25, Rejoin::Adversarial)
+        .with_byzantine(4);
+    for scenario in [faults.with_latency(0, 2), faults] {
+        let cfg = MessageConfig {
+            scenario,
+            ..MessageConfig::default()
+        };
+        let sim = SimSpec::new(n)
+            .init(InitialCondition::TwoBins { left: n / 2 })
+            .engine(EngineSpec::Message(cfg));
+        let per_trial = allocations_per_trial(&sim, 4, 16);
+        assert!(
+            per_trial <= 2.0,
+            "message trial under {} allocates {per_trial} times per trial (expected ≈ 0)",
+            scenario.label()
+        );
+    }
 }
 
 #[test]

@@ -28,7 +28,7 @@ pub mod policy;
 pub mod scenario;
 
 pub use anonymity::FeistelPerm;
-pub use network::{log_inbox_cap, run_round, RoundConfig, RoundMetrics};
+pub use network::{log_inbox_cap, run_round, Responses, RoundConfig, RoundMetrics};
 pub use policy::{DropPolicy, KeepFirst, RandomDrop, StarveSet};
 pub use scenario::{ChurnSpec, NetScenario, PartitionSpec, Rejoin, ScenarioSpec};
 

@@ -1,5 +1,7 @@
 //! The synchronous round executor: requests → inbox capping → responses.
 
+use std::fmt;
+
 use rand::RngCore;
 
 use crate::policy::DropPolicy;
@@ -88,6 +90,97 @@ impl RoundMetrics {
     }
 }
 
+/// One round's responses for every process, in one flat table.
+///
+/// Row `i` holds the `(responder, value)` pairs process `i` received this
+/// round, in delivery order; [`Responses::get`] returns it as a slice.
+/// [`run_round`] and [`NetScenario::route_round`](crate::NetScenario::route_round)
+/// size and refill the table each round, so a table reused across rounds
+/// and trials allocates only when it must grow.
+#[derive(Clone, Default)]
+pub struct Responses<V> {
+    /// Room per row.
+    width: usize,
+    /// Filled length of each row.
+    counts: Vec<u32>,
+    /// Row `i` is `slots[i·width..(i + 1)·width]`.
+    slots: Vec<(ProcessId, V)>,
+}
+
+impl<V: Copy + Default> Responses<V> {
+    /// An empty table; the first round sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of rows (processes) in the last round.
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// Process `i`'s responses, in delivery order.
+    pub fn get(&self, i: usize) -> &[(ProcessId, V)] {
+        let start = i * self.width;
+        &self.slots[start..start + self.counts[i] as usize]
+    }
+
+    /// Every row, in process order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(ProcessId, V)]> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Empty every row and make room for `width` responses in each of `n`.
+    pub(crate) fn reset(&mut self, n: usize, width: usize) {
+        self.width = width;
+        self.counts.clear();
+        self.counts.resize(n, 0);
+        self.slots.resize(n * width, (0, V::default()));
+    }
+
+    /// Append `response` to row `i`.
+    ///
+    /// # Panics
+    /// Panics if the row is full.
+    #[inline]
+    pub(crate) fn push(&mut self, i: usize, response: (ProcessId, V)) {
+        let len = self.counts[i] as usize;
+        assert!(len < self.width, "response row {i} is full");
+        self.slots[i * self.width + len] = response;
+        self.counts[i] += 1;
+    }
+
+    /// Size the table for `n` rows of `width` and hand out each row with
+    /// its length, for the caller to fill and set.
+    pub(crate) fn rows_mut(
+        &mut self,
+        n: usize,
+        width: usize,
+    ) -> impl Iterator<Item = (&mut [(ProcessId, V)], &mut u32)> {
+        self.width = width;
+        self.counts.resize(n, 0);
+        self.slots.resize(n * width, (0, V::default()));
+        self.slots.chunks_exact_mut(width).zip(&mut self.counts)
+    }
+}
+
+impl<V: Copy + Default + PartialEq> PartialEq for Responses<V> {
+    /// Row by row; room past a row's end does not count.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<V: Copy + Default + fmt::Debug> fmt::Debug for Responses<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Execute one synchronous request/response round.
 ///
 /// * `values[i]` — the value process `i` would report this round;
@@ -95,14 +188,15 @@ impl RoundMetrics {
 ///   process (`targets.len() == k·n`); entry `targets[i·k + j]` is the j-th
 ///   process that requester `i` contacts;
 /// * `policy` — drop selection for overloaded inboxes;
-/// * `responses[i]` receives `(responder, value)` pairs for every answered
-///   request of process `i` (buffers are cleared and reused).
+/// * `responses` row `i` receives `(responder, value)` pairs for every
+///   answered request of process `i`: self-answers first, then by
+///   responder id.
 ///
 /// Returns per-round delivery metrics.
 ///
 /// # Panics
-/// Panics if the shapes disagree (`targets.len() != values.len()·k`,
-/// `responses.len() != values.len()`) or a target id is out of range.
+/// Panics if the shapes disagree (`targets.len() != values.len()·k`) or a
+/// target id is out of range.
 pub fn run_round<V, P, R>(
     values: &[V],
     targets: &[ProcessId],
@@ -110,21 +204,18 @@ pub fn run_round<V, P, R>(
     cfg: &RoundConfig,
     policy: &mut P,
     rng: &mut R,
-    responses: &mut [Vec<(ProcessId, V)>],
+    responses: &mut Responses<V>,
 ) -> RoundMetrics
 where
-    V: Copy,
+    V: Copy + Default,
     P: DropPolicy + ?Sized,
     R: RngCore,
 {
     let n = values.len();
     assert_eq!(targets.len(), n * k, "targets shape mismatch");
-    assert_eq!(responses.len(), n, "responses shape mismatch");
 
     let mut metrics = RoundMetrics::default();
-    for buf in responses.iter_mut() {
-        buf.clear();
-    }
+    responses.reset(n, k);
 
     // Phase 1: route requests into inboxes.
     let mut inbox: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
@@ -134,7 +225,7 @@ where
             assert!(t_us < n, "target {t} out of range (n = {n})");
             if cfg.self_bypass && t_us == i {
                 // Answer locally: deliver own value without network traffic.
-                responses[i].push((t, values[t_us]));
+                responses.push(i, (t, values[t_us]));
                 metrics.self_requests += 1;
             } else {
                 inbox[t_us].push(i as ProcessId);
@@ -162,7 +253,7 @@ where
     for (t, requesters) in inbox.iter().enumerate() {
         let value = values[t];
         for &requester in requesters {
-            responses[requester as usize].push((t as ProcessId, value));
+            responses.push(requester as usize, (t as ProcessId, value));
             metrics.delivered += 1;
         }
     }
@@ -175,10 +266,6 @@ mod tests {
     use super::*;
     use crate::policy::{KeepFirst, RandomDrop};
     use stabcon_util::rng::Xoshiro256pp;
-
-    fn fresh_responses(n: usize) -> Vec<Vec<(ProcessId, u32)>> {
-        vec![Vec::new(); n]
-    }
 
     #[test]
     fn log_cap_values() {
@@ -199,7 +286,7 @@ mod tests {
             self_bypass: true,
         };
         let mut rng = Xoshiro256pp::seed(1);
-        let mut responses = fresh_responses(4);
+        let mut responses = Responses::new();
         let m = run_round(
             &values,
             &targets,
@@ -230,7 +317,7 @@ mod tests {
             self_bypass: false,
         };
         let mut rng = Xoshiro256pp::seed(2);
-        let mut responses = fresh_responses(n);
+        let mut responses = Responses::new();
         let m = run_round(
             &values,
             &targets,
@@ -258,7 +345,7 @@ mod tests {
             self_bypass: false,
         };
         let mut rng = Xoshiro256pp::seed(3);
-        let mut responses = fresh_responses(2);
+        let mut responses = Responses::new();
         let m = run_round(
             &values,
             &targets,
@@ -270,7 +357,7 @@ mod tests {
         );
         assert_eq!(m.self_requests, 0);
         assert_eq!(m.requests, 4);
-        assert_eq!(responses[0], vec![(0, 7), (0, 7)]);
+        assert_eq!(responses.get(0), [(0, 7), (0, 7)]);
     }
 
     #[test]
@@ -282,7 +369,7 @@ mod tests {
             self_bypass: true,
         };
         let mut rng = Xoshiro256pp::seed(4);
-        let mut responses = fresh_responses(3);
+        let mut responses = Responses::new();
         run_round(
             &values,
             &targets,
@@ -292,7 +379,7 @@ mod tests {
             &mut rng,
             &mut responses,
         );
-        let mut r0 = responses[0].clone();
+        let mut r0 = responses.get(0).to_vec();
         r0.sort_unstable();
         assert_eq!(r0, vec![(1, 200), (2, 300)]);
     }
@@ -344,7 +431,7 @@ mod tests {
             self_bypass: true,
         };
         let mut rng = Xoshiro256pp::seed(5);
-        let mut responses = fresh_responses(2);
+        let mut responses = Responses::new();
         run_round(
             &values,
             &targets,

@@ -26,15 +26,25 @@
 //! chunking, or workspace reuse — the same contract the dense engine makes.
 //! The **zero-fault scenario routes bit-identically to
 //! [`run_round`](crate::run_round)**: no fault consumes randomness unless
-//! its knob is enabled, and the queue discipline preserves the synchronous
-//! executor's delivery order (pinned by tests here and in `stabcon-core`).
+//! its knob is enabled, and the router keeps the synchronous executor's
+//! delivery order (pinned by tests here and in `stabcon-core`).
+//!
+//! Two routers share that contract, chosen by `latency_max`. Without
+//! latency every leg has delay 0 and is answered in place: nothing is
+//! queued, and only an inbox over its cap is laid out for the drop
+//! policy. With latency every leg waits in a delay ring. The delivery
+//! order both keep — self-answers first; without latency, answers by
+//! responder id; with latency, in ring (send) order — is spelled out on
+//! [`NetScenario::route_round`], and `tests/queue_router.rs` checks both
+//! routers against the first queue router, rings and nested lists
+//! throughout.
 
 use rand::RngCore;
 
 use stabcon_util::rng::{CounterKey, CounterStream};
 
 use crate::anonymity::FeistelPerm;
-use crate::network::{RoundConfig, RoundMetrics};
+use crate::network::{Responses, RoundConfig, RoundMetrics};
 use crate::policy::DropPolicy;
 use crate::ProcessId;
 
@@ -274,85 +284,32 @@ const BYZ_PERM_STREAM: u64 = u64::MAX - 2;
 const REQ_LEG: u64 = 0;
 const RESP_LEG: u64 = 1;
 
-/// Runtime state of one scenario for one population size.
-///
-/// All buffers (delay rings, inboxes, fault bitmaps) are owned here and
-/// reused across rounds *and* trials: [`NetScenario::reset`] re-keys the
-/// randomness and clears the queues without allocating, so a
-/// workspace-parked engine stays allocation-free on the steady-state path.
+/// Request states in [`NetScenario::route_round`]'s in-place path, beside
+/// an arrival rank (or, after capping, a position in the kept inbox).
+const SELF: u32 = u32::MAX;
+const LOST: u32 = u32::MAX - 1;
+/// Arrived at an over-cap target; still waiting for the drop policy.
+const PENDING: u32 = u32::MAX - 2;
+
+/// The seeded faults of one trial: the spec, its key, the partition cut,
+/// and the crash and Byzantine subsets.
 #[derive(Debug, Clone)]
-pub struct NetScenario<V> {
+struct Faults {
     spec: ScenarioSpec,
     key: CounterKey,
     /// Partition boundary: processes `< split_at` form the left group.
     split_at: ProcessId,
     crashed: Vec<bool>,
     byzantine: Vec<bool>,
-    /// Delay rings indexed by `deliver_round % horizon`; each slot is fully
-    /// drained in its round before anything with the same residue is
-    /// enqueued again, so slots never mix delivery rounds.
-    req_ring: Vec<Vec<FlightReq>>,
-    resp_ring: Vec<Vec<FlightResp<V>>>,
-    /// Per-target request inboxes (the synchronous executor allocates these
-    /// per call; here they are parked for reuse).
-    inboxes: Vec<Vec<ProcessId>>,
-    in_flight: u64,
 }
 
-impl<V: Copy> NetScenario<V> {
-    /// Build scenario state for `n` processes, keyed by `seed`.
-    ///
-    /// # Panics
-    /// Panics if the spec is inconsistent (see [`ScenarioSpec::validate`]).
-    pub fn new(n: usize, spec: ScenarioSpec, seed: u64) -> Self {
-        spec.validate();
-        let horizon = spec.latency_max as usize + 1;
-        let split_at = match spec.partition {
-            PartitionSpec::Split { left_per_mille, .. } => {
-                (n as u64 * left_per_mille as u64 / 1000) as ProcessId
-            }
-            PartitionSpec::None => 0,
-        };
-        let mut out = Self {
-            spec,
-            key: CounterKey::new(seed),
-            split_at,
-            crashed: vec![false; n],
-            byzantine: vec![false; n],
-            req_ring: vec![Vec::new(); horizon],
-            resp_ring: vec![Vec::new(); horizon],
-            inboxes: vec![Vec::new(); n],
-            in_flight: 0,
-        };
-        out.rebuild_fault_sets();
-        out
-    }
-
-    /// Re-key for a fresh trial with the same `(n, spec)`: clears every
-    /// queue and redraws the crash/Byzantine subsets without allocating.
-    /// After this the scenario behaves exactly like [`NetScenario::new`]
-    /// with `seed`.
-    pub fn reset(&mut self, seed: u64) {
-        self.key = CounterKey::new(seed);
-        self.in_flight = 0;
-        for slot in &mut self.req_ring {
-            slot.clear();
-        }
-        for slot in &mut self.resp_ring {
-            slot.clear();
-        }
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
-        self.rebuild_fault_sets();
-    }
-
+impl Faults {
     /// Redraw the seeded fault subsets (crash window + Byzantine set).
     /// Timed as [`stabcon_obs::Phase::Faults`]: with telemetry on, the cost
     /// of per-trial fault draws shows up next to routing in phase profiles.
-    fn rebuild_fault_sets(&mut self) {
+    fn rebuild(&mut self) {
         let _t = stabcon_obs::phase(stabcon_obs::Phase::Faults);
-        let n = self.inboxes.len();
+        let n = self.crashed.len();
         self.crashed.fill(false);
         self.byzantine.fill(false);
         if n == 0 {
@@ -372,41 +329,252 @@ impl<V: Copy> NetScenario<V> {
         }
     }
 
+    /// The faults in force in `round`.
+    #[inline]
+    fn active(&self, round: u64) -> Active<'_> {
+        let down = match self.spec.churn {
+            ChurnSpec::CrashWindow { from, until, .. }
+                if (from as u64..until as u64).contains(&round) =>
+            {
+                Some(&self.crashed[..])
+            }
+            _ => None,
+        };
+        let cut = match self.spec.partition {
+            PartitionSpec::Split { from, heal, .. }
+                if (from as u64..heal as u64).contains(&round) =>
+            {
+                Some(self.split_at)
+            }
+            _ => None,
+        };
+        let byzantine = (self.spec.byzantine > 0).then_some(&self.byzantine[..]);
+        Active {
+            down,
+            cut,
+            byzantine,
+        }
+    }
+
+    /// Per-leg fate at counter-RNG coordinates `(stream, idx)`: `None` when
+    /// the leg is lost, otherwise the delivery delay in rounds. Consumes no
+    /// randomness when both knobs are off (zero-fault bit-compatibility);
+    /// the counter is advanced by the caller for every leg regardless, so
+    /// one leg's fate never shifts another's coordinates.
+    #[inline]
+    fn fate(&self, stream: CounterStream, idx: u64) -> Option<usize> {
+        if self.spec.drop_per_mille == 0 && self.spec.latency_max == 0 {
+            return Some(0);
+        }
+        let w = stream.word(idx);
+        if self.spec.drop_per_mille > 0 {
+            let threshold = ((self.spec.drop_per_mille as u64) << 32) / 1000;
+            if (w & 0xFFFF_FFFF) < threshold {
+                return None;
+            }
+        }
+        // `range` ≤ 2¹⁶, so the 32-bit remainder equals the 64-bit one.
+        let range = (self.spec.latency_max - self.spec.latency_min) as u32 + 1;
+        Some(self.spec.latency_min as usize + ((w >> 32) as u32 % range) as usize)
+    }
+}
+
+/// The faults in force in one round, resolved once so that each message
+/// pays a load and a compare.
+#[derive(Clone, Copy)]
+struct Active<'a> {
+    /// The crash bitmap, while the crash window is open.
+    down: Option<&'a [bool]>,
+    /// The partition boundary, while the cut is up.
+    cut: Option<ProcessId>,
+    /// The Byzantine bitmap, when any responder forges.
+    byzantine: Option<&'a [bool]>,
+}
+
+impl Active<'_> {
+    #[inline]
+    fn is_down(&self, p: usize) -> bool {
+        self.down.is_some_and(|down| down[p])
+    }
+
+    /// Whether a message between `a` and `b` crosses the cut.
+    #[inline]
+    fn crossing(&self, a: ProcessId, b: ProcessId) -> bool {
+        self.cut.is_some_and(|split| (a < split) != (b < split))
+    }
+
+    #[inline]
+    fn is_byzantine(&self, p: usize) -> bool {
+        self.byzantine.is_some_and(|byzantine| byzantine[p])
+    }
+}
+
+/// Request inboxes, arrival-ordered and back to back: target `t`'s is
+/// `slots[start[t]..start[t + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct Inboxes {
+    /// Per target: requests arrived, then requests kept after capping,
+    /// then (in the in-place path, with link drops) the target's first
+    /// response-leg index.
+    load: Vec<u32>,
+    start: Vec<u32>,
+    slots: Vec<ProcessId>,
+    /// The one inbox handed to [`DropPolicy::select`].
+    select_buf: Vec<ProcessId>,
+}
+
+impl Inboxes {
+    /// Lay the inboxes out from the arrival counts in `load`.
+    fn lay_out(&mut self) {
+        self.start.clear();
+        self.start.push(0);
+        let mut end = 0;
+        for &arrived in &self.load {
+            end += arrived;
+            self.start.push(end);
+        }
+        self.slots.resize(end as usize, 0);
+    }
+
+    /// Cap every inbox holding more than `cap` requests through the drop
+    /// policy, targets in ascending order (the order the policy's
+    /// randomness is consumed in). An over-cap target's inbox then starts
+    /// with its survivors, and its `load` is their count.
+    fn cap<P, R>(&mut self, cap: usize, policy: &mut P, rng: &mut R, metrics: &mut RoundMetrics)
+    where
+        P: DropPolicy + ?Sized,
+        R: RngCore,
+    {
+        for t in 0..self.load.len() {
+            let inbox = &mut self.slots[self.start[t] as usize..self.start[t + 1] as usize];
+            if inbox.len() <= cap {
+                continue;
+            }
+            metrics.overloaded += 1;
+            self.select_buf.clear();
+            self.select_buf.extend_from_slice(inbox);
+            policy.select(t as ProcessId, &mut self.select_buf, cap, rng);
+            let kept = self.select_buf.len();
+            assert!(kept <= cap, "drop policy exceeded the cap");
+            metrics.dropped += (inbox.len() - kept) as u64;
+            inbox[..kept].copy_from_slice(&self.select_buf);
+            self.load[t] = kept as u32;
+        }
+    }
+}
+
+/// One round's inputs, as [`NetScenario::route_round`] receives them.
+struct RoundIn<'a, V> {
+    round: u64,
+    values: &'a [V],
+    targets: &'a [ProcessId],
+    k: usize,
+    cfg: &'a RoundConfig,
+    forge: Option<V>,
+}
+
+/// Runtime state of one scenario for one population size.
+///
+/// All buffers (delay rings, inboxes, fault bitmaps) are owned here and
+/// reused across rounds *and* trials: [`NetScenario::reset`] re-keys the
+/// randomness and clears the queues without allocating, so a
+/// workspace-parked engine stays allocation-free on the steady-state path.
+#[derive(Debug, Clone)]
+pub struct NetScenario<V> {
+    faults: Faults,
+    /// Delay rings indexed by `deliver_round % horizon`, only when
+    /// `latency_max > 0`; each slot is fully drained in its round before
+    /// anything with the same residue is enqueued again, so slots never
+    /// mix delivery rounds.
+    req_ring: Vec<Vec<FlightReq>>,
+    resp_ring: Vec<Vec<FlightResp<V>>>,
+    inboxes: Inboxes,
+    /// Per request, in the `targets` layout (in-place path): its arrival
+    /// rank at its target, or [`SELF`], [`LOST`] or [`PENDING`].
+    rank: Vec<u32>,
+}
+
+impl<V: Copy + Default> NetScenario<V> {
+    /// Build scenario state for `n` processes, keyed by `seed`.
+    ///
+    /// # Panics
+    /// Panics if the spec is inconsistent (see [`ScenarioSpec::validate`]).
+    pub fn new(n: usize, spec: ScenarioSpec, seed: u64) -> Self {
+        spec.validate();
+        let horizon = match spec.latency_max {
+            0 => 0,
+            max => max as usize + 1,
+        };
+        let split_at = match spec.partition {
+            PartitionSpec::Split { left_per_mille, .. } => {
+                (n as u64 * left_per_mille as u64 / 1000) as ProcessId
+            }
+            PartitionSpec::None => 0,
+        };
+        let mut faults = Faults {
+            spec,
+            key: CounterKey::new(seed),
+            split_at,
+            crashed: vec![false; n],
+            byzantine: vec![false; n],
+        };
+        faults.rebuild();
+        Self {
+            faults,
+            req_ring: vec![Vec::new(); horizon],
+            resp_ring: vec![Vec::new(); horizon],
+            inboxes: Inboxes::default(),
+            rank: Vec::new(),
+        }
+    }
+
+    /// Re-key for a fresh trial with the same `(n, spec)`: clears every
+    /// queue and redraws the crash/Byzantine subsets without allocating.
+    /// After this the scenario behaves exactly like [`NetScenario::new`]
+    /// with `seed`.
+    pub fn reset(&mut self, seed: u64) {
+        self.faults.key = CounterKey::new(seed);
+        for slot in &mut self.req_ring {
+            slot.clear();
+        }
+        for slot in &mut self.resp_ring {
+            slot.clear();
+        }
+        self.faults.rebuild();
+    }
+
     /// The spec this scenario was built from.
     pub fn spec(&self) -> ScenarioSpec {
-        self.spec
+        self.faults.spec
     }
 
     /// The population size this scenario was built for.
     pub fn n(&self) -> usize {
-        self.inboxes.len()
+        self.faults.crashed.len()
     }
 
     /// Messages currently queued in the delay rings.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight
+        let queued = self.req_ring.iter().map(Vec::len).sum::<usize>()
+            + self.resp_ring.iter().map(Vec::len).sum::<usize>();
+        queued as u64
     }
 
     /// Whether process `p` is crashed in `round`.
     pub fn is_down(&self, p: usize, round: u64) -> bool {
-        match self.spec.churn {
-            ChurnSpec::None => false,
-            ChurnSpec::CrashWindow { from, until, .. } => {
-                (from as u64..until as u64).contains(&round) && self.crashed[p]
-            }
-        }
+        self.faults.active(round).is_down(p)
     }
 
     /// Whether `p` spends its last down round in `round` and rejoins at an
     /// adversary-chosen value (the engine overrides its state then).
     pub fn adversarial_rejoin(&self, p: usize, round: u64) -> bool {
-        match self.spec.churn {
+        match self.faults.spec.churn {
             ChurnSpec::CrashWindow {
                 from,
                 until,
                 rejoin: Rejoin::Adversarial,
                 ..
-            } => until > from && round + 1 == until as u64 && self.crashed[p],
+            } => until > from && round + 1 == until as u64 && self.faults.crashed[p],
             _ => false,
         }
     }
@@ -415,10 +583,11 @@ impl<V: Copy> NetScenario<V> {
     /// this round: Byzantine responders always need one, and an
     /// adversarial rejoin needs one on the rejoin boundary.
     pub fn wants_forge_value(&self, round: u64) -> bool {
-        if self.spec.byzantine > 0 {
+        let spec = self.faults.spec;
+        if spec.byzantine > 0 {
             return true;
         }
-        match self.spec.churn {
+        match spec.churn {
             ChurnSpec::CrashWindow {
                 from,
                 until,
@@ -431,55 +600,40 @@ impl<V: Copy> NetScenario<V> {
 
     /// Whether process `p` is a Byzantine responder.
     pub fn is_byzantine(&self, p: usize) -> bool {
-        self.spec.byzantine > 0 && self.byzantine[p]
-    }
-
-    /// Whether a message between `a` and `b` crosses an active cut.
-    fn crossing(&self, a: ProcessId, b: ProcessId, round: u64) -> bool {
-        match self.spec.partition {
-            PartitionSpec::None => false,
-            PartitionSpec::Split { from, heal, .. } => {
-                (from as u64..heal as u64).contains(&round)
-                    && (a < self.split_at) != (b < self.split_at)
-            }
-        }
-    }
-
-    /// Per-leg fate at counter-RNG coordinates `(stream, idx)`: `None` when
-    /// the leg is lost, otherwise the delivery delay in rounds. Consumes no
-    /// randomness when both knobs are off (zero-fault bit-compatibility);
-    /// the counter is advanced by the caller for every leg regardless, so
-    /// one leg's fate never shifts another's coordinates.
-    fn fate(&self, stream: CounterStream, idx: u64) -> Option<u64> {
-        if self.spec.drop_per_mille == 0 && self.spec.latency_max == 0 {
-            return Some(0);
-        }
-        let w = stream.word(idx);
-        if self.spec.drop_per_mille > 0 {
-            let threshold = ((self.spec.drop_per_mille as u64) << 32) / 1000;
-            if (w & 0xFFFF_FFFF) < threshold {
-                return None;
-            }
-        }
-        let range = (self.spec.latency_max - self.spec.latency_min) as u64 + 1;
-        Some(self.spec.latency_min as u64 + (w >> 32) % range)
+        self.faults.spec.byzantine > 0 && self.faults.byzantine[p]
     }
 
     /// Route one round of request/response traffic through the hostile
     /// network. The contract mirrors [`run_round`](crate::run_round) —
-    /// same `targets` layout, same drop-policy hook, same response buffers
+    /// same `targets` layout, same drop-policy hook, same response table
     /// — plus:
     ///
     /// * messages with a positive delay park in the delay rings and are
-    ///   delivered (to inboxes / response buffers) in the round they come
-    ///   due, in send order;
+    ///   delivered in the round they come due;
     /// * `forge` is the value Byzantine responders report instead of their
     ///   own (ignored when no responder is Byzantine);
     /// * crashed processes neither send, answer, nor receive.
     ///
+    /// Delivery order. A target's inbox holds its requests in arrival
+    /// order — due delayed requests in ring (send) order, then this
+    /// round's in sender-id order — and the drop policy caps inboxes
+    /// target by target in id order. Response leg `j` of target `t`'s
+    /// kept inbox draws its fate at index `Σ_{u<t} kept(u) + j`. A
+    /// requester's row lists its self-answers first; without latency the
+    /// rest follow by responder id, and with latency in the order they
+    /// come due, ring (send) order.
+    ///
+    /// Without latency (`latency_max == 0`) nothing is stored: one pass
+    /// over the senders counts arrivals per target, only an over-cap
+    /// target gets an inbox, and one pass per requester answers in place.
+    /// With latency every leg goes through the delay rings.
+    ///
     /// With the zero-fault spec this is bit-identical to
-    /// [`run_round`](crate::run_round): same response order, same
-    /// drop-policy RNG consumption, same metrics.
+    /// [`run_round`](crate::run_round): same responses, same drop-policy
+    /// RNG consumption, same metrics.
+    ///
+    /// Rounds must be routed in order, from 0 or from a
+    /// [`reset`](Self::reset).
     ///
     /// # Panics
     /// Panics if shapes disagree with the scenario's `n` or a target id is
@@ -494,7 +648,7 @@ impl<V: Copy> NetScenario<V> {
         cfg: &RoundConfig,
         policy: &mut P,
         rng: &mut R,
-        responses: &mut [Vec<(ProcessId, V)>],
+        responses: &mut Responses<V>,
         forge: Option<V>,
     ) -> RoundMetrics
     where
@@ -502,147 +656,362 @@ impl<V: Copy> NetScenario<V> {
         R: RngCore,
     {
         let n = values.len();
-        assert_eq!(self.inboxes.len(), n, "scenario built for different n");
+        assert_eq!(self.n(), n, "scenario built for different n");
         assert_eq!(targets.len(), n * k, "targets shape mismatch");
-        assert_eq!(responses.len(), n, "responses shape mismatch");
+        let input = RoundIn {
+            round,
+            values,
+            targets,
+            k,
+            cfg,
+            forge,
+        };
+        if self.faults.spec.latency_max == 0 {
+            self.route_in_place(&input, policy, rng, responses)
+        } else {
+            self.route_through_rings(&input, policy, rng, responses)
+        }
+    }
 
+    /// [`route_round`](Self::route_round) without latency: every leg has
+    /// delay 0, so each request is answered in the round it is sent.
+    fn route_in_place<P, R>(
+        &mut self,
+        input: &RoundIn<'_, V>,
+        policy: &mut P,
+        rng: &mut R,
+        responses: &mut Responses<V>,
+    ) -> RoundMetrics
+    where
+        P: DropPolicy + ?Sized,
+        R: RngCore,
+    {
+        let RoundIn {
+            round,
+            values,
+            targets,
+            k,
+            cfg,
+            forge,
+        } = *input;
+        let n = values.len();
+        let faults = &self.faults;
+        let active = faults.active(round);
+        let drops = faults.spec.drop_per_mille > 0;
+        let inboxes = &mut self.inboxes;
+        let rank = &mut self.rank;
+        inboxes.load.clear();
+        inboxes.load.resize(n, 0);
+        rank.resize(n * k, LOST);
+        let req_fates = faults.key.stream(round.wrapping_mul(2) + REQ_LEG);
+        let resp_fates = faults.key.stream(round.wrapping_mul(2) + RESP_LEG);
+
+        // Senders in id order: each request's fate, and for a delivered
+        // one its arrival rank at its target.
+        let load = &mut inboxes.load[..];
+        let (mut req_idx, mut self_requests, mut cut, mut lost) = (0u64, 0u64, 0u64, 0u64);
+        for (i, (window, ranks)) in targets
+            .chunks_exact(k)
+            .zip(rank.chunks_exact_mut(k))
+            .enumerate()
+        {
+            if active.is_down(i) {
+                assert!(
+                    window.iter().all(|&t| (t as usize) < n),
+                    "target out of range"
+                );
+                ranks.fill(LOST);
+                continue;
+            }
+            for (&t, r) in window.iter().zip(ranks.iter_mut()) {
+                let t_us = t as usize;
+                assert!(t_us < n, "target {t} out of range (n = {n})");
+                if cfg.self_bypass && t_us == i {
+                    *r = SELF;
+                    self_requests += 1;
+                    continue;
+                }
+                let idx = req_idx;
+                req_idx += 1;
+                // Branch-free past the knobs: under a partition, which
+                // legs cross is a coin flip.
+                let crossed = active.crossing(i as ProcessId, t);
+                let dropped = !crossed
+                    & ((drops && faults.fate(req_fates, idx).is_none()) | active.is_down(t_us));
+                cut += crossed as u64;
+                lost += dropped as u64;
+                let arrived = !(crossed | dropped);
+                let rank = load[t_us];
+                load[t_us] = rank + arrived as u32;
+                *r = if arrived { rank } else { LOST };
+            }
+        }
+        let mut metrics = RoundMetrics {
+            requests: req_idx,
+            self_requests,
+            partition_dropped: cut,
+            link_dropped: lost,
+            max_inbox: load.iter().max().map_or(0, |&l| l as usize),
+            ..RoundMetrics::default()
+        };
+
+        // Only over-cap targets need their inboxes: lay them out from the
+        // ranks, cap them, and give each survivor its kept position.
+        let cap = cfg.inbox_cap;
+        if metrics.max_inbox > cap {
+            inboxes.lay_out();
+            for (i, (window, ranks)) in targets
+                .chunks_exact(k)
+                .zip(rank.chunks_exact_mut(k))
+                .enumerate()
+            {
+                for (&t, r) in window.iter().zip(ranks.iter_mut()) {
+                    let t = t as usize;
+                    if *r < PENDING && inboxes.load[t] as usize > cap {
+                        inboxes.slots[(inboxes.start[t] + *r) as usize] = i as ProcessId;
+                        *r = PENDING;
+                    }
+                }
+            }
+            inboxes.cap(cap, policy, rng, &mut metrics);
+            for t in 0..n {
+                let start = inboxes.start[t] as usize;
+                if inboxes.start[t + 1] as usize - start <= cap {
+                    continue;
+                }
+                let kept = &inboxes.slots[start..start + inboxes.load[t] as usize];
+                for (pos, &s) in kept.iter().enumerate() {
+                    let row = &mut rank[s as usize * k..(s as usize + 1) * k];
+                    let window = &targets[s as usize * k..(s as usize + 1) * k];
+                    let w = (0..k)
+                        .find(|&w| window[w] == t as ProcessId && row[w] == PENDING)
+                        .expect("drop policy kept a request that never arrived");
+                    row[w] = pos as u32;
+                }
+            }
+        }
+
+        // With link drops, each target's kept count becomes its first
+        // response-leg index.
+        if drops {
+            let mut next = 0;
+            for load in &mut inboxes.load {
+                let kept = *load;
+                *load = next;
+                next += kept;
+            }
+        }
+
+        // Requesters in id order: self-answers, then each surviving
+        // request answered in place, ordered by responder. A response leg
+        // retraces its request leg in the same round, so it crosses no cut
+        // and reaches a live requester.
+        let load = &inboxes.load[..];
+        let (mut delivered, mut forged, mut lost) = (0u64, 0u64, 0u64);
+        let rows = responses.rows_mut(n, k);
+        for (i, ((window, ranks), (row, len))) in targets
+            .chunks_exact(k)
+            .zip(rank.chunks_exact(k))
+            .zip(rows)
+            .enumerate()
+        {
+            let mut filled = 0;
+            for _ in ranks.iter().filter(|&&r| r == SELF) {
+                row[filled] = (i as ProcessId, values[i]);
+                filled += 1;
+            }
+            // Requests are visited by responder id (for two, one compare
+            // picks the order), so the answers come out ordered. Every
+            // one is written at `filled`, which only an answered one
+            // advances; the row has room, since `filled` never passes the
+            // requests visited before it.
+            let first = filled;
+            let swap = k == 2 && window[1] < window[0];
+            for j in 0..k {
+                let w = j ^ swap as usize;
+                let (t, r) = (window[w], ranks[w]);
+                if r == SELF {
+                    continue;
+                }
+                let t_us = t as usize;
+                let arrived = r < PENDING;
+                let answered = arrived
+                    && !(drops
+                        && faults
+                            .fate(resp_fates, load[t_us].wrapping_add(r) as u64)
+                            .is_none());
+                let byzantine = active.is_byzantine(t_us);
+                row[filled] = match forge {
+                    Some(forged) if byzantine => (t, forged),
+                    _ => (t, values[t_us]),
+                };
+                filled += answered as usize;
+                forged += (answered && byzantine) as u64;
+                lost += (arrived && !answered) as u64;
+            }
+            if k > 2 {
+                // Entries from one responder are equal, so an unstable
+                // sort gives the same row.
+                row[first..filled].sort_unstable_by_key(|&(from, _)| from);
+            }
+            *len = filled as u32;
+            delivered += (filled - first) as u64;
+        }
+        metrics.delivered = delivered;
+        metrics.forged = forged;
+        metrics.link_dropped += lost;
+        metrics
+    }
+
+    /// [`route_round`](Self::route_round) with latency: every leg goes
+    /// through a delay ring, and this round's due requests through
+    /// arrival-ordered inboxes.
+    fn route_through_rings<P, R>(
+        &mut self,
+        input: &RoundIn<'_, V>,
+        policy: &mut P,
+        rng: &mut R,
+        responses: &mut Responses<V>,
+    ) -> RoundMetrics
+    where
+        P: DropPolicy + ?Sized,
+        R: RngCore,
+    {
+        let RoundIn {
+            round,
+            values,
+            targets,
+            k,
+            cfg,
+            forge,
+        } = *input;
+        let n = values.len();
+        let faults = &self.faults;
+        let active = faults.active(round);
         let mut metrics = RoundMetrics::default();
-        for buf in responses.iter_mut() {
-            buf.clear();
-        }
+        // A row takes this round's self-answers plus responses to requests
+        // sent over `2·(max − min) + 1` earlier rounds.
+        let span = (faults.spec.latency_max - faults.spec.latency_min) as usize;
+        responses.reset(n, k * (2 * span + 2));
+        let horizon = self.req_ring.len();
+        let slot = (round % horizon as u64) as usize;
+        let due_slot = |delay: usize| {
+            let at = slot + delay;
+            if at >= horizon {
+                at - horizon
+            } else {
+                at
+            }
+        };
+        let req_fates = faults.key.stream(round.wrapping_mul(2) + REQ_LEG);
+        let resp_fates = faults.key.stream(round.wrapping_mul(2) + RESP_LEG);
 
-        // Headroom so warm buffers never grow again: per-round inbox load is
-        // Binomial(n·k, 1/n) — mean k — so a 16·k capacity outlasts any max
-        // load these grids can realistically produce, and `reserve` is a
-        // branch once capacity is there. Without this, the balls-in-bins tail
-        // keeps minting new per-process maxima (capacity 8 → 16 reallocs)
-        // for thousands of trials, which the allocation gate counts.
-        let headroom = 16 * k.max(2);
-        for buf in self.inboxes.iter_mut() {
-            buf.clear();
-            buf.reserve(headroom);
-        }
-        for buf in responses.iter_mut() {
-            buf.reserve(headroom);
-        }
-
-        let horizon = self.req_ring.len() as u64;
-        let slot = (round % horizon) as usize;
-        let req_fates = self.key.stream(round.wrapping_mul(2) + REQ_LEG);
-        let resp_fates = self.key.stream(round.wrapping_mul(2) + RESP_LEG);
-
-        // Phase 1: send requests (delay 0 lands in this round's slot, which
-        // is drained below; longer delays land in future slots).
+        // Send requests (delay 0 lands in this round's slot, which is
+        // drained below; longer delays land in future slots).
         let mut req_idx = 0u64;
         for (i, window) in targets.chunks_exact(k).enumerate() {
-            if self.is_down(i, round) {
+            if active.is_down(i) {
                 continue;
             }
             for &t in window {
                 let t_us = t as usize;
                 assert!(t_us < n, "target {t} out of range (n = {n})");
                 if cfg.self_bypass && t_us == i {
-                    responses[i].push((t, values[t_us]));
+                    responses.push(i, (t, values[t_us]));
                     metrics.self_requests += 1;
                     continue;
                 }
                 let idx = req_idx;
                 req_idx += 1;
-                metrics.requests += 1;
-                if self.crossing(i as ProcessId, t, round) {
+                if active.crossing(i as ProcessId, t) {
                     metrics.partition_dropped += 1;
                     continue;
                 }
-                let Some(delay) = self.fate(req_fates, idx) else {
+                let Some(delay) = faults.fate(req_fates, idx) else {
                     metrics.link_dropped += 1;
                     continue;
                 };
-                let dest = ((round + delay) % horizon) as usize;
-                self.req_ring[dest].push(FlightReq {
+                self.req_ring[due_slot(delay)].push(FlightReq {
                     from: i as ProcessId,
                     to: t,
                 });
-                self.in_flight += 1;
             }
         }
+        metrics.requests = req_idx;
 
-        // Phase 2: deliver due requests into inboxes (cleared above, in send
-        // order; a crashed target loses the request).
+        // Deliver due requests into inboxes in ring order (a crashed
+        // target loses the request): count, lay out, fill.
         let mut due_reqs = std::mem::take(&mut self.req_ring[slot]);
-        self.in_flight -= due_reqs.len() as u64;
+        let inboxes = &mut self.inboxes;
+        inboxes.load.clear();
+        inboxes.load.resize(n, 0);
         for msg in &due_reqs {
-            if self.is_down(msg.to as usize, round) {
+            if active.is_down(msg.to as usize) {
                 metrics.link_dropped += 1;
-                continue;
+            } else {
+                inboxes.load[msg.to as usize] += 1;
             }
-            self.inboxes[msg.to as usize].push(msg.from);
+        }
+        metrics.max_inbox = inboxes.load.iter().max().map_or(0, |&l| l as usize);
+        inboxes.lay_out();
+        inboxes.load.fill(0);
+        for msg in &due_reqs {
+            let to = msg.to as usize;
+            if !active.is_down(to) {
+                inboxes.slots[(inboxes.start[to] + inboxes.load[to]) as usize] = msg.from;
+                inboxes.load[to] += 1;
+            }
         }
         due_reqs.clear();
         self.req_ring[slot] = due_reqs;
+        inboxes.cap(cfg.inbox_cap, policy, rng, &mut metrics);
 
-        // Phase 3: cap overloaded inboxes via the drop policy (identical to
-        // the synchronous executor, including RNG consumption order).
-        for (t, requesters) in self.inboxes.iter_mut().enumerate() {
-            metrics.max_inbox = metrics.max_inbox.max(requesters.len());
-            if requesters.len() > cfg.inbox_cap {
-                metrics.overloaded += 1;
-                let before = requesters.len();
-                policy.select(t as ProcessId, requesters, cfg.inbox_cap, rng);
-                assert!(
-                    requesters.len() <= cfg.inbox_cap,
-                    "drop policy exceeded the cap"
-                );
-                metrics.dropped += (before - requesters.len()) as u64;
-            }
-        }
-
-        // Phase 4: answer surviving requests. A Byzantine responder mutates
-        // the value at this message boundary; its own state is untouched.
+        // Answer surviving requests, responder by responder. A Byzantine
+        // responder mutates the value at this message boundary; its own
+        // state is untouched.
         let mut resp_idx = 0u64;
         for (t, &held) in values.iter().enumerate() {
-            let byz = self.is_byzantine(t);
-            let value = if byz { forge.unwrap_or(held) } else { held };
-            for j in 0..self.inboxes[t].len() {
-                let requester = self.inboxes[t][j];
+            let byzantine = active.is_byzantine(t);
+            let value = match forge {
+                Some(forged) if byzantine => forged,
+                _ => held,
+            };
+            let start = inboxes.start[t] as usize;
+            for &requester in &inboxes.slots[start..start + inboxes.load[t] as usize] {
                 let idx = resp_idx;
                 resp_idx += 1;
-                if self.crossing(t as ProcessId, requester, round) {
+                if active.crossing(t as ProcessId, requester) {
                     metrics.partition_dropped += 1;
                     continue;
                 }
-                let Some(delay) = self.fate(resp_fates, idx) else {
+                let Some(delay) = faults.fate(resp_fates, idx) else {
                     metrics.link_dropped += 1;
                     continue;
                 };
-                if byz {
-                    metrics.forged += 1;
-                }
-                let dest = ((round + delay) % horizon) as usize;
-                self.resp_ring[dest].push(FlightResp {
+                metrics.forged += byzantine as u64;
+                self.resp_ring[due_slot(delay)].push(FlightResp {
                     from: t as ProcessId,
                     to: requester,
                     value,
                 });
-                self.in_flight += 1;
             }
         }
 
-        // Phase 5: deliver due responses (send order; a crashed requester
-        // loses the response).
+        // Deliver due responses (ring order; a crashed requester loses
+        // the response).
         let mut due_resps = std::mem::take(&mut self.resp_ring[slot]);
-        self.in_flight -= due_resps.len() as u64;
         for msg in &due_resps {
-            if self.is_down(msg.to as usize, round) {
+            if active.is_down(msg.to as usize) {
                 metrics.link_dropped += 1;
                 continue;
             }
-            responses[msg.to as usize].push((msg.from, msg.value));
+            responses.push(msg.to as usize, (msg.from, msg.value));
             metrics.delivered += 1;
         }
         due_resps.clear();
         self.resp_ring[slot] = due_resps;
 
-        metrics.in_flight = self.in_flight;
+        metrics.in_flight = self.in_flight();
         metrics
     }
 }
@@ -660,10 +1029,6 @@ mod tests {
             .collect()
     }
 
-    fn fresh_responses(n: usize) -> Vec<Vec<(ProcessId, u32)>> {
-        vec![Vec::new(); n]
-    }
-
     #[test]
     fn zero_fault_matches_run_round_bitwise() {
         let n = 128;
@@ -679,8 +1044,8 @@ mod tests {
             // Same policy/rng state on both sides.
             let mut rng_a = Xoshiro256pp::seed(round);
             let mut rng_b = Xoshiro256pp::seed(round);
-            let mut resp_a = fresh_responses(n);
-            let mut resp_b = fresh_responses(n);
+            let mut resp_a = Responses::new();
+            let mut resp_b = Responses::new();
             let ma = run_round(
                 &values,
                 &targets,
@@ -719,7 +1084,7 @@ mod tests {
         };
         let targets: Vec<ProcessId> = (0..n).map(|i| ((i + 1) % n) as ProcessId).collect();
         let mut rng = Xoshiro256pp::seed(2);
-        let mut responses = fresh_responses(n);
+        let mut responses = Responses::new();
         // Round 0: requests depart, nothing arrives.
         let m0 = scen.route_round(
             0,
@@ -795,7 +1160,7 @@ mod tests {
         };
         let targets = uniform_targets(n, 2, 9);
         let mut rng = Xoshiro256pp::seed(4);
-        let mut responses = fresh_responses(n);
+        let mut responses = Responses::new();
         let mut sent = 0u64;
         let mut lost = 0u64;
         for round in 0..20u64 {
@@ -832,7 +1197,7 @@ mod tests {
         // Everyone asks across the cut: i → (i + n/2) mod n.
         let targets: Vec<ProcessId> = (0..n).map(|i| ((i + n / 2) % n) as ProcessId).collect();
         let mut rng = Xoshiro256pp::seed(6);
-        let mut responses = fresh_responses(n);
+        let mut responses = Responses::new();
         for round in 0..5u64 {
             let m = scen.route_round(
                 round,
@@ -871,7 +1236,7 @@ mod tests {
         };
         let targets: Vec<ProcessId> = (0..n).map(|i| ((i + 1) % n) as ProcessId).collect();
         let mut rng = Xoshiro256pp::seed(8);
-        let mut responses = fresh_responses(n);
+        let mut responses = Responses::new();
         let m = scen.route_round(
             0,
             &values,
@@ -885,7 +1250,7 @@ mod tests {
         );
         assert_eq!(m.requests, (n - 8) as u64, "down processes sent nothing");
         for &p in &down {
-            assert!(responses[p].is_empty(), "down process {p} received");
+            assert!(responses.get(p).is_empty(), "down process {p} received");
         }
     }
 
@@ -905,7 +1270,7 @@ mod tests {
         };
         let targets: Vec<ProcessId> = (0..n).map(|i| ((i + 1) % n) as ProcessId).collect();
         let mut rng = Xoshiro256pp::seed(10);
-        let mut responses = fresh_responses(n);
+        let mut responses = Responses::new();
         let m = scen.route_round(
             0,
             &values,
@@ -942,7 +1307,7 @@ mod tests {
         let values: Vec<u32> = (0..n as u32).collect();
         let run = |scen: &mut NetScenario<u32>| {
             let mut rng = Xoshiro256pp::seed(11);
-            let mut responses = fresh_responses(n);
+            let mut responses = Responses::new();
             let mut log = Vec::new();
             for round in 0..12u64 {
                 let targets = uniform_targets(n, 2, round);

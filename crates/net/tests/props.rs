@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::RngCore;
 use stabcon_net::{
     log_inbox_cap, run_round, DropPolicy, FeistelPerm, KeepFirst, NetScenario, ProcessId,
-    RandomDrop, RoundConfig, ScenarioSpec, StarveSet,
+    RandomDrop, Responses, RoundConfig, ScenarioSpec, StarveSet,
 };
 use stabcon_util::rng::{gen_index, Xoshiro256pp};
 
@@ -40,7 +40,7 @@ proptest! {
             .map(|_| stabcon_util::rng::gen_index(&mut rng, n as u64) as ProcessId)
             .collect();
         let cfg = RoundConfig { inbox_cap: cap, self_bypass: true };
-        let mut responses = vec![Vec::new(); n];
+        let mut responses = Responses::new();
         let m = run_round(&values, &targets, 2, &cfg, &mut RandomDrop, &mut rng, &mut responses);
         prop_assert_eq!(m.delivered + m.dropped, m.requests);
         prop_assert_eq!(m.requests + m.self_requests, (n * 2) as u64);
@@ -55,7 +55,7 @@ proptest! {
         let targets: Vec<ProcessId> = vec![0; n * 2];
         let cfg = RoundConfig { inbox_cap: cap, self_bypass: false };
         let mut rng = Xoshiro256pp::seed(seed);
-        let mut responses = vec![Vec::new(); n];
+        let mut responses = Responses::new();
         let m = run_round(&values, &targets, 2, &cfg, &mut KeepFirst, &mut rng, &mut responses);
         prop_assert!(m.delivered <= cap as u64);
         let received: usize = responses.iter().map(|r| r.len()).sum();
@@ -70,9 +70,9 @@ proptest! {
             .map(|_| stabcon_util::rng::gen_index(&mut rng, n as u64) as ProcessId)
             .collect();
         let cfg = RoundConfig { inbox_cap: n, self_bypass: true };
-        let mut responses = vec![Vec::new(); n];
+        let mut responses = Responses::new();
         run_round(&values, &targets, 2, &cfg, &mut RandomDrop, &mut rng, &mut responses);
-        for resp in &responses {
+        for resp in responses.iter() {
             for &(who, v) in resp {
                 prop_assert_eq!(v, values[who as usize]);
             }
@@ -104,8 +104,8 @@ proptest! {
         let mut scen: NetScenario<u32> = NetScenario::new(n, ScenarioSpec::clean(), seed);
         let mut rng_a = Xoshiro256pp::seed(seed ^ 1);
         let mut rng_b = Xoshiro256pp::seed(seed ^ 1);
-        let mut resp_a = vec![Vec::new(); n];
-        let mut resp_b = vec![Vec::new(); n];
+        let mut resp_a = Responses::new();
+        let mut resp_b = Responses::new();
         for round in 0..3u64 {
             let targets: Vec<ProcessId> = (0..n * k)
                 .map(|_| gen_index(&mut draw, n as u64) as ProcessId)
@@ -130,7 +130,7 @@ proptest! {
         let cfg = RoundConfig { inbox_cap: cap, self_bypass: false };
         let mut rng = Xoshiro256pp::seed(seed);
         let mut policy = StarveSet::first_k(n, victims);
-        let mut responses = vec![Vec::new(); n];
+        let mut responses = Responses::new();
         run_round(&values, &targets, 1, &cfg, &mut policy, &mut rng, &mut responses);
         // Victims (processes 0..victims) must have received nothing, since
         // there were ≥ cap non-victim requesters.

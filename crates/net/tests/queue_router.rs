@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::RngCore;
 use stabcon_net::{
     ChurnSpec, DropPolicy, FeistelPerm, KeepFirst, NetScenario, PartitionSpec, ProcessId,
-    RandomDrop, Rejoin, RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
+    RandomDrop, Rejoin, Responses, RoundConfig, RoundMetrics, ScenarioSpec, StarveSet,
 };
 use stabcon_util::rng::{gen_index, CounterKey, CounterStream, Xoshiro256pp};
 
@@ -285,7 +285,7 @@ proptest! {
         let mut scen: NetScenario<u32> = NetScenario::new(n, spec, seed);
         let mut rng_a = Xoshiro256pp::seed(seed ^ 1);
         let mut rng_b = Xoshiro256pp::seed(seed ^ 1);
-        let mut resp_b = vec![Vec::new(); n];
+        let mut resp_b = Responses::new();
         for round in 0..12u64 {
             let targets: Vec<ProcessId> = (0..n * k)
                 .map(|_| gen_index(&mut draw, n as u64) as ProcessId)
@@ -303,7 +303,10 @@ proptest! {
                 round, &values, &targets, k, &cfg, pb.as_mut(), &mut rng_b, &mut resp_b, forge,
             );
             prop_assert_eq!(ma, mb, "round {} metrics under {}", round, spec.label());
-            prop_assert_eq!(&resp_a, &resp_b, "round {} responses under {}", round, spec.label());
+            prop_assert_eq!(resp_a.len(), resp_b.len());
+            for (i, row) in resp_a.iter().enumerate() {
+                prop_assert_eq!(row.as_slice(), resp_b.get(i), "round {} process {} under {}", round, i, spec.label());
+            }
             prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "round {} rng", round);
         }
     }

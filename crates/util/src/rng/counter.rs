@@ -121,8 +121,8 @@ impl CounterStream {
 /// construct (the seed and stream folds are done once, so each word costs
 /// only the counter fold), so the parallel engine creates one per logical
 /// work item. Callers deriving many streams from one seed hoist the seed
-/// fold themselves and build each generator with
-/// [`CounterRng::from_stream`].
+/// fold themselves with [`CounterKey`] and read each [`CounterStream`]
+/// directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterRng {
     stream: CounterStream,
@@ -143,14 +143,6 @@ impl CounterRng {
             stream: CounterKey::new(seed).stream(stream),
             counter,
         }
-    }
-
-    /// Generator over an already keyed stream, starting at counter 0:
-    /// `CounterRng::from_stream(CounterKey::new(s).stream(t))` draws the
-    /// same words as `CounterRng::new(s, t)`.
-    #[inline]
-    pub fn from_stream(stream: CounterStream) -> Self {
-        Self { stream, counter: 0 }
     }
 
     /// The current counter (number of words consumed since construction at
@@ -234,15 +226,6 @@ mod tests {
         let mut rng = CounterRng::new(7, 3);
         for k in 0..100 {
             assert_eq!(rng.next_u64(), CounterRng::word(7, 3, k));
-        }
-    }
-
-    #[test]
-    fn from_stream_matches_new() {
-        let mut a = CounterRng::new(5, 77);
-        let mut b = CounterRng::from_stream(CounterKey::new(5).stream(77));
-        for _ in 0..20 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
